@@ -89,6 +89,15 @@ if [[ "${mode}" == "full" ]]; then
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+
+  # Codec re-gate under UBSan: the histogram delta codec must stay free of
+  # signed overflow across the full int64 span, and decoding must stay
+  # canonical and bounded. The suite above already ran these; this names
+  # them on their own line.
+  echo "=== [asan] histogram codec gate ==="
+  ctest --test-dir build-check/asan -R \
+    "CompactHistogram|HistogramBuilder|HistogramModel|GoldenDigest|SampleFuzz|Crc32" \
+    --output-on-failure
 fi
 
 # Query-path smoke bench (~2 s): exercises the sample cache, parallel

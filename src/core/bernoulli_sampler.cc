@@ -76,7 +76,7 @@ void BernoulliSampler::SaveState(BinaryWriter* writer) const {
   SaveRngState(rng_, writer);
   writer->PutVarint64(elements_seen_);
   writer->PutVarint64(gap_);
-  hist_.SerializeTo(writer);
+  hist_.Build().SerializeTo(writer);
   writer->PutVarint64(static_cast<uint64_t>(mode_));
 }
 
@@ -94,7 +94,9 @@ Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader,
   SAMPWH_RETURN_IF_ERROR(LoadRngState(reader, &s.rng_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.gap_));
-  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
+  SAMPWH_ASSIGN_OR_RETURN(const CompactHistogram hist,
+                          CompactHistogram::DeserializeFrom(reader));
+  s.hist_ = HistogramBuilder(hist);
   if (version >= 2) {
     // v1 records predate the acceptance-mode field: scalar skip implied.
     uint64_t mode;
@@ -110,7 +112,7 @@ Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader,
 }
 
 PartitionSample BernoulliSampler::Finalize() {
-  CompactHistogram hist = std::move(hist_);
+  CompactHistogram hist = hist_.Build();
   hist_.Clear();
   return PartitionSample::MakeBernoulli(std::move(hist), elements_seen_, q_,
                                         /*footprint_bound_bytes=*/0);

@@ -62,7 +62,7 @@ class BernoulliSampler {
   BernAcceptMode mode_;
   uint64_t elements_seen_ = 0;
   uint64_t gap_ = 0;  // kGeometricSkip: elements to skip before inclusion
-  CompactHistogram hist_;
+  HistogramBuilder hist_;  // inclusions arrive in stream order
 };
 
 }  // namespace sampwh

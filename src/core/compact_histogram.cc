@@ -1,101 +1,188 @@
 #include "src/core/compact_histogram.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/util/logging.h"
 
 namespace sampwh {
 
+namespace {
+
+bool ValueLess(const CompactHistogram::Entry& e, Value v) {
+  return e.first < v;
+}
+
+Value KeyOf(Value v) { return v; }
+Value KeyOf(const CompactHistogram::Entry& e) { return e.first; }
+
+// Sorts `items` ascending by their Value key: an LSD radix sort with one
+// counting pass per byte in which the keys differ. Histograms arrive here
+// in hash-table or reservoir order, where a comparison sort mispredicts
+// about every other branch; the radix passes have no data-dependent
+// branches. Small inputs use std::sort.
+template <typename T>
+void SortByValue(std::vector<T>* items) {
+  constexpr size_t kRadixMinItems = 256;
+  if (items->size() < kRadixMinItems) {
+    std::sort(items->begin(), items->end(),
+              [](const T& a, const T& b) { return KeyOf(a) < KeyOf(b); });
+    return;
+  }
+  // Flipping the sign bit maps signed order onto unsigned order.
+  const auto key = [](const T& item) {
+    return static_cast<uint64_t>(KeyOf(item)) ^ (uint64_t{1} << 63);
+  };
+  const uint64_t first = key(items->front());
+  uint64_t varying = 0;
+  for (const T& item : *items) varying |= key(item) ^ first;
+  std::vector<T> scratch(items->size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    size_t offsets[256] = {};
+    for (const T& item : *items) ++offsets[(key(item) >> shift) & 0xFF];
+    size_t sum = 0;
+    for (size_t& offset : offsets) {
+      const size_t count = offset;
+      offset = sum;
+      sum += count;
+    }
+    for (const T& item : *items) {
+      scratch[offsets[(key(item) >> shift) & 0xFF]++] = item;
+    }
+    items->swap(scratch);
+  }
+}
+
+}  // namespace
+
 void CompactHistogram::Insert(Value v, uint64_t n) {
   if (n == 0) return;
-  uint64_t& count = counts_[v];
-  if (count == 0) {
-    // New entry: singleton if n == 1, pair otherwise.
-    footprint_bytes_ +=
-        (n == 1) ? kSingletonFootprintBytes : kPairFootprintBytes;
-  } else if (count == 1) {
-    // Singleton becomes a pair.
-    footprint_bytes_ += kPairFootprintBytes - kSingletonFootprintBytes;
-  }
-  count += n;
   total_count_ += n;
+  if (entries_.empty() || entries_.back().first < v) {
+    entries_.emplace_back(v, n);
+    footprint_bytes_ += EntryFootprintBytes(n);
+    return;
+  }
+  auto it = entries_.back().first == v
+                ? entries_.end() - 1
+                : std::lower_bound(entries_.begin(), entries_.end(), v,
+                                   ValueLess);
+  if (it->first == v) {
+    footprint_bytes_ += EntryFootprintBytes(it->second + n) -
+                        EntryFootprintBytes(it->second);
+    it->second += n;
+  } else {
+    entries_.insert(it, Entry{v, n});
+    footprint_bytes_ += EntryFootprintBytes(n);
+  }
 }
 
 void CompactHistogram::Remove(Value v, uint64_t n) {
   if (n == 0) return;
-  auto it = counts_.find(v);
-  SAMPWH_CHECK(it != counts_.end() && it->second >= n);
-  const uint64_t old_count = it->second;
-  const uint64_t new_count = old_count - n;
-  auto contribution = [](uint64_t c) -> uint64_t {
-    if (c == 0) return 0;
-    return c == 1 ? kSingletonFootprintBytes : kPairFootprintBytes;
-  };
-  footprint_bytes_ += contribution(new_count);
-  footprint_bytes_ -= contribution(old_count);
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), v, ValueLess);
+  SAMPWH_CHECK(it != entries_.end() && it->first == v && it->second >= n);
+  const uint64_t new_count = it->second - n;
+  footprint_bytes_ -= EntryFootprintBytes(it->second);
+  footprint_bytes_ += EntryFootprintBytes(new_count);
   total_count_ -= n;
   if (new_count == 0) {
-    counts_.erase(it);
+    entries_.erase(it);
   } else {
     it->second = new_count;
   }
 }
 
 uint64_t CompactHistogram::CountOf(Value v) const {
-  const auto it = counts_.find(v);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-void CompactHistogram::ForEach(
-    const std::function<void(Value, uint64_t)>& fn) const {
-  for (const auto& [v, n] : counts_) fn(v, n);
-}
-
-std::vector<std::pair<Value, uint64_t>> CompactHistogram::SortedEntries()
-    const {
-  std::vector<std::pair<Value, uint64_t>> entries(counts_.begin(),
-                                                  counts_.end());
-  std::sort(entries.begin(), entries.end());
-  return entries;
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), v, ValueLess);
+  return it != entries_.end() && it->first == v ? it->second : 0;
 }
 
 std::vector<Value> CompactHistogram::ToBag() const {
   std::vector<Value> bag;
   bag.reserve(total_count_);
-  for (const auto& [v, n] : SortedEntries()) {
-    bag.insert(bag.end(), n, v);
-  }
+  for (const auto& [v, n] : entries_) bag.insert(bag.end(), n, v);
   return bag;
 }
 
-CompactHistogram CompactHistogram::FromBag(const std::vector<Value>& bag) {
+CompactHistogram CompactHistogram::FromBag(std::vector<Value> bag) {
+  SortByValue(&bag);
   CompactHistogram hist;
-  for (const Value v : bag) hist.Insert(v);
+  size_t distinct = bag.empty() ? 0 : 1;
+  for (size_t i = 1; i < bag.size(); ++i) distinct += bag[i] != bag[i - 1];
+  hist.entries_.reserve(distinct);
+  for (size_t i = 0; i < bag.size();) {
+    size_t j = i + 1;
+    while (j < bag.size() && bag[j] == bag[i]) ++j;
+    hist.Insert(bag[i], j - i);
+    i = j;
+  }
   return hist;
 }
 
 void CompactHistogram::Join(const CompactHistogram& other) {
-  other.ForEach([this](Value v, uint64_t n) { Insert(v, n); });
+  if (other.empty()) return;
+  if (empty()) {
+    *this = other;
+    return;
+  }
+  total_count_ += other.total_count_;
+  if (entries_.back().first < other.entries_.front().first) {
+    entries_.insert(entries_.end(), other.entries_.begin(),
+                    other.entries_.end());
+    footprint_bytes_ += other.footprint_bytes_;
+    return;
+  }
+  std::vector<Entry> merged;
+  merged.reserve(entries_.size() + other.entries_.size());
+  uint64_t footprint = 0;
+  auto a = entries_.begin();
+  auto b = other.entries_.begin();
+  while (a != entries_.end() || b != other.entries_.end()) {
+    Entry next;
+    if (b == other.entries_.end() ||
+        (a != entries_.end() && a->first < b->first)) {
+      next = *a++;
+    } else if (a == entries_.end() || b->first < a->first) {
+      next = *b++;
+    } else {
+      next = Entry{a->first, a->second + b->second};
+      ++a;
+      ++b;
+    }
+    footprint += EntryFootprintBytes(next.second);
+    merged.push_back(next);
+  }
+  entries_ = std::move(merged);
+  footprint_bytes_ = footprint;
 }
 
 uint64_t CompactHistogram::JoinedFootprintBytes(
     const CompactHistogram& other) const {
-  uint64_t footprint = footprint_bytes_;
-  other.ForEach([this, &footprint](Value v, uint64_t n) {
-    const uint64_t existing = CountOf(v);
-    if (existing == 0) {
-      footprint += (n == 1) ? kSingletonFootprintBytes : kPairFootprintBytes;
-    } else if (existing == 1) {
-      footprint += kPairFootprintBytes - kSingletonFootprintBytes;
+  uint64_t footprint = footprint_bytes_ + other.footprint_bytes_;
+  auto a = entries_.begin();
+  auto b = other.entries_.begin();
+  while (a != entries_.end() && b != other.entries_.end()) {
+    if (a->first < b->first) {
+      ++a;
+    } else if (b->first < a->first) {
+      ++b;
+    } else {
+      // A value on both sides is stored once, as a pair.
+      footprint -= EntryFootprintBytes(a->second) +
+                   EntryFootprintBytes(b->second) - kPairFootprintBytes;
+      ++a;
+      ++b;
     }
-  });
+  }
   return footprint;
 }
 
 Value CompactHistogram::RemoveRandomVictim(Pcg64& rng) {
   SAMPWH_CHECK(total_count_ > 0);
   uint64_t target = rng.UniformInt(total_count_);
-  for (const auto& [v, n] : counts_) {
+  for (const auto& [v, n] : entries_) {
     if (target < n) {
       const Value victim = v;
       Remove(victim, 1);
@@ -109,19 +196,19 @@ Value CompactHistogram::RemoveRandomVictim(Pcg64& rng) {
 }
 
 void CompactHistogram::Clear() {
-  counts_.clear();
+  entries_.clear();
   total_count_ = 0;
   footprint_bytes_ = 0;
 }
 
 void CompactHistogram::SerializeTo(BinaryWriter* writer) const {
-  const auto entries = SortedEntries();
-  writer->PutVarint64(entries.size());
-  Value previous = 0;
-  for (const auto& [v, n] : entries) {
-    writer->PutVarintSigned64(v - previous);
+  writer->PutVarint64(entries_.size());
+  uint64_t previous = 0;
+  for (const auto& [v, n] : entries_) {
+    const uint64_t bits = static_cast<uint64_t>(v);
+    writer->PutVarintSigned64(static_cast<int64_t>(bits - previous));
     writer->PutVarint64(n);
-    previous = v;
+    previous = bits;
   }
 }
 
@@ -129,8 +216,14 @@ Result<CompactHistogram> CompactHistogram::DeserializeFrom(
     BinaryReader* reader) {
   uint64_t num_entries;
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&num_entries));
+  // Every entry is two varints of at least one byte each: reject counts
+  // the input cannot hold before reserving memory for them.
+  if (num_entries > reader->remaining() / 2) {
+    return Status::Corruption("histogram entry count exceeds input");
+  }
   CompactHistogram hist;
-  Value previous = 0;
+  hist.entries_.reserve(num_entries);
+  uint64_t previous = 0;
   for (uint64_t i = 0; i < num_entries; ++i) {
     int64_t delta;
     uint64_t count;
@@ -139,10 +232,148 @@ Result<CompactHistogram> CompactHistogram::DeserializeFrom(
     if (count == 0) {
       return Status::Corruption("zero count in histogram entry");
     }
-    previous += delta;
-    hist.Insert(previous, count);
+    if (count > std::numeric_limits<uint64_t>::max() - hist.total_count_) {
+      return Status::Corruption("histogram total count overflows");
+    }
+    const uint64_t bits = previous + static_cast<uint64_t>(delta);
+    const Value v = static_cast<Value>(bits);
+    if (i > 0 && v <= static_cast<Value>(previous)) {
+      return Status::Corruption("histogram values not strictly ascending");
+    }
+    hist.entries_.emplace_back(v, count);
+    hist.total_count_ += count;
+    hist.footprint_bytes_ += EntryFootprintBytes(count);
+    previous = bits;
   }
   return hist;
+}
+
+// --- HistogramBuilder -------------------------------------------------------
+
+HistogramBuilder::HistogramBuilder(const CompactHistogram& hist) {
+  size_t capacity = 16;
+  while (capacity < 2 * hist.distinct_count()) capacity *= 2;
+  Rehash(capacity);
+  for (const auto& [v, n] : hist.entries()) {
+    Slot& slot = slots_[Find(v)];
+    slot.value = v;
+    slot.count = n;
+  }
+  size_ = hist.distinct_count();
+  total_count_ = hist.total_count();
+  footprint_bytes_ = hist.footprint_bytes();
+}
+
+size_t HistogramBuilder::Home(Value v) const {
+  // murmur3's 64-bit finalizer: sequential and strided value codes spread
+  // over the whole table.
+  uint64_t x = static_cast<uint64_t>(v);
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  return static_cast<size_t>(x) & (slots_.size() - 1);
+}
+
+size_t HistogramBuilder::Find(Value v) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(v);
+  while (slots_[i].count != 0 && slots_[i].value != v) i = (i + 1) & mask;
+  return i;
+}
+
+void HistogramBuilder::ReserveOneMore() {
+  if (2 * (size_ + 1) > slots_.size()) {
+    Rehash(slots_.empty() ? 16 : 2 * slots_.size());
+  }
+}
+
+void HistogramBuilder::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  for (const Slot& slot : old) {
+    if (slot.count != 0) slots_[Find(slot.value)] = slot;
+  }
+}
+
+void HistogramBuilder::Insert(Value v, uint64_t n) {
+  if (n == 0) return;
+  ReserveOneMore();
+  Slot& slot = slots_[Find(v)];
+  if (slot.count == 0) {
+    slot.value = v;
+    ++size_;
+  }
+  footprint_bytes_ +=
+      EntryFootprintBytes(slot.count + n) - EntryFootprintBytes(slot.count);
+  slot.count += n;
+  total_count_ += n;
+}
+
+bool HistogramBuilder::InsertIfFits(Value v, uint64_t footprint_bound) {
+  ReserveOneMore();
+  Slot& slot = slots_[Find(v)];
+  const uint64_t growth =
+      EntryFootprintBytes(slot.count + 1) - EntryFootprintBytes(slot.count);
+  if (footprint_bytes_ + growth > footprint_bound) return false;
+  if (slot.count == 0) {
+    slot.value = v;
+    ++size_;
+  }
+  ++slot.count;
+  footprint_bytes_ += growth;
+  ++total_count_;
+  return true;
+}
+
+void HistogramBuilder::Remove(Value v, uint64_t n) {
+  if (n == 0) return;
+  SAMPWH_CHECK(!slots_.empty());
+  size_t hole = Find(v);
+  Slot& slot = slots_[hole];
+  SAMPWH_CHECK(slot.count >= n && slot.count != 0);
+  footprint_bytes_ +=
+      EntryFootprintBytes(slot.count - n) - EntryFootprintBytes(slot.count);
+  total_count_ -= n;
+  slot.count -= n;
+  if (slot.count != 0) return;
+  --size_;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole when the hole lies on their probe path, so lookups never need
+  // tombstones.
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].count != 0;
+       j = (j + 1) & mask) {
+    const size_t home = Home(slots_[j].value);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      slots_[j].count = 0;
+      hole = j;
+    }
+  }
+}
+
+uint64_t HistogramBuilder::CountOf(Value v) const {
+  if (slots_.empty()) return 0;
+  return slots_[Find(v)].count;
+}
+
+CompactHistogram HistogramBuilder::Build() const {
+  CompactHistogram hist;
+  hist.entries_.reserve(size_);
+  for (const Slot& slot : slots_) {
+    if (slot.count != 0) hist.entries_.emplace_back(slot.value, slot.count);
+  }
+  SortByValue(&hist.entries_);
+  hist.total_count_ = total_count_;
+  hist.footprint_bytes_ = footprint_bytes_;
+  return hist;
+}
+
+void HistogramBuilder::Clear() {
+  slots_ = {};
+  size_ = 0;
+  total_count_ = 0;
+  footprint_bytes_ = 0;
 }
 
 }  // namespace sampwh

@@ -3,13 +3,19 @@
 // singleton (count 1) or a (value, count) pair, with incremental byte
 // footprint accounting. This is the representation of §2 requirement 4 and
 // of the concise-sampling data structure in [Gibbons & Matias 1998].
+//
+// CompactHistogram keeps its entries as one flat vector sorted by value.
+// Every consumer — the codecs, purgeBernoulli / purgeReservoir, the merge
+// replays — walks entries in ascending value order, so the sorted layout
+// makes those walks linear and allocation-free, and joins become linear
+// merges. Values that arrive in arbitrary order (a sampler's exhaustive
+// phase) go into a HistogramBuilder instead, which hashes them and sorts
+// once when the histogram is needed.
 
 #ifndef SAMPWH_CORE_COMPACT_HISTOGRAM_H_
 #define SAMPWH_CORE_COMPACT_HISTOGRAM_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,23 +26,35 @@
 
 namespace sampwh {
 
+/// Footprint of one histogram entry holding `count` copies of a value: 0
+/// when absent, a bare singleton, or a (value, count) pair.
+inline constexpr uint64_t EntryFootprintBytes(uint64_t count) {
+  return count == 0   ? 0
+         : count == 1 ? kSingletonFootprintBytes
+                      : kPairFootprintBytes;
+}
+
 class CompactHistogram {
  public:
+  using Entry = std::pair<Value, uint64_t>;
+
   CompactHistogram() = default;
 
   /// Adds `n` occurrences of `v` (insertValue in the paper's pseudocode,
-  /// generalized to batch inserts for the join / merge paths).
+  /// generalized to batch inserts for the join / merge paths). O(1) when
+  /// `v` is at least the largest stored value (ascending construction),
+  /// O(distinct) otherwise.
   void Insert(Value v, uint64_t n = 1);
 
   /// Removes `n` occurrences of `v`; the value disappears when its count
   /// reaches zero. `n` must not exceed the current count.
   void Remove(Value v, uint64_t n = 1);
 
-  /// Current count of `v` (0 when absent).
+  /// Current count of `v` (0 when absent). O(log distinct).
   uint64_t CountOf(Value v) const;
 
   /// Number of distinct values stored.
-  uint64_t distinct_count() const { return counts_.size(); }
+  uint64_t distinct_count() const { return entries_.size(); }
 
   /// Total number of data-element values represented, |S| = L + sum n_i.
   uint64_t total_count() const { return total_count_; }
@@ -48,22 +66,25 @@ class CompactHistogram {
   /// incrementally, O(1) per update.
   uint64_t footprint_bytes() const { return footprint_bytes_; }
 
-  /// Applies fn(value, count) to every entry, in unspecified order.
-  void ForEach(const std::function<void(Value, uint64_t)>& fn) const;
+  /// All (value, count) entries, strictly ascending by value, counts >= 1.
+  const std::vector<Entry>& entries() const { return entries_; }
 
-  /// All (value, count) entries sorted by value — deterministic order for
-  /// serialization, streaming merges, and tests.
-  std::vector<std::pair<Value, uint64_t>> SortedEntries() const;
+  /// Applies fn(value, count) to every entry in ascending value order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [v, n] : entries_) fn(v, n);
+  }
 
   /// expand(S): the sample as a bag of values (order: sorted by value,
   /// duplicates adjacent).
   std::vector<Value> ToBag() const;
 
-  /// Builds a histogram from a bag of values.
-  static CompactHistogram FromBag(const std::vector<Value>& bag);
+  /// Builds a histogram from a bag of values: one sort, then run lengths.
+  static CompactHistogram FromBag(std::vector<Value> bag);
 
   /// Sums `other` into this histogram (the paper's join function: the
   /// compact representation of expand(S1) ∪ expand(S2) without expanding).
+  /// A linear merge of the two sorted entry lists.
   void Join(const CompactHistogram& other);
 
   /// Footprint in bytes that joining `other` into this histogram would
@@ -77,20 +98,77 @@ class CompactHistogram {
 
   void Clear();
 
-  /// Encodes the histogram as (entry count, then sorted delta-encoded
-  /// (value, count) pairs) — the same wire idiom PartitionSample uses, so
-  /// multiset-equal histograms always serialize to identical bytes.
+  /// Encodes the histogram as (entry count, then ascending delta-encoded
+  /// (value, count) pairs) — the wire idiom PartitionSample embeds, so
+  /// multiset-equal histograms always serialize to identical bytes. Deltas
+  /// are taken modulo 2^64, so any two int64 values have a defined delta.
   void SerializeTo(BinaryWriter* writer) const;
 
-  /// Bounds-checked decode; Corruption on zero counts or malformed input.
+  /// Bounds-checked decode of the canonical form only: Corruption on a
+  /// zero count, on values that are not strictly ascending (a duplicate or
+  /// a descending delta), on an entry count the remaining bytes cannot
+  /// hold, or on malformed input.
   static Result<CompactHistogram> DeserializeFrom(BinaryReader* reader);
 
   bool operator==(const CompactHistogram& other) const {
-    return counts_ == other.counts_;
+    return entries_ == other.entries_;
   }
 
  private:
-  std::unordered_map<Value, uint64_t> counts_;
+  friend class HistogramBuilder;
+
+  std::vector<Entry> entries_;
+  uint64_t total_count_ = 0;
+  uint64_t footprint_bytes_ = 0;
+};
+
+/// Accumulates values that arrive in arbitrary order — the exhaustive
+/// phase of HB and HR, and the Bernoulli, concise, counting, systematic and
+/// multi-purge samplers — in an open-addressing hash table, with the same
+/// incremental footprint accounting as CompactHistogram. Build() sorts once
+/// and yields the equivalent CompactHistogram.
+class HistogramBuilder {
+ public:
+  HistogramBuilder() = default;
+  explicit HistogramBuilder(const CompactHistogram& hist);
+
+  void Insert(Value v, uint64_t n = 1);
+
+  /// Inserts one occurrence of `v` when the footprint stays within
+  /// `footprint_bound`; otherwise changes nothing and returns false. One
+  /// table probe for the check and the insert.
+  bool InsertIfFits(Value v, uint64_t footprint_bound);
+
+  /// Removes `n` occurrences of `v`; `n` must not exceed its count.
+  void Remove(Value v, uint64_t n = 1);
+
+  uint64_t CountOf(Value v) const;
+  uint64_t distinct_count() const { return size_; }
+  uint64_t total_count() const { return total_count_; }
+  uint64_t footprint_bytes() const { return footprint_bytes_; }
+
+  /// The histogram accumulated so far, sorted. The builder is unchanged.
+  CompactHistogram Build() const;
+
+  /// Empties the builder and releases its table.
+  void Clear();
+
+ private:
+  // A slot is free when its count is 0; stored values always count >= 1.
+  struct Slot {
+    Value value = 0;
+    uint64_t count = 0;
+  };
+
+  size_t Home(Value v) const;
+  // Index of v's slot, or of the free slot where v would be placed.
+  size_t Find(Value v) const;
+  // Keeps the table at most half full once one more value is added.
+  void ReserveOneMore();
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  size_t size_ = 0;
   uint64_t total_count_ = 0;
   uint64_t footprint_bytes_ = 0;
 };

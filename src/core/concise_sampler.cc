@@ -31,11 +31,14 @@ void ConciseSampler::PurgeWhileOverBound() {
   // §3.3: reduce the sampling rate and thin the sample; by luck of the draw
   // a purge may not shrink the footprint, in which case it is repeated (at
   // an ever lower rate) until the bound holds again.
-  while (hist_.footprint_bytes() > options_.footprint_bound_bytes) {
+  if (hist_.footprint_bytes() <= options_.footprint_bound_bytes) return;
+  CompactHistogram sorted = hist_.Build();
+  while (sorted.footprint_bytes() > options_.footprint_bound_bytes) {
     const double new_tau = tau_ * options_.threshold_growth;
-    PurgeBernoulli(&hist_, tau_ / new_tau, rng_);
+    PurgeBernoulli(&sorted, tau_ / new_tau, rng_);
     tau_ = new_tau;
   }
+  hist_ = HistogramBuilder(sorted);
 }
 
 }  // namespace sampwh

@@ -50,7 +50,7 @@ class ConciseSampler {
   /// The current concise sample. Deliberately NOT a PartitionSample: the
   /// scheme is not uniform, so its output must not enter merge paths that
   /// assume uniformity.
-  const CompactHistogram& histogram() const { return hist_; }
+  CompactHistogram histogram() const { return hist_.Build(); }
 
  private:
   void PurgeWhileOverBound();
@@ -60,7 +60,7 @@ class ConciseSampler {
   uint64_t elements_seen_ = 0;
   double tau_ = 1.0;
   uint64_t gap_ = 0;
-  CompactHistogram hist_;
+  HistogramBuilder hist_;
 };
 
 }  // namespace sampwh

@@ -1,7 +1,6 @@
 #include "src/core/counting_sampler.h"
 
 #include <utility>
-#include <vector>
 
 #include "src/util/logging.h"
 
@@ -37,9 +36,11 @@ void CountingSampler::RaiseThresholdWhileOverBound() {
     const double new_tau = tau_ * options_.threshold_growth;
     // Gibbons-Matias threshold raise: for each value, flip a coin with
     // heads probability tau/tau'; on tails decrement and keep flipping at
-    // heads probability 1/tau' until heads or the count hits zero.
-    std::vector<std::pair<Value, uint64_t>> removals;
-    hist_.ForEach([&](Value value, uint64_t count) {
+    // heads probability 1/tau' until heads or the count hits zero. Values
+    // are visited in ascending order, so the draws depend on the sample's
+    // contents alone.
+    const CompactHistogram sorted = hist_.Build();
+    for (const auto& [value, count] : sorted.entries()) {
       uint64_t removed = 0;
       if (!rng_.Bernoulli(tau_ / new_tau)) {
         ++removed;
@@ -47,10 +48,7 @@ void CountingSampler::RaiseThresholdWhileOverBound() {
           ++removed;
         }
       }
-      if (removed > 0) removals.emplace_back(value, removed);
-    });
-    for (const auto& [value, removed] : removals) {
-      hist_.Remove(value, removed);
+      if (removed > 0) hist_.Remove(value, removed);
     }
     tau_ = new_tau;
   }

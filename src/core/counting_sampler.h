@@ -42,7 +42,7 @@ class CountingSampler {
   double threshold() const { return tau_; }
   uint64_t sample_size() const { return hist_.total_count(); }
   uint64_t footprint_bytes() const { return hist_.footprint_bytes(); }
-  const CompactHistogram& histogram() const { return hist_; }
+  CompactHistogram histogram() const { return hist_.Build(); }
 
  private:
   void RaiseThresholdWhileOverBound();
@@ -51,7 +51,7 @@ class CountingSampler {
   Pcg64 rng_;
   uint64_t elements_seen_ = 0;
   double tau_ = 1.0;
-  CompactHistogram hist_;
+  HistogramBuilder hist_;
 };
 
 }  // namespace sampwh

@@ -25,19 +25,19 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::Resume(
   SAMPWH_RETURN_IF_ERROR(base.Validate());
   HybridBernoulliSampler sampler(options, std::move(rng));
   sampler.elements_seen_ = base.parent_size();
-  sampler.hist_ = base.histogram();
   switch (base.phase()) {
     case SamplePhase::kExhaustive:
       sampler.phase_ = SamplePhase::kExhaustive;
+      sampler.phase1_ = HistogramBuilder(base.histogram());
       // Under a tighter bound than the base was collected with, the
       // exhaustive histogram may already be over the line.
-      if (sampler.hist_.footprint_bytes() >
-          options.footprint_bound_bytes) {
+      if (base.footprint_bytes() > options.footprint_bound_bytes) {
         sampler.TransitionFromPhase1(sampler.elements_seen_);
       }
       break;
     case SamplePhase::kBernoulli:
       sampler.phase_ = SamplePhase::kBernoulli;
+      sampler.hist_ = base.histogram();
       sampler.q_ = base.sampling_rate();
       if (sampler.q_ <= 0.0 || sampler.q_ > 1.0) {
         return Status::InvalidArgument("base sample has invalid rate");
@@ -56,6 +56,7 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::Resume(
       break;
     case SamplePhase::kReservoir: {
       sampler.phase_ = SamplePhase::kReservoir;
+      sampler.hist_ = base.histogram();
       uint64_t k = base.size();
       if (k > sampler.n_F_) {
         // Shrinking the bound: an SRS subsample of an SRS is an SRS.
@@ -75,10 +76,12 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::Resume(
 }
 
 uint64_t HybridBernoulliSampler::sample_size() const {
+  if (phase_ == SamplePhase::kExhaustive) return phase1_.total_count();
   return expanded_ ? bag_.size() : hist_.total_count();
 }
 
 uint64_t HybridBernoulliSampler::footprint_bytes() const {
+  if (phase_ == SamplePhase::kExhaustive) return phase1_.footprint_bytes();
   return expanded_ ? bag_.size() * kSingletonFootprintBytes
                    : hist_.footprint_bytes();
 }
@@ -93,15 +96,7 @@ void HybridBernoulliSampler::Add(Value v) {
     // in phase 1; otherwise transition using the elements_seen_ - 1
     // elements ingested so far and give the current element the regular
     // phase-2/3 treatment by falling through.
-    const uint64_t existing = hist_.CountOf(v);
-    const uint64_t growth =
-        existing == 0 ? kSingletonFootprintBytes
-        : existing == 1 ? kPairFootprintBytes - kSingletonFootprintBytes
-                        : 0;
-    if (hist_.footprint_bytes() + growth <= options_.footprint_bound_bytes) {
-      hist_.Insert(v);
-      return;
-    }
+    if (phase1_.InsertIfFits(v, options_.footprint_bound_bytes)) return;
     TransitionFromPhase1(elements_seen_ - 1);
   }
   if (phase_ == SamplePhase::kBernoulli) {
@@ -185,6 +180,8 @@ void HybridBernoulliSampler::TransitionFromPhase1(uint64_t processed) {
            : ApproxBernoulliRate(n, options_.exceedance_probability, n_F_);
   // Precompute the Bern(q) subsample S' of the exhaustive histogram
   // (Fig. 2 line 4).
+  hist_ = phase1_.Build();
+  phase1_.Clear();
   PurgeBernoulli(&hist_, q_, rng_);
   expanded_ = false;
   if (hist_.total_count() < n_F_) {
@@ -224,7 +221,11 @@ void HybridBernoulliSampler::SaveState(BinaryWriter* writer) const {
   writer->PutVarint64(static_cast<uint64_t>(phase_));
   writer->PutVarint64(elements_seen_);
   writer->PutDouble(q_);
-  hist_.SerializeTo(writer);
+  if (phase_ == SamplePhase::kExhaustive) {
+    phase1_.Build().SerializeTo(writer);
+  } else {
+    hist_.SerializeTo(writer);
+  }
   writer->PutVarint64(expanded_ ? 1 : 0);
   SaveValueBag(bag_, writer);
   writer->PutVarint64(bernoulli_gap_);
@@ -267,12 +268,19 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
     return Status::Corruption("HB state: bad sampling rate");
   }
   SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
+  if (s.phase_ == SamplePhase::kExhaustive) {
+    s.phase1_ = HistogramBuilder(s.hist_);
+    s.hist_.Clear();
+  }
   uint64_t expanded_raw;
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&expanded_raw));
   if (expanded_raw > 1) {
     return Status::Corruption("HB state: bad expanded flag");
   }
   s.expanded_ = expanded_raw != 0;
+  if (s.expanded_ && s.phase_ == SamplePhase::kExhaustive) {
+    return Status::Corruption("HB state: expanded exhaustive phase");
+  }
   SAMPWH_RETURN_IF_ERROR(LoadValueBag(reader, &s.bag_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.bernoulli_gap_));
   SAMPWH_RETURN_IF_ERROR(LoadVitterState(reader, &s.reservoir_skip_));
@@ -288,7 +296,10 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
 
 PartitionSample HybridBernoulliSampler::Finalize() {
   CompactHistogram hist =
-      expanded_ ? CompactHistogram::FromBag(bag_) : std::move(hist_);
+      phase_ == SamplePhase::kExhaustive ? phase1_.Build()
+      : expanded_ ? CompactHistogram::FromBag(std::move(bag_))
+                  : std::move(hist_);
+  phase1_.Clear();
   bag_.clear();
   hist_.Clear();
   const uint64_t parent = elements_seen_;

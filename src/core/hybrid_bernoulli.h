@@ -127,8 +127,11 @@ class HybridBernoulliSampler {
   uint64_t elements_seen_ = 0;
   double q_ = 1.0;
 
-  // Phase 1 histogram, or the unexpanded phase-2/3 subsample S' before the
-  // first post-transition insertion.
+  // Phase 1 histogram (values arrive in stream order, so it is hashed and
+  // sorted once at the transition or Finalize).
+  HistogramBuilder phase1_;
+  // The unexpanded phase-2/3 subsample S' before the first post-transition
+  // insertion.
   CompactHistogram hist_;
   bool expanded_ = false;
   std::vector<Value> bag_;  // expanded sample (phases 2 and 3)

@@ -21,21 +21,23 @@ Result<HybridReservoirSampler> HybridReservoirSampler::Resume(
   SAMPWH_RETURN_IF_ERROR(base.Validate());
   HybridReservoirSampler sampler(options, std::move(rng));
   sampler.elements_seen_ = base.parent_size();
+  if (base.phase() == SamplePhase::kExhaustive &&
+      base.footprint_bytes() <= options.footprint_bound_bytes) {
+    sampler.phase_ = SamplePhase::kExhaustive;
+    sampler.phase1_ = HistogramBuilder(base.histogram());
+    return sampler;
+  }
   sampler.hist_ = base.histogram();
   if (base.phase() == SamplePhase::kExhaustive) {
-    sampler.phase_ = SamplePhase::kExhaustive;
-    if (sampler.hist_.footprint_bytes() > options.footprint_bound_bytes) {
-      // The base histogram exceeds the (tighter) target bound; cut it to a
-      // simple random sample of size n_F immediately so the bound holds
-      // from the first instant, and continue in reservoir mode.
-      PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
-      sampler.phase_ = SamplePhase::kReservoir;
-      sampler.reservoir_capacity_ = sampler.n_F_;
-      sampler.reservoir_skip_.emplace(sampler.n_F_);
-      sampler.next_reservoir_index_ =
-          sampler.reservoir_skip_->NextInsertionIndex(
-              sampler.rng_, sampler.elements_seen_);
-    }
+    // The base histogram exceeds the (tighter) target bound; cut it to a
+    // simple random sample of size n_F immediately so the bound holds from
+    // the first instant, and continue in reservoir mode.
+    PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
+    sampler.phase_ = SamplePhase::kReservoir;
+    sampler.reservoir_capacity_ = sampler.n_F_;
+    sampler.reservoir_skip_.emplace(sampler.n_F_);
+    sampler.next_reservoir_index_ = sampler.reservoir_skip_->NextInsertionIndex(
+        sampler.rng_, sampler.elements_seen_);
     return sampler;
   }
   // Reservoir base, or Bernoulli base viewed (conditionally on its size) as
@@ -60,10 +62,12 @@ Result<HybridReservoirSampler> HybridReservoirSampler::Resume(
 }
 
 uint64_t HybridReservoirSampler::sample_size() const {
+  if (phase_ == SamplePhase::kExhaustive) return phase1_.total_count();
   return expanded_ ? bag_.size() : hist_.total_count();
 }
 
 uint64_t HybridReservoirSampler::footprint_bytes() const {
+  if (phase_ == SamplePhase::kExhaustive) return phase1_.footprint_bytes();
   return expanded_ ? bag_.size() * kSingletonFootprintBytes
                    : hist_.footprint_bytes();
 }
@@ -81,15 +85,9 @@ void HybridReservoirSampler::Add(Value v) {
     // element the standard reservoir treatment below. The purge of the
     // histogram down to n_F values happens lazily at the first reservoir
     // insertion (Fig. 7 lines 9-11).
-    const uint64_t existing = hist_.CountOf(v);
-    const uint64_t growth =
-        existing == 0 ? kSingletonFootprintBytes
-        : existing == 1 ? kPairFootprintBytes - kSingletonFootprintBytes
-                        : 0;
-    if (hist_.footprint_bytes() + growth <= options_.footprint_bound_bytes) {
-      hist_.Insert(v);
-      return;
-    }
+    if (phase1_.InsertIfFits(v, options_.footprint_bound_bytes)) return;
+    hist_ = phase1_.Build();
+    phase1_.Clear();
     phase_ = SamplePhase::kReservoir;
     reservoir_capacity_ = n_F_;
     reservoir_skip_.emplace(n_F_);
@@ -149,7 +147,11 @@ void HybridReservoirSampler::SaveState(BinaryWriter* writer) const {
   writer->PutVarint64(static_cast<uint64_t>(phase_));
   writer->PutVarint64(elements_seen_);
   writer->PutVarint64(reservoir_capacity_);
-  hist_.SerializeTo(writer);
+  if (phase_ == SamplePhase::kExhaustive) {
+    phase1_.Build().SerializeTo(writer);
+  } else {
+    hist_.SerializeTo(writer);
+  }
   writer->PutVarint64(expanded_ ? 1 : 0);
   SaveValueBag(bag_, writer);
   SaveVitterState(reservoir_skip_, writer);
@@ -177,12 +179,19 @@ Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.reservoir_capacity_));
   SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
+  if (s.phase_ == SamplePhase::kExhaustive) {
+    s.phase1_ = HistogramBuilder(s.hist_);
+    s.hist_.Clear();
+  }
   uint64_t expanded_raw;
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&expanded_raw));
   if (expanded_raw > 1) {
     return Status::Corruption("HR state: bad expanded flag");
   }
   s.expanded_ = expanded_raw != 0;
+  if (s.expanded_ && s.phase_ == SamplePhase::kExhaustive) {
+    return Status::Corruption("HR state: expanded exhaustive phase");
+  }
   SAMPWH_RETURN_IF_ERROR(LoadValueBag(reader, &s.bag_));
   SAMPWH_RETURN_IF_ERROR(LoadVitterState(reader, &s.reservoir_skip_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.next_reservoir_index_));
@@ -194,15 +203,17 @@ Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
 }
 
 PartitionSample HybridReservoirSampler::Finalize() {
-  CompactHistogram hist =
-      expanded_ ? CompactHistogram::FromBag(bag_) : std::move(hist_);
-  bag_.clear();
-  hist_.Clear();
   const uint64_t parent = elements_seen_;
   const uint64_t bound = options_.footprint_bound_bytes;
   if (phase_ == SamplePhase::kExhaustive) {
+    CompactHistogram hist = phase1_.Build();
+    phase1_.Clear();
     return PartitionSample::MakeExhaustive(std::move(hist), parent, bound);
   }
+  CompactHistogram hist =
+      expanded_ ? CompactHistogram::FromBag(std::move(bag_)) : std::move(hist_);
+  bag_.clear();
+  hist_.Clear();
   // In reservoir mode the histogram may still hold more than n_F values if
   // no insertion ever fired after the phase switch; cut it down so the
   // finalized sample is a true size-n_F simple random sample.

@@ -83,7 +83,8 @@ class HybridReservoirSampler {
   uint64_t elements_seen_ = 0;
   uint64_t reservoir_capacity_ = 0;
 
-  CompactHistogram hist_;  // phase 1, or unexpanded phase-2 state
+  HistogramBuilder phase1_;  // phase 1, in stream order
+  CompactHistogram hist_;    // unexpanded phase-2 state
   bool expanded_ = false;
   std::vector<Value> bag_;
 

@@ -24,7 +24,7 @@ namespace {
 // of element identity.
 template <typename Sampler>
 void StreamHistogramInto(const CompactHistogram& hist, Sampler* sampler) {
-  for (const auto& [v, n] : hist.SortedEntries()) {
+  for (const auto& [v, n] : hist.entries()) {
     for (uint64_t i = 0; i < n; ++i) sampler->Add(v);
   }
 }
@@ -231,15 +231,27 @@ Result<PartitionSample> UnionBernoulli(
     min_rate = std::min(min_rate, s->sampling_rate());
     merged_parent += s->parent_size();
   }
-  CompactHistogram merged;
+  std::vector<CompactHistogram> parts;
+  parts.reserve(samples.size());
   for (const PartitionSample* s : samples) {
-    CompactHistogram h = s->histogram();
+    parts.push_back(s->histogram());
     if (s->sampling_rate() > min_rate) {
       // Equalize rates before unioning (§4.1 closing remark).
-      PurgeBernoulli(&h, min_rate / s->sampling_rate(), rng);
+      PurgeBernoulli(&parts.back(), min_rate / s->sampling_rate(), rng);
     }
-    merged.Join(h);
   }
+  // Join in pairwise rounds: O(total log k) linear merges rather than the
+  // O(total k) of folding every input into one growing histogram.
+  while (parts.size() > 1) {
+    std::vector<CompactHistogram> next;
+    next.reserve((parts.size() + 1) / 2);
+    for (size_t i = 0; i < parts.size(); i += 2) {
+      if (i + 1 < parts.size()) parts[i].Join(parts[i + 1]);
+      next.push_back(std::move(parts[i]));
+    }
+    parts = std::move(next);
+  }
+  CompactHistogram merged = std::move(parts.front());
   if (min_rate >= 1.0) {
     return PartitionSample::MakeExhaustive(std::move(merged), merged_parent,
                                            /*footprint_bound_bytes=*/0);

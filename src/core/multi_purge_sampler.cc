@@ -29,9 +29,11 @@ void MultiPurgeBernoulliSampler::Add(Value v) {
                              ? options_.expected_population_size
                              : elements_seen_;
       q_ = ApproxBernoulliRate(n, options_.exceedance_probability, n_F_);
-      PurgeBernoulli(&hist_, q_, rng_);
+      CompactHistogram sorted = hist_.Build();
+      PurgeBernoulli(&sorted, q_, rng_);
       phase_ = SamplePhase::kBernoulli;
-      PurgeWhileAtCapacity();
+      PurgeWhileAtCapacity(&sorted);
+      hist_ = HistogramBuilder(sorted);
       gap_ = SampleGeometricSkip(rng_, q_);
     }
     return;
@@ -41,12 +43,16 @@ void MultiPurgeBernoulliSampler::Add(Value v) {
     return;
   }
   hist_.Insert(v);
-  PurgeWhileAtCapacity();
+  if (hist_.total_count() >= n_F_) {
+    CompactHistogram sorted = hist_.Build();
+    PurgeWhileAtCapacity(&sorted);
+    hist_ = HistogramBuilder(sorted);
+  }
   gap_ = SampleGeometricSkip(rng_, q_);
 }
 
 PartitionSample MultiPurgeBernoulliSampler::Finalize() {
-  CompactHistogram hist = std::move(hist_);
+  CompactHistogram hist = hist_.Build();
   hist_.Clear();
   const uint64_t bound = options_.footprint_bound_bytes;
   if (phase_ == SamplePhase::kExhaustive) {
@@ -57,10 +63,11 @@ PartitionSample MultiPurgeBernoulliSampler::Finalize() {
                                         bound);
 }
 
-void MultiPurgeBernoulliSampler::PurgeWhileAtCapacity() {
-  while (hist_.total_count() >= n_F_) {
+void MultiPurgeBernoulliSampler::PurgeWhileAtCapacity(
+    CompactHistogram* sample) {
+  while (sample->total_count() >= n_F_) {
     const double new_q = q_ * options_.purge_shrink;
-    PurgeBernoulli(&hist_, new_q / q_, rng_);
+    PurgeBernoulli(sample, new_q / q_, rng_);
     q_ = new_q;
     ++forced_purges_;
   }

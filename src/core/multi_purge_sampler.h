@@ -50,7 +50,8 @@ class MultiPurgeBernoulliSampler {
   PartitionSample Finalize();
 
  private:
-  void PurgeWhileAtCapacity();
+  // Thins `sample` at ever lower rates while it holds n_F or more values.
+  void PurgeWhileAtCapacity(CompactHistogram* sample);
 
   Options options_;
   uint64_t n_F_;
@@ -60,7 +61,7 @@ class MultiPurgeBernoulliSampler {
   double q_ = 1.0;
   uint64_t gap_ = 0;
   uint64_t forced_purges_ = 0;
-  CompactHistogram hist_;
+  HistogramBuilder hist_;
 };
 
 }  // namespace sampwh

@@ -9,17 +9,53 @@
 
 namespace sampwh {
 
+namespace {
+
+using Entries = std::vector<CompactHistogram::Entry>;
+
+// The implicit expanded stream of purgeReservoir: every source's entries in
+// ascending value order, sources one after another.
+Entries StreamEntries(const std::vector<const CompactHistogram*>& sources) {
+  Entries entries;
+  for (const CompactHistogram* source : sources) {
+    entries.insert(entries.end(), source->entries().begin(),
+                   source->entries().end());
+  }
+  return entries;
+}
+
+// The histogram holding count_at(i) copies of stream entry i's value. A
+// value held by several sources appears at several stream indices, so each
+// source's slice is built by ascending appends and the slices are joined,
+// which keeps the cost linear in the entries.
+template <typename CountAt>
+CompactHistogram CollectCounts(
+    const std::vector<const CompactHistogram*>& sources,
+    const Entries& entries, CountAt count_at) {
+  CompactHistogram result;
+  size_t i = 0;
+  for (const CompactHistogram* source : sources) {
+    CompactHistogram slice;
+    for (const size_t end = i + source->distinct_count(); i < end; ++i) {
+      const uint64_t n = count_at(i);
+      if (n > 0) slice.Insert(entries[i].first, n);
+    }
+    result.Join(slice);
+  }
+  return result;
+}
+
+}  // namespace
+
 void PurgeBernoulli(CompactHistogram* sample, double q, Pcg64& rng) {
   SAMPWH_CHECK(q >= 0.0 && q <= 1.0);
   if (q >= 1.0) return;
   CompactHistogram thinned;
-  // Iterate in sorted order, not hash order: one binomial draw per entry
-  // means the iteration order is part of the RNG stream, and hash order
-  // depends on the histogram's insertion history — a histogram rebuilt
-  // from its serialized (sorted) form would purge differently. Sorted
-  // iteration keeps purges reproducible across save/restore and across
-  // standard-library hash implementations.
-  for (const auto& [v, n] : sample->SortedEntries()) {
+  // One binomial draw per entry, in ascending value order: the iteration
+  // order is part of the RNG stream, so it must be a function of the
+  // histogram's contents alone — a histogram rebuilt from its serialized
+  // form purges exactly like the original.
+  for (const auto& [v, n] : sample->entries()) {
     const uint64_t kept = SampleBinomial(rng, n, q);
     if (kept > 0) thinned.Insert(v, kept);
   }
@@ -29,15 +65,9 @@ void PurgeBernoulli(CompactHistogram* sample, double q, Pcg64& rng) {
 CompactHistogram PurgeReservoirStreamed(
     const std::vector<const CompactHistogram*>& sources, uint64_t M,
     Pcg64& rng) {
-  CompactHistogram result;
-  if (M == 0) return result;
+  if (M == 0) return CompactHistogram();
 
-  // Flatten entry lists (sorted within each source for determinism).
-  std::vector<std::pair<Value, uint64_t>> entries;
-  for (const CompactHistogram* source : sources) {
-    const auto sorted = source->SortedEntries();
-    entries.insert(entries.end(), sorted.begin(), sorted.end());
-  }
+  const Entries entries = StreamEntries(sources);
 
   FenwickTree new_counts(entries.size());
   VitterSkip skip(M);
@@ -62,11 +92,8 @@ CompactHistogram PurgeReservoirStreamed(
     }
   }
 
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const uint64_t n = new_counts.Get(i);
-    if (n > 0) result.Insert(entries[i].first, n);
-  }
-  return result;
+  return CollectCounts(sources, entries,
+                       [&](size_t i) { return new_counts.Get(i); });
 }
 
 void PurgeReservoir(CompactHistogram* sample, uint64_t M, Pcg64& rng) {
@@ -77,14 +104,9 @@ void PurgeReservoir(CompactHistogram* sample, uint64_t M, Pcg64& rng) {
 CompactHistogram PurgeReservoirStreamedLinearScan(
     const std::vector<const CompactHistogram*>& sources, uint64_t M,
     Pcg64& rng) {
-  CompactHistogram result;
-  if (M == 0) return result;
+  if (M == 0) return CompactHistogram();
 
-  std::vector<std::pair<Value, uint64_t>> entries;
-  for (const CompactHistogram* source : sources) {
-    const auto sorted = source->SortedEntries();
-    entries.insert(entries.end(), sorted.begin(), sorted.end());
-  }
+  const Entries entries = StreamEntries(sources);
 
   std::vector<uint64_t> new_counts(entries.size(), 0);
   VitterSkip skip(M);
@@ -113,10 +135,8 @@ CompactHistogram PurgeReservoirStreamedLinearScan(
     }
   }
 
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (new_counts[i] > 0) result.Insert(entries[i].first, new_counts[i]);
-  }
-  return result;
+  return CollectCounts(sources, entries,
+                       [&](size_t i) { return new_counts[i]; });
 }
 
 }  // namespace sampwh

@@ -84,15 +84,9 @@ void PartitionSample::SerializeTo(BinaryWriter* writer) const {
   writer->PutVarint64(parent_size_);
   writer->PutDouble(q_);
   writer->PutVarint64(footprint_bound_bytes_);
-  const auto entries = hist_.SortedEntries();
-  writer->PutVarint64(entries.size());
-  // Values are sorted, so delta encoding keeps most varints short.
-  Value previous = 0;
-  for (const auto& [v, n] : entries) {
-    writer->PutVarintSigned64(v - previous);
-    writer->PutVarint64(n);
-    previous = v;
-  }
+  // The histogram codec: entry count, then ascending delta-encoded values
+  // (deltas keep most varints short) with varint counts.
+  hist_.SerializeTo(writer);
 }
 
 Result<PartitionSample> PartitionSample::DeserializeFrom(
@@ -112,18 +106,7 @@ Result<PartitionSample> PartitionSample::DeserializeFrom(
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.parent_size_));
   SAMPWH_RETURN_IF_ERROR(reader->GetDouble(&s.q_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.footprint_bound_bytes_));
-  uint64_t num_entries;
-  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&num_entries));
-  Value previous = 0;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    int64_t delta;
-    uint64_t count;
-    SAMPWH_RETURN_IF_ERROR(reader->GetVarintSigned64(&delta));
-    SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&count));
-    if (count == 0) return Status::Corruption("zero count in sample entry");
-    previous += delta;
-    s.hist_.Insert(previous, count);
-  }
+  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
   SAMPWH_RETURN_IF_ERROR(s.Validate());
   return s;
 }

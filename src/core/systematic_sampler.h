@@ -31,13 +31,13 @@ class SystematicSampler {
   uint64_t offset() const { return offset_; }
   uint64_t elements_seen() const { return elements_seen_; }
   uint64_t sample_size() const { return hist_.total_count(); }
-  const CompactHistogram& histogram() const { return hist_; }
+  CompactHistogram histogram() const { return hist_.Build(); }
 
  private:
   uint64_t stride_;
   uint64_t offset_;
   uint64_t elements_seen_ = 0;
-  CompactHistogram hist_;
+  HistogramBuilder hist_;
 };
 
 }  // namespace sampwh

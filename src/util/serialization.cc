@@ -115,22 +115,57 @@ Status BinaryReader::GetString(std::string* s) {
   return Status::OK();
 }
 
-uint32_t Crc32(std::string_view data) {
-  // Table generated once; the reflected 0xEDB88320 polynomial.
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
+namespace {
+
+// Slice-by-8 tables for the reflected 0xEDB88320 polynomial: kCrcTables[0]
+// is the classic bytewise table, and kCrcTables[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table lookups fold eight input bytes
+// into the register at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Crc32Tables() {
+  static const CrcTables kCrcTables = [] {
+    CrcTables tables{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      tables[0][i] = c;
     }
-    return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+      }
+    }
+    return tables;
   }();
+  return kCrcTables;
+}
+
+uint32_t LoadLittleEndian32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data) {
+  const CrcTables& t = Crc32Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = kTable[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLittleEndian32(p) ^ crc;
+    const uint32_t hi = LoadLittleEndian32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

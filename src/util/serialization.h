@@ -64,7 +64,7 @@ class BinaryReader {
 
 /// CRC-32 (reflected polynomial 0xEDB88320 — the zlib/PNG checksum) of
 /// `data`. Detects every single- and double-bit error at the payload sizes
-/// the warehouse stores.
+/// the warehouse stores. Computed slice-by-8 (eight bytes per step).
 uint32_t Crc32(std::string_view data);
 
 // --- Versioned sample-file envelope (on-disk format v2) --------------------

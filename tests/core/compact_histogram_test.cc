@@ -1,8 +1,12 @@
 #include "src/core/compact_histogram.h"
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/core/sample.h"
 
 namespace sampwh {
 namespace {
@@ -87,7 +91,7 @@ TEST(CompactHistogramTest, SortedEntriesAreSorted) {
   h.Insert(30, 2);
   h.Insert(-5);
   h.Insert(10, 7);
-  const auto entries = h.SortedEntries();
+  const auto entries = h.entries();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0], (std::pair<Value, uint64_t>{-5, 1}));
   EXPECT_EQ(entries[1], (std::pair<Value, uint64_t>{10, 7}));
@@ -203,6 +207,156 @@ TEST(CompactHistogramTest, FootprintInvariantUnderRandomOps) {
       ASSERT_EQ(h.total_count(), total);
     }
   }
+}
+
+TEST(CompactHistogramTest, CodecRoundTripsTheFullInt64Span) {
+  // Consecutive values more than INT64_MAX apart: the deltas are taken
+  // modulo 2^64, so the codec is defined (no signed overflow) and exact.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  CompactHistogram h;
+  h.Insert(kMax, 3);
+  h.Insert(0);
+  h.Insert(-1, 2);
+  h.Insert(kMin);
+  BinaryWriter w;
+  h.SerializeTo(&w);
+  BinaryReader r(w.buffer());
+  const auto decoded = CompactHistogram::DeserializeFrom(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_TRUE(decoded.value() == h);
+  EXPECT_EQ(decoded.value().entries(),
+            (std::vector<CompactHistogram::Entry>{
+                {kMin, 1}, {-1, 2}, {0, 1}, {kMax, 3}}));
+  EXPECT_EQ(decoded.value().footprint_bytes(), h.footprint_bytes());
+
+  // The same span through the sample codec.
+  const PartitionSample sample = PartitionSample::MakeReservoir(h, 100, 0);
+  BinaryWriter sw;
+  sample.SerializeTo(&sw);
+  BinaryReader sr(sw.buffer());
+  const auto back = PartitionSample::DeserializeFrom(&sr);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back.value().histogram() == h);
+}
+
+// Histogram bytes: entry count, then (zig-zag delta, count) varint pairs.
+std::string HistogramBytes(uint64_t num_entries,
+                           const std::vector<std::pair<int64_t, uint64_t>>&
+                               delta_count_pairs) {
+  BinaryWriter w;
+  w.PutVarint64(num_entries);
+  for (const auto& [delta, count] : delta_count_pairs) {
+    w.PutVarintSigned64(delta);
+    w.PutVarint64(count);
+  }
+  return w.Release();
+}
+
+// The same histogram bytes behind a valid sample header.
+std::string SampleBytes(const std::string& histogram_bytes) {
+  BinaryWriter w;
+  w.PutFixed32(0x53575331);  // "SWS1"
+  w.PutVarint64(static_cast<uint64_t>(SamplePhase::kReservoir));
+  w.PutVarint64(1000);  // parent size
+  w.PutDouble(1.0);
+  w.PutVarint64(0);  // unbounded footprint
+  w.PutRaw(histogram_bytes.data(), histogram_bytes.size());
+  return w.Release();
+}
+
+Status DecodeHistogram(const std::string& bytes) {
+  BinaryReader r(bytes);
+  return CompactHistogram::DeserializeFrom(&r).status();
+}
+
+Status DecodeSample(const std::string& bytes) {
+  BinaryReader r(bytes);
+  return PartitionSample::DeserializeFrom(&r).status();
+}
+
+TEST(CompactHistogramTest, DecodeAcceptsCanonicalHandBuiltBytes) {
+  const std::string bytes = HistogramBytes(2, {{5, 1}, {3, 2}});
+  BinaryReader r(bytes);
+  const auto h = CompactHistogram::DeserializeFrom(&r);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h.value().entries(),
+            (std::vector<CompactHistogram::Entry>{{5, 1}, {8, 2}}));
+  EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).ok());
+}
+
+TEST(CompactHistogramTest, DecodeRejectsZeroDeltaDuplicate) {
+  // Value 5 twice: once merged silently, now Corruption.
+  const std::string bytes = HistogramBytes(2, {{5, 1}, {0, 2}});
+  EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
+  EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
+}
+
+TEST(CompactHistogramTest, DecodeRejectsDescendingDelta) {
+  const std::string bytes = HistogramBytes(3, {{5, 1}, {4, 1}, {-2, 1}});
+  EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
+  EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
+}
+
+TEST(CompactHistogramTest, DecodeRejectsEntryCountBeyondInput) {
+  // Claims 2^40 entries with one entry's bytes behind it: rejected before
+  // any allocation is sized from the claim.
+  const std::string bytes = HistogramBytes(uint64_t{1} << 40, {{5, 1}});
+  EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
+  EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
+  // Two entries need at least four bytes; three bytes cannot hold them.
+  std::string short_input = HistogramBytes(2, {{1, 1}});
+  short_input.push_back('\x02');
+  EXPECT_TRUE(DecodeHistogram(short_input).IsCorruption());
+}
+
+TEST(CompactHistogramTest, DecodeRejectsZeroCount) {
+  const std::string bytes = HistogramBytes(1, {{5, 0}});
+  EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
+  EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
+}
+
+TEST(HistogramBuilderTest, BuildSortsAndKeepsFootprint) {
+  HistogramBuilder b;
+  b.Insert(30, 2);
+  b.Insert(-5);
+  b.Insert(10, 7);
+  b.Insert(-5);
+  EXPECT_EQ(b.CountOf(-5), 2u);
+  EXPECT_EQ(b.CountOf(11), 0u);
+  EXPECT_EQ(b.distinct_count(), 3u);
+  EXPECT_EQ(b.total_count(), 11u);
+  EXPECT_EQ(b.footprint_bytes(), 3 * kPairFootprintBytes);
+  const CompactHistogram h = b.Build();
+  EXPECT_EQ(h.entries(), (std::vector<CompactHistogram::Entry>{
+                             {-5, 2}, {10, 7}, {30, 2}}));
+  EXPECT_EQ(h.footprint_bytes(), b.footprint_bytes());
+}
+
+TEST(HistogramBuilderTest, InsertIfFitsStopsAtTheBound) {
+  HistogramBuilder b;
+  // Two singletons fill 16 bytes; a third value would need 8 more, but a
+  // repeat of a stored value upgrades it to a pair for 4.
+  EXPECT_TRUE(b.InsertIfFits(1, 20));
+  EXPECT_TRUE(b.InsertIfFits(2, 20));
+  EXPECT_FALSE(b.InsertIfFits(3, 20));
+  EXPECT_EQ(b.CountOf(3), 0u);
+  EXPECT_EQ(b.distinct_count(), 2u);
+  EXPECT_TRUE(b.InsertIfFits(1, 20));
+  EXPECT_EQ(b.footprint_bytes(), 20u);
+  EXPECT_TRUE(b.InsertIfFits(1, 20));  // pairs grow for free
+  EXPECT_FALSE(b.InsertIfFits(2, 20));
+  EXPECT_EQ(b.total_count(), 4u);
+}
+
+TEST(HistogramBuilderTest, RoundTripsThroughAHistogram) {
+  CompactHistogram h;
+  for (Value v = -300; v < 300; v += 3) h.Insert(v, 1 + (v & 3));
+  const HistogramBuilder b(h);
+  EXPECT_EQ(b.total_count(), h.total_count());
+  EXPECT_EQ(b.footprint_bytes(), h.footprint_bytes());
+  EXPECT_TRUE(b.Build() == h);
 }
 
 }  // namespace

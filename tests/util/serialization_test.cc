@@ -180,6 +180,41 @@ TEST(Crc32Test, DetectsAnyChange) {
   EXPECT_NE(base, Crc32("Warehouse sample payload"));
 }
 
+// The classic one-table CRC-32, one byte per step: the reference the
+// slice-by-8 implementation must agree with.
+uint32_t BytewiseCrc32(std::string_view data) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::string buffer(64 + 8, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (char& c : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  EXPECT_EQ(BytewiseCrc32("123456789"), 0xCBF43926u);
+}
+
 TEST(SampleEnvelopeTest, WrapUnwrapRoundTrips) {
   const std::string payload = "arbitrary sample bytes \x00\x01\xff";
   const std::string file = WrapSampleEnvelope(payload);

@@ -97,7 +97,7 @@ int CmdDump(const std::string& path) {
               static_cast<unsigned long long>(s.footprint_bound_bytes()));
   std::printf("entries (first 20, by value):\n");
   int shown = 0;
-  for (const auto& [v, n] : s.histogram().SortedEntries()) {
+  for (const auto& [v, n] : s.histogram().entries()) {
     if (shown++ >= 20) {
       std::printf("  ...\n");
       break;
