@@ -48,7 +48,7 @@ bool IsIdempotent(Verb verb) {
     case Verb::kQuery:
     case Verb::kPartitionDigests:
     case Verb::kIngestOpen:
-    case Verb::kIngestAppend:
+    case Verb::kIngestAppendBlock:
     case Verb::kIngestFlush:
     // Replica placement is digest-idempotent by design: an existing copy
     // with matching content acks as a no-op, so a re-driven write after a
@@ -201,15 +201,8 @@ void WarehouseClient::NoteTransportSuccess() {
   breaker_open_until_ = SteadyTime::min();
 }
 
-Result<std::string> WarehouseClient::CallOnce(Verb verb,
-                                              std::string_view body) {
-  BinaryWriter req;
-  RequestHeader header;
-  header.deadline_millis = deadline_millis_;
-  header.flags = request_flags_;
-  BeginRequest(&req, verb, header);
-  req.PutRaw(body.data(), body.size());
-  Status st = WriteFrame(fd_, req.Release());
+Result<std::string> WarehouseClient::CallOnce(std::string_view request) {
+  Status st = WriteFrame(fd_, request);
   if (!st.ok()) {
     broken_ = st;
     return st;
@@ -229,6 +222,23 @@ Result<std::string> WarehouseClient::CallOnce(Verb verb,
 }
 
 Result<std::string> WarehouseClient::Call(Verb verb, std::string_view body) {
+  BinaryWriter req;
+  RequestHeader header;
+  header.deadline_millis = deadline_millis_;
+  header.flags = request_flags_;
+  BeginRequest(&req, verb, header);
+  req.PutRaw(body.data(), body.size());
+  const std::string request = req.Release();
+  // A frame the server must refuse would break the connection mid-send and
+  // count as a transport failure on every retry; it is the caller's error,
+  // so it never reaches the network, the retry driver or the breaker.
+  if (request.size() > options_.max_frame_bytes) {
+    return Status::InvalidArgument(
+        "request of " + std::to_string(request.size()) +
+        " bytes exceeds the " + std::to_string(options_.max_frame_bytes) +
+        "-byte frame bound");
+  }
+
   // Fail fast while the breaker is open: a known-down peer should cost a
   // map probe, not a connect timeout. Once the open window lapses the next
   // call is the half-open probe.
@@ -260,7 +270,7 @@ Result<std::string> WarehouseClient::Call(Verb verb, std::string_view body) {
         continue;
       }
     }
-    Result<std::string> result = CallOnce(verb, body);
+    Result<std::string> result = CallOnce(request);
     if (broken_.ok()) {
       // The exchange completed at the transport level; result may still be
       // a structured server error, which is the caller's to interpret.
@@ -558,9 +568,8 @@ Result<IngestAck> WarehouseClient::IngestAppend(
   PutScope(&body, tenant, dataset);
   body.PutVarint64(sequence);
   body.PutVarint64(timestamp);
-  body.PutVarint64(values.size());
-  for (const Value v : values) body.PutVarintSigned64(v);
-  return IngestCall(Verb::kIngestAppend, body.Release());
+  PutValueBlock(&body, values);
+  return IngestCall(Verb::kIngestAppendBlock, body.Release());
 }
 
 Result<IngestAck> WarehouseClient::IngestFlush(const std::string& tenant,

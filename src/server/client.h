@@ -42,6 +42,9 @@
 namespace sampwh {
 
 struct ClientOptions {
+  /// Bound on a frame payload in either direction: a larger response is a
+  /// protocol error, a larger request is refused with kInvalidArgument
+  /// before it is sent. Match it to the server's bound.
   uint32_t max_frame_bytes = kWireDefaultMaxFrameBytes;
   /// Per-recv timeout while waiting for a response; 0 waits forever.
   int read_timeout_millis = 30'000;
@@ -241,14 +244,16 @@ class WarehouseClient {
   WarehouseClient(int fd, std::string host, uint16_t port,
                   ClientOptions options);
 
-  /// Retry driver: breaker gate, then up to 1 + max_retries attempts of
-  /// CallOnce for idempotent verbs (reconnecting a poisoned connection
-  /// between attempts), exactly one attempt otherwise. Returns the
-  /// response body bytes on an OK status, the server's structured error
-  /// otherwise.
+  /// Retry driver: encodes the request once, rejects it with
+  /// InvalidArgument if it exceeds max_frame_bytes (nothing sent), then
+  /// the breaker gate, then up to 1 + max_retries attempts of CallOnce for
+  /// idempotent verbs (reconnecting a poisoned connection between
+  /// attempts), exactly one attempt otherwise. Returns the response body
+  /// bytes on an OK status, the server's structured error otherwise.
   Result<std::string> Call(Verb verb, std::string_view body);
-  /// One framed request/response exchange on the current connection.
-  Result<std::string> CallOnce(Verb verb, std::string_view body);
+  /// One framed request/response exchange of the encoded `request`
+  /// payload on the current connection.
+  Result<std::string> CallOnce(std::string_view request);
   Result<IngestAck> IngestCall(Verb verb, std::string_view body);
 
   /// Replaces a poisoned connection with a fresh one.

@@ -370,11 +370,11 @@ std::string WarehouseServer::HandleRequest(std::string_view payload,
       case Verb::kIngestOpen:
         st = HandleIngestOpen(req, body);
         break;
-      case Verb::kIngestAppend:
-        st = HandleIngestAppend(req, body);
-        break;
       case Verb::kIngestFlush:
         st = HandleIngestFlush(req, body);
+        break;
+      case Verb::kIngestAppendBlock:
+        st = HandleIngestAppend(req, body);
         break;
     }
     if (st.ok() && !req.AtEnd()) {
@@ -773,20 +773,11 @@ Status WarehouseServer::HandleIngestAppend(BinaryReader& req,
   std::string tenant;
   DatasetId key;
   SAMPWH_RETURN_IF_ERROR(ReadScope(req, &tenant, &key));
-  uint64_t sequence = 0, timestamp = 0, n = 0;
+  uint64_t sequence = 0, timestamp = 0;
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&sequence));
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&timestamp));
-  SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&n));
-  if (n > req.remaining()) {
-    return Status::InvalidArgument("element count exceeds request body");
-  }
   std::vector<Value> values;
-  values.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Value v = 0;
-    SAMPWH_RETURN_IF_ERROR(req.GetVarintSigned64(&v));
-    values.push_back(v);
-  }
+  SAMPWH_RETURN_IF_ERROR(GetValueBlock(&req, &values));
 
   std::shared_ptr<IngestSession> session;
   {

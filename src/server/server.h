@@ -14,11 +14,12 @@
 //
 // Streaming ingest: kIngestOpen creates (or resumes, after a restart, from
 // the persisted checkpoint chain) a StreamIngestor session per dataset and
-// acks with the replay watermark; kIngestAppend applies sequence-addressed
-// batches with exactly-once semantics over at-least-once delivery. A
-// durable checkpoint is forced before the open is acked, so a client that
-// re-drives its stream from the acked watermark after a server crash
-// produces samples bit-identical to an uninterrupted run.
+// acks with the replay watermark; kIngestAppendBlock applies
+// sequence-addressed batches with exactly-once semantics over
+// at-least-once delivery. A durable checkpoint is forced before the open
+// is acked, so a client that re-drives its stream from the acked watermark
+// after a server crash produces samples bit-identical to an uninterrupted
+// run.
 
 #ifndef SAMPWH_SERVER_SERVER_H_
 #define SAMPWH_SERVER_SERVER_H_

@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -38,11 +40,84 @@ bool IsKnownVerb(uint32_t verb) {
     case Verb::kQuery:
     case Verb::kPartitionDigests:
     case Verb::kIngestOpen:
-    case Verb::kIngestAppend:
     case Verb::kIngestFlush:
+    case Verb::kIngestAppendBlock:
       return true;
   }
   return false;
+}
+
+// The block codec copies offsets with 8-byte memcpy, so it relies on the
+// host order matching the wire's little-endian order.
+static_assert(std::endian::native == std::endian::little);
+
+void PutValueBlock(BinaryWriter* writer, std::span<const Value> values) {
+  writer->PutVarint64(values.size());
+  if (values.empty()) return;
+  // A plain min/max loop: std::minmax_element branches on every element.
+  Value min = values[0], max = values[0];
+  for (const Value v : values) {
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  const uint64_t base = static_cast<uint64_t>(min);
+  const uint64_t range = static_cast<uint64_t>(max) - base;
+  const size_t width =
+      std::max<size_t>(1, (static_cast<size_t>(std::bit_width(range)) + 7) / 8);
+  writer->PutFixed64(base);
+  const char width_byte = static_cast<char>(width);
+  writer->PutRaw(&width_byte, 1);
+  // Each offset is stored as a full 8-byte word at a `width` stride; the
+  // slack word at the end absorbs the last store and is trimmed.
+  std::string block(values.size() * width + sizeof(uint64_t), '\0');
+  char* out = block.data();
+  for (const Value v : values) {
+    const uint64_t offset = static_cast<uint64_t>(v) - base;
+    std::memcpy(out, &offset, sizeof(offset));
+    out += width;
+  }
+  writer->PutRaw(block.data(), values.size() * width);
+}
+
+Status GetValueBlock(BinaryReader* reader, std::vector<Value>* values) {
+  values->clear();
+  uint64_t n = 0;
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&n));
+  if (n == 0) return Status::OK();
+  uint64_t base = 0;
+  std::string_view width_byte;
+  SAMPWH_RETURN_IF_ERROR(reader->GetFixed64(&base));
+  SAMPWH_RETURN_IF_ERROR(reader->GetRaw(1, &width_byte));
+  const size_t width = static_cast<unsigned char>(width_byte[0]);
+  if (width < 1 || width > 8) {
+    return Status::Corruption("value block width " + std::to_string(width) +
+                              " outside 1..8");
+  }
+  if (n > reader->remaining() / width) {
+    return Status::OutOfRange("value block of " + std::to_string(n) +
+                              " values overruns its input");
+  }
+  std::string_view bytes;
+  SAMPWH_RETURN_IF_ERROR(reader->GetRaw(n * width, &bytes));
+  values->resize(n);
+  const uint64_t mask =
+      width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+  // Full 8-byte loads while 8 bytes remain, then exact-width loads.
+  const size_t wide = bytes.size() >= 8 ? (bytes.size() - 8) / width + 1 : 0;
+  const char* in = bytes.data();
+  Value* out = values->data();
+  size_t i = 0;
+  for (; i < wide; ++i, in += width) {
+    uint64_t offset;
+    std::memcpy(&offset, in, sizeof(offset));
+    out[i] = static_cast<Value>(base + (offset & mask));
+  }
+  for (; i < n; ++i, in += width) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, in, width);
+    out[i] = static_cast<Value>(base + offset);
+  }
+  return Status::OK();
 }
 
 std::string EncodeFrame(std::string_view payload) {

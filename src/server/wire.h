@@ -21,19 +21,36 @@
 // traffic.
 //
 // Bodies are encoded with the BinaryWriter primitives (varints, strings);
-// samples travel as their versioned serialized form. A frame whose length
-// field exceeds the negotiated bound, whose CRC mismatches, or whose magic
-// is wrong is a protocol error: the server answers a structured error frame
-// where it still can and drops the connection — it never crashes and never
-// interprets unverified bytes.
+// samples travel as their versioned serialized form, and streamed values
+// as a value block (PutValueBlock):
+//
+//   varint   n                 number of values
+//   fixed64  base              (n > 0) two's-complement bits of the minimum
+//   u8       width w           (n > 0) bytes per offset, 1..8
+//   n x w    offsets           little-endian (uint64)v - (uint64)base
+//
+// kIngestAppendBlock (43) carries its values this way. Verb 41, the first
+// append verb, sent one zig-zag varint per value; it is retired and its
+// number is never reused, so an old client's varint bytes can never be
+// read as a block. That narrows the interop promise above for streaming
+// ingest: a client that still sends 41 gets a structured unknown-verb
+// error on a connection that stays usable — never misread values.
+//
+// A frame whose length field exceeds the negotiated bound, whose CRC
+// mismatches, or whose magic is wrong is a protocol error: the server
+// answers a structured error frame where it still can and drops the
+// connection — it never crashes and never interprets unverified bytes.
 
 #ifndef SAMPWH_SERVER_WIRE_H_
 #define SAMPWH_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/core/types.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
 
@@ -72,12 +89,22 @@ enum class Verb : uint32_t {
   kPartitionDigests = 31,
 
   kIngestOpen = 40,
-  kIngestAppend = 41,
+  // 41 was the per-value varint append; retired — never reuse it.
   kIngestFlush = 42,
+  kIngestAppendBlock = 43,
 };
 
 /// True when `verb` names a verb this build understands.
 bool IsKnownVerb(uint32_t verb);
+
+/// Appends `values` as a value block (layout in the header comment): the
+/// offsets take the fewest bytes that hold the batch's max - min.
+void PutValueBlock(BinaryWriter* writer, std::span<const Value> values);
+
+/// Decodes a value block into `*values`. A width outside 1..8 is
+/// Corruption; a count the remaining input cannot hold is OutOfRange,
+/// rejected before anything is allocated. Never reads past the input.
+Status GetValueBlock(BinaryReader* reader, std::vector<Value>* values);
 
 /// Frames `payload` for the wire: header (length + CRC) then payload bytes.
 std::string EncodeFrame(std::string_view payload);

@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sampwh {
 
 void BinaryWriter::PutFixed32(uint32_t v) {
@@ -115,6 +119,13 @@ Status BinaryReader::GetString(std::string* s) {
   return Status::OK();
 }
 
+Status BinaryReader::GetRaw(size_t n, std::string_view* bytes) {
+  if (remaining() < n) return Status::OutOfRange("truncated raw bytes");
+  *bytes = data_.substr(pos_, n);
+  pos_ += n;
+  return Status::OK();
+}
+
 namespace {
 
 // Slice-by-8 tables for the reflected 0xEDB88320 polynomial: kCrcTables[0]
@@ -150,13 +161,10 @@ uint32_t LoadLittleEndian32(const unsigned char* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
-}  // namespace
-
-uint32_t Crc32(std::string_view data) {
+/// Advances the (pre-inverted) CRC register `crc` over `n` bytes at `p`,
+/// eight bytes per step, then bytewise for the tail.
+uint32_t SliceBy8Update(uint32_t crc, const unsigned char* p, size_t n) {
   const CrcTables& t = Crc32Tables();
-  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
-  size_t n = data.size();
-  uint32_t crc = 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = LoadLittleEndian32(p) ^ crc;
     const uint32_t hi = LoadLittleEndian32(p + 4);
@@ -167,7 +175,103 @@ uint32_t Crc32(std::string_view data) {
   for (; n > 0; ++p, --n) {
     crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+#if defined(__x86_64__)
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in the
+// bit-reflected domain of 0xEDB88320; every constant is a reflected 33-bit
+// residue. Four 128-bit lanes each fold 512 bits ahead (k1k2), the lanes
+// then fold into one 128 bits at a time (k3k4), the remainder folds to 64
+// bits (k4, then k5), and a Barrett reduction (poly = P and x^64 / P)
+// leaves the 32-bit register.
+#define SAMPWH_TARGET_PCLMUL __attribute__((target("pclmul,sse4.1")))
+
+SAMPWH_TARGET_PCLMUL __m128i Load128(const unsigned char* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+/// One fold step: `acc` carried d bits ahead (the halves of `k` are
+/// x^(d+32) and x^(d-32) mod P), plus the 128 bits `next` found there.
+SAMPWH_TARGET_PCLMUL __m128i Fold128(__m128i acc, __m128i k, __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+// Advances the pre-inverted register `crc` over `n` bytes at `p`; `n` must
+// be at least 64 and a multiple of 16.
+SAMPWH_TARGET_PCLMUL uint32_t PclmulFold(uint32_t crc, const unsigned char* p,
+                                         size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x0 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = Fold128(x0, k1k2, Load128(p));
+    x1 = Fold128(x1, k1k2, Load128(p + 16));
+    x2 = Fold128(x2, k1k2, Load128(p + 32));
+    x3 = Fold128(x3, k1k2, Load128(p + 48));
+  }
+  __m128i x = Fold128(x0, k3k4, x1);
+  x = Fold128(x, k3k4, x2);
+  x = Fold128(x, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x = Fold128(x, k3k4, Load128(p));
+
+  // 128 -> 64 bits, then 64 -> 32 bits of remainder still to reduce.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k3k4, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00));
+
+  // Barrett reduction to the 32-bit register.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+bool CpuHasPclmul() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+
+#undef SAMPWH_TARGET_PCLMUL
+
+#endif  // defined(__x86_64__)
+
+}  // namespace
+
+uint32_t Crc32SliceBy8(std::string_view data) {
+  return SliceBy8Update(0xFFFFFFFFu,
+                        reinterpret_cast<const unsigned char*>(data.data()),
+                        data.size()) ^
+         0xFFFFFFFFu;
+}
+
+uint32_t Crc32(std::string_view data) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  uint32_t crc = 0xFFFFFFFFu;
+#if defined(__x86_64__)
+  static const bool kPclmul = CpuHasPclmul();
+  if (kPclmul && n >= 64) {
+    const size_t folded = n & ~size_t{15};
+    crc = PclmulFold(crc, p, folded);
+    p += folded;
+    n -= folded;
+  }
+#endif
+  return SliceBy8Update(crc, p, n) ^ 0xFFFFFFFFu;
 }
 
 std::string WrapSampleEnvelope(std::string_view payload) {

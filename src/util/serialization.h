@@ -52,6 +52,8 @@ class BinaryReader {
   Status GetVarintSigned64(int64_t* v);
   Status GetDouble(double* v);
   Status GetString(std::string* s);
+  /// Views the next `n` raw bytes (no length prefix) inside the input.
+  Status GetRaw(size_t n, std::string_view* bytes);
 
   /// Bytes not yet consumed.
   size_t remaining() const { return data_.size() - pos_; }
@@ -64,8 +66,15 @@ class BinaryReader {
 
 /// CRC-32 (reflected polynomial 0xEDB88320 — the zlib/PNG checksum) of
 /// `data`. Detects every single- and double-bit error at the payload sizes
-/// the warehouse stores. Computed slice-by-8 (eight bytes per step).
+/// the warehouse stores. On x86-64 CPUs with PCLMULQDQ and SSE4.1, inputs
+/// of 64 bytes or more fold 64 bytes per step with carry-less multiplies
+/// (the tail goes through slice-by-8); elsewhere slice-by-8 does it all.
+/// Both paths return the same value on every input.
 uint32_t Crc32(std::string_view data);
+
+/// The portable slice-by-8 CRC-32 (eight table lookups per eight bytes):
+/// the reference the dispatched Crc32 must agree with on every input.
+uint32_t Crc32SliceBy8(std::string_view data);
 
 // --- Versioned sample-file envelope (on-disk format v2) --------------------
 //

@@ -2,12 +2,14 @@
 // machinery under injected network faults. Connect timeouts are bounded
 // against a black-holed port; transport failures transparently reconnect
 // and retry idempotent verbs (and ONLY idempotent verbs) through a chaos
-// proxy; the per-client circuit breaker opens after consecutive transport
-// failures, fails fast, and half-open-probes its way closed; and a
-// propagated deadline aborts an oversized merge server-side with
-// kDeadlineExceeded — after which the same query, re-run without a
-// deadline, is bit-identical to an uninterrupted reference (cancellation
-// probes consume no randomness).
+// proxy — a re-driven streaming append is deduplicated by sequence, so the
+// ingested partition is byte-identical to a fault-free run; a request too
+// large for the frame bound is refused before it is sent; the per-client
+// circuit breaker opens after consecutive transport failures, fails fast,
+// and half-open-probes its way closed; and a propagated deadline aborts an
+// oversized merge server-side with kDeadlineExceeded — after which the
+// same query, re-run without a deadline, is bit-identical to an
+// uninterrupted reference (cancellation probes consume no randomness).
 
 #include "src/server/client.h"
 
@@ -103,6 +105,119 @@ TEST(ClientResilienceTest, IdempotentVerbsRetryThroughConnectionResets) {
   EXPECT_GE(stats.reconnects, 1u);
   EXPECT_GE(stats.transport_errors, 1u);
   EXPECT_EQ(proxy->FiredCount(kChaosSiteServerToClient), 1u);
+}
+
+TEST(ClientResilienceTest, AppendRetriesThroughResetAndDedupsBySequence) {
+  // Two servers on one seed: `faulty` sits behind a proxy that resets the
+  // ack of one append, `clean` sees the same stream without faults.
+  auto faulty = MustStart(TestServerOptions(kSeed));
+  auto clean = MustStart(TestServerOptions(kSeed));
+  ASSERT_NE(faulty, nullptr);
+  ASSERT_NE(clean, nullptr);
+  auto proxy = MustProxy(*faulty, /*seed=*/0xC408);
+  ASSERT_NE(proxy, nullptr);
+
+  ClientOptions options;
+  options.connect_timeout_millis = 2'000;
+  options.max_retries = 2;
+  options.backoff_initial_millis = 5;
+  options.backoff_max_millis = 20;
+  options.seed = 1;
+  options.breaker_failure_threshold = 0;  // isolate the retry driver
+  auto proxied =
+      WarehouseClient::Connect(proxy->host(), proxy->port(), options);
+  ASSERT_TRUE(proxied.ok()) << proxied.status().ToString();
+  auto direct = MustConnect(*clean);
+  ASSERT_NE(direct, nullptr);
+  WarehouseClient* clients[] = {proxied.value().get(), direct.get()};
+  for (WarehouseClient* client : clients) {
+    ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+    ASSERT_TRUE(client->CreateDataset("acme", "events").ok());
+    ASSERT_TRUE(client->IngestOpen("acme", "events").ok());
+  }
+
+  // Batches of 100 into 256-element partitions: the third batch closes the
+  // first partition. The second batch's ack is reset mid-air after the
+  // server applied it; the retry re-drives sequence 100 and the server
+  // acknowledges it without applying it twice.
+  constexpr uint64_t kBatch = 100;
+  for (uint64_t b = 0; b < 3; ++b) {
+    std::vector<Value> values(kBatch);
+    for (uint64_t i = 0; i < kBatch; ++i) {
+      values[i] = static_cast<Value>((b * kBatch + i) * 2654435761u % 1000);
+    }
+    if (b == 1) {
+      proxy->Arm(kChaosSiteServerToClient, NetFaultKind::kReset,
+                 /*count=*/1);
+    }
+    for (WarehouseClient* client : clients) {
+      auto ack = client->IngestAppend("acme", "events", b * kBatch, values);
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      EXPECT_EQ(ack.value().next_sequence, (b + 1) * kBatch);
+      EXPECT_EQ(ack.value().partitions_rolled_in, b == 2 ? 1u : 0u);
+    }
+  }
+  EXPECT_EQ(proxy->FiredCount(kChaosSiteServerToClient), 1u);
+  EXPECT_GE(clients[0]->stats().retries_attempted, 1u);
+  EXPECT_GE(clients[0]->stats().reconnects, 1u);
+
+  auto faulty_parts = clients[0]->ListPartitions("acme", "events");
+  auto clean_parts = clients[1]->ListPartitions("acme", "events");
+  ASSERT_TRUE(faulty_parts.ok()) << faulty_parts.status().ToString();
+  ASSERT_TRUE(clean_parts.ok()) << clean_parts.status().ToString();
+  ASSERT_EQ(faulty_parts.value().size(), 1u);
+  ASSERT_EQ(clean_parts.value().size(), 1u);
+  EXPECT_EQ(faulty_parts.value()[0].parent_size, 256u);
+  const PartitionId id = faulty_parts.value()[0].id;
+  ASSERT_EQ(clean_parts.value()[0].id, id);
+  auto faulty_sample = clients[0]->Query("acme", "events", {id});
+  auto clean_sample = clients[1]->Query("acme", "events", {id});
+  ASSERT_TRUE(faulty_sample.ok()) << faulty_sample.status().ToString();
+  ASSERT_TRUE(clean_sample.ok()) << clean_sample.status().ToString();
+  EXPECT_EQ(SampleBytes(faulty_sample.value()),
+            SampleBytes(clean_sample.value()));
+}
+
+TEST(ClientResilienceTest, OversizedRequestIsRefusedBeforeSending) {
+  // Client and server share a 64 KiB frame bound. A batch too large for
+  // it is the caller's error: refused before any byte is sent, with no
+  // retry and no breaker count, so the next healthy call still works.
+  ServerOptions server_options = TestServerOptions(kSeed);
+  server_options.max_frame_bytes = 64u << 10;
+  auto server = MustStart(server_options);
+  ASSERT_NE(server, nullptr);
+  ClientOptions options;
+  options.max_frame_bytes = 64u << 10;
+  options.max_retries = 2;
+  options.backoff_initial_millis = 5;
+  options.backoff_max_millis = 20;
+  options.breaker_failure_threshold = 2;
+  auto client = MustConnect(*server, options);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(client->CreateDataset("acme", "events").ok());
+  ASSERT_TRUE(client->IngestOpen("acme", "events").ok());
+
+  std::vector<Value> values(200'000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<Value>(i * 2654435761u);
+  }
+  auto oversized = client->IngestAppend("acme", "events", 0, values);
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_TRUE(oversized.status().IsInvalidArgument())
+      << oversized.status().ToString();
+  EXPECT_EQ(client->stats().retries_attempted, 0u);
+  EXPECT_EQ(client->stats().transport_errors, 0u);
+  EXPECT_FALSE(client->breaker_open());
+
+  auto pong = client->Ping();
+  EXPECT_TRUE(pong.ok()) << pong.status().ToString();
+  values.resize(1'000);
+  auto ack = client->IngestAppend("acme", "events", 0, values);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack.value().next_sequence, 1'000u);
+  EXPECT_EQ(server->stats().protocol_errors, 0u);
+  EXPECT_EQ(client->stats().reconnects, 0u);
 }
 
 TEST(ClientResilienceTest, NonIdempotentVerbsNeverRetry) {

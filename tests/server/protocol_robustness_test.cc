@@ -198,6 +198,84 @@ TEST_F(ProtocolRobustnessTest, UnknownVerbsKeepTheConnection) {
   EXPECT_TRUE(ParseResponseHead(&reader).ok());
 }
 
+TEST_F(ProtocolRobustnessTest, RetiredVarintAppendVerbKeepsTheConnection) {
+  // Verb 41 carried one zig-zag varint per value. It is retired rather than
+  // reused, so an old client's append is refused as an unknown verb —
+  // never decoded as a value block — and its connection stays usable.
+  BinaryWriter body;
+  body.PutString("acme");
+  body.PutString("events");
+  body.PutVarint64(0);  // sequence
+  body.PutVarint64(0);  // timestamp
+  body.PutVarint64(3);
+  for (const int64_t v : {5, -7, 1 << 20}) body.PutVarintSigned64(v);
+  RawPeer peer(*server_);
+  ASSERT_TRUE(peer.connected());
+  peer.Send(EncodeFrame(RequestPayload(41, body.Release())));
+  const std::string response = peer.ReadResponse();
+  ASSERT_FALSE(response.empty()) << "connection lost on the retired verb";
+  BinaryReader reader(response);
+  const Status status = ParseResponseHead(&reader);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("unknown verb 41"), std::string::npos)
+      << status.ToString();
+
+  peer.Send(EncodeFrame(RequestPayload(static_cast<uint32_t>(Verb::kPing))));
+  const std::string pong = peer.ReadResponse();
+  ASSERT_FALSE(pong.empty());
+  BinaryReader pong_reader(pong);
+  EXPECT_TRUE(ParseResponseHead(&pong_reader).ok());
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+}
+
+TEST_F(ProtocolRobustnessTest, HostileValueBlocksAnswerStructuredErrors) {
+  // Well-framed appends to an open session whose value block lies: a width
+  // outside 1..8, a count whose n * w wraps 64 bits, a short block, and
+  // trailing bytes after the block.
+  const auto append = [](uint64_t n, uint8_t width, std::string_view tail) {
+    BinaryWriter body;
+    body.PutString("acme");
+    body.PutString("events");
+    body.PutVarint64(0);  // sequence
+    body.PutVarint64(0);  // timestamp
+    body.PutVarint64(n);
+    body.PutFixed64(0);
+    const char w = static_cast<char>(width);
+    body.PutRaw(&w, 1);
+    body.PutRaw(tail.data(), tail.size());
+    return RequestPayload(static_cast<uint32_t>(Verb::kIngestAppendBlock),
+                          body.Release());
+  };
+  struct Case {
+    std::string payload;
+    StatusCode expected;
+  };
+  const Case cases[] = {
+      {append(4, 0, "abcd"), StatusCode::kCorruption},
+      {append(1, 9, "abcdefghi"), StatusCode::kCorruption},
+      {append(uint64_t{1} << 61, 8, "abcdefgh"), StatusCode::kOutOfRange},
+      {append(3, 2, "abcde"), StatusCode::kOutOfRange},
+      {append(2, 1, "abc"), StatusCode::kInvalidArgument},
+  };
+  auto client = WarehouseClient::Connect(server_->host(), server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.value()->CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(client.value()->CreateDataset("acme", "events").ok());
+  ASSERT_TRUE(client.value()->IngestOpen("acme", "events").ok());
+  RawPeer peer(*server_);
+  ASSERT_TRUE(peer.connected());
+  for (const Case& c : cases) {
+    peer.Send(EncodeFrame(c.payload));
+    const std::string response = peer.ReadResponse();
+    ASSERT_FALSE(response.empty()) << "connection lost on a hostile block";
+    BinaryReader reader(response);
+    const Status status = ParseResponseHead(&reader);
+    EXPECT_EQ(status.code(), c.expected) << status.ToString();
+  }
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+  ExpectServerHealthy(*server_);
+}
+
 TEST_F(ProtocolRobustnessTest, BadMagicAnswersErrorAndKeepsFraming) {
   RawPeer peer(*server_);
   ASSERT_TRUE(peer.connected());
@@ -230,8 +308,8 @@ TEST_F(ProtocolRobustnessTest, MalformedVerbBodiesAnswerStructuredErrors) {
       static_cast<uint32_t>(Verb::kQuery),
       static_cast<uint32_t>(Verb::kPartitionDigests),
       static_cast<uint32_t>(Verb::kIngestOpen),
-      static_cast<uint32_t>(Verb::kIngestAppend),
       static_cast<uint32_t>(Verb::kIngestFlush),
+      static_cast<uint32_t>(Verb::kIngestAppendBlock),
   };
   Pcg64 rng(kFuzzSeed ^ 2);
   RawPeer peer(*server_);

@@ -1,7 +1,7 @@
-// End-to-end coverage of the warehouse server: wire framing, admin and
-// catalog verbs, roll-in/query round trips whose results are bit-identical
-// to the embedded warehouse, exactly-once streaming ingest over the wire,
-// and the stats/shutdown plumbing.
+// End-to-end coverage of the warehouse server: wire framing and the value
+// block codec, admin and catalog verbs, roll-in/query round trips whose
+// results are bit-identical to the embedded warehouse, exactly-once
+// streaming ingest over the wire, and the stats/shutdown plumbing.
 
 #include "src/server/server.h"
 
@@ -9,6 +9,7 @@
 
 #include "src/server/client.h"
 #include "src/server/wire.h"
+#include "src/util/random.h"
 #include "tests/server/server_test_util.h"
 
 namespace sampwh {
@@ -57,6 +58,148 @@ TEST(WireTest, ResponseHeadCarriesTypedStatus) {
   const Status status = ParseResponseHead(&reader);
   EXPECT_TRUE(status.IsResourceExhausted());
   EXPECT_EQ(status.message(), "quota");
+}
+
+std::string EncodeValueBlock(const std::vector<Value>& values) {
+  BinaryWriter writer;
+  PutValueBlock(&writer, values);
+  return writer.Release();
+}
+
+/// The width byte of an encoded non-empty block: after the count varint
+/// and the fixed64 base.
+size_t BlockWidth(const std::string& block) {
+  BinaryReader reader(block);
+  uint64_t n = 0, base = 0;
+  std::string_view width;
+  EXPECT_TRUE(reader.GetVarint64(&n).ok());
+  EXPECT_TRUE(reader.GetFixed64(&base).ok());
+  EXPECT_TRUE(reader.GetRaw(1, &width).ok());
+  return static_cast<unsigned char>(width[0]);
+}
+
+std::vector<Value> DecodeWholeBlock(const std::string& block) {
+  BinaryReader reader(block);
+  std::vector<Value> values;
+  const Status st = GetValueBlock(&reader, &values);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(reader.AtEnd());
+  return values;
+}
+
+TEST(WireTest, ValueBlockRoundTripsEdgeBatches) {
+  const std::string empty = EncodeValueBlock({});
+  EXPECT_EQ(empty, std::string(1, '\0'));  // just the count
+  EXPECT_TRUE(DecodeWholeBlock(empty).empty());
+
+  const std::vector<Value> one = {-42};
+  const std::string one_block = EncodeValueBlock(one);
+  EXPECT_EQ(BlockWidth(one_block), 1u);
+  EXPECT_EQ(DecodeWholeBlock(one_block), one);
+
+  const std::vector<Value> equal(1000, 77);
+  const std::string equal_block = EncodeValueBlock(equal);
+  EXPECT_EQ(BlockWidth(equal_block), 1u);
+  EXPECT_EQ(equal_block.size(), 2 + 8 + 1 + equal.size());
+  EXPECT_EQ(DecodeWholeBlock(equal_block), equal);
+
+  const std::vector<Value> negatives = {-1, -300, -70000, -5, -1};
+  const std::string negative_block = EncodeValueBlock(negatives);
+  EXPECT_EQ(BlockWidth(negative_block), 3u);
+  EXPECT_EQ(DecodeWholeBlock(negative_block), negatives);
+
+  // The full int64 span: max - min wraps nothing in unsigned arithmetic.
+  const std::vector<Value> extremes = {INT64_MAX, 0, INT64_MIN, -1, 1,
+                                       INT64_MIN, INT64_MAX};
+  const std::string extreme_block = EncodeValueBlock(extremes);
+  EXPECT_EQ(BlockWidth(extreme_block), 8u);
+  EXPECT_EQ(DecodeWholeBlock(extreme_block), extremes);
+}
+
+TEST(WireTest, ValueBlockRoundTripsEveryWidthAndLength) {
+  // Lengths 0..40 put the decoder's switch from 8-byte loads to exact-width
+  // loads at every position, for every width.
+  Pcg64 rng(0xB10C);
+  for (size_t width = 1; width <= 8; ++width) {
+    const uint64_t span =
+        width == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * width)) - 1;
+    for (size_t length = 0; length <= 40; ++length) {
+      // A base that leaves room for base + span inside int64.
+      const Value base =
+          width == 8 ? INT64_MIN
+                     : static_cast<Value>(rng.NextUint64() >> 2) -
+                           (Value{1} << 61);
+      std::vector<Value> values(length);
+      for (Value& v : values) {
+        v = static_cast<Value>(static_cast<uint64_t>(base) +
+                               (rng.NextUint64() & span));
+      }
+      if (length >= 2) {
+        // Pin the range so the encoder picks exactly `width` bytes.
+        values[0] = base;
+        values[1] = static_cast<Value>(static_cast<uint64_t>(base) + span);
+      }
+      const std::string block = EncodeValueBlock(values);
+      if (length >= 2) {
+        EXPECT_EQ(BlockWidth(block), width) << "length " << length;
+      }
+      EXPECT_EQ(DecodeWholeBlock(block), values)
+          << "width " << width << " length " << length;
+    }
+  }
+}
+
+TEST(WireTest, ValueBlockRejectsHostileInputWithoutAllocating) {
+  const auto header = [](uint64_t n, uint8_t width) {
+    BinaryWriter writer;
+    writer.PutVarint64(n);
+    writer.PutFixed64(0x1234);
+    const char w = static_cast<char>(width);
+    writer.PutRaw(&w, 1);
+    writer.PutRaw("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
+    return writer.Release();
+  };
+  const auto decode = [](const std::string& block,
+                         std::vector<Value>* values) {
+    BinaryReader reader(block);
+    return GetValueBlock(&reader, values);
+  };
+
+  for (const uint8_t bad_width : {uint8_t{0}, uint8_t{9}, uint8_t{255}}) {
+    std::vector<Value> values;
+    EXPECT_TRUE(decode(header(2, bad_width), &values).IsCorruption())
+        << "width " << int{bad_width};
+    EXPECT_EQ(values.capacity(), 0u);
+  }
+
+  // A count the body cannot hold, including one whose n * w would wrap
+  // 64 bits: OutOfRange before any allocation.
+  for (const uint64_t n : {uint64_t{2}, uint64_t{1} << 61,
+                           (uint64_t{1} << 61) + 1, ~uint64_t{0}}) {
+    std::vector<Value> values;
+    EXPECT_TRUE(decode(header(n, 8), &values).IsOutOfRange()) << "n " << n;
+    EXPECT_EQ(values.capacity(), 0u);
+  }
+
+  // Every proper prefix of a valid block is rejected as truncated.
+  std::vector<Value> batch(100);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = static_cast<Value>(i * 40503) - 9000;
+  }
+  const std::string block = EncodeValueBlock(batch);
+  for (size_t cut = 0; cut < block.size(); ++cut) {
+    std::vector<Value> values;
+    EXPECT_TRUE(decode(block.substr(0, cut), &values).IsOutOfRange())
+        << "cut " << cut;
+  }
+
+  // Trailing bytes are left unread for the request's end-of-body check.
+  const std::string trailed = block + "xyz";
+  BinaryReader reader(trailed);
+  std::vector<Value> values;
+  ASSERT_TRUE(GetValueBlock(&reader, &values).ok());
+  EXPECT_EQ(values, batch);
+  EXPECT_EQ(reader.remaining(), 3u);
 }
 
 TEST(ServerTest, BindsDistinctEphemeralPorts) {

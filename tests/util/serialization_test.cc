@@ -180,8 +180,8 @@ TEST(Crc32Test, DetectsAnyChange) {
   EXPECT_NE(base, Crc32("Warehouse sample payload"));
 }
 
-// The classic one-table CRC-32, one byte per step: the reference the
-// slice-by-8 implementation must agree with.
+// The classic one-table CRC-32, one byte per step: the reference both the
+// slice-by-8 loop and the carry-less-multiply fold must agree with.
 uint32_t BytewiseCrc32(std::string_view data) {
   uint32_t table[256];
   for (uint32_t i = 0; i < 256; ++i) {
@@ -196,8 +196,8 @@ uint32_t BytewiseCrc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
-  std::string buffer(64 + 8, '\0');
+std::string XorShiftBytes(size_t n) {
+  std::string buffer(n, '\0');
   uint64_t x = 0x9E3779B97F4A7C15ULL;
   for (char& c : buffer) {
     x ^= x << 13;
@@ -205,11 +205,32 @@ TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
     x ^= x << 17;
     c = static_cast<char>(x);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 64; ++length) {
+  return buffer;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
+  // Lengths 0..2048 at every offset within a 16-byte lane: below 64 bytes
+  // only slice-by-8 runs; from 64 on the fold takes the largest multiple of
+  // 16 and slice-by-8 the tail, so every fold/tail split is covered.
+  const std::string buffer = XorShiftBytes(2048 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 2048; ++length) {
       const std::string_view data(buffer.data() + offset, length);
-      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+      const uint32_t expected = BytewiseCrc32(data);
+      ASSERT_EQ(Crc32(data), expected)
           << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32SliceBy8(data), expected)
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // Frame- and file-sized inputs: many 64-byte fold rounds in a row.
+  const std::string big = XorShiftBytes((1u << 20) + 3);
+  for (const size_t length : {size_t{64} << 10, size_t{1} << 20}) {
+    for (const size_t offset : {size_t{0}, size_t{3}}) {
+      const std::string_view data(big.data() + offset, length);
+      const uint32_t expected = BytewiseCrc32(data);
+      EXPECT_EQ(Crc32(data), expected) << "length " << length;
+      EXPECT_EQ(Crc32SliceBy8(data), expected) << "length " << length;
     }
   }
   EXPECT_EQ(BytewiseCrc32("123456789"), 0xCBF43926u);
