@@ -132,7 +132,6 @@ BenchWarehouse MakeWarehouse(const BenchParams& params, uint64_t partitions,
   WarehouseOptions options;
   options.sampler.kind = SamplerKind::kHybridReservoir;
   options.sampler.footprint_bound_bytes = 16 * 1024;
-  options.merge_strategy = MergeStrategy::kBalancedTree;
   options.worker_threads = 4;
   options.sample_cache_bytes = cached ? (256ull << 20) : 0;
   options.merge_memo_bytes = cached ? (256ull << 20) : 0;

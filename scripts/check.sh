@@ -98,6 +98,12 @@ if [[ "${mode}" == "full" ]]; then
   ctest --test-dir build-check/asan -R \
     "CompactHistogram|HistogramBuilder|HistogramModel|GoldenDigest|SampleFuzz|Crc32" \
     --output-on-failure
+
+  # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and
+  # without a merge memo, pinned by the golden digests.
+  echo "=== [asan] merge-tree gate ==="
+  ctest --test-dir build-check/asan -R "^(GoldenDigest|QueryCache|Warehouse)" \
+    --output-on-failure
 fi
 
 # Query-path smoke bench (~2 s): exercises the sample cache, parallel

@@ -1,10 +1,7 @@
 #include "src/core/merge.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <functional>
-#include <optional>
 #include <utility>
 
 #include "src/core/hybrid_bernoulli.h"
@@ -285,8 +282,7 @@ Result<PartitionSample> MergeAll(
     return Status::InvalidArgument("MergeAll of zero samples");
   }
   if (samples.size() == 1) return *samples[0];
-  if (strategy == MergeStrategy::kBalancedTree ||
-      strategy == MergeStrategy::kParallelTree) {
+  if (strategy == MergeStrategy::kBalancedTree) {
     return MergeRange(samples, 0, samples.size(), options, rng);
   }
   PartitionSample acc = *samples[0];
@@ -295,68 +291,6 @@ Result<PartitionSample> MergeAll(
                             MergeSamples(acc, *samples[i], options, rng));
   }
   return acc;
-}
-
-Result<PartitionSample> MergeAllParallel(
-    const std::vector<const PartitionSample*>& samples,
-    const MergeOptions& options, Pcg64& rng, ThreadPool* pool) {
-  if (samples.empty()) {
-    return Status::InvalidArgument("MergeAll of zero samples");
-  }
-  if (samples.size() == 1) return *samples[0];
-  if (pool == nullptr || samples.size() == 2) {
-    return MergeAll(samples, options, rng, MergeStrategy::kBalancedTree);
-  }
-
-  std::vector<PartitionSample> level;
-  level.reserve(samples.size());
-  for (const PartitionSample* s : samples) level.push_back(*s);
-
-  while (level.size() > 1) {
-    const size_t pairs = level.size() / 2;
-    // Fork all node RNGs up front, in index order, so results are
-    // independent of pool scheduling.
-    std::vector<Pcg64> node_rngs;
-    node_rngs.reserve(pairs);
-    for (size_t j = 0; j < pairs; ++j) node_rngs.push_back(rng.Fork(j));
-
-    std::vector<std::optional<PartitionSample>> merged(pairs);
-    std::vector<Status> statuses(pairs, Status::OK());
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    size_t remaining = pairs;
-
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(pairs);
-    for (size_t j = 0; j < pairs; ++j) {
-      tasks.push_back([&, j] {
-        Result<PartitionSample> r = MergeSamples(
-            level[2 * j], level[2 * j + 1], options, node_rngs[j]);
-        if (r.ok()) {
-          merged[j] = std::move(r).value();
-        } else {
-          statuses[j] = r.status();
-        }
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--remaining == 0) done_cv.notify_all();
-      });
-    }
-    pool->SubmitBatch(std::move(tasks));
-    {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-    }
-
-    std::vector<PartitionSample> next;
-    next.reserve(pairs + (level.size() % 2));
-    for (size_t j = 0; j < pairs; ++j) {
-      SAMPWH_RETURN_IF_ERROR(statuses[j]);
-      next.push_back(std::move(*merged[j]));
-    }
-    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  return std::move(level.front());
 }
 
 }  // namespace sampwh

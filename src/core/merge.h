@@ -30,7 +30,6 @@
 #include "src/util/alias_table.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace sampwh {
 
@@ -67,13 +66,6 @@ struct MergeOptions {
   /// When non-null, HRMerge draws its hypergeometric splits through this
   /// cache (§4.2 optimization); otherwise it uses direct inversion.
   AliasCache* alias_cache = nullptr;
-  /// Forces every query down the uncached merge path even when the caller
-  /// (e.g. a Warehouse with a merge memo configured) could reuse memoized
-  /// merge-tree nodes. The memoized path derives each node's RNG stream
-  /// from the node's partition-id set, so repeated identical queries return
-  /// the identical sample; tests that need independent randomness across
-  /// repeated queries (the uniformity property suite) set this flag.
-  bool disable_memoization = false;
 };
 
 /// Stable fingerprint of every MergeOptions field that can change the
@@ -121,29 +113,15 @@ Result<PartitionSample> UnionBernoulli(
 enum class MergeStrategy {
   kLeftFold,       ///< the paper's serial pairwise merges
   kBalancedTree,   ///< pairwise tree; pairs AliasCache for symmetric inputs
-  kParallelTree,   ///< balanced tree with independent nodes run on a pool
 };
 
 /// Merges any number of per-partition samples into one sample of the union
 /// of their parents. Empty input is an error; a single input is returned
-/// unchanged. kParallelTree without a pool degrades to kBalancedTree.
+/// unchanged.
 Result<PartitionSample> MergeAll(
     const std::vector<const PartitionSample*>& samples,
     const MergeOptions& options, Pcg64& rng,
     MergeStrategy strategy = MergeStrategy::kLeftFold);
-
-/// Parallel k-way merge: reduces the samples level by level, scheduling
-/// the pairwise HBMerge/HRMerge nodes of each level on `pool` (all levels
-/// of the tree but the last have independent nodes). Every node draws from
-/// its own RNG stream forked from `rng` before scheduling, so the merged
-/// sample is deterministic for a given seed regardless of how the pool
-/// interleaves the nodes — and identical across runs with any pool size.
-/// Falls back to the serial balanced tree when `pool` is null. Safe to
-/// call on a pool shared with other producers: completion is tracked
-/// per-node, not via ThreadPool::Wait.
-Result<PartitionSample> MergeAllParallel(
-    const std::vector<const PartitionSample*>& samples,
-    const MergeOptions& options, Pcg64& rng, ThreadPool* pool);
 
 }  // namespace sampwh
 

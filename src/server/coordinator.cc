@@ -46,11 +46,7 @@ class ScopedClientDeadlines {
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(CoordinatorOptions options)
-    : options_(std::move(options)) {
-  if (options_.cache_alias_tables) {
-    options_.merge.alias_cache = &alias_cache_;
-  }
-}
+    : options_(std::move(options)) {}
 
 Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Connect(
     const std::vector<ShardNodeAddress>& nodes, CoordinatorOptions options) {
@@ -290,10 +286,9 @@ Result<ShardQueryResult> ShardCoordinator::QueryWithOptions(
   if (ids.empty() && down.empty()) {
     return Status::InvalidArgument("no partitions to merge");
   }
-  // Canonical node identity, exactly as the warehouse's memoized path
-  // sorts before building the tree.
-  std::sort(ids.begin(), ids.end());
-  const std::vector<PartitionId> requested = ids;
+  // Canonical node identity, exactly as the warehouse sorts before building
+  // the tree; a repeated explicit id is rejected before any remote call.
+  SAMPWH_RETURN_IF_ERROR(CanonicalMergeIds(&ids));
   const uint64_t fingerprint = MergeOptionsFingerprint(options_.merge);
 
   // An id is servable while ANY of its owners is reachable — replication
@@ -565,9 +560,9 @@ Result<PartitionSample> ShardCoordinator::MergeTree(
     std::span<const size_t> primaries, uint64_t fingerprint,
     std::set<size_t>* down, size_t* failed_primary) {
   // Maximal push-down: a span wholly under one primary (hence one owner
-  // set) is one remote query — the serving node's memoized merge builds
-  // the identical subtree (same sorted id set, same floor(n/2) splits,
-  // same identity-derived node RNGs).
+  // set) is one remote query — the serving node's merge tree builds the
+  // identical subtree (same sorted id set, same MergeTreeSplit, same
+  // identity-derived node RNGs).
   const bool single_primary =
       std::all_of(primaries.begin(), primaries.end(),
                   [&](size_t p) { return p == primaries[0]; });
@@ -579,7 +574,7 @@ Result<PartitionSample> ShardCoordinator::MergeTree(
     }
     return remote;
   }
-  const size_t half = ids.size() / 2;
+  const size_t half = MergeTreeSplit(ids.size());
   SAMPWH_ASSIGN_OR_RETURN(
       const PartitionSample left,
       MergeTree(tenant, dataset, key, ids.subspan(0, half),
@@ -589,10 +584,10 @@ Result<PartitionSample> ShardCoordinator::MergeTree(
       const PartitionSample right,
       MergeTree(tenant, dataset, key, ids.subspan(half),
                 primaries.subspan(half), fingerprint, down, failed_primary));
-  // The same RNG stream this node would consume inside any warehouse with
-  // the same seed — the heart of the distributed-exactness contract.
-  Pcg64 rng = MergeMemo::NodeRng(options_.seed, key, ids, fingerprint);
-  return MergeSamples(left, right, options_.merge, rng);
+  // The same node step, on the same identity RNG, that any warehouse with
+  // the same seed runs — the heart of the distributed-exactness contract.
+  return MergeTreeNode(options_.seed, key, ids, left, right, options_.merge,
+                       fingerprint);
 }
 
 }  // namespace sampwh

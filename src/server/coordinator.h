@@ -2,21 +2,21 @@
 // nodes and answers merged-sample queries over the union — bit-identical
 // to what a single warehouse node holding every partition would return.
 //
-// How exactness survives distribution: the warehouse's memoized merge
-// builds a balanced binary tree over the canonically sorted partition-id
-// set, splitting every node at floor(n/2), and derives each node's RNG
-// purely from the node's identity (MergeMemo::NodeRng — warehouse seed,
-// dataset key, id set, merge-options fingerprint). The split rule depends
-// only on leaf count, so the subtree over any contiguous id span IS the
-// tree a standalone query over exactly those ids would build. The
-// coordinator therefore walks the same tree shape: a subtree whose leaves
-// all live on one shard is pushed down as an explicit-id query (the node
-// computes it, bit-identically, through its own memoized path); a subtree
-// spanning shards recurses and joins the halves locally with the identical
-// NodeRng stream and merge options. Requirements for bit-identity, checked
-// nowhere but owned by deployment: every node runs the same warehouse
-// seed, the same MergeOptions (and alias-cache wiring), and nonzero
-// merge_memo_bytes.
+// How exactness survives distribution: the warehouse merge builds a
+// balanced binary tree over the canonically sorted partition-id set and
+// derives each node's RNG purely from the node's identity (warehouse seed,
+// dataset key, id set, merge-options fingerprint); merge_memo.h owns that
+// shape (CanonicalMergeIds, MergeTreeSplit, MergeTreeNode). The split rule
+// depends only on leaf count, so the subtree over any contiguous id span IS
+// the tree a standalone query over exactly those ids would build. The
+// coordinator therefore walks the same tree through the same functions: a
+// subtree whose leaves all live on one shard is pushed down as an
+// explicit-id query (the node computes it, bit-identically, through its
+// own merge tree); a subtree spanning shards recurses and joins the halves
+// locally with the identical node step. Requirements for bit-identity,
+// checked nowhere but owned by deployment: every node runs the same
+// warehouse seed and the same MergeOptions. A node's merge_memo_bytes is
+// only a cache size and may differ.
 //
 // Partition placement: the coordinator allocates globally unique partition
 // ids per dataset (keeping its allocator ahead of whatever the nodes
@@ -73,10 +73,6 @@ struct CoordinatorOptions {
   uint64_t seed = 0x5157313136ULL;
   /// MUST equal every node's WarehouseOptions::merge.
   MergeOptions merge;
-  /// MUST equal every node's WarehouseOptions::cache_alias_tables (the
-  /// alias cache changes both the options fingerprint and how merge nodes
-  /// consume randomness).
-  bool cache_alias_tables = false;
   ClientOptions client;
   /// Keep a coordinator whose nodes are (partly) unreachable at Connect
   /// time: down nodes get a lazily-connecting client whose circuit breaker
@@ -198,7 +194,7 @@ class ShardCoordinator {
 
   /// Merged sample over `ids` (empty = all partitions on all shards),
   /// bit-identical to a single node holding every partition. Strict: any
-  /// unreachable shard fails the query.
+  /// unreachable shard fails the query. A repeated id is InvalidArgument.
   Result<PartitionSample> Query(const std::string& tenant,
                                 const std::string& dataset,
                                 std::vector<PartitionId> ids = {});
@@ -271,7 +267,6 @@ class ShardCoordinator {
   std::vector<std::unique_ptr<WarehouseClient>> clients_;
   /// Coordinator-side global id allocator, per internal dataset key.
   std::map<DatasetId, PartitionId> next_id_;
-  AliasCache alias_cache_;
   uint64_t partial_queries_served_ = 0;
   uint64_t failover_reads_ = 0;
   uint64_t scrub_rounds_ = 0;

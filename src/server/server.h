@@ -65,10 +65,11 @@ struct ServerOptions {
   /// hang. 0 disables the cap.
   uint32_t max_connections = 0;
 
-  /// The embedded warehouse. merge_memo_bytes MUST stay nonzero for the
-  /// distributed-exactness contract: memoized merges derive every node's
-  /// RNG from node identity, which is what makes a pushed-down shard
-  /// subtree bit-identical to the same node computed anywhere else.
+  /// The embedded warehouse. Its seed and merge options must match every
+  /// other node's and the coordinator's: every merge node draws its RNG
+  /// from node identity, which is what makes a pushed-down shard subtree
+  /// bit-identical to the same node computed anywhere else.
+  /// merge_memo_bytes is only a cache size (0 runs without the memo).
   WarehouseOptions warehouse;
 
   /// File-backed store directory; empty runs on an in-memory store. With a

@@ -1,6 +1,7 @@
 #include "src/warehouse/merge_memo.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace sampwh {
@@ -22,6 +23,28 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 }  // namespace
+
+Status CanonicalMergeIds(std::vector<PartitionId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  const auto dup = std::adjacent_find(ids->begin(), ids->end());
+  if (dup != ids->end()) {
+    return Status::InvalidArgument("duplicate partition id " +
+                                   std::to_string(*dup));
+  }
+  return Status::OK();
+}
+
+Result<PartitionSample> MergeTreeNode(uint64_t warehouse_seed,
+                                      const DatasetId& dataset,
+                                      std::span<const PartitionId> ids,
+                                      const PartitionSample& left,
+                                      const PartitionSample& right,
+                                      const MergeOptions& options,
+                                      uint64_t options_fingerprint) {
+  Pcg64 rng =
+      MergeMemo::NodeRng(warehouse_seed, dataset, ids, options_fingerprint);
+  return MergeSamples(left, right, options, rng);
+}
 
 MergeMemo::MergeMemo(size_t num_shards, uint64_t byte_budget)
     : cache_(num_shards, byte_budget) {}

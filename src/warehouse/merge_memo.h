@@ -1,18 +1,26 @@
-// MergeMemo: a sharded LRU cache of interior merge-tree nodes. A union
-// query over partitions {p1..pn} merges pairwise up a balanced tree; every
-// interior node is a uniform sample of the union of a contiguous range of
-// the canonically sorted partition-id set. Repeated or overlapping union
-// queries (a rolling window slides by one day but shares most partitions)
-// rebuild identical subtrees from scratch — this cache memoizes them.
+// The warehouse merge tree and its node cache.
 //
-// Keying. A node is identified by (dataset, canonical sorted partition-id
-// range, MergeOptions fingerprint, epoch). The node's RNG stream is derived
-// from the same identity (NodeStream), never from query history, so a
-// memoized node is bit-identical to what recomputation would produce: the
-// cache changes latency, never sampling semantics. The price is that
-// repeated identical queries return the identical realization — callers
-// needing independent randomness per query set
-// MergeOptions::disable_memoization.
+// Tree. A union query over partitions {p1..pn} sorts the ids and rejects a
+// repeated one (CanonicalMergeIds), then merges pairwise up a balanced tree
+// (MergeTreeSplit); every interior node is a uniform sample of the union of
+// a contiguous range of the sorted id set (paper §4.2, Theorem 1 — any
+// binary tree shape is uniform). Each node draws from an RNG stream derived
+// from its identity (NodeRng), never from query history (MergeTreeNode), so
+// a node is the same bytes wherever and whenever it is computed: in a
+// warehouse, on a shard serving a pushed-down subtree, or in a coordinator
+// joining shard results. The warehouse and the coordinator both walk the
+// tree through these functions, so its shape is decided here alone. The
+// price of identity-derived randomness is that a repeated query returns the
+// identical realization; a caller that wants an independent draw uses a
+// different warehouse seed.
+//
+// Cache. MergeMemo is a sharded LRU cache of interior nodes. Repeated or
+// overlapping union queries (a rolling window slides by one day but shares
+// most partitions) would otherwise rebuild identical subtrees from scratch.
+// A node is keyed by (dataset, canonical sorted partition-id range,
+// MergeOptions fingerprint, epoch). Because a node's bytes do not depend on
+// whether it was cached, the memo changes latency, never answers: a
+// warehouse without one (merge_memo_bytes = 0) returns the same bytes.
 //
 // Invalidation. Roll-out / retention expiry of a partition eagerly evicts
 // every memoized node containing it (the member set is stored per entry).
@@ -32,12 +40,35 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/merge.h"
 #include "src/core/sample.h"
 #include "src/util/random.h"
 #include "src/util/sharded_cache.h"
 #include "src/warehouse/ids.h"
 
 namespace sampwh {
+
+/// Sorts `ids` into the canonical node identity of a union query, so that
+/// queries naming one set in any order build one tree. InvalidArgument on a
+/// repeated id: merging a partition with itself breaks the disjointness
+/// Theorem 1 requires.
+Status CanonicalMergeIds(std::vector<PartitionId>* ids);
+
+/// The merge tree's shape: a node over n >= 2 sorted ids has children over
+/// the first MergeTreeSplit(n) ids and the rest. The split depends only on
+/// n, so the subtree over any contiguous span is the tree a query over
+/// exactly that span builds.
+inline size_t MergeTreeSplit(size_t n) { return n / 2; }
+
+/// The merge tree's node step: joins the samples of the node's two
+/// children on the node's identity RNG (MergeMemo::NodeRng).
+Result<PartitionSample> MergeTreeNode(uint64_t warehouse_seed,
+                                      const DatasetId& dataset,
+                                      std::span<const PartitionId> ids,
+                                      const PartitionSample& left,
+                                      const PartitionSample& right,
+                                      const MergeOptions& options,
+                                      uint64_t options_fingerprint);
 
 class MergeMemo {
  public:
@@ -85,8 +116,8 @@ class MergeMemo {
 
   /// The RNG a merge node over `ids` draws from in a warehouse seeded with
   /// `warehouse_seed`. This is the whole distributed-exactness contract: any
-  /// process that computes the node — the single-node memoized merge tree, a
-  /// shard evaluating a pushed-down subtree, or a coordinator joining shard
+  /// process that computes the node — a warehouse's merge tree, a shard
+  /// evaluating a pushed-down subtree, or a coordinator joining shard
   /// results — derives the identical stream from the node's identity, so
   /// the merged bits are independent of where the node was computed.
   static Pcg64 NodeRng(uint64_t warehouse_seed, const DatasetId& dataset,

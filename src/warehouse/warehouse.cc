@@ -434,36 +434,40 @@ Warehouse::FetchSamples(const DatasetId& dataset,
 Result<PartitionSample> Warehouse::MergeMemoized(
     const DatasetId& dataset, std::span<const PartitionId> ids,
     std::span<const std::shared_ptr<const PartitionSample>> leaves,
-    const MergeOptions& merge_options, uint64_t options_fingerprint,
-    uint64_t memo_epoch) {
+    uint64_t options_fingerprint, uint64_t memo_epoch) {
   if (ids.size() == 1) return *leaves[0];
   // Cooperative cancellation for the serving path: a request whose
   // propagated deadline passed aborts here, between nodes. The check reads
   // a thread-local and consumes no randomness, so a merge that is NOT
   // canceled is bit-identical with or without a deadline installed.
   SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
-  if (auto cached =
-          merge_memo_->Lookup(dataset, ids, options_fingerprint, memo_epoch)) {
-    return *cached;
+  if (merge_memo_ != nullptr) {
+    if (auto cached = merge_memo_->Lookup(dataset, ids, options_fingerprint,
+                                          memo_epoch)) {
+      return *cached;
+    }
   }
-  const size_t half = ids.size() / 2;
+  const size_t half = MergeTreeSplit(ids.size());
   SAMPWH_ASSIGN_OR_RETURN(
       PartitionSample left,
       MergeMemoized(dataset, ids.subspan(0, half), leaves.subspan(0, half),
-                    merge_options, options_fingerprint, memo_epoch));
+                    options_fingerprint, memo_epoch));
   SAMPWH_ASSIGN_OR_RETURN(
       PartitionSample right,
       MergeMemoized(dataset, ids.subspan(half), leaves.subspan(half),
-                    merge_options, options_fingerprint, memo_epoch));
+                    options_fingerprint, memo_epoch));
   // The node's randomness is a pure function of its identity — never of
-  // query history — so a recomputation after eviction reproduces the node
-  // bit-identically (and a shard or coordinator computing the same node
-  // remotely reproduces it too; see MergeMemo::NodeRng).
-  Pcg64 rng = MergeMemo::NodeRng(options_.seed, dataset, ids,
-                                 options_fingerprint);
-  SAMPWH_ASSIGN_OR_RETURN(PartitionSample merged,
-                          MergeSamples(left, right, merge_options, rng));
-  merge_memo_->Insert(dataset, ids, options_fingerprint, memo_epoch, merged);
+  // query history — so a recomputation after eviction (or without a memo)
+  // reproduces the node bit-identically, and so does a shard or
+  // coordinator computing the same node remotely.
+  SAMPWH_ASSIGN_OR_RETURN(
+      PartitionSample merged,
+      MergeTreeNode(options_.seed, dataset, ids, left, right, options_.merge,
+                    options_fingerprint));
+  if (merge_memo_ != nullptr) {
+    merge_memo_->Insert(dataset, ids, options_fingerprint, memo_epoch,
+                        merged);
+  }
   return merged;
 }
 
@@ -472,53 +476,24 @@ Result<PartitionSample> Warehouse::MergeByIds(
   if (parts.empty()) {
     return Status::InvalidArgument("no partitions to merge");
   }
-  MergeOptions merge_options = options_.merge;
-  if (options_.cache_alias_tables) {
-    merge_options.alias_cache = &alias_cache_;
-  }
-
-  const bool memoize =
-      merge_memo_ != nullptr && !merge_options.disable_memoization;
-  if (memoize) {
-    // Canonical node identity: the sorted partition-id set. Queries naming
-    // the same set in any order share memoized subtrees.
-    std::vector<PartitionId> sorted(parts);
-    std::sort(sorted.begin(), sorted.end());
-    const uint64_t fingerprint = MergeOptionsFingerprint(merge_options);
-    const uint64_t memo_epoch = merge_memo_->CurrentEpoch(dataset);
-    if (sorted.size() > 1) {
+  std::vector<PartitionId> ids(parts);
+  SAMPWH_RETURN_IF_ERROR(CanonicalMergeIds(&ids));
+  const uint64_t fingerprint = MergeOptionsFingerprint(options_.merge);
+  uint64_t memo_epoch = 0;
+  if (merge_memo_ != nullptr) {
+    memo_epoch = merge_memo_->CurrentEpoch(dataset);
+    if (ids.size() > 1) {
       // Root shortcut: a fully memoized query skips the leaf fetch too.
       if (auto cached =
-              merge_memo_->Lookup(dataset, sorted, fingerprint, memo_epoch)) {
+              merge_memo_->Lookup(dataset, ids, fingerprint, memo_epoch)) {
         return *cached;
       }
     }
-    SAMPWH_ASSIGN_OR_RETURN(
-        std::vector<std::shared_ptr<const PartitionSample>> leaves,
-        FetchSamples(dataset, sorted));
-    return MergeMemoized(dataset, sorted, leaves, merge_options, fingerprint,
-                         memo_epoch);
   }
-
   SAMPWH_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const PartitionSample>> samples,
-      FetchSamples(dataset, parts));
-  std::vector<const PartitionSample*> pointers;
-  pointers.reserve(samples.size());
-  for (const auto& s : samples) pointers.push_back(s.get());
-
-  // Merge on a private RNG stream so long merges never hold a warehouse
-  // lock; the alias cache is internally synchronized.
-  Pcg64 merge_rng(options_.seed);
-  {
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    merge_rng = rng_.Fork(0x4D52);
-  }
-  if (options_.merge_strategy == MergeStrategy::kParallelTree) {
-    return MergeAllParallel(pointers, merge_options, merge_rng, pool_.get());
-  }
-  return MergeAll(pointers, merge_options, merge_rng,
-                  options_.merge_strategy);
+      std::vector<std::shared_ptr<const PartitionSample>> leaves,
+      FetchSamples(dataset, ids));
+  return MergeMemoized(dataset, ids, leaves, fingerprint, memo_epoch);
 }
 
 Result<PartitionSample> Warehouse::MergedSample(

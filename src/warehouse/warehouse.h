@@ -36,15 +36,10 @@ struct WarehouseOptions {
   /// How samples are merged at query time. The footprint bound defaults to
   /// the sampler's bound; exceedance probability likewise.
   MergeOptions merge;
-  /// Merge tree shape for multiway queries.
-  MergeStrategy merge_strategy = MergeStrategy::kLeftFold;
-  /// Reuse hypergeometric alias tables across queries (§4.2). Effective
-  /// mainly for symmetric merge trees.
-  bool cache_alias_tables = false;
   /// When > 0, the warehouse owns a ThreadPool of this many workers and
   /// uses it for multi-partition IngestBatch calls (unless the caller
-  /// passes an explicit pool), for kParallelTree merges, and to prefetch
-  /// the partitions of a union query in parallel (SampleStore::GetMany).
+  /// passes an explicit pool) and to prefetch the partitions of a union
+  /// query in parallel (SampleStore::GetMany).
   size_t worker_threads = 0;
   /// Byte budget of the deserialized-sample read cache in front of the
   /// sample store; 0 disables it. The cache is semantically invisible: a
@@ -52,14 +47,12 @@ struct WarehouseOptions {
   /// roll-out / retention / drop), it only removes store IO and
   /// deserialization from warm reads.
   uint64_t sample_cache_bytes = 64ull << 20;
-  /// Byte budget of the memoized merge-tree node cache; 0 (the default)
-  /// disables memoization. When enabled, every merge node draws from an
-  /// RNG stream derived from its (dataset, partition-id set, merge
-  /// options) identity, so query results are deterministic for a given
-  /// seed and warm queries are bit-identical to cold ones — repeated
-  /// identical queries return the identical sample. Callers that need
-  /// independent randomness across repeated queries (uniformity property
-  /// tests) set merge.disable_memoization instead of re-deriving seeds.
+  /// Byte budget of the merge-tree node cache (MergeMemo); 0 (the default)
+  /// runs without one. Every merge node draws from an RNG stream derived
+  /// from its (dataset, partition-id set, merge options) identity, so an
+  /// answer is a pure function of the seed and the stored samples: cached
+  /// or not, warm or cold, a query returns the same bytes, and a repeated
+  /// query returns the identical sample. This budget changes speed only.
   uint64_t merge_memo_bytes = 0;
   /// Shard count for the read-path caches (rounded to a power of two).
   size_t cache_shards = 16;
@@ -146,7 +139,9 @@ class Warehouse {
   /// the merged sample in under a fresh id covering the combined time
   /// range. This is how "one partition per day" warehouses consolidate a
   /// closed week into a single stored sample without touching the full
-  /// data. Requires at least two partitions. Returns the new partition id.
+  /// data. Requires at least two distinct partitions; a repeated id is
+  /// InvalidArgument and leaves the dataset untouched. Returns the new
+  /// partition id.
   Result<PartitionId> CompactPartitions(
       const DatasetId& dataset, const std::vector<PartitionId>& parts);
 
@@ -175,7 +170,8 @@ class Warehouse {
   // --- Queries ------------------------------------------------------------
 
   /// A uniform random sample of the union of the named partitions
-  /// (which are disjoint by construction): the S_K of §2.
+  /// (which are disjoint by construction): the S_K of §2. InvalidArgument
+  /// when an id is named twice.
   Result<PartitionSample> MergedSample(const DatasetId& dataset,
                                        const std::vector<PartitionId>& parts);
 
@@ -238,10 +234,10 @@ class Warehouse {
   WarehouseCacheStats GetCacheStats() const;
 
   /// Drops every cached sample and memoized merge node. Queries after an
-  /// invalidation recompute from the store and — with memoization enabled —
-  /// produce bit-identical results, since merge RNG streams derive from
-  /// query identity, not cache state. Call this when the backing store is
-  /// mutated externally (outside this Warehouse's roll-in/roll-out).
+  /// invalidation recompute from the store and produce bit-identical
+  /// results, since merge RNG streams derive from query identity, not cache
+  /// state. Call this when the backing store is mutated externally (outside
+  /// this Warehouse's roll-in/roll-out).
   void InvalidateCaches();
 
   // --- Durability ---------------------------------------------------------
@@ -290,13 +286,13 @@ class Warehouse {
  private:
   Result<PartitionSample> MergeByIds(const DatasetId& dataset,
                                      const std::vector<PartitionId>& parts);
-  /// Recursive memoized balanced-tree merge over the canonically sorted
-  /// `ids` (leaves[i] is the stored sample of ids[i]).
+  /// Recursive merge-tree walk over the canonically sorted `ids`
+  /// (leaves[i] is the stored sample of ids[i]); consults and fills the
+  /// merge memo when there is one.
   Result<PartitionSample> MergeMemoized(
       const DatasetId& dataset, std::span<const PartitionId> ids,
       std::span<const std::shared_ptr<const PartitionSample>> leaves,
-      const MergeOptions& merge_options, uint64_t options_fingerprint,
-      uint64_t memo_epoch);
+      uint64_t options_fingerprint, uint64_t memo_epoch);
   /// Fetches the samples for `ids` in order, through the sample cache when
   /// configured (misses prefetched in parallel via SampleStore::GetMany on
   /// the warehouse pool).
@@ -338,7 +334,6 @@ class Warehouse {
   mutable std::map<DatasetId, std::shared_ptr<std::mutex>> dataset_mu_;
   mutable std::mutex rng_mu_;
   Pcg64 rng_;
-  AliasCache alias_cache_;
 };
 
 }  // namespace sampwh

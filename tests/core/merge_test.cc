@@ -1,14 +1,12 @@
 #include "src/core/merge.h"
 
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/hybrid_bernoulli.h"
 #include "src/core/hybrid_reservoir.h"
-#include "src/util/thread_pool.h"
 
 namespace sampwh {
 namespace {
@@ -296,72 +294,6 @@ TEST(MergeAllTest, FoldAndTreeBothCoverAllPartitions) {
     EXPECT_EQ(merged.value().size(), 64u);
     EXPECT_TRUE(merged.value().Validate().ok());
   }
-}
-
-TEST(MergeAllParallelTest, CoversAllPartitionsAndValidates) {
-  std::vector<PartitionSample> samples;
-  for (int p = 0; p < 7; ++p) {  // odd count exercises the carry-up path
-    samples.push_back(
-        SampleHr(512, Range(p * 1000, (p + 1) * 1000), 400 + p));
-  }
-  std::vector<const PartitionSample*> pointers;
-  for (const auto& s : samples) pointers.push_back(&s);
-  ThreadPool pool(4);
-  Pcg64 rng(410);
-  const auto merged = MergeAllParallel(pointers, Opts(512), rng, &pool);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().parent_size(), 7000u);
-  EXPECT_EQ(merged.value().size(), 64u);
-  EXPECT_TRUE(merged.value().Validate().ok());
-}
-
-TEST(MergeAllParallelTest, DeterministicAcrossPoolSizes) {
-  std::vector<PartitionSample> samples;
-  for (int p = 0; p < 8; ++p) {
-    samples.push_back(
-        SampleHr(512, Range(p * 1000, (p + 1) * 1000), 420 + p));
-  }
-  std::vector<const PartitionSample*> pointers;
-  for (const auto& s : samples) pointers.push_back(&s);
-  std::optional<PartitionSample> reference;
-  for (const size_t pool_size : {1u, 2u, 4u}) {
-    ThreadPool pool(pool_size);
-    Pcg64 rng(430);  // same seed every round
-    const auto merged = MergeAllParallel(pointers, Opts(512), rng, &pool);
-    ASSERT_TRUE(merged.ok());
-    if (!reference.has_value()) {
-      reference = merged.value();
-    } else {
-      EXPECT_TRUE(merged.value().histogram() == reference->histogram());
-      EXPECT_EQ(merged.value().parent_size(), reference->parent_size());
-      EXPECT_EQ(merged.value().phase(), reference->phase());
-    }
-  }
-}
-
-TEST(MergeAllParallelTest, NullPoolFallsBackToSerialTree) {
-  std::vector<PartitionSample> samples;
-  for (int p = 0; p < 4; ++p) {
-    samples.push_back(
-        SampleHr(512, Range(p * 1000, (p + 1) * 1000), 440 + p));
-  }
-  std::vector<const PartitionSample*> pointers;
-  for (const auto& s : samples) pointers.push_back(&s);
-  Pcg64 rng(450);
-  const auto merged = MergeAllParallel(pointers, Opts(512), rng, nullptr);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().parent_size(), 4000u);
-  EXPECT_TRUE(merged.value().Validate().ok());
-}
-
-TEST(MergeAllParallelTest, EmptyInputIsErrorAndSingleInputPassesThrough) {
-  ThreadPool pool(2);
-  Pcg64 rng(460);
-  EXPECT_FALSE(MergeAllParallel({}, Opts(512), rng, &pool).ok());
-  const PartitionSample s = SampleHr(512, Range(0, 3000), 461);
-  const auto merged = MergeAllParallel({&s}, Opts(512), rng, &pool);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().size(), s.size());
 }
 
 TEST(MergeAllTest, AliasCacheReusedAcrossSymmetricTree) {

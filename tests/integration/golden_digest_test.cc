@@ -271,7 +271,6 @@ TEST(GoldenDigestTest, SamplesStatesAndMergesMatchPinnedBytes) {
 uint64_t WarehouseWindowsDigest(SamplerKind kind) {
   WarehouseOptions options;
   options.sampler = Config(kind, 8);
-  options.merge_strategy = MergeStrategy::kBalancedTree;
   options.merge_memo_bytes = 8ull << 20;
   options.seed = 0x60D;
   Warehouse wh(options);

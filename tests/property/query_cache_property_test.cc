@@ -1,12 +1,10 @@
 // Property tests of the query-path caching contract: caches must be
-// semantically invisible. With memoization enabled, every query result is a
-// pure function of (warehouse seed, dataset content, partition-id set,
-// merge options) — so cold, warm and post-invalidation runs are
-// byte-for-byte identical, across backends and across independently built
-// warehouses. With memoization disabled (legacy fresh-randomness path), the
-// sample cache must not perturb the RNG sequence: a cached and an uncached
-// warehouse driven through the identical call sequence return identical
-// per-call results.
+// semantically invisible. Every query result is a pure function of
+// (warehouse seed, dataset content, partition-id set, merge options) — so
+// cold, warm and post-invalidation runs are byte-for-byte identical, across
+// backends and across independently built warehouses, and a warehouse
+// without the merge memo or the sample cache returns the same bytes as one
+// with both.
 
 #include <filesystem>
 #include <memory>
@@ -146,35 +144,48 @@ TEST(QueryCachePropertyTest, MemoizedQueriesAgreeAcrossReplaysAndBackends) {
   EXPECT_EQ(Bytes(warm.value()), Bytes(fresh.value()));
 }
 
-TEST(QueryCachePropertyTest, SampleCacheIsInvisibleOnTheLegacyMergePath) {
-  // Memoization off: queries draw fresh randomness from the warehouse RNG.
-  // The sample cache must not change what those draws see — two
-  // warehouses differing only in sample_cache_bytes, driven through the
-  // identical call sequence, match call for call.
+TEST(QueryCachePropertyTest, MemoOffMatchesMemoOnByteForByte) {
+  // Three warehouses differing only in their caches — merge memo and
+  // sample cache, sample cache alone, neither — driven through the
+  // identical call sequence, repeats and a roll-out included, match call
+  // for call: the caches change where bytes come from, never the bytes.
   for (const uint64_t seed : {3u, 99u}) {
-    WarehouseOptions cached_options = MemoOptions(seed);
-    cached_options.merge_memo_bytes = 0;
-    WarehouseOptions uncached_options = cached_options;
-    uncached_options.sample_cache_bytes = 0;
-    BackedWarehouse cached(cached_options, false,
-                           "legacy_c_" + std::to_string(seed));
-    BackedWarehouse uncached(uncached_options, false,
-                             "legacy_u_" + std::to_string(seed));
-    Ingest(*cached);
-    Ingest(*uncached);
-    const std::vector<std::vector<PartitionId>> queries = {
-        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
-        {1, 4, 7},
-        {1, 4, 7},  // repeat: both sides advance their RNG identically
-        {0, 11},
-    };
-    for (const auto& query : queries) {
-      const auto a = cached->MergedSample("ds", query);
-      const auto b = uncached->MergedSample("ds", query);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const WarehouseOptions memo_options = MemoOptions(seed);
+    WarehouseOptions no_memo_options = memo_options;
+    no_memo_options.merge_memo_bytes = 0;
+    WarehouseOptions bare_options = no_memo_options;
+    bare_options.sample_cache_bytes = 0;
+    BackedWarehouse memo(memo_options, false,
+                         "memo_on_" + std::to_string(seed));
+    BackedWarehouse no_memo(no_memo_options, false,
+                            "memo_off_" + std::to_string(seed));
+    BackedWarehouse bare(bare_options, false,
+                         "memo_bare_" + std::to_string(seed));
+    Ingest(*memo);
+    Ingest(*no_memo);
+    Ingest(*bare);
+    const auto expect_same = [&](const std::vector<PartitionId>& query) {
+      const auto a = memo->MergedSample("ds", query);
+      const auto b = no_memo->MergedSample("ds", query);
+      const auto c = bare->MergedSample("ds", query);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      EXPECT_EQ(Bytes(a.value()), Bytes(b.value())) << "seed=" << seed;
+      ASSERT_TRUE(c.ok());
+      EXPECT_EQ(Bytes(a.value()), Bytes(b.value()));
+      EXPECT_EQ(Bytes(a.value()), Bytes(c.value()));
+    };
+    expect_same({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+    expect_same({1, 4, 7});
+    expect_same({1, 4, 7});  // repeat: served warm from the memo
+    expect_same({0, 11});
+    // Roll-out evicts every memo node over partition 4 on the memo side.
+    for (Warehouse* wh : {&*memo, &*no_memo, &*bare}) {
+      ASSERT_TRUE(wh->RollOut("ds", 4).ok());
     }
+    expect_same({0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11});
+    expect_same({1, 7});
+    expect_same({11, 7, 1});
   }
 }
 

@@ -14,9 +14,10 @@
 // the window {2..7} twice. Under the merge footprint bound of 3 singletons
 // (and HR merge's k = min rule) every window query is an SRS of size 3
 // from the window's 18 distinct values, so across trials the returned
-// subsets must be uniform over C(18, 3) = 816 possibilities. The repeated
-// query must additionally be bit-identical to its predecessor on the
-// memoized path.
+// subsets must be uniform over C(18, 3) = 816 possibilities, with the
+// merge memo on and with it off (merge_memo_bytes = 0). The repeated query
+// must additionally be bit-identical to its predecessor on both: node RNGs
+// derive from node identity, so a repeat is never re-randomized.
 
 #include <vector>
 
@@ -59,14 +60,14 @@ PartitionSample PartitionContents(uint64_t id) {
 /// One trial: a fresh warehouse (seeded from the trial RNG), a warmed and
 /// partially evicted cache, then the measured window query. Returns the
 /// values of the merged sample. `memoized` selects the warm (memo +
-/// sample-cache) path or the fresh-randomness path; both must be uniform.
+/// sample-cache) path or a warehouse without the merge memo; both must be
+/// uniform.
 std::vector<Value> RunTrial(Pcg64& trial_rng, bool memoized) {
   WarehouseOptions options;
   // Merge bound of 3 singletons: every union query is an SRS of size 3.
   options.merge.footprint_bound_bytes = 3 * kSingletonFootprintBytes;
-  options.merge.disable_memoization = !memoized;
   options.sample_cache_bytes = 1 << 20;
-  options.merge_memo_bytes = 1 << 20;
+  options.merge_memo_bytes = memoized ? 1 << 20 : 0;
   options.seed = trial_rng.NextUint64();
   Warehouse warehouse(options);
   EXPECT_TRUE(warehouse.CreateDataset("w").ok());
@@ -92,11 +93,9 @@ std::vector<Value> RunTrial(Pcg64& trial_rng, bool memoized) {
   EXPECT_TRUE(first.ok());
   auto warm = warehouse.MergedSample("w", window);
   EXPECT_TRUE(warm.ok());
-  if (memoized) {
-    // The repeat is served warm and must be bit-identical — uniformity of
-    // the warm path must not come from hidden re-randomization.
-    EXPECT_EQ(Bytes(first.value()), Bytes(warm.value()));
-  }
+  // The repeat must be bit-identical — uniformity must not come from
+  // hidden re-randomization, warm or recomputed.
+  EXPECT_EQ(Bytes(first.value()), Bytes(warm.value()));
   return warm.value().histogram().ToBag();
 }
 

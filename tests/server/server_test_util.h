@@ -16,9 +16,9 @@ namespace sampwh {
 
 /// Server options every server test starts from: in-memory store,
 /// ephemeral port (bind 0, read back — never a fixed number that parallel
-/// ctest processes could race on), merge memo enabled (the
-/// distributed-exactness contract requires identity-derived node RNGs),
-/// and a short read timeout so hostile-peer tests run fast.
+/// ctest processes could race on), merge memo enabled (as in a
+/// deployment; it is a cache and changes no answer), and a short read
+/// timeout so hostile-peer tests run fast.
 inline ServerOptions TestServerOptions(uint64_t seed = 0x5157313136ULL) {
   ServerOptions options;
   options.port = 0;

@@ -35,14 +35,17 @@ struct Deployment {
 
 /// Starts `num_nodes` servers plus a coordinator, all under one seed and
 /// one merge footprint bound — the deployment-owned invariants the
-/// exactness contract requires.
+/// exactness contract requires. `node_memo_bytes` sizes each node's merge
+/// memo, a cache that must not change any answer.
 Deployment MakeDeployment(size_t num_nodes, uint64_t seed,
-                          uint64_t merge_bound_bytes) {
+                          uint64_t merge_bound_bytes,
+                          uint64_t node_memo_bytes = 4u << 20) {
   Deployment d;
   std::vector<ShardNodeAddress> nodes;
   for (size_t i = 0; i < num_nodes; ++i) {
     ServerOptions options = TestServerOptions(seed);
     options.warehouse.merge.footprint_bound_bytes = merge_bound_bytes;
+    options.warehouse.merge_memo_bytes = node_memo_bytes;
     auto server = MustStart(std::move(options));
     if (server == nullptr) return {};
     nodes.push_back({server->host(), server->port()});
@@ -64,76 +67,83 @@ TEST(ShardedQueryTest, BitIdenticalToSingleNodeAcrossNodeCounts) {
   constexpr uint64_t kPartitions = 9;
   constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
 
-  for (const size_t num_nodes : {1u, 2u, 4u}) {
-    SCOPED_TRACE("num_nodes=" + std::to_string(num_nodes));
-    Deployment d = MakeDeployment(num_nodes, kSeed, kBound);
-    ASSERT_NE(d.coordinator, nullptr);
-    ShardCoordinator& coord = *d.coordinator;
-    ASSERT_TRUE(coord.CreateTenant("acme", {}).ok());
-    ASSERT_TRUE(coord.CreateDataset("acme", "sales").ok());
+  // Nodes with and without a merge memo; the reference always has one.
+  for (const uint64_t node_memo_bytes : {uint64_t{4} << 20, uint64_t{0}}) {
+    for (const size_t num_nodes : {1u, 2u, 4u}) {
+      SCOPED_TRACE("num_nodes=" + std::to_string(num_nodes) +
+                   " node_memo_bytes=" + std::to_string(node_memo_bytes));
+      Deployment d = MakeDeployment(num_nodes, kSeed, kBound, node_memo_bytes);
+      ASSERT_NE(d.coordinator, nullptr);
+      ShardCoordinator& coord = *d.coordinator;
+      ASSERT_TRUE(coord.CreateTenant("acme", {}).ok());
+      ASSERT_TRUE(coord.CreateDataset("acme", "sales").ok());
 
-    // The single-node reference: one warehouse, same seed and merge
-    // options, holding every partition under the internal tenant key.
-    ServerOptions reference_options = TestServerOptions(kSeed);
-    reference_options.warehouse.merge.footprint_bound_bytes = kBound;
-    Warehouse reference(reference_options.warehouse);
-    ASSERT_TRUE(reference.CreateDataset("acme.sales").ok());
+      // The single-node reference: one warehouse, same seed and merge
+      // options, holding every partition under the internal tenant key.
+      ServerOptions reference_options = TestServerOptions(kSeed);
+      reference_options.warehouse.merge.footprint_bound_bytes = kBound;
+      Warehouse reference(reference_options.warehouse);
+      ASSERT_TRUE(reference.CreateDataset("acme.sales").ok());
 
-    std::vector<PartitionId> ids;
-    for (uint64_t p = 0; p < kPartitions; ++p) {
-      const PartitionSample sample =
-          MakeReservoirSample(static_cast<Value>(p) * 100, 6);
-      auto id = coord.RollIn("acme", "sales", sample, p, p);
-      ASSERT_TRUE(id.ok()) << id.status().ToString();
-      auto placed = reference.RollInAt("acme.sales", id.value(), sample, p, p);
-      ASSERT_TRUE(placed.ok()) << placed.status().ToString();
-      ids.push_back(id.value());
-    }
-    ASSERT_EQ(coord.ListAllPartitions("acme", "sales").value(), ids);
-
-    if (num_nodes == 4) {
-      // The placement must actually spread: a degenerate all-on-one-shard
-      // layout would never exercise the coordinator's local joins.
-      std::vector<bool> owns(num_nodes, false);
-      for (const PartitionId id : ids) {
-        owns[coord.ShardOf("acme", "sales", id)] = true;
+      std::vector<PartitionId> ids;
+      for (uint64_t p = 0; p < kPartitions; ++p) {
+        const PartitionSample sample =
+            MakeReservoirSample(static_cast<Value>(p) * 100, 6);
+        auto id = coord.RollIn("acme", "sales", sample, p, p);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        auto placed =
+            reference.RollInAt("acme.sales", id.value(), sample, p, p);
+        ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+        ids.push_back(id.value());
       }
-      EXPECT_GE(std::count(owns.begin(), owns.end(), true), 2);
-    }
+      ASSERT_EQ(coord.ListAllPartitions("acme", "sales").value(), ids);
 
-    // Full union.
-    auto distributed = coord.Query("acme", "sales");
-    ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-    auto local = reference.MergedSampleAll("acme.sales");
-    ASSERT_TRUE(local.ok());
-    EXPECT_EQ(SampleBytes(distributed.value()), SampleBytes(local.value()));
-
-    // Random subsets, unsorted on purpose: both sides canonicalize.
-    Pcg64 rng(kSeed ^ num_nodes);
-    for (int trial = 0; trial < 25; ++trial) {
-      std::vector<PartitionId> subset;
-      for (const PartitionId id : ids) {
-        if (rng.NextUint64() % 2 == 0) subset.push_back(id);
+      if (num_nodes == 4) {
+        // The placement must actually spread: a degenerate all-on-one-shard
+        // layout would never exercise the coordinator's local joins.
+        std::vector<bool> owns(num_nodes, false);
+        for (const PartitionId id : ids) {
+          owns[coord.ShardOf("acme", "sales", id)] = true;
+        }
+        EXPECT_GE(std::count(owns.begin(), owns.end(), true), 2);
       }
-      if (subset.empty()) subset.push_back(ids[rng.NextUint64() % ids.size()]);
-      for (size_t i = subset.size(); i > 1; --i) {
-        std::swap(subset[i - 1], subset[rng.NextUint64() % i]);
-      }
-      auto remote = coord.Query("acme", "sales", subset);
-      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-      auto expect = reference.MergedSample("acme.sales", subset);
-      ASSERT_TRUE(expect.ok());
-      EXPECT_EQ(SampleBytes(remote.value()), SampleBytes(expect.value()))
-          << "subset trial " << trial;
-    }
 
-    // Roll-out shrinks the id set; the contract must hold on the remainder.
-    ASSERT_TRUE(coord.RollOut("acme", "sales", ids[3]).ok());
-    ASSERT_TRUE(reference.RollOut("acme.sales", ids[3]).ok());
-    auto after = coord.Query("acme", "sales");
-    ASSERT_TRUE(after.ok());
-    EXPECT_EQ(SampleBytes(after.value()),
-              SampleBytes(reference.MergedSampleAll("acme.sales").value()));
+      // Full union.
+      auto distributed = coord.Query("acme", "sales");
+      ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+      auto local = reference.MergedSampleAll("acme.sales");
+      ASSERT_TRUE(local.ok());
+      EXPECT_EQ(SampleBytes(distributed.value()), SampleBytes(local.value()));
+
+      // Random subsets, unsorted on purpose: both sides canonicalize.
+      Pcg64 rng(kSeed ^ num_nodes);
+      for (int trial = 0; trial < 25; ++trial) {
+        std::vector<PartitionId> subset;
+        for (const PartitionId id : ids) {
+          if (rng.NextUint64() % 2 == 0) subset.push_back(id);
+        }
+        if (subset.empty()) {
+          subset.push_back(ids[rng.NextUint64() % ids.size()]);
+        }
+        for (size_t i = subset.size(); i > 1; --i) {
+          std::swap(subset[i - 1], subset[rng.NextUint64() % i]);
+        }
+        auto remote = coord.Query("acme", "sales", subset);
+        ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+        auto expect = reference.MergedSample("acme.sales", subset);
+        ASSERT_TRUE(expect.ok());
+        EXPECT_EQ(SampleBytes(remote.value()), SampleBytes(expect.value()))
+            << "subset trial " << trial;
+      }
+
+      // Roll-out shrinks the id set; the contract must hold on the remainder.
+      ASSERT_TRUE(coord.RollOut("acme", "sales", ids[3]).ok());
+      ASSERT_TRUE(reference.RollOut("acme.sales", ids[3]).ok());
+      auto after = coord.Query("acme", "sales");
+      ASSERT_TRUE(after.ok());
+      EXPECT_EQ(SampleBytes(after.value()),
+                SampleBytes(reference.MergedSampleAll("acme.sales").value()));
+    }
   }
 }
 
@@ -169,6 +179,41 @@ TEST(ShardedQueryTest, PlacementIsStableAndUnionsAreComplete) {
   }
   EXPECT_EQ(total, ids.size());
   EXPECT_EQ(coord.ListAllPartitions("acme", "sales").value(), ids);
+}
+
+TEST(ShardedQueryTest, DuplicateIdsAreRejectedBeforeAnyRemoteCall) {
+  Deployment d = MakeDeployment(2, kSeed, 4 * kSingletonFootprintBytes);
+  ASSERT_NE(d.coordinator, nullptr);
+  ShardCoordinator& coord = *d.coordinator;
+  ASSERT_TRUE(coord.CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(coord.CreateDataset("acme", "sales").ok());
+  std::vector<PartitionId> ids;
+  for (uint64_t p = 0; p < 4; ++p) {
+    auto id = coord.RollIn("acme", "sales",
+                           MakeReservoirSample(static_cast<Value>(p) * 10, 4));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  std::vector<uint64_t> served_before;
+  for (const auto& server : d.servers) {
+    served_before.push_back(server->stats().requests_served);
+  }
+  const auto dup = coord.Query("acme", "sales", {ids[0], ids[0], ids[1]});
+  EXPECT_TRUE(dup.status().IsInvalidArgument()) << dup.status().ToString();
+  for (size_t i = 0; i < d.servers.size(); ++i) {
+    EXPECT_EQ(d.servers[i]->stats().requests_served, served_before[i]);
+  }
+  // A node asked directly rejects the repeat too, instead of merging a
+  // partition with itself.
+  const size_t home = coord.ShardOf("acme", "sales", ids[2]);
+  const auto direct =
+      coord.client(home)->Query("acme", "sales", {ids[2], ids[2]});
+  EXPECT_TRUE(direct.status().IsInvalidArgument())
+      << direct.status().ToString();
+  // The distinct set still answers, over every partition exactly once.
+  const auto all = coord.Query("acme", "sales", {ids[1], ids[0], ids[2]});
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value().parent_size(), 12u);
 }
 
 // --- Uniformity gate --------------------------------------------------------

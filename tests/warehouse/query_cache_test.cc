@@ -187,23 +187,6 @@ TEST(QueryCacheTest, DropAndRecreateNeverServesStaleEpoch) {
   EXPECT_EQ(sample.value().parent_size(), 222u);
 }
 
-TEST(QueryCacheTest, DisableMemoizationRestoresFreshRandomness) {
-  WarehouseOptions options = CachedOptions();
-  options.merge.disable_memoization = true;
-  Warehouse wh(options);
-  ASSERT_TRUE(wh.CreateDataset("ds").ok());
-  ASSERT_TRUE(wh.IngestBatch("ds", Range(0, 40000), 4).ok());
-  const auto first = wh.MergedSampleAll("ds");
-  const auto second = wh.MergedSampleAll("ds");
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  // The legacy path forks the warehouse RNG per query: two identical
-  // queries are independent draws (equal realizations are astronomically
-  // unlikely at this sample size), and nothing is memoized.
-  EXPECT_NE(Bytes(first.value()), Bytes(second.value()));
-  EXPECT_EQ(wh.GetCacheStats().merge_memo.entries, 0u);
-}
-
 TEST(QueryCacheTest, CompactionInvalidatesInputsAndServesMergedResult) {
   Warehouse wh(CachedOptions());
   ASSERT_TRUE(wh.CreateDataset("ds").ok());

@@ -315,8 +315,8 @@ Status ParseTenantSpec(const std::string& spec, std::string* name,
 int CmdServe(const std::vector<std::string>& args) {
   ServerOptions options;
   options.store_directory = args[0];
-  // The server needs the merge memo for the distributed-exactness
-  // contract; give it a sane default the flags can override.
+  // The merge memo is a cache of merge-tree nodes (speed only, never
+  // bytes); give it a sane default the flags can override.
   options.warehouse.merge_memo_bytes = 8ull << 20;
   std::string port_file;
   uint64_t drain_millis = 5'000;
