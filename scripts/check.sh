@@ -96,7 +96,7 @@ if [[ "${mode}" == "full" ]]; then
   # them on their own line.
   echo "=== [asan] histogram codec gate ==="
   ctest --test-dir build-check/asan -R \
-    "CompactHistogram|HistogramBuilder|HistogramModel|GoldenDigest|SampleFuzz|Crc32" \
+    "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|Crc32" \
     --output-on-failure
 
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and

@@ -117,6 +117,11 @@ class CompactHistogram {
  private:
   friend class HistogramBuilder;
 
+  /// An upper bound on the bytes SerializeTo writes, from the value range
+  /// and the largest count: at most 10 + 20·entries, usually a few bytes
+  /// per entry, so the writer's transient growth stays near the output.
+  size_t EncodedBytesBound() const;
+
   std::vector<Entry> entries_;
   uint64_t total_count_ = 0;
   uint64_t footprint_bytes_ = 0;

@@ -111,4 +111,14 @@ Result<PartitionSample> PartitionSample::DeserializeFrom(
   return s;
 }
 
+Result<PartitionSample> PartitionSample::DeserializeWhole(
+    std::string_view bytes) {
+  BinaryReader reader(bytes);
+  SAMPWH_ASSIGN_OR_RETURN(PartitionSample s, DeserializeFrom(&reader));
+  if (!reader.AtEnd()) {
+    return Status::Corruption("trailing bytes after serialized sample");
+  }
+  return s;
+}
+
 }  // namespace sampwh

@@ -81,6 +81,10 @@ class PartitionSample {
   /// On-disk encoding (versioned; values delta-encoded, counts varint).
   void SerializeTo(BinaryWriter* writer) const;
   static Result<PartitionSample> DeserializeFrom(BinaryReader* reader);
+  /// Decodes a blob that must hold exactly one serialized sample: bytes
+  /// left over after it are Corruption, so two different blobs never
+  /// decode to one sample.
+  static Result<PartitionSample> DeserializeWhole(std::string_view bytes);
 
  private:
   SamplePhase phase_ = SamplePhase::kExhaustive;

@@ -19,6 +19,19 @@ namespace sampwh {
 
 namespace {
 
+/// Reads a listing's entry count and rejects one the rest of the body
+/// cannot hold at `min_entry_bytes` per entry, before anything is reserved
+/// for it: the count comes from the peer.
+Status GetEntryCount(BinaryReader* reader, size_t min_entry_bytes,
+                     uint64_t* n) {
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(n));
+  if (*n > reader->remaining() / min_entry_bytes) {
+    return Status::Corruption("entry count " + std::to_string(*n) +
+                              " exceeds the response body");
+  }
+  return Status::OK();
+}
+
 void PutScope(BinaryWriter* w, const std::string& tenant,
               const std::string& dataset) {
   w->PutString(tenant);
@@ -201,27 +214,29 @@ void WarehouseClient::NoteTransportSuccess() {
   breaker_open_until_ = SteadyTime::min();
 }
 
-Result<std::string> WarehouseClient::CallOnce(std::string_view request) {
+Result<WarehouseClient::Reply> WarehouseClient::CallOnce(
+    std::string_view request) {
   Status st = WriteFrame(fd_, request);
   if (!st.ok()) {
     broken_ = st;
     return st;
   }
-  std::string payload;
-  st = ReadFrame(fd_, options_.max_frame_bytes, &payload);
+  Reply reply;
+  st = ReadFrame(fd_, options_.max_frame_bytes, &reply.payload);
   if (!st.ok()) {
     // Clean EOF here means the server closed on us mid-conversation.
     broken_ = st.IsNotFound() ? Status::IOError("server closed connection")
                               : st;
     return broken_;
   }
-  BinaryReader reader(payload);
+  BinaryReader reader(reply.payload);
   SAMPWH_RETURN_IF_ERROR(ParseResponseHead(&reader));
-  std::string out(payload.substr(payload.size() - reader.remaining()));
-  return out;
+  reply.body_offset = reply.payload.size() - reader.remaining();
+  return reply;
 }
 
-Result<std::string> WarehouseClient::Call(Verb verb, std::string_view body) {
+Result<WarehouseClient::Reply> WarehouseClient::Call(Verb verb,
+                                                     std::string_view body) {
   BinaryWriter req;
   RequestHeader header;
   header.deadline_millis = deadline_millis_;
@@ -270,7 +285,7 @@ Result<std::string> WarehouseClient::Call(Verb verb, std::string_view body) {
         continue;
       }
     }
-    Result<std::string> result = CallOnce(request);
+    Result<Reply> result = CallOnce(request);
     if (broken_.ok()) {
       // The exchange completed at the transport level; result may still be
       // a structured server error, which is the caller's to interpret.
@@ -289,17 +304,16 @@ Result<std::string> WarehouseClient::Call(Verb verb, std::string_view body) {
 }
 
 Result<std::string> WarehouseClient::Ping() {
-  SAMPWH_ASSIGN_OR_RETURN(const std::string body, Call(Verb::kPing, {}));
-  BinaryReader reader(body);
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(Verb::kPing, {}));
+  BinaryReader reader(resp.body());
   std::string banner;
   SAMPWH_RETURN_IF_ERROR(reader.GetString(&banner));
   return banner;
 }
 
 Result<RemoteServerStats> WarehouseClient::ServerStats() {
-  SAMPWH_ASSIGN_OR_RETURN(const std::string body,
-                          Call(Verb::kServerStats, {}));
-  BinaryReader reader(body);
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(Verb::kServerStats, {}));
+  BinaryReader reader(resp.body());
   RemoteServerStats s;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.connections_accepted));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.connections_dropped));
@@ -347,9 +361,9 @@ Result<TenantStats> WarehouseClient::GetTenantStats(
     const std::string& tenant) {
   BinaryWriter body;
   body.PutString(tenant);
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kTenantStats, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   TenantStats stats;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.quota.max_bytes));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.quota.max_partitions));
@@ -361,11 +375,10 @@ Result<TenantStats> WarehouseClient::GetTenantStats(
 }
 
 Result<std::vector<std::string>> WarehouseClient::ListTenants() {
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
-                          Call(Verb::kListTenants, {}));
-  BinaryReader reader(resp);
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(Verb::kListTenants, {}));
+  BinaryReader reader(resp.body());
   uint64_t n = 0;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&n));
+  SAMPWH_RETURN_IF_ERROR(GetEntryCount(&reader, 1, &n));
   std::vector<std::string> names;
   names.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -394,11 +407,11 @@ Result<std::vector<std::string>> WarehouseClient::ListDatasets(
     const std::string& tenant) {
   BinaryWriter body;
   body.PutString(tenant);
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kListDatasets, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t n = 0;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&n));
+  SAMPWH_RETURN_IF_ERROR(GetEntryCount(&reader, 1, &n));
   std::vector<std::string> names;
   names.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -413,11 +426,11 @@ Result<std::vector<PartitionInfo>> WarehouseClient::ListPartitions(
     const std::string& tenant, const std::string& dataset) {
   BinaryWriter body;
   PutScope(&body, tenant, dataset);
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kListPartitions, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t n = 0;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&n));
+  SAMPWH_RETURN_IF_ERROR(GetEntryCount(&reader, 6, &n));
   std::vector<PartitionInfo> parts;
   parts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -446,10 +459,10 @@ Result<PartitionId> WarehouseClient::RollIn(const std::string& tenant,
   body.PutVarint64(max_timestamp);
   BinaryWriter blob;
   sample.SerializeTo(&blob);
-  body.PutString(blob.Release());
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  body.PutString(blob.buffer());
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kRollIn, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t id = 0;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&id));
   return id;
@@ -468,10 +481,10 @@ Result<PartitionId> WarehouseClient::RollInAt(const std::string& tenant,
   body.PutVarint64(max_timestamp);
   BinaryWriter blob;
   sample.SerializeTo(&blob);
-  body.PutString(blob.Release());
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  body.PutString(blob.buffer());
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kRollInAt, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t placed = 0;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&placed));
   return placed;
@@ -489,10 +502,10 @@ Result<PartitionId> WarehouseClient::ReplicaRollIn(
   body.PutVarint64(heal ? kReplicaRollInFlagHeal : 0);
   BinaryWriter blob;
   sample.SerializeTo(&blob);
-  body.PutString(blob.Release());
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  body.PutString(blob.buffer());
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kReplicaRollIn, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t placed = 0;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&placed));
   return placed;
@@ -502,11 +515,11 @@ Result<std::vector<PartitionDigest>> WarehouseClient::PartitionDigests(
     const std::string& tenant, const std::string& dataset) {
   BinaryWriter body;
   PutScope(&body, tenant, dataset);
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kPartitionDigests, body.Release()));
-  BinaryReader reader(resp);
+  BinaryReader reader(resp.body());
   uint64_t n = 0;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&n));
+  SAMPWH_RETURN_IF_ERROR(GetEntryCount(&reader, 4, &n));
   std::vector<PartitionDigest> digests;
   digests.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -535,19 +548,18 @@ Result<PartitionSample> WarehouseClient::Query(
   PutScope(&body, tenant, dataset);
   body.PutVarint64(ids.size());
   for (const PartitionId id : ids) body.PutVarint64(id);
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp,
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
                           Call(Verb::kQuery, body.Release()));
-  BinaryReader reader(resp);
-  std::string blob;
-  SAMPWH_RETURN_IF_ERROR(reader.GetString(&blob));
-  BinaryReader sample_reader(blob);
-  return PartitionSample::DeserializeFrom(&sample_reader);
+  BinaryReader reader(resp.body());
+  std::string_view blob;
+  SAMPWH_RETURN_IF_ERROR(reader.GetStringView(&blob));
+  return PartitionSample::DeserializeWhole(blob);
 }
 
 Result<IngestAck> WarehouseClient::IngestCall(Verb verb,
                                               std::string_view body) {
-  SAMPWH_ASSIGN_OR_RETURN(const std::string resp, Call(verb, body));
-  BinaryReader reader(resp);
+  SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(verb, body));
+  BinaryReader reader(resp.body());
   IngestAck ack;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ack.next_sequence));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ack.partitions_rolled_in));

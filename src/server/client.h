@@ -241,6 +241,16 @@ class WarehouseClient {
                                 const std::string& dataset);
 
  private:
+  /// A response payload as received and where its body starts in it;
+  /// callers decode the body in place.
+  struct Reply {
+    std::string payload;
+    size_t body_offset = 0;
+    std::string_view body() const {
+      return std::string_view(payload).substr(body_offset);
+    }
+  };
+
   WarehouseClient(int fd, std::string host, uint16_t port,
                   ClientOptions options);
 
@@ -248,12 +258,12 @@ class WarehouseClient {
   /// InvalidArgument if it exceeds max_frame_bytes (nothing sent), then
   /// the breaker gate, then up to 1 + max_retries attempts of CallOnce for
   /// idempotent verbs (reconnecting a poisoned connection between
-  /// attempts), exactly one attempt otherwise. Returns the response body
-  /// bytes on an OK status, the server's structured error otherwise.
-  Result<std::string> Call(Verb verb, std::string_view body);
+  /// attempts), exactly one attempt otherwise. Returns the response on an
+  /// OK status, the server's structured error otherwise.
+  Result<Reply> Call(Verb verb, std::string_view body);
   /// One framed request/response exchange of the encoded `request`
   /// payload on the current connection.
-  Result<std::string> CallOnce(std::string_view request);
+  Result<Reply> CallOnce(std::string_view request);
   Result<IngestAck> IngestCall(Verb verb, std::string_view body);
 
   /// Replaces a poisoned connection with a fresh one.

@@ -271,8 +271,8 @@ void WarehouseServer::ServeConnection(int fd) {
       return;
     }
     bool shutdown = false;
-    const std::string response = HandleRequest(payload, &shutdown);
-    if (!WriteFrame(fd, response).ok()) {
+    const ResponseFrame response = HandleRequest(payload, &shutdown);
+    if (!WriteAll(fd, response.bytes()).ok()) {
       connections_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -283,8 +283,8 @@ void WarehouseServer::ServeConnection(int fd) {
   }
 }
 
-std::string WarehouseServer::HandleRequest(std::string_view payload,
-                                           bool* shutdown) {
+ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
+                                             bool* shutdown) {
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   BinaryReader req(payload);
   uint32_t verb = 0;
@@ -304,7 +304,11 @@ std::string WarehouseServer::HandleRequest(std::string_view payload,
     // the same ids failed; count it so failover traffic shows in stats.
     failover_reads_.fetch_add(1, std::memory_order_relaxed);
   }
-  BinaryWriter body;
+  ResponseFrame response;
+  BinaryWriter& body = response.body();
+  // A query answer is one length-prefixed sample blob: HandleQuery writes
+  // only the sample, and the seal puts its length in front.
+  bool blob_body = false;
   if (!st.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   } else if (!IsKnownVerb(verb)) {
@@ -363,6 +367,7 @@ std::string WarehouseServer::HandleRequest(std::string_view payload,
         break;
       case Verb::kQuery:
         st = HandleQuery(req, body);
+        blob_body = true;
         break;
       case Verb::kPartitionDigests:
         st = HandlePartitionDigests(req, body);
@@ -382,18 +387,16 @@ std::string WarehouseServer::HandleRequest(std::string_view payload,
     }
   }
 
-  BinaryWriter out;
-  BeginResponse(&out, st);
   if (st.ok()) {
-    const std::string b = body.Release();
-    out.PutRaw(b.data(), b.size());
+    response.SealOk(blob_body);
   } else {
+    response.SealError(st);
     error_responses_.fetch_add(1, std::memory_order_relaxed);
     if (st.IsDeadlineExceeded()) {
       deadlines_exceeded_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return out.Release();
+  return response;
 }
 
 Status WarehouseServer::HandlePing(BinaryReader& req, BinaryWriter& resp) {
@@ -547,11 +550,10 @@ Status WarehouseServer::HandleRollIn(BinaryReader& req, BinaryWriter& resp,
   uint64_t min_ts = 0, max_ts = 0;
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&min_ts));
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&max_ts));
-  std::string blob;
-  SAMPWH_RETURN_IF_ERROR(req.GetString(&blob));
-  BinaryReader sample_reader(blob);
+  std::string_view blob;
+  SAMPWH_RETURN_IF_ERROR(req.GetStringView(&blob));
   SAMPWH_ASSIGN_OR_RETURN(const PartitionSample sample,
-                          PartitionSample::DeserializeFrom(&sample_reader));
+                          PartitionSample::DeserializeWhole(blob));
   const uint64_t bytes = sample.footprint_bytes();
 
   // Charge-before-mutate: quota exhaustion rejects here, before the
@@ -590,11 +592,10 @@ Status WarehouseServer::HandleReplicaRollIn(BinaryReader& req,
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&min_ts));
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&max_ts));
   SAMPWH_RETURN_IF_ERROR(req.GetVarint64(&rflags));
-  std::string blob;
-  SAMPWH_RETURN_IF_ERROR(req.GetString(&blob));
-  BinaryReader sample_reader(blob);
+  std::string_view blob;
+  SAMPWH_RETURN_IF_ERROR(req.GetStringView(&blob));
   SAMPWH_ASSIGN_OR_RETURN(const PartitionSample sample,
-                          PartitionSample::DeserializeFrom(&sample_reader));
+                          PartitionSample::DeserializeWhole(blob));
   const bool heal = (rflags & kReplicaRollInFlagHeal) != 0;
   // The wire blob IS the serialized payload the store envelopes, so its
   // folded CRC matches SampleStore::ContentDigest of a stored copy.
@@ -680,9 +681,9 @@ Status WarehouseServer::HandleQuery(BinaryReader& req, BinaryWriter& resp) {
       ids.empty() ? warehouse_->MergedSampleAll(key)
                   : warehouse_->MergedSample(key, ids);
   SAMPWH_RETURN_IF_ERROR(merged.status());
-  BinaryWriter sample_writer;
-  merged.value().SerializeTo(&sample_writer);
-  resp.PutString(sample_writer.Release());
+  // Serialized once, straight into the response frame; HandleRequest seals
+  // the body as one length-prefixed blob.
+  merged.value().SerializeTo(&resp);
   return Status::OK();
 }
 

@@ -196,9 +196,9 @@ class WarehouseServer {
   void ShedConnection(int fd, const Status& reason,
                       std::vector<std::pair<int, SteadyTime>>* shed);
   void ServeConnection(int fd);
-  /// Dispatches one request payload; returns the response payload. Sets
-  /// *shutdown when a kShutdown verb was honored.
-  std::string HandleRequest(std::string_view payload, bool* shutdown);
+  /// Dispatches one request payload; returns the sealed response frame.
+  /// Sets *shutdown when a kShutdown verb was honored.
+  ResponseFrame HandleRequest(std::string_view payload, bool* shutdown);
 
   // Verb handlers append their body to `resp` on success.
   Status HandlePing(BinaryReader& req, BinaryWriter& resp);

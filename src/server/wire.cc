@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/util/logging.h"
+
 namespace sampwh {
 
 namespace {
@@ -233,6 +235,42 @@ Status ParseResponseHead(BinaryReader* reader) {
   std::string message;
   SAMPWH_RETURN_IF_ERROR(reader->GetString(&message));
   return StatusFromWire(code, std::move(message));
+}
+
+ResponseFrame::ResponseFrame() { body_.GrowBy(kHeadroomBytes); }
+
+void ResponseFrame::SealOk(bool length_prefixed) {
+  char* const frame = body_.mutable_data();
+  const char* const end = frame + body_.size();
+  char* p = frame + kHeadroomBytes;
+  const auto prepend = [frame, &p](std::string_view bytes) {
+    SAMPWH_CHECK(static_cast<size_t>(p - frame) >= bytes.size());
+    p -= bytes.size();
+    std::memcpy(p, bytes.data(), bytes.size());
+  };
+  if (length_prefixed) {
+    char length[kMaxVarint64Bytes];
+    prepend(std::string_view(
+        length, EncodeVarint64(length, end - p) - length));
+  }
+  BinaryWriter head;
+  BeginResponse(&head, Status::OK());
+  prepend(head.buffer());
+  const std::string_view payload(p, end - p);
+  BinaryWriter header;
+  header.PutFixed32(static_cast<uint32_t>(payload.size()));
+  header.PutFixed32(Crc32(payload));
+  prepend(header.buffer());
+  start_ = p - frame;
+}
+
+void ResponseFrame::SealError(const Status& status) {
+  BinaryWriter payload;
+  BeginResponse(&payload, status);
+  body_ = BinaryWriter();
+  const std::string frame = EncodeFrame(payload.buffer());
+  body_.PutRaw(frame.data(), frame.size());
+  start_ = 0;
 }
 
 Status WriteAll(int fd, std::string_view data) {

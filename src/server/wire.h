@@ -169,6 +169,42 @@ void BeginResponse(BinaryWriter* writer, const Status& status);
 /// remaining bytes in the reader are the body.
 Status ParseResponseHead(BinaryReader* reader);
 
+/// One response frame built in one buffer, so that a body is written once
+/// and never copied on its way to the socket. The handler writes the body
+/// through body(), behind headroom reserved at the front of the buffer;
+/// SealOk then writes the OK response head and the frame header backwards
+/// into that headroom, ending flush against the body. The bytes sent equal
+/// EncodeFrame of BeginResponse(OK) followed by the body.
+class ResponseFrame {
+ public:
+  ResponseFrame();
+
+  /// Where the handler appends the body of a successful answer.
+  BinaryWriter& body() { return body_; }
+
+  /// Seals the frame as an OK answer carrying the body. With
+  /// `length_prefixed` the body travels as one byte string, its varint
+  /// length first, exactly as PutString of the body would write it.
+  void SealOk(bool length_prefixed);
+  /// Seals the frame as the error `status`: the head only, body dropped.
+  void SealError(const Status& status);
+
+  /// The frame to send; valid after a Seal.
+  std::string_view bytes() const {
+    return std::string_view(body_.buffer()).substr(start_);
+  }
+
+ private:
+  // Frame header, the OK head (magic, code, empty message), and room for
+  // the varint length of a length-prefixed body.
+  static constexpr size_t kHeadroomBytes =
+      kWireFrameHeaderBytes + 9 + kMaxVarint64Bytes;
+
+  // The headroom, then the body; after a Seal, the frame from start_ on.
+  BinaryWriter body_;
+  size_t start_ = 0;
+};
+
 /// Maps a wire status code back to a Status with `message`. Unknown codes
 /// map to Internal (a newer server speaking to an older client).
 Status StatusFromWire(uint32_t code, std::string message);

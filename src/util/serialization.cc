@@ -23,18 +23,12 @@ void BinaryWriter::PutFixed64(uint64_t v) {
 }
 
 void BinaryWriter::PutVarint64(uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<char>(v));
+  char buf[kMaxVarint64Bytes];
+  buffer_.append(buf, EncodeVarint64(buf, v) - buf);
 }
 
 void BinaryWriter::PutVarintSigned64(int64_t v) {
-  // Zig-zag: map sign bit into bit 0 so small magnitudes stay short.
-  const uint64_t encoded =
-      (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  PutVarint64(encoded);
+  PutVarint64(ZigZagEncode64(v));
 }
 
 void BinaryWriter::PutDouble(double v) {
@@ -51,6 +45,24 @@ void BinaryWriter::PutString(std::string_view s) {
 
 void BinaryWriter::PutRaw(const void* data, size_t n) {
   buffer_.append(static_cast<const char*>(data), n);
+}
+
+char* BinaryWriter::GrowBy(size_t max_bytes) {
+  const size_t start = buffer_.size();
+  buffer_.resize(start + max_bytes);
+  return buffer_.data() + start;
+}
+
+std::string BinaryWriter::Release() {
+  const size_t unused = buffer_.capacity() - buffer_.size();
+  if (unused > buffer_.size() && unused > 4096) buffer_.shrink_to_fit();
+  return std::move(buffer_);
+}
+
+Status VarintDecodeStatus(VarintDecode result) {
+  return result == VarintDecode::kTruncated
+             ? Status::OutOfRange("truncated varint64")
+             : Status::Corruption("varint64 overflow");
 }
 
 Status BinaryReader::GetFixed32(uint32_t* v) {
@@ -78,28 +90,18 @@ Status BinaryReader::GetFixed64(uint64_t* v) {
 }
 
 Status BinaryReader::GetVarint64(uint64_t* v) {
-  uint64_t out = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (shift == 63 && byte > 1) {
-      return Status::Corruption("varint64 overflow");
-    }
-    out |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = out;
-      return Status::OK();
-    }
-    shift += 7;
-    if (shift > 63) return Status::Corruption("varint64 too long");
-  }
-  return Status::OutOfRange("truncated varint64");
+  const char* p = data_.data() + pos_;
+  const VarintDecode result =
+      DecodeVarint64(&p, data_.data() + data_.size(), v);
+  if (result != VarintDecode::kOk) return VarintDecodeStatus(result);
+  pos_ = p - data_.data();
+  return Status::OK();
 }
 
 Status BinaryReader::GetVarintSigned64(int64_t* v) {
   uint64_t encoded;
   SAMPWH_RETURN_IF_ERROR(GetVarint64(&encoded));
-  *v = static_cast<int64_t>((encoded >> 1) ^ (~(encoded & 1) + 1));
+  *v = ZigZagDecode64(encoded);
   return Status::OK();
 }
 
@@ -111,10 +113,17 @@ Status BinaryReader::GetDouble(double* v) {
 }
 
 Status BinaryReader::GetString(std::string* s) {
+  std::string_view view;
+  SAMPWH_RETURN_IF_ERROR(GetStringView(&view));
+  s->assign(view);
+  return Status::OK();
+}
+
+Status BinaryReader::GetStringView(std::string_view* s) {
   uint64_t n;
   SAMPWH_RETURN_IF_ERROR(GetVarint64(&n));
   if (remaining() < n) return Status::OutOfRange("truncated string body");
-  s->assign(data_.data() + pos_, n);
+  *s = data_.substr(pos_, n);
   pos_ += n;
   return Status::OK();
 }

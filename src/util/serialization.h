@@ -14,6 +14,67 @@
 
 namespace sampwh {
 
+// --- The LEB128 varint kernel ------------------------------------------------
+//
+// The one byte loop of the varint format: every varint the warehouse writes
+// or reads goes through EncodeVarint64 / DecodeVarint64, whether one at a
+// time through BinaryWriter / BinaryReader or in bulk by a codec that walks
+// raw pointers (the histogram codec).
+
+/// Longest LEB128 encoding of a uint64: ten bytes, the tenth holding bit 63.
+inline constexpr size_t kMaxVarint64Bytes = 10;
+
+/// Writes `v` as LEB128 at `p`, which must have room for kMaxVarint64Bytes,
+/// and returns one past the last byte written.
+inline char* EncodeVarint64(char* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+/// Zig-zag map of a signed integer: the sign goes to bit 0 so that small
+/// magnitudes of either sign encode short.
+inline uint64_t ZigZagEncode64(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t ZigZagDecode64(uint64_t v) {
+  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+/// Outcome of DecodeVarint64.
+enum class VarintDecode {
+  kOk,         ///< decoded; the cursor moved past the varint
+  kTruncated,  ///< the input ended inside the varint (OutOfRange)
+  kMalformed,  ///< a tenth byte above 1 overflows 64 bits (Corruption)
+};
+
+/// Decodes one LEB128 varint from [*p, end) into `*v`. Only on kOk does
+/// `*p` advance; it never reads at or past `end`. Non-minimal encodings
+/// (a padded 0x80 0x00) decode to their value, as they always have.
+inline VarintDecode DecodeVarint64(const char** p, const char* end,
+                                   uint64_t* v) {
+  const auto* in = reinterpret_cast<const unsigned char*>(*p);
+  const auto* limit = reinterpret_cast<const unsigned char*>(end);
+  uint64_t out = 0;
+  for (int shift = 0;; shift += 7) {
+    if (in == limit) return VarintDecode::kTruncated;
+    const uint64_t byte = *in++;
+    if (shift == 63 && byte > 1) return VarintDecode::kMalformed;
+    out |= (byte & 0x7f) << shift;
+    if (byte < 0x80) break;
+  }
+  *v = out;
+  *p = reinterpret_cast<const char*>(in);
+  return VarintDecode::kOk;
+}
+
+/// The Status a failed DecodeVarint64 reports: OutOfRange for kTruncated,
+/// Corruption for kMalformed.
+Status VarintDecodeStatus(VarintDecode result);
+
 /// Append-only encoder for the warehouse on-disk format.
 class BinaryWriter {
  public:
@@ -31,8 +92,21 @@ class BinaryWriter {
   /// Raw bytes with no length prefix.
   void PutRaw(const void* data, size_t n);
 
+  /// Grows the buffer by `max_bytes` and returns where the new bytes
+  /// start, for a bulk encoder that writes through the pointer and then
+  /// calls TrimTo with its end. The grown capacity stays with the buffer
+  /// until Release.
+  char* GrowBy(size_t max_bytes);
+  /// Drops every byte from `end` (inside the last GrowBy span) onward.
+  void TrimTo(const char* end) { buffer_.resize(end - buffer_.data()); }
+
   const std::string& buffer() const { return buffer_; }
-  std::string Release() { return std::move(buffer_); }
+  /// The bytes written so far, for patching in place (nothing is added).
+  char* mutable_data() { return buffer_.data(); }
+  /// Hands the bytes over. A buffer whose unused capacity exceeds both its
+  /// size and 4 KiB — a worst-case GrowBy that was trimmed — is first
+  /// shrunk to fit, so a string kept for long never holds that slack.
+  std::string Release();
   size_t size() const { return buffer_.size(); }
 
  private:
@@ -52,8 +126,16 @@ class BinaryReader {
   Status GetVarintSigned64(int64_t* v);
   Status GetDouble(double* v);
   Status GetString(std::string* s);
+  /// Views a length-prefixed byte string inside the input (no copy).
+  Status GetStringView(std::string_view* s);
   /// Views the next `n` raw bytes (no length prefix) inside the input.
   Status GetRaw(size_t n, std::string_view* bytes);
+
+  /// The bytes not yet consumed, for a bulk decoder that walks them and
+  /// then calls Skip with how many it used.
+  std::string_view rest() const { return data_.substr(pos_); }
+  /// Consumes `n` bytes (at most remaining()).
+  void Skip(size_t n) { pos_ += n; }
 
   /// Bytes not yet consumed.
   size_t remaining() const { return data_.size() - pos_; }

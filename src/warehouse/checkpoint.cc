@@ -117,10 +117,9 @@ Status VerifyCheckpointPayload(std::string_view bytes) {
     SAMPWH_RETURN_IF_ERROR(AnySampler::LoadState(ckpt.sampler_state).status());
   }
   if (ckpt.pending.has_value()) {
-    BinaryReader reader(ckpt.pending->sample_payload);
-    SAMPWH_ASSIGN_OR_RETURN(PartitionSample sample,
-                            PartitionSample::DeserializeFrom(&reader));
-    SAMPWH_RETURN_IF_ERROR(sample.Validate());
+    SAMPWH_RETURN_IF_ERROR(
+        PartitionSample::DeserializeWhole(ckpt.pending->sample_payload)
+            .status());
   }
   return Status::OK();
 }

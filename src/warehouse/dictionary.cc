@@ -37,6 +37,11 @@ Result<ValueDictionary> ValueDictionary::DeserializeFrom(
     BinaryReader* reader) {
   uint64_t n;
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&n));
+  // Every token is at least its one-byte length: reject a count the input
+  // cannot hold before reserving memory for it.
+  if (n > reader->remaining()) {
+    return Status::Corruption("dictionary token count exceeds input");
+  }
   ValueDictionary dict;
   dict.tokens_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

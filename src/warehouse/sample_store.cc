@@ -28,8 +28,7 @@ Result<PartitionSample> DeserializeSample(const std::string& bytes) {
   if (HasSampleEnvelope(bytes)) {
     SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
   }
-  BinaryReader reader(payload);
-  Result<PartitionSample> decoded = PartitionSample::DeserializeFrom(&reader);
+  Result<PartitionSample> decoded = PartitionSample::DeserializeWhole(payload);
   if (!decoded.ok()) {
     return Status::Corruption("corrupt sample payload: " +
                               decoded.status().message());

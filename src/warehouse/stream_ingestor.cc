@@ -348,9 +348,9 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
   if (ckpt.pending.has_value()) {
     // The crash hit the close protocol between checkpoint A and checkpoint
     // B. Decide from the catalog whether the roll-in completed.
-    BinaryReader reader(ckpt.pending->sample_payload);
-    SAMPWH_ASSIGN_OR_RETURN(PartitionSample sample,
-                            PartitionSample::DeserializeFrom(&reader));
+    SAMPWH_ASSIGN_OR_RETURN(
+        PartitionSample sample,
+        PartitionSample::DeserializeWhole(ckpt.pending->sample_payload));
     SAMPWH_ASSIGN_OR_RETURN(
         std::vector<PartitionInfo> parts,
         warehouse->ListPartitions(ingestor->dataset_));

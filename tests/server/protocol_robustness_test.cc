@@ -366,6 +366,73 @@ TEST_F(ProtocolRobustnessTest, SlowLorisPeersAreShedByTheReadTimeout) {
   EXPECT_GE(server_->stats().connections_dropped, 1u);
 }
 
+/// A roll-in request body for `verb` (kRollIn or kReplicaRollIn) carrying
+/// `blob` as the sample.
+std::string RollInBody(Verb verb, std::string_view blob) {
+  BinaryWriter body;
+  body.PutString("acme");
+  body.PutString("sales");
+  if (verb == Verb::kReplicaRollIn) body.PutVarint64(/*id=*/3);
+  body.PutVarint64(/*min_ts=*/10);
+  body.PutVarint64(/*max_ts=*/20);
+  if (verb == Verb::kReplicaRollIn) body.PutVarint64(/*flags=*/0);
+  body.PutString(blob);
+  return body.Release();
+}
+
+/// Sends one roll-in of `blob` and returns the response status.
+Status RollInRaw(RawPeer& peer, Verb verb, std::string_view blob) {
+  peer.Send(EncodeFrame(
+      RequestPayload(static_cast<uint32_t>(verb), RollInBody(verb, blob))));
+  const std::string response = peer.ReadResponse();
+  if (response.empty()) return Status::IOError("connection dropped");
+  BinaryReader reader(response);
+  return ParseResponseHead(&reader);
+}
+
+TEST_F(ProtocolRobustnessTest, RollInRejectsTrailingBytesAfterTheSample) {
+  // A blob with a byte after a valid sample is a different blob than the
+  // sample's own bytes: Corruption, nothing stored, connection kept.
+  auto client = MustConnect(*server_);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(client->CreateDataset("acme", "sales").ok());
+  const std::string blob = SampleBytes(MakeReservoirSample(1, 50));
+  RawPeer peer(*server_);
+  ASSERT_TRUE(peer.connected());
+  EXPECT_TRUE(RollInRaw(peer, Verb::kRollIn, blob + std::string(1, '\0'))
+                  .IsCorruption());
+  EXPECT_TRUE(client->ListPartitions("acme", "sales").value().empty());
+  EXPECT_TRUE(RollInRaw(peer, Verb::kRollIn, blob).ok());
+  EXPECT_EQ(client->ListPartitions("acme", "sales").value().size(), 1u);
+}
+
+TEST_F(ProtocolRobustnessTest,
+       ReplicaRollInRejectsTrailingBytesAfterTheSample) {
+  // The replica verb digests the wire blob. A blob with a byte after the
+  // sample once decoded to the stored sample yet never matched its digest,
+  // so every retry counted a mismatch and rewrote the copy; now it is
+  // Corruption and the stored copy stays as it was.
+  auto client = MustConnect(*server_);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(client->CreateDataset("acme", "sales").ok());
+  const std::string blob = SampleBytes(MakeReservoirSample(1, 50));
+  RawPeer peer(*server_);
+  ASSERT_TRUE(peer.connected());
+  ASSERT_TRUE(RollInRaw(peer, Verb::kReplicaRollIn, blob).ok());
+  for (int retry = 0; retry < 3; ++retry) {
+    EXPECT_TRUE(
+        RollInRaw(peer, Verb::kReplicaRollIn, blob + std::string(1, '\0'))
+            .IsCorruption());
+  }
+  EXPECT_EQ(server_->stats().digest_mismatches, 0u);
+  // The exact blob acks as a no-op against its own stored copy.
+  EXPECT_TRUE(RollInRaw(peer, Verb::kReplicaRollIn, blob).ok());
+  EXPECT_EQ(server_->stats().digest_mismatches, 0u);
+  EXPECT_EQ(client->ListPartitions("acme", "sales").value().size(), 1u);
+}
+
 TEST_F(ProtocolRobustnessTest, V2HeadWithDeadlineDecodesCleanly) {
   RawPeer peer(*server_);
   ASSERT_TRUE(peer.connected());

@@ -50,6 +50,38 @@ TEST(WireTest, OversizedAndCorruptFramesAreRejected) {
             FrameDecodeResult::kBadCrc);
 }
 
+TEST(WireTest, ResponseFrameSendsTheBytesOfTheCopyingEncoder) {
+  // Bodies whose varint length takes one, two and three bytes, sealed with
+  // and without a length prefix: the frame built in place must equal the
+  // frame of BeginResponse(OK) + body (PutString'd when prefixed).
+  for (const size_t body_size : {size_t{0}, size_t{1}, size_t{127},
+                                 size_t{128}, size_t{16383}, size_t{16384},
+                                 size_t{70000}}) {
+    std::string body(body_size, '\0');
+    for (size_t i = 0; i < body_size; ++i) body[i] = static_cast<char>(i * 7);
+    for (const bool prefixed : {false, true}) {
+      ResponseFrame frame;
+      frame.body().PutRaw(body.data(), body.size());
+      frame.SealOk(prefixed);
+      BinaryWriter expected;
+      BeginResponse(&expected, Status::OK());
+      if (prefixed) {
+        expected.PutString(body);
+      } else {
+        expected.PutRaw(body.data(), body.size());
+      }
+      EXPECT_EQ(frame.bytes(), EncodeFrame(expected.buffer()))
+          << "body " << body_size << " prefixed " << prefixed;
+    }
+  }
+  ResponseFrame error;
+  error.body().PutString("dropped on error");
+  error.SealError(Status::NotFound("no such dataset"));
+  BinaryWriter expected;
+  BeginResponse(&expected, Status::NotFound("no such dataset"));
+  EXPECT_EQ(error.bytes(), EncodeFrame(expected.buffer()));
+}
+
 TEST(WireTest, ResponseHeadCarriesTypedStatus) {
   BinaryWriter writer;
   BeginResponse(&writer, Status::ResourceExhausted("quota"));

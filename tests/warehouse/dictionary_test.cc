@@ -67,6 +67,17 @@ TEST(DictionaryTest, DeserializeRejectsDuplicates) {
       ValueDictionary::DeserializeFrom(&r).status().IsCorruption());
 }
 
+TEST(DictionaryTest, DeserializeRejectsCountBeyondInput) {
+  // A count of 2^62 tokens with one token behind it: Corruption before
+  // anything is reserved for the claim (reserving it would throw).
+  BinaryWriter w;
+  w.PutVarint64(uint64_t{1} << 62);
+  w.PutString("only");
+  BinaryReader r(w.buffer());
+  EXPECT_TRUE(
+      ValueDictionary::DeserializeFrom(&r).status().IsCorruption());
+}
+
 TEST(DictionaryTest, ManyTokensKeepStableCodes) {
   ValueDictionary dict;
   for (int i = 0; i < 5000; ++i) {

@@ -473,6 +473,26 @@ TEST(FileSampleStoreTest, ReadsBareV1PayloadFiles) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileSampleStoreTest, TrailingBytesAfterTheSampleAreCorruption) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "sampwh_store_trailing")
+          .string();
+  std::filesystem::remove_all(dir);
+  auto store = FileSampleStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  // A well-formed sample with one byte behind it, in a valid envelope and
+  // as a bare v1 payload: both are a different blob than the sample's
+  // own bytes, so neither may decode to that sample.
+  BinaryWriter writer;
+  TestSample(321).SerializeTo(&writer);
+  const std::string padded = writer.buffer() + std::string(1, '\0');
+  for (const std::string& file : {WrapSampleEnvelope(padded), padded}) {
+    ASSERT_TRUE(WriteFileAtomic(dir + "/ds.0.sample", file).ok());
+    EXPECT_TRUE(store.value()->Get({"ds", 0}).status().IsCorruption());
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FileSampleStoreTest, RecoverRemovesOrphanTempsAndKeepsSurvivors) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "sampwh_store_recover")
