@@ -99,6 +99,14 @@ if [[ "${mode}" == "full" ]]; then
     "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|Crc32" \
     --output-on-failure
 
+  # Purge-kernel re-gate under ASan/UBSan: the branch-free Fenwick descent
+  # indexes a padded raw array, and the streamed purge must keep matching
+  # the Fig. 4 linear-scan oracle draw for draw.
+  echo "=== [asan] reservoir purge gate ==="
+  ctest --test-dir build-check/asan -R \
+    "^(FenwickTree|Purge|PurgeDiff|Merge|HybridReservoir)" \
+    --output-on-failure
+
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and
   # without a merge memo, pinned by the golden digests.
   echo "=== [asan] merge-tree gate ==="

@@ -122,41 +122,68 @@ CompactHistogram CompactHistogram::FromBag(std::vector<Value> bag) {
   return hist;
 }
 
+CompactHistogram CompactHistogram::FromSortedEntries(
+    std::vector<Entry> entries) {
+  CompactHistogram hist;
+  hist.entries_ = std::move(entries);
+  hist.RecountTotals();
+  return hist;
+}
+
+void CompactHistogram::RecountTotals() {
+  uint64_t total = 0;
+  uint64_t singletons = 0;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    SAMPWH_DCHECK(entries_[i].second >= 1);
+    SAMPWH_DCHECK(i == 0 || entries_[i - 1].first < entries_[i].first);
+    total += entries_[i].second;
+    singletons += entries_[i].second == 1;
+  }
+  total_count_ = total;
+  footprint_bytes_ = singletons * EntryFootprintBytes(1) +
+                     (entries_.size() - singletons) * EntryFootprintBytes(2);
+}
+
 void CompactHistogram::Join(const CompactHistogram& other) {
   if (other.empty()) return;
   if (empty()) {
     *this = other;
     return;
   }
-  total_count_ += other.total_count_;
   if (entries_.back().first < other.entries_.front().first) {
     entries_.insert(entries_.end(), other.entries_.begin(),
                     other.entries_.end());
+    total_count_ += other.total_count_;
     footprint_bytes_ += other.footprint_bytes_;
     return;
   }
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  uint64_t footprint = 0;
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() || b != other.entries_.end()) {
-    Entry next;
-    if (b == other.entries_.end() ||
-        (a != entries_.end() && a->first < b->first)) {
-      next = *a++;
-    } else if (a == entries_.end() || b->first < a->first) {
-      next = *b++;
-    } else {
-      next = Entry{a->first, a->second + b->second};
-      ++a;
-      ++b;
-    }
-    footprint += EntryFootprintBytes(next.second);
-    merged.push_back(next);
+  // Each step emits the smaller head, or the sum of two equal heads, and
+  // advances the side(s) it consumed by a 0/1 amount: the entry order of
+  // two samples is random, so a branch on it mispredicts every other step.
+  std::vector<Entry> merged(entries_.size() + other.entries_.size());
+  const Entry* a = entries_.data();
+  const Entry* const a_end = a + entries_.size();
+  const Entry* b = other.entries_.data();
+  const Entry* const b_end = b + other.entries_.size();
+  Entry* out = merged.data();
+  while (a != a_end && b != b_end) {
+    const bool take_a = a->first <= b->first;
+    const bool take_b = b->first <= a->first;
+    const uint64_t mask_a = 0 - static_cast<uint64_t>(take_a);
+    const uint64_t mask_b = 0 - static_cast<uint64_t>(take_b);
+    out->first = static_cast<Value>(
+        (static_cast<uint64_t>(a->first) & mask_a) |
+        (static_cast<uint64_t>(b->first) & ~mask_a));
+    out->second = (a->second & mask_a) + (b->second & mask_b);
+    a += take_a;
+    b += take_b;
+    ++out;
   }
+  out = std::copy(a, a_end, out);
+  out = std::copy(b, b_end, out);
+  merged.resize(static_cast<size_t>(out - merged.data()));
   entries_ = std::move(merged);
-  footprint_bytes_ = footprint;
+  RecountTotals();
 }
 
 uint64_t CompactHistogram::JoinedFootprintBytes(

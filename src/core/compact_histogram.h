@@ -82,9 +82,14 @@ class CompactHistogram {
   /// Builds a histogram from a bag of values: one sort, then run lengths.
   static CompactHistogram FromBag(std::vector<Value> bag);
 
+  /// Adopts `entries`, which must be strictly ascending by value with every
+  /// count >= 1 (DCHECKed), computing the totals in one pass.
+  static CompactHistogram FromSortedEntries(std::vector<Entry> entries);
+
   /// Sums `other` into this histogram (the paper's join function: the
   /// compact representation of expand(S1) ∪ expand(S2) without expanding).
-  /// A linear merge of the two sorted entry lists.
+  /// A linear merge of the two sorted entry lists, with no data-dependent
+  /// branch per entry.
   void Join(const CompactHistogram& other);
 
   /// Footprint in bytes that joining `other` into this histogram would
@@ -121,6 +126,9 @@ class CompactHistogram {
   /// and the largest count: at most 10 + 20·entries, usually a few bytes
   /// per entry, so the writer's transient growth stays near the output.
   size_t EncodedBytesBound() const;
+
+  /// Recomputes total_count_ and footprint_bytes_ from entries_.
+  void RecountTotals();
 
   std::vector<Entry> entries_;
   uint64_t total_count_ = 0;

@@ -129,10 +129,8 @@ Result<PartitionSample> HBMerge(const PartitionSample& s1,
     return HRMerge(s1, s2, options, rng);
   }
 
-  CompactHistogram h1 = s1.histogram();
-  CompactHistogram h2 = s2.histogram();
-  PurgeBernoulli(&h1, q / q1, rng);
-  PurgeBernoulli(&h2, q / q2, rng);
+  CompactHistogram h1 = BernoulliSubsample(s1.histogram(), q / q1, rng);
+  CompactHistogram h2 = BernoulliSubsample(s2.histogram(), q / q2, rng);
 
   if (h1.JoinedFootprintBytes(h2) <= options.footprint_bound_bytes) {
     h1.Join(h2);
@@ -192,13 +190,12 @@ Result<PartitionSample> HRMerge(const PartitionSample& s1,
       s1.parent_size(), s2.parent_size(), k, rng, options.alias_cache);
   SAMPWH_CHECK(l <= k);
 
-  CompactHistogram h1 = s1.histogram();
-  CompactHistogram h2 = s2.histogram();
-  PurgeReservoir(&h1, l, rng);
-  PurgeReservoir(&h2, k - l, rng);
-  h1.Join(h2);
-  SAMPWH_CHECK(h1.total_count() == k);
-  return PartitionSample::MakeReservoir(std::move(h1), merged_parent,
+  // Each side is purged straight from its stored histogram; only a side
+  // that already fits its share is copied.
+  CompactHistogram merged = ReservoirSubsample(s1.histogram(), l, rng);
+  merged.Join(ReservoirSubsample(s2.histogram(), k - l, rng));
+  SAMPWH_CHECK(merged.total_count() == k);
+  return PartitionSample::MakeReservoir(std::move(merged), merged_parent,
                                         options.footprint_bound_bytes);
 }
 
@@ -231,11 +228,12 @@ Result<PartitionSample> UnionBernoulli(
   std::vector<CompactHistogram> parts;
   parts.reserve(samples.size());
   for (const PartitionSample* s : samples) {
-    parts.push_back(s->histogram());
-    if (s->sampling_rate() > min_rate) {
-      // Equalize rates before unioning (§4.1 closing remark).
-      PurgeBernoulli(&parts.back(), min_rate / s->sampling_rate(), rng);
-    }
+    // Equalize rates before unioning (§4.1 closing remark).
+    parts.push_back(
+        s->sampling_rate() > min_rate
+            ? BernoulliSubsample(s->histogram(),
+                                 min_rate / s->sampling_rate(), rng)
+            : s->histogram());
   }
   // Join in pairwise rounds: O(total log k) linear merges rather than the
   // O(total k) of folding every input into one growing histogram.

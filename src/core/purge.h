@@ -25,6 +25,11 @@ namespace sampwh {
 /// Bern(r * q) sample of that population (§3.1).
 void PurgeBernoulli(CompactHistogram* sample, double q, Pcg64& rng);
 
+/// PurgeBernoulli of a copy, without the copy: the Bern(q) subsample of
+/// `sample`. At q = 1 the sample is returned as it is and draws nothing.
+CompactHistogram BernoulliSubsample(const CompactHistogram& sample, double q,
+                                    Pcg64& rng);
+
 /// Returns a simple random subsample of size min(M, total) drawn from the
 /// concatenation of the expanded bags of `sources`, processing entries in
 /// sorted-value order within each source (paper Fig. 4, generalized to a
@@ -37,6 +42,12 @@ CompactHistogram PurgeReservoirStreamed(
 /// In-place single-source convenience wrapper: *sample becomes a simple
 /// random subsample of itself of size min(M, |*sample|).
 void PurgeReservoir(CompactHistogram* sample, uint64_t M, Pcg64& rng);
+
+/// PurgeReservoir of a copy, without the copy: a simple random subsample
+/// of `sample` of size min(M, |sample|). A sample that already fits is
+/// returned as it is and draws nothing.
+CompactHistogram ReservoirSubsample(const CompactHistogram& sample,
+                                    uint64_t M, Pcg64& rng);
 
 /// Reference implementation of purgeReservoir with the paper's literal
 /// victim-selection rule (Fig. 4 line 9): a linear scan of the partial

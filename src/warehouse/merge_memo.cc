@@ -93,19 +93,18 @@ std::shared_ptr<const PartitionSample> MergeMemo::Lookup(
   std::shared_ptr<const MemoNode> node =
       cache_.Lookup(KeyFor(dataset, ids, options_fingerprint, epoch));
   if (node == nullptr) return nullptr;
-  // Aliasing pointer: shares ownership of the node, points at its sample.
-  return std::shared_ptr<const PartitionSample>(node, &node->sample);
+  return node->sample;
 }
 
 void MergeMemo::Insert(const DatasetId& dataset,
                        std::span<const PartitionId> ids,
                        uint64_t options_fingerprint, uint64_t epoch,
-                       PartitionSample sample) {
+                       std::shared_ptr<const PartitionSample> sample) {
   auto node = std::make_shared<MemoNode>();
   node->sample = std::move(sample);
   node->dataset = dataset;
   node->members.assign(ids.begin(), ids.end());
-  const uint64_t charge = node->sample.footprint_bytes() + dataset.size() +
+  const uint64_t charge = node->sample->footprint_bytes() + dataset.size() +
                           ids.size_bytes() + kEntryOverheadBytes;
   cache_.Insert(KeyFor(dataset, ids, options_fingerprint, epoch),
                 std::move(node), charge);

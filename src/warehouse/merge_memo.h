@@ -84,10 +84,11 @@ class MergeMemo {
       const DatasetId& dataset, std::span<const PartitionId> ids,
       uint64_t options_fingerprint, uint64_t epoch);
 
-  /// Memoizes a computed node.
+  /// Memoizes a computed node. The memo shares the node with the caller
+  /// instead of copying it.
   void Insert(const DatasetId& dataset, std::span<const PartitionId> ids,
               uint64_t options_fingerprint, uint64_t epoch,
-              PartitionSample sample);
+              std::shared_ptr<const PartitionSample> sample);
 
   /// Evicts every memoized node whose member set contains `partition`
   /// (roll-out, retention expiry). Nodes over sibling partitions survive —
@@ -126,7 +127,7 @@ class MergeMemo {
 
  private:
   struct MemoNode {
-    PartitionSample sample;
+    std::shared_ptr<const PartitionSample> sample;
     DatasetId dataset;
     std::vector<PartitionId> members;  // sorted
   };

@@ -389,7 +389,7 @@ Result<std::vector<std::shared_ptr<const PartitionSample>>>
 Warehouse::FetchSamples(const DatasetId& dataset,
                         std::span<const PartitionId> ids) {
   // Serving-path deadline probe before the (possibly disk-bound) leaf
-  // fetch; see the matching probe in MergeMemoized.
+  // fetch; see the matching probe in MergeNode.
   SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
   std::vector<std::shared_ptr<const PartitionSample>> samples(ids.size());
   if (sample_cache_ == nullptr) {
@@ -431,44 +431,59 @@ Warehouse::FetchSamples(const DatasetId& dataset,
   return samples;
 }
 
-Result<PartitionSample> Warehouse::MergeMemoized(
+Result<std::shared_ptr<const PartitionSample>> Warehouse::MergeSubtree(
     const DatasetId& dataset, std::span<const PartitionId> ids,
     std::span<const std::shared_ptr<const PartitionSample>> leaves,
     uint64_t options_fingerprint, uint64_t memo_epoch) {
-  if (ids.size() == 1) return *leaves[0];
+  if (ids.size() == 1) return leaves[0];
+  if (merge_memo_ != nullptr) {
+    if (auto cached = merge_memo_->Lookup(dataset, ids, options_fingerprint,
+                                          memo_epoch)) {
+      return cached;
+    }
+  }
+  SAMPWH_ASSIGN_OR_RETURN(PartitionSample merged,
+                          MergeNode(dataset, ids, leaves, options_fingerprint,
+                                    memo_epoch));
+  return Memoize(dataset, ids, options_fingerprint, memo_epoch,
+                 std::move(merged));
+}
+
+std::shared_ptr<const PartitionSample> Warehouse::Memoize(
+    const DatasetId& dataset, std::span<const PartitionId> ids,
+    uint64_t options_fingerprint, uint64_t memo_epoch,
+    PartitionSample node) {
+  auto shared = std::make_shared<const PartitionSample>(std::move(node));
+  if (merge_memo_ != nullptr) {
+    merge_memo_->Insert(dataset, ids, options_fingerprint, memo_epoch, shared);
+  }
+  return shared;
+}
+
+Result<PartitionSample> Warehouse::MergeNode(
+    const DatasetId& dataset, std::span<const PartitionId> ids,
+    std::span<const std::shared_ptr<const PartitionSample>> leaves,
+    uint64_t options_fingerprint, uint64_t memo_epoch) {
   // Cooperative cancellation for the serving path: a request whose
   // propagated deadline passed aborts here, between nodes. The check reads
   // a thread-local and consumes no randomness, so a merge that is NOT
   // canceled is bit-identical with or without a deadline installed.
   SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
-  if (merge_memo_ != nullptr) {
-    if (auto cached = merge_memo_->Lookup(dataset, ids, options_fingerprint,
-                                          memo_epoch)) {
-      return *cached;
-    }
-  }
   const size_t half = MergeTreeSplit(ids.size());
   SAMPWH_ASSIGN_OR_RETURN(
-      PartitionSample left,
-      MergeMemoized(dataset, ids.subspan(0, half), leaves.subspan(0, half),
-                    options_fingerprint, memo_epoch));
+      std::shared_ptr<const PartitionSample> left,
+      MergeSubtree(dataset, ids.subspan(0, half), leaves.subspan(0, half),
+                   options_fingerprint, memo_epoch));
   SAMPWH_ASSIGN_OR_RETURN(
-      PartitionSample right,
-      MergeMemoized(dataset, ids.subspan(half), leaves.subspan(half),
-                    options_fingerprint, memo_epoch));
+      std::shared_ptr<const PartitionSample> right,
+      MergeSubtree(dataset, ids.subspan(half), leaves.subspan(half),
+                   options_fingerprint, memo_epoch));
   // The node's randomness is a pure function of its identity — never of
   // query history — so a recomputation after eviction (or without a memo)
   // reproduces the node bit-identically, and so does a shard or
   // coordinator computing the same node remotely.
-  SAMPWH_ASSIGN_OR_RETURN(
-      PartitionSample merged,
-      MergeTreeNode(options_.seed, dataset, ids, left, right, options_.merge,
-                    options_fingerprint));
-  if (merge_memo_ != nullptr) {
-    merge_memo_->Insert(dataset, ids, options_fingerprint, memo_epoch,
-                        merged);
-  }
-  return merged;
+  return MergeTreeNode(options_.seed, dataset, ids, *left, *right,
+                       options_.merge, options_fingerprint);
 }
 
 Result<PartitionSample> Warehouse::MergeByIds(
@@ -483,7 +498,7 @@ Result<PartitionSample> Warehouse::MergeByIds(
   if (merge_memo_ != nullptr) {
     memo_epoch = merge_memo_->CurrentEpoch(dataset);
     if (ids.size() > 1) {
-      // Root shortcut: a fully memoized query skips the leaf fetch too.
+      // The root's one lookup. A hit also skips the leaf fetch.
       if (auto cached =
               merge_memo_->Lookup(dataset, ids, fingerprint, memo_epoch)) {
         return *cached;
@@ -493,7 +508,14 @@ Result<PartitionSample> Warehouse::MergeByIds(
   SAMPWH_ASSIGN_OR_RETURN(
       std::vector<std::shared_ptr<const PartitionSample>> leaves,
       FetchSamples(dataset, ids));
-  return MergeMemoized(dataset, ids, leaves, fingerprint, memo_epoch);
+  // Below the root every node passes by pointer; the answer is the query's
+  // one copy, or none when there is no memo to keep the root.
+  if (ids.size() == 1) return *leaves[0];
+  SAMPWH_ASSIGN_OR_RETURN(
+      PartitionSample root,
+      MergeNode(dataset, ids, leaves, fingerprint, memo_epoch));
+  if (merge_memo_ == nullptr) return root;
+  return *Memoize(dataset, ids, fingerprint, memo_epoch, std::move(root));
 }
 
 Result<PartitionSample> Warehouse::MergedSample(

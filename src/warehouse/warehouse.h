@@ -286,13 +286,25 @@ class Warehouse {
  private:
   Result<PartitionSample> MergeByIds(const DatasetId& dataset,
                                      const std::vector<PartitionId>& parts);
-  /// Recursive merge-tree walk over the canonically sorted `ids`
-  /// (leaves[i] is the stored sample of ids[i]); consults and fills the
-  /// merge memo when there is one.
-  Result<PartitionSample> MergeMemoized(
+  /// The merge-tree node over the canonically sorted `ids` (leaves[i] is
+  /// the stored sample of ids[i]): the leaf itself, the memoized node, or
+  /// the node computed by MergeNode and then memoized. Nodes pass by
+  /// pointer, so the walk copies no sample.
+  Result<std::shared_ptr<const PartitionSample>> MergeSubtree(
       const DatasetId& dataset, std::span<const PartitionId> ids,
       std::span<const std::shared_ptr<const PartitionSample>> leaves,
       uint64_t options_fingerprint, uint64_t memo_epoch);
+  /// Computes the interior node over `ids` (at least two) from its two
+  /// children, without looking the node itself up in the memo.
+  Result<PartitionSample> MergeNode(
+      const DatasetId& dataset, std::span<const PartitionId> ids,
+      std::span<const std::shared_ptr<const PartitionSample>> leaves,
+      uint64_t options_fingerprint, uint64_t memo_epoch);
+  /// Shares a computed node, memoizing it when there is a memo.
+  std::shared_ptr<const PartitionSample> Memoize(
+      const DatasetId& dataset, std::span<const PartitionId> ids,
+      uint64_t options_fingerprint, uint64_t memo_epoch,
+      PartitionSample node);
   /// Fetches the samples for `ids` in order, through the sample cache when
   /// configured (misses prefetched in parallel via SampleStore::GetMany on
   /// the warehouse pool).

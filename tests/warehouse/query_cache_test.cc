@@ -112,6 +112,23 @@ TEST(QueryCacheTest, MergeMemoNodesAccumulateAndHit) {
   EXPECT_EQ(stats.merge_memo.hits, 2u);
 }
 
+TEST(QueryCacheTest, MissedQueryLooksEachNodeUpOnce) {
+  Warehouse wh(CachedOptions());
+  ASSERT_TRUE(wh.CreateDataset("ds").ok());
+  ASSERT_TRUE(wh.IngestBatch("ds", Range(0, 4000), 4).ok());
+  // A cold query over [0,1,2,3] misses the root once, then (01) and (23).
+  ASSERT_TRUE(wh.MergedSampleAll("ds").ok());
+  WarehouseCacheStats stats = wh.GetCacheStats();
+  EXPECT_EQ(stats.merge_memo.misses, 3u);
+  EXPECT_EQ(stats.merge_memo.hits, 0u);
+
+  // The repeat is one root hit and no new miss.
+  ASSERT_TRUE(wh.MergedSampleAll("ds").ok());
+  stats = wh.GetCacheStats();
+  EXPECT_EQ(stats.merge_memo.hits, 1u);
+  EXPECT_EQ(stats.merge_memo.misses, 3u);
+}
+
 TEST(QueryCacheTest, RollOutEvictsSampleAndEveryContainingMergeNode) {
   Warehouse wh(CachedOptions());
   ASSERT_TRUE(wh.CreateDataset("ds").ok());
