@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,6 +37,9 @@ constexpr uint64_t kPartitions = 12;
 std::string TempDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "sampwh_coordfail_" + tag +
                           "_" + std::to_string(::getpid());
+  // A directory left by an earlier run whose pid this process reuses would
+  // hold that run's catalog and store; start empty.
+  std::filesystem::remove_all(dir);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

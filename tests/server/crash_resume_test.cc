@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -166,6 +167,9 @@ void ReadFinalState(WarehouseClient* client, FinalState* out) {
 std::string TempDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "sampwh_crash_" + tag + "_" +
                           std::to_string(::getpid());
+  // A directory left by an earlier run whose pid this process reuses would
+  // hold that run's catalog and store; start empty.
+  std::filesystem::remove_all(dir);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

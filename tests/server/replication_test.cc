@@ -61,6 +61,9 @@ int ReplChaosRounds() {
 std::string TempDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "sampwh_repl_" + tag + "_" +
                           std::to_string(::getpid());
+  // A directory left by an earlier run whose pid this process reuses would
+  // hold that run's catalog and store; start empty.
+  std::filesystem::remove_all(dir);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
