@@ -112,6 +112,14 @@ if [[ "${mode}" == "full" ]]; then
   echo "=== [asan] merge-tree gate ==="
   ctest --test-dir build-check/asan -R "^(GoldenDigest|QueryCache|Warehouse)" \
     --output-on-failure
+
+  # Store re-gate under ASan/UBSan: MemEnv, torn-prefix writes and WAL
+  # truncation all do offset arithmetic on strings; the Env conformance
+  # suite runs both Envs, the store suites run the one store over each.
+  echo "=== [asan] store gate ==="
+  ctest --test-dir build-check/asan -R \
+    "^(Env|FileIo|SampleStore|FileSampleStore|InMemorySampleStore|CheckpointStore|Recovery|Manifest)" \
+    --output-on-failure
 fi
 
 # Query-path smoke bench (~2 s): exercises the sample cache, parallel

@@ -1,6 +1,7 @@
 #include "src/util/serialization.h"
 
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -334,8 +335,8 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   if (f == nullptr) return Status::IOError("cannot open " + tmp);
   const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
   const bool flush_ok = (std::fflush(f) == 0);
-  std::fclose(f);
-  if (written != contents.size() || !flush_ok) {
+  const bool close_ok = (std::fclose(f) == 0);
+  if (written != contents.size() || !flush_ok || !close_ok) {
     std::remove(tmp.c_str());
     return Status::IOError("short write to " + tmp);
   }
@@ -346,9 +347,31 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return Status::OK();
 }
 
+Status AppendBytesToFile(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) {
+    return Status::IOError("cannot open " + path + " for append");
+  }
+  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != bytes.size() || !flushed || !closed) {
+    return Status::IOError("short append to " + path);
+  }
+  return Status::OK();
+}
+
 Status ReadFile(const std::string& path, std::string* contents) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
+  if (f == nullptr) {
+    // Only a missing file (or a missing directory on its path) is absent;
+    // EMFILE, EACCES, EIO and the like are faults a caller may retry.
+    const int err = errno;
+    if (err == ENOENT || err == ENOTDIR) {
+      return Status::NotFound("cannot open " + path);
+    }
+    return Status::IOError("cannot open " + path + ": " + std::strerror(err));
+  }
   contents->clear();
   char buf[1 << 16];
   size_t n;

@@ -213,7 +213,14 @@ Status UnwrapSampleEnvelope(std::string_view file, std::string_view* payload);
 /// directory, then rename).
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
-/// Reads the whole file at `path` into `*contents`.
+/// Appends `bytes` to `path` (created if absent). Deliberately NOT atomic:
+/// WAL appends rely on per-record CRC framing instead — a tear at the tail
+/// is detected and dropped on read.
+Status AppendBytesToFile(const std::string& path, std::string_view bytes);
+
+/// Reads the whole file at `path` into `*contents`. NotFound only when the
+/// file or a directory on its path is missing; any other failure to open
+/// (permissions, descriptor exhaustion, a name too long, IO) is IOError.
 Status ReadFile(const std::string& path, std::string* contents);
 
 }  // namespace sampwh

@@ -97,7 +97,7 @@ Status VerifyCheckpointPayload(std::string_view bytes);
 //
 // Between full snapshots the background checkpoint writer appends small
 // DELTA records to a per-key write-ahead log owned by the newest snapshot
-// generation ("<key>.<generation>.wal" in the file backend). Two kinds:
+// generation ("<key>.<generation>.wal"). Two kinds:
 //
 //   * kProgress — watermark / RNG / partition-progress advance WITHOUT the
 //     sampler state. Cheap enough to group-commit at high cadence, but NOT a

@@ -1,24 +1,27 @@
 // Persistence for partition samples. The sample warehouse keeps one
 // serialized PartitionSample per (dataset, partition); roll-in writes it,
-// roll-out deletes it, queries read subsets back for merging. Two backends:
-// an in-memory map for tests and simulations, and a directory of one file
-// per sample with atomic replace for durability.
+// roll-out deletes it, queries read subsets back for merging. There is one
+// store: a directory of one file per sample (atomic replace) plus ingest
+// checkpoint generations and their delta WALs, written against the Env
+// filesystem seam (util/env.h). FileSampleStore runs it over the real
+// filesystem for durability; InMemorySampleStore over a private MemEnv for
+// tests and simulations. Both behave identically, byte for byte.
 //
 // Read-path concurrency: Get never holds a lock across deserialization, and
-// the file backend stripes its locking per key, so concurrent Gets of
-// different partitions do parallel IO. GetMany overlays deserialization
-// across partitions on a caller-provided thread pool — the warehouse query
-// path uses it to prefetch every partition of a union query at once.
+// locking is striped per key, so concurrent Gets of different partitions
+// do parallel IO. GetMany overlays deserialization across partitions on a
+// caller-provided thread pool — the warehouse query path uses it to
+// prefetch every partition of a union query at once.
 //
 // Robustness: samples are persisted in the versioned, CRC-framed envelope
 // of util/serialization (format v2; bare v1 payloads stay readable), so a
 // torn, truncated or bit-rotted sample is detected on read — Corruption is
-// surfaced and the file backend quarantines the damaged file (renamed
-// aside, never silently deserialized). Transient IO faults are retried with
-// bounded exponential backoff. Recover() reconciles persisted state after a
-// crash: orphan temp files are dropped, unreadable samples quarantined, and
-// expected-but-missing partitions reported. Both backends consult an
-// optional FaultInjector at named sites so every failure path is testable
+// surfaced and the damaged file quarantined (renamed aside, never silently
+// deserialized). Transient IO faults are retried with bounded exponential
+// backoff. Recover() reconciles persisted state after a crash: orphan temp
+// files are dropped, unreadable samples quarantined, and
+// expected-but-missing partitions reported. The store consults an optional
+// FaultInjector at named sites so every failure path is testable
 // deterministically.
 
 #ifndef SAMPWH_WAREHOUSE_SAMPLE_STORE_H_
@@ -33,10 +36,12 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/sample.h"
 #include "src/testing/fault_injector.h"
+#include "src/util/env.h"
 #include "src/util/thread_pool.h"
 #include "src/warehouse/checkpoint.h"
 #include "src/warehouse/ids.h"
@@ -44,26 +49,25 @@
 namespace sampwh {
 
 /// What a Recover() scan found and did. File names are basenames within
-/// the store directory (the in-memory backend synthesizes "dataset.id").
+/// the store directory ("ds.0.sample").
 struct RecoveryReport {
   /// Sample files (or blobs) whose content was examined.
   uint64_t scanned = 0;
-  /// Unreadable / corrupt samples renamed aside (file backend appends
-  /// ".quarantine") or dropped (in-memory backend).
+  /// Unreadable / corrupt samples renamed aside (see QuarantineDestination).
   std::vector<std::string> quarantined;
   /// Orphan "*.tmp" files from writes that crashed before their rename.
   std::vector<std::string> removed_temps;
   /// Keys from `expected` whose samples are absent or were quarantined.
   std::vector<PartitionKey> missing_partitions;
   /// Ingest-checkpoint generations that failed verification and were
-  /// quarantined (file backend) or dropped (in-memory backend).
+  /// quarantined.
   std::vector<std::string> quarantined_checkpoints;
   /// Checkpoint WALs whose tail failed CRC framing or deep record
   /// verification and was truncated back to the last good record — the
   /// expected artifact of a crash mid-append.
   std::vector<std::string> truncated_wal_tails;
-  /// Checkpoint WALs with no surviving snapshot generation (quarantined or
-  /// dropped whole — their records cannot anchor to anything).
+  /// Checkpoint WALs with no surviving snapshot generation (quarantined
+  /// whole — their records cannot anchor to anything).
   std::vector<std::string> orphaned_wals;
   /// Filled by Warehouse::RestoreWithRecovery: datasets that had stored
   /// checkpoints but no longer exist in the catalog (checkpoints deleted).
@@ -71,13 +75,13 @@ struct RecoveryReport {
 };
 
 /// Cumulative reliability counters for one store instance, covering samples
-/// and ingest checkpoints across both backends.
+/// and ingest checkpoints.
 struct StoreStats {
   /// Backoff-then-retry cycles taken after a transient IO fault.
   uint64_t retries_attempted = 0;
   /// Operations that failed even after exhausting the retry budget.
   uint64_t retries_exhausted = 0;
-  /// Corrupt samples or checkpoints moved aside (or dropped in memory).
+  /// Corrupt samples or checkpoints moved aside.
   uint64_t quarantines = 0;
   /// Orphan temp files removed by Recover().
   uint64_t recovered_temps = 0;
@@ -91,102 +95,108 @@ struct StoreStats {
   uint64_t wal_tails_truncated = 0;
 };
 
+/// The sample store over one directory of an Env; thread-safe. Sample
+/// operations lock one of kLockStripes stripes per key, so operations on
+/// keys hashed to different stripes run fully concurrently and a slow read
+/// of one partition never blocks reads of others. Checkpoint bookkeeping
+/// has its own lock, so checkpoint traffic never blocks sample reads.
 class SampleStore {
  public:
   /// Bounded retry for transient IO faults: `max_attempts` tries total,
   /// exponential backoff starting at `initial_backoff` between them. Only
-  /// IOError is retried — NotFound and Corruption never are.
+  /// IOError is retried — NotFound and Corruption never are, nor a
+  /// simulated crash (an injected torn write or crash before rename).
   struct RetryPolicy {
     int max_attempts = 3;
     std::chrono::microseconds initial_backoff{200};
   };
 
+  /// A store of the files under `directory` in `env`. The directory must
+  /// exist and `env` must outlive the store.
+  SampleStore(Env* env, std::string directory);
+  SampleStore(const SampleStore&) = delete;
+  SampleStore& operator=(const SampleStore&) = delete;
   virtual ~SampleStore() = default;
 
   /// Stores (replacing) the sample for `key`.
-  virtual Status Put(const PartitionKey& key,
-                     const PartitionSample& sample) = 0;
+  Status Put(const PartitionKey& key, const PartitionSample& sample);
 
   /// Loads the sample for `key`; NotFound if absent, Corruption if the
-  /// stored bytes fail envelope verification or decoding.
-  virtual Result<PartitionSample> Get(const PartitionKey& key) const = 0;
+  /// stored bytes fail envelope verification or decoding. A corrupt file
+  /// is quarantined, so the next Get of the key is NotFound.
+  Result<PartitionSample> Get(const PartitionKey& key) const;
 
   /// Loads the samples for `keys`, in order; fails on the first missing
-  /// key. With a pool, fetches run as one task per key so file reads and
-  /// deserialization overlap across partitions (both backends allow
-  /// concurrent Gets of different keys). Must not be called from a task
-  /// already running on `pool`. Errors propagate whole: a failed fetch
-  /// fails the call, never yields a partial vector.
-  virtual Result<std::vector<PartitionSample>> GetMany(
+  /// key. With a pool, fetches run as one task per key so reads and
+  /// deserialization overlap across partitions. Must not be called from a
+  /// task already running on `pool`. Errors propagate whole: a failed
+  /// fetch fails the call, never yields a partial vector.
+  Result<std::vector<PartitionSample>> GetMany(
       const std::vector<PartitionKey>& keys, ThreadPool* pool = nullptr) const;
 
   /// Digest of the stored sample's logical content for `key`: a CRC32 of
   /// the serialized payload (envelope stripped) folded with its length.
-  /// Replicas holding the same sample agree on this value regardless of
-  /// backend, so cross-node anti-entropy comparison never ships sample
-  /// bytes. NotFound if absent; Corruption if the stored bytes fail
-  /// envelope verification (the file backend quarantines the damaged file
-  /// exactly as Get would, so a corrupt replica reads as missing on the
-  /// next scan).
-  virtual Result<uint64_t> ContentDigest(const PartitionKey& key) const = 0;
+  /// Replicas holding the same sample agree on this value, so cross-node
+  /// anti-entropy comparison never ships sample bytes. NotFound if absent;
+  /// Corruption if the stored bytes fail envelope verification (the file
+  /// is quarantined exactly as Get would, so a corrupt replica reads as
+  /// missing on the next scan).
+  Result<uint64_t> ContentDigest(const PartitionKey& key) const;
 
   /// Removes the sample for `key`; NotFound if absent.
-  virtual Status Delete(const PartitionKey& key) = 0;
+  Status Delete(const PartitionKey& key);
 
   /// All partition ids stored for `dataset`, ascending.
-  virtual Result<std::vector<PartitionId>> List(
-      const DatasetId& dataset) const = 0;
+  Result<std::vector<PartitionId>> List(const DatasetId& dataset) const;
 
-  /// Total serialized footprint currently held (enveloped bytes; on-disk
-  /// bytes for the file backend). Both backends report the same value for
-  /// the same stored content, so footprint assertions run
-  /// backend-agnostically. Quarantined files and orphan temps don't count.
-  virtual uint64_t TotalStoredBytes() const = 0;
+  /// Total bytes of the stored sample files (enveloped bytes). Quarantined
+  /// files and orphan temps don't count.
+  uint64_t TotalStoredBytes() const;
 
-  /// Startup reconciliation after a crash. Scans stored samples, drops
-  /// leftovers of interrupted writes, quarantines anything unreadable, and
-  /// reports which of `expected` (typically the catalog's partition set)
-  /// cannot be served. Call before serving traffic; not safe concurrently
-  /// with Put/Get/Delete.
-  virtual Result<RecoveryReport> Recover(
-      const std::vector<PartitionKey>& expected = {});
+  /// Startup reconciliation after a crash: removes orphan "*.tmp" files,
+  /// quarantines sample files that fail envelope/decode/Validate and
+  /// checkpoint files that fail full structural verification, truncates
+  /// WAL tails that fail deep verification, quarantines WALs whose
+  /// snapshot did not survive, and reports which of `expected` (typically
+  /// the catalog's partition set) cannot be served. Call before serving
+  /// traffic; not safe concurrently with Put/Get/Delete.
+  Result<RecoveryReport> Recover(const std::vector<PartitionKey>& expected = {});
 
   // --- Ingest checkpoints -------------------------------------------------
   //
-  // One logical checkpoint per dataset, stored generationally (the newest
-  // two generations are kept) so a write torn mid-checkpoint never loses
-  // the previous good one. `payload` is an IngestCheckpoint record; the
-  // store frames it in the CRC'd SWV2 envelope like every sample.
+  // One logical checkpoint per dataset, stored generationally as
+  // "<key>.<generation>.ckpt" (the newest two generations are kept) so a
+  // write torn mid-checkpoint never loses the previous good one. `payload`
+  // is an IngestCheckpoint record; the store frames it in the CRC'd SWV2
+  // envelope like every sample.
 
   /// Persists a new checkpoint generation for `dataset` and prunes old
   /// generations beyond the newest two. Consults the injector at
   /// kFaultSiteCheckpointWrite with the same semantics as sample writes.
-  virtual Status PutCheckpoint(const DatasetId& dataset,
-                               std::string_view payload) = 0;
+  Status PutCheckpoint(const DatasetId& dataset, std::string_view payload);
 
   /// The newest checkpoint payload for `dataset` that passes envelope
   /// verification. A corrupt newest generation is quarantined and the
   /// previous one served instead; NotFound when no valid generation
   /// remains. Consults kFaultSiteCheckpointRead.
-  virtual Result<std::string> GetCheckpoint(const DatasetId& dataset)
-      const = 0;
+  Result<std::string> GetCheckpoint(const DatasetId& dataset) const;
 
   /// Removes every checkpoint generation for `dataset`; NotFound when none
   /// exist.
-  virtual Status DeleteCheckpoint(const DatasetId& dataset) = 0;
+  Status DeleteCheckpoint(const DatasetId& dataset);
 
   /// Datasets that currently have at least one stored checkpoint
   /// generation, ascending.
-  virtual Result<std::vector<DatasetId>> ListCheckpoints() const = 0;
+  Result<std::vector<DatasetId>> ListCheckpoints() const;
 
   // --- Checkpoint delta journal -------------------------------------------
   //
   // Each snapshot generation owns a write-ahead log of CRC-framed delta
-  // records ("<key>.<generation>.wal" in the file backend). The background
-  // checkpoint writer appends groups of records between snapshots; resume
-  // reads the newest verifiable snapshot plus its WAL back as one chain.
-  // Rotation: PutCheckpoint starts a fresh (empty) WAL for the generation
-  // it writes, and pruning an old generation removes its WAL with it.
+  // records ("<key>.<generation>.wal"). The background checkpoint writer
+  // appends groups of records between snapshots; resume reads the newest
+  // verifiable snapshot plus its WAL back as one chain. Rotation:
+  // PutCheckpoint starts a fresh (empty) WAL for the generation it writes,
+  // and pruning an old generation removes its WAL with it.
 
   /// Appends `records` (each one CheckpointDeltaRecord payload) to the WAL
   /// of `key`'s newest snapshot generation, CRC-framed per record, in one
@@ -194,15 +204,14 @@ class SampleStore {
   /// exists. Consults kFaultSiteWalAppend; failures are NOT retried — a
   /// failed append may have left a torn tail, so the caller must rotate to
   /// a fresh snapshot instead of appending past the damage.
-  virtual Status AppendCheckpointDeltas(
-      const DatasetId& key, const std::vector<std::string>& records) = 0;
+  Status AppendCheckpointDeltas(const DatasetId& key,
+                                const std::vector<std::string>& records);
 
   /// The newest verifiable snapshot for `key` plus its WAL records (CRC
   /// framing checked; a torn tail is flagged and skipped). A corrupt newest
   /// snapshot is quarantined together with its WAL and the previous
   /// generation served. NotFound when no valid generation remains.
-  virtual Result<CheckpointChain> GetCheckpointChain(
-      const DatasetId& key) const = 0;
+  Result<CheckpointChain> GetCheckpointChain(const DatasetId& key) const;
 
   /// Arms fault injection for this store (nullptr disarms). The injector
   /// is consulted at the kFaultSite* sites in fault_injector.h.
@@ -214,30 +223,71 @@ class SampleStore {
   /// Snapshot of the cumulative reliability counters.
   StoreStats GetStoreStats() const;
 
- protected:
-  std::shared_ptr<FaultInjector> fault_injector() const;
+  /// Test-only fault-injection hook, invoked inside Get while the key's
+  /// lock stripe is held (before the read). A hook that blocks stalls
+  /// exactly one stripe; the concurrency regression test uses a rendezvous
+  /// hook to prove Gets of different stripes make progress simultaneously.
+  void SetReadHookForTesting(std::function<void(const PartitionKey&)> hook);
 
-  // Counter hooks for subclasses (thread-safe, callable from const paths).
-  void NoteRetryAttempted() const { stats_retries_attempted_.fetch_add(1); }
-  void NoteRetryExhausted() const { stats_retries_exhausted_.fetch_add(1); }
-  void NoteQuarantine() const { stats_quarantines_.fetch_add(1); }
-  void NoteRecoveredTemp() const { stats_recovered_temps_.fetch_add(1); }
-  void NoteCheckpointWritten() const {
-    stats_checkpoints_written_.fetch_add(1);
-  }
-  void NoteCheckpointRestored() const {
-    stats_checkpoints_restored_.fetch_add(1);
-  }
-  void NoteWalAppend(uint64_t records) const {
-    stats_wal_appends_.fetch_add(1);
-    stats_wal_records_appended_.fetch_add(records);
-  }
-  void NoteWalTailTruncated() const { stats_wal_tails_truncated_.fetch_add(1); }
+  /// Which of the kLockStripes stripes `key` locks; lets tests pick keys
+  /// guaranteed to use distinct stripes.
+  static size_t StripeIndexForTesting(const PartitionKey& key);
+
+ protected:
+  /// For stores that own their Env.
+  SampleStore(std::unique_ptr<Env> env, std::string directory);
 
  private:
+  static constexpr size_t kLockStripes = 32;
+
+  std::string PathFor(const PartitionKey& key) const;
+  std::string CheckpointPathFor(const DatasetId& dataset,
+                                uint64_t generation) const;
+  std::string WalPathFor(const DatasetId& dataset, uint64_t generation) const;
+  std::mutex& StripeFor(const PartitionKey& key) const;
+  std::shared_ptr<FaultInjector> fault_injector() const;
+
+  /// Runs `attempt(fault, injector)` under the retry policy, drawing the
+  /// fault for each try from the injector at `site`. An injected kIOError
+  /// fails the try without running it.
+  template <typename Attempt>
+  Status Retrying(const char* site, const Attempt& attempt) const;
+  /// Reads `path` with transient-fault retry; an injected kCorruptRead
+  /// flips one byte of what was read.
+  Status ReadWithFaults(const char* site, const std::string& path,
+                        std::string* bytes) const;
+  /// Atomic write with transient-fault retry and crash simulation.
+  Status WriteWithFaults(const char* site, const std::string& path,
+                         std::string_view bytes);
+  /// Renames `path` aside (best effort) after a corruption diagnosis.
+  void Quarantine(const std::string& path) const;
+  /// Checkpoint generations stored for `dataset`, ascending. Caller holds
+  /// ckpt_mu_ (or is a lock-free scan like ListCheckpoints).
+  std::vector<uint64_t> CheckpointGenerations(const DatasetId& dataset) const;
+  /// The newest checkpoint generation of `key` whose envelope verifies, and
+  /// its payload; newer corrupt generations are quarantined with their
+  /// WALs on the way. Caller holds ckpt_mu_.
+  Result<std::pair<uint64_t, std::string>> NewestValidCheckpointLocked(
+      const DatasetId& key) const;
+
+  std::unique_ptr<Env> owned_env_;
+  Env* env_;
+  std::string directory_;
+
   mutable std::mutex config_mu_;
   std::shared_ptr<FaultInjector> injector_;
   RetryPolicy retry_policy_;
+
+  mutable std::array<std::mutex, kLockStripes> stripes_;
+  mutable std::mutex hook_mu_;
+  std::function<void(const PartitionKey&)> read_hook_;
+  // Serializes checkpoint generation bookkeeping (allocate/prune/fallback).
+  mutable std::mutex ckpt_mu_;
+  // Newest known generation per checkpoint key, so a WAL append costs one
+  // file append instead of a directory scan. Maintained under ckpt_mu_ by
+  // every generation mutation; an absent entry falls back to a scan, and
+  // any failure path invalidates (erases) rather than guesses.
+  mutable std::map<DatasetId, uint64_t> newest_generation_;
 
   mutable std::atomic<uint64_t> stats_retries_attempted_{0};
   mutable std::atomic<uint64_t> stats_retries_exhausted_{0};
@@ -250,142 +300,29 @@ class SampleStore {
   mutable std::atomic<uint64_t> stats_wal_tails_truncated_{0};
 };
 
-/// Map-backed store; thread-safe.
-class InMemorySampleStore : public SampleStore {
- public:
-  Status Put(const PartitionKey& key, const PartitionSample& sample) override;
-  Result<PartitionSample> Get(const PartitionKey& key) const override;
-  Result<uint64_t> ContentDigest(const PartitionKey& key) const override;
-  Status Delete(const PartitionKey& key) override;
-  Result<std::vector<PartitionId>> List(
-      const DatasetId& dataset) const override;
-  uint64_t TotalStoredBytes() const override;
-
-  /// Validates every stored blob (dropping corrupt ones — e.g. a torn
-  /// injected write) and reports expected keys that are absent.
-  Result<RecoveryReport> Recover(
-      const std::vector<PartitionKey>& expected = {}) override;
-
-  Status PutCheckpoint(const DatasetId& dataset,
-                       std::string_view payload) override;
-  Result<std::string> GetCheckpoint(const DatasetId& dataset) const override;
-  Status DeleteCheckpoint(const DatasetId& dataset) override;
-  Result<std::vector<DatasetId>> ListCheckpoints() const override;
-  Status AppendCheckpointDeltas(
-      const DatasetId& key, const std::vector<std::string>& records) override;
-  Result<CheckpointChain> GetCheckpointChain(
-      const DatasetId& key) const override;
-
- private:
-  /// Drops the WAL owned by one generation (e.g. after its snapshot was
-  /// diagnosed corrupt). Caller holds mu_.
-  void DropWalLocked(const DatasetId& dataset, uint64_t generation) const;
-
-  mutable std::mutex mu_;
-  std::map<PartitionKey, std::string> samples_;  // enveloped serialized form
-  // generation -> enveloped checkpoint bytes; mutable so a const Get can
-  // drop a generation it diagnosed as corrupt (the in-memory analogue of
-  // quarantining a file aside).
-  mutable std::map<DatasetId, std::map<uint64_t, std::string>> checkpoints_;
-  // generation -> raw WAL bytes (the same CRC-per-record framing the file
-  // backend appends), so torn-append injection and tail parsing behave
-  // identically across backends.
-  mutable std::map<DatasetId, std::map<uint64_t, std::string>> wals_;
-};
-
-/// One file per sample under `directory` (created if missing), written with
-/// atomic replace; thread-safe. Locking is striped per key: operations on
-/// keys hashed to different stripes run fully concurrently, so a slow read
-/// of one partition never blocks reads of others. A Get that detects a
-/// corrupt file quarantines it (renames to "<name>.quarantine") so the
-/// damage is preserved for inspection but never re-served; transient IO
-/// errors are retried per the store's RetryPolicy.
+/// The store over the real filesystem: one file per sample under
+/// `directory` (created if missing).
 class FileSampleStore : public SampleStore {
  public:
   static Result<std::unique_ptr<FileSampleStore>> Open(
       const std::string& directory);
 
-  Status Put(const PartitionKey& key, const PartitionSample& sample) override;
-  Result<PartitionSample> Get(const PartitionKey& key) const override;
-  Result<uint64_t> ContentDigest(const PartitionKey& key) const override;
-  Status Delete(const PartitionKey& key) override;
-  Result<std::vector<PartitionId>> List(
-      const DatasetId& dataset) const override;
-  uint64_t TotalStoredBytes() const override;
-
-  /// Directory scan: removes orphan "*.tmp" files, quarantines sample
-  /// files that fail envelope/decode/Validate and checkpoint files that
-  /// fail full structural verification, reports expected keys that are no
-  /// longer servable. Quarantine renames are collision-free: a name whose
-  /// plain ".quarantine" sibling already exists (e.g. from a previous
-  /// recovery pass) gets a ".quarantine.<n>" suffix instead of
-  /// overwriting the preserved evidence.
-  Result<RecoveryReport> Recover(
-      const std::vector<PartitionKey>& expected = {}) override;
-
-  Status PutCheckpoint(const DatasetId& dataset,
-                       std::string_view payload) override;
-  Result<std::string> GetCheckpoint(const DatasetId& dataset) const override;
-  Status DeleteCheckpoint(const DatasetId& dataset) override;
-  Result<std::vector<DatasetId>> ListCheckpoints() const override;
-  Status AppendCheckpointDeltas(
-      const DatasetId& key, const std::vector<std::string>& records) override;
-  Result<CheckpointChain> GetCheckpointChain(
-      const DatasetId& key) const override;
-
-  /// Test-only fault-injection hook, invoked inside Get while the key's
-  /// lock stripe is held (after validation, before the file read). A hook
-  /// that blocks stalls exactly one stripe; the concurrency regression
-  /// test uses a rendezvous hook to prove Gets of different stripes make
-  /// progress simultaneously.
-  void SetReadHookForTesting(std::function<void(const PartitionKey&)> hook);
-
-  /// Which of the kLockStripes stripes `key` locks; lets tests pick keys
-  /// guaranteed to use distinct stripes.
-  static size_t StripeIndexForTesting(const PartitionKey& key);
-
  private:
-  static constexpr size_t kLockStripes = 32;
-
   explicit FileSampleStore(std::string directory);
-
-  std::string PathFor(const PartitionKey& key) const;
-  std::string CheckpointPathFor(const DatasetId& dataset,
-                                uint64_t generation) const;
-  std::string WalPathFor(const DatasetId& dataset, uint64_t generation) const;
-  std::mutex& StripeFor(const PartitionKey& key) const;
-  /// Write with injected-fault simulation and transient-fault retry;
-  /// `site` selects the injection site (sample put vs checkpoint write).
-  Status WriteFileWithFaults(const std::string& site, const std::string& path,
-                             const std::string& bytes);
-  /// Renames `path` aside (best effort) after a corruption diagnosis.
-  void QuarantineFile(const PartitionKey& key, const std::string& path) const;
-  /// Same, for checkpoint files; caller holds ckpt_mu_.
-  void QuarantineCheckpointPath(const std::string& path) const;
-  /// Checkpoint generations stored for `dataset`, ascending. Caller holds
-  /// ckpt_mu_ (or is a lock-free scan like ListCheckpoints).
-  std::vector<uint64_t> CheckpointGenerations(const DatasetId& dataset) const;
-
-  mutable std::array<std::mutex, kLockStripes> stripes_;
-  mutable std::mutex hook_mu_;
-  std::function<void(const PartitionKey&)> read_hook_;
-  // Serializes checkpoint generation bookkeeping (allocate/prune/fallback);
-  // independent of the sample stripes so checkpoint traffic never blocks
-  // sample reads.
-  mutable std::mutex ckpt_mu_;
-  // Newest known generation per checkpoint key, so a WAL append costs one
-  // file append instead of a directory scan. Maintained under ckpt_mu_ by
-  // every generation mutation; an absent entry falls back to a scan, and
-  // any failure path invalidates (erases) rather than guesses.
-  mutable std::map<DatasetId, uint64_t> newest_generation_;
-  std::string directory_;
 };
 
-/// Collision-free quarantine destination for `path`: "<path>.quarantine"
-/// when unclaimed, otherwise "<path>.quarantine.<n>" for the smallest free
-/// n — a repeated recovery pass never overwrites previously preserved
-/// evidence. Exposed for tests.
-std::string QuarantineDestination(const std::string& path);
+/// The store over a private MemEnv: the same files, held in memory.
+class InMemorySampleStore : public SampleStore {
+ public:
+  InMemorySampleStore();
+};
+
+/// Collision-free quarantine destination for `path` in `env`:
+/// "<path>.quarantine" when unclaimed, otherwise "<path>.quarantine.<n>"
+/// for the smallest free n — a repeated recovery pass never overwrites
+/// previously preserved evidence. Exposed for tests.
+std::string QuarantineDestination(const std::string& path,
+                                  Env* env = Env::Default());
 
 }  // namespace sampwh
 

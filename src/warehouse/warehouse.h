@@ -152,7 +152,7 @@ class Warehouse {
   /// Content digest of the partition's STORED sample bytes, read from the
   /// backing store — never the read cache — so anti-entropy comparisons
   /// observe on-disk reality: a sample whose file rotted after it was
-  /// cached reads Corruption here (and the file backend quarantines it),
+  /// cached reads Corruption here (and the store quarantines it),
   /// not a healthy cached copy. NotFound when the partition is not
   /// cataloged or its stored bytes are gone.
   Result<uint64_t> PartitionContentDigest(const DatasetId& dataset,

@@ -9,12 +9,10 @@
 
 #include "src/server/coordinator.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,16 +31,6 @@ namespace {
 constexpr uint64_t kSeed = 0x5157313136ULL;
 constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
 constexpr uint64_t kPartitions = 12;
-
-std::string TempDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "sampwh_coordfail_" + tag +
-                          "_" + std::to_string(::getpid());
-  // A directory left by an earlier run whose pid this process reuses would
-  // hold that run's catalog and store; start empty.
-  std::filesystem::remove_all(dir);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 ServerOptions NodeOptions(const std::string& store_dir) {
   ServerOptions options = TestServerOptions(kSeed);
@@ -75,7 +63,7 @@ CoordinatorOptions TolerantCoordinatorOptions() {
 }
 
 struct Fixture {
-  std::vector<std::string> dirs;
+  std::vector<ScopedTempDir> dirs;
   std::vector<ShardNodeAddress> nodes;
   std::vector<std::unique_ptr<WarehouseServer>> servers;
   std::unique_ptr<ShardCoordinator> coordinator;
@@ -89,8 +77,8 @@ struct Fixture {
 Fixture MakeFixture(const std::string& tag) {
   Fixture f;
   for (size_t i = 0; i < 2; ++i) {
-    f.dirs.push_back(TempDir(tag + std::to_string(i)));
-    auto server = MustStart(NodeOptions(f.dirs.back()));
+    f.dirs.emplace_back("sampwh_coordfail_" + tag + std::to_string(i));
+    auto server = MustStart(NodeOptions(f.dirs.back().path()));
     if (server == nullptr) return {};
     f.nodes.push_back({server->host(), server->port()});
     f.servers.push_back(std::move(server));
@@ -238,7 +226,7 @@ TEST(CoordinatorFailureTest, NodeDyingMidMergeThenRestartRecovery) {
   // listener binds with SO_REUSEADDR, so the rebind is immediate). Tenants
   // are provisioning state, not store state: the restarted node gets its
   // tenant back the way the serve tool would, via bootstrap.
-  ServerOptions revived = NodeOptions(f.dirs[1]);
+  ServerOptions revived = NodeOptions(f.dirs[1].path());
   revived.port = dead_port;
   revived.bootstrap_tenants["acme"] = TenantQuota{};
   f.servers[1] = MustStart(revived);

@@ -13,14 +13,12 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -164,19 +162,10 @@ void ReadFinalState(WarehouseClient* client, FinalState* out) {
   out->partitions = parts.value();
 }
 
-std::string TempDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "sampwh_crash_" + tag + "_" +
-                          std::to_string(::getpid());
-  // A directory left by an earlier run whose pid this process reuses would
-  // hold that run's catalog and store; start empty.
-  std::filesystem::remove_all(dir);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 TEST(CrashResumeTest, SigkilledIngestReplaysToBitIdenticalState) {
   // --- Uninterrupted reference run -----------------------------------------
-  const std::string ref_dir = TempDir("ref");
+  const ScopedTempDir ref("sampwh_crash_ref");
+  const std::string& ref_dir = ref.path();
   FinalState reference;
   {
     auto server = ServeProcess::Start(ref_dir, ref_dir + "/port");
@@ -196,7 +185,8 @@ TEST(CrashResumeTest, SigkilledIngestReplaysToBitIdenticalState) {
   ASSERT_EQ(reference.partitions.size(), 7u);
 
   // --- Crashed run: SIGKILL mid-ingest at seeded batch indices -------------
-  const std::string crash_dir = TempDir("crash");
+  const ScopedTempDir crash("sampwh_crash_crash");
+  const std::string& crash_dir = crash.path();
   const uint64_t crash_after_batch[] = {2, 5, 9};
   int restart = 0;
   {

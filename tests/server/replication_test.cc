@@ -18,7 +18,6 @@
 // The ~3-round chaos tier runs in ctest; REPL_SOAK=1 runs the long
 // schedule (nightly CI), mirroring the CHAOS_SOAK convention.
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -58,16 +57,6 @@ int ReplChaosRounds() {
   return 3;
 }
 
-std::string TempDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "sampwh_repl_" + tag + "_" +
-                          std::to_string(::getpid());
-  // A directory left by an earlier run whose pid this process reuses would
-  // hold that run's catalog and store; start empty.
-  std::filesystem::remove_all(dir);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
-
 ServerOptions ReplNodeOptions(const std::string& store_dir) {
   ServerOptions options = TestServerOptions(kSeed);
   options.warehouse.merge.footprint_bound_bytes = kBound;
@@ -100,7 +89,7 @@ CoordinatorOptions ReplCoordinatorOptions(uint32_t replication_factor,
 }
 
 struct ReplFixture {
-  std::vector<std::string> dirs;
+  std::vector<ScopedTempDir> dirs;
   std::vector<ShardNodeAddress> nodes;
   std::vector<std::unique_ptr<WarehouseServer>> servers;
   std::unique_ptr<ShardCoordinator> coordinator;
@@ -115,8 +104,8 @@ ReplFixture MakeReplFixture(const std::string& tag, size_t num_nodes,
                             uint32_t replication_factor) {
   ReplFixture f;
   for (size_t i = 0; i < num_nodes; ++i) {
-    f.dirs.push_back(TempDir(tag + std::to_string(i)));
-    auto server = MustStart(ReplNodeOptions(f.dirs.back()));
+    f.dirs.emplace_back("sampwh_repl_" + tag + std::to_string(i));
+    auto server = MustStart(ReplNodeOptions(f.dirs.back().path()));
     if (server == nullptr) return {};
     f.nodes.push_back({server->host(), server->port()});
     f.servers.push_back(std::move(server));
@@ -302,7 +291,7 @@ TEST(ReplicationTest, WriteQuorumToleratesAReplicaOutageAndScrubCompletes) {
   EXPECT_FALSE(accepted.empty());
 
   // Restart the dead node from its durable store on its old port.
-  ServerOptions revived = ReplNodeOptions(f.dirs[2]);
+  ServerOptions revived = ReplNodeOptions(f.dirs[2].path());
   revived.port = f.nodes[2].port;
   revived.bootstrap_tenants["acme"] = TenantQuota{};
   auto restarted = WarehouseServer::Start(revived);
@@ -353,7 +342,7 @@ TEST(ReplicationTest, ScrubHealsCorruptReplicaFromSurvivor) {
   // copy on node 1 (every id lives on both nodes at N=2, R=2).
   const PartitionId victim = f.ids[f.ids.size() / 2];
   const std::string path =
-      f.dirs[1] + "/acme.sales." + std::to_string(victim) + ".sample";
+      f.dirs[1].path() + "/acme.sales." + std::to_string(victim) + ".sample";
   ASSERT_TRUE(std::filesystem::exists(path)) << path;
   {
     std::fstream file(path,
@@ -382,7 +371,7 @@ TEST(ReplicationTest, ScrubHealsCorruptReplicaFromSurvivor) {
 
   // Healed copy is byte-identical to the survivor's on-disk copy.
   const std::string survivor_path =
-      f.dirs[0] + "/acme.sales." + std::to_string(victim) + ".sample";
+      f.dirs[0].path() + "/acme.sales." + std::to_string(victim) + ".sample";
   std::ostringstream healed, survivor;
   healed << std::ifstream(path, std::ios::binary).rdbuf();
   survivor << std::ifstream(survivor_path, std::ios::binary).rdbuf();
@@ -461,8 +450,8 @@ TEST(ReplicationTest, ChaosSingleNodeLossStaysExact) {
   ReplFixture f;
   std::vector<std::unique_ptr<ChaosProxy>> proxies;
   for (size_t i = 0; i < kChaosNodes; ++i) {
-    f.dirs.push_back(TempDir("chaos" + std::to_string(i)));
-    auto server = MustStart(ReplNodeOptions(f.dirs.back()));
+    f.dirs.emplace_back("sampwh_repl_chaos" + std::to_string(i));
+    auto server = MustStart(ReplNodeOptions(f.dirs.back().path()));
     ASSERT_NE(server, nullptr);
     ChaosProxy::Options proxy_options;
     proxy_options.upstream_host = server->host();

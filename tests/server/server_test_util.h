@@ -4,9 +4,16 @@
 #ifndef SAMPWH_TESTS_SERVER_SERVER_TEST_UTIL_H_
 #define SAMPWH_TESTS_SERVER_SERVER_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/core/types.h"
 #include "src/server/client.h"
@@ -29,6 +36,36 @@ inline ServerOptions TestServerOptions(uint64_t seed = 0x5157313136ULL) {
   options.ingest_partition_elements = 256;
   return options;
 }
+
+/// A store directory under the test temp dir, named `name` plus this
+/// process's pid, empty when created and removed with its contents at scope
+/// exit. A directory left by an earlier run whose pid this process reuses
+/// would hold that run's catalog and store, so creation empties it first.
+/// Forked children execv or _exit, so only the creating process removes it.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& name)
+      : path_(::testing::TempDir() + name + "_" +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ScopedTempDir(ScopedTempDir&& other) noexcept
+      : path_(std::exchange(other.path_, {})) {}
+  ScopedTempDir& operator=(ScopedTempDir&& other) noexcept {
+    std::swap(path_, other.path_);
+    return *this;
+  }
+  ~ScopedTempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 inline std::unique_ptr<WarehouseServer> MustStart(ServerOptions options) {
   auto server = WarehouseServer::Start(std::move(options));

@@ -1,5 +1,6 @@
 #include "src/util/serialization.h"
 
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -150,6 +151,18 @@ TEST(FileIoTest, WriteAndReadBack) {
 TEST(FileIoTest, ReadMissingFileIsNotFound) {
   std::string contents;
   EXPECT_TRUE(ReadFile("/nonexistent/dir/file.bin", &contents).IsNotFound());
+}
+
+// Only a missing file reads as absent. A path the kernel refuses for any
+// other reason (here ENAMETOOLONG) is an IO fault: callers retry IOError
+// and would otherwise report a transient fault as a missing partition.
+TEST(FileIoTest, ReadOfUnopenablePathIsIOErrorNotNotFound) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            std::string(NAME_MAX + 1, 'x'))
+                               .string();
+  std::string contents;
+  const Status status = ReadFile(path, &contents);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
 }
 
 TEST(FileIoTest, AtomicWriteReplacesExisting) {

@@ -246,6 +246,58 @@ TYPED_TEST(SampleStoreTest, TornWriteIsIOErrorThenCorruptionOnRead) {
   EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsCorruption());
 }
 
+// One store over two Envs: a torn sample is quarantined by the first read
+// that finds it, on both store types, so it is never served twice.
+TYPED_TEST(SampleStoreTest, TornSampleIsQuarantinedByTheFirstGet) {
+  auto injector = std::make_shared<FaultInjector>(7);
+  this->store_->SetFaultInjector(injector);
+  injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
+  EXPECT_TRUE(this->store_->Put({"ds", 0}, TestSample()).IsIOError());
+  this->store_->SetFaultInjector(nullptr);
+  EXPECT_GT(this->store_->TotalStoredBytes(), 0u);
+
+  EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsCorruption());
+  EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsNotFound());
+  EXPECT_EQ(this->store_->TotalStoredBytes(), 0u);
+  EXPECT_EQ(this->store_->GetStoreStats().quarantines, 1u);
+}
+
+TYPED_TEST(SampleStoreTest, CorruptDigestQuarantinesLikeGet) {
+  auto injector = std::make_shared<FaultInjector>(7);
+  this->store_->SetFaultInjector(injector);
+  injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
+  EXPECT_TRUE(this->store_->Put({"ds", 0}, TestSample()).IsIOError());
+  this->store_->SetFaultInjector(nullptr);
+  EXPECT_TRUE(this->store_->ContentDigest({"ds", 0}).status().IsCorruption());
+  EXPECT_TRUE(this->store_->ContentDigest({"ds", 0}).status().IsNotFound());
+}
+
+TYPED_TEST(SampleStoreTest, RecoverNamesFilesByBasename) {
+  ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample()).ok());
+  auto injector = std::make_shared<FaultInjector>(7);
+  this->store_->SetFaultInjector(injector);
+  injector->Arm(kFaultSitePutWrite, FaultKind::kCrashBeforeRename);
+  EXPECT_TRUE(this->store_->Put({"ds", 1}, TestSample()).IsIOError());
+  injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
+  EXPECT_TRUE(this->store_->Put({"ds", 2}, TestSample()).IsIOError());
+  this->store_->SetFaultInjector(nullptr);
+
+  const auto report = this->store_->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().removed_temps,
+            std::vector<std::string>{"ds.1.sample.tmp"});
+  EXPECT_EQ(report.value().quarantined,
+            std::vector<std::string>{"ds.2.sample"});
+  EXPECT_EQ(this->store_->List("ds").value(), std::vector<PartitionId>{0});
+}
+
+TYPED_TEST(SampleStoreTest, RejectsInvalidDatasetIds) {
+  EXPECT_TRUE(this->store_->Put({"no/slash", 0}, TestSample())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(this->store_->Get({"", 0}).status().IsInvalidArgument());
+  EXPECT_TRUE(this->store_->List("a b").status().IsInvalidArgument());
+}
+
 TYPED_TEST(SampleStoreTest, RecoverQuarantinesTornSample) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample(111)).ok());
   auto injector = std::make_shared<FaultInjector>(7);
