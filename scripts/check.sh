@@ -113,6 +113,13 @@ if [[ "${mode}" == "full" ]]; then
   ctest --test-dir build-check/asan -R "^(GoldenDigest|QueryCache|Warehouse)" \
     --output-on-failure
 
+  # Frame re-gate under ASan/UBSan: the one CRC frame codec that the wire
+  # and the checkpoint WAL share, parsed at every cut and byte flip.
+  echo "=== [asan] frame codec gate ==="
+  ctest --test-dir build-check/asan -R \
+    "^(Frame|CheckpointDelta|WireTest|WireFuzz|ProtocolRobustness)" \
+    --output-on-failure
+
   # Store re-gate under ASan/UBSan: MemEnv, torn-prefix writes and WAL
   # truncation all do offset arithmetic on strings; the Env conformance
   # suite runs both Envs, the store suites run the one store over each.

@@ -38,12 +38,6 @@ void PutScope(BinaryWriter* w, const std::string& tenant,
   w->PutString(dataset);
 }
 
-void PutQuota(BinaryWriter* w, const TenantQuota& q) {
-  w->PutVarint64(q.max_bytes);
-  w->PutVarint64(q.max_partitions);
-  w->PutVarint64(q.max_datasets);
-}
-
 /// Verbs the retry driver may transparently re-attempt after a transport
 /// failure. Reads and listings are naturally idempotent; the streaming
 /// ingest verbs are idempotent by construction (the server's sequence
@@ -345,7 +339,7 @@ Status WarehouseClient::CreateTenant(const std::string& tenant,
                                      const TenantQuota& quota) {
   BinaryWriter body;
   body.PutString(tenant);
-  PutQuota(&body, quota);
+  PutTenantQuota(&body, quota);
   return Call(Verb::kCreateTenant, body.Release()).status();
 }
 
@@ -353,7 +347,7 @@ Status WarehouseClient::SetTenantQuota(const std::string& tenant,
                                        const TenantQuota& quota) {
   BinaryWriter body;
   body.PutString(tenant);
-  PutQuota(&body, quota);
+  PutTenantQuota(&body, quota);
   return Call(Verb::kSetTenantQuota, body.Release()).status();
 }
 
@@ -365,9 +359,7 @@ Result<TenantStats> WarehouseClient::GetTenantStats(
                           Call(Verb::kTenantStats, body.Release()));
   BinaryReader reader(resp.body());
   TenantStats stats;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.quota.max_bytes));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.quota.max_partitions));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.quota.max_datasets));
+  SAMPWH_RETURN_IF_ERROR(GetTenantQuota(&reader, &stats.quota));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.usage.bytes));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.usage.partitions));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&stats.usage.datasets));

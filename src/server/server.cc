@@ -30,18 +30,6 @@ namespace {
 constexpr PartitionId kProvisionalIdBase = 1ull << 62;
 std::atomic<uint64_t> g_provisional_nonce{0};
 
-void PutQuota(BinaryWriter* w, const TenantQuota& q) {
-  w->PutVarint64(q.max_bytes);
-  w->PutVarint64(q.max_partitions);
-  w->PutVarint64(q.max_datasets);
-}
-
-Status GetQuotaBody(BinaryReader* r, TenantQuota* q) {
-  SAMPWH_RETURN_IF_ERROR(r->GetVarint64(&q->max_bytes));
-  SAMPWH_RETURN_IF_ERROR(r->GetVarint64(&q->max_partitions));
-  return r->GetVarint64(&q->max_datasets);
-}
-
 }  // namespace
 
 WarehouseServer::WarehouseServer(ServerOptions options,
@@ -433,7 +421,7 @@ Status WarehouseServer::HandleCreateTenant(BinaryReader& req) {
   std::string tenant;
   SAMPWH_RETURN_IF_ERROR(req.GetString(&tenant));
   TenantQuota quota;
-  SAMPWH_RETURN_IF_ERROR(GetQuotaBody(&req, &quota));
+  SAMPWH_RETURN_IF_ERROR(GetTenantQuota(&req, &quota));
   return tenants_.CreateTenant(tenant, quota);
 }
 
@@ -441,7 +429,7 @@ Status WarehouseServer::HandleSetTenantQuota(BinaryReader& req) {
   std::string tenant;
   SAMPWH_RETURN_IF_ERROR(req.GetString(&tenant));
   TenantQuota quota;
-  SAMPWH_RETURN_IF_ERROR(GetQuotaBody(&req, &quota));
+  SAMPWH_RETURN_IF_ERROR(GetTenantQuota(&req, &quota));
   return tenants_.SetQuota(tenant, quota);
 }
 
@@ -451,7 +439,7 @@ Status WarehouseServer::HandleTenantStats(BinaryReader& req,
   SAMPWH_RETURN_IF_ERROR(req.GetString(&tenant));
   SAMPWH_ASSIGN_OR_RETURN(const TenantQuota quota, tenants_.GetQuota(tenant));
   SAMPWH_ASSIGN_OR_RETURN(const TenantUsage usage, tenants_.GetUsage(tenant));
-  PutQuota(&resp, quota);
+  PutTenantQuota(&resp, quota);
   resp.PutVarint64(usage.bytes);
   resp.PutVarint64(usage.partitions);
   resp.PutVarint64(usage.datasets);
@@ -598,10 +586,8 @@ Status WarehouseServer::HandleReplicaRollIn(BinaryReader& req,
                           PartitionSample::DeserializeWhole(blob));
   const bool heal = (rflags & kReplicaRollInFlagHeal) != 0;
   // The wire blob IS the serialized payload the store envelopes, so its
-  // folded CRC matches SampleStore::ContentDigest of a stored copy.
-  const uint64_t incoming =
-      (static_cast<uint64_t>(Crc32(blob)) << 32) |
-      (static_cast<uint64_t>(blob.size()) & 0xffffffffull);
+  // digest matches SampleStore::ContentDigest of a stored copy.
+  const uint64_t incoming = ContentDigest(blob);
 
   // Idempotent apply: an identical existing copy acks as success, so the
   // client retries replica writes freely after a transport error.

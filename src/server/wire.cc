@@ -12,16 +12,6 @@
 
 namespace sampwh {
 
-namespace {
-
-uint32_t ReadFixed32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // little-endian hosts only, matching util/serialization
-}
-
-}  // namespace
-
 bool IsKnownVerb(uint32_t verb) {
   switch (static_cast<Verb>(verb)) {
     case Verb::kPing:
@@ -122,31 +112,16 @@ Status GetValueBlock(BinaryReader* reader, std::vector<Value>* values) {
   return Status::OK();
 }
 
-std::string EncodeFrame(std::string_view payload) {
-  BinaryWriter writer;
-  writer.PutFixed32(static_cast<uint32_t>(payload.size()));
-  writer.PutFixed32(Crc32(payload));
-  writer.PutRaw(payload.data(), payload.size());
-  return writer.Release();
+void PutTenantQuota(BinaryWriter* writer, const TenantQuota& quota) {
+  writer->PutVarint64(quota.max_bytes);
+  writer->PutVarint64(quota.max_partitions);
+  writer->PutVarint64(quota.max_datasets);
 }
 
-FrameDecodeResult DecodeFrame(std::string_view buffer,
-                              uint32_t max_frame_bytes,
-                              std::string_view* payload, size_t* frame_bytes) {
-  if (buffer.size() < kWireFrameHeaderBytes) {
-    return FrameDecodeResult::kNeedMoreData;
-  }
-  const uint32_t length = ReadFixed32(buffer.data());
-  const uint32_t crc = ReadFixed32(buffer.data() + 4);
-  if (length > max_frame_bytes) return FrameDecodeResult::kOversized;
-  if (buffer.size() < kWireFrameHeaderBytes + length) {
-    return FrameDecodeResult::kNeedMoreData;
-  }
-  const std::string_view body = buffer.substr(kWireFrameHeaderBytes, length);
-  if (Crc32(body) != crc) return FrameDecodeResult::kBadCrc;
-  *payload = body;
-  *frame_bytes = kWireFrameHeaderBytes + length;
-  return FrameDecodeResult::kOk;
+Status GetTenantQuota(BinaryReader* reader, TenantQuota* quota) {
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&quota->max_bytes));
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&quota->max_partitions));
+  return reader->GetVarint64(&quota->max_datasets);
 }
 
 void BeginRequest(BinaryWriter* writer, Verb verb,
@@ -256,11 +231,9 @@ void ResponseFrame::SealOk(bool length_prefixed) {
   BinaryWriter head;
   BeginResponse(&head, Status::OK());
   prepend(head.buffer());
-  const std::string_view payload(p, end - p);
-  BinaryWriter header;
-  header.PutFixed32(static_cast<uint32_t>(payload.size()));
-  header.PutFixed32(Crc32(payload));
-  prepend(header.buffer());
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(header, std::string_view(p, end - p));
+  prepend(std::string_view(header, sizeof(header)));
   start_ = p - frame;
 }
 
@@ -310,22 +283,22 @@ Status WriteFrame(int fd, std::string_view payload) {
 }
 
 Status ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload) {
-  std::string header;
-  SAMPWH_RETURN_IF_ERROR(ReadExact(fd, kWireFrameHeaderBytes, &header));
-  const uint32_t length = ReadFixed32(header.data());
-  const uint32_t crc = ReadFixed32(header.data() + 4);
-  if (length > max_frame_bytes) {
-    return Status::OutOfRange("frame of " + std::to_string(length) +
+  std::string header_bytes;
+  SAMPWH_RETURN_IF_ERROR(ReadExact(fd, kFrameHeaderBytes, &header_bytes));
+  FrameHeader header;
+  if (DecodeFrameHeader(header_bytes, max_frame_bytes, &header) ==
+      FrameDecodeResult::kOversized) {
+    return Status::OutOfRange("frame of " + std::to_string(header.length) +
                               " bytes exceeds the " +
                               std::to_string(max_frame_bytes) + "-byte bound");
   }
   std::string body;
-  const Status read = ReadExact(fd, length, &body);
+  const Status read = ReadExact(fd, header.length, &body);
   if (!read.ok()) {
     // EOF exactly between header and body is still a mid-frame tear.
     return read.IsNotFound() ? Status::IOError(read.message()) : read;
   }
-  if (Crc32(body) != crc) {
+  if (!FramePayloadMatches(header, body)) {
     return Status::Corruption("frame CRC mismatch");
   }
   *payload = std::move(body);

@@ -1,6 +1,6 @@
 // Wire protocol of the warehouse server: length-prefixed, CRC-framed binary
-// frames over TCP, following the same framing convention as the checkpoint
-// delta WAL (util/serialization):
+// frames over TCP. The frame is the one util/serialization defines (and the
+// checkpoint WAL stores), bounded here by max_frame_bytes:
 //
 //   fixed32  payload length  (little-endian; bounded by max_frame_bytes)
 //   fixed32  CRC-32 of the payload
@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/core/types.h"
+#include "src/server/tenant.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
 
@@ -59,7 +60,6 @@ namespace sampwh {
 inline constexpr uint32_t kWireRequestMagic = 0x51525753;    // "SWRQ"
 inline constexpr uint32_t kWireRequestMagicV2 = 0x32525753;  // "SWR2"
 inline constexpr uint32_t kWireResponseMagic = 0x53525753;   // "SWRS"
-inline constexpr size_t kWireFrameHeaderBytes = 8;
 /// Default per-frame payload bound. Large enough for any sample under the
 /// warehouse's footprint discipline; small enough that a garbage length
 /// field can never drive an allocation of gigabytes.
@@ -106,23 +106,12 @@ void PutValueBlock(BinaryWriter* writer, std::span<const Value> values);
 /// rejected before anything is allocated. Never reads past the input.
 Status GetValueBlock(BinaryReader* reader, std::vector<Value>* values);
 
-/// Frames `payload` for the wire: header (length + CRC) then payload bytes.
-std::string EncodeFrame(std::string_view payload);
+/// Appends a tenant quota body: max_bytes, max_partitions, max_datasets,
+/// one varint each.
+void PutTenantQuota(BinaryWriter* writer, const TenantQuota& quota);
 
-/// Outcome of pulling one frame out of a byte buffer.
-enum class FrameDecodeResult {
-  kOk,            ///< *payload points into `buffer`; *consumed advanced
-  kNeedMoreData,  ///< the buffer holds a prefix of a valid-looking frame
-  kOversized,     ///< declared length exceeds `max_frame_bytes`
-  kBadCrc,        ///< payload bytes fail the CRC check
-};
-
-/// Attempts to decode one frame from the front of `buffer`. On kOk,
-/// `*payload` views the payload inside `buffer` and `*frame_bytes` is the
-/// total frame size to consume. kOversized and kBadCrc are unrecoverable
-/// for the connection (framing is lost); the caller should drop it.
-FrameDecodeResult DecodeFrame(std::string_view buffer, uint32_t max_frame_bytes,
-                              std::string_view* payload, size_t* frame_bytes);
+/// Decodes a tenant quota body written by PutTenantQuota.
+Status GetTenantQuota(BinaryReader* reader, TenantQuota* quota);
 
 /// Request-header flag bits (RequestHeader::flags). Wire format — append,
 /// never renumber.
@@ -198,7 +187,7 @@ class ResponseFrame {
   // Frame header, the OK head (magic, code, empty message), and room for
   // the varint length of a length-prefixed body.
   static constexpr size_t kHeadroomBytes =
-      kWireFrameHeaderBytes + 9 + kMaxVarint64Bytes;
+      kFrameHeaderBytes + 9 + kMaxVarint64Bytes;
 
   // The headroom, then the body; after a Seal, the frame from start_ on.
   BinaryWriter body_;

@@ -284,6 +284,66 @@ uint32_t Crc32(std::string_view data) {
   return SliceBy8Update(crc, p, n) ^ 0xFFFFFFFFu;
 }
 
+uint64_t ContentDigest(std::string_view payload) {
+  return (static_cast<uint64_t>(Crc32(payload)) << 32) |
+         (static_cast<uint64_t>(payload.size()) & 0xffffffffull);
+}
+
+void EncodeFrameHeader(char* out, std::string_view payload) {
+  const uint32_t fields[] = {static_cast<uint32_t>(payload.size()),
+                             Crc32(payload)};
+  for (const uint32_t v : fields) {
+    for (int i = 0; i < 4; ++i) *out++ = static_cast<char>(v >> (8 * i));
+  }
+}
+
+void AppendFrame(std::string* out, std::string_view payload) {
+  const size_t at = out->size();
+  out->resize(at + kFrameHeaderBytes);
+  EncodeFrameHeader(out->data() + at, payload);
+  out->append(payload);
+}
+
+std::string EncodeFrame(std::string_view payload) {
+  std::string frame;
+  AppendFrame(&frame, payload);
+  return frame;
+}
+
+FrameDecodeResult DecodeFrameHeader(std::string_view buffer,
+                                    uint32_t max_frame_bytes,
+                                    FrameHeader* header) {
+  if (buffer.size() < kFrameHeaderBytes) {
+    return FrameDecodeResult::kNeedMoreData;
+  }
+  const auto* p = reinterpret_cast<const unsigned char*>(buffer.data());
+  header->length = LoadLittleEndian32(p);
+  header->crc = LoadLittleEndian32(p + 4);
+  return header->length > max_frame_bytes ? FrameDecodeResult::kOversized
+                                          : FrameDecodeResult::kOk;
+}
+
+bool FramePayloadMatches(const FrameHeader& header, std::string_view payload) {
+  return Crc32(payload) == header.crc;
+}
+
+FrameDecodeResult DecodeFrame(std::string_view buffer,
+                              uint32_t max_frame_bytes,
+                              std::string_view* payload, size_t* frame_bytes) {
+  FrameHeader header;
+  const FrameDecodeResult parsed =
+      DecodeFrameHeader(buffer, max_frame_bytes, &header);
+  if (parsed != FrameDecodeResult::kOk) return parsed;
+  if (buffer.size() - kFrameHeaderBytes < header.length) {
+    return FrameDecodeResult::kNeedMoreData;
+  }
+  const std::string_view body = buffer.substr(kFrameHeaderBytes, header.length);
+  if (!FramePayloadMatches(header, body)) return FrameDecodeResult::kBadCrc;
+  *payload = body;
+  *frame_bytes = kFrameHeaderBytes + header.length;
+  return FrameDecodeResult::kOk;
+}
+
 std::string WrapSampleEnvelope(std::string_view payload) {
   BinaryWriter writer;
   writer.PutFixed32(kSampleEnvelopeMagic);

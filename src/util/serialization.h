@@ -158,6 +158,60 @@ uint32_t Crc32(std::string_view data);
 /// the reference the dispatched Crc32 must agree with on every input.
 uint32_t Crc32SliceBy8(std::string_view data);
 
+/// Content digest of a serialized payload: its CRC-32 in the high half, its
+/// length (mod 2^32) in the low half. A sample serializes to the same bytes
+/// on every node, so replicas holding equal digests hold equal content.
+uint64_t ContentDigest(std::string_view payload);
+
+// --- The CRC frame -----------------------------------------------------------
+//
+// Every wire request and response and every checkpoint WAL record is one
+// frame: fixed32 payload length (little-endian, bounded by the reader),
+// fixed32 CRC-32 of the payload, then the payload. A WAL is a run of
+// frames, so a tear or a bit flip is caught at the record it hits and the
+// frames before it stay readable. The sample envelope below has a header
+// of its own and is not a frame.
+
+inline constexpr size_t kFrameHeaderBytes = 8;
+
+/// Writes the header (length, CRC) of the frame of `payload` to the
+/// kFrameHeaderBytes at `out`.
+void EncodeFrameHeader(char* out, std::string_view payload);
+/// Appends the frame of `payload` to `*out`, or returns it on its own.
+void AppendFrame(std::string* out, std::string_view payload);
+std::string EncodeFrame(std::string_view payload);
+
+/// Outcome of pulling one frame out of a byte buffer.
+enum class FrameDecodeResult {
+  kOk,            ///< *payload points into `buffer`; *frame_bytes set
+  kNeedMoreData,  ///< the buffer holds a prefix of a valid-looking frame
+  kOversized,     ///< declared length exceeds `max_frame_bytes`
+  kBadCrc,        ///< payload bytes fail the CRC check
+};
+
+/// A frame header as read, before the payload is checked.
+struct FrameHeader {
+  uint32_t length = 0;
+  uint32_t crc = 0;
+};
+
+/// Parses the header at the front of `buffer` and applies the length bound:
+/// kNeedMoreData when fewer than kFrameHeaderBytes are there, kOversized
+/// when the declared length exceeds `max_frame_bytes`, else kOk.
+FrameDecodeResult DecodeFrameHeader(std::string_view buffer,
+                                    uint32_t max_frame_bytes,
+                                    FrameHeader* header);
+
+/// True when `payload` (header.length bytes) has the CRC `header` declares.
+bool FramePayloadMatches(const FrameHeader& header, std::string_view payload);
+
+/// Attempts to decode one frame from the front of `buffer`. On kOk,
+/// `*payload` views the payload inside `buffer` and `*frame_bytes` is the
+/// total frame size to consume. kOversized and kBadCrc are unrecoverable
+/// for a stream (framing is lost); the caller should drop it.
+FrameDecodeResult DecodeFrame(std::string_view buffer, uint32_t max_frame_bytes,
+                              std::string_view* payload, size_t* frame_bytes);
+
 // --- Versioned sample-file envelope (on-disk format v2) --------------------
 //
 // Every persisted sample is framed so that truncated, torn or bit-rotted
@@ -185,13 +239,12 @@ inline constexpr size_t kSampleEnvelopeHeaderBytes = 20;
 //   kCheckpointRecordMagic          — a StreamIngestor ingest checkpoint
 //                                     (which embeds a sampler-state record)
 //   kCheckpointDeltaRecordMagic     — a delta-journal record chained onto a
-//                                     checkpoint snapshot (WAL framing, not
-//                                     the envelope: each record carries its
-//                                     own length+CRC header)
+//                                     checkpoint snapshot (one frame of the
+//                                     checkpoint WAL, not the envelope)
 //
 // The first three ride through WrapSampleEnvelope / UnwrapSampleEnvelope,
 // so the CRC layer verifies every persisted record kind uniformly; delta
-// records are CRC-framed per record inside the checkpoint WAL instead.
+// records are verified by their frame instead.
 inline constexpr uint32_t kSamplerStateRecordMagic = 0x53535753;  // "SWSS"
 inline constexpr uint32_t kCheckpointRecordMagic = 0x504b4357;    // "WCKP"
 inline constexpr uint32_t kCheckpointDeltaRecordMagic = 0x544C4457;  // "WDLT"

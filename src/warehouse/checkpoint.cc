@@ -15,7 +15,7 @@ constexpr uint64_t kCheckpointDeltaVersion = 1;
 
 /// Upper bound on one WAL record payload; a parsed length past it is
 /// treated as the torn tail rather than attempted as an allocation.
-constexpr uint64_t kMaxWalRecordBytes = 256ull << 20;
+constexpr uint32_t kMaxWalRecordBytes = 256u << 20;
 
 }  // namespace
 
@@ -203,37 +203,19 @@ Status VerifyCheckpointDeltaPayload(std::string_view bytes) {
   return Status::OK();
 }
 
-void AppendCheckpointWalFrame(std::string* wal, std::string_view payload) {
-  BinaryWriter header;
-  header.PutFixed32(static_cast<uint32_t>(payload.size()));
-  header.PutFixed32(Crc32(payload));
-  wal->append(header.buffer());
-  wal->append(payload);
-}
-
 CheckpointWalParse ParseCheckpointWal(std::string_view wal) {
   CheckpointWalParse parse;
-  size_t pos = 0;
-  while (pos < wal.size()) {
-    BinaryReader reader(wal.substr(pos));
-    uint32_t length;
-    uint32_t crc;
-    if (!reader.GetFixed32(&length).ok() || !reader.GetFixed32(&crc).ok() ||
-        length > kMaxWalRecordBytes ||
-        length > wal.size() - pos - kCheckpointWalFrameBytes) {
-      parse.torn_tail = true;
-      break;
-    }
-    const std::string_view payload =
-        wal.substr(pos + kCheckpointWalFrameBytes, length);
-    if (Crc32(payload) != crc) {
+  while (parse.valid_bytes < wal.size()) {
+    std::string_view payload;
+    size_t frame_bytes = 0;
+    if (DecodeFrame(wal.substr(parse.valid_bytes), kMaxWalRecordBytes,
+                    &payload, &frame_bytes) != FrameDecodeResult::kOk) {
       parse.torn_tail = true;
       break;
     }
     parse.records.emplace_back(payload);
-    pos += kCheckpointWalFrameBytes + length;
+    parse.valid_bytes += frame_bytes;
   }
-  parse.valid_bytes = pos;
   return parse;
 }
 

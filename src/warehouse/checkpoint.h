@@ -135,7 +135,7 @@ struct CheckpointDeltaRecord {
 
   /// Encodes the record (leading kCheckpointDeltaRecordMagic, version,
   /// kind). The result is one WAL record payload — frame it with
-  /// AppendCheckpointWalFrame before persisting.
+  /// AppendFrame (util/serialization) before persisting.
   std::string Serialize() const;
 
   /// Decodes and structurally validates a record produced by Serialize().
@@ -147,20 +147,6 @@ struct CheckpointDeltaRecord {
 /// scans truncate a WAL at the first record that fails this.
 Status VerifyCheckpointDeltaPayload(std::string_view bytes);
 
-// WAL framing: each record is
-//
-//   fixed32  payload length
-//   fixed32  CRC-32 of the payload
-//   payload  a CheckpointDeltaRecord encoding
-//
-// so a tear (a partially appended group at the tail) or a bit flip is
-// detected per record and the intact prefix stays loadable.
-
-inline constexpr size_t kCheckpointWalFrameBytes = 8;
-
-/// Appends one CRC-framed record to `wal`.
-void AppendCheckpointWalFrame(std::string* wal, std::string_view payload);
-
 struct CheckpointWalParse {
   /// Record payloads whose framing and CRC verified, in append order.
   std::vector<std::string> records;
@@ -170,8 +156,10 @@ struct CheckpointWalParse {
   bool torn_tail = false;
 };
 
-/// Scans `wal` front to back, stopping at the first record whose frame or
-/// CRC fails. Structural only — record payloads are not decoded here.
+/// Scans `wal` — a run of frames (util/serialization), one per record —
+/// front to back, stopping at the first frame that does not decode: a tear
+/// at the tail or a bit flip ends the scan, and the intact prefix stays
+/// loadable. Structural only — record payloads are not decoded here.
 CheckpointWalParse ParseCheckpointWal(std::string_view wal);
 
 /// One snapshot generation plus its delta journal, as read back from a

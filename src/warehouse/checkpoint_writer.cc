@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/util/serialization.h"
 #include "src/warehouse/warehouse.h"
 
 namespace sampwh {
@@ -182,7 +183,7 @@ void CheckpointWriter::DrainChannel(Channel* ch) {
       if (status.ok()) {
         for (const std::string& record : batch) {
           ch->wal_bytes_since_snapshot_ +=
-              kCheckpointWalFrameBytes + record.size();
+              kFrameHeaderBytes + record.size();
         }
         ch->wal_records_since_snapshot_ += batch.size();
       } else {

@@ -1,7 +1,7 @@
 // Background checkpoint writer: takes checkpoint persistence off the ingest
 // hot path.
 //
-// An ingest thread never writes a checkpoint itself in asynchronous mode.
+// An ingest thread never writes a cadence checkpoint itself.
 // It snapshots its state into a small Slot and pushes it onto a per-stream
 // SPSC ring; a single dedicated writer thread drains every registered
 // channel on a group-commit cadence and performs the actual store IO:

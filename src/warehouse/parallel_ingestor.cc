@@ -113,7 +113,7 @@ ParallelIngestor::ParallelIngestor(Warehouse* warehouse, DatasetId dataset,
                            ShardRouter::HashBytes(dataset_) ^ kStripeRngSalt
                      : 0) {
   SAMPWH_CHECK(warehouse_ != nullptr);
-  if (options_.enable_checkpoints && !options_.checkpoint_policy.synchronous) {
+  if (options_.enable_checkpoints) {
     CheckpointWriter::Options writer_options;
     writer_options.group_commit_micros =
         options_.checkpoint_policy.group_commit_micros;

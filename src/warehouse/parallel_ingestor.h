@@ -53,10 +53,9 @@ struct ParallelIngestOptions {
   size_t max_producers = 16;
   /// Give every stripe ingestor a checkpoint cursor under
   /// "<dataset>#s<stripe>" and this cadence policy, making the whole
-  /// parallel run crash-resumable via Resume(). Unless
-  /// checkpoint_policy.synchronous, all stripes share ONE background
-  /// CheckpointWriter, so per-stripe delta cadences cost one extra thread
-  /// total, not one per stripe.
+  /// parallel run crash-resumable via Resume(). All stripes share ONE
+  /// background CheckpointWriter, so per-stripe delta cadences cost one
+  /// extra thread total, not one per stripe.
   bool enable_checkpoints = false;
   CheckpointPolicy checkpoint_policy;
   /// Capacity of each stripe's checkpoint ring into the shared writer.
@@ -185,8 +184,8 @@ class ParallelIngestor {
   /// Pcg64(seed_base_, k) — order-independent and resume-stable.
   uint64_t seed_base_;
 
-  /// Shared background checkpoint writer for all stripes (asynchronous
-  /// checkpoint mode only). Declared before stripes_ so it is destroyed
+  /// Shared background checkpoint writer for all stripes (set when
+  /// checkpoints are enabled). Declared before stripes_ so it is destroyed
   /// AFTER them — stripe channels stay valid for the stripes' lifetime.
   std::unique_ptr<CheckpointWriter> ckpt_writer_;
 

@@ -41,10 +41,8 @@ Status VerifySampleBytes(const std::string& bytes) {
   return sample.Validate();
 }
 
-// Content digest of stored sample bytes: CRC32 of the serialized payload
-// (envelope stripped, CRC verified) folded with the payload length. The
-// same sample serializes to the same bytes on every node, so equal digests
-// across replicas mean equal stored content.
+// ContentDigest of the serialized payload inside stored sample bytes
+// (envelope stripped, CRC verified).
 Result<uint64_t> DigestStoredSample(const std::string& bytes) {
   std::string_view payload(bytes);
   if (HasSampleEnvelope(bytes)) {
@@ -54,8 +52,7 @@ Result<uint64_t> DigestStoredSample(const std::string& bytes) {
     // trusting its bytes as content.
     SAMPWH_RETURN_IF_ERROR(DeserializeSample(bytes).status());
   }
-  return (static_cast<uint64_t>(Crc32(payload)) << 32) |
-         (static_cast<uint64_t>(payload.size()) & 0xffffffffull);
+  return ContentDigest(payload);
 }
 
 bool HasSuffix(const std::string& name, std::string_view suffix) {
@@ -91,7 +88,7 @@ bool ParseGenerationName(const std::string& name, std::string_view suffix,
 std::string FrameWalBatch(const std::vector<std::string>& records) {
   std::string batch;
   for (const std::string& record : records) {
-    AppendCheckpointWalFrame(&batch, record);
+    AppendFrame(&batch, record);
   }
   return batch;
 }
@@ -104,7 +101,7 @@ size_t DeepVerifiedWalPrefix(std::string_view wal) {
   size_t valid = 0;
   for (const std::string& record : parse.records) {
     if (!VerifyCheckpointDeltaPayload(record).ok()) break;
-    valid += kCheckpointWalFrameBytes + record.size();
+    valid += kFrameHeaderBytes + record.size();
   }
   return valid;
 }

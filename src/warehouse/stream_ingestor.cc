@@ -85,17 +85,13 @@ Status StreamIngestor::CompletePendingClose() {
   // replaying the partition's elements into a duplicate. A failure here
   // leaves pending_ set; the next append (or an explicit Checkpoint())
   // retries the whole close. This is the one cadenceless write that stays
-  // a synchronous barrier even in asynchronous mode — exactly-once replay
-  // depends on A being durable before the roll-in it describes.
-  if (checkpoints_enabled_ && !pending_->checkpointed) {
-    if (channel_ != nullptr) {
-      SAMPWH_RETURN_IF_ERROR(
-          channel_->WriteDurableClose(BuildCheckpointPayload()));
-      anchored_ = true;
-      ResetCadence();
-    } else {
-      SAMPWH_RETURN_IF_ERROR(WriteCheckpoint());
-    }
+  // a synchronous barrier — exactly-once replay depends on A being durable
+  // before the roll-in it describes.
+  if (channel_ != nullptr && !pending_->checkpointed) {
+    SAMPWH_RETURN_IF_ERROR(
+        channel_->WriteDurableClose(BuildCheckpointPayload()));
+    anchored_ = true;
+    ResetCadence();
     pending_->checkpointed = true;
   }
   SAMPWH_ASSIGN_OR_RETURN(
@@ -107,7 +103,7 @@ Status StreamIngestor::CompletePendingClose() {
   // Checkpoint B clears the pending record. Best effort: if it is lost, a
   // resume from checkpoint A finds the rolled-in partition at or above
   // id_lower_bound and adopts it instead of rolling in twice.
-  if (checkpoints_enabled_) WriteCloseComplete();
+  if (channel_ != nullptr) WriteCloseComplete();
   return Status::OK();
 }
 
@@ -142,15 +138,11 @@ Status StreamIngestor::WriteCheckpoint() {
 }
 
 void StreamIngestor::WriteCloseComplete() {
-  if (channel_ != nullptr) {
-    // A state-complete close record (pending just cleared): rides the WAL
-    // as the newest resume point without rotating a snapshot generation.
-    channel_->PushClose(BuildCheckpointPayload());
-    anchored_ = true;
-    ResetCadence();
-  } else {
-    WriteCheckpoint();
-  }
+  // A state-complete close record (pending just cleared): rides the WAL as
+  // the newest resume point without rotating a snapshot generation.
+  channel_->PushClose(BuildCheckpointPayload());
+  anchored_ = true;
+  ResetCadence();
 }
 
 void StreamIngestor::ResetCadence() {
@@ -159,7 +151,7 @@ void StreamIngestor::ResetCadence() {
 }
 
 void StreamIngestor::MaybeCheckpoint() {
-  if (!checkpoints_enabled_ || pending_.has_value()) return;
+  if (channel_ == nullptr || pending_.has_value()) return;
   const bool by_count = policy_.every_n_elements > 0 &&
                         elements_since_checkpoint_ >= policy_.every_n_elements;
   const bool by_time =
@@ -170,10 +162,6 @@ void StreamIngestor::MaybeCheckpoint() {
   // Cadence checkpoints are an optimization of resume granularity, not a
   // correctness requirement — a failed write (or a full ring) only means
   // more replay.
-  if (channel_ == nullptr) {
-    WriteCheckpoint();
-    return;
-  }
   if (!anchored_ || snapshot_requested_ || channel_->TakeWantsSnapshot()) {
     // Anchor or compaction point: a full snapshot rotates the generation
     // and resets the delta chain.
@@ -195,31 +183,19 @@ void StreamIngestor::MaybeCheckpoint() {
   if (channel_->OfferDelta(record)) ResetCadence();
 }
 
-void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy) {
-  checkpoints_enabled_ = true;
+void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy,
+                                       CheckpointWriter* writer) {
   policy_ = policy;
-  if (policy.synchronous || channel_ != nullptr) return;
-  if (owned_writer_ == nullptr) {
+  if (channel_ != nullptr) return;
+  if (writer == nullptr) {
     CheckpointWriter::Options options;
     options.group_commit_micros = policy.group_commit_micros;
     options.snapshot_every_wal_bytes = policy.snapshot_every_wal_bytes;
     options.snapshot_every_deltas = policy.snapshot_every_deltas;
     owned_writer_ = std::make_unique<CheckpointWriter>(warehouse_, options);
+    writer = owned_writer_.get();
   }
-  channel_ = owned_writer_->AddChannel(dataset_, checkpoint_key_, anchored_);
-}
-
-void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy,
-                                       CheckpointWriter* writer) {
-  if (policy.synchronous || writer == nullptr) {
-    EnableCheckpoints(policy);
-    return;
-  }
-  checkpoints_enabled_ = true;
-  policy_ = policy;
-  if (channel_ == nullptr) {
-    channel_ = writer->AddChannel(dataset_, checkpoint_key_, anchored_);
-  }
+  channel_ = writer->AddChannel(dataset_, checkpoint_key_, anchored_);
 }
 
 Status StreamIngestor::Checkpoint() {
@@ -227,9 +203,6 @@ Status StreamIngestor::Checkpoint() {
     // Finish the interrupted close first so the checkpoint reflects a
     // settled state (and records the roll-in as complete).
     SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
-    // In synchronous mode checkpoint B was just written inline; in
-    // asynchronous mode it is only queued, so fall through to the barrier.
-    if (checkpoints_enabled_ && channel_ == nullptr) return Status::OK();
   }
   if (channel_ != nullptr) {
     SAMPWH_RETURN_IF_ERROR(

@@ -34,9 +34,9 @@ namespace sampwh {
 /// partition close (the two-phase close protocol), and Checkpoint() forces
 /// one at any time.
 ///
-/// By default checkpoints are ASYNCHRONOUS: the ingest thread snapshots its
-/// state into a lock-free ring and a background CheckpointWriter performs
-/// the store IO — cadence checkpoints become delta-journal appends that are
+/// Checkpoints are ASYNCHRONOUS: the ingest thread snapshots its state into
+/// a lock-free ring and a background CheckpointWriter performs the store
+/// IO — cadence checkpoints become delta-journal appends that are
 /// group-committed off the hot path. Only two writes stay synchronous with
 /// ingest: checkpoint A of a partition close (the exactly-once barrier) and
 /// an explicit Checkpoint() call.
@@ -46,14 +46,10 @@ struct CheckpointPolicy {
   /// Checkpoint when the event-time clock advanced this many ticks since
   /// the last checkpoint (0: off).
   uint64_t every_t_ticks = 0;
-  /// Legacy mode: every cadence checkpoint is a full snapshot written
-  /// inline on the ingest thread.
-  bool synchronous = false;
-  /// Asynchronous mode: how long a queued delta may wait before the writer
-  /// group-commits it.
+  /// How long a queued delta may wait before the writer group-commits it.
   uint64_t group_commit_micros = 2000;
-  /// Asynchronous mode: rotate a fresh full snapshot once the delta journal
-  /// since the last one exceeds either bound.
+  /// Rotate a fresh full snapshot once the delta journal since the last one
+  /// exceeds either bound.
   uint64_t snapshot_every_wal_bytes = 1ull << 20;
   uint64_t snapshot_every_deltas = 1024;
 };
@@ -104,18 +100,14 @@ class StreamIngestor {
   Status Flush();
 
   /// Turns on the checkpoint protocol (cadence per `policy`; a zero policy
-  /// still checkpoints around partition closes and on Checkpoint()). Unless
-  /// policy.synchronous, the ingestor creates its own background
-  /// CheckpointWriter.
-  void EnableCheckpoints(const CheckpointPolicy& policy);
-
-  /// Variant sharing an external CheckpointWriter (ParallelIngestor runs
-  /// one writer for all stripes). `writer` must outlive the ingestor.
+  /// still checkpoints around partition closes and on Checkpoint()) through
+  /// `writer` — ParallelIngestor shares one across its stripes; it must
+  /// outlive the ingestor — or, when null, a CheckpointWriter of its own.
   void EnableCheckpoints(const CheckpointPolicy& policy,
-                         CheckpointWriter* writer);
+                         CheckpointWriter* writer = nullptr);
 
-  /// Forces a durable checkpoint of the current state now (in asynchronous
-  /// mode this is a barrier through the background writer).
+  /// Forces a durable checkpoint of the current state now (a barrier
+  /// through the background writer once checkpoints are enabled).
   Status Checkpoint();
 
   /// Reopens ingestion from the newest state-complete record of `dataset`'s
@@ -170,17 +162,17 @@ class StreamIngestor {
   void RefreshSampleSize();
   /// Serializes the full ingestor state (the IngestCheckpoint payload).
   std::string BuildCheckpointPayload() const;
-  /// Synchronous full snapshot through the warehouse's store; resets the
-  /// cadence counters on success.
+  /// Checkpoint() before checkpoints are enabled: a full snapshot straight
+  /// to the warehouse's store; resets the cadence counters on success.
   Status WriteCheckpoint();
   /// Queues checkpoint B of a close (or its resume-adoption equivalent):
   /// best-effort — a loss is reconciled by the adoption rule.
   void WriteCloseComplete();
   /// Cadence check after applied work; checkpoint failures here are
   /// swallowed (the stream stays correct, only resumption granularity
-  /// degrades — the next cadence point retries). In asynchronous mode this
-  /// only snapshots state into the writer's ring; a full ring skips the
-  /// cadence point (backpressure) and retries on the next chunk.
+  /// degrades — the next cadence point retries). This only snapshots state
+  /// into the writer's ring; a full ring skips the cadence point
+  /// (backpressure) and retries on the next chunk.
   void MaybeCheckpoint();
   void ResetCadence();
   /// Smallest partition id that provably did not exist yet (allocator
@@ -206,13 +198,13 @@ class StreamIngestor {
   std::vector<PartitionId> rolled_in_;
   std::optional<PendingClose> pending_;
 
-  bool checkpoints_enabled_ = false;
   CheckpointPolicy policy_;
   uint64_t elements_since_checkpoint_ = 0;
   uint64_t last_checkpoint_tick_ = 0;
 
-  /// Asynchronous mode: the background writer (owned unless shared via the
-  /// EnableCheckpoints overload) and this stream's lane into it.
+  /// The background writer (owned unless shared via the EnableCheckpoints
+  /// overload) and this stream's lane into it; a non-null channel_ is what
+  /// "checkpoints enabled" means.
   std::unique_ptr<CheckpointWriter> owned_writer_;
   CheckpointWriter::Channel* channel_ = nullptr;
   /// A snapshot generation exists (or is queued) for checkpoint_key_, so

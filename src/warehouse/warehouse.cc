@@ -20,6 +20,21 @@ WarehouseOptions NormalizeOptions(WarehouseOptions options) {
   return options;
 }
 
+// Reads and decodes the catalog a SaveManifest wrote to `path`.
+Result<Catalog> LoadManifest(const std::string& path) {
+  std::string bytes;
+  SAMPWH_RETURN_IF_ERROR(ReadFile(path, &bytes));
+  BinaryReader reader(bytes);
+  return Catalog::DeserializeFrom(&reader);
+}
+
+// True when a stored sample agrees with the catalog's metadata for it.
+bool SampleMatchesInfo(const PartitionSample& sample,
+                       const PartitionInfo& info) {
+  return sample.parent_size() == info.parent_size &&
+         sample.size() == info.sample_size && sample.phase() == info.phase;
+}
+
 }  // namespace
 
 Warehouse::Warehouse(const WarehouseOptions& options,
@@ -581,11 +596,6 @@ Status Warehouse::AppendIngestCheckpointDeltasKeyed(
   return store_->AppendCheckpointDeltas(key, records);
 }
 
-Result<std::string> Warehouse::GetIngestCheckpoint(
-    const DatasetId& dataset) const {
-  return store_->GetCheckpoint(dataset);
-}
-
 Result<CheckpointChain> Warehouse::GetIngestCheckpointChain(
     const std::string& key) const {
   return store_->GetCheckpointChain(key);
@@ -632,13 +642,8 @@ Status Warehouse::SaveManifest(const std::string& path) const {
 Result<std::unique_ptr<Warehouse>> Warehouse::Restore(
     const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
     const std::string& manifest_path) {
-  std::string bytes;
-  SAMPWH_RETURN_IF_ERROR(ReadFile(manifest_path, &bytes));
-  BinaryReader reader(bytes);
-  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, Catalog::DeserializeFrom(&reader));
-
-  auto warehouse =
-      std::make_unique<Warehouse>(options, std::move(store));
+  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, LoadManifest(manifest_path));
+  auto warehouse = std::make_unique<Warehouse>(options, std::move(store));
   // Cross-check every cataloged partition against its stored sample before
   // accepting the manifest.
   for (const DatasetId& dataset : catalog.ListDatasets()) {
@@ -648,28 +653,21 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Restore(
       SAMPWH_ASSIGN_OR_RETURN(
           PartitionSample sample,
           warehouse->store_->Get(PartitionKey{dataset, p.id}));
-      if (sample.parent_size() != p.parent_size ||
-          sample.size() != p.sample_size || sample.phase() != p.phase) {
+      if (!SampleMatchesInfo(sample, p)) {
         return Status::Corruption(
             "manifest metadata disagrees with stored sample for dataset " +
             dataset);
       }
     }
   }
-  warehouse->catalog_ = std::move(catalog);
-  for (const DatasetId& dataset : warehouse->catalog_.ListDatasets()) {
-    warehouse->dataset_mu_[dataset] = std::make_shared<std::mutex>();
-  }
+  warehouse->InstallCatalog(std::move(catalog));
   return warehouse;
 }
 
 Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
     const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
     const std::string& manifest_path) {
-  std::string bytes;
-  SAMPWH_RETURN_IF_ERROR(ReadFile(manifest_path, &bytes));
-  BinaryReader reader(bytes);
-  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, Catalog::DeserializeFrom(&reader));
+  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, LoadManifest(manifest_path));
 
   // The catalog is the source of truth for what SHOULD exist; hand that
   // expectation to the store's recovery scan so it can report the gap after
@@ -709,9 +707,7 @@ Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
     Result<PartitionSample> sample = store->Get(key);
     bool keep = sample.ok();
     if (keep) {
-      keep = sample.value().parent_size() == info.parent_size &&
-             sample.value().size() == info.sample_size &&
-             sample.value().phase() == info.phase;
+      keep = SampleMatchesInfo(sample.value(), info);
       // Decodable but inconsistent with the manifest: remove the stored
       // bytes too, so catalog and store agree afterwards.
       if (!keep) store->Delete(key);  // best effort
@@ -724,12 +720,15 @@ Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
   }
 
   restored.warehouse = std::make_unique<Warehouse>(options, std::move(store));
-  restored.warehouse->catalog_ = std::move(catalog);
-  for (const DatasetId& dataset :
-       restored.warehouse->catalog_.ListDatasets()) {
-    restored.warehouse->dataset_mu_[dataset] = std::make_shared<std::mutex>();
-  }
+  restored.warehouse->InstallCatalog(std::move(catalog));
   return restored;
+}
+
+void Warehouse::InstallCatalog(Catalog catalog) {
+  catalog_ = std::move(catalog);
+  for (const DatasetId& dataset : catalog_.ListDatasets()) {
+    dataset_mu_[dataset] = std::make_shared<std::mutex>();
+  }
 }
 
 }  // namespace sampwh

@@ -198,7 +198,8 @@ class Warehouse {
   /// Keyed variant for ingestors that maintain several checkpoint cursors
   /// over one dataset (ParallelIngestor stores one per stripe under
   /// "<dataset>#s<stripe>"). Validates that `dataset` exists, then stores
-  /// the record under `key`; read it back with GetIngestCheckpoint(key).
+  /// the record under `key`; read it back with
+  /// GetIngestCheckpointChain(key).
   Status PutIngestCheckpointKeyed(const DatasetId& dataset,
                                   const std::string& key,
                                   std::string_view payload);
@@ -210,10 +211,6 @@ class Warehouse {
   Status AppendIngestCheckpointDeltasKeyed(
       const DatasetId& dataset, const std::string& key,
       const std::vector<std::string>& records);
-
-  /// The newest valid checkpoint payload for `dataset`; NotFound when none
-  /// exists.
-  Result<std::string> GetIngestCheckpoint(const DatasetId& dataset) const;
 
   /// The newest verifiable snapshot generation for `key` plus its WAL
   /// records; resolve with ResolveCheckpointChain(). NotFound when none
@@ -321,6 +318,9 @@ class Warehouse {
   /// Acquires the dataset's locks (NotFound when it does not exist). Must
   /// be called without mu_ held.
   Result<DatasetLock> LockDataset(const DatasetId& dataset) const;
+  /// Installs a restored catalog with one dataset_mu_ entry per dataset.
+  /// Only for a warehouse no other thread can reach yet (the restores).
+  void InstallCatalog(Catalog catalog);
   /// Re-persists the manifest to options_.manifest_path (no-op when
   /// unset). Must be called WITHOUT mu_ held — SaveManifest takes it
   /// exclusively.

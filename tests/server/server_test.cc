@@ -18,7 +18,7 @@ namespace {
 TEST(WireTest, FrameRoundTrip) {
   const std::string payload = "hello frame";
   const std::string frame = EncodeFrame(payload);
-  ASSERT_EQ(frame.size(), kWireFrameHeaderBytes + payload.size());
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
   std::string_view decoded;
   size_t consumed = 0;
   EXPECT_EQ(DecodeFrame(frame, kWireDefaultMaxFrameBytes, &decoded, &consumed),
