@@ -7,11 +7,14 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -803,6 +806,111 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
         resumed.value()
             ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 80))
             .ok());
+  }
+  ASSERT_TRUE(resumed.value()->Flush().ok());
+  EXPECT_EQ(SampleBytes(warehouse, "events"), want);
+}
+
+/// Polls `done` until it holds or a generous deadline passes; the
+/// background checkpoint writer commits on its own cadence.
+bool WaitUntil(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A failed group commit breaks the WAL: the writer must not append behind
+// it, so the next close record is promoted to a fresh snapshot generation,
+// which heals the chain for later deltas.
+TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
+  const std::vector<Value> values = Range(0, 800);
+  const std::vector<std::string> want = ReferenceRun(values, 250);
+  ASSERT_EQ(want.size(), 4u);
+
+  {
+    Warehouse warehouse(DurableOptions(), OpenStore());
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    SampleStore* store = warehouse.store_for_testing();
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    ingestor.EnableCheckpoints({.every_n_elements = 32});
+    auto feed = [&](uint64_t from, uint64_t to) {
+      for (uint64_t i = from; i < to; i += 40) {
+        ASSERT_TRUE(
+            ingestor
+                .AppendBatchAt(i,
+                               std::span<const Value>(values).subspan(i, 40))
+                .ok())
+            << "batch at " << i;
+      }
+    };
+    feed(0, 200);
+    // A durable anchor: the WAL is healthy from here on.
+    ASSERT_TRUE(ingestor.Checkpoint().ok());
+    const uint64_t generation =
+        warehouse.GetIngestCheckpointChain("events").value().generation;
+    const uint64_t snapshots = store->GetStoreStats().checkpoints_written;
+
+    // The next group commit (the cadence delta of 200..240) fails.
+    auto injector = std::make_shared<FaultInjector>(31);
+    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, 1);
+    store->SetFaultInjector(injector);
+    feed(200, 240);
+    ASSERT_TRUE(WaitUntil(
+        [&] { return injector->FiredCount(kFaultSiteWalAppend) == 1; }));
+    store->SetFaultInjector(nullptr);
+
+    // Crossing the close at 250: checkpoint A lands as a new snapshot
+    // generation instead of riding the broken WAL.
+    feed(240, 280);
+    ASSERT_EQ(ingestor.rolled_in().size(), 1u);
+    EXPECT_GT(store->GetStoreStats().checkpoints_written, snapshots);
+    auto promoted = warehouse.GetIngestCheckpointChain("events");
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_GT(promoted.value().generation, generation);
+    auto close_a = IngestCheckpoint::Deserialize(promoted.value().snapshot);
+    ASSERT_TRUE(close_a.ok()) << close_a.status().ToString();
+    EXPECT_TRUE(close_a.value().pending.has_value());
+    EXPECT_EQ(close_a.value().next_sequence, 250u);
+
+    // The healed chain takes progress deltas again.
+    feed(280, 480);
+    EXPECT_TRUE(WaitUntil([&] {
+      auto chain = warehouse.GetIngestCheckpointChain("events");
+      if (!chain.ok()) return false;
+      for (const std::string& bytes : chain.value().deltas) {
+        auto record = CheckpointDeltaRecord::Deserialize(bytes);
+        if (record.ok() &&
+            record.value().kind == CheckpointDeltaKind::kProgress &&
+            record.value().next_sequence > 280) {
+          return true;
+        }
+      }
+      return false;
+    }));
+  }
+
+  // Resume from there and replay the whole stream: bit-identical to the
+  // uninterrupted run.
+  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
+                                                 OpenStore(), manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Warehouse& warehouse = *restored.value().warehouse;
+  auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                        MakeCountPartitioner(250),
+                                        {.every_n_elements = 32});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_GE(resumed.value()->next_sequence(), 250u);
+  ASSERT_EQ(resumed.value()->rolled_in().size(), 1u);
+  for (uint64_t i = 0; i < values.size(); i += 40) {
+    ASSERT_TRUE(
+        resumed.value()
+            ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
+            .ok())
+        << "replay batch at " << i;
   }
   ASSERT_TRUE(resumed.value()->Flush().ok());
   EXPECT_EQ(SampleBytes(warehouse, "events"), want);
