@@ -12,8 +12,9 @@
 // row reports both the real measured wall time on this machine and the
 // makespan of an LPT assignment of the measured per-partition times onto
 // W idealized workers — the same simulated-cluster substitution the
-// figure-reproduction harnesses use (DESIGN.md §2), so scaling is
-// meaningful even on single-core CI runners.
+// figure-reproduction harnesses use (DESIGN.md §2). On a machine with
+// fewer free cores than W the two series part ways: the measured wall time
+// stops scaling, the simulated makespan does not.
 //
 // A fourth section measures the cost of crash-safe ingestion: AppendBatch
 // through a file-backed warehouse with the checkpoint protocol off vs
@@ -23,20 +24,6 @@
 // A fifth section compares the Bern(q) acceptance kernels head to head:
 // the geometric-skip path vs the 64-lane bitmask path (branch-free mask
 // generation + compress-store), at several rates.
-//
-// A sixth section measures the shard-per-core ParallelIngestor: 256
-// stripes fed through lock-free SPSC rings into 1/2/4/8 shard threads.
-// Each row reports the real wall time, the *busy makespan* — max over
-// shards of CLOCK_THREAD_CPUTIME_ID spent applying batches, i.e. the
-// parallel completion time of the useful work on a machine with >= W free
-// cores — and a simulated series that routes independently measured
-// per-stripe sampling times through the same router hash. The measured
-// speedup is the run's work/span ratio (total shard busy time over busy
-// makespan) because CI runners are single-core: wall time cannot scale
-// there, but the per-shard work distribution (what the shard architecture
-// actually determines) can and does. The section also
-// re-ingests under a different producer count and feed order and verifies
-// the rolled-in sample bytes are identical — the determinism contract.
 //
 // Results go to stdout as tables and to BENCH_ingest.json in the working
 // directory. REPRO_FULL=1 runs the paper-scale stream (2^26 elements);
@@ -55,7 +42,6 @@
 #include <numeric>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -63,11 +49,8 @@
 #include "src/core/batch_accept.h"
 #include "src/core/bernoulli_sampler.h"
 #include "src/util/logging.h"
-#include "src/util/serialization.h"
-#include "src/util/shard_router.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
-#include "src/warehouse/parallel_ingestor.h"
 #include "src/warehouse/sample_store.h"
 #include "src/warehouse/stream_ingestor.h"
 #include "src/warehouse/warehouse.h"
@@ -109,17 +92,6 @@ struct AcceptModeRow {
   double seconds = 0.0;
   double elements_per_sec = 0.0;
   double speedup_vs_skip = 1.0;
-};
-
-struct ParallelScalingRow {
-  uint64_t workers = 1;
-  double wall_seconds = 0.0;
-  /// Max over shards of thread-CPU time spent applying batches: the
-  /// completion time of the run's useful work given >= `workers` cores.
-  double busy_makespan_seconds = 0.0;
-  double measured_speedup = 1.0;  // busy makespan at 1 shard / at W shards
-  double simulated_makespan_seconds = 0.0;
-  double simulated_speedup = 1.0;
 };
 
 SamplerConfig SbConfig(double q) {
@@ -439,193 +411,16 @@ void RunAcceptModeSection(uint64_t total_elements, int reps,
   std::printf("\n");
 }
 
-/// Serialized bytes of every rolled-in sample of `ds`, sorted (partition
-/// ids depend on arrival order; the sample bytes must not).
-std::vector<std::string> SortedSampleBytes(Warehouse& warehouse,
-                                           const std::string& ds) {
-  std::vector<std::string> out;
-  auto infos = warehouse.ListPartitions(ds);
-  SAMPWH_CHECK(infos.ok());
-  for (const PartitionInfo& p : infos.value()) {
-    auto sample = warehouse.GetSample(ds, p.id);
-    SAMPWH_CHECK(sample.ok());
-    BinaryWriter writer;
-    sample.value().SerializeTo(&writer);
-    out.push_back(writer.Release());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-struct ParallelRunResult {
-  double wall_seconds = 0.0;
-  double busy_makespan_seconds = 0.0;
-  /// Sum over shards of busy time: the same run's single-core cost.
-  double busy_total_seconds = 0.0;
-  std::vector<std::string> sample_bytes;
-};
-
-/// One ParallelIngestor run: `producers` threads feed disjoint stripe sets
-/// (producer p owns stripes ≡ p mod producers) into `shards` shard
-/// threads; `reverse_feed` flips each producer's stripe order to vary the
-/// interleaving. Returns wall time, busy makespan and the rolled-in bytes.
-ParallelRunResult RunParallelOnce(
-    const std::vector<std::vector<Value>>& stripe_data, size_t shards,
-    size_t producers, bool reverse_feed) {
-  constexpr size_t kFeedChunk = 4096;
-  WarehouseOptions options;
-  options.sampler = SbConfig(0.10);
-  options.seed = 20060403;
-  Warehouse warehouse(options);
-  SAMPWH_CHECK(warehouse.CreateDataset("bench").ok());
-
-  ParallelIngestOptions popts;
-  popts.shards = shards;
-  ParallelRunResult result;
-  WallTimer timer;
-  {
-    ParallelIngestor ingestor(&warehouse, "bench", nullptr, popts);
-    std::vector<std::thread> feeders;
-    for (size_t p = 0; p < producers; ++p) {
-      ParallelIngestor::Producer* producer = ingestor.AddProducer();
-      feeders.emplace_back([&, p, producer] {
-        std::vector<uint64_t> owned;
-        for (uint64_t s = p; s < stripe_data.size(); s += producers) {
-          owned.push_back(s);
-        }
-        if (reverse_feed) std::reverse(owned.begin(), owned.end());
-        for (const uint64_t s : owned) {
-          const std::span<const Value> all(stripe_data[s]);
-          for (size_t i = 0; i < all.size(); i += kFeedChunk) {
-            SAMPWH_CHECK(
-                producer
-                    ->Append(s, all.subspan(
-                                    i, std::min(kFeedChunk, all.size() - i)))
-                    .ok());
-          }
-        }
-      });
-    }
-    for (std::thread& t : feeders) t.join();
-    SAMPWH_CHECK(ingestor.Finish().ok());
-    result.wall_seconds = timer.ElapsedSeconds();
-    uint64_t busy_max = 0;
-    uint64_t busy_sum = 0;
-    for (const ShardIngestStats& s : ingestor.shard_stats()) {
-      busy_max = std::max(busy_max, s.busy_nanos);
-      busy_sum += s.busy_nanos;
-    }
-    result.busy_makespan_seconds = static_cast<double>(busy_max) * 1e-9;
-    result.busy_total_seconds = static_cast<double>(busy_sum) * 1e-9;
-  }
-  result.sample_bytes = SortedSampleBytes(warehouse, "bench");
-  return result;
-}
-
-bool RunParallelScalingSection(uint64_t total_elements, uint64_t stripes,
-                               int reps,
-                               std::vector<ParallelScalingRow>& rows) {
-  const uint64_t per_stripe = total_elements / stripes;
-  std::vector<std::vector<Value>> stripe_data(stripes);
-  for (uint64_t s = 0; s < stripes; ++s) {
-    stripe_data[s] =
-        DataGenerator::Unique(per_stripe,
-                              static_cast<Value>(s * per_stripe + 1))
-            .TakeAll();
-  }
-
-  // Independently measured per-stripe sampling times feed the simulated
-  // series: route them through the same hash the real shards use and take
-  // the per-shard-sum makespan (the router is static, not LPT).
-  const SamplerConfig config = SbConfig(0.10);
-  std::vector<double> stripe_times;
-  for (uint64_t s = 0; s < stripes; ++s) {
-    stripe_times.push_back(BestOf(reps, [&]() -> double {
-      AnySampler sampler(config, Pcg64(20060403 + s));
-      WallTimer timer;
-      sampler.AddBatch(stripe_data[s]);
-      const double seconds = timer.ElapsedSeconds();
-      (void)sampler.Finalize();
-      return seconds;
-    }));
-  }
-  const double stripe_serial =
-      std::accumulate(stripe_times.begin(), stripe_times.end(), 0.0);
-
-  std::printf(
-      "Shard-per-core parallel ingestion (%llu elements, %llu stripes, SB "
-      "q=0.10)\n",
-      static_cast<unsigned long long>(total_elements),
-      static_cast<unsigned long long>(stripes));
-  const std::vector<int> widths = {8, 10, 14, 12, 14, 12};
-  PrintRow({"workers", "wall", "busy.makespan", "meas.spd", "sim.makespan",
-            "sim.spd"},
-           widths);
-
-  for (const uint64_t workers : {1u, 2u, 4u, 8u}) {
-    ParallelScalingRow row;
-    row.workers = workers;
-    row.wall_seconds = std::numeric_limits<double>::infinity();
-    row.busy_makespan_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-      const ParallelRunResult run =
-          RunParallelOnce(stripe_data, workers, /*producers=*/1,
-                          /*reverse_feed=*/false);
-      if (run.busy_makespan_seconds < row.busy_makespan_seconds) {
-        row.busy_makespan_seconds = run.busy_makespan_seconds;
-        // Work/span ratio of the same run: the speedup of its measured
-        // per-shard work on W free cores over one core. Both numbers come
-        // from one run, so single-core scheduling noise cancels.
-        row.measured_speedup =
-            run.busy_total_seconds /
-            std::max(run.busy_makespan_seconds, 1e-12);
-      }
-      row.wall_seconds = std::min(row.wall_seconds, run.wall_seconds);
-    }
-    const ShardRouter router("bench", workers);
-    std::vector<double> load(workers, 0.0);
-    for (uint64_t s = 0; s < stripes; ++s) {
-      load[router.ShardFor(s)] += stripe_times[s];
-    }
-    row.simulated_makespan_seconds =
-        *std::max_element(load.begin(), load.end());
-    row.simulated_speedup =
-        stripe_serial / std::max(row.simulated_makespan_seconds, 1e-12);
-    rows.push_back(row);
-    std::printf("%-8llu %9.4f %13.4fs %11.2fx %13.4fs %11.2fx\n",
-                static_cast<unsigned long long>(workers), row.wall_seconds,
-                row.busy_makespan_seconds, row.measured_speedup,
-                row.simulated_makespan_seconds, row.simulated_speedup);
-  }
-
-  // Determinism gate: a different shard count, producer count and feed
-  // order must roll in byte-identical samples.
-  const ParallelRunResult a =
-      RunParallelOnce(stripe_data, /*shards=*/4, /*producers=*/1,
-                      /*reverse_feed=*/false);
-  const ParallelRunResult b =
-      RunParallelOnce(stripe_data, /*shards=*/3, /*producers=*/2,
-                      /*reverse_feed=*/true);
-  const bool determinism_ok = a.sample_bytes == b.sample_bytes;
-  std::printf("determinism (4 shards/1 producer vs 3 shards/2 reversed "
-              "producers): %s\n\n",
-              determinism_ok ? "byte-identical" : "MISMATCH");
-  return determinism_ok;
-}
-
 bool WriteJson(const std::string& path, uint64_t path_elements,
-               uint64_t scaling_elements, uint64_t parallel_stripes,
-               bool determinism_ok, const std::vector<PathRow>& paths,
+               uint64_t scaling_elements, const std::vector<PathRow>& paths,
                const std::vector<CheckpointRow>& checkpoints,
                const std::vector<ScalingRow>& scaling,
-               const std::vector<AcceptModeRow>& accept_modes,
-               const std::vector<ParallelScalingRow>& parallel) {
+               const std::vector<AcceptModeRow>& accept_modes) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"config\": {\"path_elements\": " << path_elements
       << ", \"scaling_elements\": " << scaling_elements
-      << ", \"scaling_partitions\": 8, \"parallel_stripes\": "
-      << parallel_stripes << ", \"full_scale\": "
+      << ", \"scaling_partitions\": 8, \"full_scale\": "
       << (FullScale() ? "true" : "false")
       << ", \"hardware_threads\": " << HardwareThreads()
       << "},\n";
@@ -670,19 +465,6 @@ bool WriteJson(const std::string& path, uint64_t path_elements,
         << ", \"speedup_vs_skip\": " << r.speedup_vs_skip << "}"
         << (i + 1 < accept_modes.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"scaling_parallel\": [\n";
-  for (size_t i = 0; i < parallel.size(); ++i) {
-    const ParallelScalingRow& r = parallel[i];
-    out << "    {\"workers\": " << r.workers
-        << ", \"wall_seconds\": " << r.wall_seconds
-        << ", \"busy_makespan_seconds\": " << r.busy_makespan_seconds
-        << ", \"measured_speedup\": " << r.measured_speedup
-        << ", \"simulated_makespan_seconds\": " << r.simulated_makespan_seconds
-        << ", \"simulated_speedup\": " << r.simulated_speedup
-        << ", \"determinism_ok\": " << (determinism_ok ? "true" : "false")
-        << "}" << (i + 1 < parallel.size() ? "," : "") << "\n";
-  }
   out << "  ]\n";
   out << "}\n";
   return out.good();
@@ -691,44 +473,23 @@ bool WriteJson(const std::string& path, uint64_t path_elements,
 int Main(bool smoke) {
   const uint64_t elements =
       FullScale() ? (1ull << 26) : (smoke ? (1ull << 20) : (1ull << 22));
-  const uint64_t stripes = smoke ? 64 : 512;
   const int reps = smoke ? 1 : 3;
 
   std::vector<PathRow> paths;
   std::vector<CheckpointRow> checkpoints;
   std::vector<ScalingRow> scaling;
   std::vector<AcceptModeRow> accept_modes;
-  std::vector<ParallelScalingRow> parallel;
   RunPathSection(elements, reps, paths);
   RunCheckpointSection(elements, reps, checkpoints);
   RunScalingSection(elements, reps, scaling);
   RunAcceptModeSection(elements, reps, accept_modes);
-  const bool determinism_ok =
-      RunParallelScalingSection(elements, stripes, reps, parallel);
-  if (!WriteJson("BENCH_ingest.json", elements, elements, stripes,
-                 determinism_ok, paths, checkpoints, scaling, accept_modes,
-                 parallel)) {
+  if (!WriteJson("BENCH_ingest.json", elements, elements, paths, checkpoints,
+                 scaling, accept_modes)) {
     std::fprintf(stderr, "failed to write BENCH_ingest.json\n");
     return 1;
   }
   std::printf("Wrote BENCH_ingest.json\n");
-  if (!determinism_ok) {
-    std::fprintf(stderr,
-                 "FAIL: parallel ingest is not interleaving-independent\n");
-    return 1;
-  }
   if (smoke) {
-    // CI gate: the sharded path's useful-work distribution must actually
-    // spread — busy-makespan speedup at 4 shards comfortably above 2x.
-    for (const ParallelScalingRow& r : parallel) {
-      if (r.workers == 4 && r.measured_speedup < 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: parallel busy-makespan speedup %.2fx at 4 "
-                     "workers (gate: 2x)\n",
-                     r.measured_speedup);
-        return 1;
-      }
-    }
     // CI gate: asynchronous checkpointing must stay off the hot path. The
     // 64Ki cadence costs a couple of snapshots plus coalesced WAL deltas
     // over the whole stream; 25% is a generous noise allowance on the

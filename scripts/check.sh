@@ -76,13 +76,14 @@ fi
 
 run_config relwithdebinfo -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
-# Quick re-gate on the lock-free/bitmask ingestion surface: the SPSC ring,
-# shard router, bitmask Bern(q) and ParallelIngestor suites run standalone
-# so a regression there fails with a targeted name even though the full
-# suite above already covered them.
-echo "=== [relwithdebinfo] parallel-ingest unit gate ==="
+# Quick re-gate on the lock-free and bitmask primitives: the SPSC ring
+# (the checkpoint writer's queue), the shard router (coordinator id
+# routing) and the bitmask Bern(q) suites run standalone so a regression
+# there fails with a targeted name even though the full suite above
+# already covered them.
+echo "=== [relwithdebinfo] ring, router and bitmask unit gate ==="
 ctest --test-dir build-check/relwithdebinfo -R \
-  "SpscRing|ShardRouter|BatchAccept|ParallelIngestor" --output-on-failure
+  "SpscRing|ShardRouter|BatchAccept" --output-on-failure
 
 if [[ "${mode}" == "full" ]]; then
   run_config asan \
@@ -127,6 +128,14 @@ if [[ "${mode}" == "full" ]]; then
   ctest --test-dir build-check/asan -R \
     "^(Env|FileIo|SampleStore|FileSampleStore|InMemorySampleStore|CheckpointStore|Recovery|Manifest)" \
     --output-on-failure
+
+  # Ingest re-gate under ASan/UBSan: the stream ingestor and its one
+  # background checkpoint writer (ring handoff, durability acks, WAL
+  # poisoning and healing, resume).
+  echo "=== [asan] stream ingestor and checkpoint writer gate ==="
+  ctest --test-dir build-check/asan -R \
+    "^(ResumableIngest|StreamIngestor|IngestCheckpoint)" \
+    --output-on-failure
 fi
 
 # Query-path smoke bench (~2 s): exercises the sample cache, parallel
@@ -135,12 +144,10 @@ fi
 echo "=== [relwithdebinfo] query bench (smoke) ==="
 (cd build-check/relwithdebinfo/bench && ./bench_query_throughput --smoke)
 
-# Ingest smoke bench (~5 s): exercises every ingestion path including the
-# shard-per-core ParallelIngestor; fails if the sharded path stops being
-# interleaving-independent or its busy-makespan speedup collapses. Also
-# gates checkpoint overhead: >25% at 64Ki cadence (async delta
-# checkpointing should be near-free; a synchronous write sneaking back
-# onto the hot path fails here) or a cadence writing no snapshot at all.
+# Ingest smoke bench (~5 s): exercises every ingestion path. Gates
+# checkpoint overhead: >25% at 64Ki cadence (async delta checkpointing
+# should be near-free; a synchronous write sneaking back onto the hot
+# path fails here) or a cadence writing no snapshot at all.
 echo "=== [relwithdebinfo] ingest bench (smoke) ==="
 (cd build-check/relwithdebinfo/bench && ./bench_ingest_throughput --smoke)
 

@@ -20,9 +20,8 @@
 //
 // Partition placement: the coordinator allocates globally unique partition
 // ids per dataset (keeping its allocator ahead of whatever the nodes
-// restored) and routes each id through ShardRouter(dataset-key, N) — the
-// same stable hash-sharding the parallel ingest path uses — placing the
-// sample via the kRollInAt verb.
+// restored) and routes each id through ShardRouter(dataset-key, N) — a
+// stable hash-sharding — placing the sample via the kRollInAt verb.
 //
 // Replication (replication_factor R > 1): each id's owner set is the
 // contiguous run {primary, primary+1, ..., primary+R-1} (mod N) — a pure

@@ -483,7 +483,6 @@ Status WarehouseServer::HandleDropDataset(BinaryReader& req) {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(key);
   }
-  (void)warehouse_->DeleteIngestCheckpoint(key);
   SAMPWH_RETURN_IF_ERROR(warehouse_->DropDataset(key));
   tenants_.CreditDataset(tenant, key);
   return Status::OK();

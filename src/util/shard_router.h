@@ -1,9 +1,8 @@
-// The striped router in front of the parallel ingestion shards: assigns a
-// (dataset, stripe) pair to a shard by hash, so the assignment is a pure
-// function of the inputs — every producer routes identically, and a resumed
-// ingestor re-derives the same ownership map without coordination. A stripe
-// is the unit of ordered sub-stream ownership (one partitioner cursor, one
-// sampler RNG stream); the shard that owns it processes all of its batches.
+// Stable hash-sharding: assigns a (dataset, id) pair to one of N shards by
+// hash, so the assignment is a pure function of the inputs — every caller
+// routes identically and a restarted process re-derives the same ownership
+// map without coordination. The coordinator places partition ids on nodes
+// through it.
 
 #ifndef SAMPWH_UTIL_SHARD_ROUTER_H_
 #define SAMPWH_UTIL_SHARD_ROUTER_H_
@@ -22,10 +21,10 @@ class ShardRouter {
 
   size_t num_shards() const { return num_shards_; }
 
-  /// The shard owning `stripe` — stable for the router's lifetime and
-  /// across routers built with the same (dataset, num_shards).
-  size_t ShardFor(uint64_t stripe) const {
-    return static_cast<size_t>(Mix64(dataset_hash_ ^ Mix64(stripe)) %
+  /// The shard owning `id` — stable for the router's lifetime and across
+  /// routers built with the same (dataset, num_shards).
+  size_t ShardFor(uint64_t id) const {
+    return static_cast<size_t>(Mix64(dataset_hash_ ^ Mix64(id)) %
                                num_shards_);
   }
 

@@ -1,6 +1,6 @@
 // A bounded lock-free single-producer single-consumer ring buffer — the
-// hand-off primitive of the parallel ingestion layer. One ring exists per
-// producer→shard pair, so neither side ever takes a mutex on the hot path:
+// queue between an ingest thread and its background checkpoint writer.
+// Neither side ever takes a mutex on the hot path:
 // the producer owns the tail, the consumer owns the head, and each side
 // keeps a cached copy of the other's index so the common case touches no
 // cross-core cache line at all (the "fast SPSC" layout of Rigtorp /

@@ -4,90 +4,21 @@
 #include <utility>
 
 #include "src/util/serialization.h"
+#include "src/warehouse/stream_ingestor.h"
 #include "src/warehouse/warehouse.h"
 
 namespace sampwh {
 
-CheckpointWriter::Channel::Channel(CheckpointWriter* writer, DatasetId dataset,
-                                   std::string key, size_t ring_capacity,
-                                   bool have_generation)
-    : writer_(writer),
+CheckpointWriter::CheckpointWriter(Warehouse* warehouse, DatasetId dataset,
+                                   bool have_generation,
+                                   const CheckpointPolicy& policy)
+    : warehouse_(warehouse),
       dataset_(std::move(dataset)),
-      key_(std::move(key)),
-      ring_(ring_capacity),
-      have_generation_(have_generation) {}
-
-bool CheckpointWriter::Channel::OfferDelta(
-    const CheckpointDeltaRecord& record) {
-  Slot slot;
-  slot.record = record;
-  // No signal: deltas ride the periodic group-commit wake. Signaling every
-  // push would wake the writer per chunk and defeat batching.
-  return ring_.TryPush(slot);
-}
-
-bool CheckpointWriter::Channel::OfferSnapshot(std::string payload) {
-  Slot slot;
-  slot.is_snapshot = true;
-  slot.record.checkpoint_payload = std::move(payload);
-  if (!ring_.TryPush(slot)) return false;
-  writer_->Signal();
-  return true;
-}
-
-void CheckpointWriter::Channel::BlockingPush(Slot slot) {
-  while (!ring_.TryPush(slot)) {
-    // Ring full: the writer has queued work — wake it and let it drain.
-    writer_->Signal();
-    std::this_thread::yield();
-  }
-  writer_->Signal();
-}
-
-Status CheckpointWriter::Channel::PushWithAck(Slot slot) {
-  const std::shared_ptr<Ack> ack = std::make_shared<Ack>();
-  slot.ack = ack;
-  BlockingPush(std::move(slot));
-  std::unique_lock<std::mutex> lock(ack->mu);
-  ack->cv.wait(lock, [&] { return ack->done; });
-  return ack->status;
-}
-
-void CheckpointWriter::Channel::PushSnapshot(std::string payload) {
-  Slot slot;
-  slot.is_snapshot = true;
-  slot.record.checkpoint_payload = std::move(payload);
-  BlockingPush(std::move(slot));
-}
-
-void CheckpointWriter::Channel::PushClose(std::string payload) {
-  Slot slot;
-  slot.record.kind = CheckpointDeltaKind::kClosePending;
-  slot.record.checkpoint_payload = std::move(payload);
-  BlockingPush(std::move(slot));
-}
-
-Status CheckpointWriter::Channel::WriteDurableSnapshot(std::string payload) {
-  Slot slot;
-  slot.is_snapshot = true;
-  slot.record.checkpoint_payload = std::move(payload);
-  return PushWithAck(std::move(slot));
-}
-
-Status CheckpointWriter::Channel::WriteDurableClose(std::string payload) {
-  Slot slot;
-  slot.record.kind = CheckpointDeltaKind::kClosePending;
-  slot.record.checkpoint_payload = std::move(payload);
-  return PushWithAck(std::move(slot));
-}
-
-bool CheckpointWriter::Channel::TakeWantsSnapshot() {
-  return want_snapshot_.exchange(false, std::memory_order_relaxed);
-}
-
-CheckpointWriter::CheckpointWriter(Warehouse* warehouse,
-                                   const Options& options)
-    : warehouse_(warehouse), options_(options) {
+      group_commit_micros_(policy.group_commit_micros),
+      snapshot_every_wal_bytes_(policy.snapshot_every_wal_bytes),
+      snapshot_every_deltas_(policy.snapshot_every_deltas),
+      ring_(kRingCapacity),
+      have_generation_(have_generation) {
   thread_ = std::thread([this] { WriterMain(); });
 }
 
@@ -100,16 +31,64 @@ CheckpointWriter::~CheckpointWriter() {
   if (thread_.joinable()) thread_.join();
 }
 
-CheckpointWriter::Channel* CheckpointWriter::AddChannel(DatasetId dataset,
-                                                        std::string key,
-                                                        bool have_generation) {
-  auto channel = std::unique_ptr<Channel>(
-      new Channel(this, std::move(dataset), std::move(key),
-                  options_.ring_capacity, have_generation));
-  Channel* raw = channel.get();
-  std::lock_guard<std::mutex> lock(channels_mu_);
-  channels_.push_back(std::move(channel));
-  return raw;
+bool CheckpointWriter::OfferDelta(const CheckpointDeltaRecord& record) {
+  Slot slot;
+  slot.record = record;
+  // No signal: deltas ride the periodic group-commit wake. Signaling every
+  // push would wake the writer per chunk and defeat batching.
+  return ring_.TryPush(slot);
+}
+
+bool CheckpointWriter::OfferSnapshot(std::string payload) {
+  Slot slot;
+  slot.is_snapshot = true;
+  slot.record.checkpoint_payload = std::move(payload);
+  if (!ring_.TryPush(slot)) return false;
+  Signal();
+  return true;
+}
+
+void CheckpointWriter::BlockingPush(Slot slot) {
+  while (!ring_.TryPush(slot)) {
+    // Ring full: the writer has queued work — wake it and let it drain.
+    Signal();
+    std::this_thread::yield();
+  }
+  Signal();
+}
+
+Status CheckpointWriter::PushWithAck(Slot slot) {
+  const std::shared_ptr<Ack> ack = std::make_shared<Ack>();
+  slot.ack = ack;
+  BlockingPush(std::move(slot));
+  std::unique_lock<std::mutex> lock(ack->mu);
+  ack->cv.wait(lock, [&] { return ack->done; });
+  return ack->status;
+}
+
+void CheckpointWriter::PushClose(std::string payload) {
+  Slot slot;
+  slot.record.kind = CheckpointDeltaKind::kClosePending;
+  slot.record.checkpoint_payload = std::move(payload);
+  BlockingPush(std::move(slot));
+}
+
+Status CheckpointWriter::WriteDurableSnapshot(std::string payload) {
+  Slot slot;
+  slot.is_snapshot = true;
+  slot.record.checkpoint_payload = std::move(payload);
+  return PushWithAck(std::move(slot));
+}
+
+Status CheckpointWriter::WriteDurableClose(std::string payload) {
+  Slot slot;
+  slot.record.kind = CheckpointDeltaKind::kClosePending;
+  slot.record.checkpoint_payload = std::move(payload);
+  return PushWithAck(std::move(slot));
+}
+
+bool CheckpointWriter::TakeWantsSnapshot() {
+  return want_snapshot_.exchange(false, std::memory_order_relaxed);
 }
 
 void CheckpointWriter::Signal() {
@@ -120,7 +99,7 @@ void CheckpointWriter::Signal() {
   wake_cv_.notify_one();
 }
 
-void CheckpointWriter::CompleteAck(const std::shared_ptr<Channel::Ack>& ack,
+void CheckpointWriter::CompleteAck(const std::shared_ptr<Ack>& ack,
                                    const Status& status) {
   if (ack == nullptr) return;
   {
@@ -134,19 +113,12 @@ void CheckpointWriter::CompleteAck(const std::shared_ptr<Channel::Ack>& ack,
 void CheckpointWriter::WriterMain() {
   std::unique_lock<std::mutex> lock(wake_mu_);
   for (;;) {
-    wake_cv_.wait_for(lock,
-                      std::chrono::microseconds(options_.group_commit_micros),
+    wake_cv_.wait_for(lock, std::chrono::microseconds(group_commit_micros_),
                       [&] { return work_signal_ || stop_; });
     work_signal_ = false;
     const bool stopping = stop_;
     lock.unlock();
-    std::vector<Channel*> channels;
-    {
-      std::lock_guard<std::mutex> channels_lock(channels_mu_);
-      channels.reserve(channels_.size());
-      for (const auto& channel : channels_) channels.push_back(channel.get());
-    }
-    for (Channel* channel : channels) DrainChannel(channel);
+    Drain();
     // The final drain after observing stop_ completes every queued ack, so
     // no producer blocked in PushWithAck is abandoned.
     if (stopping) return;
@@ -154,9 +126,9 @@ void CheckpointWriter::WriterMain() {
   }
 }
 
-void CheckpointWriter::DrainChannel(Channel* ch) {
+void CheckpointWriter::Drain() {
   std::vector<std::string> batch;  // serialized WAL record payloads
-  std::vector<std::shared_ptr<Channel::Ack>> batch_acks;
+  std::vector<std::shared_ptr<Ack>> batch_acks;
   bool pending_progress = false;
   CheckpointDeltaRecord progress;
 
@@ -165,10 +137,10 @@ void CheckpointWriter::DrainChannel(Channel* ch) {
   auto flush_progress = [&] {
     if (!pending_progress) return;
     pending_progress = false;
-    if (ch->wal_broken_ || !ch->have_generation_) {
+    if (wal_broken_ || !have_generation_) {
       // Liveness records only — dropping them loses no resume point, but
       // the chain should re-anchor soon.
-      ch->want_snapshot_.store(true, std::memory_order_relaxed);
+      want_snapshot_.store(true, std::memory_order_relaxed);
       return;
     }
     batch.push_back(progress.Serialize());
@@ -178,18 +150,16 @@ void CheckpointWriter::DrainChannel(Channel* ch) {
     flush_progress();
     Status status;
     if (!batch.empty()) {
-      status = warehouse_->AppendIngestCheckpointDeltasKeyed(ch->dataset_,
-                                                             ch->key_, batch);
+      status = warehouse_->AppendIngestCheckpointDeltas(dataset_, batch);
       if (status.ok()) {
         for (const std::string& record : batch) {
-          ch->wal_bytes_since_snapshot_ +=
-              kFrameHeaderBytes + record.size();
+          wal_bytes_since_snapshot_ += kFrameHeaderBytes + record.size();
         }
-        ch->wal_records_since_snapshot_ += batch.size();
+        wal_records_since_snapshot_ += batch.size();
       } else {
         // The append may have torn the WAL tail; never append past damage.
-        ch->wal_broken_ = true;
-        ch->want_snapshot_.store(true, std::memory_order_relaxed);
+        wal_broken_ = true;
+        want_snapshot_.store(true, std::memory_order_relaxed);
       }
       batch.clear();
     }
@@ -198,32 +168,31 @@ void CheckpointWriter::DrainChannel(Channel* ch) {
   };
 
   auto write_snapshot = [&](const std::string& payload,
-                            const std::shared_ptr<Channel::Ack>& ack) {
+                            const std::shared_ptr<Ack>& ack) {
     // Records queued ahead of the snapshot belong to the OLD generation's
     // WAL; land them before rotating.
     flush_batch();
-    const Status status =
-        warehouse_->PutIngestCheckpointKeyed(ch->dataset_, ch->key_, payload);
+    const Status status = warehouse_->PutIngestCheckpoint(dataset_, payload);
     if (status.ok()) {
-      ch->have_generation_ = true;
-      ch->wal_broken_ = false;
-      ch->wal_bytes_since_snapshot_ = 0;
-      ch->wal_records_since_snapshot_ = 0;
+      have_generation_ = true;
+      wal_broken_ = false;
+      wal_bytes_since_snapshot_ = 0;
+      wal_records_since_snapshot_ = 0;
     } else {
       // A torn put can leave a damaged newest generation on disk; deltas
       // appended behind it would vanish from a fallback resume.
-      ch->wal_broken_ = true;
-      ch->want_snapshot_.store(true, std::memory_order_relaxed);
+      wal_broken_ = true;
+      want_snapshot_.store(true, std::memory_order_relaxed);
     }
     CompleteAck(ack, status);
   };
 
-  Channel::Slot slot;
-  while (ch->ring_.TryPop(&slot)) {
+  Slot slot;
+  while (ring_.TryPop(&slot)) {
     if (slot.is_snapshot) {
       write_snapshot(slot.record.checkpoint_payload, slot.ack);
     } else if (slot.record.kind == CheckpointDeltaKind::kClosePending) {
-      if (ch->wal_broken_ || !ch->have_generation_) {
+      if (wal_broken_ || !have_generation_) {
         // The close record embeds a complete checkpoint — promote it to a
         // fresh snapshot generation, healing the broken chain.
         write_snapshot(slot.record.checkpoint_payload, slot.ack);
@@ -244,10 +213,10 @@ void CheckpointWriter::DrainChannel(Channel* ch) {
   }
   flush_batch();
 
-  if (ch->have_generation_ && !ch->wal_broken_ &&
-      (ch->wal_bytes_since_snapshot_ >= options_.snapshot_every_wal_bytes ||
-       ch->wal_records_since_snapshot_ >= options_.snapshot_every_deltas)) {
-    ch->want_snapshot_.store(true, std::memory_order_relaxed);
+  if (have_generation_ && !wal_broken_ &&
+      (wal_bytes_since_snapshot_ >= snapshot_every_wal_bytes_ ||
+       wal_records_since_snapshot_ >= snapshot_every_deltas_)) {
+    want_snapshot_.store(true, std::memory_order_relaxed);
   }
 }
 

@@ -1,10 +1,10 @@
 // Background checkpoint writer: takes checkpoint persistence off the ingest
-// hot path.
+// hot path of one stream.
 //
 // An ingest thread never writes a cadence checkpoint itself.
-// It snapshots its state into a small Slot and pushes it onto a per-stream
-// SPSC ring; a single dedicated writer thread drains every registered
-// channel on a group-commit cadence and performs the actual store IO:
+// It snapshots its state into a small Slot and pushes it onto an SPSC
+// ring; a dedicated writer thread drains the ring on a group-commit
+// cadence and performs the actual store IO:
 //
 //   * kProgress deltas are CUMULATIVE (each carries the full watermark /
 //     RNG / progress view), so an adjacent run coalesces to its last record
@@ -22,12 +22,12 @@
 // on the next chunk — checkpoints get coarser under load instead of
 // stalling ingest.
 //
-// Failure containment: after ANY append or put failure the channel's WAL is
+// Failure containment: after ANY append or put failure the WAL is
 // considered broken — a torn put can leave a damaged newest generation, and
 // appending behind it would hide close records from a fallback resume
 // (duplicate roll-in). While broken, progress deltas are dropped (they are
 // observability only), close records are promoted to full snapshots, and
-// the channel requests a fresh anchor snapshot; a successful put heals it.
+// the writer requests a fresh anchor snapshot; a successful put heals it.
 //
 // Durability barriers: close A must be durable BEFORE the roll-in it
 // describes (exactly-once replay depends on it), so WriteDurableClose /
@@ -44,7 +44,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/util/spsc_ring.h"
 #include "src/util/status.h"
@@ -54,116 +53,89 @@
 namespace sampwh {
 
 class Warehouse;
+struct CheckpointPolicy;
 
 class CheckpointWriter {
  public:
-  struct Options {
-    /// Writer wake cadence: queued deltas wait at most this long before
-    /// they are group-committed.
-    uint64_t group_commit_micros = 2000;
-    /// Slots per channel ring. A full ring coarsens that stream's
-    /// checkpoint cadence (offers fail and are retried next chunk).
-    size_t ring_capacity = 64;
-    /// Compaction policy: request a fresh snapshot once the WAL since the
-    /// last one exceeds either bound.
-    uint64_t snapshot_every_wal_bytes = 1ull << 20;
-    uint64_t snapshot_every_deltas = 1024;
-  };
-
-  /// One ingest stream's lane to the writer. SPSC: exactly one producer
-  /// thread at a time (the thread driving that stream's ingestor); the
-  /// writer thread is the only consumer.
-  class Channel {
-   public:
-    /// Queues a progress delta. False when the ring is full — the caller
-    /// keeps its cadence counters and retries later.
-    bool OfferDelta(const CheckpointDeltaRecord& record);
-
-    /// Queues a full snapshot (cadence anchor / compaction). False when
-    /// the ring is full.
-    bool OfferSnapshot(std::string payload);
-
-    /// Queues a full snapshot, waiting for ring space if needed; durability
-    /// is best-effort (no ack).
-    void PushSnapshot(std::string payload);
-
-    /// Queues a close record without a durability wait (close B / the
-    /// resume-adoption record: a loss is reconciled by the adoption rule,
-    /// so it must not be dropped but need not be awaited).
-    void PushClose(std::string payload);
-
-    /// Durable full snapshot: blocks until the writer persisted it and
-    /// returns the store's Status (forced Checkpoint()).
-    Status WriteDurableSnapshot(std::string payload);
-
-    /// Durable close record (checkpoint A): blocks until persisted —
-    /// to the WAL when healthy, as a promoted snapshot otherwise.
-    Status WriteDurableClose(std::string payload);
-
-    /// True once per compaction request: the writer wants the producer to
-    /// send a fresh full snapshot at its next cadence point.
-    bool TakeWantsSnapshot();
-
-   private:
-    friend class CheckpointWriter;
-
-    struct Ack {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      Status status;
-    };
-
-    struct Slot {
-      /// Full snapshot payload in record.checkpoint_payload.
-      bool is_snapshot = false;
-      CheckpointDeltaRecord record;
-      std::shared_ptr<Ack> ack;
-    };
-
-    Channel(CheckpointWriter* writer, DatasetId dataset, std::string key,
-            size_t ring_capacity, bool have_generation);
-
-    void BlockingPush(Slot slot);
-    Status PushWithAck(Slot slot);
-
-    CheckpointWriter* writer_;
-    const DatasetId dataset_;
-    const std::string key_;
-    SpscRing<Slot> ring_;
-    std::atomic<bool> want_snapshot_{false};
-
-    // Writer-thread-only state.
-    bool have_generation_ = false;
-    bool wal_broken_ = false;
-    uint64_t wal_bytes_since_snapshot_ = 0;
-    uint64_t wal_records_since_snapshot_ = 0;
-  };
-
-  CheckpointWriter(Warehouse* warehouse, const Options& options);
+  /// Starts the writer thread for `dataset`'s checkpoint chain, on the
+  /// group-commit and compaction cadence of `policy`. `have_generation`
+  /// is true when a snapshot generation already exists (resume).
+  CheckpointWriter(Warehouse* warehouse, DatasetId dataset,
+                   bool have_generation, const CheckpointPolicy& policy);
+  /// Drains everything queued (completing every ack), then joins.
   ~CheckpointWriter();
 
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-  /// Registers a stream. `have_generation` is true when a snapshot
-  /// generation already exists for `key` (resume). The channel lives as
-  /// long as the writer; thread-safe.
-  Channel* AddChannel(DatasetId dataset, std::string key,
-                      bool have_generation);
+  // Producer side. SPSC: exactly one producer thread at a time (the thread
+  // driving the stream's ingestor); the writer thread is the only consumer.
+
+  /// Queues a progress delta. False when the ring is full — the caller
+  /// keeps its cadence counters and retries later.
+  bool OfferDelta(const CheckpointDeltaRecord& record);
+
+  /// Queues a full snapshot (cadence anchor / compaction). False when
+  /// the ring is full.
+  bool OfferSnapshot(std::string payload);
+
+  /// Queues a close record without a durability wait (close B / the
+  /// resume-adoption record: a loss is reconciled by the adoption rule,
+  /// so it must not be dropped but need not be awaited).
+  void PushClose(std::string payload);
+
+  /// Durable full snapshot: blocks until the writer persisted it and
+  /// returns the store's Status (forced Checkpoint()).
+  Status WriteDurableSnapshot(std::string payload);
+
+  /// Durable close record (checkpoint A): blocks until persisted —
+  /// to the WAL when healthy, as a promoted snapshot otherwise.
+  Status WriteDurableClose(std::string payload);
+
+  /// True once per compaction request: the writer wants the producer to
+  /// send a fresh full snapshot at its next cadence point.
+  bool TakeWantsSnapshot();
 
  private:
+  /// Ring slots. A full ring coarsens the stream's checkpoint cadence
+  /// (offers fail and are retried next chunk).
+  static constexpr size_t kRingCapacity = 64;
+
+  struct Ack {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+  };
+
+  struct Slot {
+    /// Full snapshot payload in record.checkpoint_payload.
+    bool is_snapshot = false;
+    CheckpointDeltaRecord record;
+    std::shared_ptr<Ack> ack;
+  };
+
+  void BlockingPush(Slot slot);
+  Status PushWithAck(Slot slot);
   void Signal();
   void WriterMain();
-  void DrainChannel(Channel* channel);
-  static void CompleteAck(const std::shared_ptr<Channel::Ack>& ack,
+  void Drain();
+  static void CompleteAck(const std::shared_ptr<Ack>& ack,
                           const Status& status);
 
   Warehouse* const warehouse_;
-  const Options options_;
+  const DatasetId dataset_;
+  const uint64_t group_commit_micros_;
+  const uint64_t snapshot_every_wal_bytes_;
+  const uint64_t snapshot_every_deltas_;
+  SpscRing<Slot> ring_;
+  std::atomic<bool> want_snapshot_{false};
 
-  std::mutex channels_mu_;
-  std::vector<std::unique_ptr<Channel>> channels_;
+  // Writer-thread-only state.
+  bool have_generation_;
+  bool wal_broken_ = false;
+  uint64_t wal_bytes_since_snapshot_ = 0;
+  uint64_t wal_records_since_snapshot_ = 0;
 
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;

@@ -1,7 +1,5 @@
 #include "src/warehouse/ids.h"
 
-#include <string_view>
-
 namespace sampwh {
 
 Status ValidateDatasetId(const DatasetId& id) {
@@ -14,29 +12,6 @@ Status ValidateDatasetId(const DatasetId& id) {
     if (!ok) {
       return Status::InvalidArgument(
           "dataset id may only contain [A-Za-z0-9_.-]: " + id);
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateCheckpointKey(const std::string& key) {
-  const size_t hash = key.find('#');
-  if (hash == std::string::npos) return ValidateDatasetId(key);
-  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(key.substr(0, hash)));
-  if (key.size() > 200) {
-    return Status::InvalidArgument("checkpoint key too long");
-  }
-  const std::string_view suffix(key.data() + hash + 1, key.size() - hash - 1);
-  if (suffix.empty()) {
-    return Status::InvalidArgument("empty checkpoint key suffix: " + key);
-  }
-  for (const char c : suffix) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                    c == '-';
-    if (!ok) {
-      return Status::InvalidArgument(
-          "checkpoint key suffix may only contain [A-Za-z0-9_.-]: " + key);
     }
   }
   return Status::OK();

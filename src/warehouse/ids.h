@@ -44,14 +44,6 @@ struct PartitionKeyHash {
 /// so they are restricted to [A-Za-z0-9_.-], non-empty, <= 200 bytes.
 Status ValidateDatasetId(const DatasetId& id);
 
-/// A checkpoint key is either a plain dataset id or a dataset id followed
-/// by '#' and a cursor suffix from the same charset (parallel ingest stores
-/// one cursor per stripe under "<dataset>#s<stripe>"). Because '#' is
-/// outside the dataset-id charset, keyed cursors can never collide with a
-/// real dataset's own checkpoint, and '#' is safe in file names so the
-/// file-backed store can use keys as stems unchanged.
-Status ValidateCheckpointKey(const std::string& key);
-
 }  // namespace sampwh
 
 #endif  // SAMPWH_WAREHOUSE_IDS_H_

@@ -496,7 +496,7 @@ std::vector<uint64_t> SampleStore::CheckpointGenerations(
 
 Status SampleStore::PutCheckpoint(const DatasetId& dataset,
                                   std::string_view payload) {
-  SAMPWH_RETURN_IF_ERROR(ValidateCheckpointKey(dataset));
+  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   const std::string bytes = WrapSampleEnvelope(payload);
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   const std::vector<uint64_t> gens = CheckpointGenerations(dataset);
@@ -548,17 +548,17 @@ SampleStore::NewestValidCheckpointLocked(const DatasetId& key) const {
 
 Result<std::string> SampleStore::GetCheckpoint(
     const DatasetId& dataset) const {
-  SAMPWH_RETURN_IF_ERROR(ValidateCheckpointKey(dataset));
+  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   SAMPWH_ASSIGN_OR_RETURN(auto newest, NewestValidCheckpointLocked(dataset));
   return std::move(newest.second);
 }
 
 Result<CheckpointChain> SampleStore::GetCheckpointChain(
-    const DatasetId& key) const {
-  SAMPWH_RETURN_IF_ERROR(ValidateCheckpointKey(key));
+    const DatasetId& dataset) const {
+  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   std::lock_guard<std::mutex> lock(ckpt_mu_);
-  SAMPWH_ASSIGN_OR_RETURN(auto newest, NewestValidCheckpointLocked(key));
+  SAMPWH_ASSIGN_OR_RETURN(auto newest, NewestValidCheckpointLocked(dataset));
   CheckpointChain chain;
   chain.generation = newest.first;
   chain.snapshot = std::move(newest.second);
@@ -566,7 +566,7 @@ Result<CheckpointChain> SampleStore::GetCheckpointChain(
   // treated the same — the snapshot alone is still a valid resume point,
   // deltas only refine it.
   std::string wal_bytes;
-  if (env_->ReadFile(WalPathFor(key, chain.generation), &wal_bytes).ok()) {
+  if (env_->ReadFile(WalPathFor(dataset, chain.generation), &wal_bytes).ok()) {
     CheckpointWalParse parse = ParseCheckpointWal(wal_bytes);
     chain.deltas = std::move(parse.records);
     chain.torn_tail = parse.torn_tail;
@@ -575,26 +575,26 @@ Result<CheckpointChain> SampleStore::GetCheckpointChain(
 }
 
 Status SampleStore::AppendCheckpointDeltas(
-    const DatasetId& key, const std::vector<std::string>& records) {
-  SAMPWH_RETURN_IF_ERROR(ValidateCheckpointKey(key));
+    const DatasetId& dataset, const std::vector<std::string>& records) {
+  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   if (records.empty()) return Status::OK();
   const std::string batch = FrameWalBatch(records);
   const std::shared_ptr<FaultInjector> injector = fault_injector();
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   uint64_t gen;
-  const auto cached = newest_generation_.find(key);
+  const auto cached = newest_generation_.find(dataset);
   if (cached != newest_generation_.end()) {
     gen = cached->second;
   } else {
-    const std::vector<uint64_t> gens = CheckpointGenerations(key);
+    const std::vector<uint64_t> gens = CheckpointGenerations(dataset);
     if (gens.empty()) {
       return Status::FailedPrecondition(
           "no snapshot generation to append WAL records to");
     }
     gen = gens.back();
-    newest_generation_[key] = gen;
+    newest_generation_[dataset] = gen;
   }
-  const std::string path = WalPathFor(key, gen);
+  const std::string path = WalPathFor(dataset, gen);
   const FaultKind fault = injector != nullptr
                               ? injector->Next(kFaultSiteWalAppend)
                               : FaultKind::kNone;
@@ -619,7 +619,7 @@ Status SampleStore::AppendCheckpointDeltas(
 }
 
 Status SampleStore::DeleteCheckpoint(const DatasetId& dataset) {
-  SAMPWH_RETURN_IF_ERROR(ValidateCheckpointKey(dataset));
+  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   newest_generation_.erase(dataset);
   const std::vector<uint64_t> gens = CheckpointGenerations(dataset);

@@ -165,7 +165,7 @@ class SampleStore {
   // --- Ingest checkpoints -------------------------------------------------
   //
   // One logical checkpoint per dataset, stored generationally as
-  // "<key>.<generation>.ckpt" (the newest two generations are kept) so a
+  // "<dataset>.<generation>.ckpt" (the newest two generations are kept) so a
   // write torn mid-checkpoint never loses the previous good one. `payload`
   // is an IngestCheckpoint record; the store frames it in the CRC'd SWV2
   // envelope like every sample.
@@ -192,26 +192,26 @@ class SampleStore {
   // --- Checkpoint delta journal -------------------------------------------
   //
   // Each snapshot generation owns a write-ahead log of CRC-framed delta
-  // records ("<key>.<generation>.wal"). The background checkpoint writer
+  // records ("<dataset>.<generation>.wal"). The background checkpoint writer
   // appends groups of records between snapshots; resume reads the newest
   // verifiable snapshot plus its WAL back as one chain. Rotation:
   // PutCheckpoint starts a fresh (empty) WAL for the generation it writes,
   // and pruning an old generation removes its WAL with it.
 
   /// Appends `records` (each one CheckpointDeltaRecord payload) to the WAL
-  /// of `key`'s newest snapshot generation, CRC-framed per record, in one
+  /// of `dataset`'s newest snapshot generation, CRC-framed per record, in one
   /// group-committed write. FailedPrecondition when no snapshot generation
   /// exists. Consults kFaultSiteWalAppend; failures are NOT retried — a
   /// failed append may have left a torn tail, so the caller must rotate to
   /// a fresh snapshot instead of appending past the damage.
-  Status AppendCheckpointDeltas(const DatasetId& key,
+  Status AppendCheckpointDeltas(const DatasetId& dataset,
                                 const std::vector<std::string>& records);
 
-  /// The newest verifiable snapshot for `key` plus its WAL records (CRC
+  /// The newest verifiable snapshot for `dataset` plus its WAL records (CRC
   /// framing checked; a torn tail is flagged and skipped). A corrupt newest
   /// snapshot is quarantined together with its WAL and the previous
   /// generation served. NotFound when no valid generation remains.
-  Result<CheckpointChain> GetCheckpointChain(const DatasetId& key) const;
+  Result<CheckpointChain> GetCheckpointChain(const DatasetId& dataset) const;
 
   /// Arms fault injection for this store (nullptr disarms). The injector
   /// is consulted at the kFaultSite* sites in fault_injector.h.

@@ -24,16 +24,13 @@ uint64_t NowUnixMicros() {
 StreamIngestor::StreamIngestor(Warehouse* warehouse, DatasetId dataset,
                                std::unique_ptr<Partitioner> partitioner)
     : StreamIngestor(warehouse, std::move(dataset), std::move(partitioner),
-                     warehouse != nullptr ? warehouse->ForkRng() : Pcg64(0),
-                     /*checkpoint_key=*/{}) {}
+                     warehouse != nullptr ? warehouse->ForkRng() : Pcg64(0)) {}
 
 StreamIngestor::StreamIngestor(Warehouse* warehouse, DatasetId dataset,
                                std::unique_ptr<Partitioner> partitioner,
-                               Pcg64 rng, std::string checkpoint_key)
+                               Pcg64 rng)
     : warehouse_(warehouse),
       dataset_(std::move(dataset)),
-      checkpoint_key_(checkpoint_key.empty() ? dataset_
-                                             : std::move(checkpoint_key)),
       partitioner_(std::move(partitioner)),
       rng_(std::move(rng)) {
   SAMPWH_CHECK(warehouse_ != nullptr);
@@ -87,9 +84,9 @@ Status StreamIngestor::CompletePendingClose() {
   // retries the whole close. This is the one cadenceless write that stays
   // a synchronous barrier — exactly-once replay depends on A being durable
   // before the roll-in it describes.
-  if (channel_ != nullptr && !pending_->checkpointed) {
+  if (writer_ != nullptr && !pending_->checkpointed) {
     SAMPWH_RETURN_IF_ERROR(
-        channel_->WriteDurableClose(BuildCheckpointPayload()));
+        writer_->WriteDurableClose(BuildCheckpointPayload()));
     anchored_ = true;
     ResetCadence();
     pending_->checkpointed = true;
@@ -103,7 +100,7 @@ Status StreamIngestor::CompletePendingClose() {
   // Checkpoint B clears the pending record. Best effort: if it is lost, a
   // resume from checkpoint A finds the rolled-in partition at or above
   // id_lower_bound and adopts it instead of rolling in twice.
-  if (channel_ != nullptr) WriteCloseComplete();
+  if (writer_ != nullptr) WriteCloseComplete();
   return Status::OK();
 }
 
@@ -130,8 +127,8 @@ std::string StreamIngestor::BuildCheckpointPayload() const {
 }
 
 Status StreamIngestor::WriteCheckpoint() {
-  SAMPWH_RETURN_IF_ERROR(warehouse_->PutIngestCheckpointKeyed(
-      dataset_, checkpoint_key_, BuildCheckpointPayload()));
+  SAMPWH_RETURN_IF_ERROR(
+      warehouse_->PutIngestCheckpoint(dataset_, BuildCheckpointPayload()));
   anchored_ = true;
   ResetCadence();
   return Status::OK();
@@ -140,7 +137,7 @@ Status StreamIngestor::WriteCheckpoint() {
 void StreamIngestor::WriteCloseComplete() {
   // A state-complete close record (pending just cleared): rides the WAL as
   // the newest resume point without rotating a snapshot generation.
-  channel_->PushClose(BuildCheckpointPayload());
+  writer_->PushClose(BuildCheckpointPayload());
   anchored_ = true;
   ResetCadence();
 }
@@ -151,7 +148,7 @@ void StreamIngestor::ResetCadence() {
 }
 
 void StreamIngestor::MaybeCheckpoint() {
-  if (channel_ == nullptr || pending_.has_value()) return;
+  if (writer_ == nullptr || pending_.has_value()) return;
   const bool by_count = policy_.every_n_elements > 0 &&
                         elements_since_checkpoint_ >= policy_.every_n_elements;
   const bool by_time =
@@ -162,10 +159,10 @@ void StreamIngestor::MaybeCheckpoint() {
   // Cadence checkpoints are an optimization of resume granularity, not a
   // correctness requirement — a failed write (or a full ring) only means
   // more replay.
-  if (!anchored_ || snapshot_requested_ || channel_->TakeWantsSnapshot()) {
+  if (!anchored_ || snapshot_requested_ || writer_->TakeWantsSnapshot()) {
     // Anchor or compaction point: a full snapshot rotates the generation
     // and resets the delta chain.
-    if (channel_->OfferSnapshot(BuildCheckpointPayload())) {
+    if (writer_->OfferSnapshot(BuildCheckpointPayload())) {
       anchored_ = true;
       snapshot_requested_ = false;
       ResetCadence();
@@ -180,22 +177,14 @@ void StreamIngestor::MaybeCheckpoint() {
   record.created_unix_micros = NowUnixMicros();
   record.rng = rng_.SaveState();
   record.progress = progress_;
-  if (channel_->OfferDelta(record)) ResetCadence();
+  if (writer_->OfferDelta(record)) ResetCadence();
 }
 
-void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy,
-                                       CheckpointWriter* writer) {
+void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy) {
   policy_ = policy;
-  if (channel_ != nullptr) return;
-  if (writer == nullptr) {
-    CheckpointWriter::Options options;
-    options.group_commit_micros = policy.group_commit_micros;
-    options.snapshot_every_wal_bytes = policy.snapshot_every_wal_bytes;
-    options.snapshot_every_deltas = policy.snapshot_every_deltas;
-    owned_writer_ = std::make_unique<CheckpointWriter>(warehouse_, options);
-    writer = owned_writer_.get();
-  }
-  channel_ = writer->AddChannel(dataset_, checkpoint_key_, anchored_);
+  if (writer_ != nullptr) return;
+  writer_ = std::make_unique<CheckpointWriter>(warehouse_, dataset_,
+                                               anchored_, policy);
 }
 
 Status StreamIngestor::Checkpoint() {
@@ -204,9 +193,9 @@ Status StreamIngestor::Checkpoint() {
     // settled state (and records the roll-in as complete).
     SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
   }
-  if (channel_ != nullptr) {
+  if (writer_ != nullptr) {
     SAMPWH_RETURN_IF_ERROR(
-        channel_->WriteDurableSnapshot(BuildCheckpointPayload()));
+        writer_->WriteDurableSnapshot(BuildCheckpointPayload()));
     anchored_ = true;
     snapshot_requested_ = false;
     ResetCadence();
@@ -289,21 +278,18 @@ Status StreamIngestor::Flush() {
 
 Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
     Warehouse* warehouse, DatasetId dataset,
-    std::unique_ptr<Partitioner> partitioner, const CheckpointPolicy& policy,
-    std::string checkpoint_key, CheckpointWriter* shared_writer) {
+    std::unique_ptr<Partitioner> partitioner, const CheckpointPolicy& policy) {
   if (warehouse == nullptr) {
     return Status::InvalidArgument("null warehouse");
   }
-  if (checkpoint_key.empty()) checkpoint_key = dataset;
-  SAMPWH_ASSIGN_OR_RETURN(
-      CheckpointChain chain,
-      warehouse->GetIngestCheckpointChain(checkpoint_key));
+  SAMPWH_ASSIGN_OR_RETURN(CheckpointChain chain,
+                          warehouse->GetIngestCheckpointChain(dataset));
   SAMPWH_ASSIGN_OR_RETURN(IngestCheckpoint ckpt,
                           ResolveCheckpointChain(chain));
 
-  auto ingestor = std::unique_ptr<StreamIngestor>(new StreamIngestor(
-      warehouse, std::move(dataset), std::move(partitioner),
-      Pcg64::FromState(ckpt.rng), std::move(checkpoint_key)));
+  auto ingestor = std::unique_ptr<StreamIngestor>(
+      new StreamIngestor(warehouse, std::move(dataset),
+                         std::move(partitioner), Pcg64::FromState(ckpt.rng)));
   ingestor->next_sequence_ = ckpt.next_sequence;
   ingestor->partitions_started_ = ckpt.partitions_started;
   ingestor->rolled_in_ = std::move(ckpt.rolled_in);
@@ -316,7 +302,7 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
   // The chain we just resumed from has a verified snapshot generation, so
   // delta records appended by the new incarnation extend a valid chain.
   ingestor->anchored_ = true;
-  ingestor->EnableCheckpoints(policy, shared_writer);
+  ingestor->EnableCheckpoints(policy);
 
   if (ckpt.pending.has_value()) {
     // The crash hit the close protocol between checkpoint A and checkpoint

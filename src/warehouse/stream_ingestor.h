@@ -62,16 +62,6 @@ class StreamIngestor {
   StreamIngestor(Warehouse* warehouse, DatasetId dataset,
                  std::unique_ptr<Partitioner> partitioner);
 
-  /// Variant for callers that manage several ingestors over one dataset
-  /// (ParallelIngestor's stripes): the private RNG is supplied explicitly
-  /// instead of forked from the warehouse engine — so each stripe's
-  /// randomness is a pure function of (seed, stripe), independent of
-  /// construction order — and checkpoints are stored under `checkpoint_key`
-  /// rather than the dataset name.
-  StreamIngestor(Warehouse* warehouse, DatasetId dataset,
-                 std::unique_ptr<Partitioner> partitioner, Pcg64 rng,
-                 std::string checkpoint_key);
-
   /// Feeds one element with an optional event timestamp (virtual ticks).
   /// Timestamps must be non-decreasing within one ingestor.
   Status Append(Value v, uint64_t timestamp = 0);
@@ -101,10 +91,8 @@ class StreamIngestor {
 
   /// Turns on the checkpoint protocol (cadence per `policy`; a zero policy
   /// still checkpoints around partition closes and on Checkpoint()) through
-  /// `writer` — ParallelIngestor shares one across its stripes; it must
-  /// outlive the ingestor — or, when null, a CheckpointWriter of its own.
-  void EnableCheckpoints(const CheckpointPolicy& policy,
-                         CheckpointWriter* writer = nullptr);
+  /// a CheckpointWriter of its own.
+  void EnableCheckpoints(const CheckpointPolicy& policy);
 
   /// Forces a durable checkpoint of the current state now (a barrier
   /// through the background writer once checkpoints are enabled).
@@ -117,15 +105,11 @@ class StreamIngestor {
   /// roll-in provably completed is adopted, one whose roll-in is absent is
   /// rolled in now. The returned ingestor has checkpoints enabled with
   /// `policy`; feed it the source stream from next_sequence() (or any
-  /// earlier replay point) via the Append*At entry points. `checkpoint_key`
-  /// selects a non-default checkpoint cursor (empty: the dataset name);
-  /// `shared_writer` routes asynchronous checkpoints through an external
-  /// CheckpointWriter instead of an owned one.
+  /// earlier replay point) via the Append*At entry points.
   static Result<std::unique_ptr<StreamIngestor>> Resume(
       Warehouse* warehouse, DatasetId dataset,
       std::unique_ptr<Partitioner> partitioner,
-      const CheckpointPolicy& policy = {}, std::string checkpoint_key = {},
-      CheckpointWriter* shared_writer = nullptr);
+      const CheckpointPolicy& policy = {});
 
   /// The replay watermark: sequence number of the next element to apply.
   uint64_t next_sequence() const { return next_sequence_; }
@@ -149,6 +133,11 @@ class StreamIngestor {
     /// Checkpoint A has been persisted.
     bool checkpointed = false;
   };
+
+  /// Resume's constructor: the private RNG is restored from the
+  /// checkpoint instead of forked from the warehouse engine.
+  StreamIngestor(Warehouse* warehouse, DatasetId dataset,
+                 std::unique_ptr<Partitioner> partitioner, Pcg64 rng);
 
   Status CloseCurrentPartition();
   /// Drives the pending close to completion: checkpoint A (if not yet
@@ -181,9 +170,6 @@ class StreamIngestor {
 
   Warehouse* warehouse_;
   DatasetId dataset_;
-  /// Where this ingestor's checkpoint generations live; the dataset name by
-  /// default, a "<dataset>#s<stripe>" key for one stripe of a parallel run.
-  std::string checkpoint_key_;
   std::unique_ptr<Partitioner> partitioner_;
 
   /// The ingestor's private RNG: per-partition sampler streams fork from
@@ -202,12 +188,9 @@ class StreamIngestor {
   uint64_t elements_since_checkpoint_ = 0;
   uint64_t last_checkpoint_tick_ = 0;
 
-  /// The background writer (owned unless shared via the EnableCheckpoints
-  /// overload) and this stream's lane into it; a non-null channel_ is what
-  /// "checkpoints enabled" means.
-  std::unique_ptr<CheckpointWriter> owned_writer_;
-  CheckpointWriter::Channel* channel_ = nullptr;
-  /// A snapshot generation exists (or is queued) for checkpoint_key_, so
+  /// The background writer; non-null is what "checkpoints enabled" means.
+  std::unique_ptr<CheckpointWriter> writer_;
+  /// A snapshot generation exists (or is queued) for dataset_, so
   /// delta records have a chain to extend. Until anchored, every cadence
   /// point sends a full snapshot.
   bool anchored_ = false;

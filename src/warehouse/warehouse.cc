@@ -109,18 +109,8 @@ Status Warehouse::DropDataset(const DatasetId& id) {
       store_->Delete(PartitionKey{id, p.id});
     }
     // A dropped dataset's ingest checkpoints are meaningless (and would
-    // read as stale on the next recovery); best effort again. Per-stripe
-    // cursors live under "<dataset>#..." keys.
+    // read as stale on the next recovery); best effort again.
     store_->DeleteCheckpoint(id);
-    if (Result<std::vector<DatasetId>> ckpts = store_->ListCheckpoints();
-        ckpts.ok()) {
-      for (const DatasetId& key : ckpts.value()) {
-        if (key.size() > id.size() && key[id.size()] == '#' &&
-            key.compare(0, id.size(), id) == 0) {
-          store_->DeleteCheckpoint(key);
-        }
-      }
-    }
     sampler_overrides_.erase(id);
     dataset_mu_.erase(id);
     // Epoch-bump both caches: a recreated dataset reuses partition ids from
@@ -569,40 +559,29 @@ Pcg64 Warehouse::ForkRng() {
 
 Status Warehouse::PutIngestCheckpoint(const DatasetId& dataset,
                                       std::string_view payload) {
-  return PutIngestCheckpointKeyed(dataset, dataset, payload);
-}
-
-Status Warehouse::PutIngestCheckpointKeyed(const DatasetId& dataset,
-                                           const std::string& key,
-                                           std::string_view payload) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (!catalog_.HasDataset(dataset)) {
       return Status::NotFound("no dataset: " + dataset);
     }
   }
-  return store_->PutCheckpoint(key, payload);
+  return store_->PutCheckpoint(dataset, payload);
 }
 
-Status Warehouse::AppendIngestCheckpointDeltasKeyed(
-    const DatasetId& dataset, const std::string& key,
-    const std::vector<std::string>& records) {
+Status Warehouse::AppendIngestCheckpointDeltas(
+    const DatasetId& dataset, const std::vector<std::string>& records) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (!catalog_.HasDataset(dataset)) {
       return Status::NotFound("no dataset: " + dataset);
     }
   }
-  return store_->AppendCheckpointDeltas(key, records);
+  return store_->AppendCheckpointDeltas(dataset, records);
 }
 
 Result<CheckpointChain> Warehouse::GetIngestCheckpointChain(
-    const std::string& key) const {
-  return store_->GetCheckpointChain(key);
-}
-
-Status Warehouse::DeleteIngestCheckpoint(const DatasetId& dataset) {
-  return store_->DeleteCheckpoint(dataset);
+    const DatasetId& dataset) const {
+  return store_->GetCheckpointChain(dataset);
 }
 
 Result<std::vector<DatasetId>> Warehouse::ListIngestCheckpoints() const {
@@ -687,13 +666,10 @@ Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
   // nothing could ever resume them — so they are deleted, not resurrected.
   if (Result<std::vector<DatasetId>> ckpts = store->ListCheckpoints();
       ckpts.ok()) {
-    for (const DatasetId& key : ckpts.value()) {
-      // Per-stripe cursors are stored under "<dataset>#s<stripe>"; their
-      // liveness is decided by the dataset they belong to.
-      const DatasetId base = key.substr(0, key.find('#'));
-      if (!catalog.HasDataset(base)) {
-        store->DeleteCheckpoint(key);  // best effort
-        restored.report.stale_checkpoints.push_back(key);
+    for (const DatasetId& dataset : ckpts.value()) {
+      if (!catalog.HasDataset(dataset)) {
+        store->DeleteCheckpoint(dataset);  // best effort
+        restored.report.stale_checkpoints.push_back(dataset);
       }
     }
   }

@@ -190,36 +190,24 @@ class Warehouse {
   // --- Ingest checkpoints -------------------------------------------------
 
   /// Persists a StreamIngestor checkpoint record for `dataset` through the
-  /// sample store (generational, CRC-framed). NotFound when the dataset
-  /// does not exist.
+  /// sample store (generational, CRC-framed) as a fresh snapshot
+  /// generation. NotFound when the dataset does not exist.
   Status PutIngestCheckpoint(const DatasetId& dataset,
                              std::string_view payload);
 
-  /// Keyed variant for ingestors that maintain several checkpoint cursors
-  /// over one dataset (ParallelIngestor stores one per stripe under
-  /// "<dataset>#s<stripe>"). Validates that `dataset` exists, then stores
-  /// the record under `key`; read it back with
-  /// GetIngestCheckpointChain(key).
-  Status PutIngestCheckpointKeyed(const DatasetId& dataset,
-                                  const std::string& key,
-                                  std::string_view payload);
+  /// Appends delta-journal records to the WAL of `dataset`'s newest
+  /// snapshot generation (one group commit). NotFound when the dataset
+  /// does not exist, FailedPrecondition when no snapshot generation exists
+  /// yet; append failures must not be retried (see
+  /// SampleStore::AppendCheckpointDeltas).
+  Status AppendIngestCheckpointDeltas(const DatasetId& dataset,
+                                      const std::vector<std::string>& records);
 
-  /// Appends delta-journal records to the WAL of `key`'s newest snapshot
-  /// generation (one group commit). Validates that `dataset` exists.
-  /// FailedPrecondition when no snapshot generation exists yet; append
-  /// failures must not be retried (see SampleStore::AppendCheckpointDeltas).
-  Status AppendIngestCheckpointDeltasKeyed(
-      const DatasetId& dataset, const std::string& key,
-      const std::vector<std::string>& records);
-
-  /// The newest verifiable snapshot generation for `key` plus its WAL
+  /// The newest verifiable snapshot generation for `dataset` plus its WAL
   /// records; resolve with ResolveCheckpointChain(). NotFound when none
   /// exists.
   Result<CheckpointChain> GetIngestCheckpointChain(
-      const std::string& key) const;
-
-  /// Drops every stored checkpoint generation for `dataset`.
-  Status DeleteIngestCheckpoint(const DatasetId& dataset);
+      const DatasetId& dataset) const;
 
   /// Datasets with at least one stored ingest checkpoint.
   Result<std::vector<DatasetId>> ListIngestCheckpoints() const;

@@ -407,6 +407,41 @@ TEST(ServerTest, StreamingIngestIsExactlyOnceOverTheWire) {
                   .IsFailedPrecondition());
 }
 
+TEST(ServerTest, DropDatasetEndsItsIngestStream) {
+  ServerOptions options = TestServerOptions();
+  options.ingest_partition_elements = 64;
+  auto server = MustStart(std::move(options));
+  ASSERT_NE(server, nullptr);
+  auto client = MustConnect(*server);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(client->CreateDataset("acme", "events").ok());
+
+  ASSERT_TRUE(client->IngestOpen("acme", "events").ok());
+  std::vector<Value> batch(100);
+  for (size_t i = 0; i < batch.size(); ++i) batch[i] = static_cast<Value>(i);
+  auto appended = client->IngestAppend("acme", "events", 0, batch);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended.value().partitions_rolled_in, 1u);
+
+  // Dropping the dataset ends the stream together with its checkpoints.
+  ASSERT_TRUE(client->DropDataset("acme", "events").ok());
+  Warehouse* warehouse = server->warehouse_for_testing();
+  auto checkpoints = warehouse->ListIngestCheckpoints();
+  ASSERT_TRUE(checkpoints.ok());
+  EXPECT_TRUE(checkpoints.value().empty());
+  EXPECT_TRUE(warehouse->GetIngestCheckpointChain("acme.events")
+                  .status()
+                  .IsNotFound());
+
+  // A recreated dataset starts a fresh stream, not the dropped one's.
+  ASSERT_TRUE(client->CreateDataset("acme", "events").ok());
+  auto reopened = client->IngestOpen("acme", "events");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().next_sequence, 0u);
+  EXPECT_EQ(reopened.value().partitions_rolled_in, 0u);
+}
+
 TEST(ServerTest, ShutdownVerbStopsTheServer) {
   auto server = MustStart(TestServerOptions());
   ASSERT_NE(server, nullptr);

@@ -30,10 +30,6 @@
 //      and a lost WAL append (crash between the delta append and its
 //      becoming visible) — under an aggressive compaction cadence so
 //      snapshot rotation races the delta/close traffic.
-//   8. Parallel ingest determinism: a multi-shard ParallelIngestor fed by
-//      concurrent producer threads over tiny (high-contention) SPSC rings
-//      rolls in exactly the same sample bytes as a 1-shard serial run of
-//      the same stripes under the same seed.
 //
 // Faults, workload choices and data are all derived from --seed, so a
 // failing round reproduces with its printed seed. Thread interleavings are
@@ -60,7 +56,6 @@
 #include "src/util/random.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
-#include "src/warehouse/parallel_ingestor.h"
 #include "src/warehouse/partitioner.h"
 #include "src/warehouse/sample_store.h"
 #include "src/warehouse/stream_ingestor.h"
@@ -155,7 +150,6 @@ class StressRound {
     CheckWarmColdIdentity();
     CheckTornWriteRecovery();
     CheckCrashResumeIngestion();
-    CheckParallelIngestDeterminism();
 
     if (warehouse_ != nullptr) {
       AccumulateStoreStats(warehouse_->store_for_testing()->GetStoreStats());
@@ -744,83 +738,6 @@ class StressRound {
                       " vs " + std::to_string(want.size()) + " partitions)");
     }
     AccumulateStoreStats(warehouse.store_for_testing()->GetStoreStats());
-  }
-
-  // --- Parallel ingest determinism (invariant 8) --------------------------
-
-  /// Runs one ParallelIngestor configuration over fixed per-stripe data and
-  /// returns the sorted multiset of rolled-in sample bytes. Producer
-  /// threads own disjoint stripe sets (p takes stripes ≡ p mod producers)
-  /// and push interleaved chunks through deliberately tiny rings, so shard
-  /// threads constantly race full/empty ring edges.
-  std::vector<std::string> RunParallelIngest(
-      const std::vector<std::vector<Value>>& stripe_data, uint64_t seed,
-      size_t shards, size_t producers, const std::string& label) {
-    Warehouse warehouse(
-        ResumeOptions(SamplerKind::kStratifiedBernoulli, seed, ""));
-    const std::string ds = "parallel";
-    if (!warehouse.CreateDataset(ds).ok()) {
-      violations_.Add(label + ": CreateDataset failed");
-      return {};
-    }
-    ParallelIngestOptions options;
-    options.shards = shards;
-    options.ring_capacity = 4;
-    ParallelIngestor ingestor(
-        &warehouse, ds, [](uint64_t) { return MakeCountPartitioner(400); },
-        options);
-    const uint64_t stripes = stripe_data.size();
-    const uint64_t per_stripe = stripe_data[0].size();
-    std::vector<std::thread> feeders;
-    for (size_t p = 0; p < producers; ++p) {
-      ParallelIngestor::Producer* producer = ingestor.AddProducer();
-      feeders.emplace_back([&, p, producer] {
-        for (uint64_t offset = 0; offset < per_stripe; offset += 193) {
-          for (uint64_t s = p; s < stripes; s += producers) {
-            const uint64_t n = std::min<uint64_t>(193, per_stripe - offset);
-            const Status pushed = producer->Append(
-                s, std::span<const Value>(stripe_data[s]).subspan(offset, n));
-            if (!pushed.ok()) {
-              violations_.Add(label + ": Append: " + Describe(pushed));
-              return;
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& t : feeders) t.join();
-    if (const Status s = ingestor.Finish(); !s.ok()) {
-      violations_.Add(label + ": Finish: " + Describe(s));
-      return {};
-    }
-    std::vector<std::string> bytes = RolledInBytes(warehouse, ds, label);
-    std::sort(bytes.begin(), bytes.end());
-    return bytes;
-  }
-
-  void CheckParallelIngestDeterminism() {
-    constexpr uint64_t kStripes = 8;
-    constexpr uint64_t kPerStripe = 2500;
-    const uint64_t scenario_seed = rng_.NextUint64();
-    std::vector<std::vector<Value>> stripe_data(kStripes);
-    for (uint64_t s = 0; s < kStripes; ++s) {
-      stripe_data[s].reserve(kPerStripe);
-      for (uint64_t i = 0; i < kPerStripe; ++i) {
-        stripe_data[s].push_back(
-            static_cast<Value>(s * 1000000 + (scenario_seed + 31 * i) % 65536));
-      }
-    }
-    const std::vector<std::string> serial = RunParallelIngest(
-        stripe_data, scenario_seed, 1, 1, "parallel-ingest serial");
-    const std::vector<std::string> parallel = RunParallelIngest(
-        stripe_data, scenario_seed, 3, 2, "parallel-ingest 3x2");
-    if (serial.empty() || parallel.empty()) return;  // already reported
-    if (serial != parallel) {
-      violations_.Add("parallel ingest (3 shards, 2 producers) is not "
-                      "byte-identical to the 1-shard serial run (" +
-                      std::to_string(parallel.size()) + " vs " +
-                      std::to_string(serial.size()) + " partitions)");
-    }
   }
 
   void CheckCrashResumeIngestion() {
