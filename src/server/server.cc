@@ -11,7 +11,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -662,13 +664,12 @@ Status WarehouseServer::HandleQuery(BinaryReader& req, BinaryWriter& resp) {
   // Fail fast when the client's deadline already passed before the merge
   // starts; the memoized merge recursion polls the same deadline per node.
   SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
-  const Result<PartitionSample> merged =
-      ids.empty() ? warehouse_->MergedSampleAll(key)
-                  : warehouse_->MergedSample(key, ids);
-  SAMPWH_RETURN_IF_ERROR(merged.status());
-  // Serialized once, straight into the response frame; HandleRequest seals
-  // the body as one length-prefixed blob.
-  merged.value().SerializeTo(&resp);
+  // The root's encoded answer: on a memo hit the node's stored bytes, shared
+  // and not re-encoded. One copy into the response frame; HandleRequest
+  // seals the body as one length-prefixed blob.
+  SAMPWH_ASSIGN_OR_RETURN(const std::shared_ptr<const std::string> answer,
+                          warehouse_->MergedSampleBytes(key, ids));
+  resp.PutRaw(answer->data(), answer->size());
   return Status::OK();
 }
 

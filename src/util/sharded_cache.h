@@ -98,8 +98,19 @@ class ShardedLruCache {
   /// immediately — the cache never grows past its budget for one caller.
   void Insert(const Key& key, std::shared_ptr<const Value> value,
               uint64_t charge) {
+    InsertIf(key, std::move(value), charge, [] { return true; });
+  }
+
+  /// Insert, done only when `admit()` is true; false when refused. `admit`
+  /// runs under the shard lock, so an invalidation that first makes it
+  /// false and then sweeps with EraseIf or Erase either refuses this entry
+  /// or erases it.
+  template <typename Admit>
+  bool InsertIf(const Key& key, std::shared_ptr<const Value> value,
+                uint64_t charge, Admit&& admit) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
+    if (!admit()) return false;
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.bytes -= it->second->charge;
@@ -117,6 +128,7 @@ class ShardedLruCache {
       shard.lru.pop_back();
       ++shard.stats.evictions;
     }
+    return true;
   }
 
   /// Removes `key`; false when absent.

@@ -49,12 +49,6 @@ Result<PartitionSample> MergeTreeNode(uint64_t warehouse_seed,
 MergeMemo::MergeMemo(size_t num_shards, uint64_t byte_budget)
     : cache_(num_shards, byte_budget) {}
 
-uint64_t MergeMemo::CurrentEpoch(const DatasetId& dataset) const {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  const auto it = epochs_.find(dataset);
-  return it != epochs_.end() ? it->second : 0;
-}
-
 std::string MergeMemo::KeyFor(const DatasetId& dataset,
                               std::span<const PartitionId> ids,
                               uint64_t options_fingerprint, uint64_t epoch) {
@@ -87,31 +81,36 @@ Pcg64 MergeMemo::NodeRng(uint64_t warehouse_seed, const DatasetId& dataset,
                NodeStream(dataset, ids, options_fingerprint));
 }
 
-std::shared_ptr<const PartitionSample> MergeMemo::Lookup(
-    const DatasetId& dataset, std::span<const PartitionId> ids,
-    uint64_t options_fingerprint, uint64_t epoch) {
-  std::shared_ptr<const MemoNode> node =
+MergeMemo::Node MergeMemo::Lookup(const DatasetId& dataset,
+                                  std::span<const PartitionId> ids,
+                                  uint64_t options_fingerprint,
+                                  uint64_t epoch) {
+  std::shared_ptr<const MemoNode> entry =
       cache_.Lookup(KeyFor(dataset, ids, options_fingerprint, epoch));
-  if (node == nullptr) return nullptr;
-  return node->sample;
+  if (entry == nullptr) return {};
+  return entry->node;
 }
 
 void MergeMemo::Insert(const DatasetId& dataset,
                        std::span<const PartitionId> ids,
-                       uint64_t options_fingerprint, uint64_t epoch,
-                       std::shared_ptr<const PartitionSample> sample) {
-  auto node = std::make_shared<MemoNode>();
-  node->sample = std::move(sample);
-  node->dataset = dataset;
-  node->members.assign(ids.begin(), ids.end());
-  const uint64_t charge = node->sample->footprint_bytes() + dataset.size() +
-                          ids.size_bytes() + kEntryOverheadBytes;
-  cache_.Insert(KeyFor(dataset, ids, options_fingerprint, epoch),
-                std::move(node), charge);
+                       uint64_t options_fingerprint, const View& view,
+                       Node node) {
+  auto entry = std::make_shared<MemoNode>();
+  entry->node = std::move(node);
+  entry->dataset = dataset;
+  entry->members.assign(ids.begin(), ids.end());
+  const uint64_t charge =
+      entry->node.sample->footprint_bytes() +
+      (entry->node.bytes != nullptr ? entry->node.bytes->size() : 0) +
+      dataset.size() + ids.size_bytes() + kEntryOverheadBytes;
+  cache_.InsertIf(KeyFor(dataset, ids, options_fingerprint, view.epoch),
+                  std::move(entry), charge,
+                  [&] { return epochs_.Admits(dataset, view); });
 }
 
 size_t MergeMemo::InvalidatePartition(const DatasetId& dataset,
                                       PartitionId partition) {
+  epochs_.CountInvalidation(dataset);
   return cache_.EraseIf(
       [&dataset, partition](const std::string&, const MemoNode& node) {
         return node.dataset == dataset &&
@@ -121,16 +120,16 @@ size_t MergeMemo::InvalidatePartition(const DatasetId& dataset,
 }
 
 void MergeMemo::InvalidateDataset(const DatasetId& dataset) {
-  {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    ++epochs_[dataset];
-  }
+  epochs_.BumpEpoch(dataset);
   cache_.EraseIf([&dataset](const std::string&, const MemoNode& node) {
     return node.dataset == dataset;
   });
 }
 
-void MergeMemo::Clear() { cache_.Clear(); }
+void MergeMemo::Clear() {
+  epochs_.CountClear();
+  cache_.Clear();
+}
 
 CacheStats MergeMemo::Stats() const { return cache_.Stats(); }
 

@@ -21,29 +21,32 @@
 // MergeOptions fingerprint, epoch). Because a node's bytes do not depend on
 // whether it was cached, the memo changes latency, never answers: a
 // warehouse without one (merge_memo_bytes = 0) returns the same bytes.
+// A node that has been served as a query root also keeps its SerializeTo
+// bytes, charged to the same budget, so a repeated query answers with them
+// instead of encoding the sample again.
 //
 // Invalidation. Roll-out / retention expiry of a partition eagerly evicts
-// every memoized node containing it (the member set is stored per entry).
-// Dataset drops bump the dataset's epoch — generation-based wholesale
-// invalidation, O(1) — and purge residual nodes for their bytes. Stale
-// nodes racing an eviction are unreachable: their key names a rolled-out
-// partition, and every query validates the catalog before merging.
+// every memoized node containing it (the member set is stored per entry),
+// stored bytes included. Dataset drops bump the dataset's epoch —
+// generation-based wholesale invalidation, O(1) — and purge residual nodes
+// for their bytes. A node computed from samples that a racing roll-out
+// removed is refused at insertion (DatasetEpochs), so it cannot outlive
+// the roll-out and be served after RollInAt re-places the id.
 
 #ifndef SAMPWH_WAREHOUSE_MERGE_MEMO_H_
 #define SAMPWH_WAREHOUSE_MERGE_MEMO_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/merge.h"
 #include "src/core/sample.h"
 #include "src/util/random.h"
 #include "src/util/sharded_cache.h"
+#include "src/warehouse/dataset_epochs.h"
 #include "src/warehouse/ids.h"
 
 namespace sampwh {
@@ -74,21 +77,34 @@ class MergeMemo {
  public:
   MergeMemo(size_t num_shards, uint64_t byte_budget);
 
-  /// The current epoch of `dataset`; resolve it once per query, before any
-  /// node lookup, and pass it to every Lookup/Insert of that query.
-  uint64_t CurrentEpoch(const DatasetId& dataset) const;
+  using View = DatasetEpochs::View;
 
-  /// The memoized merged sample of the node covering `ids` (canonically
-  /// sorted), or nullptr on miss / stale epoch.
-  std::shared_ptr<const PartitionSample> Lookup(
-      const DatasetId& dataset, std::span<const PartitionId> ids,
-      uint64_t options_fingerprint, uint64_t epoch);
+  /// The current view of `dataset`; resolve it once per query, before any
+  /// node lookup or leaf fetch, look nodes up under its epoch and pass it to
+  /// every Insert of that query.
+  View CurrentView(const DatasetId& dataset) const {
+    return epochs_.Current(dataset);
+  }
 
-  /// Memoizes a computed node. The memo shares the node with the caller
-  /// instead of copying it.
+  /// A merge-tree node: its merged sample and, when the node has been
+  /// encoded for an answer, the sample's SerializeTo bytes (else null).
+  struct Node {
+    std::shared_ptr<const PartitionSample> sample;
+    std::shared_ptr<const std::string> bytes;
+  };
+
+  /// The memoized node covering `ids` (canonically sorted), with its bytes
+  /// when it has them; a null sample on miss / stale epoch.
+  Node Lookup(const DatasetId& dataset, std::span<const PartitionId> ids,
+              uint64_t options_fingerprint, uint64_t epoch);
+
+  /// Memoizes a computed node under view.epoch, replacing any entry under
+  /// the same key, unless a partition of the dataset was invalidated since
+  /// `view`. Its bytes, when present, are charged with the sample. The memo
+  /// shares the sample and the bytes with the caller instead of copying
+  /// them.
   void Insert(const DatasetId& dataset, std::span<const PartitionId> ids,
-              uint64_t options_fingerprint, uint64_t epoch,
-              std::shared_ptr<const PartitionSample> sample);
+              uint64_t options_fingerprint, const View& view, Node node);
 
   /// Evicts every memoized node whose member set contains `partition`
   /// (roll-out, retention expiry). Nodes over sibling partitions survive —
@@ -127,7 +143,7 @@ class MergeMemo {
 
  private:
   struct MemoNode {
-    std::shared_ptr<const PartitionSample> sample;
+    Node node;
     DatasetId dataset;
     std::vector<PartitionId> members;  // sorted
   };
@@ -136,8 +152,7 @@ class MergeMemo {
                             std::span<const PartitionId> ids,
                             uint64_t options_fingerprint, uint64_t epoch);
 
-  mutable std::mutex epoch_mu_;
-  std::unordered_map<DatasetId, uint64_t> epochs_;
+  DatasetEpochs epochs_;
   ShardedLruCache<std::string, MemoNode> cache_;
 };
 

@@ -1,10 +1,13 @@
 #include "src/warehouse/warehouse.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "src/util/deadline.h"
 #include "src/util/logging.h"
+#include "src/util/serialization.h"
 
 namespace sampwh {
 
@@ -26,6 +29,14 @@ Result<Catalog> LoadManifest(const std::string& path) {
   SAMPWH_RETURN_IF_ERROR(ReadFile(path, &bytes));
   BinaryReader reader(bytes);
   return Catalog::DeserializeFrom(&reader);
+}
+
+// A served root's answer bytes, encoded once.
+std::shared_ptr<const std::string> EncodeSample(
+    const PartitionSample& sample) {
+  BinaryWriter writer;
+  sample.SerializeTo(&writer);
+  return std::make_shared<const std::string>(writer.Release());
 }
 
 // True when a stored sample agrees with the catalog's metadata for it.
@@ -175,7 +186,7 @@ Result<PartitionId> Warehouse::RollIn(const DatasetId& dataset,
     if (sample_cache_ != nullptr) {
       // Write-through: a freshly rolled-in partition is the one queries are
       // about to merge, so cache its deserialized form immediately.
-      sample_cache_->Insert(dataset, sample_cache_->CurrentEpoch(dataset), id,
+      sample_cache_->Insert(dataset, sample_cache_->CurrentView(dataset), id,
                             std::make_shared<const PartitionSample>(sample));
     }
   }
@@ -212,7 +223,7 @@ Result<PartitionId> Warehouse::RollInAt(const DatasetId& dataset,
       return put;
     }
     if (sample_cache_ != nullptr) {
-      sample_cache_->Insert(dataset, sample_cache_->CurrentEpoch(dataset), id,
+      sample_cache_->Insert(dataset, sample_cache_->CurrentView(dataset), id,
                             std::make_shared<const PartitionSample>(sample));
     }
   }
@@ -271,13 +282,14 @@ Result<PartitionId> Warehouse::CompactPartitions(
       max_ts = std::max(max_ts, info.max_timestamp);
     }
   }
-  SAMPWH_ASSIGN_OR_RETURN(PartitionSample merged, MergeByIds(dataset, parts));
+  SAMPWH_ASSIGN_OR_RETURN(const MergeMemo::Node merged,
+                          MergeByIds(dataset, parts, /*with_bytes=*/false));
   // Roll the inputs out only after the merge succeeded; then roll the
   // consolidated sample in.
   for (const PartitionId id : parts) {
     SAMPWH_RETURN_IF_ERROR(RollOut(dataset, id));
   }
-  return RollIn(dataset, merged, min_ts, max_ts);
+  return RollIn(dataset, *merged.sample, min_ts, max_ts);
 }
 
 Result<PartitionSample> Warehouse::GetSample(const DatasetId& dataset,
@@ -290,16 +302,16 @@ Result<PartitionSample> Warehouse::GetSample(const DatasetId& dataset,
   if (sample_cache_ == nullptr) {
     return store_->Get(PartitionKey{dataset, partition});
   }
-  // Resolve the epoch before the store fetch: an insertion racing a
-  // dataset drop then lands under the stale epoch and is unreachable.
-  const uint64_t epoch = sample_cache_->CurrentEpoch(dataset);
-  if (auto cached = sample_cache_->Lookup(dataset, epoch, partition)) {
+  // Resolve the view before the store fetch: an insertion racing a
+  // roll-out or a dataset drop is then refused.
+  const SampleCache::View view = sample_cache_->CurrentView(dataset);
+  if (auto cached = sample_cache_->Lookup(dataset, view.epoch, partition)) {
     return *cached;
   }
   SAMPWH_ASSIGN_OR_RETURN(PartitionSample sample,
                           store_->Get(PartitionKey{dataset, partition}));
   auto shared = std::make_shared<const PartitionSample>(std::move(sample));
-  sample_cache_->Insert(dataset, epoch, partition, shared);
+  sample_cache_->Insert(dataset, view, partition, shared);
   return *shared;
 }
 
@@ -411,13 +423,13 @@ Warehouse::FetchSamples(const DatasetId& dataset,
     }
     return samples;
   }
-  // Resolve the epoch before any store fetch so that samples inserted after
-  // a racing dataset drop land under the stale epoch and stay unreachable.
-  const uint64_t epoch = sample_cache_->CurrentEpoch(dataset);
+  // Resolve the view before any store fetch so that samples read before a
+  // racing roll-out or dataset drop are refused at insertion.
+  const SampleCache::View view = sample_cache_->CurrentView(dataset);
   std::vector<PartitionKey> missing;
   std::vector<size_t> missing_pos;
   for (size_t i = 0; i < ids.size(); ++i) {
-    samples[i] = sample_cache_->Lookup(dataset, epoch, ids[i]);
+    samples[i] = sample_cache_->Lookup(dataset, view.epoch, ids[i]);
     if (samples[i] == nullptr) {
       missing.push_back(PartitionKey{dataset, ids[i]});
       missing_pos.push_back(i);
@@ -429,7 +441,7 @@ Warehouse::FetchSamples(const DatasetId& dataset,
     for (size_t m = 0; m < fetched.size(); ++m) {
       auto shared =
           std::make_shared<const PartitionSample>(std::move(fetched[m]));
-      sample_cache_->Insert(dataset, epoch, missing[m].partition, shared);
+      sample_cache_->Insert(dataset, view, missing[m].partition, shared);
       samples[missing_pos[m]] = std::move(shared);
     }
   }
@@ -439,36 +451,40 @@ Warehouse::FetchSamples(const DatasetId& dataset,
 Result<std::shared_ptr<const PartitionSample>> Warehouse::MergeSubtree(
     const DatasetId& dataset, std::span<const PartitionId> ids,
     std::span<const std::shared_ptr<const PartitionSample>> leaves,
-    uint64_t options_fingerprint, uint64_t memo_epoch) {
+    uint64_t options_fingerprint, const MergeMemo::View& memo_view) {
   if (ids.size() == 1) return leaves[0];
   if (merge_memo_ != nullptr) {
-    if (auto cached = merge_memo_->Lookup(dataset, ids, options_fingerprint,
-                                          memo_epoch)) {
-      return cached;
-    }
+    MergeMemo::Node cached =
+        merge_memo_->Lookup(dataset, ids, options_fingerprint,
+                            memo_view.epoch);
+    if (cached.sample != nullptr) return std::move(cached.sample);
   }
   SAMPWH_ASSIGN_OR_RETURN(PartitionSample merged,
                           MergeNode(dataset, ids, leaves, options_fingerprint,
-                                    memo_epoch));
-  return Memoize(dataset, ids, options_fingerprint, memo_epoch,
-                 std::move(merged));
+                                    memo_view));
+  // An interior node is memoized without bytes: it is encoded only if it is
+  // ever served as a root.
+  return Memoize(dataset, ids, options_fingerprint, memo_view,
+                 {std::make_shared<const PartitionSample>(std::move(merged)),
+                  nullptr})
+      .sample;
 }
 
-std::shared_ptr<const PartitionSample> Warehouse::Memoize(
-    const DatasetId& dataset, std::span<const PartitionId> ids,
-    uint64_t options_fingerprint, uint64_t memo_epoch,
-    PartitionSample node) {
-  auto shared = std::make_shared<const PartitionSample>(std::move(node));
+MergeMemo::Node Warehouse::Memoize(const DatasetId& dataset,
+                                   std::span<const PartitionId> ids,
+                                   uint64_t options_fingerprint,
+                                   const MergeMemo::View& memo_view,
+                                   MergeMemo::Node node) {
   if (merge_memo_ != nullptr) {
-    merge_memo_->Insert(dataset, ids, options_fingerprint, memo_epoch, shared);
+    merge_memo_->Insert(dataset, ids, options_fingerprint, memo_view, node);
   }
-  return shared;
+  return node;
 }
 
 Result<PartitionSample> Warehouse::MergeNode(
     const DatasetId& dataset, std::span<const PartitionId> ids,
     std::span<const std::shared_ptr<const PartitionSample>> leaves,
-    uint64_t options_fingerprint, uint64_t memo_epoch) {
+    uint64_t options_fingerprint, const MergeMemo::View& memo_view) {
   // Cooperative cancellation for the serving path: a request whose
   // propagated deadline passed aborts here, between nodes. The check reads
   // a thread-local and consumes no randomness, so a merge that is NOT
@@ -478,11 +494,11 @@ Result<PartitionSample> Warehouse::MergeNode(
   SAMPWH_ASSIGN_OR_RETURN(
       std::shared_ptr<const PartitionSample> left,
       MergeSubtree(dataset, ids.subspan(0, half), leaves.subspan(0, half),
-                   options_fingerprint, memo_epoch));
+                   options_fingerprint, memo_view));
   SAMPWH_ASSIGN_OR_RETURN(
       std::shared_ptr<const PartitionSample> right,
       MergeSubtree(dataset, ids.subspan(half), leaves.subspan(half),
-                   options_fingerprint, memo_epoch));
+                   options_fingerprint, memo_view));
   // The node's randomness is a pure function of its identity — never of
   // query history — so a recomputation after eviction (or without a memo)
   // reproduces the node bit-identically, and so does a shard or
@@ -491,65 +507,106 @@ Result<PartitionSample> Warehouse::MergeNode(
                        options_.merge, options_fingerprint);
 }
 
-Result<PartitionSample> Warehouse::MergeByIds(
-    const DatasetId& dataset, const std::vector<PartitionId>& parts) {
+Result<MergeMemo::Node> Warehouse::MergeByIds(
+    const DatasetId& dataset, const std::vector<PartitionId>& parts,
+    bool with_bytes) {
   if (parts.empty()) {
     return Status::InvalidArgument("no partitions to merge");
   }
   std::vector<PartitionId> ids(parts);
   SAMPWH_RETURN_IF_ERROR(CanonicalMergeIds(&ids));
   const uint64_t fingerprint = MergeOptionsFingerprint(options_.merge);
-  uint64_t memo_epoch = 0;
+  MergeMemo::View memo_view;
   if (merge_memo_ != nullptr) {
-    memo_epoch = merge_memo_->CurrentEpoch(dataset);
+    memo_view = merge_memo_->CurrentView(dataset);
     if (ids.size() > 1) {
       // The root's one lookup. A hit also skips the leaf fetch.
-      if (auto cached =
-              merge_memo_->Lookup(dataset, ids, fingerprint, memo_epoch)) {
-        return *cached;
+      MergeMemo::Node cached =
+          merge_memo_->Lookup(dataset, ids, fingerprint, memo_view.epoch);
+      if (cached.sample != nullptr) {
+        if (!with_bytes || cached.bytes != nullptr) return cached;
+        // First served as a root after it was memoized as an interior node
+        // or for a library caller: encode once and keep the bytes.
+        cached.bytes = EncodeSample(*cached.sample);
+        return Memoize(dataset, ids, fingerprint, memo_view,
+                       std::move(cached));
       }
     }
   }
   SAMPWH_ASSIGN_OR_RETURN(
       std::vector<std::shared_ptr<const PartitionSample>> leaves,
       FetchSamples(dataset, ids));
-  // Below the root every node passes by pointer; the answer is the query's
-  // one copy, or none when there is no memo to keep the root.
-  if (ids.size() == 1) return *leaves[0];
+  // Every node passes by pointer; only the root is ever encoded.
+  if (ids.size() == 1) {
+    return MergeMemo::Node{
+        leaves[0], with_bytes ? EncodeSample(*leaves[0]) : nullptr};
+  }
   SAMPWH_ASSIGN_OR_RETURN(
-      PartitionSample root,
-      MergeNode(dataset, ids, leaves, fingerprint, memo_epoch));
-  if (merge_memo_ == nullptr) return root;
-  return *Memoize(dataset, ids, fingerprint, memo_epoch, std::move(root));
+      PartitionSample merged,
+      MergeNode(dataset, ids, leaves, fingerprint, memo_view));
+  MergeMemo::Node root{std::make_shared<const PartitionSample>(
+                           std::move(merged)),
+                       nullptr};
+  if (with_bytes) root.bytes = EncodeSample(*root.sample);
+  return Memoize(dataset, ids, fingerprint, memo_view, std::move(root));
+}
+
+Status Warehouse::CheckCataloged(const DatasetId& dataset,
+                                 const std::vector<PartitionId>& parts) const {
+  SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
+  for (const PartitionId id : parts) {
+    SAMPWH_RETURN_IF_ERROR(catalog_.GetPartition(dataset, id).status());
+  }
+  return Status::OK();
+}
+
+Result<std::vector<PartitionId>> Warehouse::AllPartitionIds(
+    const DatasetId& dataset) const {
+  SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> infos,
+                          ListPartitions(dataset));
+  std::vector<PartitionId> ids;
+  ids.reserve(infos.size());
+  for (const PartitionInfo& p : infos) ids.push_back(p.id);
+  return ids;
 }
 
 Result<PartitionSample> Warehouse::MergedSample(
     const DatasetId& dataset, const std::vector<PartitionId>& parts) {
-  {
-    SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
-    for (const PartitionId id : parts) {
-      SAMPWH_RETURN_IF_ERROR(catalog_.GetPartition(dataset, id).status());
-    }
-  }
-  return MergeByIds(dataset, parts);
+  SAMPWH_RETURN_IF_ERROR(CheckCataloged(dataset, parts));
+  SAMPWH_ASSIGN_OR_RETURN(const MergeMemo::Node root,
+                          MergeByIds(dataset, parts, /*with_bytes=*/false));
+  return *root.sample;
 }
 
 Result<PartitionSample> Warehouse::MergedSampleAll(const DatasetId& dataset) {
-  std::vector<PartitionId> ids;
-  {
-    SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> infos,
-                            ListPartitions(dataset));
-    ids.reserve(infos.size());
-    for (const PartitionInfo& p : infos) ids.push_back(p.id);
-  }
-  return MergeByIds(dataset, ids);
+  SAMPWH_ASSIGN_OR_RETURN(const std::vector<PartitionId> ids,
+                          AllPartitionIds(dataset));
+  SAMPWH_ASSIGN_OR_RETURN(const MergeMemo::Node root,
+                          MergeByIds(dataset, ids, /*with_bytes=*/false));
+  return *root.sample;
 }
 
 Result<PartitionSample> Warehouse::MergedSampleInTimeRange(
     const DatasetId& dataset, uint64_t from, uint64_t to) {
-  SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionId> ids,
+  SAMPWH_ASSIGN_OR_RETURN(const std::vector<PartitionId> ids,
                           PartitionsInTimeRange(dataset, from, to));
-  return MergeByIds(dataset, ids);
+  SAMPWH_ASSIGN_OR_RETURN(const MergeMemo::Node root,
+                          MergeByIds(dataset, ids, /*with_bytes=*/false));
+  return *root.sample;
+}
+
+Result<std::shared_ptr<const std::string>> Warehouse::MergedSampleBytes(
+    const DatasetId& dataset, const std::vector<PartitionId>& parts) {
+  std::vector<PartitionId> all;
+  if (parts.empty()) {
+    SAMPWH_ASSIGN_OR_RETURN(all, AllPartitionIds(dataset));
+  } else {
+    SAMPWH_RETURN_IF_ERROR(CheckCataloged(dataset, parts));
+  }
+  SAMPWH_ASSIGN_OR_RETURN(
+      MergeMemo::Node root,
+      MergeByIds(dataset, parts.empty() ? all : parts, /*with_bytes=*/true));
+  return std::move(root.bytes);
 }
 
 Pcg64 Warehouse::ForkRng() {

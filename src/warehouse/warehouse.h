@@ -183,6 +183,14 @@ class Warehouse {
   Result<PartitionSample> MergedSampleInTimeRange(const DatasetId& dataset,
                                                   uint64_t from, uint64_t to);
 
+  /// The serving path's answer: the SerializeTo bytes of the sample that
+  /// MergedSample(dataset, parts) returns, or MergedSampleAll(dataset) when
+  /// `parts` is empty, after the same catalog checks. A memoized root keeps
+  /// its bytes, so a repeated query shares them: no sample copy and no
+  /// encode. The bytes are immutable and outlive the node's eviction.
+  Result<std::shared_ptr<const std::string>> MergedSampleBytes(
+      const DatasetId& dataset, const std::vector<PartitionId>& parts);
+
   /// A fresh RNG stream derived from the warehouse seed, for external
   /// samplers that will roll their results in.
   Pcg64 ForkRng();
@@ -269,8 +277,20 @@ class Warehouse {
   SampleStore* store_for_testing() { return store_.get(); }
 
  private:
-  Result<PartitionSample> MergeByIds(const DatasetId& dataset,
-                                     const std::vector<PartitionId>& parts);
+  /// NotFound unless every id in `parts` is cataloged in `dataset`.
+  Status CheckCataloged(const DatasetId& dataset,
+                        const std::vector<PartitionId>& parts) const;
+  /// Every cataloged partition id of `dataset`, in catalog order.
+  Result<std::vector<PartitionId>> AllPartitionIds(
+      const DatasetId& dataset) const;
+  /// The root of the merge tree over `parts`: the stored leaf for one id,
+  /// else the memoized node or the node computed and then memoized. Every
+  /// query resolves its root here; the copying API dereferences it. With
+  /// `with_bytes` the root carries its SerializeTo bytes: the memoized ones,
+  /// or ones encoded here once and memoized with the node.
+  Result<MergeMemo::Node> MergeByIds(const DatasetId& dataset,
+                                     const std::vector<PartitionId>& parts,
+                                     bool with_bytes);
   /// The merge-tree node over the canonically sorted `ids` (leaves[i] is
   /// the stored sample of ids[i]): the leaf itself, the memoized node, or
   /// the node computed by MergeNode and then memoized. Nodes pass by
@@ -278,18 +298,19 @@ class Warehouse {
   Result<std::shared_ptr<const PartitionSample>> MergeSubtree(
       const DatasetId& dataset, std::span<const PartitionId> ids,
       std::span<const std::shared_ptr<const PartitionSample>> leaves,
-      uint64_t options_fingerprint, uint64_t memo_epoch);
+      uint64_t options_fingerprint, const MergeMemo::View& memo_view);
   /// Computes the interior node over `ids` (at least two) from its two
   /// children, without looking the node itself up in the memo.
   Result<PartitionSample> MergeNode(
       const DatasetId& dataset, std::span<const PartitionId> ids,
       std::span<const std::shared_ptr<const PartitionSample>> leaves,
-      uint64_t options_fingerprint, uint64_t memo_epoch);
-  /// Shares a computed node, memoizing it when there is a memo.
-  std::shared_ptr<const PartitionSample> Memoize(
-      const DatasetId& dataset, std::span<const PartitionId> ids,
-      uint64_t options_fingerprint, uint64_t memo_epoch,
-      PartitionSample node);
+      uint64_t options_fingerprint, const MergeMemo::View& memo_view);
+  /// Memoizes a computed node when there is a memo, and hands it back.
+  MergeMemo::Node Memoize(const DatasetId& dataset,
+                          std::span<const PartitionId> ids,
+                          uint64_t options_fingerprint,
+                          const MergeMemo::View& memo_view,
+                          MergeMemo::Node node);
   /// Fetches the samples for `ids` in order, through the sample cache when
   /// configured (misses prefetched in parallel via SampleStore::GetMany on
   /// the warehouse pool).

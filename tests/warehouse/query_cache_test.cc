@@ -3,6 +3,8 @@
 // test are the ones DESIGN.md promises — caches change latency, never
 // results: strict eviction on roll-out / retention / drop, and (with
 // memoization) bit-identical warm, cold and post-eviction query results.
+// A root served through MergedSampleBytes keeps its encoded answer in the
+// memo, charged to the memo budget and evicted with the node.
 
 #include <string>
 #include <vector>
@@ -10,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "src/util/serialization.h"
+#include "src/warehouse/merge_memo.h"
+#include "src/warehouse/sample_cache.h"
 #include "src/warehouse/warehouse.h"
 
 namespace sampwh {
@@ -221,6 +225,147 @@ TEST(QueryCacheTest, CompactionInvalidatesInputsAndServesMergedResult) {
   const auto cold = wh.MergedSampleAll("ds");
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(Bytes(warm.value()), Bytes(cold.value()));
+}
+
+TEST(QueryCacheTest, ServedRootChargesItsBytesAndRollOutGivesThemBack) {
+  // `control` runs the same library queries but never serves a root.
+  Warehouse wh(CachedOptions());
+  Warehouse control(CachedOptions());
+  std::vector<PartitionId> ids;
+  for (Warehouse* w : {&wh, &control}) {
+    ASSERT_TRUE(w->CreateDataset("ds").ok());
+    const auto made = w->IngestBatch("ds", Range(0, 4000), 4);
+    ASSERT_TRUE(made.ok());
+    ids = made.value();
+    // The library query memoizes (01), (23) and the root, without bytes.
+    ASSERT_TRUE(w->MergedSampleAll("ds").ok());
+  }
+  const CacheStats before = wh.GetCacheStats().merge_memo;
+  ASSERT_EQ(before.bytes, control.GetCacheStats().merge_memo.bytes);
+
+  // Serving the root encodes it once and re-memoizes it with its bytes.
+  const auto served = wh.MergedSampleBytes("ds", {});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const std::string reference = Bytes(wh.MergedSampleAll("ds").value());
+  EXPECT_EQ(*served.value(), reference);
+  const CacheStats after = wh.GetCacheStats().merge_memo;
+  EXPECT_GE(after.bytes, before.bytes + served.value()->size());
+  EXPECT_EQ(after.entries, 3u);
+  EXPECT_EQ(after.insertions, before.insertions + 1);
+
+  // A second hit shares the stored bytes and inserts nothing.
+  const auto again = wh.MergedSampleBytes("ds", {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().get(), served.value().get());
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.insertions, after.insertions);
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.bytes, after.bytes);
+
+  // Rolling out a member evicts the root with its bytes: the memo keeps
+  // exactly what the warehouse that never served the root keeps.
+  ASSERT_TRUE(wh.RollOut("ds", ids[0]).ok());
+  ASSERT_TRUE(control.RollOut("ds", ids[0]).ok());
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.entries, 1u);
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.bytes,
+            control.GetCacheStats().merge_memo.bytes);
+  // The bytes an answer still holds outlive the node's eviction.
+  EXPECT_EQ(*served.value(), reference);
+}
+
+TEST(QueryCacheTest, ServedBytesMatchTheCopyingApiOnEveryPath) {
+  Warehouse wh(CachedOptions());
+  WarehouseOptions plain_options = CachedOptions();
+  plain_options.merge_memo_bytes = 0;
+  Warehouse plain(plain_options);
+  std::vector<PartitionId> ids;
+  for (Warehouse* w : {&wh, &plain}) {
+    ASSERT_TRUE(w->CreateDataset("ds").ok());
+    const auto made = w->IngestBatch("ds", Range(0, 4000), 4);
+    ASSERT_TRUE(made.ok());
+    ids = made.value();
+  }
+  // A cold served query memoizes (01), (23) and the root with its bytes.
+  const auto cold = wh.MergedSampleBytes("ds", {});
+  ASSERT_TRUE(cold.ok());
+  CacheStats stats = wh.GetCacheStats().merge_memo;
+  EXPECT_EQ(stats.insertions, 3u);
+  EXPECT_EQ(*cold.value(), Bytes(wh.MergedSampleAll("ds").value()));
+  const auto warm = wh.MergedSampleBytes("ds", {});
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm.value().get(), cold.value().get());
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.insertions, 3u);
+
+  // (23) was memoized as an interior node; served as a root it is encoded
+  // once, then shared.
+  const std::vector<PartitionId> pair = {ids[3], ids[2]};
+  const auto first = wh.MergedSampleBytes("ds", pair);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.insertions, 4u);
+  const auto second = wh.MergedSampleBytes("ds", pair);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().get(), first.value().get());
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.insertions, 4u);
+  EXPECT_EQ(*first.value(), Bytes(wh.MergedSample("ds", pair).value()));
+
+  // A single id is its stored leaf, encoded and not memoized.
+  const auto leaf = wh.MergedSampleBytes("ds", {ids[1]});
+  ASSERT_TRUE(leaf.ok());
+  EXPECT_EQ(*leaf.value(), Bytes(wh.GetSample("ds", ids[1]).value()));
+  EXPECT_EQ(wh.GetCacheStats().merge_memo.insertions, 4u);
+
+  // Without a memo every path encodes the same bytes.
+  for (const std::vector<PartitionId>& q :
+       {std::vector<PartitionId>{}, pair, std::vector<PartitionId>{ids[1]}}) {
+    const auto a = wh.MergedSampleBytes("ds", q);
+    const auto b = plain.MergedSampleBytes("ds", q);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a.value(), *b.value());
+  }
+
+  // The catalog checks of MergedSample and MergedSampleAll.
+  EXPECT_TRUE(wh.MergedSampleBytes("ds", {ids[0], 999}).status().IsNotFound());
+  EXPECT_TRUE(wh.MergedSampleBytes("ds", {ids[0], ids[0]})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(wh.MergedSampleBytes("nope", {}).status().IsNotFound());
+  ASSERT_TRUE(wh.CreateDataset("empty").ok());
+  EXPECT_TRUE(
+      wh.MergedSampleBytes("empty", {}).status().IsInvalidArgument());
+}
+
+TEST(QueryCacheTest, InsertsRacingAnInvalidationAreRefused) {
+  // A reader resolves its view, then a roll-out of a member invalidates:
+  // what the reader built from the old member must not enter either cache.
+  const std::vector<PartitionId> ids = {7, 8};
+  auto sample = std::make_shared<const PartitionSample>(HandmadeSample(9));
+  MergeMemo memo(4, 1 << 20);
+  const MergeMemo::View memo_view = memo.CurrentView("ds");
+  memo.InvalidatePartition("ds", 7);
+  memo.Insert("ds", ids, 0, memo_view, {sample, nullptr});
+  EXPECT_EQ(memo.Stats().entries, 0u);
+  memo.Insert("ds", ids, 0, memo.CurrentView("ds"), {sample, nullptr});
+  EXPECT_EQ(memo.Stats().entries, 1u);
+  // Another dataset's invalidation does not refuse it.
+  const MergeMemo::View other = memo.CurrentView("other");
+  memo.InvalidatePartition("ds", 8);
+  memo.Insert("other", ids, 0, other, {sample, nullptr});
+  EXPECT_EQ(memo.Stats().entries, 1u);
+  // A clear refuses every reader that resolved its view before it.
+  const MergeMemo::View before_clear = memo.CurrentView("other");
+  memo.Clear();
+  memo.Insert("other", ids, 0, before_clear, {sample, nullptr});
+  EXPECT_EQ(memo.Stats().entries, 0u);
+
+  SampleCache cache(4, 1 << 20);
+  const SampleCache::View cache_view = cache.CurrentView("ds");
+  cache.Invalidate("ds", 7);
+  cache.Insert("ds", cache_view, 7, sample);
+  EXPECT_EQ(cache.Peek("ds", cache_view.epoch, 7), nullptr);
+  cache.Insert("ds", cache.CurrentView("ds"), 7, sample);
+  EXPECT_NE(cache.Peek("ds", cache_view.epoch, 7), nullptr);
+  const SampleCache::View before_drop = cache.CurrentView("ds");
+  cache.InvalidateDataset("ds");
+  cache.Insert("ds", before_drop, 8, sample);
+  EXPECT_EQ(cache.Stats().entries, 0u);
 }
 
 }  // namespace
