@@ -19,7 +19,8 @@
 // A fourth section measures the cost of crash-safe ingestion: AppendBatch
 // through a file-backed warehouse with the checkpoint protocol off vs
 // every-N-element cadences, reporting the throughput overhead each cadence
-// pays for its resume granularity.
+// pays for its resume granularity. Its legs run interleaved over
+// kCheckpointReps passes of at least 4 Mi elements in every mode.
 //
 // A fifth section compares the Bern(q) acceptance kernels head to head:
 // the geometric-skip path vs the 64-lane bitmask path (branch-free mask
@@ -60,6 +61,12 @@ namespace sampwh::bench {
 namespace {
 
 constexpr size_t kChunk = 64 * 1024;
+
+// Passes and minimum stream of the checkpoint section. The smoke gate
+// compares two of its legs, so each leg must run long enough to time and
+// often enough that one slow or fast pass cannot decide the verdict.
+constexpr int kCheckpointReps = 15;
+constexpr uint64_t kCheckpointMinElements = uint64_t{1} << 22;
 
 struct PathRow {
   std::string config;   // "SB q=0.01", "HB F=64KiB", ...
@@ -228,7 +235,7 @@ void RunPathSection(uint64_t total_elements, int reps,
   std::printf("\n");
 }
 
-void RunCheckpointSection(uint64_t total_elements, int reps,
+void RunCheckpointSection(uint64_t total_elements,
                           std::vector<CheckpointRow>& rows) {
   // Cadence checkpoints fire at append-chunk granularity, so the stream is
   // delivered in batches no larger than the smallest cadence — the
@@ -248,53 +255,74 @@ void RunCheckpointSection(uint64_t total_elements, int reps,
 
   std::printf(
       "Checkpoint cadence overhead (%llu elements, HR, file store, "
-      "asynchronous delta checkpointing, best of %d)\n",
-      static_cast<unsigned long long>(total_elements), reps);
+      "asynchronous delta checkpointing, %d interleaved passes: best pass,\n"
+      "overhead = median over passes against the same pass's cadence 0)\n",
+      static_cast<unsigned long long>(total_elements), kCheckpointReps);
   const std::vector<int> widths = {12, 10, 14, 10, 8, 12};
   PrintRow({"cadence", "seconds", "elems/sec", "overhead", "ckpts", "deltas"},
            widths);
 
-  double baseline = 0.0;
-  for (uint64_t cadence : {uint64_t{0}, uint64_t{65536}, uint64_t{16384},
-                           uint64_t{4096}}) {
-    CheckpointRow row;
-    row.cadence = cadence;
-    row.seconds = BestOf(reps, [&]() -> double {
-      std::filesystem::remove_all(dir);
-      auto store = FileSampleStore::Open(dir);
-      SAMPWH_CHECK(store.ok());
-      WarehouseOptions options;
-      options.sampler = config;
-      Warehouse warehouse(options, std::move(store).value());
-      SAMPWH_CHECK(warehouse.CreateDataset("bench").ok());
-      double seconds = 0.0;
-      {
-        StreamIngestor ingestor(&warehouse, "bench", nullptr);
-        if (cadence > 0) {
-          ingestor.EnableCheckpoints({.every_n_elements = cadence});
-        }
-        const std::span<const Value> all(values);
-        WallTimer timer;
-        for (size_t i = 0; i < all.size(); i += kCkptChunk) {
-          SAMPWH_CHECK(ingestor
-                           .AppendBatch(all.subspan(
-                               i, std::min(kCkptChunk, all.size() - i)))
-                           .ok());
-        }
-        seconds = timer.ElapsedSeconds();
-        SAMPWH_CHECK(ingestor.Flush().ok());
-      }  // joins the background checkpoint writer: stats below are final
-      const StoreStats stats =
-          warehouse.store_for_testing()->GetStoreStats();
-      row.checkpoints_written = stats.checkpoints_written;
-      row.wal_records = stats.wal_records_appended;
-      return seconds;
-    });
-    if (cadence == 0) baseline = row.seconds;
+  // Times one append pass at the row's cadence; the row keeps the store
+  // counters of its last pass.
+  const auto time_leg = [&](CheckpointRow& row) -> double {
+    std::filesystem::remove_all(dir);
+    auto store = FileSampleStore::Open(dir);
+    SAMPWH_CHECK(store.ok());
+    WarehouseOptions options;
+    options.sampler = config;
+    Warehouse warehouse(options, std::move(store).value());
+    SAMPWH_CHECK(warehouse.CreateDataset("bench").ok());
+    double seconds = 0.0;
+    {
+      StreamIngestor ingestor(&warehouse, "bench", nullptr);
+      if (row.cadence > 0) {
+        ingestor.EnableCheckpoints({.every_n_elements = row.cadence});
+      }
+      const std::span<const Value> all(values);
+      WallTimer timer;
+      for (size_t i = 0; i < all.size(); i += kCkptChunk) {
+        SAMPWH_CHECK(ingestor
+                         .AppendBatch(all.subspan(
+                             i, std::min(kCkptChunk, all.size() - i)))
+                         .ok());
+      }
+      seconds = timer.ElapsedSeconds();
+      SAMPWH_CHECK(ingestor.Flush().ok());
+    }  // joins the background checkpoint writer: stats below are final
+    const StoreStats stats = warehouse.store_for_testing()->GetStoreStats();
+    row.checkpoints_written = stats.checkpoints_written;
+    row.wal_records = stats.wal_records_appended;
+    return seconds;
+  };
+
+  // One pass over every cadence per repetition. A leg's time is its best
+  // pass; its overhead is the median over passes of its time against the
+  // no-checkpoint leg of the same pass. Legs of one pass run back to back,
+  // so a drift in machine speed moves both sides of each ratio alike, and
+  // one lucky fast pass of one leg cannot decide the median.
+  const std::vector<uint64_t> cadences = {0, 65536, 16384, 4096};
+  std::vector<CheckpointRow> legs(cadences.size());
+  std::vector<std::vector<double>> ratios(cadences.size());
+  for (size_t i = 0; i < cadences.size(); ++i) {
+    legs[i].cadence = cadences[i];
+    legs[i].seconds = std::numeric_limits<double>::infinity();
+  }
+  for (int rep = 0; rep < kCheckpointReps; ++rep) {
+    double pass_baseline = 0.0;
+    for (size_t i = 0; i < legs.size(); ++i) {
+      const double seconds = time_leg(legs[i]);
+      if (i == 0) pass_baseline = seconds;
+      legs[i].seconds = std::min(legs[i].seconds, seconds);
+      ratios[i].push_back(seconds / std::max(pass_baseline, 1e-12));
+    }
+  }
+  for (size_t i = 0; i < legs.size(); ++i) {
+    CheckpointRow& row = legs[i];
+    std::vector<double>& r = ratios[i];
+    std::nth_element(r.begin(), r.begin() + r.size() / 2, r.end());
     row.elements_per_sec =
         static_cast<double>(total_elements) / std::max(row.seconds, 1e-12);
-    row.overhead_pct =
-        100.0 * (row.seconds / std::max(baseline, 1e-12) - 1.0);
+    row.overhead_pct = 100.0 * (r[r.size() / 2] - 1.0);
     rows.push_back(row);
     std::printf("%-12llu %9.4f %14.0f %8.2f%% %7llu %11llu\n",
                 static_cast<unsigned long long>(row.cadence), row.seconds,
@@ -412,13 +440,15 @@ void RunAcceptModeSection(uint64_t total_elements, int reps,
 }
 
 bool WriteJson(const std::string& path, uint64_t path_elements,
-               uint64_t scaling_elements, const std::vector<PathRow>& paths,
+               uint64_t checkpoint_elements, uint64_t scaling_elements,
+               const std::vector<PathRow>& paths,
                const std::vector<CheckpointRow>& checkpoints,
                const std::vector<ScalingRow>& scaling,
                const std::vector<AcceptModeRow>& accept_modes) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"config\": {\"path_elements\": " << path_elements
+      << ", \"checkpoint_elements\": " << checkpoint_elements
       << ", \"scaling_elements\": " << scaling_elements
       << ", \"scaling_partitions\": 8, \"full_scale\": "
       << (FullScale() ? "true" : "false")
@@ -480,11 +510,13 @@ int Main(bool smoke) {
   std::vector<ScalingRow> scaling;
   std::vector<AcceptModeRow> accept_modes;
   RunPathSection(elements, reps, paths);
-  RunCheckpointSection(elements, reps, checkpoints);
+  const uint64_t checkpoint_elements =
+      std::max(elements, kCheckpointMinElements);
+  RunCheckpointSection(checkpoint_elements, checkpoints);
   RunScalingSection(elements, reps, scaling);
   RunAcceptModeSection(elements, reps, accept_modes);
-  if (!WriteJson("BENCH_ingest.json", elements, elements, paths, checkpoints,
-                 scaling, accept_modes)) {
+  if (!WriteJson("BENCH_ingest.json", elements, checkpoint_elements, elements,
+                 paths, checkpoints, scaling, accept_modes)) {
     std::fprintf(stderr, "failed to write BENCH_ingest.json\n");
     return 1;
   }
@@ -494,6 +526,7 @@ int Main(bool smoke) {
     // 64Ki cadence costs a couple of snapshots plus coalesced WAL deltas
     // over the whole stream; 25% is a generous noise allowance on the
     // smoke machine, an order of magnitude under the synchronous-era cost.
+    // The overhead is the median of kCheckpointReps paired passes.
     for (const CheckpointRow& r : checkpoints) {
       if (r.cadence == 65536 && r.overhead_pct > 25.0) {
         std::fprintf(stderr,
