@@ -109,10 +109,13 @@ if [[ "${mode}" == "full" ]]; then
     --output-on-failure
 
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and
-  # without a merge memo, pinned by the golden digests.
+  # without a merge memo, pinned by the golden digests; the memo's stored
+  # answer bytes and their budget (QueryCache), and the wire bytes of every
+  # serving path, including answers held across a node's eviction
+  # (QueryBytes).
   echo "=== [asan] merge-tree gate ==="
-  ctest --test-dir build-check/asan -R "^(GoldenDigest|QueryCache|Warehouse)" \
-    --output-on-failure
+  ctest --test-dir build-check/asan \
+    -R "^(GoldenDigest|QueryCache|QueryBytes|Warehouse)" --output-on-failure
 
   # Frame re-gate under ASan/UBSan: the one CRC frame codec that the wire
   # and the checkpoint WAL share, parsed at every cut and byte flip.
