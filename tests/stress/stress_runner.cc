@@ -351,7 +351,7 @@ class StressRound {
       return;
     }
     const SampleCache* cache = warehouse_->sample_cache_for_testing();
-    const uint64_t epoch = cache->CurrentEpoch(ds);
+    const uint64_t epoch = cache->CurrentView(ds).epoch;
     if (cache->Peek(ds, epoch, victim) != nullptr) {
       violations_.Add("stale sample-cache entry survived quiesced roll-out "
                       "of partition " + std::to_string(victim));
