@@ -1,13 +1,13 @@
-// Seeded fault injection for the persistence path. Production code is
-// instrumented at NAMED SITES (a string per operation class); a test arms a
-// site with a fault kind and the instrumented code applies the fault on its
-// next hits. Faults are either deterministic ("fail the next 2 writes") or
-// probabilistic with a seeded RNG ("fail ~1% of reads"), so every failing
-// schedule is reproducible from the injector seed.
+// Seeded fault schedules for tests. A fault is armed at a NAMED SITE (a
+// string per operation class); the test double that reaches the site
+// applies the fault on its next hits. Faults are either deterministic
+// ("fail the next 2 writes") or probabilistic with a seeded RNG ("fail ~1%
+// of reads"), so every failing schedule is reproducible from the injector
+// seed.
 //
-// The injector is linked into both sample-store backends and the warehouse
-// prefetch path; with no sites armed every hit is a single mutex-guarded
-// map probe, so the hooks stay in production builds.
+// The store sites below are reached by FaultEnv (fault_env.h), which wraps
+// the store's Env; the network sites by ChaosProxy (chaos_proxy.h).
+// Production code links neither.
 
 #ifndef SAMPWH_TESTING_FAULT_INJECTOR_H_
 #define SAMPWH_TESTING_FAULT_INJECTOR_H_
@@ -44,11 +44,11 @@ enum class FaultKind : uint8_t {
 
 std::string_view FaultKindToString(FaultKind kind);
 
-// Injection sites instrumented in the store backends and query prefetch.
+// Store injection sites, one per operation and file kind (FaultEnv maps
+// each Env call to one of them).
 inline constexpr char kFaultSitePutWrite[] = "sample_store.put.write";
 inline constexpr char kFaultSiteGetRead[] = "sample_store.get.read";
 inline constexpr char kFaultSiteDelete[] = "sample_store.delete";
-inline constexpr char kFaultSiteGetManyTask[] = "sample_store.get_many.task";
 inline constexpr char kFaultSiteCheckpointWrite[] =
     "sample_store.checkpoint.write";
 inline constexpr char kFaultSiteCheckpointRead[] =
@@ -59,9 +59,13 @@ inline constexpr char kFaultSiteCheckpointRead[] =
 /// snapshot generation after any failure.
 inline constexpr char kFaultSiteWalAppend[] =
     "sample_store.checkpoint.wal_append";
+/// Whole-file rewrites of a checkpoint WAL: Recover() truncating a torn
+/// tail back to its last good record.
+inline constexpr char kFaultSiteWalTruncate[] =
+    "sample_store.checkpoint.wal_truncate";
 
-/// Thread-safe; one injector is typically shared by a store and the test
-/// driving it.
+/// Thread-safe; one injector is typically shared by a FaultEnv (or a
+/// ChaosProxy) and the test driving it.
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed = 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -152,11 +153,6 @@ Result<std::unique_ptr<FileSampleStore>> FileSampleStore::Open(
 InMemorySampleStore::InMemorySampleStore()
     : SampleStore(std::make_unique<MemEnv>(), "mem") {}
 
-void SampleStore::SetFaultInjector(std::shared_ptr<FaultInjector> injector) {
-  std::lock_guard<std::mutex> lock(config_mu_);
-  injector_ = std::move(injector);
-}
-
 void SampleStore::SetRetryPolicy(const RetryPolicy& policy) {
   std::lock_guard<std::mutex> lock(config_mu_);
   retry_policy_ = policy;
@@ -166,11 +162,6 @@ void SampleStore::SetRetryPolicy(const RetryPolicy& policy) {
 SampleStore::RetryPolicy SampleStore::retry_policy() const {
   std::lock_guard<std::mutex> lock(config_mu_);
   return retry_policy_;
-}
-
-std::shared_ptr<FaultInjector> SampleStore::fault_injector() const {
-  std::lock_guard<std::mutex> lock(config_mu_);
-  return injector_;
 }
 
 StoreStats SampleStore::GetStoreStats() const {
@@ -212,69 +203,23 @@ std::mutex& SampleStore::StripeFor(const PartitionKey& key) const {
   return stripes_[StripeIndexForTesting(key)];
 }
 
-void SampleStore::SetReadHookForTesting(
-    std::function<void(const PartitionKey&)> hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  read_hook_ = std::move(hook);
-}
-
-template <typename Attempt>
-Status SampleStore::Retrying(const char* site, const Attempt& attempt) const {
-  const std::shared_ptr<FaultInjector> injector = fault_injector();
+template <typename Op>
+Status SampleStore::Retrying(const Op& op) const {
+  Status status = op();
+  if (status.ok() || !status.IsIOError()) return status;
+  // Read the policy only once a try has failed: the common path takes no
+  // lock.
   const RetryPolicy policy = retry_policy();
   std::chrono::microseconds backoff = policy.initial_backoff;
-  for (int tries = 1;; ++tries) {
-    const FaultKind fault =
-        injector != nullptr ? injector->Next(site) : FaultKind::kNone;
-    const Status status =
-        fault == FaultKind::kIOError
-            ? Status::IOError(std::string("injected transient fault at ") +
-                              site)
-            : attempt(fault, injector.get());
-    // A simulated crash is final: the damage it left stays for Recover().
-    const bool crashed = fault == FaultKind::kTornWrite ||
-                         fault == FaultKind::kCrashBeforeRename;
-    if (status.ok() || !status.IsIOError() || crashed) return status;
-    if (tries >= policy.max_attempts) {
-      stats_retries_exhausted_.fetch_add(1);
-      return status;
-    }
+  for (int tries = 1; tries < policy.max_attempts; ++tries) {
     stats_retries_attempted_.fetch_add(1);
     SleepBackoff(backoff);
     backoff *= 2;
+    status = op();
+    if (status.ok() || !status.IsIOError()) return status;
   }
-}
-
-Status SampleStore::ReadWithFaults(const char* site, const std::string& path,
-                                   std::string* bytes) const {
-  return Retrying(site, [&](FaultKind fault, FaultInjector* injector) {
-    const Status status = env_->ReadFile(path, bytes);
-    if (status.ok() && fault == FaultKind::kCorruptRead && !bytes->empty()) {
-      (*bytes)[injector->CorruptByteIndex(bytes->size())] ^= 0x01;
-    }
-    return status;
-  });
-}
-
-Status SampleStore::WriteWithFaults(const char* site, const std::string& path,
-                                    std::string_view bytes) {
-  return Retrying(site, [&](FaultKind fault, FaultInjector* injector) {
-    switch (fault) {
-      case FaultKind::kTornWrite:
-        // Simulated power loss after the rename: the destination holds a
-        // prefix of the bytes.
-        env_->WriteFileAtomic(
-            path, bytes.substr(0, injector->TornPrefixLength(bytes.size())));
-        return Status::IOError("injected crash: torn write of " + path);
-      case FaultKind::kCrashBeforeRename:
-        // Simulated crash between the temp write and its rename: the temp
-        // file is orphaned, the destination untouched.
-        env_->WriteFileAtomic(path + ".tmp", bytes);
-        return Status::IOError("injected crash before rename of " + path);
-      default:
-        return env_->WriteFileAtomic(path, bytes);
-    }
-  });
+  stats_retries_exhausted_.fetch_add(1);
+  return status;
 }
 
 void SampleStore::Quarantine(const std::string& path) const {
@@ -291,22 +236,18 @@ Status SampleStore::Put(const PartitionKey& key,
   SAMPWH_RETURN_IF_ERROR(sample.Validate());
   const std::string bytes = SerializeSample(sample);
   std::lock_guard<std::mutex> lock(StripeFor(key));
-  return WriteWithFaults(kFaultSitePutWrite, PathFor(key), bytes);
+  const std::string path = PathFor(key);
+  return Retrying([&] { return env_->WriteFileAtomic(path, bytes); });
 }
 
 Result<PartitionSample> SampleStore::Get(const PartitionKey& key) const {
   SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(key.dataset));
-  std::function<void(const PartitionKey&)> hook;
-  {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = read_hook_;
-  }
   const std::string path = PathFor(key);
   std::string bytes;
   {
     std::lock_guard<std::mutex> lock(StripeFor(key));
-    if (hook) hook(key);
-    SAMPWH_RETURN_IF_ERROR(ReadWithFaults(kFaultSiteGetRead, path, &bytes));
+    SAMPWH_RETURN_IF_ERROR(
+        Retrying([&] { return env_->ReadFile(path, &bytes); }));
   }
   Result<PartitionSample> decoded = DeserializeSample(bytes);
   if (!decoded.ok()) {
@@ -341,9 +282,7 @@ Status SampleStore::Delete(const PartitionKey& key) {
   SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(key.dataset));
   const std::string path = PathFor(key);
   std::lock_guard<std::mutex> lock(StripeFor(key));
-  return Retrying(kFaultSiteDelete, [&](FaultKind, FaultInjector*) {
-    return env_->Remove(path);
-  });
+  return Retrying([&] { return env_->Remove(path); });
 }
 
 Result<std::vector<PartitionId>> SampleStore::List(
@@ -413,13 +352,17 @@ Result<RecoveryReport> SampleStore::Recover(
       wals.push_back(std::move(entry.name));
     }
   }
+  // Only a verification failure quarantines. A file that vanished after
+  // the listing is skipped; a read that still fails after the retries
+  // fails the scan, so a transient error never destroys healthy data.
   for (const std::string& name : samples) {
-    ++report.scanned;
     const std::string path = directory_ + "/" + name;
     std::string bytes;
-    Status status = env_->ReadFile(path, &bytes);
-    if (status.ok()) status = VerifySampleBytes(bytes);
-    if (!status.ok()) {
+    const Status read = Retrying([&] { return env_->ReadFile(path, &bytes); });
+    if (read.IsNotFound()) continue;
+    SAMPWH_RETURN_IF_ERROR(read);
+    ++report.scanned;
+    if (!VerifySampleBytes(bytes).ok()) {
       Quarantine(path);
       report.quarantined.push_back(name);
     }
@@ -430,12 +373,13 @@ Result<RecoveryReport> SampleStore::Recover(
   // below.
   std::set<std::string> live_ckpt_stems;
   for (const std::string& name : checkpoints) {
-    ++report.scanned;
     const std::string path = directory_ + "/" + name;
     std::string bytes;
-    Status status = env_->ReadFile(path, &bytes);
-    if (status.ok()) status = VerifyCheckpointBytes(bytes);
-    if (!status.ok()) {
+    const Status read = Retrying([&] { return env_->ReadFile(path, &bytes); });
+    if (read.IsNotFound()) continue;
+    SAMPWH_RETURN_IF_ERROR(read);
+    ++report.scanned;
+    if (!VerifyCheckpointBytes(bytes).ok()) {
       std::lock_guard<std::mutex> lock(ckpt_mu_);
       Quarantine(path);
       newest_generation_.clear();
@@ -450,21 +394,28 @@ Result<RecoveryReport> SampleStore::Recover(
   // journals are deep-verified record by record and truncated at the first
   // record that fails — a torn group commit never hides behind the tear.
   for (const std::string& name : wals) {
-    ++report.scanned;
     const std::string path = directory_ + "/" + name;
     const std::string stem = name.substr(0, name.size() - kWalSuffix.size());
-    std::string bytes;
-    const bool readable = env_->ReadFile(path, &bytes).ok();
-    if (live_ckpt_stems.find(stem) == live_ckpt_stems.end() || !readable) {
+    if (live_ckpt_stems.find(stem) == live_ckpt_stems.end()) {
       std::lock_guard<std::mutex> lock(ckpt_mu_);
       Quarantine(path);
       report.orphaned_wals.push_back(name);
       continue;
     }
+    std::string bytes;
+    const Status read = Retrying([&] { return env_->ReadFile(path, &bytes); });
+    if (read.IsNotFound()) continue;
+    SAMPWH_RETURN_IF_ERROR(read);
+    ++report.scanned;
     const size_t valid = DeepVerifiedWalPrefix(bytes);
     if (valid != bytes.size()) {
       std::lock_guard<std::mutex> lock(ckpt_mu_);
-      env_->WriteFileAtomic(path, std::string_view(bytes).substr(0, valid));
+      // Appends land behind whatever this leaves, so a tail that could not
+      // be cut must fail the scan, never be reported as cut.
+      SAMPWH_RETURN_IF_ERROR(Retrying([&] {
+        return env_->WriteFileAtomic(path,
+                                     std::string_view(bytes).substr(0, valid));
+      }));
       report.truncated_wal_tails.push_back(name);
       stats_wal_tails_truncated_.fetch_add(1);
     }
@@ -501,8 +452,9 @@ Status SampleStore::PutCheckpoint(const DatasetId& dataset,
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   const std::vector<uint64_t> gens = CheckpointGenerations(dataset);
   const uint64_t next_gen = gens.empty() ? 1 : gens.back() + 1;
-  Status write = WriteWithFaults(kFaultSiteCheckpointWrite,
-                                 CheckpointPathFor(dataset, next_gen), bytes);
+  const std::string path = CheckpointPathFor(dataset, next_gen);
+  Status write =
+      Retrying([&] { return env_->WriteFileAtomic(path, bytes); });
   if (!write.ok()) {
     // A torn write may have published a damaged newest generation; never
     // let a cached entry route WAL appends at it.
@@ -530,8 +482,7 @@ SampleStore::NewestValidCheckpointLocked(const DatasetId& key) const {
   for (auto gen = gens.rbegin(); gen != gens.rend(); ++gen) {
     const std::string path = CheckpointPathFor(key, *gen);
     std::string bytes;
-    const Status read =
-        ReadWithFaults(kFaultSiteCheckpointRead, path, &bytes);
+    const Status read = Retrying([&] { return env_->ReadFile(path, &bytes); });
     if (read.IsIOError()) return read;
     if (!read.ok()) continue;  // vanished between list and read
     std::string_view payload;
@@ -579,7 +530,6 @@ Status SampleStore::AppendCheckpointDeltas(
   SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
   if (records.empty()) return Status::OK();
   const std::string batch = FrameWalBatch(records);
-  const std::shared_ptr<FaultInjector> injector = fault_injector();
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   uint64_t gen;
   const auto cached = newest_generation_.find(dataset);
@@ -594,25 +544,9 @@ Status SampleStore::AppendCheckpointDeltas(
     gen = gens.back();
     newest_generation_[dataset] = gen;
   }
-  const std::string path = WalPathFor(dataset, gen);
-  const FaultKind fault = injector != nullptr
-                              ? injector->Next(kFaultSiteWalAppend)
-                              : FaultKind::kNone;
-  switch (fault) {
-    case FaultKind::kTornWrite: {
-      // Torn group commit: a prefix of the batch reaches the journal. Not
-      // retried — the tear stays for the CRC framing to drop on read.
-      const size_t keep = injector->TornPrefixLength(batch.size());
-      env_->AppendFile(path, std::string_view(batch).substr(0, keep));
-      return Status::IOError("injected crash: torn WAL append to " + path);
-    }
-    case FaultKind::kIOError:
-    case FaultKind::kCrashBeforeRename:
-      return Status::IOError("injected WAL append fault");
-    default:
-      break;
-  }
-  SAMPWH_RETURN_IF_ERROR(env_->AppendFile(path, batch));
+  // Not retried: a failed append may have left a torn tail, which stays
+  // for the CRC framing to drop on read.
+  SAMPWH_RETURN_IF_ERROR(env_->AppendFile(WalPathFor(dataset, gen), batch));
   stats_wal_appends_.fetch_add(1);
   stats_wal_records_appended_.fetch_add(records.size());
   return Status::OK();
@@ -650,22 +584,10 @@ Result<std::vector<DatasetId>> SampleStore::ListCheckpoints() const {
 
 Result<std::vector<PartitionSample>> SampleStore::GetMany(
     const std::vector<PartitionKey>& keys, ThreadPool* pool) const {
-  const std::shared_ptr<FaultInjector> injector = fault_injector();
-  auto fetch_one = [&](size_t i) -> Result<PartitionSample> {
-    // Prefetch-task site: a fault here models a fetch task dying before it
-    // reaches the store (scheduler/pool-level failure). The whole GetMany
-    // must fail — never a partial vector.
-    if (injector != nullptr &&
-        injector->Next(kFaultSiteGetManyTask) == FaultKind::kIOError) {
-      return Status::IOError("injected prefetch-task fault");
-    }
-    return Get(keys[i]);
-  };
-
   std::vector<PartitionSample> out(keys.size());
   if (pool == nullptr || keys.size() < 2) {
     for (size_t i = 0; i < keys.size(); ++i) {
-      SAMPWH_ASSIGN_OR_RETURN(out[i], fetch_one(i));
+      SAMPWH_ASSIGN_OR_RETURN(out[i], Get(keys[i]));
     }
     return out;
   }
@@ -680,7 +602,7 @@ Result<std::vector<PartitionSample>> SampleStore::GetMany(
   tasks.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     tasks.push_back([&, i] {
-      Result<PartitionSample> r = fetch_one(i);
+      Result<PartitionSample> r = Get(keys[i]);
       if (r.ok()) {
         out[i] = std::move(r).value();
       } else {

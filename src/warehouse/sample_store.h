@@ -19,10 +19,12 @@
 // surfaced and the damaged file quarantined (renamed aside, never silently
 // deserialized). Transient IO faults are retried with bounded exponential
 // backoff. Recover() reconciles persisted state after a crash: orphan temp
-// files are dropped, unreadable samples quarantined, and
-// expected-but-missing partitions reported. The store consults an optional
-// FaultInjector at named sites so every failure path is testable
-// deterministically.
+// files are dropped, samples that fail verification quarantined, and
+// expected-but-missing partitions reported.
+//
+// The store reaches the filesystem only through its Env and carries no
+// code for tests: failure paths are driven by wrapping that Env
+// (testing/fault_env.h injects faults by operation and file suffix).
 
 #ifndef SAMPWH_WAREHOUSE_SAMPLE_STORE_H_
 #define SAMPWH_WAREHOUSE_SAMPLE_STORE_H_
@@ -30,7 +32,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "src/core/sample.h"
-#include "src/testing/fault_injector.h"
 #include "src/util/env.h"
 #include "src/util/thread_pool.h"
 #include "src/warehouse/checkpoint.h"
@@ -104,8 +104,7 @@ class SampleStore {
  public:
   /// Bounded retry for transient IO faults: `max_attempts` tries total,
   /// exponential backoff starting at `initial_backoff` between them. Only
-  /// IOError is retried — NotFound and Corruption never are, nor a
-  /// simulated crash (an injected torn write or crash before rename).
+  /// IOError is retried — NotFound and Corruption never are.
   struct RetryPolicy {
     int max_attempts = 3;
     std::chrono::microseconds initial_backoff{200};
@@ -158,8 +157,12 @@ class SampleStore {
   /// checkpoint files that fail full structural verification, truncates
   /// WAL tails that fail deep verification, quarantines WALs whose
   /// snapshot did not survive, and reports which of `expected` (typically
-  /// the catalog's partition set) cannot be served. Call before serving
-  /// traffic; not safe concurrently with Put/Get/Delete.
+  /// the catalog's partition set) cannot be served. Only a verification
+  /// failure quarantines: a file that vanished after the listing is
+  /// skipped, and a read or truncation that still fails after the retry
+  /// policy fails the call (IOError) with healthy files left in place.
+  /// Call before serving traffic; not safe concurrently with
+  /// Put/Get/Delete.
   Result<RecoveryReport> Recover(const std::vector<PartitionKey>& expected = {});
 
   // --- Ingest checkpoints -------------------------------------------------
@@ -171,14 +174,14 @@ class SampleStore {
   // envelope like every sample.
 
   /// Persists a new checkpoint generation for `dataset` and prunes old
-  /// generations beyond the newest two. Consults the injector at
-  /// kFaultSiteCheckpointWrite with the same semantics as sample writes.
+  /// generations beyond the newest two. Transient write faults are retried
+  /// like sample writes.
   Status PutCheckpoint(const DatasetId& dataset, std::string_view payload);
 
   /// The newest checkpoint payload for `dataset` that passes envelope
   /// verification. A corrupt newest generation is quarantined and the
   /// previous one served instead; NotFound when no valid generation
-  /// remains. Consults kFaultSiteCheckpointRead.
+  /// remains.
   Result<std::string> GetCheckpoint(const DatasetId& dataset) const;
 
   /// Removes every checkpoint generation for `dataset`; NotFound when none
@@ -201,9 +204,9 @@ class SampleStore {
   /// Appends `records` (each one CheckpointDeltaRecord payload) to the WAL
   /// of `dataset`'s newest snapshot generation, CRC-framed per record, in one
   /// group-committed write. FailedPrecondition when no snapshot generation
-  /// exists. Consults kFaultSiteWalAppend; failures are NOT retried — a
-  /// failed append may have left a torn tail, so the caller must rotate to
-  /// a fresh snapshot instead of appending past the damage.
+  /// exists. Failures are NOT retried — a failed append may have left a
+  /// torn tail, so the caller must rotate to a fresh snapshot instead of
+  /// appending past the damage.
   Status AppendCheckpointDeltas(const DatasetId& dataset,
                                 const std::vector<std::string>& records);
 
@@ -213,21 +216,11 @@ class SampleStore {
   /// generation served. NotFound when no valid generation remains.
   Result<CheckpointChain> GetCheckpointChain(const DatasetId& dataset) const;
 
-  /// Arms fault injection for this store (nullptr disarms). The injector
-  /// is consulted at the kFaultSite* sites in fault_injector.h.
-  void SetFaultInjector(std::shared_ptr<FaultInjector> injector);
-
   void SetRetryPolicy(const RetryPolicy& policy);
   RetryPolicy retry_policy() const;
 
   /// Snapshot of the cumulative reliability counters.
   StoreStats GetStoreStats() const;
-
-  /// Test-only fault-injection hook, invoked inside Get while the key's
-  /// lock stripe is held (before the read). A hook that blocks stalls
-  /// exactly one stripe; the concurrency regression test uses a rendezvous
-  /// hook to prove Gets of different stripes make progress simultaneously.
-  void SetReadHookForTesting(std::function<void(const PartitionKey&)> hook);
 
   /// Which of the kLockStripes stripes `key` locks; lets tests pick keys
   /// guaranteed to use distinct stripes.
@@ -245,20 +238,11 @@ class SampleStore {
                                 uint64_t generation) const;
   std::string WalPathFor(const DatasetId& dataset, uint64_t generation) const;
   std::mutex& StripeFor(const PartitionKey& key) const;
-  std::shared_ptr<FaultInjector> fault_injector() const;
 
-  /// Runs `attempt(fault, injector)` under the retry policy, drawing the
-  /// fault for each try from the injector at `site`. An injected kIOError
-  /// fails the try without running it.
-  template <typename Attempt>
-  Status Retrying(const char* site, const Attempt& attempt) const;
-  /// Reads `path` with transient-fault retry; an injected kCorruptRead
-  /// flips one byte of what was read.
-  Status ReadWithFaults(const char* site, const std::string& path,
-                        std::string* bytes) const;
-  /// Atomic write with transient-fault retry and crash simulation.
-  Status WriteWithFaults(const char* site, const std::string& path,
-                         std::string_view bytes);
+  /// Runs `op` under the retry policy: an IOError is retried with backoff
+  /// until the policy's attempts run out; any other status is final.
+  template <typename Op>
+  Status Retrying(const Op& op) const;
   /// Renames `path` aside (best effort) after a corruption diagnosis.
   void Quarantine(const std::string& path) const;
   /// Checkpoint generations stored for `dataset`, ascending. Caller holds
@@ -275,12 +259,9 @@ class SampleStore {
   std::string directory_;
 
   mutable std::mutex config_mu_;
-  std::shared_ptr<FaultInjector> injector_;
   RetryPolicy retry_policy_;
 
   mutable std::array<std::mutex, kLockStripes> stripes_;
-  mutable std::mutex hook_mu_;
-  std::function<void(const PartitionKey&)> read_hook_;
   // Serializes checkpoint generation bookkeeping (allocate/prune/fallback).
   mutable std::mutex ckpt_mu_;
   // Newest known generation per checkpoint key, so a WAL append costs one

@@ -733,11 +733,17 @@ Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
 
   // Reconcile the catalog against the recovered store: drop what cannot be
   // served (missing or quarantined) or whose metadata disagrees with the
-  // stored sample. Everything left is queryable.
+  // stored sample. Everything left is queryable. A read that still fails
+  // after the store's retries fails the restore instead: the sample may be
+  // healthy, and dropping it would shrink every union that covers it.
   for (const PartitionKey& key : expected) {
     SAMPWH_ASSIGN_OR_RETURN(PartitionInfo info,
                             catalog.GetPartition(key.dataset, key.partition));
     Result<PartitionSample> sample = store->Get(key);
+    if (!sample.ok() && !sample.status().IsNotFound() &&
+        !sample.status().IsCorruption()) {
+      return sample.status();
+    }
     bool keep = sample.ok();
     if (keep) {
       keep = SampleMatchesInfo(sample.value(), info);

@@ -259,9 +259,11 @@ class Warehouse {
   /// Crash-tolerant reopen. Where Restore() fails on the first damaged or
   /// missing sample, this runs SampleStore::Recover() (dropping orphan
   /// temps, quarantining torn/corrupt files) and then reconciles: any
-  /// cataloged partition whose sample is unreadable or disagrees with its
-  /// metadata is removed from the catalog (and its stored sample deleted),
-  /// so the returned warehouse serves exactly the surviving partitions.
+  /// cataloged partition whose sample is missing, corrupt or disagrees with
+  /// its metadata is removed from the catalog (and its stored sample
+  /// deleted), so the returned warehouse serves exactly the surviving
+  /// partitions. A read that still fails with IOError after the store's
+  /// retries fails the restore and drops nothing.
   /// Caches start cold; queries over survivors work immediately.
   static Result<RestoredWarehouse> RestoreWithRecovery(
       const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
@@ -273,7 +275,8 @@ class Warehouse {
     return sample_cache_.get();
   }
 
-  /// The backing store. Test-only: for arming fault injection mid-scenario.
+  /// The backing store, for tests and benchmarks that drive it directly or
+  /// read its counters.
   SampleStore* store_for_testing() { return store_.get(); }
 
  private:

@@ -15,7 +15,8 @@
 //   2. No stale cache entries: a quiesced roll-out leaves no Peek-able
 //      sample-cache entry, and post-roll-out queries still succeed.
 //   3. Cache footprints stay within their byte budgets under churn.
-//   4. GetMany propagates an injected prefetch fault as a whole-call error.
+//   4. GetMany propagates a fetch whose reads fail past the retry budget
+//      as a whole-call error.
 //   5. Warm (memoized) union queries are bit-identical to cold ones.
 //   6. Crash recovery: a torn write crashing a Put, followed by a restart
 //      through RestoreWithRecovery, quarantines the torn file, brings
@@ -52,7 +53,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/testing/fault_injector.h"
+#include "src/testing/fault_env.h"
 #include "src/util/random.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
@@ -165,20 +166,20 @@ class StressRound {
  private:
   static constexpr const char* kDatasets[3] = {"stress_a", "stress_b",
                                                "stress_churn"};
+  /// The store's retry budget (tries per operation).
+  static constexpr int kStoreAttempts = 3;
 
   bool OpenWarehouse() {
-    auto store = FileSampleStore::Open(dir_);
-    if (!store.ok()) {
-      violations_.Add("open store: " + Describe(store.status()));
+    injector_ = std::make_shared<FaultInjector>(seed_);
+    env_ = std::make_unique<FaultEnv>(Env::Default(), injector_);
+    if (Status s = env_->CreateDir(dir_); !s.ok()) {
+      violations_.Add("open store: " + Describe(s));
       return false;
     }
-    injector_ = std::make_shared<FaultInjector>(seed_);
-    store.value()->SetFaultInjector(injector_);
+    auto store = std::make_unique<SampleStore>(env_.get(), dir_);
     // Tight backoff keeps retry storms cheap inside the harness budget.
-    SampleStore::RetryPolicy policy;
-    policy.max_attempts = 3;
-    policy.initial_backoff = std::chrono::microseconds(20);
-    store.value()->SetRetryPolicy(policy);
+    store->SetRetryPolicy({.max_attempts = kStoreAttempts,
+                           .initial_backoff = std::chrono::microseconds(20)});
 
     WarehouseOptions options;
     options.sampler.kind = SamplerKind::kHybridReservoir;
@@ -188,8 +189,7 @@ class StressRound {
     options.sample_cache_bytes = 256 << 10;
     options.merge_memo_bytes = 256 << 10;
     options.seed = seed_;
-    warehouse_ =
-        std::make_unique<Warehouse>(options, std::move(store).value());
+    warehouse_ = std::make_unique<Warehouse>(options, std::move(store));
     return true;
   }
 
@@ -383,15 +383,16 @@ class StressRound {
     for (const PartitionInfo& p : infos.value()) {
       keys.push_back(PartitionKey{ds, p.id});
     }
-    // One injected task fault among N keys: the whole call must fail.
+    // One fetch among N keys whose reads fail past the retry budget: the
+    // whole call must fail.
     const size_t skip = rng_.NextUint64() % keys.size();
-    injector_->Arm(kFaultSiteGetManyTask, FaultKind::kIOError, /*count=*/1,
+    injector_->Arm(kFaultSiteGetRead, FaultKind::kIOError, kStoreAttempts,
                    skip);
     Result<std::vector<PartitionSample>> got =
         warehouse_->store_for_testing()->GetMany(keys);
-    injector_->Disarm(kFaultSiteGetManyTask);
+    injector_->Disarm(kFaultSiteGetRead);
     if (got.ok()) {
-      violations_.Add("GetMany swallowed an injected prefetch fault "
+      violations_.Add("GetMany swallowed a failed fetch "
                       "(returned " + std::to_string(got.value().size()) +
                       " samples)");
     } else if (!got.status().IsIOError()) {
@@ -623,15 +624,16 @@ class StressRound {
     // Run 1: checkpointed ingest, killed at kill_point — or earlier if an
     // injected fault surfaces through the close-A durability barrier (the
     // only checkpoint write an async Append still waits on; cadence-path
-    // failures are contained in the background writer, which heals by
-    // promoting the next close to a fresh snapshot).
+    // failures are contained in the background writer). Each injected
+    // fault is a crash: from it on the store persists nothing more, so the
+    // run is as good as killed at the fault.
     {
-      auto store = FileSampleStore::Open(subdir);
-      if (!store.ok()) {
-        violations_.Add(label + ": open store: " + Describe(store.status()));
+      auto injector = std::make_shared<FaultInjector>(scenario_seed);
+      FaultEnv env(Env::Default(), injector);
+      if (Status s = env.CreateDir(subdir); !s.ok()) {
+        violations_.Add(label + ": open store: " + Describe(s));
         return;
       }
-      auto injector = std::make_shared<FaultInjector>(scenario_seed);
       switch (fault) {
         case CrashFault::kNone:
           break;
@@ -648,8 +650,8 @@ class StressRound {
                         /*count=*/1, /*skip=*/rng_.NextUint64() % 4);
           break;
       }
-      store.value()->SetFaultInjector(injector);
-      Warehouse warehouse(options, std::move(store).value());
+      Warehouse warehouse(options,
+                          std::make_unique<SampleStore>(&env, subdir));
       if (!warehouse.CreateDataset(ds).ok()) {
         violations_.Add(label + ": CreateDataset failed");
         return;
@@ -760,6 +762,7 @@ class StressRound {
   Pcg64 rng_;
   std::string dir_;
   std::shared_ptr<FaultInjector> injector_;
+  std::unique_ptr<FaultEnv> env_;  // outlives warehouse_, its store's Env
   std::unique_ptr<Warehouse> warehouse_;
   std::atomic<uint64_t> next_value_{0};
   Violations violations_;

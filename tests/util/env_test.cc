@@ -10,12 +10,25 @@
 
 #include <gtest/gtest.h>
 
+#include "src/testing/fault_env.h"
+
 namespace sampwh {
 namespace {
 
-// One conformance suite over both Envs: the sample store is written once
-// against this interface, so the two implementations must agree on every
-// status and every byte.
+// A FaultEnv over a MemEnv, with an injector but no site armed: it must be
+// indistinguishable from the Env it wraps. The MemEnv is a base listed
+// first, so it is built before the FaultEnv that points at it.
+struct MemEnvHolder {
+  MemEnv mem;
+};
+class UnarmedFaultEnv : private MemEnvHolder, public FaultEnv {
+ public:
+  UnarmedFaultEnv() : FaultEnv(&mem, std::make_shared<FaultInjector>()) {}
+};
+
+// One conformance suite over every Env: the sample store is written once
+// against this interface, so the implementations must agree on every
+// status and every byte, and the test wrapper must pass them through.
 template <typename T>
 class EnvTest : public ::testing::Test {
  protected:
@@ -54,7 +67,7 @@ class EnvTest : public ::testing::Test {
   std::string dir_;
 };
 
-using EnvTypes = ::testing::Types<PosixEnv, MemEnv>;
+using EnvTypes = ::testing::Types<PosixEnv, MemEnv, UnarmedFaultEnv>;
 TYPED_TEST_SUITE(EnvTest, EnvTypes);
 
 TYPED_TEST(EnvTest, AtomicWriteReplacesAndLeavesNoTemp) {

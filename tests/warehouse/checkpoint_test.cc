@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/testing/fault_injector.h"
+#include "src/testing/fault_env.h"
 #include "src/util/serialization.h"
 #include "src/warehouse/checkpoint.h"
 #include "src/warehouse/partitioner.h"
@@ -173,6 +173,13 @@ class CheckpointStoreTest : public ::testing::Test {
     return std::move(store).value();
   }
 
+  /// The same directory reached through `env` (a FaultEnv over the real
+  /// filesystem), which must outlive the store.
+  std::unique_ptr<SampleStore> OpenStoreOver(Env* env) {
+    EXPECT_TRUE(env->CreateDir(dir_).ok());
+    return std::make_unique<SampleStore>(env, dir_);
+  }
+
   std::string dir_;
   std::string manifest_;
 };
@@ -215,16 +222,19 @@ TEST(CheckpointStoreInMemoryTest, CrudOnInMemoryBackend) {
   ExerciseCheckpointCrud(store);
 }
 
-void ExerciseTornWriteFallback(SampleStore& store) {
+// The store in `dir` of `base`, reached through a FaultEnv.
+void ExerciseTornWriteFallback(Env* base, const std::string& dir) {
+  auto injector = std::make_shared<FaultInjector>(17);
+  FaultEnv env(base, injector);
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  SampleStore store(&env, dir);
   const std::string good = MinimalCheckpointPayload(100);
   const std::string newer = MinimalCheckpointPayload(200);
   ASSERT_TRUE(store.PutCheckpoint("events", good).ok());
 
-  auto injector = std::make_shared<FaultInjector>(17);
   injector->Arm(kFaultSiteCheckpointWrite, FaultKind::kTornWrite);
-  store.SetFaultInjector(injector);
   EXPECT_TRUE(store.PutCheckpoint("events", newer).IsIOError());
-  store.SetFaultInjector(nullptr);
+  env.Restart();
 
   // The torn newest generation must not mask the previous good one.
   const auto got = store.GetCheckpoint("events");
@@ -238,20 +248,19 @@ void ExerciseTornWriteFallback(SampleStore& store) {
 }
 
 TEST_F(CheckpointStoreTest, TornWriteFallsBackToPreviousGeneration) {
-  auto store = OpenStore();
-  ExerciseTornWriteFallback(*store);
+  ExerciseTornWriteFallback(Env::Default(), dir_);
 }
 
 TEST(CheckpointStoreInMemoryTest, TornWriteFallsBackToPreviousGeneration) {
-  InMemorySampleStore store;
-  ExerciseTornWriteFallback(store);
+  MemEnv mem;
+  ExerciseTornWriteFallback(&mem, "mem");
 }
 
 TEST_F(CheckpointStoreTest, TransientWriteFaultIsRetried) {
-  auto store = OpenStore();
   auto injector = std::make_shared<FaultInjector>(19);
+  FaultEnv env(Env::Default(), injector);
+  auto store = OpenStoreOver(&env);
   injector->Arm(kFaultSiteCheckpointWrite, FaultKind::kIOError, 1);
-  store->SetFaultInjector(injector);
   ASSERT_TRUE(store->PutCheckpoint("events",
                                    MinimalCheckpointPayload(1)).ok());
   const StoreStats stats = store->GetStoreStats();
@@ -485,19 +494,22 @@ TEST(CheckpointStoreInMemoryTest, WalAppendAndChainOnInMemoryBackend) {
   ExerciseWalAppendAndChain(store);
 }
 
-void ExerciseTornWalAppendRecovery(SampleStore& store) {
+// The store in `dir` of `base`, reached through a FaultEnv.
+void ExerciseTornWalAppendRecovery(Env* base, const std::string& dir) {
+  auto injector = std::make_shared<FaultInjector>(23);
+  FaultEnv env(base, injector);
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  SampleStore store(&env, dir);
   ASSERT_TRUE(
       store.PutCheckpoint("events", MinimalCheckpointPayload(100)).ok());
   const std::vector<std::string> good = {ProgressDelta(150).Serialize()};
   ASSERT_TRUE(store.AppendCheckpointDeltas("events", good).ok());
 
   // A single-record batch torn mid-append always cuts inside the frame.
-  auto injector = std::make_shared<FaultInjector>(23);
   injector->Arm(kFaultSiteWalAppend, FaultKind::kTornWrite);
-  store.SetFaultInjector(injector);
   EXPECT_TRUE(store.AppendCheckpointDeltas("events", {CloseDeltaPayload(180)})
                   .IsIOError());
-  store.SetFaultInjector(nullptr);
+  env.Restart();
 
   // Reads already skip the torn tail...
   auto chain = store.GetCheckpointChain("events");
@@ -526,13 +538,59 @@ void ExerciseTornWalAppendRecovery(SampleStore& store) {
 }
 
 TEST_F(CheckpointStoreTest, TornWalAppendIsTruncatedOnRecover) {
-  auto store = OpenStore();
-  ExerciseTornWalAppendRecovery(*store);
+  ExerciseTornWalAppendRecovery(Env::Default(), dir_);
 }
 
 TEST(CheckpointStoreInMemoryTest, TornWalAppendIsTruncatedOnRecover) {
-  InMemorySampleStore store;
-  ExerciseTornWalAppendRecovery(store);
+  MemEnv mem;
+  ExerciseTornWalAppendRecovery(&mem, "mem");
+}
+
+// A torn tail that Recover() cannot cut must fail the scan, never be
+// reported as cut: later appends would land behind the tear, where the
+// WAL parse never reaches them.
+void ExerciseFailedWalTruncation(Env* base, const std::string& dir) {
+  auto injector = std::make_shared<FaultInjector>(37);
+  FaultEnv env(base, injector);
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  SampleStore store(&env, dir);
+  store.SetRetryPolicy(
+      {.max_attempts = 3, .initial_backoff = std::chrono::microseconds(1)});
+  ASSERT_TRUE(
+      store.PutCheckpoint("events", MinimalCheckpointPayload(100)).ok());
+  const std::vector<std::string> good = {ProgressDelta(150).Serialize()};
+  ASSERT_TRUE(store.AppendCheckpointDeltas("events", good).ok());
+  injector->Arm(kFaultSiteWalAppend, FaultKind::kTornWrite);
+  EXPECT_TRUE(store.AppendCheckpointDeltas("events", {CloseDeltaPayload(180)})
+                  .IsIOError());
+  env.Restart();
+
+  // Every rewrite of the WAL fails, past the retry budget.
+  injector->Arm(kFaultSiteWalTruncate, FaultKind::kIOError, /*count=*/3);
+  EXPECT_TRUE(store.Recover().status().IsIOError());
+  EXPECT_EQ(store.GetStoreStats().wal_tails_truncated, 0u);
+  auto torn = store.GetCheckpointChain("events");
+  ASSERT_TRUE(torn.ok());
+  EXPECT_TRUE(torn.value().torn_tail);
+
+  // Once the fault clears, the next pass cuts the tail.
+  auto report = store.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().truncated_wal_tails.size(), 1u);
+  EXPECT_EQ(store.GetStoreStats().wal_tails_truncated, 1u);
+  auto cut = store.GetCheckpointChain("events");
+  ASSERT_TRUE(cut.ok());
+  EXPECT_EQ(cut.value().deltas, good);
+  EXPECT_FALSE(cut.value().torn_tail);
+}
+
+TEST_F(CheckpointStoreTest, FailedWalTruncationFailsRecover) {
+  ExerciseFailedWalTruncation(Env::Default(), dir_);
+}
+
+TEST(CheckpointStoreInMemoryTest, FailedWalTruncationFailsRecover) {
+  MemEnv mem;
+  ExerciseFailedWalTruncation(&mem, "mem");
 }
 
 TEST_F(CheckpointStoreTest, RecoverQuarantinesOrphanedWal) {
@@ -721,7 +779,9 @@ TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
   ASSERT_EQ(want.size(), 2u);
 
   {
-    Warehouse warehouse(DurableOptions(), OpenStore());
+    auto injector = std::make_shared<FaultInjector>(23);
+    FaultEnv env(Env::Default(), injector);
+    Warehouse warehouse(DurableOptions(), OpenStoreOver(&env));
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
     StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
     ingestor.EnableCheckpoints({});
@@ -730,9 +790,7 @@ TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
             .ok());
     // The next element triggers the close; its RollIn dies on exhausted
     // IO retries, leaving checkpoint A as the only durable trace.
-    auto injector = std::make_shared<FaultInjector>(23);
     injector->Arm(kFaultSitePutWrite, FaultKind::kIOError, 100);
-    warehouse.store_for_testing()->SetFaultInjector(injector);
     EXPECT_TRUE(ingestor
                     .AppendBatchAt(250, std::span<const Value>(values)
                                             .subspan(250, 1))
@@ -769,7 +827,9 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
   ASSERT_EQ(want.size(), 2u);
 
   {
-    Warehouse warehouse(DurableOptions(), OpenStore());
+    auto injector = std::make_shared<FaultInjector>(29);
+    FaultEnv env(Env::Default(), injector);
+    Warehouse warehouse(DurableOptions(), OpenStoreOver(&env));
     warehouse.store_for_testing()->SetRetryPolicy(
         {.max_attempts = 1, .initial_backoff = std::chrono::microseconds(1)});
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
@@ -780,9 +840,7 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
             .ok());
     // Let checkpoint A through (skip 1), then fail checkpoint B. B is best
     // effort, so the append itself succeeds and the roll-in completes.
-    auto injector = std::make_shared<FaultInjector>(29);
     injector->Arm(kFaultSiteCheckpointWrite, FaultKind::kIOError, 100, 1);
-    warehouse.store_for_testing()->SetFaultInjector(injector);
     ASSERT_TRUE(ingestor
                     .AppendBatchAt(250, std::span<const Value>(values)
                                             .subspan(250, 1))
@@ -832,7 +890,9 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
   ASSERT_EQ(want.size(), 4u);
 
   {
-    Warehouse warehouse(DurableOptions(), OpenStore());
+    auto injector = std::make_shared<FaultInjector>(31);
+    FaultEnv env(Env::Default(), injector);
+    Warehouse warehouse(DurableOptions(), OpenStoreOver(&env));
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
     SampleStore* store = warehouse.store_for_testing();
     StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
@@ -855,13 +915,10 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
     const uint64_t snapshots = store->GetStoreStats().checkpoints_written;
 
     // The next group commit (the cadence delta of 200..240) fails.
-    auto injector = std::make_shared<FaultInjector>(31);
     injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, 1);
-    store->SetFaultInjector(injector);
     feed(200, 240);
     ASSERT_TRUE(WaitUntil(
         [&] { return injector->FiredCount(kFaultSiteWalAppend) == 1; }));
-    store->SetFaultInjector(nullptr);
 
     // Crossing the close at 250: checkpoint A lands as a new snapshot
     // generation instead of riding the broken WAL.

@@ -12,8 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/testing/fault_injector.h"
+#include "src/testing/fault_env.h"
 #include "src/util/serialization.h"
+#include "src/warehouse/checkpoint.h"
 #include "src/warehouse/sample_store.h"
 #include "src/warehouse/warehouse.h"
 
@@ -55,10 +56,18 @@ class RecoveryTest : public ::testing::Test {
     return std::move(store).value();
   }
 
+  /// The store directory reached through `env_`, so a case can arm faults
+  /// with `injector_`.
+  std::unique_ptr<SampleStore> OpenFaultStore() {
+    EXPECT_TRUE(env_.CreateDir(dir_).ok());
+    return std::make_unique<SampleStore>(&env_, dir_);
+  }
+
   /// A warehouse with 4 partitions in dataset "events", manifest saved.
+  /// Its store runs over `env_`.
   std::unique_ptr<Warehouse> BuildPopulated() {
     auto warehouse =
-        std::make_unique<Warehouse>(TestOptions(), OpenStore());
+        std::make_unique<Warehouse>(TestOptions(), OpenFaultStore());
     EXPECT_TRUE(warehouse->CreateDataset("events").ok());
     EXPECT_TRUE(
         warehouse->IngestBatch("events", Range(0, 4000), 4).ok());
@@ -68,6 +77,9 @@ class RecoveryTest : public ::testing::Test {
 
   std::string dir_;
   std::string manifest_;
+  std::shared_ptr<FaultInjector> injector_ =
+      std::make_shared<FaultInjector>(3);
+  FaultEnv env_{Env::Default(), injector_};
 };
 
 // The ISSUE acceptance scenario: a Put crashes mid-write (torn file), the
@@ -82,9 +94,7 @@ TEST_F(RecoveryTest, TornWriteThenRestartRecovers) {
 
   // Crash a rewrite of the victim's sample: the destination file holds a
   // prefix of the intended bytes.
-  auto injector = std::make_shared<FaultInjector>(3);
-  injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
-  warehouse->store_for_testing()->SetFaultInjector(injector);
+  injector_->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_TRUE(warehouse->store_for_testing()
                   ->Put({"events", victim}, sample)
                   .IsIOError());
@@ -115,15 +125,66 @@ TEST_F(RecoveryTest, TornWriteThenRestartRecovers) {
       dir_ + "/events." + std::to_string(victim) + ".sample.quarantine"));
 }
 
+// A read that still fails after the store's retries says nothing about
+// the bytes behind it. Whether it hits the recovery scan of a sample or a
+// checkpoint, or the catalog reconcile that follows, the restore fails and
+// destroys nothing; once the fault clears, the next restore serves every
+// partition and the checkpoint.
+TEST_F(RecoveryTest, TransientReadFaultsFailTheRestoreAndLoseNothing) {
+  std::unique_ptr<Warehouse> warehouse = BuildPopulated();
+  IngestCheckpoint ckpt;
+  ckpt.next_sequence = 4000;
+  ckpt.rng = Pcg64(4000).SaveState();
+  const std::string payload = ckpt.Serialize();
+  ASSERT_TRUE(
+      warehouse->store_for_testing()->PutCheckpoint("events", payload).ok());
+  warehouse.reset();
+
+  struct Arming {
+    const char* site;
+    uint64_t skip;
+  };
+  // The scan reads the 4 samples, then the checkpoint; the reconcile then
+  // reads each sample again.
+  for (const Arming& arming : {Arming{kFaultSiteGetRead, 0},
+                               Arming{kFaultSiteCheckpointRead, 0},
+                               Arming{kFaultSiteGetRead, 4}}) {
+    injector_->Arm(arming.site, FaultKind::kIOError, /*count=*/1000,
+                   arming.skip);
+    auto failed = Warehouse::RestoreWithRecovery(TestOptions(),
+                                                 OpenFaultStore(), manifest_);
+    EXPECT_TRUE(failed.status().IsIOError())
+        << arming.site << " skip " << arming.skip << ": "
+        << failed.status().ToString();
+    injector_->Disarm(arming.site);
+  }
+
+  auto restored = Warehouse::RestoreWithRecovery(TestOptions(), OpenStore(),
+                                                 manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().report.quarantined.empty());
+  EXPECT_TRUE(restored.value().report.quarantined_checkpoints.empty());
+  EXPECT_TRUE(restored.value().report.missing_partitions.empty());
+  EXPECT_TRUE(restored.value().dropped_partitions.empty());
+  Warehouse& recovered = *restored.value().warehouse;
+  const auto partitions = recovered.ListPartitions("events");
+  ASSERT_TRUE(partitions.ok());
+  EXPECT_EQ(partitions.value().size(), 4u);
+  for (const PartitionInfo& p : partitions.value()) {
+    EXPECT_TRUE(recovered.GetSample("events", p.id).ok());
+  }
+  const auto stored = recovered.store_for_testing()->GetCheckpoint("events");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(stored.value(), payload);
+}
+
 TEST_F(RecoveryTest, StrictRestoreStillFailsOnTornFile) {
   std::unique_ptr<Warehouse> warehouse = BuildPopulated();
   const PartitionId victim =
       warehouse->ListPartitions("events").value().front().id;
   const PartitionSample sample =
       warehouse->GetSample("events", victim).value();
-  auto injector = std::make_shared<FaultInjector>(3);
-  injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
-  warehouse->store_for_testing()->SetFaultInjector(injector);
+  injector_->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_FALSE(
       warehouse->store_for_testing()->Put({"events", victim}, sample).ok());
   warehouse.reset();
@@ -140,9 +201,7 @@ TEST_F(RecoveryTest, CrashBeforeRenameLeavesDataIntact) {
       warehouse->GetSample("events", victim).value();
   // Crash BEFORE the rename: the previous version of the sample survives;
   // recovery only has to sweep the orphan temp.
-  auto injector = std::make_shared<FaultInjector>(3);
-  injector->Arm(kFaultSitePutWrite, FaultKind::kCrashBeforeRename);
-  warehouse->store_for_testing()->SetFaultInjector(injector);
+  injector_->Arm(kFaultSitePutWrite, FaultKind::kCrashBeforeRename);
   EXPECT_TRUE(warehouse->store_for_testing()
                   ->Put({"events", victim}, sample)
                   .IsIOError());

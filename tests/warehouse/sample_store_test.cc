@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/testing/fault_env.h"
 #include "src/util/serialization.h"
 #include "src/util/thread_pool.h"
 
@@ -28,10 +29,15 @@ PartitionSample TestSample(uint64_t parent = 100) {
                                         parent, 4096);
 }
 
+// The store over the files of each store type (a directory of the real
+// filesystem, or a MemEnv), reached through a FaultEnv so a case can arm
+// faults with `injector_`. Unarmed, the FaultEnv passes every call through.
 template <typename T>
 class SampleStoreTest : public ::testing::Test {
  public:
   void SetUp() override {
+    Env* base = &mem_;
+    std::string dir = "mem";
     if constexpr (std::is_same_v<T, FileSampleStore>) {
       // Unique per process: parallel ctest runs each case in its own
       // process, and a shared directory would be remove_all'd from under
@@ -40,12 +46,12 @@ class SampleStoreTest : public ::testing::Test {
               ("sampwh_store_test_" + std::to_string(::getpid())))
                  .string();
       std::filesystem::remove_all(dir_);
-      auto opened = FileSampleStore::Open(dir_);
-      ASSERT_TRUE(opened.ok());
-      store_ = std::move(opened).value();
-    } else {
-      store_ = std::make_unique<InMemorySampleStore>();
+      base = Env::Default();
+      dir = dir_;
     }
+    env_ = std::make_unique<FaultEnv>(base, injector_);
+    ASSERT_TRUE(env_->CreateDir(dir).ok());
+    store_ = std::make_unique<SampleStore>(env_.get(), dir);
   }
 
   void TearDown() override {
@@ -53,6 +59,10 @@ class SampleStoreTest : public ::testing::Test {
     if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
+  std::shared_ptr<FaultInjector> injector_ =
+      std::make_shared<FaultInjector>(7);
+  MemEnv mem_;
+  std::unique_ptr<FaultEnv> env_;
   std::unique_ptr<SampleStore> store_;
   std::string dir_;
 };
@@ -188,16 +198,14 @@ TYPED_TEST(SampleStoreTest, TotalStoredBytesTracksContent) {
 
 TYPED_TEST(SampleStoreTest, InjectedCorruptReadIsCorruption) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample()).ok());
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSiteGetRead, FaultKind::kCorruptRead);
   EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsCorruption());
 }
 
 TYPED_TEST(SampleStoreTest, TransientReadFaultIsRetriedThenSucceeds) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample(321)).ok());
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   SampleStore::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff = std::chrono::microseconds(1);
@@ -212,8 +220,7 @@ TYPED_TEST(SampleStoreTest, TransientReadFaultIsRetriedThenSucceeds) {
 
 TYPED_TEST(SampleStoreTest, ExhaustedReadRetriesSurfaceIOError) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample()).ok());
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   SampleStore::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff = std::chrono::microseconds(1);
@@ -225,8 +232,7 @@ TYPED_TEST(SampleStoreTest, ExhaustedReadRetriesSurfaceIOError) {
 }
 
 TYPED_TEST(SampleStoreTest, TransientWriteFaultIsRetriedThenSucceeds) {
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   SampleStore::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff = std::chrono::microseconds(1);
@@ -237,11 +243,11 @@ TYPED_TEST(SampleStoreTest, TransientWriteFaultIsRetriedThenSucceeds) {
 }
 
 TYPED_TEST(SampleStoreTest, TornWriteIsIOErrorThenCorruptionOnRead) {
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
-  // The tear is a simulated crash, not a transient fault: no retry, the
-  // damaged bytes stay persisted.
+  // The tear is a simulated crash, not a transient fault: the crashed
+  // process writes nothing more, so no retry repairs it and the damaged
+  // bytes stay persisted.
   EXPECT_TRUE(this->store_->Put({"ds", 0}, TestSample()).IsIOError());
   EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsCorruption());
 }
@@ -249,11 +255,10 @@ TYPED_TEST(SampleStoreTest, TornWriteIsIOErrorThenCorruptionOnRead) {
 // One store over two Envs: a torn sample is quarantined by the first read
 // that finds it, on both store types, so it is never served twice.
 TYPED_TEST(SampleStoreTest, TornSampleIsQuarantinedByTheFirstGet) {
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_TRUE(this->store_->Put({"ds", 0}, TestSample()).IsIOError());
-  this->store_->SetFaultInjector(nullptr);
+  this->env_->Restart();
   EXPECT_GT(this->store_->TotalStoredBytes(), 0u);
 
   EXPECT_TRUE(this->store_->Get({"ds", 0}).status().IsCorruption());
@@ -263,24 +268,23 @@ TYPED_TEST(SampleStoreTest, TornSampleIsQuarantinedByTheFirstGet) {
 }
 
 TYPED_TEST(SampleStoreTest, CorruptDigestQuarantinesLikeGet) {
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_TRUE(this->store_->Put({"ds", 0}, TestSample()).IsIOError());
-  this->store_->SetFaultInjector(nullptr);
+  this->env_->Restart();
   EXPECT_TRUE(this->store_->ContentDigest({"ds", 0}).status().IsCorruption());
   EXPECT_TRUE(this->store_->ContentDigest({"ds", 0}).status().IsNotFound());
 }
 
 TYPED_TEST(SampleStoreTest, RecoverNamesFilesByBasename) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample()).ok());
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSitePutWrite, FaultKind::kCrashBeforeRename);
   EXPECT_TRUE(this->store_->Put({"ds", 1}, TestSample()).IsIOError());
+  this->env_->Restart();
   injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_TRUE(this->store_->Put({"ds", 2}, TestSample()).IsIOError());
-  this->store_->SetFaultInjector(nullptr);
+  this->env_->Restart();
 
   const auto report = this->store_->Recover();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -300,11 +304,10 @@ TYPED_TEST(SampleStoreTest, RejectsInvalidDatasetIds) {
 
 TYPED_TEST(SampleStoreTest, RecoverQuarantinesTornSample) {
   ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample(111)).ok());
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
+  auto injector = this->injector_;
   injector->Arm(kFaultSitePutWrite, FaultKind::kTornWrite);
   EXPECT_TRUE(this->store_->Put({"ds", 1}, TestSample(222)).IsIOError());
-  this->store_->SetFaultInjector(nullptr);
+  this->env_->Restart();
 
   const auto report = this->store_->Recover({{"ds", 0}, {"ds", 1}});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -317,25 +320,48 @@ TYPED_TEST(SampleStoreTest, RecoverQuarantinesTornSample) {
   EXPECT_TRUE(this->store_->Get({"ds", 1}).status().IsNotFound());
 }
 
+// A read that fails past the retry budget says nothing about the bytes:
+// Recover fails and quarantines nothing, and the sample survives.
+TYPED_TEST(SampleStoreTest, RecoverFailsOnATransientReadAndKeepsTheSample) {
+  ASSERT_TRUE(this->store_->Put({"ds", 0}, TestSample(111)).ok());
+  SampleStore::RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff = std::chrono::microseconds(1);
+  this->store_->SetRetryPolicy(policy);
+  this->injector_->Arm(kFaultSiteGetRead, FaultKind::kIOError, /*count=*/3);
+  EXPECT_TRUE(this->store_->Recover({{"ds", 0}}).status().IsIOError());
+  EXPECT_EQ(this->store_->GetStoreStats().quarantines, 0u);
+
+  const auto report = this->store_->Recover({{"ds", 0}});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().quarantined.empty());
+  EXPECT_TRUE(report.value().missing_partitions.empty());
+  EXPECT_EQ(this->store_->Get({"ds", 0}).value().parent_size(), 111u);
+}
+
 TYPED_TEST(SampleStoreTest, GetManyInjectedTaskFaultFailsWholeCall) {
   std::vector<PartitionKey> keys;
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(this->store_->Put({"ds", i}, TestSample(100 + i)).ok());
     keys.push_back({"ds", i});
   }
-  auto injector = std::make_shared<FaultInjector>(7);
-  this->store_->SetFaultInjector(injector);
-  // One fault among four fetch tasks: the whole prefetch must fail, never
+  auto injector = this->injector_;
+  SampleStore::RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff = std::chrono::microseconds(1);
+  this->store_->SetRetryPolicy(policy);
+  // Two fetches of four land; every later read fails past the retry
+  // budget, so its fetch task dies. The whole prefetch must fail, never
   // return a partial vector.
-  injector->Arm(kFaultSiteGetManyTask, FaultKind::kIOError, /*count=*/1,
+  injector->Arm(kFaultSiteGetRead, FaultKind::kIOError, /*count=*/100,
                 /*skip=*/2);
   EXPECT_TRUE(this->store_->GetMany(keys).status().IsIOError());
   ThreadPool pool(3);
-  injector->Arm(kFaultSiteGetManyTask, FaultKind::kIOError, /*count=*/1,
+  injector->Arm(kFaultSiteGetRead, FaultKind::kIOError, /*count=*/100,
                 /*skip=*/2);
   EXPECT_TRUE(this->store_->GetMany(keys, &pool).status().IsIOError());
   // Disarmed, the same call succeeds in full.
-  injector->Disarm(kFaultSiteGetManyTask);
+  injector->Disarm(kFaultSiteGetRead);
   const auto loaded = this->store_->GetMany(keys, &pool);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().size(), 4u);
@@ -375,35 +401,22 @@ TEST(SampleStoreConformanceTest, TotalStoredBytesAgreesAcrossBackends) {
 }
 
 // Regression test for the striped read locking: two Gets of keys on
-// different stripes must be in the store simultaneously. A rendezvous hook
-// (runs while the key's stripe lock is held) blocks each reader until both
-// have arrived — under the old store-wide mutex this deadlocks, with
-// striped locks both pass through. The generous timeout only bounds the
-// failure mode; the passing path does not sleep.
+// different stripes must be in the store simultaneously. A rendezvous read
+// callback (the store reads under the key's stripe lock) blocks each reader
+// until both have arrived — under the old store-wide mutex this deadlocks,
+// with striped locks both pass through. The generous timeout only bounds
+// the failure mode; the passing path does not sleep.
 TEST(FileSampleStoreTest, GetsOfDifferentStripesRunConcurrently) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "sampwh_store_stripes")
           .string();
   std::filesystem::remove_all(dir);
-  auto opened = FileSampleStore::Open(dir);
-  ASSERT_TRUE(opened.ok());
-  FileSampleStore& store = *opened.value();
-
-  // Two keys guaranteed to hash to distinct lock stripes.
-  const PartitionKey a{"ds", 0};
-  PartitionKey b{"ds", 1};
-  while (FileSampleStore::StripeIndexForTesting(b) ==
-         FileSampleStore::StripeIndexForTesting(a)) {
-    ++b.partition;
-  }
-  ASSERT_TRUE(store.Put(a, TestSample(100)).ok());
-  ASSERT_TRUE(store.Put(b, TestSample(200)).ok());
 
   std::mutex mu;
   std::condition_variable cv;
   int arrived = 0;
   bool timed_out = false;
-  store.SetReadHookForTesting([&](const PartitionKey&) {
+  FaultEnv env(Env::Default(), /*injector=*/nullptr, [&](const std::string&) {
     std::unique_lock<std::mutex> lock(mu);
     ++arrived;
     cv.notify_all();
@@ -414,17 +427,48 @@ TEST(FileSampleStoreTest, GetsOfDifferentStripesRunConcurrently) {
       timed_out = true;
     }
   });
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  SampleStore store(&env, dir);
+
+  // Two keys guaranteed to hash to distinct lock stripes.
+  const PartitionKey a{"ds", 0};
+  PartitionKey b{"ds", 1};
+  while (SampleStore::StripeIndexForTesting(b) ==
+         SampleStore::StripeIndexForTesting(a)) {
+    ++b.partition;
+  }
+  ASSERT_TRUE(store.Put(a, TestSample(100)).ok());
+  ASSERT_TRUE(store.Put(b, TestSample(200)).ok());
 
   std::thread t1([&] { EXPECT_TRUE(store.Get(a).ok()); });
   std::thread t2([&] { EXPECT_TRUE(store.Get(b).ok()); });
   t1.join();
   t2.join();
-  store.SetReadHookForTesting(nullptr);
   EXPECT_FALSE(timed_out)
       << "readers of different stripes did not overlap: striped locking "
          "regressed to a store-wide mutex";
   EXPECT_EQ(arrived, 2);
   std::filesystem::remove_all(dir);
+}
+
+// A sample deleted between Recover's listing and its read is a plain miss:
+// skipped, not quarantined.
+TEST(InMemorySampleStoreTest, RecoverSkipsASampleThatVanishesAfterListing) {
+  MemEnv mem;
+  FaultEnv env(&mem, /*injector=*/nullptr, [&](const std::string& path) {
+    if (path == "mem/ds.1.sample") mem.Remove(path);
+  });
+  SampleStore store(&env, "mem");
+  ASSERT_TRUE(store.Put({"ds", 0}, TestSample()).ok());
+  ASSERT_TRUE(store.Put({"ds", 1}, TestSample()).ok());
+
+  const auto report = store.Recover({{"ds", 0}, {"ds", 1}});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().scanned, 1u);
+  EXPECT_TRUE(report.value().quarantined.empty());
+  ASSERT_EQ(report.value().missing_partitions.size(), 1u);
+  EXPECT_EQ(report.value().missing_partitions[0].partition, 1u);
+  EXPECT_EQ(store.GetStoreStats().quarantines, 0u);
 }
 
 TEST(InMemorySampleStoreTest, TracksStoredBytes) {
@@ -550,20 +594,20 @@ TEST(FileSampleStoreTest, RecoverRemovesOrphanTempsAndKeepsSurvivors) {
       (std::filesystem::temp_directory_path() / "sampwh_store_recover")
           .string();
   std::filesystem::remove_all(dir);
-  auto store = FileSampleStore::Open(dir);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store.value()->Put({"ds", 0}, TestSample(100)).ok());
-
   auto injector = std::make_shared<FaultInjector>(11);
-  store.value()->SetFaultInjector(injector);
+  FaultEnv env(Env::Default(), injector);
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  SampleStore store(&env, dir);
+  ASSERT_TRUE(store.Put({"ds", 0}, TestSample(100)).ok());
+
   // A write that crashes before its rename leaves an orphan temp file and
   // an untouched (absent) destination.
   injector->Arm(kFaultSitePutWrite, FaultKind::kCrashBeforeRename);
-  EXPECT_TRUE(store.value()->Put({"ds", 1}, TestSample(200)).IsIOError());
-  EXPECT_TRUE(store.value()->Get({"ds", 1}).status().IsNotFound());
-  store.value()->SetFaultInjector(nullptr);
+  EXPECT_TRUE(store.Put({"ds", 1}, TestSample(200)).IsIOError());
+  EXPECT_TRUE(store.Get({"ds", 1}).status().IsNotFound());
+  env.Restart();
 
-  const auto report = store.value()->Recover({{"ds", 0}, {"ds", 1}});
+  const auto report = store.Recover({{"ds", 0}, {"ds", 1}});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().removed_temps.size(), 1u);
   EXPECT_TRUE(report.value().quarantined.empty());
@@ -573,7 +617,7 @@ TEST(FileSampleStoreTest, RecoverRemovesOrphanTempsAndKeepsSurvivors) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_NE(entry.path().extension(), ".tmp");
   }
-  EXPECT_EQ(store.value()->Get({"ds", 0}).value().parent_size(), 100u);
+  EXPECT_EQ(store.Get({"ds", 0}).value().parent_size(), 100u);
   std::filesystem::remove_all(dir);
 }
 
