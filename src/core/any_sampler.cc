@@ -3,6 +3,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/core/sampler_state.h"
 #include "src/util/serialization.h"
 
 namespace sampwh {
@@ -14,11 +15,6 @@ namespace {
 constexpr uint64_t kStateTagHybridBernoulli = 1;
 constexpr uint64_t kStateTagHybridReservoir = 2;
 constexpr uint64_t kStateTagBernoulli = 3;
-
-// v2 appended the Bern(q) acceptance-mode field to the SB record; v1
-// records are still readable (mode defaults to the scalar skip path).
-constexpr uint64_t kSamplerStateVersion = 2;
-constexpr uint64_t kMinSamplerStateVersion = 1;
 
 std::variant<HybridBernoulliSampler, HybridReservoirSampler, BernoulliSampler>
 MakeImpl(const SamplerConfig& config, Pcg64 rng) {
@@ -119,13 +115,13 @@ Result<AnySampler> AnySampler::LoadState(std::string_view bytes) {
   switch (tag) {
     case kStateTagHybridBernoulli: {
       SAMPWH_ASSIGN_OR_RETURN(auto sampler,
-                              HybridBernoulliSampler::LoadState(&reader));
+                              HybridBernoulliSampler::LoadState(&reader, version));
       impl = std::move(sampler);
       break;
     }
     case kStateTagHybridReservoir: {
       SAMPWH_ASSIGN_OR_RETURN(auto sampler,
-                              HybridReservoirSampler::LoadState(&reader));
+                              HybridReservoirSampler::LoadState(&reader, version));
       impl = std::move(sampler);
       break;
     }

@@ -94,8 +94,10 @@ Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader,
   SAMPWH_RETURN_IF_ERROR(LoadRngState(reader, &s.rng_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.gap_));
-  SAMPWH_ASSIGN_OR_RETURN(const CompactHistogram hist,
-                          CompactHistogram::DeserializeFrom(reader));
+  SAMPWH_ASSIGN_OR_RETURN(
+      const CompactHistogram hist,
+      CompactHistogram::DeserializeFrom(reader,
+                                        SamplerStateHistogramLayout(version)));
   s.hist_ = HistogramBuilder(hist);
   if (version >= 2) {
     // v1 records predate the acceptance-mode field: scalar skip implied.

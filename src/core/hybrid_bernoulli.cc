@@ -234,7 +234,7 @@ void HybridBernoulliSampler::SaveState(BinaryWriter* writer) const {
 }
 
 Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
-    BinaryReader* reader) {
+    BinaryReader* reader, uint64_t version) {
   Options options;
   uint64_t use_exact;
   SAMPWH_RETURN_IF_ERROR(
@@ -267,7 +267,9 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
   if (!(s.q_ > 0.0 && s.q_ <= 1.0)) {
     return Status::Corruption("HB state: bad sampling rate");
   }
-  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
+  SAMPWH_ASSIGN_OR_RETURN(
+      s.hist_, CompactHistogram::DeserializeFrom(
+                   reader, SamplerStateHistogramLayout(version)));
   if (s.phase_ == SamplePhase::kExhaustive) {
     s.phase1_ = HistogramBuilder(s.hist_);
     s.hist_.Clear();

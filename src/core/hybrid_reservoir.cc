@@ -159,7 +159,7 @@ void HybridReservoirSampler::SaveState(BinaryWriter* writer) const {
 }
 
 Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
-    BinaryReader* reader) {
+    BinaryReader* reader, uint64_t version) {
   Options options;
   SAMPWH_RETURN_IF_ERROR(
       reader->GetVarint64(&options.footprint_bound_bytes));
@@ -178,7 +178,9 @@ Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
   s.phase_ = static_cast<SamplePhase>(phase_raw);
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.reservoir_capacity_));
-  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
+  SAMPWH_ASSIGN_OR_RETURN(
+      s.hist_, CompactHistogram::DeserializeFrom(
+                   reader, SamplerStateHistogramLayout(version)));
   if (s.phase_ == SamplePhase::kExhaustive) {
     s.phase1_ = HistogramBuilder(s.hist_);
     s.hist_.Clear();

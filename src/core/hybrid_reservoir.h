@@ -68,9 +68,11 @@ class HybridReservoirSampler {
   PartitionSample Finalize();
 
   /// Serializes the complete mid-stream state (see HybridBernoulliSampler::
-  /// SaveState); LoadState() resumes bit-identically.
+  /// SaveState); LoadState() resumes bit-identically from a record of
+  /// `version`.
   void SaveState(BinaryWriter* writer) const;
-  static Result<HybridReservoirSampler> LoadState(BinaryReader* reader);
+  static Result<HybridReservoirSampler> LoadState(BinaryReader* reader,
+                                                  uint64_t version);
 
  private:
   void ExpandIfNeeded();

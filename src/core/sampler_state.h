@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/compact_histogram.h"
 #include "src/core/types.h"
 #include "src/core/vitter.h"
 #include "src/util/random.h"
@@ -21,6 +22,20 @@
 #include "src/util/status.h"
 
 namespace sampwh {
+
+/// Version of the sampler-state records AnySampler::SaveState writes, and
+/// the oldest LoadState still reads. v2 appended the Bern(q) acceptance
+/// mode to the SB record; v3 writes every embedded histogram in the packed
+/// layout, where v1 and v2 used varint pairs.
+inline constexpr uint64_t kSamplerStateVersion = 3;
+inline constexpr uint64_t kMinSamplerStateVersion = 1;
+
+/// The layout of the histograms inside a sampler-state record of
+/// `version`.
+inline HistogramLayout SamplerStateHistogramLayout(uint64_t version) {
+  return version >= 3 ? HistogramLayout::kPacked
+                      : HistogramLayout::kVarintPairs;
+}
 
 /// The four state words of the PCG engine, fixed-width.
 void SaveRngState(const Pcg64& rng, BinaryWriter* writer);

@@ -24,6 +24,7 @@
 
 #include "src/core/any_sampler.h"
 #include "src/core/bernoulli_sampler.h"
+#include "src/core/sampler_state.h"
 #include "src/stats/chi_square.h"
 #include "src/stats/uniformity.h"
 #include "src/util/serialization.h"
@@ -262,7 +263,7 @@ TEST(BatchAcceptTest, AutoNeverSerializes) {
   BinaryWriter writer;
   sampler.SaveState(&writer);
   BinaryReader reader(writer.buffer());
-  Result<BernoulliSampler> restored = BernoulliSampler::LoadState(&reader, 2);
+  Result<BernoulliSampler> restored = BernoulliSampler::LoadState(&reader, kSamplerStateVersion);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_EQ(restored.value().accept_mode(), BernAcceptMode::kBitmask);
 }

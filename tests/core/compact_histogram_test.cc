@@ -241,7 +241,9 @@ TEST(CompactHistogramTest, CodecRoundTripsTheFullInt64Span) {
   EXPECT_TRUE(back.value().histogram() == h);
 }
 
-// Histogram bytes: entry count, then (zig-zag delta, count) varint pairs.
+// Histogram bytes in the legacy varint-pairs layout (what SWS1 samples
+// carry): entry count, then (zig-zag delta, count) varint pairs. The
+// packed layout's hand-built inputs are in histogram_codec_diff_test.
 std::string HistogramBytes(uint64_t num_entries,
                            const std::vector<std::pair<int64_t, uint64_t>>&
                                delta_count_pairs) {
@@ -268,7 +270,8 @@ std::string SampleBytes(const std::string& histogram_bytes) {
 
 Status DecodeHistogram(const std::string& bytes) {
   BinaryReader r(bytes);
-  return CompactHistogram::DeserializeFrom(&r).status();
+  return CompactHistogram::DeserializeFrom(&r, HistogramLayout::kVarintPairs)
+      .status();
 }
 
 Status DecodeSample(const std::string& bytes) {
@@ -279,7 +282,8 @@ Status DecodeSample(const std::string& bytes) {
 TEST(CompactHistogramTest, DecodeAcceptsCanonicalHandBuiltBytes) {
   const std::string bytes = HistogramBytes(2, {{5, 1}, {3, 2}});
   BinaryReader r(bytes);
-  const auto h = CompactHistogram::DeserializeFrom(&r);
+  const auto h =
+      CompactHistogram::DeserializeFrom(&r, HistogramLayout::kVarintPairs);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h.value().entries(),
             (std::vector<CompactHistogram::Entry>{{5, 1}, {8, 2}}));

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/util/serialization.h"
 #include "src/warehouse/checkpoint.h"
 #include "src/warehouse/warehouse.h"
+#include "tests/core/legacy_codec.h"
 
 namespace sampwh {
 namespace {
@@ -28,6 +30,20 @@ int RunTool(const std::string& args) {
   const std::string command = ToolPath() + " " + args + " > /dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WEXITSTATUS(status);
+}
+
+// The tool's standard output for `args` (empty when it cannot be run).
+std::string ToolOutput(const std::string& args) {
+  const std::string command = ToolPath() + " " + args + " 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  ::pclose(pipe);
+  return out;
 }
 
 class ToolTest : public ::testing::Test {
@@ -67,6 +83,37 @@ TEST_F(ToolTest, UnknownCommandPrintsUsage) {
 TEST_F(ToolTest, DumpSucceedsOnValidSample) {
   const std::string path = WriteSample("a.sample", 0, 5000);
   EXPECT_EQ(RunTool("dump " + path), 0);
+}
+
+TEST_F(ToolTest, DumpPrintsTheEncodingAndItsSize) {
+  // The library writes SWS2; a file an older build wrote holds SWS1. Both
+  // dump, each naming its encoding and the payload's size.
+  const std::string path = WriteSample("a.sample", 0, 5000);
+  std::string sws2;
+  ASSERT_TRUE(ReadFile(path, &sws2).ok());
+  EXPECT_NE(ToolOutput("dump " + path)
+                .find("encoding:        SWS2, " + std::to_string(sws2.size()) +
+                      " B\n"),
+            std::string::npos);
+
+  BinaryReader reader(sws2);
+  const auto sample = PartitionSample::DeserializeFrom(&reader);
+  ASSERT_TRUE(sample.ok());
+  const std::string sws1 = legacy::EncodeSws1(sample.value());
+  const std::string legacy_path = dir_ + "/legacy.sample";
+  ASSERT_TRUE(WriteFileAtomic(legacy_path, WrapSampleEnvelope(sws1)).ok());
+  const std::string out = ToolOutput("dump " + legacy_path);
+  EXPECT_NE(out.find("encoding:        SWS1, " + std::to_string(sws1.size()) +
+                     " B\n"),
+            std::string::npos)
+      << out;
+  // The rest of the dump is the same sample.
+  const auto from_phase = [](const std::string& dump) {
+    const size_t at = dump.find("phase:");
+    return at == std::string::npos ? std::string() : dump.substr(at);
+  };
+  EXPECT_FALSE(from_phase(out).empty());
+  EXPECT_EQ(from_phase(out), from_phase(ToolOutput("dump " + path)));
 }
 
 TEST_F(ToolTest, DumpFailsOnMissingFile) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/serialization.h"
 #include "src/warehouse/warehouse.h"
 #include "src/workload/generators.h"
+#include "tests/core/legacy_codec.h"
 
 namespace sampwh {
 namespace {
@@ -98,6 +100,70 @@ TEST(ManifestTest, WarehouseSurvivesRestart) {
       EXPECT_NE(new_ids.value()[0], old_id);
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ManifestTest, Sws1StoreRestoresAndAnswersInSws2) {
+  // A store an older build wrote: every sample file holds an SWS1 payload
+  // (varint-pair histogram) inside the unchanged SWV2 envelope. It
+  // restores, decodes to the same samples, and answers in SWS2 bytes —
+  // the very bytes the store answered before its samples were rewritten.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "sampwh_manifest_sws1")
+          .string();
+  const std::string manifest = dir + "/MANIFEST";
+  std::filesystem::remove_all(dir);
+
+  std::vector<PartitionId> ids;
+  std::vector<PartitionSample> samples;
+  std::string answer;
+  {
+    auto store = FileSampleStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    Warehouse wh(Options(), std::move(store).value());
+    ASSERT_TRUE(wh.CreateDataset("events").ok());
+    // Repeated values, so the histograms carry counts above 1.
+    std::vector<Value> values;
+    for (Value v = 0; v < 6000; ++v) values.push_back(v % 700);
+    auto ingested = wh.IngestBatch("events", values, 3);
+    ASSERT_TRUE(ingested.ok());
+    ids = ingested.value();
+    for (const PartitionId id : ids) {
+      samples.push_back(wh.GetSample("events", id).value());
+    }
+    auto bytes = wh.MergedSampleBytes("events", ids);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    answer = *bytes.value();
+    ASSERT_TRUE(wh.SaveManifest(manifest).ok());
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const std::string path =
+        dir + "/events." + std::to_string(ids[i]) + ".sample";
+    ASSERT_TRUE(std::filesystem::exists(path)) << path;
+    const std::string sws1 = legacy::EncodeSws1(samples[i]);
+    ASSERT_EQ(SampleEncodingOf(sws1).value(), SampleEncoding::kSws1);
+    ASSERT_TRUE(WriteFileAtomic(path, WrapSampleEnvelope(sws1)).ok());
+  }
+
+  auto store = FileSampleStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto restored =
+      Warehouse::Restore(Options(), std::move(store).value(), manifest);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Warehouse& wh = *restored.value();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const auto sample = wh.GetSample("events", ids[i]);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    EXPECT_TRUE(sample.value().histogram() == samples[i].histogram());
+    EXPECT_EQ(sample.value().phase(), samples[i].phase());
+    EXPECT_EQ(sample.value().parent_size(), samples[i].parent_size());
+    EXPECT_EQ(sample.value().footprint_bound_bytes(),
+              samples[i].footprint_bound_bytes());
+  }
+  const auto bytes = wh.MergedSampleBytes("events", ids);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(SampleEncodingOf(*bytes.value()).value(), SampleEncoding::kSws2);
+  EXPECT_EQ(*bytes.value(), answer);
   std::filesystem::remove_all(dir);
 }
 

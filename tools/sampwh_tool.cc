@@ -1,7 +1,8 @@
 // sampwh_tool — command-line utility over warehouse artifacts.
 //
 //   sampwh_tool dump <sample-file>
-//       Metadata and compact histogram head of one serialized sample.
+//       Encoding (SWS2, or the legacy SWS1) and encoded size, metadata and
+//       compact histogram head of one serialized sample.
 //   sampwh_tool profile <sample-file>
 //       Column profile (min/max/mean, distinct estimate, heavy hitters).
 //   sampwh_tool estimate <sample-file> mean|sum|distinct
@@ -59,15 +60,20 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Result<PartitionSample> LoadSample(const std::string& path) {
+// The serialized sample in the file at `path`. Store-written files carry
+// the checksummed v2 envelope; merge outputs and pre-envelope files are
+// bare payloads.
+Result<std::string> LoadPayload(const std::string& path) {
   std::string bytes;
   SAMPWH_RETURN_IF_ERROR(ReadFile(path, &bytes));
-  // Store-written files carry the checksummed v2 envelope; merge outputs
-  // and pre-envelope files are bare payloads.
-  std::string_view payload = bytes;
-  if (HasSampleEnvelope(bytes)) {
-    SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
-  }
+  if (!HasSampleEnvelope(bytes)) return bytes;
+  std::string_view payload;
+  SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
+  return std::string(payload);
+}
+
+Result<PartitionSample> LoadSample(const std::string& path) {
+  SAMPWH_ASSIGN_OR_RETURN(const std::string payload, LoadPayload(path));
   BinaryReader reader(payload);
   return PartitionSample::DeserializeFrom(&reader);
 }
@@ -79,10 +85,18 @@ Status SaveSample(const std::string& path, const PartitionSample& sample) {
 }
 
 int CmdDump(const std::string& path) {
-  auto sample = LoadSample(path);
+  const auto payload = LoadPayload(path);
+  if (!payload.ok()) return Fail(payload.status());
+  BinaryReader reader(payload.value());
+  const auto sample = PartitionSample::DeserializeFrom(&reader);
   if (!sample.ok()) return Fail(sample.status());
   const PartitionSample& s = sample.value();
   std::printf("file:            %s\n", path.c_str());
+  std::printf("encoding:        %s, %zu B\n",
+              std::string(SampleEncodingToString(
+                              SampleEncodingOf(payload.value()).value()))
+                  .c_str(),
+              payload.value().size());
   std::printf("phase:           %s\n",
               std::string(SamplePhaseToString(s.phase())).c_str());
   std::printf("parent size:     %llu\n",
