@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "src/util/serialization.h"
 #include "src/util/shard_router.h"
 #include "src/warehouse/merge_memo.h"
 
@@ -451,14 +452,30 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
     }
     if (broken.empty()) continue;
 
-    // Fetch the healthy bytes once: a single-id query is leaf
-    // pass-through, bit-identical to the stored sample.
+    // Fetch the healthy sample once: a single-id query is leaf
+    // pass-through, the stored sample itself.
     const PartitionDigest& source = listings[source_owner].at(id);
     Result<PartitionSample> healthy =
         clients_[source_owner]->Query(tenant, dataset, {id});
     if (!healthy.ok()) {
       report.unhealable += broken.size();
       continue;
+    }
+    // Heals write the sample's current encoding. When the elected copies
+    // hold an older one (SWS1 files), the healed copies will not carry the
+    // elected digest, and the next round would find them divergent again:
+    // rewrite the elected copies too, so one round converges.
+    BinaryWriter encoded;
+    healthy.value().SerializeTo(&encoded);
+    if (ContentDigest(encoded.buffer()) != authoritative) {
+      for (const size_t owner : owners) {
+        if (!reachable[owner]) continue;
+        const auto it = listings[owner].find(id);
+        if (it != listings[owner].end() &&
+            it->second.digest == authoritative) {
+          broken.push_back(owner);
+        }
+      }
     }
     for (const size_t owner : broken) {
       const Status healed =

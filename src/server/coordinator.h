@@ -139,7 +139,9 @@ struct ScrubReport {
   /// Readable copies whose content digest disagreed with the elected
   /// authoritative digest.
   uint64_t digest_mismatches = 0;
-  /// Copies successfully re-replicated from a healthy owner.
+  /// Copies successfully re-replicated from a healthy owner, counting
+  /// elected copies rewritten because they held an older encoding of the
+  /// content that healed copies now carry.
   uint64_t healed = 0;
   /// Broken copies that could not be repaired (no healthy readable source
   /// among reachable owners, or the heal write itself failed).
