@@ -101,12 +101,12 @@ if [[ "${mode}" == "full" ]]; then
     "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|SamplerState|Sws1|Crc32" \
     --output-on-failure
 
-  # Purge-kernel re-gate under ASan/UBSan: the branch-free Fenwick descent
-  # indexes a padded raw array, and the streamed purge must keep matching
-  # the Fig. 4 linear-scan oracle draw for draw.
+  # Purge-kernel re-gate under ASan/UBSan: the selection purge and HRMerge's
+  # two-sided walk write through raw output cursors, and both, with the
+  # Fig. 4 linear-scan oracle, must keep matching the exact purge law.
   echo "=== [asan] reservoir purge gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(FenwickTree|Purge|PurgeDiff|Merge|HybridReservoir)" \
+    "^(Purge|PurgeDiff|PurgeLaw|Merge|HybridReservoir)" \
     --output-on-failure
 
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and

@@ -190,10 +190,10 @@ Result<PartitionSample> HRMerge(const PartitionSample& s1,
       s1.parent_size(), s2.parent_size(), k, rng, options.alias_cache);
   SAMPWH_CHECK(l <= k);
 
-  // Each side is purged straight from its stored histogram; only a side
-  // that already fits its share is copied.
-  CompactHistogram merged = ReservoirSubsample(s1.histogram(), l, rng);
-  merged.Join(ReservoirSubsample(s2.histogram(), k - l, rng));
+  // Both sides are purged straight from their stored histograms into the
+  // node's one output.
+  CompactHistogram merged =
+      JoinReservoirSubsamples(s1.histogram(), l, s2.histogram(), k - l, rng);
   SAMPWH_CHECK(merged.total_count() == k);
   return PartitionSample::MakeReservoir(std::move(merged), merged_parent,
                                         options.footprint_bound_bytes);

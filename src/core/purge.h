@@ -3,10 +3,11 @@
 //
 //  * purgeBernoulli (Fig. 3): Bern(q) subsample via per-pair binomial
 //    thinning.
-//  * purgeReservoir (Fig. 4): simple random subsample of a fixed size via
-//    reservoir sampling over the implicit expanded stream, driven by Vitter
-//    skips; victims are selected in O(log m) with a Fenwick tree over the
-//    partially built new counts.
+//  * purgeReservoir (Fig. 4): simple random subsample of a fixed size.
+//    The library draws it by sequential selection (Knuth's Algorithm S)
+//    in one walk of the sorted entries, which gives Fig. 4's law — a
+//    uniform M-subset of the expanded bag — with no skips, no victims and
+//    no search structure. Fig. 4's own loop is kept as the oracle.
 
 #ifndef SAMPWH_CORE_PURGE_H_
 #define SAMPWH_CORE_PURGE_H_
@@ -30,11 +31,10 @@ void PurgeBernoulli(CompactHistogram* sample, double q, Pcg64& rng);
 CompactHistogram BernoulliSubsample(const CompactHistogram& sample, double q,
                                     Pcg64& rng);
 
-/// Returns a simple random subsample of size min(M, total) drawn from the
-/// concatenation of the expanded bags of `sources`, processing entries in
-/// sorted-value order within each source (paper Fig. 4, generalized to a
-/// multi-source stream so HBMerge's overflow path — Fig. 6 lines 15-16 —
-/// can stream S2 into the reservoir built over S1 without expansion).
+/// Returns a simple random subsample of size min(M, total) of the union of
+/// the expanded bags of `sources`: their join, then one selection (HBMerge's
+/// overflow path, Fig. 6 lines 14-16, without expansion). A union that
+/// already fits is returned whole and draws nothing.
 CompactHistogram PurgeReservoirStreamed(
     const std::vector<const CompactHistogram*>& sources, uint64_t M,
     Pcg64& rng);
@@ -44,16 +44,30 @@ CompactHistogram PurgeReservoirStreamed(
 void PurgeReservoir(CompactHistogram* sample, uint64_t M, Pcg64& rng);
 
 /// PurgeReservoir of a copy, without the copy: a simple random subsample
-/// of `sample` of size min(M, |sample|). A sample that already fits is
-/// returned as it is and draws nothing.
+/// of `sample` of size min(M, |sample|), in one walk of its entries. Each
+/// element is kept with probability need/rest (an exact integer compare);
+/// an entry of many copies draws its kept count from the hypergeometric
+/// law in one draw. A sample that already fits is returned as it is and
+/// draws nothing.
 CompactHistogram ReservoirSubsample(const CompactHistogram& sample,
                                     uint64_t M, Pcg64& rng);
 
-/// Reference implementation of purgeReservoir with the paper's literal
-/// victim-selection rule (Fig. 4 line 9): a linear scan of the partial
-/// prefix sums, O(m) per eviction instead of the Fenwick tree's O(log m).
-/// Statistically identical to PurgeReservoirStreamed; exists for the
-/// bench_ablation_purge comparison and as an oracle in tests.
+/// The join of a simple random subsample of size min(m1, |h1|) of `h1`
+/// and an independent one of size min(m2, |h2|) of `h2` (HRMerge, Fig. 8
+/// lines 10-12): both selections run in one walk of the two entry lists
+/// in value order and write one sorted output, with no per-side histogram
+/// and no join.
+CompactHistogram JoinReservoirSubsamples(const CompactHistogram& h1,
+                                         uint64_t m1,
+                                         const CompactHistogram& h2,
+                                         uint64_t m2, Pcg64& rng);
+
+/// The paper's purgeReservoir as printed (Fig. 4): reservoir sampling over
+/// the sources' concatenated expanded stream, driven by Vitter skips, with
+/// each victim found by a linear scan of the partial prefix sums (line 9).
+/// Same law as PurgeReservoirStreamed, different draws; exists for the
+/// bench_ablation_purge comparison and as the distributional oracle in
+/// tests.
 CompactHistogram PurgeReservoirStreamedLinearScan(
     const std::vector<const CompactHistogram*>& sources, uint64_t M,
     Pcg64& rng);

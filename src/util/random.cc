@@ -2,12 +2,6 @@
 
 namespace sampwh {
 
-namespace {
-constexpr unsigned __int128 kPcgMultiplier =
-    (static_cast<unsigned __int128>(2549297995355413924ULL) << 64) |
-    4865540595714422341ULL;
-}  // namespace
-
 Pcg64::Pcg64(uint64_t seed, uint64_t stream) {
   SplitMix64 mix(seed);
   u128 init_state =
@@ -20,33 +14,6 @@ Pcg64::Pcg64(uint64_t seed, uint64_t stream) {
   NextUint64();
   state_ += init_state;
   NextUint64();
-}
-
-uint64_t Pcg64::NextUint64() {
-  state_ = state_ * kPcgMultiplier + inc_;
-  // XSL-RR output: xor-fold the 128-bit state to 64 bits, then rotate by the
-  // top 6 bits.
-  uint64_t xored =
-      static_cast<uint64_t>(state_ >> 64) ^ static_cast<uint64_t>(state_);
-  unsigned rot = static_cast<unsigned>(state_ >> 122);
-  return (xored >> rot) | (xored << ((64 - rot) & 63));
-}
-
-uint64_t Pcg64::UniformInt(uint64_t bound) {
-  if (bound <= 1) return 0;
-  // Lemire 2018: multiply-shift with rejection of the biased low region.
-  uint64_t x = NextUint64();
-  u128 m = static_cast<u128>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = NextUint64();
-      m = static_cast<u128>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 Pcg64 Pcg64::Fork(uint64_t salt) {

@@ -44,7 +44,15 @@ class Pcg64 {
   explicit Pcg64(uint64_t seed, uint64_t stream = 0);
 
   /// Next 64 uniformly distributed bits.
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    state_ = state_ * kMultiplier + inc_;
+    // XSL-RR output: xor-fold the 128-bit state to 64 bits, then rotate by
+    // the top 6 bits.
+    const uint64_t xored =
+        static_cast<uint64_t>(state_ >> 64) ^ static_cast<uint64_t>(state_);
+    const unsigned rot = static_cast<unsigned>(state_ >> 122);
+    return (xored >> rot) | (xored << ((64 - rot) & 63));
+  }
 
   /// Next 32 uniformly distributed bits.
   uint32_t NextUint32() { return static_cast<uint32_t>(NextUint64() >> 32); }
@@ -61,8 +69,20 @@ class Pcg64 {
   }
 
   /// Uniform integer in [0, bound), bound >= 1. Unbiased (Lemire's
-  /// multiply-shift with rejection).
-  uint64_t UniformInt(uint64_t bound);
+  /// multiply-shift with rejection). Inline: the selection purge draws one
+  /// per element.
+  uint64_t UniformInt(uint64_t bound) {
+    if (bound <= 1) return 0;
+    u128 m = static_cast<u128>(NextUint64()) * bound;
+    if (static_cast<uint64_t>(m) < bound) {
+      // Lemire 2018: reject the biased low region.
+      const uint64_t threshold = (0 - bound) % bound;
+      while (static_cast<uint64_t>(m) < threshold) {
+        m = static_cast<u128>(NextUint64()) * bound;
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive, lo <= hi.
   int64_t UniformRange(int64_t lo, int64_t hi) {
@@ -101,6 +121,10 @@ class Pcg64 {
 
  private:
   using u128 = unsigned __int128;
+
+  static constexpr u128 kMultiplier =
+      (static_cast<u128>(2549297995355413924ULL) << 64) |
+      4865540595714422341ULL;
 
   u128 state_;
   u128 inc_;  // odd

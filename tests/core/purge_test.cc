@@ -145,12 +145,12 @@ TEST(PurgeReservoirStreamedTest, KeepsEverythingWhenTargetExceedsTotal) {
   EXPECT_EQ(merged.CountOf(5), 2u);
 }
 
-TEST(PurgeReservoirLinearScanTest, MatchesFenwickImplementationLaw) {
-  // The Fig.-4-literal linear-scan variant and the Fenwick-tree variant
-  // must produce identically distributed subsamples. Compare mean kept
-  // count per value over many runs.
+TEST(PurgeReservoirLinearScanTest, MatchesSelectionPurgeLaw) {
+  // The Fig.-4-literal linear-scan variant and the selection purge must
+  // produce identically distributed subsamples. Compare mean kept count
+  // per value over many runs.
   const int trials = 10000;
-  double fenwick_a = 0.0;
+  double selection_a = 0.0;
   double linear_a = 0.0;
   Pcg64 rng1(20);
   Pcg64 rng2(21);
@@ -161,11 +161,11 @@ TEST(PurgeReservoirLinearScanTest, MatchesFenwickImplementationLaw) {
         PurgeReservoirStreamedLinearScan({&h}, 5, rng2);
     EXPECT_EQ(f.total_count(), 5u);
     EXPECT_EQ(l.total_count(), 5u);
-    fenwick_a += static_cast<double>(f.CountOf(1));
+    selection_a += static_cast<double>(f.CountOf(1));
     linear_a += static_cast<double>(l.CountOf(1));
   }
   // Both must track the hypergeometric mean 5 * 12/20 = 3.
-  EXPECT_NEAR(fenwick_a / trials, 3.0, 0.05);
+  EXPECT_NEAR(selection_a / trials, 3.0, 0.05);
   EXPECT_NEAR(linear_a / trials, 3.0, 0.05);
 }
 

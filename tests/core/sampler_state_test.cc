@@ -118,6 +118,14 @@ struct V2State {
   SamplerKind kind;
   uint64_t split;
   const char* hex;
+  // For a record taken after a reservoir purge, in hex: the version-3
+  // record of the same point and the final sample, both as written by a
+  // build that purged with Fig. 4's loop. The selection purge draws
+  // differently, so this build's own run reaches other contents; the old
+  // record must still resume to the old build's bytes. Null when no purge
+  // precedes the split, and this build's own run is the reference.
+  const char* v3_hex = nullptr;
+  const char* final_hex = nullptr;
 };
 
 // clang-format off
@@ -137,7 +145,12 @@ const V2State kV2States[] = {
     {SamplerKind::kHybridReservoir, 300,
      "535753530202800270b87b995acea993774c863d23f0c3124266ded285cae923b9dd1860"
      "1b3aeea203ac0220000120180bdc029e01096cbc03070705f402b401030bf2021a00bc02"
-     "a802d802040682021208c203c602c403b80298012e96010120000000000000000000b002"},
+     "a802d802040682021208c203c602c403b80298012e96010120000000000000000000b002",
+     "535753530302800270b87b995acea993774c863d23f0c3124266ded285cae923b9dd1860"
+     "1b3aeea203ac0220000120180bdc029e01096cbc03070705f402b401030bf2021a00bc02"
+     "a802d802040682021208c203c602c403b80298012e96010120000000000000000000b002",
+     "3253575303b817000000000000f03f80021d07056489125b9905014084807015b2403401"
+     "380911040000000000"},
     {SamplerKind::kStratifiedBernoulli, 1000,
      "5357535302039a9999999999b93fb34b280714fbe3428fddb4d94d6f86ca4266ded285ca"
      "e923b9dd18601b3aeea2e80704470f020801020102030201020102020201060106010401"
@@ -181,13 +194,16 @@ TEST(SamplerStateTest, Version2RecordsResumeBitIdentically) {
     const SamplerConfig config = V2Config(v2.kind);
     AnySampler reference(config, Pcg64(0x5EED));
     reference.AddBatch(all);
-    const std::string want = SerializedBytes(reference.Finalize());
+    const std::string want = v2.final_hex != nullptr
+                                 ? FromHex(v2.final_hex)
+                                 : SerializedBytes(reference.Finalize());
 
-    // This build's record of the same point: the same fields, version 3,
-    // histograms packed.
+    // The version-3 record of the same point: the same fields, histograms
+    // packed.
     AnySampler before(config, Pcg64(0x5EED));
     before.AddBatch(all.first(v2.split));
-    const std::string v3 = before.SaveState();
+    const std::string v3 =
+        v2.v3_hex != nullptr ? FromHex(v2.v3_hex) : before.SaveState();
     const std::string state = FromHex(v2.hex);
     ASSERT_EQ(state[4], '\x02');
     ASSERT_EQ(v3[4], static_cast<char>(kSamplerStateVersion));
