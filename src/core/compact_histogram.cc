@@ -208,22 +208,6 @@ uint64_t CompactHistogram::JoinedFootprintBytes(
   return footprint;
 }
 
-Value CompactHistogram::RemoveRandomVictim(Pcg64& rng) {
-  SAMPWH_CHECK(total_count_ > 0);
-  uint64_t target = rng.UniformInt(total_count_);
-  for (const auto& [v, n] : entries_) {
-    if (target < n) {
-      const Value victim = v;
-      Remove(victim, 1);
-      return victim;
-    }
-    target -= n;
-  }
-  // Unreachable: total_count_ equals the sum of all counts.
-  SAMPWH_CHECK(false);
-  return 0;
-}
-
 void CompactHistogram::Clear() {
   entries_.clear();
   total_count_ = 0;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/core/types.h"
-#include "src/util/random.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
 
@@ -120,11 +119,6 @@ class CompactHistogram {
   /// Footprint in bytes that joining `other` into this histogram would
   /// produce, without materializing the join (Fig. 6 line 12).
   uint64_t JoinedFootprintBytes(const CompactHistogram& other) const;
-
-  /// Removes and returns one uniformly random data-element value
-  /// (removeRandomVictim over the compact form). O(distinct) worst case;
-  /// the hot purge paths use FenwickTree-based selection instead.
-  Value RemoveRandomVictim(Pcg64& rng);
 
   void Clear();
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/sample.h"
+#include "src/util/random.h"
 
 namespace sampwh {
 namespace {
@@ -135,33 +136,6 @@ TEST(CompactHistogramTest, JoinedFootprintMatchesActualJoin) {
   const uint64_t predicted = a.JoinedFootprintBytes(b);
   a.Join(b);
   EXPECT_EQ(predicted, a.footprint_bytes());
-}
-
-TEST(CompactHistogramTest, RemoveRandomVictimPreservesCounts) {
-  CompactHistogram h;
-  h.Insert(1, 5);
-  h.Insert(2, 5);
-  Pcg64 rng(1);
-  for (int i = 0; i < 10; ++i) {
-    const Value victim = h.RemoveRandomVictim(rng);
-    EXPECT_TRUE(victim == 1 || victim == 2);
-  }
-  EXPECT_TRUE(h.empty());
-}
-
-TEST(CompactHistogramTest, RemoveRandomVictimIsUniformOverElements) {
-  // Value 1 has 9 copies, value 2 has 1: the victim should be 1 about 90%
-  // of the time.
-  Pcg64 rng(2);
-  int ones = 0;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    CompactHistogram h;
-    h.Insert(1, 9);
-    h.Insert(2, 1);
-    if (h.RemoveRandomVictim(rng) == 1) ++ones;
-  }
-  EXPECT_NEAR(ones / static_cast<double>(trials), 0.9, 0.01);
 }
 
 TEST(CompactHistogramTest, ClearResetsEverything) {

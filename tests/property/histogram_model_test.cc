@@ -1,7 +1,7 @@
 // Reference-model property test of the compact histogram: seeded random
-// sequences of Insert, Remove, Join, JoinedFootprintBytes, FromBag,
-// RemoveRandomVictim and HistogramBuilder -> Build run side by side with a
-// std::map model, and after every step the entries, total_count and
+// sequences of Insert, Remove, Join, JoinedFootprintBytes, FromBag, the
+// codec and HistogramBuilder -> Build run side by side with a std::map
+// model, and after every step the entries, total_count and
 // footprint_bytes must equal the model's.
 
 #include <cstdint>
@@ -86,7 +86,7 @@ void RunSequence(uint64_t seed) {
   Model model;
   Model builder_model;
   for (int step = 0; step < 400; ++step) {
-    switch (rng.UniformInt(8)) {
+    switch (rng.UniformInt(7)) {
       case 0:
       case 1: {  // Insert into both structures
         const Value v = DrawValue(rng);
@@ -138,18 +138,7 @@ void RunSequence(uint64_t seed) {
         ExpectMatches(CompactHistogram::FromBag(bag), bag_model);
         break;
       }
-      case 6: {  // RemoveRandomVictim walks ascending values
-        if (model.empty()) break;
-        Pcg64 shadow = rng;
-        uint64_t target = shadow.UniformInt(TotalOf(model));
-        auto it = model.begin();
-        while (target >= it->second) target -= (it++)->second;
-        const Value expected = it->first;
-        ASSERT_EQ(h.RemoveRandomVictim(rng), expected);
-        if (--it->second == 0) model.erase(it);
-        break;
-      }
-      case 7: {  // Codec round trip, and the builder seeded from h
+      case 6: {  // Codec round trip, and the builder seeded from h
         BinaryWriter w;
         h.SerializeTo(&w);
         BinaryReader r(w.buffer());
