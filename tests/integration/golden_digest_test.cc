@@ -191,7 +191,10 @@ struct GoldenRow {
 
 // Byte digests re-pinned for the packed histogram layout (SWS2 samples,
 // version-3 sampler state); the contents column was recorded before that
-// change and did not move with it.
+// change and did not move with it. The rows whose samples, states or
+// merges pass through a reservoir purge were then re-pinned in both
+// columns when the selection purge replaced Fig. 4's loop: the same law,
+// different draws.
 // clang-format off
 const GoldenRow kGolden[] = {
     {kHB, 1, kDup,
@@ -236,36 +239,36 @@ const GoldenRow kGolden[] = {
       0xcba3801c0c892fe0ULL}},
     {kHR, 1, kMid,
      {0x800e4b9100340733ULL, 0xdb35fb8ff5f74275ULL,
-      0x54e7fb33213530a6ULL, 0xd5d12d3d9a22585dULL,
-      0x31315c873cd6688eULL}},
+      0xf3ed48919408cbf4ULL, 0x1a100dde134e976bULL,
+      0x4a9c2bd10c58cf4dULL}},
     {kHR, 1, kWide,
      {0x510a8a41b4fb4cb2ULL, 0xd9ec7bb6a01442a2ULL,
-      0x690156f907f19098ULL, 0xcd66fc4594447f49ULL,
-      0x807f4e1f86cc7c60ULL}},
+      0x9d69f33f2c443169ULL, 0xf576b30f0d1327bcULL,
+      0xd5dd97a79407d90aULL}},
     {kHR, 8, kDup,
      {0xf9da69a3a302b672ULL, 0xf7ab08a7abe2feebULL,
       0xc44e2bb836bf8685ULL, 0xc44e2bb836bf8685ULL,
       0x0762f3d53d3ca2d8ULL}},
     {kHR, 8, kMid,
-     {0x3760a13ad3e55b4aULL, 0xe52dc86c9f3cec2eULL,
-      0x333d81db55452a52ULL, 0xf4e189b54967a747ULL,
-      0x0296efbaf3ce48edULL}},
+     {0x678290ca888f4ee0ULL, 0x76385186a9b52cc8ULL,
+      0x1299d75d5c793d77ULL, 0xd68e408fbad1fae7ULL,
+      0x3c1a9f5c0da33ecbULL}},
     {kHR, 8, kWide,
      {0xf4fe25d2477636b1ULL, 0xd43ab52716aabf61ULL,
-      0x48bb34991dee73b4ULL, 0xc8c6c91197dc41f4ULL,
-      0xef2c2cf162fa27f1ULL}},
+      0x2debe8d977aa63a4ULL, 0xe0f32932dde0e1d5ULL,
+      0xd2c1a31f26c3659eULL}},
     {kHR, 32, kDup,
      {0x09c57f8e254b293aULL, 0x2ee0f43864c41911ULL,
       0x6f2a2444d38237c7ULL, 0x6f2a2444d38237c7ULL,
       0xc64c8916070dd6d8ULL}},
     {kHR, 32, kMid,
-     {0x404953f8046ffabeULL, 0x7745eb3f373a4004ULL,
-      0xbcbde02e6b66ce28ULL, 0xa4ac4df8fb048229ULL,
-      0x87f51a8be0ad67d4ULL}},
+     {0x8df6ca718e462419ULL, 0xfe05c720f2729f14ULL,
+      0xe973213d4e71fb3cULL, 0xa6368fee2bf54e0eULL,
+      0xbd70d33d0ebe33dbULL}},
     {kHR, 32, kWide,
      {0xdb4f106a8f6ac9e6ULL, 0xef3e89b641baae0cULL,
-      0xb60fcf8f2dd9ccceULL, 0xe3381f52e4a8a05bULL,
-      0x93a577c2f00c419fULL}},
+      0xfd3ad26307733040ULL, 0x07f18c9a79ed6aadULL,
+      0x7813055222dd5d28ULL}},
     {kSB, 1, kDup,
      {0x8acc6bbe1eef175bULL, 0x54f92857d9641594ULL,
       0xe96e675261553aa8ULL, 0xb5e153a3e1113c68ULL,
@@ -292,16 +295,16 @@ const GoldenRow kGolden[] = {
       0x72338122c8344812ULL}},
     {kSB, 32, kDup,
      {0x8acc6bbe1eef175bULL, 0x54f92857d9641594ULL,
-      0x29956f4e85d10780ULL, 0xc42af61856880be2ULL,
-      0x6820c51e1691d8f2ULL}},
+      0x23107151c13a3fc0ULL, 0xe1535260bbc1fc20ULL,
+      0x19f60a94b5997106ULL}},
     {kSB, 32, kMid,
      {0x4ffd2aef691a6ffbULL, 0xfe494304db3902b6ULL,
-      0xc3b37cfbe6f2e26aULL, 0xd633d492d4948134ULL,
-      0x52eb96d6b546841aULL}},
+      0xefcc75e58b84dd4bULL, 0xb9de90db794fa6ffULL,
+      0x853b4ee52df8c579ULL}},
     {kSB, 32, kWide,
      {0x6e5d063cddbd91c7ULL, 0x90b15abeb40c5ce5ULL,
-      0x672e190b884111b8ULL, 0x1e58b7a24c5fd8f7ULL,
-      0x6f3c04b8fc786b99ULL}},
+      0xe51cda8edd9cce3eULL, 0x55dff2b8e0aaa00bULL,
+      0xb6a55f7f50ac3fbdULL}},
 };
 // clang-format on
 
@@ -380,13 +383,14 @@ WindowDigests WarehouseWindowsDigest(SamplerKind kind) {
 }
 
 TEST(GoldenDigestTest, MemoizedWarehouseWindowsMatchPinnedBytes) {
+  // Re-pinned, bytes and contents, for the selection purge.
   const struct {
     SamplerKind kind;
     WindowDigests want;
   } kWindows[] = {
-      {kHB, {0x6af526fe2d701d1fULL, 0xd1a416983b3b3246ULL}},
-      {kHR, {0xedcd497f5ecd2259ULL, 0x1c0bd31c897e399fULL}},
-      {kSB, {0x87ec84d61a3e15caULL, 0xc09ebcd988fcbc22ULL}},
+      {kHB, {0x0cc13ca7ae2c8fd6ULL, 0x418e7096fb516c3aULL}},
+      {kHR, {0xbbd2b1409f6272b7ULL, 0x2f2b42a2079f4fd8ULL}},
+      {kSB, {0x6f6fd4adf40252a1ULL, 0x77a2144368e7ce99ULL}},
   };
   for (const auto& row : kWindows) {
     const WindowDigests got = WarehouseWindowsDigest(row.kind);
