@@ -190,7 +190,7 @@ void HybridBernoulliSampler::TransitionFromPhase1(uint64_t processed) {
   } else {
     // Subsample is too large (Fig. 2 lines 8-10): reservoir-subsample it
     // and switch directly to reservoir mode.
-    hist_ = PurgeReservoirStreamed({&hist_}, n_F_, rng_);
+    PurgeReservoir(&hist_, n_F_, rng_);
     EnterPhase3(processed);
   }
 }

@@ -133,9 +133,7 @@ void HybridReservoirSampler::AddBatch(std::span<const Value> values) {
 
 void HybridReservoirSampler::ExpandIfNeeded() {
   if (expanded_) return;
-  if (hist_.total_count() > reservoir_capacity_) {
-    hist_ = PurgeReservoirStreamed({&hist_}, reservoir_capacity_, rng_);
-  }
+  PurgeReservoir(&hist_, reservoir_capacity_, rng_);
   bag_ = hist_.ToBag();
   hist_.Clear();
   expanded_ = true;
@@ -219,9 +217,7 @@ PartitionSample HybridReservoirSampler::Finalize() {
   // In reservoir mode the histogram may still hold more than n_F values if
   // no insertion ever fired after the phase switch; cut it down so the
   // finalized sample is a true size-n_F simple random sample.
-  if (!hist.empty() && hist.total_count() > reservoir_capacity_) {
-    hist = PurgeReservoirStreamed({&hist}, reservoir_capacity_, rng_);
-  }
+  PurgeReservoir(&hist, reservoir_capacity_, rng_);
   return PartitionSample::MakeReservoir(std::move(hist), parent, bound);
 }
 
