@@ -1,6 +1,7 @@
 #include "src/core/purge.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <utility>
 
@@ -133,16 +134,32 @@ CompactHistogram BernoulliSubsample(const CompactHistogram& sample, double q,
                                     Pcg64& rng) {
   SAMPWH_CHECK(q >= 0.0 && q <= 1.0);
   if (q >= 1.0) return sample;
-  CompactHistogram thinned;
-  // One binomial draw per entry, in ascending value order: the iteration
-  // order is part of the RNG stream, so it must be a function of the
-  // histogram's contents alone — a histogram rebuilt from its serialized
-  // form purges exactly like the original.
+  if (q == 0.0) return CompactHistogram();  // Binomial(n, 0) draws nothing
+  // One Binomial(n, q) draw per entry, in ascending value order: the
+  // iteration order is part of the RNG stream, so it must be a function of
+  // the histogram's contents alone — a histogram rebuilt from its
+  // serialized form purges exactly like the original.
+  //
+  // For n = 1, SampleBinomial is CDF inversion at p = min(q, 1 - q): one
+  // uniform u, kept iff u > pmf(0) = (1 - p)^1, and the result flipped
+  // when q > 0.5. pmf(0) is computed here once, by the inversion's own
+  // expressions, so each count-1 entry is one draw and one compare with
+  // the same outcome (DESIGN.md, "Performance: Bernoulli thinning").
+  const bool flip = q > 0.5;
+  const double p = flip ? 1.0 - q : q;
+  const double pmf0 = std::exp(1.0 * std::log(1.0 - p));
+  Entries kept_entries(sample.distinct_count());
+  Entry* out = kept_entries.data();
+  Pcg64 r = rng;  // a local copy keeps the generator in registers
   for (const auto& [v, n] : sample.entries()) {
-    const uint64_t kept = SampleBinomial(rng, n, q);
-    if (kept > 0) thinned.Insert(v, kept);
+    const uint64_t kept =
+        n == 1 ? (r.NextDouble() > pmf0) != flip : SampleBinomial(r, n, q);
+    *out = Entry{v, kept};
+    out += kept != 0;
   }
-  return thinned;
+  rng = r;
+  kept_entries.resize(out - kept_entries.data());
+  return CompactHistogram::FromSortedEntries(std::move(kept_entries));
 }
 
 CompactHistogram PurgeReservoirStreamed(

@@ -2,7 +2,9 @@
 // (value, count) representation, without ever expanding a sample to a bag:
 //
 //  * purgeBernoulli (Fig. 3): Bern(q) subsample via per-pair binomial
-//    thinning.
+//    thinning. A count-1 pair's binomial is one uniform compared with
+//    pmf(0), which is computed once per purge; the draws are
+//    SampleBinomial's, bit for bit.
 //  * purgeReservoir (Fig. 4): simple random subsample of a fixed size.
 //    The library draws it by sequential selection (Knuth's Algorithm S)
 //    in one walk of the sorted entries, which gives Fig. 4's law — a
@@ -27,7 +29,13 @@ namespace sampwh {
 void PurgeBernoulli(CompactHistogram* sample, double q, Pcg64& rng);
 
 /// PurgeBernoulli of a copy, without the copy: the Bern(q) subsample of
-/// `sample`. At q = 1 the sample is returned as it is and draws nothing.
+/// `sample`, in one walk of its entries in value order. The generator
+/// sees exactly the draws of one SampleBinomial(rng, n, q) per entry: an
+/// entry of n > 1 copies makes that call, and a count-1 entry makes the
+/// call's one NextDouble() and compares it with the inversion's pmf(0),
+/// computed once (flipped for q > 0.5, as SampleBinomial's symmetry
+/// does). At q = 0 the result is empty and at q = 1 the sample is
+/// returned as it is; neither draws.
 CompactHistogram BernoulliSubsample(const CompactHistogram& sample, double q,
                                     Pcg64& rng);
 
