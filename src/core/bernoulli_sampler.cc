@@ -4,14 +4,12 @@
 #include <utility>
 
 #include "src/core/sampler_state.h"
-#include "src/util/distributions.h"
 #include "src/util/logging.h"
 
 namespace sampwh {
 
 BernoulliSampler::BernoulliSampler(double q, Pcg64 rng, BernAcceptMode mode)
-    : q_(q), rng_(std::move(rng)), mode_(mode) {
-  SAMPWH_CHECK(q > 0.0 && q <= 1.0);
+    : q_(q), skip_(q), rng_(std::move(rng)), mode_(mode) {
   // kAuto resolves before any RNG draw, so a sampler constructed with kAuto
   // is indistinguishable — including its RNG stream — from one constructed
   // with the concrete mode it resolves to, and SaveState() always records
@@ -24,7 +22,7 @@ BernoulliSampler::BernoulliSampler(double q, Pcg64 rng, BernAcceptMode mode)
   // pre-draw; keeping the constructor draw-free in that mode is what makes
   // its Add loop bit-identical to BernoulliAcceptMask lanes.
   if (mode_ == BernAcceptMode::kGeometricSkip) {
-    gap_ = SampleGeometricSkip(rng_, q_);
+    gap_ = skip_.Sample(rng_);
   }
 }
 
@@ -39,7 +37,7 @@ void BernoulliSampler::Add(Value v) {
     return;
   }
   hist_.Insert(v);
-  gap_ = SampleGeometricSkip(rng_, q_);
+  gap_ = skip_.Sample(rng_);
 }
 
 void BernoulliSampler::AddBatch(std::span<const Value> values) {
@@ -66,7 +64,7 @@ void BernoulliSampler::AddBatch(std::span<const Value> values) {
     i += gap_;
     hist_.Insert(values[i]);
     ++i;
-    gap_ = SampleGeometricSkip(rng_, q_);
+    gap_ = skip_.Sample(rng_);
   }
   elements_seen_ += n;
 }

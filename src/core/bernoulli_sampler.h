@@ -15,6 +15,7 @@
 #include "src/core/compact_histogram.h"
 #include "src/core/sample.h"
 #include "src/core/types.h"
+#include "src/util/distributions.h"
 #include "src/util/random.h"
 
 namespace sampwh {
@@ -59,6 +60,7 @@ class BernoulliSampler {
 
  private:
   double q_;
+  GeometricSkip skip_;  // kGeometricSkip: the Geometric(q_) gaps
   Pcg64 rng_;
   BernAcceptMode mode_;
   uint64_t elements_seen_ = 0;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/core/purge.h"
-#include "src/util/distributions.h"
 #include "src/util/logging.h"
 
 namespace sampwh {
@@ -23,7 +22,7 @@ void ConciseSampler::Add(Value v) {
   hist_.Insert(v);
   PurgeWhileOverBound();
   if (tau_ > 1.0) {
-    gap_ = SampleGeometricSkip(rng_, 1.0 / tau_);
+    gap_ = skip_.Sample(rng_);
   }
 }
 
@@ -38,6 +37,7 @@ void ConciseSampler::PurgeWhileOverBound() {
     PurgeBernoulli(&sorted, tau_ / new_tau, rng_);
     tau_ = new_tau;
   }
+  skip_ = GeometricSkip(1.0 / tau_);
   hist_ = HistogramBuilder(sorted);
 }
 

@@ -19,6 +19,7 @@
 
 #include "src/core/compact_histogram.h"
 #include "src/core/types.h"
+#include "src/util/distributions.h"
 #include "src/util/random.h"
 
 namespace sampwh {
@@ -59,6 +60,7 @@ class ConciseSampler {
   Pcg64 rng_;
   uint64_t elements_seen_ = 0;
   double tau_ = 1.0;
+  GeometricSkip skip_{1.0};  // Geometric(1 / tau_) gaps
   uint64_t gap_ = 0;
   HistogramBuilder hist_;
 };

@@ -5,7 +5,6 @@
 #include "src/core/purge.h"
 #include "src/core/qbound.h"
 #include "src/core/sampler_state.h"
-#include "src/util/distributions.h"
 #include "src/util/logging.h"
 
 namespace sampwh {
@@ -50,8 +49,8 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::Resume(
         PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
         sampler.EnterPhase3(sampler.elements_seen_);
       } else {
-        sampler.bernoulli_gap_ =
-            SampleGeometricSkip(sampler.rng_, sampler.q_);
+        sampler.bernoulli_skip_ = GeometricSkip(sampler.q_);
+        sampler.bernoulli_gap_ = sampler.bernoulli_skip_.Sample(sampler.rng_);
       }
       break;
     case SamplePhase::kReservoir: {
@@ -109,7 +108,7 @@ void HybridBernoulliSampler::Add(Value v) {
     if (bag_.size() >= n_F_) {
       EnterPhase3(elements_seen_);  // Fig. 2 lines 17-19
     } else {
-      bernoulli_gap_ = SampleGeometricSkip(rng_, q_);
+      bernoulli_gap_ = bernoulli_skip_.Sample(rng_);
     }
     return;
   }
@@ -150,7 +149,7 @@ void HybridBernoulliSampler::AddBatch(std::span<const Value> values) {
     if (bag_.size() >= n_F_) {
       EnterPhase3(elements_seen_);
     } else {
-      bernoulli_gap_ = SampleGeometricSkip(rng_, q_);
+      bernoulli_gap_ = bernoulli_skip_.Sample(rng_);
     }
   }
   // Phase 3: Vitter-skip jumps (Fig. 2 lines 21-27, batched).
@@ -186,7 +185,8 @@ void HybridBernoulliSampler::TransitionFromPhase1(uint64_t processed) {
   expanded_ = false;
   if (hist_.total_count() < n_F_) {
     phase_ = SamplePhase::kBernoulli;  // Fig. 2 line 6
-    bernoulli_gap_ = SampleGeometricSkip(rng_, q_);
+    bernoulli_skip_ = GeometricSkip(q_);
+    bernoulli_gap_ = bernoulli_skip_.Sample(rng_);
   } else {
     // Subsample is too large (Fig. 2 lines 8-10): reservoir-subsample it
     // and switch directly to reservoir mode.
@@ -267,6 +267,7 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
   if (!(s.q_ > 0.0 && s.q_ <= 1.0)) {
     return Status::Corruption("HB state: bad sampling rate");
   }
+  s.bernoulli_skip_ = GeometricSkip(s.q_);
   SAMPWH_ASSIGN_OR_RETURN(
       s.hist_, CompactHistogram::DeserializeFrom(
                    reader, SamplerStateHistogramLayout(version)));

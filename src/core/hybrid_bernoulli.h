@@ -39,6 +39,7 @@
 #include "src/core/sample.h"
 #include "src/core/types.h"
 #include "src/core/vitter.h"
+#include "src/util/distributions.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
 
@@ -139,6 +140,7 @@ class HybridBernoulliSampler {
   bool expanded_ = false;
   std::vector<Value> bag_;  // expanded sample (phases 2 and 3)
 
+  GeometricSkip bernoulli_skip_{1.0};  // draws bernoulli_gap_; built from q_
   uint64_t bernoulli_gap_ = 0;  // elements to skip before next inclusion
   std::optional<VitterSkip> reservoir_skip_;
   uint64_t next_reservoir_index_ = 0;

@@ -4,7 +4,6 @@
 
 #include "src/core/purge.h"
 #include "src/core/qbound.h"
-#include "src/util/distributions.h"
 #include "src/util/logging.h"
 
 namespace sampwh {
@@ -34,7 +33,7 @@ void MultiPurgeBernoulliSampler::Add(Value v) {
       phase_ = SamplePhase::kBernoulli;
       PurgeWhileAtCapacity(&sorted);
       hist_ = HistogramBuilder(sorted);
-      gap_ = SampleGeometricSkip(rng_, q_);
+      gap_ = skip_.Sample(rng_);
     }
     return;
   }
@@ -48,7 +47,7 @@ void MultiPurgeBernoulliSampler::Add(Value v) {
     PurgeWhileAtCapacity(&sorted);
     hist_ = HistogramBuilder(sorted);
   }
-  gap_ = SampleGeometricSkip(rng_, q_);
+  gap_ = skip_.Sample(rng_);
 }
 
 PartitionSample MultiPurgeBernoulliSampler::Finalize() {
@@ -71,6 +70,7 @@ void MultiPurgeBernoulliSampler::PurgeWhileAtCapacity(
     q_ = new_q;
     ++forced_purges_;
   }
+  skip_ = GeometricSkip(q_);
 }
 
 }  // namespace sampwh

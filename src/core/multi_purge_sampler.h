@@ -18,6 +18,7 @@
 #include "src/core/compact_histogram.h"
 #include "src/core/sample.h"
 #include "src/core/types.h"
+#include "src/util/distributions.h"
 #include "src/util/random.h"
 
 namespace sampwh {
@@ -50,7 +51,8 @@ class MultiPurgeBernoulliSampler {
   PartitionSample Finalize();
 
  private:
-  // Thins `sample` at ever lower rates while it holds n_F or more values.
+  // Thins `sample` at ever lower rates while it holds n_F or more values,
+  // then rebuilds the skip for the rate it ends at.
   void PurgeWhileAtCapacity(CompactHistogram* sample);
 
   Options options_;
@@ -59,6 +61,7 @@ class MultiPurgeBernoulliSampler {
   SamplePhase phase_ = SamplePhase::kExhaustive;
   uint64_t elements_seen_ = 0;
   double q_ = 1.0;
+  GeometricSkip skip_{1.0};  // Geometric(q_) gaps
   uint64_t gap_ = 0;
   uint64_t forced_purges_ = 0;
   HistogramBuilder hist_;

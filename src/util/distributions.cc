@@ -89,12 +89,19 @@ uint64_t SampleBinomial(Pcg64& rng, uint64_t n, double p) {
   return BinomialBtrs(rng, n, p);
 }
 
-uint64_t SampleGeometricSkip(Pcg64& rng, double p) {
+GeometricSkip::GeometricSkip(double p)
+    : p_(p), log1p_minus_p_(std::log1p(-p)) {
   SAMPWH_CHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
+}
+
+uint64_t GeometricSkip::Sample(Pcg64& rng) const {
+  if (p_ >= 1.0) return 0;
   // Inversion: floor(log U / log(1 - p)) failures before the next success.
+  // A division, not a multiply by a stored reciprocal: the reciprocal is
+  // rounded, so the product could differ from the quotient in its last bit
+  // and land on the other side of an integer.
   const double u = rng.NextDoubleOpen();
-  const double g = std::floor(std::log(u) / std::log1p(-p));
+  const double g = std::floor(std::log(u) / log1p_minus_p_);
   // Guard against pathological rounding for p very close to 0.
   if (g < 0.0) return 0;
   if (g > 9.2e18) return UINT64_MAX;

@@ -16,14 +16,28 @@ namespace sampwh {
 /// Draws Binomial(n, p). Dispatches between exact CDF inversion (small
 /// n*p) and the BTRS transformed-rejection algorithm (Hörmann 1993) for
 /// large n*p; both are exact samplers. Used by purgeBernoulli (Fig. 3) to
-/// thin (value, count) pairs without expanding them.
+/// thin (value, count) pairs without expanding them; a count-1 pair is
+/// decided there by this inversion's one draw and compare, inlined.
 uint64_t SampleBinomial(Pcg64& rng, uint64_t n, double p);
 
 /// Number of failures before the first success in Bernoulli(p) trials,
 /// i.e. Geometric(p) on {0, 1, 2, ...}. Lets a Bern(p) stream sampler jump
 /// directly between successive inclusions instead of flipping a coin per
-/// element.
-uint64_t SampleGeometricSkip(Pcg64& rng, double p);
+/// element. Built once per rate: the inversion's denominator log1p(-p) is
+/// computed in the constructor, and each draw is floor(log(U) / log1p(-p))
+/// with that same division, so a skip is bit-identical to one that
+/// recomputes the logarithm. At p = 1 every skip is 0 and draws nothing.
+class GeometricSkip {
+ public:
+  /// p in (0, 1].
+  explicit GeometricSkip(double p);
+
+  uint64_t Sample(Pcg64& rng) const;
+
+ private:
+  double p_;
+  double log1p_minus_p_;  // log1p(-p); -inf at p = 1, never divided by
+};
 
 /// The hypergeometric distribution of Eq. (2): P{L = l} with
 ///   P(l) = C(n1, l) C(n2, k - l) / C(n1 + n2, k),

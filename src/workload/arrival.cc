@@ -2,15 +2,16 @@
 
 #include <utility>
 
-#include "src/util/distributions.h"
-
 namespace sampwh {
 
 ArrivalSimulator::ArrivalSimulator(DataGenerator generator,
                                    const Options& options)
     : generator_(std::move(generator)),
       options_(options),
-      rng_(options.seed) {}
+      rng_(options.seed),
+      poisson_gap_(options.pattern == ArrivalPattern::kPoisson
+                       ? 1.0 / static_cast<double>(options.base_gap + 1)
+                       : 1.0) {}
 
 TimedValue ArrivalSimulator::Next() {
   uint64_t gap = options_.base_gap;
@@ -25,8 +26,7 @@ TimedValue ArrivalSimulator::Next() {
     }
     case ArrivalPattern::kPoisson:
       // Geometric gaps give a memoryless discrete-time arrival process.
-      gap = 1 + SampleGeometricSkip(
-                    rng_, 1.0 / static_cast<double>(options_.base_gap + 1));
+      gap = 1 + poisson_gap_.Sample(rng_);
       break;
   }
   now_ += gap;

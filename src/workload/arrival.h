@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "src/core/types.h"
+#include "src/util/distributions.h"
 #include "src/util/random.h"
 #include "src/workload/generators.h"
 
@@ -51,6 +52,7 @@ class ArrivalSimulator {
   DataGenerator generator_;
   Options options_;
   Pcg64 rng_;
+  GeometricSkip poisson_gap_;  // kPoisson: Geometric(1 / (base_gap + 1))
   uint64_t now_ = 0;
   uint64_t produced_ = 0;
 };

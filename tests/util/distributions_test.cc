@@ -84,16 +84,18 @@ TEST(BinomialSamplerTest, ChiSquareAgainstExactPmf) {
 
 TEST(GeometricSkipTest, ZeroSkipWhenCertain) {
   Pcg64 rng(3);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(SampleGeometricSkip(rng, 1.0), 0u);
+  const GeometricSkip certain(1.0);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(certain.Sample(rng), 0u);
 }
 
 TEST(GeometricSkipTest, MeanMatchesGeometricLaw) {
   Pcg64 rng(4);
   const double p = 0.02;
+  const GeometricSkip skip(p);
   const int trials = 100000;
   double sum = 0.0;
   for (int i = 0; i < trials; ++i) {
-    sum += static_cast<double>(SampleGeometricSkip(rng, p));
+    sum += static_cast<double>(skip.Sample(rng));
   }
   const double expected_mean = (1.0 - p) / p;  // failures before success
   EXPECT_NEAR(sum / trials, expected_mean, 0.05 * expected_mean);
@@ -105,17 +107,51 @@ TEST(GeometricSkipTest, ImpliesCorrectInclusionRate) {
   Pcg64 rng(5);
   const double p = 0.1;
   const uint64_t stream_length = 500000;
+  const GeometricSkip skip(p);
   uint64_t included = 0;
-  uint64_t gap = SampleGeometricSkip(rng, p);
+  uint64_t gap = skip.Sample(rng);
   for (uint64_t i = 0; i < stream_length; ++i) {
     if (gap == 0) {
       ++included;
-      gap = SampleGeometricSkip(rng, p);
+      gap = skip.Sample(rng);
     } else {
       --gap;
     }
   }
   EXPECT_NEAR(included / static_cast<double>(stream_length), p, 0.005);
+}
+
+// The skip with log1p(-p) computed once against the inversion that
+// recomputes it on every draw: equal skips and equal generator state after
+// every draw, over tiny, middling, near-1 and random rates. At p = 1 both
+// return 0 without a draw. At p = 1e-17 a skip is near 1e17, where one ulp
+// is 16, so any last-bit difference in the quotient changes the skip: a
+// multiply by a rounded reciprocal fails here.
+TEST(GeometricSkipTest, PrecomputedLogMatchesRecomputedBitForBit) {
+  auto recomputed = [](Pcg64& rng, double p) -> uint64_t {
+    if (p >= 1.0) return 0;
+    const double g =
+        std::floor(std::log(rng.NextDoubleOpen()) / std::log1p(-p));
+    if (g < 0.0) return 0;
+    if (g > 9.2e18) return UINT64_MAX;
+    return static_cast<uint64_t>(g);
+  };
+  std::vector<double> rates = {
+      1e-300, 1e-17, 1e-16, 1e-15, 1e-12, 1e-9, 1e-3, 0.1, 0.47, 0.5,
+      std::nextafter(0.5, 0.0), 0.51, 0.9, 1 - 1e-12,
+      std::nextafter(1.0, 0.0), 1.0};
+  Pcg64 pick(7);
+  for (int i = 0; i < 200; ++i) rates.push_back(pick.NextDoubleOpen());
+  uint64_t seed = 100;
+  for (const double p : rates) {
+    const GeometricSkip skip(p);
+    Pcg64 a(++seed);
+    Pcg64 b = a;
+    for (int draw = 0; draw < 500; ++draw) {
+      ASSERT_EQ(skip.Sample(a), recomputed(b, p)) << "p=" << p;
+    }
+    ASSERT_EQ(a.NextUint64(), b.NextUint64()) << "p=" << p;
+  }
 }
 
 TEST(HypergeometricTest, SupportBounds) {
