@@ -15,15 +15,31 @@ namespace sampwh {
 
 namespace {
 
-// Streams every value of an exhaustive sample's histogram into `sampler`
-// (one Add per data element). Values are fed in sorted order; uniformity
-// does not depend on the order because inclusion decisions are independent
-// of element identity.
+// Streams every value of an exhaustive sample's histogram into `sampler`,
+// expanded in chunks of at most kReplayChunk values and fed through
+// AddBatch, whose skips jump over excluded values and whose draws are the
+// scalar Add loop's, in the same order. Values are fed in sorted order;
+// uniformity does not depend on the order because inclusion decisions are
+// independent of element identity.
+constexpr size_t kReplayChunk = 4096;
+
 template <typename Sampler>
 void StreamHistogramInto(const CompactHistogram& hist, Sampler* sampler) {
+  std::vector<Value> chunk;
+  chunk.reserve(std::min<uint64_t>(hist.total_count(), kReplayChunk));
   for (const auto& [v, n] : hist.entries()) {
-    for (uint64_t i = 0; i < n; ++i) sampler->Add(v);
+    for (uint64_t left = n; left > 0;) {
+      const uint64_t take =
+          std::min<uint64_t>(left, kReplayChunk - chunk.size());
+      chunk.insert(chunk.end(), take, v);
+      left -= take;
+      if (chunk.size() == kReplayChunk) {
+        sampler->AddBatch(chunk);
+        chunk.clear();
+      }
+    }
   }
+  sampler->AddBatch(chunk);
 }
 
 bool IsReservoir(const PartitionSample& s) {
