@@ -1,10 +1,14 @@
 // Ablation: binomial variate generation — exact CDF inversion versus
 // Hörmann's BTRS transformed rejection — around the library's np = 30
-// crossover. purgeBernoulli draws one binomial per (value, count) pair, so
-// this generator sits on the merge hot path.
+// crossover. purgeBernoulli thins each (value, count) pair of more than one
+// copy with one binomial draw; a count-1 pair is one uniform compared with
+// the inversion's pmf(0), computed once per purge
+// (BM_BernoulliSubsampleSingletons).
 
 #include <benchmark/benchmark.h>
 
+#include "src/core/compact_histogram.h"
+#include "src/core/purge.h"
 #include "src/util/distributions.h"
 #include "src/util/random.h"
 
@@ -68,6 +72,19 @@ void BM_PurgeStylePairThinning(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PurgeStylePairThinning);
+
+void BM_BernoulliSubsampleSingletons(benchmark::State& state) {
+  // A merge-sized thinning: 4,096 count-1 entries (distinct values) at
+  // q = 0.47.
+  CompactHistogram sample;
+  for (Value v = 0; v < 4096; ++v) sample.Insert(v * 7, 1);
+  Pcg64 rng(6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BernoulliSubsample(sample, 0.47, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_BernoulliSubsampleSingletons);
 
 }  // namespace
 }  // namespace sampwh

@@ -101,12 +101,16 @@ if [[ "${mode}" == "full" ]]; then
     "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|SamplerState|Sws1|Crc32" \
     --output-on-failure
 
-  # Purge-kernel re-gate under ASan/UBSan: the selection purge and HRMerge's
-  # two-sided walk write through raw output cursors, and both, with the
-  # Fig. 4 linear-scan oracle, must keep matching the exact purge law.
-  echo "=== [asan] reservoir purge gate ==="
+  # Purge-kernel re-gate under ASan/UBSan: the selection purge, HRMerge's
+  # two-sided walk and the Bernoulli purge write through raw output cursors;
+  # the first two, with the Fig. 4 linear-scan oracle, must keep matching
+  # the exact purge law, and the Bernoulli purge must keep matching one
+  # binomial draw per entry (PurgeBernoulliDiff). Merge replays of
+  # exhaustive samples feed the samplers' AddBatch (HybridBernoulli,
+  # HybridReservoir, BatchEquivalence).
+  echo "=== [asan] reservoir and Bernoulli purge gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(Purge|PurgeDiff|PurgeLaw|Merge|HybridReservoir)" \
+    "^(Purge|PurgeDiff|PurgeLaw|Merge|HybridReservoir|HybridBernoulli|BatchEquivalence)" \
     --output-on-failure
 
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and
