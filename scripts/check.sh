@@ -105,12 +105,14 @@ if [[ "${mode}" == "full" ]]; then
   # two-sided walk and the Bernoulli purge write through raw output cursors;
   # the first two, with the Fig. 4 linear-scan oracle, must keep matching
   # the exact purge law, and the Bernoulli purge must keep matching one
-  # binomial draw per entry (PurgeBernoulliDiff). Merge replays of
-  # exhaustive samples feed the samplers' AddBatch (HybridBernoulli,
+  # binomial draw per entry (PurgeBernoulliDiff). HBMerge and HRMerge run
+  # both purges on stored histograms, with an exhaustive side too, and must
+  # keep matching their exact merge laws (HbMerge, HrMerge, MergeLaw); the
+  # samplers' phase switches purge in place (HybridBernoulli,
   # HybridReservoir, BatchEquivalence).
-  echo "=== [asan] reservoir and Bernoulli purge gate ==="
+  echo "=== [asan] reservoir and Bernoulli purge and merge gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(Purge|PurgeDiff|PurgeLaw|Merge|HybridReservoir|HybridBernoulli|BatchEquivalence)" \
+    "^(Purge|PurgeDiff|PurgeLaw|Merge|HbMerge|HrMerge|MergeLaw|HybridReservoir|HybridBernoulli|BatchEquivalence)" \
     --output-on-failure
 
   # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and

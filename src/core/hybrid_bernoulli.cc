@@ -19,61 +19,6 @@ HybridBernoulliSampler::HybridBernoulliSampler(const Options& options,
                options_.exceedance_probability <= 0.5);
 }
 
-Result<HybridBernoulliSampler> HybridBernoulliSampler::Resume(
-    const PartitionSample& base, const Options& options, Pcg64 rng) {
-  SAMPWH_RETURN_IF_ERROR(base.Validate());
-  HybridBernoulliSampler sampler(options, std::move(rng));
-  sampler.elements_seen_ = base.parent_size();
-  switch (base.phase()) {
-    case SamplePhase::kExhaustive:
-      sampler.phase_ = SamplePhase::kExhaustive;
-      sampler.phase1_ = HistogramBuilder(base.histogram());
-      // Under a tighter bound than the base was collected with, the
-      // exhaustive histogram may already be over the line.
-      if (base.footprint_bytes() > options.footprint_bound_bytes) {
-        sampler.TransitionFromPhase1(sampler.elements_seen_);
-      }
-      break;
-    case SamplePhase::kBernoulli:
-      sampler.phase_ = SamplePhase::kBernoulli;
-      sampler.hist_ = base.histogram();
-      sampler.q_ = base.sampling_rate();
-      if (sampler.q_ <= 0.0 || sampler.q_ > 1.0) {
-        return Status::InvalidArgument("base sample has invalid rate");
-      }
-      if (base.size() >= sampler.n_F_) {
-        // At or above the size cap (a duplicate-compressed join can hold
-        // more than n_F values inside F bytes): conditioned on its size, a
-        // Bernoulli sample is a simple random sample, so cut it to n_F and
-        // continue in phase 3 exactly as Fig. 2 line 17 would have.
-        PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
-        sampler.EnterPhase3(sampler.elements_seen_);
-      } else {
-        sampler.bernoulli_skip_ = GeometricSkip(sampler.q_);
-        sampler.bernoulli_gap_ = sampler.bernoulli_skip_.Sample(sampler.rng_);
-      }
-      break;
-    case SamplePhase::kReservoir: {
-      sampler.phase_ = SamplePhase::kReservoir;
-      sampler.hist_ = base.histogram();
-      uint64_t k = base.size();
-      if (k > sampler.n_F_) {
-        // Shrinking the bound: an SRS subsample of an SRS is an SRS.
-        PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
-        k = sampler.n_F_;
-      }
-      if (k == 0) {
-        return Status::InvalidArgument("empty reservoir base sample");
-      }
-      sampler.reservoir_skip_.emplace(k);
-      sampler.next_reservoir_index_ = sampler.reservoir_skip_->
-          NextInsertionIndex(sampler.rng_, sampler.elements_seen_);
-      break;
-    }
-  }
-  return sampler;
-}
-
 uint64_t HybridBernoulliSampler::sample_size() const {
   if (phase_ == SamplePhase::kExhaustive) return phase1_.total_count();
   return expanded_ ? bag_.size() : hist_.total_count();

@@ -25,7 +25,9 @@
 // tests/property/uniformity_property_test.cc demonstrates both the exact
 // uniformity at small p and the bias when p is forced large. Callers
 // needing exact uniformity under severe overshoot should use
-// HybridReservoirSampler or MultiPurgeBernoulliSampler instead.
+// HybridReservoirSampler or MultiPurgeBernoulliSampler instead. Merges
+// never enter this path: HBMerge cuts an overflowing join to n_F values
+// with one purgeReservoir of the whole join.
 
 #ifndef SAMPWH_CORE_HYBRID_BERNOULLI_H_
 #define SAMPWH_CORE_HYBRID_BERNOULLI_H_
@@ -64,15 +66,6 @@ class HybridBernoulliSampler {
 
   /// `rng` should be an independent stream per partition (Pcg64::Fork).
   HybridBernoulliSampler(const Options& options, Pcg64 rng);
-
-  /// Resumes Algorithm HB from an existing sample, used by HBMerge's
-  /// exhaustive case (Fig. 6 lines 1-4): the running state is initialized
-  /// from `base` (phase, rate, histogram) with
-  /// options.expected_population_size set to the size of the merged parent.
-  /// Fails if `base` is invalid or incompatible with the footprint bound.
-  static Result<HybridBernoulliSampler> Resume(const PartitionSample& base,
-                                               const Options& options,
-                                               Pcg64 rng);
 
   /// Processes one arriving data element.
   void Add(Value v);

@@ -16,51 +16,6 @@ HybridReservoirSampler::HybridReservoirSampler(const Options& options,
   SAMPWH_CHECK(n_F_ >= 1);
 }
 
-Result<HybridReservoirSampler> HybridReservoirSampler::Resume(
-    const PartitionSample& base, const Options& options, Pcg64 rng) {
-  SAMPWH_RETURN_IF_ERROR(base.Validate());
-  HybridReservoirSampler sampler(options, std::move(rng));
-  sampler.elements_seen_ = base.parent_size();
-  if (base.phase() == SamplePhase::kExhaustive &&
-      base.footprint_bytes() <= options.footprint_bound_bytes) {
-    sampler.phase_ = SamplePhase::kExhaustive;
-    sampler.phase1_ = HistogramBuilder(base.histogram());
-    return sampler;
-  }
-  sampler.hist_ = base.histogram();
-  if (base.phase() == SamplePhase::kExhaustive) {
-    // The base histogram exceeds the (tighter) target bound; cut it to a
-    // simple random sample of size n_F immediately so the bound holds from
-    // the first instant, and continue in reservoir mode.
-    PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
-    sampler.phase_ = SamplePhase::kReservoir;
-    sampler.reservoir_capacity_ = sampler.n_F_;
-    sampler.reservoir_skip_.emplace(sampler.n_F_);
-    sampler.next_reservoir_index_ = sampler.reservoir_skip_->NextInsertionIndex(
-        sampler.rng_, sampler.elements_seen_);
-    return sampler;
-  }
-  // Reservoir base, or Bernoulli base viewed (conditionally on its size) as
-  // a simple random sample.
-  uint64_t k = base.size();
-  if (k > sampler.n_F_) {
-    PurgeReservoir(&sampler.hist_, sampler.n_F_, sampler.rng_);
-    k = sampler.n_F_;
-  }
-  if (k == 0) {
-    return Status::InvalidArgument("cannot resume from an empty sample");
-  }
-  sampler.phase_ = SamplePhase::kReservoir;
-  sampler.reservoir_capacity_ = k;
-  sampler.expanded_ = true;
-  sampler.bag_ = sampler.hist_.ToBag();
-  sampler.hist_.Clear();
-  sampler.reservoir_skip_.emplace(k);
-  sampler.next_reservoir_index_ = sampler.reservoir_skip_->NextInsertionIndex(
-      sampler.rng_, sampler.elements_seen_);
-  return sampler;
-}
-
 uint64_t HybridReservoirSampler::sample_size() const {
   if (phase_ == SamplePhase::kExhaustive) return phase1_.total_count();
   return expanded_ ? bag_.size() : hist_.total_count();

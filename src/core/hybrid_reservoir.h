@@ -36,14 +36,6 @@ class HybridReservoirSampler {
 
   HybridReservoirSampler(const Options& options, Pcg64 rng);
 
-  /// Resumes Algorithm HR from an existing sample (HRMerge's exhaustive
-  /// case, Fig. 8 lines 1-4). A Bernoulli base sample is accepted too and
-  /// treated, conditionally on its size, as a simple random sample — the
-  /// device HBMerge relies on when it delegates mixed merges here.
-  static Result<HybridReservoirSampler> Resume(const PartitionSample& base,
-                                               const Options& options,
-                                               Pcg64 rng);
-
   /// Processes one arriving data element.
   void Add(Value v);
 

@@ -129,72 +129,6 @@ TEST(HybridBernoulliTest, ExactRateOptionAlsoRespectsBound) {
   EXPECT_TRUE(s.Validate().ok());
 }
 
-TEST(HybridBernoulliTest, ResumeFromExhaustiveAccumulates) {
-  // Build a small exhaustive sample, then resume and stream more data.
-  HybridBernoulliSampler first(SmallOptions(65536, 50), Pcg64(7));
-  for (Value v = 0; v < 50; ++v) first.Add(v);
-  const PartitionSample base = first.Finalize();
-
-  auto resumed = HybridBernoulliSampler::Resume(
-      base, SmallOptions(65536, 100), Pcg64(8));
-  ASSERT_TRUE(resumed.ok());
-  HybridBernoulliSampler sampler = std::move(resumed).value();
-  for (Value v = 50; v < 100; ++v) sampler.Add(v);
-  const PartitionSample merged = sampler.Finalize();
-  EXPECT_EQ(merged.phase(), SamplePhase::kExhaustive);
-  EXPECT_EQ(merged.parent_size(), 100u);
-  EXPECT_EQ(merged.size(), 100u);
-}
-
-TEST(HybridBernoulliTest, ResumeFromBernoulliKeepsRate) {
-  const uint64_t n = 100000;
-  HybridBernoulliSampler first(SmallOptions(8192, n), Pcg64(9));
-  for (Value v = 0; v < static_cast<Value>(n); ++v) first.Add(v);
-  const PartitionSample base = first.Finalize();
-  ASSERT_EQ(base.phase(), SamplePhase::kBernoulli);
-
-  auto resumed = HybridBernoulliSampler::Resume(
-      base, SmallOptions(8192, 2 * n), Pcg64(10));
-  ASSERT_TRUE(resumed.ok());
-  HybridBernoulliSampler sampler = std::move(resumed).value();
-  EXPECT_EQ(sampler.sampling_rate(), base.sampling_rate());
-  EXPECT_EQ(sampler.elements_seen(), n);
-  for (Value v = 0; v < 1000; ++v) sampler.Add(v + 1000000);
-  const PartitionSample s = sampler.Finalize();
-  EXPECT_EQ(s.parent_size(), n + 1000);
-}
-
-TEST(HybridBernoulliTest, ResumeFromOversizedBernoulliCutsToReservoir) {
-  // A duplicate-compressed Bernoulli sample can hold more than n_F values
-  // within the byte bound; resuming under the same bound must cut it to a
-  // size-n_F reservoir rather than reject or overflow.
-  CompactHistogram h;
-  for (Value v = 0; v < 10; ++v) h.Insert(v, 20);  // 200 values, 120 bytes
-  const PartitionSample base =
-      PartitionSample::MakeBernoulli(std::move(h), 1000, 0.2, 512);
-  ASSERT_TRUE(base.Validate().ok());
-  ASSERT_GT(base.size(), MaxSampleSizeForFootprint(512) / 8);
-  auto resumed = HybridBernoulliSampler::Resume(
-      base, SmallOptions(128, 2000), Pcg64(20));  // n_F = 16 < 200
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  HybridBernoulliSampler sampler = std::move(resumed).value();
-  EXPECT_EQ(sampler.phase(), SamplePhase::kReservoir);
-  EXPECT_EQ(sampler.sample_size(), 16u);
-  for (Value v = 100; v < 600; ++v) sampler.Add(v);
-  const PartitionSample s = sampler.Finalize();
-  EXPECT_EQ(s.size(), 16u);
-  EXPECT_EQ(s.parent_size(), 1500u);
-  EXPECT_TRUE(s.Validate().ok());
-}
-
-TEST(HybridBernoulliTest, ResumeRejectsInvalidBase) {
-  const PartitionSample bogus = PartitionSample::MakeBernoulli(
-      CompactHistogram(), 10, 1.5, 4096);  // invalid rate
-  EXPECT_FALSE(HybridBernoulliSampler::Resume(bogus, SmallOptions(4096, 20),
-                                              Pcg64(11))
-                   .ok());
-}
-
 TEST(HybridBernoulliTest, UnknownPopulationFallsBackToElementsSeen) {
   // expected_population_size = 0: the transition uses the count observed so
   // far; the bound still holds throughout.

@@ -87,71 +87,5 @@ TEST(HybridReservoirTest, LazyPurgeNeverFiringStillFinalizesCorrectly) {
   }
 }
 
-TEST(HybridReservoirTest, ResumeFromExhaustive) {
-  HybridReservoirSampler first(Opts(65536), Pcg64(4));
-  for (Value v = 0; v < 40; ++v) first.Add(v);
-  const PartitionSample base = first.Finalize();
-
-  auto resumed = HybridReservoirSampler::Resume(base, Opts(65536), Pcg64(5));
-  ASSERT_TRUE(resumed.ok());
-  HybridReservoirSampler sampler = std::move(resumed).value();
-  for (Value v = 40; v < 80; ++v) sampler.Add(v);
-  const PartitionSample s = sampler.Finalize();
-  EXPECT_EQ(s.phase(), SamplePhase::kExhaustive);
-  EXPECT_EQ(s.size(), 80u);
-}
-
-TEST(HybridReservoirTest, ResumeFromReservoirContinuesStream) {
-  HybridReservoirSampler first(Opts(512), Pcg64(6));
-  for (Value v = 0; v < 10000; ++v) first.Add(v);
-  const PartitionSample base = first.Finalize();
-  ASSERT_EQ(base.phase(), SamplePhase::kReservoir);
-
-  auto resumed = HybridReservoirSampler::Resume(base, Opts(512), Pcg64(7));
-  ASSERT_TRUE(resumed.ok());
-  HybridReservoirSampler sampler = std::move(resumed).value();
-  EXPECT_EQ(sampler.elements_seen(), 10000u);
-  for (Value v = 10000; v < 20000; ++v) sampler.Add(v);
-  const PartitionSample s = sampler.Finalize();
-  EXPECT_EQ(s.size(), 64u);
-  EXPECT_EQ(s.parent_size(), 20000u);
-}
-
-TEST(HybridReservoirTest, ResumeContinuationIncludesNewElementsAtKOverN) {
-  // After resuming an SRS of size k over N0 elements and streaming N1 more,
-  // each new element must appear with probability k / (N0 + N1).
-  const uint64_t n0 = 2000;
-  const uint64_t n1 = 2000;
-  const uint64_t k = 16;  // f = 128
-  int new_included = 0;
-  const int trials = 8000;
-  for (int t = 0; t < trials; ++t) {
-    HybridReservoirSampler first(Opts(128), Pcg64(300 + t));
-    for (Value v = 0; v < static_cast<Value>(n0); ++v) first.Add(v);
-    const PartitionSample base = first.Finalize();
-    auto resumed =
-        HybridReservoirSampler::Resume(base, Opts(128), Pcg64(90000 + t));
-    ASSERT_TRUE(resumed.ok());
-    HybridReservoirSampler sampler = std::move(resumed).value();
-    for (Value v = 0; v < static_cast<Value>(n1); ++v) {
-      sampler.Add(v + 1000000);
-    }
-    const PartitionSample s = sampler.Finalize();
-    s.histogram().ForEach([&](Value v, uint64_t c) {
-      if (v >= 1000000) new_included += static_cast<int>(c);
-    });
-  }
-  // E[new per trial] = k * n1 / (n0 + n1) = 8.
-  const double observed = new_included / static_cast<double>(trials);
-  EXPECT_NEAR(observed, 8.0, 0.2);
-}
-
-TEST(HybridReservoirTest, ResumeRejectsEmptyNonExhaustive) {
-  const PartitionSample empty =
-      PartitionSample::MakeReservoir(CompactHistogram(), 100, 512);
-  EXPECT_FALSE(
-      HybridReservoirSampler::Resume(empty, Opts(512), Pcg64(8)).ok());
-}
-
 }  // namespace
 }  // namespace sampwh

@@ -109,7 +109,7 @@ TEST(MergeEdgeTest, TighterMergedBoundShrinksSample) {
 
 TEST(MergeEdgeTest, HbMergeBothExhaustiveOverflowingTargetBound) {
   // Two exhaustive distinct-valued samples whose union cannot stay
-  // exhaustive under the merged bound: the resume path must transition.
+  // exhaustive under the merged bound: the merge must thin them.
   const uint64_t f = 256;  // n_F = 32
   HybridBernoulliSampler::Options big;
   big.footprint_bound_bytes = 4096;

@@ -7,6 +7,7 @@
 
 #include "src/core/hybrid_bernoulli.h"
 #include "src/core/hybrid_reservoir.h"
+#include "src/core/qbound.h"
 
 namespace sampwh {
 namespace {
@@ -140,6 +141,48 @@ TEST(HrMergeTest, EmptyBernoulliInputYieldsEmptyUniformSample) {
   EXPECT_EQ(merged.value().parent_size(), 6000u);
 }
 
+TEST(HrMergeTest, ExhaustiveBesideEmptyBernoulliIsEmptyReservoir) {
+  // An empty Bernoulli side bounds k at 0; an exhaustive side never
+  // bounds it. The only simple random sample of size 0 is the empty one.
+  const PartitionSample exhaustive = SampleHr(65536, Range(0, 100), 30);
+  ASSERT_EQ(exhaustive.phase(), SamplePhase::kExhaustive);
+  const PartitionSample empty =
+      PartitionSample::MakeBernoulli(CompactHistogram(), 1000, 0.001, 512);
+  for (const bool swap : {false, true}) {
+    Pcg64 rng(31);
+    const auto merged = swap ? HRMerge(empty, exhaustive, Opts(512), rng)
+                             : HRMerge(exhaustive, empty, Opts(512), rng);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_EQ(merged.value().phase(), SamplePhase::kReservoir);
+    EXPECT_EQ(merged.value().size(), 0u);
+    EXPECT_EQ(merged.value().parent_size(), 1100u);
+  }
+}
+
+TEST(HrMergeTest, ExhaustiveSideIncludedAtKOverN) {
+  // A size-k simple random sample of D2 (k = 16, |D2| = 2000) merged with
+  // an exhaustive D1 of 2000 elements: k stays 16, and each element of D1
+  // must appear with probability k / (|D1| + |D2|).
+  const PartitionSample exhaustive =
+      SampleHr(65536, Range(1000000, 1002000), 32);
+  ASSERT_EQ(exhaustive.phase(), SamplePhase::kExhaustive);
+  int from_exhaustive = 0;
+  const int trials = 8000;
+  for (int t = 0; t < trials; ++t) {
+    const PartitionSample reservoir = SampleHr(128, Range(0, 2000), 300 + t);
+    ASSERT_EQ(reservoir.size(), 16u);
+    Pcg64 rng(90000 + t);
+    const auto merged = HRMerge(reservoir, exhaustive, Opts(128), rng);
+    ASSERT_TRUE(merged.ok());
+    ASSERT_EQ(merged.value().size(), 16u);
+    merged.value().histogram().ForEach([&](Value v, uint64_t c) {
+      if (v >= 1000000) from_exhaustive += static_cast<int>(c);
+    });
+  }
+  // E[from D1 per trial] = 16 * 2000 / 4000 = 8.
+  EXPECT_NEAR(from_exhaustive / static_cast<double>(trials), 8.0, 0.2);
+}
+
 TEST(HbMergeTest, BothExhaustiveSmall) {
   const PartitionSample s1 = SampleHb(65536, Range(0, 80), 12);
   const PartitionSample s2 = SampleHb(65536, Range(80, 150), 13);
@@ -151,6 +194,8 @@ TEST(HbMergeTest, BothExhaustiveSmall) {
 }
 
 TEST(HbMergeTest, ExhaustiveStreamedIntoBernoulli) {
+  // The exhaustive side is a Bern(1) sample: both sides are thinned to
+  // the rate q of the merged parent, which is below the Bernoulli side's.
   const PartitionSample small = SampleHb(65536, Range(0, 200), 15);
   const PartitionSample big = SampleHb(8192, Range(1000, 101000), 16);
   ASSERT_EQ(big.phase(), SamplePhase::kBernoulli);
@@ -158,6 +203,34 @@ TEST(HbMergeTest, ExhaustiveStreamedIntoBernoulli) {
   const auto merged = HBMerge(small, big, Opts(8192), rng);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged.value().parent_size(), 100200u);
+  EXPECT_TRUE(merged.value().Validate().ok());
+  ASSERT_EQ(merged.value().phase(), SamplePhase::kBernoulli);
+  EXPECT_EQ(merged.value().sampling_rate(),
+            ApproxBernoulliRate(100200, 1e-3, 1024));
+  EXPECT_LT(merged.value().sampling_rate(), big.sampling_rate());
+}
+
+TEST(HbMergeTest, OversizedBernoulliBesideExhaustiveCutsToNf) {
+  // A duplicate-compressed Bernoulli sample can hold more than n_F values
+  // within its byte bound. Beside an exhaustive side, at the merged rate
+  // itself (so it is not thinned), its join breaks the merged bound and is
+  // cut to a size-n_F reservoir rather than rejected or overflowed.
+  const uint64_t f = 128;  // n_F = 16
+  const double q = ApproxBernoulliRate(1050, 1e-3, 16);
+  CompactHistogram h;
+  for (Value v = 0; v < 12; ++v) h.Insert(v, 20);  // 240 values, 144 bytes
+  const PartitionSample bernoulli =
+      PartitionSample::MakeBernoulli(std::move(h), 1000, q, 512);
+  ASSERT_TRUE(bernoulli.Validate().ok());
+  const PartitionSample exhaustive = SampleHb(65536, Range(100, 150), 33);
+  ASSERT_EQ(exhaustive.phase(), SamplePhase::kExhaustive);
+  Pcg64 rng(34);
+  const auto merged = HBMerge(bernoulli, exhaustive, Opts(f), rng);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value().phase(), SamplePhase::kReservoir);
+  EXPECT_EQ(merged.value().size(), 16u);
+  EXPECT_EQ(merged.value().parent_size(), 1050u);
+  EXPECT_LE(merged.value().footprint_bytes(), f);
   EXPECT_TRUE(merged.value().Validate().ok());
 }
 
