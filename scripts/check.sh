@@ -134,11 +134,11 @@ if [[ "${mode}" == "full" ]]; then
   # Store re-gate under ASan/UBSan: MemEnv, torn-prefix writes and WAL
   # truncation all do offset arithmetic on strings; the Env conformance
   # suite runs every Env (the unarmed FaultEnv among them), FaultEnv's own
-  # suite pins the fault sites, and the store suites run the one store
-  # over each Env.
+  # suite pins the fault sites, the store suites run the one store over
+  # each Env, and the catalog log suites cut its records at every byte.
   echo "=== [asan] store gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(Env|FaultEnv|FileIo|SampleStore|FileSampleStore|InMemorySampleStore|CheckpointStore|Recovery|Manifest)" \
+    "^(Env|FaultEnv|FileIo|SampleStore|FileSampleStore|InMemorySampleStore|CheckpointStore|Recovery|Manifest|CatalogLog|CatalogEdit)" \
     --output-on-failure
 
   # Ingest re-gate under ASan/UBSan: the stream ingestor and its one

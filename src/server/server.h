@@ -73,8 +73,10 @@ struct ServerOptions {
   WarehouseOptions warehouse;
 
   /// File-backed store directory; empty runs on an in-memory store. With a
-  /// directory, the manifest is kept at "<directory>/MANIFEST" and startup
-  /// restores the previous state through RestoreWithRecovery.
+  /// directory, the catalog is kept at "<directory>/MANIFEST" and its log
+  /// at "<directory>/MANIFEST.log", and startup restores the previous state
+  /// through RestoreWithRecovery. The snapshot is written before the log's
+  /// first record, so a store with a catalog always has a MANIFEST.
   std::string store_directory;
 
   /// Streaming-ingest sessions: elements per closed partition (count

@@ -350,6 +350,22 @@ FrameDecodeResult DecodeFrame(std::string_view buffer,
   return FrameDecodeResult::kOk;
 }
 
+FrameLogParse ParseFrameLog(std::string_view log, uint32_t max_record_bytes) {
+  FrameLogParse parse;
+  while (parse.valid_bytes < log.size()) {
+    std::string_view payload;
+    size_t frame_bytes = 0;
+    if (DecodeFrame(log.substr(parse.valid_bytes), max_record_bytes, &payload,
+                    &frame_bytes) != FrameDecodeResult::kOk) {
+      parse.torn_tail = true;
+      break;
+    }
+    parse.records.emplace_back(payload);
+    parse.valid_bytes += frame_bytes;
+  }
+  return parse;
+}
+
 std::string WrapSampleEnvelope(std::string_view payload) {
   BinaryWriter writer;
   writer.PutFixed32(kSampleEnvelopeMagic);

@@ -169,12 +169,12 @@ uint64_t ContentDigest(std::string_view payload);
 
 // --- The CRC frame -----------------------------------------------------------
 //
-// Every wire request and response and every checkpoint WAL record is one
-// frame: fixed32 payload length (little-endian, bounded by the reader),
-// fixed32 CRC-32 of the payload, then the payload. A WAL is a run of
-// frames, so a tear or a bit flip is caught at the record it hits and the
-// frames before it stay readable. The sample envelope below has a header
-// of its own and is not a frame.
+// Every wire request and response, every checkpoint WAL record and every
+// catalog log record is one frame: fixed32 payload length (little-endian,
+// bounded by the reader), fixed32 CRC-32 of the payload, then the payload.
+// A log is a run of frames, so a tear or a bit flip is caught at the record
+// it hits and the frames before it stay readable. The sample envelope below
+// has a header of its own and is not a frame.
 
 inline constexpr size_t kFrameHeaderBytes = 8;
 
@@ -215,6 +215,23 @@ bool FramePayloadMatches(const FrameHeader& header, std::string_view payload);
 /// for a stream (framing is lost); the caller should drop it.
 FrameDecodeResult DecodeFrame(std::string_view buffer, uint32_t max_frame_bytes,
                               std::string_view* payload, size_t* frame_bytes);
+
+/// A frame log — a file that is a run of frames, one per record, appended
+/// to and never rewritten in place — as parsed by ParseFrameLog.
+struct FrameLogParse {
+  /// Record payloads whose framing and CRC verified, in append order.
+  std::vector<std::string> records;
+  /// Length of the log prefix covering exactly those records.
+  size_t valid_bytes = 0;
+  /// Bytes remained past the valid prefix (torn append or corruption).
+  bool torn_tail = false;
+};
+
+/// Scans `log` front to back, stopping at the first frame that does not
+/// decode (or declares more than `max_record_bytes`): a tear at the tail or
+/// a bit flip ends the scan, and the intact prefix stays loadable.
+/// Structural only — record payloads are not decoded here.
+FrameLogParse ParseFrameLog(std::string_view log, uint32_t max_record_bytes);
 
 // --- Versioned sample-file envelope (on-disk format v2) --------------------
 //

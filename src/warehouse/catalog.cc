@@ -121,6 +121,29 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x53574d31;  // "SWM1"
 }  // namespace
 
+void EncodePartitionInfo(const PartitionInfo& info, BinaryWriter* writer) {
+  writer->PutVarint64(info.id);
+  writer->PutVarint64(info.parent_size);
+  writer->PutVarint64(info.sample_size);
+  writer->PutVarint64(static_cast<uint64_t>(info.phase));
+  writer->PutVarint64(info.min_timestamp);
+  writer->PutVarint64(info.max_timestamp);
+}
+
+Status DecodePartitionInfo(BinaryReader* reader, PartitionInfo* info) {
+  uint64_t phase_raw;
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->id));
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->parent_size));
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->sample_size));
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&phase_raw));
+  if (phase_raw < 1 || phase_raw > 3) {
+    return Status::Corruption("bad phase in manifest");
+  }
+  info->phase = static_cast<SamplePhase>(phase_raw);
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->min_timestamp));
+  return reader->GetVarint64(&info->max_timestamp);
+}
+
 void Catalog::SerializeTo(BinaryWriter* writer) const {
   writer->PutFixed32(kManifestMagic);
   writer->PutVarint64(datasets_.size());
@@ -129,12 +152,7 @@ void Catalog::SerializeTo(BinaryWriter* writer) const {
     writer->PutVarint64(state.next_partition_id);
     writer->PutVarint64(state.partitions.size());
     for (const auto& [pid, p] : state.partitions) {
-      writer->PutVarint64(p.id);
-      writer->PutVarint64(p.parent_size);
-      writer->PutVarint64(p.sample_size);
-      writer->PutVarint64(static_cast<uint64_t>(p.phase));
-      writer->PutVarint64(p.min_timestamp);
-      writer->PutVarint64(p.max_timestamp);
+      EncodePartitionInfo(p, writer);
     }
   }
 }
@@ -158,17 +176,7 @@ Result<Catalog> Catalog::DeserializeFrom(BinaryReader* reader) {
     SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&num_partitions));
     for (uint64_t i = 0; i < num_partitions; ++i) {
       PartitionInfo p;
-      uint64_t phase_raw;
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&p.id));
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&p.parent_size));
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&p.sample_size));
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&phase_raw));
-      if (phase_raw < 1 || phase_raw > 3) {
-        return Status::Corruption("bad phase in manifest");
-      }
-      p.phase = static_cast<SamplePhase>(phase_raw);
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&p.min_timestamp));
-      SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&p.max_timestamp));
+      SAMPWH_RETURN_IF_ERROR(DecodePartitionInfo(reader, &p));
       if (p.id >= state.next_partition_id) {
         return Status::Corruption("partition id beyond allocator");
       }

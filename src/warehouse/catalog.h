@@ -28,6 +28,13 @@ struct PartitionInfo {
   uint64_t max_timestamp = 0;
 };
 
+/// The varint encoding of a PartitionInfo shared by the manifest snapshot
+/// and the catalog log: id, parent size, sample size, phase, min and max
+/// timestamp.
+void EncodePartitionInfo(const PartitionInfo& info, BinaryWriter* writer);
+/// Decodes what EncodePartitionInfo wrote; Corruption on a bad phase.
+Status DecodePartitionInfo(BinaryReader* reader, PartitionInfo* info);
+
 struct DatasetInfo {
   DatasetId id;
   uint64_t num_partitions = 0;

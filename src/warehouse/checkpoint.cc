@@ -204,19 +204,7 @@ Status VerifyCheckpointDeltaPayload(std::string_view bytes) {
 }
 
 CheckpointWalParse ParseCheckpointWal(std::string_view wal) {
-  CheckpointWalParse parse;
-  while (parse.valid_bytes < wal.size()) {
-    std::string_view payload;
-    size_t frame_bytes = 0;
-    if (DecodeFrame(wal.substr(parse.valid_bytes), kMaxWalRecordBytes,
-                    &payload, &frame_bytes) != FrameDecodeResult::kOk) {
-      parse.torn_tail = true;
-      break;
-    }
-    parse.records.emplace_back(payload);
-    parse.valid_bytes += frame_bytes;
-  }
-  return parse;
+  return ParseFrameLog(wal, kMaxWalRecordBytes);
 }
 
 Result<IngestCheckpoint> ResolveCheckpointChain(const CheckpointChain& chain) {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/util/random.h"
+#include "src/util/serialization.h"
 #include "src/util/status.h"
 #include "src/warehouse/ids.h"
 #include "src/warehouse/partitioner.h"
@@ -147,19 +148,9 @@ struct CheckpointDeltaRecord {
 /// scans truncate a WAL at the first record that fails this.
 Status VerifyCheckpointDeltaPayload(std::string_view bytes);
 
-struct CheckpointWalParse {
-  /// Record payloads whose framing and CRC verified, in append order.
-  std::vector<std::string> records;
-  /// Length of the WAL prefix covering exactly those records.
-  size_t valid_bytes = 0;
-  /// Bytes remained past the valid prefix (torn append or corruption).
-  bool torn_tail = false;
-};
+using CheckpointWalParse = FrameLogParse;
 
-/// Scans `wal` — a run of frames (util/serialization), one per record —
-/// front to back, stopping at the first frame that does not decode: a tear
-/// at the tail or a bit flip ends the scan, and the intact prefix stays
-/// loadable. Structural only — record payloads are not decoded here.
+/// ParseFrameLog over a checkpoint WAL, one frame per delta record.
 CheckpointWalParse ParseCheckpointWal(std::string_view wal);
 
 /// One snapshot generation plus its delta journal, as read back from a

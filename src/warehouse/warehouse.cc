@@ -23,14 +23,6 @@ WarehouseOptions NormalizeOptions(WarehouseOptions options) {
   return options;
 }
 
-// Reads and decodes the catalog a SaveManifest wrote to `path`.
-Result<Catalog> LoadManifest(const std::string& path) {
-  std::string bytes;
-  SAMPWH_RETURN_IF_ERROR(ReadFile(path, &bytes));
-  BinaryReader reader(bytes);
-  return Catalog::DeserializeFrom(&reader);
-}
-
 // A served root's answer bytes, encoded once.
 std::shared_ptr<const std::string> EncodeSample(
     const PartitionSample& sample) {
@@ -65,6 +57,9 @@ Warehouse::Warehouse(const WarehouseOptions& options,
     merge_memo_ = std::make_unique<MergeMemo>(options_.cache_shards,
                                               options_.merge_memo_bytes);
   }
+  if (!options_.manifest_path.empty()) {
+    catalog_log_ = std::make_unique<CatalogLog>(options_.manifest_path);
+  }
 }
 
 Warehouse::Warehouse(const WarehouseOptions& options)
@@ -83,24 +78,26 @@ Result<Warehouse::DatasetLock> Warehouse::LockDataset(
 }
 
 Status Warehouse::CreateDataset(const DatasetId& id) {
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    SAMPWH_RETURN_IF_ERROR(catalog_.CreateDataset(id));
-    dataset_mu_[id] = std::make_shared<std::mutex>();
-  }
-  AutoPersistManifest();
-  return Status::OK();
+  return AddDataset(id, nullptr);
 }
 
 Status Warehouse::CreateDataset(const DatasetId& id,
                                 const SamplerConfig& config) {
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    SAMPWH_RETURN_IF_ERROR(catalog_.CreateDataset(id));
-    dataset_mu_[id] = std::make_shared<std::mutex>();
-    sampler_overrides_[id] = config;
+  return AddDataset(id, &config);
+}
+
+Status Warehouse::AddDataset(const DatasetId& id,
+                             const SamplerConfig* config) {
+  SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  SAMPWH_RETURN_IF_ERROR(catalog_.CreateDataset(id));
+  if (Status logged = LogCatalogEdit(CatalogEdit::CreateDataset(id));
+      !logged.ok()) {
+    (void)catalog_.DropDataset(id);
+    return logged;
   }
-  AutoPersistManifest();
+  dataset_mu_[id] = std::make_shared<std::mutex>();
+  if (config != nullptr) sampler_overrides_[id] = *config;
   return Status::OK();
 }
 
@@ -111,27 +108,27 @@ SamplerConfig Warehouse::SamplerConfigFor(const DatasetId& dataset) const {
 }
 
 Status Warehouse::DropDataset(const DatasetId& id) {
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> parts,
-                            catalog_.ListPartitions(id));
-    for (const PartitionInfo& p : parts) {
-      // Best effort: catalog consistency matters more than store misses.
-      store_->Delete(PartitionKey{id, p.id});
-    }
-    // A dropped dataset's ingest checkpoints are meaningless (and would
-    // read as stale on the next recovery); best effort again.
-    store_->DeleteCheckpoint(id);
-    sampler_overrides_.erase(id);
-    dataset_mu_.erase(id);
-    // Epoch-bump both caches: a recreated dataset reuses partition ids from
-    // 0, so pre-drop entries must become unreachable, not merely evicted.
-    if (sample_cache_ != nullptr) sample_cache_->InvalidateDataset(id);
-    if (merge_memo_ != nullptr) merge_memo_->InvalidateDataset(id);
-    SAMPWH_RETURN_IF_ERROR(catalog_.DropDataset(id));
+  SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> parts,
+                          catalog_.ListPartitions(id));
+  // Logged before anything is deleted: a drop that cannot be recorded
+  // leaves the dataset whole.
+  SAMPWH_RETURN_IF_ERROR(LogCatalogEdit(CatalogEdit::DropDataset(id)));
+  for (const PartitionInfo& p : parts) {
+    // Best effort: catalog consistency matters more than store misses.
+    store_->Delete(PartitionKey{id, p.id});
   }
-  AutoPersistManifest();
-  return Status::OK();
+  // A dropped dataset's ingest checkpoints are meaningless (and would
+  // read as stale on the next recovery); best effort again.
+  store_->DeleteCheckpoint(id);
+  sampler_overrides_.erase(id);
+  dataset_mu_.erase(id);
+  // Epoch-bump both caches: a recreated dataset reuses partition ids from
+  // 0, so pre-drop entries must become unreachable, not merely evicted.
+  if (sample_cache_ != nullptr) sample_cache_->InvalidateDataset(id);
+  if (merge_memo_ != nullptr) merge_memo_->InvalidateDataset(id);
+  return catalog_.DropDataset(id);
 }
 
 bool Warehouse::HasDataset(const DatasetId& id) const {
@@ -166,34 +163,12 @@ Result<PartitionId> Warehouse::RollIn(const DatasetId& dataset,
                                       uint64_t min_timestamp,
                                       uint64_t max_timestamp) {
   SAMPWH_RETURN_IF_ERROR(sample.Validate());
-  PartitionId id;
-  {
-    SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
-    SAMPWH_ASSIGN_OR_RETURN(id, catalog_.AllocatePartitionId(dataset));
-    SAMPWH_RETURN_IF_ERROR(store_->Put(PartitionKey{dataset, id}, sample));
-    PartitionInfo info;
-    info.id = id;
-    info.parent_size = sample.parent_size();
-    info.sample_size = sample.size();
-    info.phase = sample.phase();
-    info.min_timestamp = min_timestamp;
-    info.max_timestamp = max_timestamp;
-    const Status status = catalog_.AddPartition(dataset, info);
-    if (!status.ok()) {
-      store_->Delete(PartitionKey{dataset, id});
-      return status;
-    }
-    if (sample_cache_ != nullptr) {
-      // Write-through: a freshly rolled-in partition is the one queries are
-      // about to merge, so cache its deserialized form immediately.
-      sample_cache_->Insert(dataset, sample_cache_->CurrentView(dataset), id,
-                            std::make_shared<const PartitionSample>(sample));
-    }
-  }
-  // Outside mu_ (SaveManifest takes it exclusively). Persisting the id
-  // allocation durably is what lets a resumed ingestor prove whether an
-  // interrupted roll-in completed.
-  AutoPersistManifest();
+  SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
+  SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
+  SAMPWH_ASSIGN_OR_RETURN(const PartitionId id,
+                          catalog_.AllocatePartitionId(dataset));
+  SAMPWH_RETURN_IF_ERROR(
+      RollInLocked(dataset, id, sample, min_timestamp, max_timestamp));
   return id;
 }
 
@@ -203,52 +178,68 @@ Result<PartitionId> Warehouse::RollInAt(const DatasetId& dataset,
                                         uint64_t min_timestamp,
                                         uint64_t max_timestamp) {
   SAMPWH_RETURN_IF_ERROR(sample.Validate());
-  {
-    SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
-    PartitionInfo info;
-    info.id = id;
-    info.parent_size = sample.parent_size();
-    info.sample_size = sample.size();
-    info.phase = sample.phase();
-    info.min_timestamp = min_timestamp;
-    info.max_timestamp = max_timestamp;
-    // Register first: AddPartition rejects an occupied id before the store
-    // is touched, so a collision never clobbers an existing sample. It also
-    // keeps the allocator ahead of the explicit id, so locally allocated
-    // roll-ins never collide with coordinator-placed ones.
-    SAMPWH_RETURN_IF_ERROR(catalog_.AddPartition(dataset, info));
-    const Status put = store_->Put(PartitionKey{dataset, id}, sample);
-    if (!put.ok()) {
-      catalog_.RemovePartition(dataset, id);
-      return put;
-    }
-    if (sample_cache_ != nullptr) {
-      sample_cache_->Insert(dataset, sample_cache_->CurrentView(dataset), id,
-                            std::make_shared<const PartitionSample>(sample));
-    }
-  }
-  AutoPersistManifest();
+  SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
+  SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
+  SAMPWH_RETURN_IF_ERROR(
+      RollInLocked(dataset, id, sample, min_timestamp, max_timestamp));
   return id;
 }
 
-Status Warehouse::RollOut(const DatasetId& dataset, PartitionId partition) {
-  Status delete_status;
-  {
-    SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
-    SAMPWH_RETURN_IF_ERROR(catalog_.RemovePartition(dataset, partition));
-    // Strict invalidation: the partition's cached sample and every memoized
-    // merge node containing it go with the catalog entry, so no future read
-    // can observe rolled-out state.
-    if (sample_cache_ != nullptr) {
-      sample_cache_->Invalidate(dataset, partition);
-    }
-    if (merge_memo_ != nullptr) {
-      merge_memo_->InvalidatePartition(dataset, partition);
-    }
-    delete_status = store_->Delete(PartitionKey{dataset, partition});
+Status Warehouse::RollInLocked(const DatasetId& dataset, PartitionId id,
+                               const PartitionSample& sample,
+                               uint64_t min_timestamp,
+                               uint64_t max_timestamp) {
+  PartitionInfo info;
+  info.id = id;
+  info.parent_size = sample.parent_size();
+  info.sample_size = sample.size();
+  info.phase = sample.phase();
+  info.min_timestamp = min_timestamp;
+  info.max_timestamp = max_timestamp;
+  // Register first: AddPartition rejects an occupied id before the store
+  // is touched, so a collision never clobbers an existing sample. It also
+  // keeps the allocator ahead of the explicit id, so locally allocated
+  // roll-ins never collide with coordinator-placed ones.
+  SAMPWH_RETURN_IF_ERROR(catalog_.AddPartition(dataset, info));
+  const PartitionKey key{dataset, id};
+  Status status = store_->Put(key, sample);
+  if (status.ok()) {
+    // The logged record is what makes the roll-in durable: it is what
+    // lets a resumed ingestor prove whether an interrupted roll-in
+    // completed. A roll-in it cannot record leaves no stored sample.
+    status = LogCatalogEdit(CatalogEdit::AddPartition(dataset, info));
+    if (!status.ok()) store_->Delete(key);  // best effort
   }
-  AutoPersistManifest();
-  return delete_status;
+  if (!status.ok()) {
+    (void)catalog_.RemovePartition(dataset, id);
+    return status;
+  }
+  if (sample_cache_ != nullptr) {
+    // Write-through: a freshly rolled-in partition is the one queries are
+    // about to merge, so cache its deserialized form immediately.
+    sample_cache_->Insert(dataset, sample_cache_->CurrentView(dataset), id,
+                          std::make_shared<const PartitionSample>(sample));
+  }
+  return Status::OK();
+}
+
+Status Warehouse::RollOut(const DatasetId& dataset, PartitionId partition) {
+  SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
+  SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
+  SAMPWH_RETURN_IF_ERROR(catalog_.GetPartition(dataset, partition).status());
+  SAMPWH_RETURN_IF_ERROR(
+      LogCatalogEdit(CatalogEdit::RemovePartition(dataset, partition)));
+  (void)catalog_.RemovePartition(dataset, partition);
+  // Strict invalidation: the partition's cached sample and every memoized
+  // merge node containing it go with the catalog entry, so no future read
+  // can observe rolled-out state.
+  if (sample_cache_ != nullptr) {
+    sample_cache_->Invalidate(dataset, partition);
+  }
+  if (merge_memo_ != nullptr) {
+    merge_memo_->InvalidatePartition(dataset, partition);
+  }
+  return store_->Delete(PartitionKey{dataset, partition});
 }
 
 Result<std::vector<PartitionId>> Warehouse::ApplyRetention(
@@ -645,13 +636,20 @@ Result<std::vector<DatasetId>> Warehouse::ListIngestCheckpoints() const {
   return store_->ListCheckpoints();
 }
 
-void Warehouse::AutoPersistManifest() {
-  if (options_.manifest_path.empty()) return;
-  // Best effort by design: a lost manifest update only regresses the
-  // catalog to an earlier consistent state. Recovery converges regardless —
-  // a re-rolled-in partition reuses the id the restored allocator hands
-  // out and overwrites the orphan sample with identical bytes.
-  SaveManifest(options_.manifest_path);
+Status Warehouse::PrepareCatalogLog() {
+  if (catalog_log_ == nullptr || !catalog_log_->NeedsCompaction()) {
+    return Status::OK();
+  }
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (!catalog_log_->NeedsCompaction()) return Status::OK();
+  const Status compacted = catalog_log_->Compact(catalog_);
+  // A log that only outgrew its snapshot still holds every edit and takes
+  // appends; the next mutation tries the compaction again.
+  return catalog_log_->open() ? Status::OK() : compacted;
+}
+
+Status Warehouse::LogCatalogEdit(const CatalogEdit& edit) {
+  return catalog_log_ == nullptr ? Status::OK() : catalog_log_->Append(edit);
 }
 
 WarehouseCacheStats Warehouse::GetCacheStats() const {
@@ -670,6 +668,11 @@ Status Warehouse::SaveManifest(const std::string& path) const {
   BinaryWriter writer;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
+    // Over the warehouse's own snapshot a save is a compaction: the log's
+    // edits are all in the new snapshot, so the log is truncated too.
+    if (catalog_log_ != nullptr && path == options_.manifest_path) {
+      return catalog_log_->Compact(catalog_);
+    }
     catalog_.SerializeTo(&writer);
   }
   return WriteFileAtomic(path, writer.buffer());
@@ -678,7 +681,7 @@ Status Warehouse::SaveManifest(const std::string& path) const {
 Result<std::unique_ptr<Warehouse>> Warehouse::Restore(
     const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
     const std::string& manifest_path) {
-  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, LoadManifest(manifest_path));
+  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, CatalogLog::Load(manifest_path));
   auto warehouse = std::make_unique<Warehouse>(options, std::move(store));
   // Cross-check every cataloged partition against its stored sample before
   // accepting the manifest.
@@ -703,7 +706,7 @@ Result<std::unique_ptr<Warehouse>> Warehouse::Restore(
 Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
     const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
     const std::string& manifest_path) {
-  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, LoadManifest(manifest_path));
+  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, CatalogLog::Load(manifest_path));
 
   // The catalog is the source of truth for what SHOULD exist; hand that
   // expectation to the store's recovery scan so it can report the gap after

@@ -22,6 +22,7 @@
 #include "src/util/sharded_cache.h"
 #include "src/util/thread_pool.h"
 #include "src/warehouse/catalog.h"
+#include "src/warehouse/catalog_log.h"
 #include "src/warehouse/ids.h"
 #include "src/warehouse/merge_memo.h"
 #include "src/warehouse/retention.h"
@@ -58,12 +59,13 @@ struct WarehouseOptions {
   size_t cache_shards = 16;
   /// Seed for all sampling/merging randomness in this warehouse.
   uint64_t seed = 0x5157313136ULL;
-  /// When non-empty, the catalog manifest is re-persisted to this path
-  /// (atomic replace, best effort) after every catalog mutation — roll-in,
-  /// roll-out, dataset create/drop. Required for crash-safe resumable
-  /// ingestion: the checkpoint protocol's duplicate-roll-in reconciliation
-  /// relies on the restored id allocator reflecting every completed
-  /// roll-in.
+  /// When non-empty, the catalog is durable at this path: a snapshot here
+  /// and a log at "<manifest_path>.log" to which every catalog mutation —
+  /// roll-in, roll-out, dataset create/drop — appends one record before it
+  /// returns. A mutation whose record cannot be appended fails and leaves
+  /// nothing behind. Required for crash-safe resumable ingestion: the
+  /// checkpoint protocol's duplicate-roll-in reconciliation relies on the
+  /// restored id allocator reflecting every completed roll-in.
   std::string manifest_path;
 };
 
@@ -237,12 +239,15 @@ class Warehouse {
 
   /// Writes the catalog (datasets, partition metadata, id allocators) to
   /// `path` with atomic replace. Together with a FileSampleStore this
-  /// makes the warehouse recoverable across restarts.
+  /// makes the warehouse recoverable across restarts. Saving to the
+  /// warehouse's own manifest_path also truncates its catalog log, whose
+  /// edits the new snapshot holds. Fails when the write fails.
   Status SaveManifest(const std::string& path) const;
 
-  /// Reopens a warehouse from a manifest written by SaveManifest and the
-  /// sample store it referenced. Verifies that every cataloged partition's
-  /// sample is present and consistent with its metadata.
+  /// Reopens a warehouse from a manifest written by SaveManifest, or kept
+  /// at manifest_path, replaying the catalog log beside it, and the sample
+  /// store it referenced. Verifies that every cataloged partition's sample
+  /// is present and consistent with its metadata.
   static Result<std::unique_ptr<Warehouse>> Restore(
       const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
       const std::string& manifest_path);
@@ -333,20 +338,33 @@ class Warehouse {
   /// Installs a restored catalog with one dataset_mu_ entry per dataset.
   /// Only for a warehouse no other thread can reach yet (the restores).
   void InstallCatalog(Catalog catalog);
-  /// Re-persists the manifest to options_.manifest_path (no-op when
-  /// unset). Must be called WITHOUT mu_ held — SaveManifest takes it
-  /// exclusively.
-  void AutoPersistManifest();
+  /// CreateDataset, with `config` as the dataset's override when non-null.
+  Status AddDataset(const DatasetId& id, const SamplerConfig* config);
+  /// The body of RollIn and RollInAt under the dataset's lock: catalogs,
+  /// stores, logs and caches the partition, or undoes what it did.
+  Status RollInLocked(const DatasetId& dataset, PartitionId id,
+                      const PartitionSample& sample, uint64_t min_timestamp,
+                      uint64_t max_timestamp);
+  /// Run by every mutation before it takes its locks (it takes mu_
+  /// exclusively): compacts the catalog log when it is not open (the
+  /// warehouse's first mutation, or the first after a failed append) or
+  /// has outgrown its snapshot. Fails only when the log stays closed.
+  Status PrepareCatalogLog();
+  /// Appends a mutation's record to the catalog log (OK without a
+  /// manifest_path). Called under the mutation's lock, so the log's order
+  /// is the catalog's.
+  Status LogCatalogEdit(const CatalogEdit& edit);
 
   WarehouseOptions options_;
   std::unique_ptr<SampleStore> store_;
   std::unique_ptr<ThreadPool> pool_;  // when options_.worker_threads > 0
   std::unique_ptr<SampleCache> sample_cache_;  // when sample_cache_bytes > 0
   std::unique_ptr<MergeMemo> merge_memo_;      // when merge_memo_bytes > 0
+  std::unique_ptr<CatalogLog> catalog_log_;    // when manifest_path is set
 
   // Locking model. `mu_` guards the catalog *structure* (which datasets
   // exist), sampler_overrides_, and dataset_mu_; dataset creation/drop and
-  // manifest I/O take it exclusively, everything else takes it shared.
+  // snapshot writes take it exclusively, everything else takes it shared.
   // Partition metadata of one dataset is guarded by that dataset's own
   // mutex (taken with mu_ held shared), so ingest into different datasets
   // never serializes on one global lock. rng_ has a dedicated mutex so RNG

@@ -243,5 +243,29 @@ TEST_F(ToolTest, InspectRestoredWarehouse) {
   EXPECT_EQ(RunTool("inspect " + store_dir + " " + dir_ + "/nope"), 1);
 }
 
+TEST_F(ToolTest, InspectSeesRecordsOnlyTheCatalogLogHolds) {
+  const std::string store_dir = dir_ + "/store";
+  const std::string manifest = store_dir + "/MANIFEST";
+  {
+    auto store = FileSampleStore::Open(store_dir);
+    ASSERT_TRUE(store.ok());
+    WarehouseOptions options;
+    options.sampler.footprint_bound_bytes = 512;
+    options.manifest_path = manifest;
+    Warehouse wh(options, std::move(store).value());
+    ASSERT_TRUE(wh.CreateDataset("ds").ok());
+    std::vector<Value> values;
+    for (Value v = 0; v < 3000; ++v) values.push_back(v);
+    ASSERT_TRUE(wh.IngestBatch("ds", values, 3).ok());
+    // No SaveManifest: the last roll-in is in the catalog log only.
+  }
+  ASSERT_GT(std::filesystem::file_size(manifest + ".log"), 0u);
+  const std::string out = ToolOutput("inspect " + store_dir + " " + manifest);
+  EXPECT_NE(out.find("dataset ds: 3 partitions, 3000 parent elements"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("  partition 2: parent 1000"), std::string::npos) << out;
+}
+
 }  // namespace
 }  // namespace sampwh

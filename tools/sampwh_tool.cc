@@ -10,7 +10,8 @@
 //   sampwh_tool merge <out-file> <in-file> <in-file> [in-file...]
 //       Uniform merge of samples of DISJOINT partitions (F = 64 KiB).
 //   sampwh_tool inspect <store-dir> <manifest-file>
-//       Restore a file-backed warehouse and list its catalog.
+//       Restore a file-backed warehouse (the manifest snapshot plus the
+//       catalog log beside it) and list its catalog.
 //   sampwh_tool checkpoints <store-dir>
 //       List datasets with pending ingest checkpoints: the resolved replay
 //       watermark, open-partition progress, rolled-in count and age, plus
