@@ -6,8 +6,8 @@
 // run of the same stream against a separate store. This exercises the
 // whole durability stack through the RPC front end: the forced checkpoint
 // before the IngestOpen ack, the two-phase partition-close protocol, the
-// async delta WAL, manifest auto-persistence, and duplicate-batch
-// acknowledgment on replay.
+// async delta WAL, the catalog log, and duplicate-batch acknowledgment on
+// replay.
 
 #include <algorithm>
 #include <csignal>
