@@ -4,6 +4,9 @@
 // distribution (symmetric pairwise merge trees); this bench quantifies the
 // per-draw gap and the table-construction cost that must be amortized.
 
+#include <map>
+#include <tuple>
+
 #include <benchmark/benchmark.h>
 
 #include "src/core/merge.h"
@@ -61,23 +64,47 @@ BENCHMARK(BM_HypergeoAliasConstruction)
     ->Args({32768, 8192});
 
 // The end-to-end §4.2 scenario: repeated symmetric merges drawing from the
-// same distribution, with and without the cache.
+// same distribution, by inversion and through alias tables cached per
+// (n1, n2, k).
 void BM_RepeatedSplitsUncached(benchmark::State& state) {
   Pcg64 rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        SampleHypergeometricSplit(32768, 32768, 8192, rng, nullptr));
+        SampleHypergeometricSplit(32768, 32768, 8192, rng));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RepeatedSplitsUncached);
 
+// Alias tables for the split distributions met so far, each built once.
+class AliasTables {
+ public:
+  uint64_t Sample(uint64_t n1, uint64_t n2, uint64_t k, Pcg64& rng) {
+    auto it = tables_.find({n1, n2, k});
+    if (it == tables_.end()) {
+      const HypergeometricDistribution dist(n1, n2, k);
+      it = tables_
+               .emplace(std::make_tuple(n1, n2, k),
+                        Entry{dist.support_min(),
+                              AliasTable(dist.PmfVector())})
+               .first;
+    }
+    return it->second.support_min + it->second.table.Sample(rng);
+  }
+
+ private:
+  struct Entry {
+    uint64_t support_min;
+    AliasTable table;
+  };
+  std::map<std::tuple<uint64_t, uint64_t, uint64_t>, Entry> tables_;
+};
+
 void BM_RepeatedSplitsCached(benchmark::State& state) {
   Pcg64 rng(4);
-  AliasCache cache;
+  AliasTables tables;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SampleHypergeometricSplit(32768, 32768, 8192, rng, &cache));
+    benchmark::DoNotOptimize(tables.Sample(32768, 32768, 8192, rng));
   }
   state.SetItemsProcessed(state.iterations());
 }

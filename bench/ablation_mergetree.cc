@@ -1,9 +1,8 @@
 // Ablation: multiway merge tree shape. The paper's experiments use serial
-// pairwise merges (a left fold); a balanced tree has the same statistical
-// output law but different cost structure, and — per §4.2 — lets symmetric
-// inputs reuse one alias table per level. Measures HR merges of 64 equal
-// partitions under: left fold, balanced tree, and balanced tree + alias
-// cache.
+// pairwise merges (a left fold); the library merges up a balanced tree
+// whose nodes draw from identity-derived RNGs (MergeAll), with the same
+// statistical output law but a different cost structure. Measures HR
+// merges of 64 equal partitions under both.
 //
 // Two single merges with an exhaustive side follow, at F = 16 KiB
 // (n_F = 2,048): HBMerge of two exhaustive leaves of 2,048 distinct values,
@@ -14,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/common.h"
 #include "src/core/hybrid_bernoulli.h"
 #include "src/core/hybrid_reservoir.h"
 #include "src/core/merge.h"
@@ -50,47 +50,31 @@ std::vector<const PartitionSample*> Pointers() {
   return pointers;
 }
 
-void RunMerge(benchmark::State& state, MergeStrategy strategy,
-              bool use_cache) {
+void BM_MergeLeftFold(benchmark::State& state) {
   const auto pointers = Pointers();
-  AliasCache cache;
+  MergeOptions options;
+  options.footprint_bound_bytes = kF;
   Pcg64 rng(2);
   for (auto _ : state) {
-    MergeOptions options;
-    options.footprint_bound_bytes = kF;
-    if (use_cache) options.alias_cache = &cache;
-    auto merged = MergeAll(pointers, options, rng, strategy);
+    auto merged = bench::LeftFoldMerge(pointers, options, rng);
     benchmark::DoNotOptimize(merged.ok());
   }
   state.SetItemsProcessed(state.iterations() * kPartitions);
-  if (use_cache) {
-    state.counters["alias_tables_built"] =
-        static_cast<double>(cache.size());
-  }
-}
-
-void BM_MergeLeftFold(benchmark::State& state) {
-  RunMerge(state, MergeStrategy::kLeftFold, false);
 }
 BENCHMARK(BM_MergeLeftFold)->Unit(benchmark::kMillisecond);
 
-void BM_MergeBalancedTree(benchmark::State& state) {
-  RunMerge(state, MergeStrategy::kBalancedTree, false);
+void BM_MergeAllTree(benchmark::State& state) {
+  const auto pointers = Pointers();
+  MergeOptions options;
+  options.footprint_bound_bytes = kF;
+  uint64_t seed = 2;
+  for (auto _ : state) {
+    auto merged = MergeAll(pointers, options, seed++);
+    benchmark::DoNotOptimize(merged.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * kPartitions);
 }
-BENCHMARK(BM_MergeBalancedTree)->Unit(benchmark::kMillisecond);
-
-void BM_MergeBalancedTreeAliasCache(benchmark::State& state) {
-  RunMerge(state, MergeStrategy::kBalancedTree, true);
-}
-BENCHMARK(BM_MergeBalancedTreeAliasCache)->Unit(benchmark::kMillisecond);
-
-void BM_MergeLeftFoldAliasCache(benchmark::State& state) {
-  // Left fold's split distributions all differ (accumulated parent grows),
-  // so the cache cannot amortize: this quantifies the mismatch the paper's
-  // §4.2 caveat ("symmetric pairwise fashion") warns about.
-  RunMerge(state, MergeStrategy::kLeftFold, true);
-}
-BENCHMARK(BM_MergeLeftFoldAliasCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MergeAllTree)->Unit(benchmark::kMillisecond);
 
 constexpr uint64_t kLeafF = 16 * 1024;  // n_F = 2048
 constexpr uint64_t kLeafValues = 2048;

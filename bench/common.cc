@@ -54,6 +54,20 @@ double ParallelMakespan(std::vector<double> times, uint64_t workers) {
 
 }  // namespace
 
+Result<PartitionSample> LeftFoldMerge(
+    const std::vector<const PartitionSample*>& samples,
+    const MergeOptions& options, Pcg64& rng) {
+  if (samples.empty()) {
+    return Status::InvalidArgument("LeftFoldMerge of zero samples");
+  }
+  PartitionSample acc = *samples[0];
+  for (size_t i = 1; i < samples.size(); ++i) {
+    SAMPWH_ASSIGN_OR_RETURN(acc,
+                            MergeSamples(acc, *samples[i], options, rng));
+  }
+  return acc;
+}
+
 ScenarioResult RunScenario(const ScenarioSpec& spec) {
   SAMPWH_CHECK(spec.partitions >= 1);
   const uint64_t per_partition = spec.total_elements / spec.partitions;
@@ -116,8 +130,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec) {
     MergeOptions merge_options;
     merge_options.footprint_bound_bytes = spec.footprint_bound_bytes;
     merge_options.exceedance_probability = spec.exceedance_probability;
-    const auto merged = MergeAll(pointers, merge_options, merge_rng,
-                                 MergeStrategy::kLeftFold);
+    const auto merged = LeftFoldMerge(pointers, merge_options, merge_rng);
     SAMPWH_CHECK(merged.ok());
     result.merged_sample_size = merged.value().size();
   }

@@ -74,6 +74,13 @@ unsigned HardwareThreads();
 /// union). Returns per-stage wall times and the merged sample size.
 ScenarioResult RunScenario(const ScenarioSpec& spec);
 
+/// The paper's serial pairwise merges: a left fold of MergeSamples over
+/// `samples` on one RNG stream. The figure harnesses time this; the
+/// library's multiway merge is the merge tree (MergeAll).
+Result<PartitionSample> LeftFoldMerge(
+    const std::vector<const PartitionSample*>& samples,
+    const MergeOptions& options, Pcg64& rng);
+
 /// Mean of `reps` runs of the scenario with distinct seeds.
 ScenarioResult RunScenarioAveraged(const ScenarioSpec& spec, int reps);
 

@@ -115,14 +115,16 @@ if [[ "${mode}" == "full" ]]; then
     "^(Purge|PurgeDiff|PurgeLaw|Merge|HbMerge|HrMerge|MergeLaw|HybridReservoir|HybridBernoulli|BatchEquivalence)" \
     --output-on-failure
 
-  # Merge-tree re-gate under ASan/UBSan: the warehouse merge tree with and
-  # without a merge memo, pinned by the golden digests; the memo's stored
-  # answer bytes and their budget (QueryCache), and the wire bytes of every
-  # serving path, including answers held across a node's eviction
-  # (QueryBytes).
+  # Merge-tree re-gate under ASan/UBSan: the one walker over the merge tree
+  # (MergeTreeWalk, MergeAll), the warehouse's walk with and without a merge
+  # memo, pinned by the golden digests; the memo's stored answer bytes and
+  # their budget (QueryCache); the wire bytes of every serving path,
+  # including answers held across a node's eviction (QueryBytes); and the
+  # coordinator's walk over pushed-down spans (ShardedQuery).
   echo "=== [asan] merge-tree gate ==="
   ctest --test-dir build-check/asan \
-    -R "^(GoldenDigest|QueryCache|QueryBytes|Warehouse)" --output-on-failure
+    -R "^(GoldenDigest|QueryCache|QueryBytes|Warehouse|MergeTreeWalk|MergeAll|ShardedQuery)" \
+    --output-on-failure
 
   # Frame re-gate under ASan/UBSan: the one CRC frame codec that the wire
   # and the checkpoint WAL share, parsed at every cut and byte flip.

@@ -297,12 +297,14 @@ Result<WarehouseClient::Reply> WarehouseClient::Call(Verb verb,
   return last;
 }
 
-Result<std::string> WarehouseClient::Ping() {
+Result<PingReply> WarehouseClient::Ping() {
   SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(Verb::kPing, {}));
   BinaryReader reader(resp.body());
-  std::string banner;
-  SAMPWH_RETURN_IF_ERROR(reader.GetString(&banner));
-  return banner;
+  PingReply reply;
+  SAMPWH_RETURN_IF_ERROR(reader.GetString(&reply.banner));
+  SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&reply.seed));
+  SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&reply.merge_fingerprint));
+  return reply;
 }
 
 Result<RemoteServerStats> WarehouseClient::ServerStats() {

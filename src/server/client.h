@@ -96,6 +96,15 @@ struct TenantStats {
   TenantUsage usage;
 };
 
+/// kPing response: the server's banner, then the seed and the
+/// MergeOptionsFingerprint of its warehouse. A coordinator's merge tree is
+/// exact only over nodes whose two match its own (ShardCoordinator::Connect).
+struct PingReply {
+  std::string banner;
+  uint64_t seed = 0;
+  uint64_t merge_fingerprint = 0;
+};
+
 /// kServerStats response.
 struct RemoteServerStats {
   uint64_t connections_accepted = 0;
@@ -166,7 +175,7 @@ class WarehouseClient {
   bool breaker_open() const;
 
   // --- Admin ---------------------------------------------------------------
-  Result<std::string> Ping();
+  Result<PingReply> Ping();
   Result<RemoteServerStats> ServerStats();
   /// Asks the server to shut down (it still answers this request).
   Status Shutdown();

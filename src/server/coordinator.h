@@ -2,21 +2,21 @@
 // nodes and answers merged-sample queries over the union — bit-identical
 // to what a single warehouse node holding every partition would return.
 //
-// How exactness survives distribution: the warehouse merge builds a
-// balanced binary tree over the canonically sorted partition-id set and
-// derives each node's RNG purely from the node's identity (warehouse seed,
-// dataset key, id set, merge-options fingerprint); merge_memo.h owns that
-// shape (CanonicalMergeIds, MergeTreeSplit, MergeTreeNode). The split rule
-// depends only on leaf count, so the subtree over any contiguous id span IS
-// the tree a standalone query over exactly those ids would build. The
-// coordinator therefore walks the same tree through the same functions: a
-// subtree whose leaves all live on one shard is pushed down as an
-// explicit-id query (the node computes it, bit-identically, through its
-// own merge tree); a subtree spanning shards recurses and joins the halves
-// locally with the identical node step. Requirements for bit-identity,
-// checked nowhere but owned by deployment: every node runs the same
-// warehouse seed and the same MergeOptions. A node's merge_memo_bytes is
-// only a cache size and may differ.
+// How exactness survives distribution: a union merges pairwise up one
+// balanced binary tree over the canonically sorted partition-id set, and
+// each node's RNG derives purely from the node's identity (seed, dataset
+// key, id set, merge-options fingerprint); src/core/merge.h owns that tree
+// and its one walker (WalkMergeTree). The split rule depends only on leaf
+// count, so the subtree over any contiguous id span IS the tree a
+// standalone query over exactly those ids would build. The coordinator
+// walks the tree with a span source of its own: a span whose leaves all
+// live on one shard is pushed down as an explicit-id query (the node
+// computes it, bit-identically, through its own walk); a span across
+// shards is split and its halves joined locally with the identical node
+// step. Bit-identity requires every node to run the coordinator's seed and
+// MergeOptions. Connect checks both against each node's ping reply; nodes
+// opened lazily under tolerate_unreachable are not checked. A node's
+// merge_memo_bytes is only a cache size and may differ.
 //
 // Partition placement: the coordinator allocates globally unique partition
 // ids per dataset (keeping its allocator ahead of whatever the nodes
@@ -68,15 +68,16 @@ struct ShardNodeAddress {
 };
 
 struct CoordinatorOptions {
-  /// MUST equal every node's WarehouseOptions::seed.
+  /// MUST equal every node's WarehouseOptions::seed (checked by Connect).
   uint64_t seed = 0x5157313136ULL;
-  /// MUST equal every node's WarehouseOptions::merge.
+  /// MUST equal every node's WarehouseOptions::merge (checked by Connect).
   MergeOptions merge;
   ClientOptions client;
   /// Keep a coordinator whose nodes are (partly) unreachable at Connect
   /// time: down nodes get a lazily-connecting client whose circuit breaker
-  /// fails their calls fast until the node comes back. Without it, Connect
-  /// fails unless every node answers a ping.
+  /// fails their calls fast until the node comes back, and is not checked
+  /// for seed and merge options. Without it, Connect fails unless every
+  /// node answers a ping.
   bool tolerate_unreachable = false;
   /// Copies of every partition. 1 disables replication (the pre-existing
   /// single-copy behavior); the effective factor is min(R, node count).
@@ -150,7 +151,11 @@ struct ScrubReport {
 
 class ShardCoordinator {
  public:
-  /// Connects one client to every node. At least one node required.
+  /// Connects one client to every node. At least one node required. Each
+  /// node connected eagerly is pinged, and Connect fails with
+  /// FailedPrecondition naming the first node whose warehouse seed or merge
+  /// options differ from `options`. Nodes opened lazily
+  /// (tolerate_unreachable) are not checked.
   static Result<std::unique_ptr<ShardCoordinator>> Connect(
       const std::vector<ShardNodeAddress>& nodes, CoordinatorOptions options);
 
@@ -234,9 +239,9 @@ class ShardCoordinator {
  private:
   explicit ShardCoordinator(CoordinatorOptions options);
 
-  /// Computes the merge-tree node over the sorted id span: pushed down
-  /// whole when single-primary, otherwise joined locally from its halves
-  /// on the node-identity RNG stream. A pushed-down span is tried on each
+  /// Walks the merge tree over the sorted id span: a span is pushed down
+  /// whole when single-primary, otherwise split and joined locally by
+  /// WalkMergeTree. A pushed-down span is tried on each
   /// of its owners in order (skipping nodes already in `*down` or with an
   /// open breaker; re-drives are flagged failover reads) — the answer is
   /// identical from any owner, so replication-factor R survives R-1 node

@@ -392,6 +392,8 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
 Status WarehouseServer::HandlePing(BinaryReader& req, BinaryWriter& resp) {
   (void)req;
   resp.PutString("sampwh.warehouse/1");
+  resp.PutFixed64(warehouse_->options().seed);
+  resp.PutFixed64(MergeOptionsFingerprint(warehouse_->options().merge));
   return Status::OK();
 }
 

@@ -89,7 +89,7 @@ Result<PartitionSample> StratifiedSample::ToUniformSample(
   std::vector<const PartitionSample*> pointers;
   pointers.reserve(strata_.size());
   for (const PartitionSample& s : strata_) pointers.push_back(&s);
-  return MergeAll(pointers, options, rng);
+  return MergeAll(pointers, options, rng.NextUint64());
 }
 
 }  // namespace sampwh

@@ -51,7 +51,8 @@ class StratifiedSample {
       const std::function<bool(Value)>& pred) const;
 
   /// Collapses the strata into ONE uniform sample of the concatenation via
-  /// the merge layer — the bridge back to §4's uniform world.
+  /// the merge layer — the bridge back to §4's uniform world. The strata
+  /// are merged by MergeAll, seeded with one draw from `rng`.
   Result<PartitionSample> ToUniformSample(const MergeOptions& options,
                                           Pcg64& rng) const;
 

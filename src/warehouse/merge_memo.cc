@@ -10,41 +10,7 @@ namespace {
 
 constexpr uint64_t kEntryOverheadBytes = 160;
 
-// FNV-1a over a byte range.
-uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
 }  // namespace
-
-Status CanonicalMergeIds(std::vector<PartitionId>* ids) {
-  std::sort(ids->begin(), ids->end());
-  const auto dup = std::adjacent_find(ids->begin(), ids->end());
-  if (dup != ids->end()) {
-    return Status::InvalidArgument("duplicate partition id " +
-                                   std::to_string(*dup));
-  }
-  return Status::OK();
-}
-
-Result<PartitionSample> MergeTreeNode(uint64_t warehouse_seed,
-                                      const DatasetId& dataset,
-                                      std::span<const PartitionId> ids,
-                                      const PartitionSample& left,
-                                      const PartitionSample& right,
-                                      const MergeOptions& options,
-                                      uint64_t options_fingerprint) {
-  Pcg64 rng =
-      MergeMemo::NodeRng(warehouse_seed, dataset, ids, options_fingerprint);
-  return MergeSamples(left, right, options, rng);
-}
 
 MergeMemo::MergeMemo(size_t num_shards, uint64_t byte_budget)
     : cache_(num_shards, byte_budget) {}
@@ -63,22 +29,6 @@ std::string MergeMemo::KeyFor(const DatasetId& dataset,
   key.append(reinterpret_cast<const char*>(ids.data()),
              ids.size_bytes());
   return key;
-}
-
-uint64_t MergeMemo::NodeStream(const DatasetId& dataset,
-                               std::span<const PartitionId> ids,
-                               uint64_t options_fingerprint) {
-  uint64_t h = Fnv1a(kFnvOffset, dataset.data(), dataset.size());
-  h = Fnv1a(h, &options_fingerprint, sizeof(options_fingerprint));
-  h = Fnv1a(h, ids.data(), ids.size_bytes());
-  return h;
-}
-
-Pcg64 MergeMemo::NodeRng(uint64_t warehouse_seed, const DatasetId& dataset,
-                         std::span<const PartitionId> ids,
-                         uint64_t options_fingerprint) {
-  return Pcg64(warehouse_seed ^ 0x4D454D4FULL,
-               NodeStream(dataset, ids, options_fingerprint));
 }
 
 MergeMemo::Node MergeMemo::Lookup(const DatasetId& dataset,

@@ -1,20 +1,9 @@
-// The warehouse merge tree and its node cache.
+// The warehouse's merge-tree node cache. The tree itself — its shape, its
+// identity-derived node RNGs and the one walker over it — lives in
+// src/core/merge.h; the warehouse's walk answers a span from this cache
+// before descending into it, and caches every node it joins.
 //
-// Tree. A union query over partitions {p1..pn} sorts the ids and rejects a
-// repeated one (CanonicalMergeIds), then merges pairwise up a balanced tree
-// (MergeTreeSplit); every interior node is a uniform sample of the union of
-// a contiguous range of the sorted id set (paper §4.2, Theorem 1 — any
-// binary tree shape is uniform). Each node draws from an RNG stream derived
-// from its identity (NodeRng), never from query history (MergeTreeNode), so
-// a node is the same bytes wherever and whenever it is computed: in a
-// warehouse, on a shard serving a pushed-down subtree, or in a coordinator
-// joining shard results. The warehouse and the coordinator both walk the
-// tree through these functions, so its shape is decided here alone. The
-// price of identity-derived randomness is that a repeated query returns the
-// identical realization; a caller that wants an independent draw uses a
-// different warehouse seed.
-//
-// Cache. MergeMemo is a sharded LRU cache of interior nodes. Repeated or
+// MergeMemo is a sharded LRU cache of interior nodes. Repeated or
 // overlapping union queries (a rolling window slides by one day but shares
 // most partitions) would otherwise rebuild identical subtrees from scratch.
 // A node is keyed by (dataset, canonical sorted partition-id range,
@@ -42,36 +31,12 @@
 #include <string>
 #include <vector>
 
-#include "src/core/merge.h"
 #include "src/core/sample.h"
-#include "src/util/random.h"
 #include "src/util/sharded_cache.h"
 #include "src/warehouse/dataset_epochs.h"
 #include "src/warehouse/ids.h"
 
 namespace sampwh {
-
-/// Sorts `ids` into the canonical node identity of a union query, so that
-/// queries naming one set in any order build one tree. InvalidArgument on a
-/// repeated id: merging a partition with itself breaks the disjointness
-/// Theorem 1 requires.
-Status CanonicalMergeIds(std::vector<PartitionId>* ids);
-
-/// The merge tree's shape: a node over n >= 2 sorted ids has children over
-/// the first MergeTreeSplit(n) ids and the rest. The split depends only on
-/// n, so the subtree over any contiguous span is the tree a query over
-/// exactly that span builds.
-inline size_t MergeTreeSplit(size_t n) { return n / 2; }
-
-/// The merge tree's node step: joins the samples of the node's two
-/// children on the node's identity RNG (MergeMemo::NodeRng).
-Result<PartitionSample> MergeTreeNode(uint64_t warehouse_seed,
-                                      const DatasetId& dataset,
-                                      std::span<const PartitionId> ids,
-                                      const PartitionSample& left,
-                                      const PartitionSample& right,
-                                      const MergeOptions& options,
-                                      uint64_t options_fingerprint);
 
 class MergeMemo {
  public:
@@ -122,24 +87,6 @@ class MergeMemo {
 
   CacheStats Stats() const;
   uint64_t byte_budget() const { return cache_.byte_budget(); }
-
-  /// Deterministic RNG stream id for the merge node over `ids`: a hash of
-  /// (dataset, ids, options fingerprint). Identical node identity across
-  /// queries — and across cold/warm runs — selects the identical stream,
-  /// which is what makes memoized and recomputed nodes bit-identical.
-  static uint64_t NodeStream(const DatasetId& dataset,
-                             std::span<const PartitionId> ids,
-                             uint64_t options_fingerprint);
-
-  /// The RNG a merge node over `ids` draws from in a warehouse seeded with
-  /// `warehouse_seed`. This is the whole distributed-exactness contract: any
-  /// process that computes the node — a warehouse's merge tree, a shard
-  /// evaluating a pushed-down subtree, or a coordinator joining shard
-  /// results — derives the identical stream from the node's identity, so
-  /// the merged bits are independent of where the node was computed.
-  static Pcg64 NodeRng(uint64_t warehouse_seed, const DatasetId& dataset,
-                       std::span<const PartitionId> ids,
-                       uint64_t options_fingerprint);
 
  private:
   struct MemoNode {

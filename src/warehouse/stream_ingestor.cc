@@ -41,7 +41,7 @@ void StreamIngestor::StartPartition() {
   // keyed by the partition ordinal. Both the engine and the ordinal are
   // checkpointed, so a resumed ingestor reproduces the exact RNG stream an
   // uninterrupted run would have used for this and every later partition.
-  sampler_.emplace(warehouse_->SamplerConfigFor(dataset_),
+  sampler_.emplace(warehouse_->options().sampler,
                    rng_.Fork(partitions_started_));
   ++partitions_started_;
   progress_ = PartitionProgress{};

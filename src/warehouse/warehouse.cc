@@ -78,16 +78,6 @@ Result<Warehouse::DatasetLock> Warehouse::LockDataset(
 }
 
 Status Warehouse::CreateDataset(const DatasetId& id) {
-  return AddDataset(id, nullptr);
-}
-
-Status Warehouse::CreateDataset(const DatasetId& id,
-                                const SamplerConfig& config) {
-  return AddDataset(id, &config);
-}
-
-Status Warehouse::AddDataset(const DatasetId& id,
-                             const SamplerConfig* config) {
   SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
   std::unique_lock<std::shared_mutex> lock(mu_);
   SAMPWH_RETURN_IF_ERROR(catalog_.CreateDataset(id));
@@ -97,14 +87,7 @@ Status Warehouse::AddDataset(const DatasetId& id,
     return logged;
   }
   dataset_mu_[id] = std::make_shared<std::mutex>();
-  if (config != nullptr) sampler_overrides_[id] = *config;
   return Status::OK();
-}
-
-SamplerConfig Warehouse::SamplerConfigFor(const DatasetId& dataset) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const auto it = sampler_overrides_.find(dataset);
-  return it != sampler_overrides_.end() ? it->second : options_.sampler;
 }
 
 Status Warehouse::DropDataset(const DatasetId& id) {
@@ -122,7 +105,6 @@ Status Warehouse::DropDataset(const DatasetId& id) {
   // A dropped dataset's ingest checkpoints are meaningless (and would
   // read as stale on the next recovery); best effort again.
   store_->DeleteCheckpoint(id);
-  sampler_overrides_.erase(id);
   dataset_mu_.erase(id);
   // Epoch-bump both caches: a recreated dataset reuses partition ids from
   // 0, so pre-drop entries must become unreachable, not merely evicted.
@@ -345,9 +327,8 @@ Result<std::vector<PartitionId>> Warehouse::IngestBatch(
   std::vector<PartitionSample> samples(num_partitions);
   const size_t chunk = values.size() / num_partitions;
   const size_t remainder = values.size() % num_partitions;
-  const SamplerConfig dataset_config = SamplerConfigFor(dataset);
   auto run_one = [&](size_t p, size_t begin, size_t end) {
-    SamplerConfig config = dataset_config;
+    SamplerConfig config = options_.sampler;
     if (config.kind == SamplerKind::kHybridBernoulli &&
         config.expected_partition_size == 0) {
       // Batch loads know the partition size a priori — exactly the setting
@@ -397,7 +378,7 @@ Result<std::vector<std::shared_ptr<const PartitionSample>>>
 Warehouse::FetchSamples(const DatasetId& dataset,
                         std::span<const PartitionId> ids) {
   // Serving-path deadline probe before the (possibly disk-bound) leaf
-  // fetch; see the matching probe in MergeNode.
+  // fetch; see the matching probe in WalkMergeTree.
   SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
   std::vector<std::shared_ptr<const PartitionSample>> samples(ids.size());
   if (sample_cache_ == nullptr) {
@@ -439,28 +420,6 @@ Warehouse::FetchSamples(const DatasetId& dataset,
   return samples;
 }
 
-Result<std::shared_ptr<const PartitionSample>> Warehouse::MergeSubtree(
-    const DatasetId& dataset, std::span<const PartitionId> ids,
-    std::span<const std::shared_ptr<const PartitionSample>> leaves,
-    uint64_t options_fingerprint, const MergeMemo::View& memo_view) {
-  if (ids.size() == 1) return leaves[0];
-  if (merge_memo_ != nullptr) {
-    MergeMemo::Node cached =
-        merge_memo_->Lookup(dataset, ids, options_fingerprint,
-                            memo_view.epoch);
-    if (cached.sample != nullptr) return std::move(cached.sample);
-  }
-  SAMPWH_ASSIGN_OR_RETURN(PartitionSample merged,
-                          MergeNode(dataset, ids, leaves, options_fingerprint,
-                                    memo_view));
-  // An interior node is memoized without bytes: it is encoded only if it is
-  // ever served as a root.
-  return Memoize(dataset, ids, options_fingerprint, memo_view,
-                 {std::make_shared<const PartitionSample>(std::move(merged)),
-                  nullptr})
-      .sample;
-}
-
 MergeMemo::Node Warehouse::Memoize(const DatasetId& dataset,
                                    std::span<const PartitionId> ids,
                                    uint64_t options_fingerprint,
@@ -470,32 +429,6 @@ MergeMemo::Node Warehouse::Memoize(const DatasetId& dataset,
     merge_memo_->Insert(dataset, ids, options_fingerprint, memo_view, node);
   }
   return node;
-}
-
-Result<PartitionSample> Warehouse::MergeNode(
-    const DatasetId& dataset, std::span<const PartitionId> ids,
-    std::span<const std::shared_ptr<const PartitionSample>> leaves,
-    uint64_t options_fingerprint, const MergeMemo::View& memo_view) {
-  // Cooperative cancellation for the serving path: a request whose
-  // propagated deadline passed aborts here, between nodes. The check reads
-  // a thread-local and consumes no randomness, so a merge that is NOT
-  // canceled is bit-identical with or without a deadline installed.
-  SAMPWH_RETURN_IF_ERROR(CheckThreadDeadline());
-  const size_t half = MergeTreeSplit(ids.size());
-  SAMPWH_ASSIGN_OR_RETURN(
-      std::shared_ptr<const PartitionSample> left,
-      MergeSubtree(dataset, ids.subspan(0, half), leaves.subspan(0, half),
-                   options_fingerprint, memo_view));
-  SAMPWH_ASSIGN_OR_RETURN(
-      std::shared_ptr<const PartitionSample> right,
-      MergeSubtree(dataset, ids.subspan(half), leaves.subspan(half),
-                   options_fingerprint, memo_view));
-  // The node's randomness is a pure function of its identity — never of
-  // query history — so a recomputation after eviction (or without a memo)
-  // reproduces the node bit-identically, and so does a shard or
-  // coordinator computing the same node remotely.
-  return MergeTreeNode(options_.seed, dataset, ids, *left, *right,
-                       options_.merge, options_fingerprint);
 }
 
 Result<MergeMemo::Node> Warehouse::MergeByIds(
@@ -525,20 +458,34 @@ Result<MergeMemo::Node> Warehouse::MergeByIds(
     }
   }
   SAMPWH_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const PartitionSample>> leaves,
+      const std::vector<std::shared_ptr<const PartitionSample>> leaves,
       FetchSamples(dataset, ids));
-  // Every node passes by pointer; only the root is ever encoded.
-  if (ids.size() == 1) {
-    return MergeMemo::Node{
-        leaves[0], with_bytes ? EncodeSample(*leaves[0]) : nullptr};
-  }
+  // A span is a stored leaf or, below the root, a memoized node. Every
+  // node passes by pointer; only the root is ever encoded.
+  const auto source = [&](std::span<const PartitionId> span,
+                          size_t offset) -> Result<MergeTreeSample> {
+    if (span.size() == 1) return leaves[offset];
+    if (merge_memo_ == nullptr || span.size() == ids.size()) {
+      return MergeTreeSample();
+    }
+    return merge_memo_->Lookup(dataset, span, fingerprint, memo_view.epoch)
+        .sample;
+  };
+  // An interior node is memoized without bytes: it is encoded only if it
+  // is ever served as a root. The root is memoized below, with its bytes.
+  const auto on_merged = [&](std::span<const PartitionId> span,
+                             const MergeTreeSample& node) {
+    if (span.size() < ids.size()) {
+      Memoize(dataset, span, fingerprint, memo_view, {node, nullptr});
+    }
+  };
+  const MergeTreeKey key{options_.seed, dataset, fingerprint};
   SAMPWH_ASSIGN_OR_RETURN(
-      PartitionSample merged,
-      MergeNode(dataset, ids, leaves, fingerprint, memo_view));
-  MergeMemo::Node root{std::make_shared<const PartitionSample>(
-                           std::move(merged)),
-                       nullptr};
+      MergeTreeSample sample,
+      WalkMergeTree(key, options_.merge, ids, source, on_merged));
+  MergeMemo::Node root{std::move(sample), nullptr};
   if (with_bytes) root.bytes = EncodeSample(*root.sample);
+  if (ids.size() == 1) return root;
   return Memoize(dataset, ids, fingerprint, memo_view, std::move(root));
 }
 

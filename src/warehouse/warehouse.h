@@ -89,13 +89,6 @@ class Warehouse {
   // --- Catalog operations -------------------------------------------------
 
   Status CreateDataset(const DatasetId& id);
-  /// Creates a dataset whose partitions are sampled under `config` rather
-  /// than the warehouse default — e.g. a hot fact column with a large
-  /// footprint budget next to thousands of small dimension columns.
-  Status CreateDataset(const DatasetId& id, const SamplerConfig& config);
-  /// The sampler configuration ingestion uses for `dataset` (the dataset
-  /// override if present, the warehouse default otherwise).
-  SamplerConfig SamplerConfigFor(const DatasetId& dataset) const;
   /// Drops the dataset and deletes all its stored samples.
   Status DropDataset(const DatasetId& id);
   bool HasDataset(const DatasetId& id) const;
@@ -292,27 +285,14 @@ class Warehouse {
   Result<std::vector<PartitionId>> AllPartitionIds(
       const DatasetId& dataset) const;
   /// The root of the merge tree over `parts`: the stored leaf for one id,
-  /// else the memoized node or the node computed and then memoized. Every
-  /// query resolves its root here; the copying API dereferences it. With
-  /// `with_bytes` the root carries its SerializeTo bytes: the memoized ones,
-  /// or ones encoded here once and memoized with the node.
+  /// else the memoized node or the node WalkMergeTree computes over the
+  /// stored leaves and the memoized subtrees, memoizing every node it joins.
+  /// Every query resolves its root here; the copying API dereferences it.
+  /// With `with_bytes` the root carries its SerializeTo bytes: the memoized
+  /// ones, or ones encoded here once and memoized with the node.
   Result<MergeMemo::Node> MergeByIds(const DatasetId& dataset,
                                      const std::vector<PartitionId>& parts,
                                      bool with_bytes);
-  /// The merge-tree node over the canonically sorted `ids` (leaves[i] is
-  /// the stored sample of ids[i]): the leaf itself, the memoized node, or
-  /// the node computed by MergeNode and then memoized. Nodes pass by
-  /// pointer, so the walk copies no sample.
-  Result<std::shared_ptr<const PartitionSample>> MergeSubtree(
-      const DatasetId& dataset, std::span<const PartitionId> ids,
-      std::span<const std::shared_ptr<const PartitionSample>> leaves,
-      uint64_t options_fingerprint, const MergeMemo::View& memo_view);
-  /// Computes the interior node over `ids` (at least two) from its two
-  /// children, without looking the node itself up in the memo.
-  Result<PartitionSample> MergeNode(
-      const DatasetId& dataset, std::span<const PartitionId> ids,
-      std::span<const std::shared_ptr<const PartitionSample>> leaves,
-      uint64_t options_fingerprint, const MergeMemo::View& memo_view);
   /// Memoizes a computed node when there is a memo, and hands it back.
   MergeMemo::Node Memoize(const DatasetId& dataset,
                           std::span<const PartitionId> ids,
@@ -338,8 +318,6 @@ class Warehouse {
   /// Installs a restored catalog with one dataset_mu_ entry per dataset.
   /// Only for a warehouse no other thread can reach yet (the restores).
   void InstallCatalog(Catalog catalog);
-  /// CreateDataset, with `config` as the dataset's override when non-null.
-  Status AddDataset(const DatasetId& id, const SamplerConfig* config);
   /// The body of RollIn and RollInAt under the dataset's lock: catalogs,
   /// stores, logs and caches the partition, or undoes what it did.
   Status RollInLocked(const DatasetId& dataset, PartitionId id,
@@ -363,8 +341,8 @@ class Warehouse {
   std::unique_ptr<CatalogLog> catalog_log_;    // when manifest_path is set
 
   // Locking model. `mu_` guards the catalog *structure* (which datasets
-  // exist), sampler_overrides_, and dataset_mu_; dataset creation/drop and
-  // snapshot writes take it exclusively, everything else takes it shared.
+  // exist) and dataset_mu_; dataset creation/drop and snapshot writes take
+  // it exclusively, everything else takes it shared.
   // Partition metadata of one dataset is guarded by that dataset's own
   // mutex (taken with mu_ held shared), so ingest into different datasets
   // never serializes on one global lock. rng_ has a dedicated mutex so RNG
@@ -372,7 +350,6 @@ class Warehouse {
   // merging, store I/O on read paths) runs outside all warehouse locks.
   mutable std::shared_mutex mu_;
   Catalog catalog_;
-  std::map<DatasetId, SamplerConfig> sampler_overrides_;
   mutable std::map<DatasetId, std::shared_ptr<std::mutex>> dataset_mu_;
   mutable std::mutex rng_mu_;
   Pcg64 rng_;

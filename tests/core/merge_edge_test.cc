@@ -169,10 +169,11 @@ TEST(MergeEdgeTest, MergeAllWithMixedPhases) {
 
   MergeOptions options;
   options.footprint_bound_bytes = 256;
-  Pcg64 rng(19);
-  for (const auto strategy :
-       {MergeStrategy::kLeftFold, MergeStrategy::kBalancedTree}) {
-    const auto merged = MergeAll({&s1, &s2, &s3}, options, rng, strategy);
+  // Every input order puts each pair of phases under one tree node.
+  const std::vector<std::vector<const PartitionSample*>> orders = {
+      {&s1, &s2, &s3}, {&s2, &s3, &s1}, {&s3, &s1, &s2}};
+  for (size_t i = 0; i < orders.size(); ++i) {
+    const auto merged = MergeAll(orders[i], options, /*seed=*/19 + i);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     EXPECT_EQ(merged.value().parent_size(), 10020u);
     EXPECT_LE(merged.value().footprint_bytes(), 256u);

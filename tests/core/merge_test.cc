@@ -1,6 +1,11 @@
 #include "src/core/merge.h"
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +13,7 @@
 #include "src/core/hybrid_bernoulli.h"
 #include "src/core/hybrid_reservoir.h"
 #include "src/core/qbound.h"
+#include "src/util/serialization.h"
 
 namespace sampwh {
 namespace {
@@ -58,20 +64,6 @@ TEST(HypergeometricSplitTest, WithinSupport) {
     EXPECT_LE(l, 10u);
     EXPECT_GE(15 - l, 0u);
   }
-}
-
-TEST(AliasCacheTest, CachesAndSamplesCorrectMean) {
-  AliasCache cache;
-  Pcg64 rng(2);
-  double sum = 0.0;
-  const int trials = 50000;
-  for (int t = 0; t < trials; ++t) {
-    sum += static_cast<double>(cache.Sample(100, 300, 40, rng));
-  }
-  EXPECT_EQ(cache.size(), 1u);  // one distribution, built once
-  EXPECT_NEAR(sum / trials, 10.0, 0.2);  // E[L] = 40 * 100/400
-  cache.Sample(50, 50, 10, rng);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(HrMergeTest, BothExhaustiveStaysExhaustive) {
@@ -339,15 +331,13 @@ TEST(UnionBernoulliTest, RejectsReservoirInput) {
 
 TEST(MergeAllTest, SingleInputPassesThrough) {
   const PartitionSample s = SampleHr(512, Range(0, 5000), 31);
-  Pcg64 rng(32);
-  const auto merged = MergeAll({&s}, Opts(512), rng);
+  const auto merged = MergeAll({&s}, Opts(512), /*seed=*/32);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged.value().size(), s.size());
 }
 
 TEST(MergeAllTest, EmptyInputIsError) {
-  Pcg64 rng(33);
-  EXPECT_FALSE(MergeAll({}, Opts(512), rng).ok());
+  EXPECT_FALSE(MergeAll({}, Opts(512), /*seed=*/33).ok());
 }
 
 TEST(MergeAllTest, FoldAndTreeBothCoverAllPartitions) {
@@ -358,35 +348,127 @@ TEST(MergeAllTest, FoldAndTreeBothCoverAllPartitions) {
   }
   std::vector<const PartitionSample*> pointers;
   for (const auto& s : samples) pointers.push_back(&s);
-  for (const auto strategy :
-       {MergeStrategy::kLeftFold, MergeStrategy::kBalancedTree}) {
-    Pcg64 rng(50);
-    const auto merged = MergeAll(pointers, Opts(512), rng, strategy);
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().parent_size(), 8000u);
-    EXPECT_EQ(merged.value().size(), 64u);
-    EXPECT_TRUE(merged.value().Validate().ok());
+  // The paper's serial pairwise merges, folded here over MergeSamples.
+  Pcg64 rng(50);
+  PartitionSample fold = samples[0];
+  for (size_t i = 1; i < samples.size(); ++i) {
+    auto next = MergeSamples(fold, samples[i], Opts(512), rng);
+    ASSERT_TRUE(next.ok());
+    fold = std::move(next).value();
+  }
+  const auto tree = MergeAll(pointers, Opts(512), /*seed=*/50);
+  ASSERT_TRUE(tree.ok());
+  const std::vector<const PartitionSample*> both = {&fold, &tree.value()};
+  for (const PartitionSample* merged : both) {
+    EXPECT_EQ(merged->parent_size(), 8000u);
+    EXPECT_EQ(merged->size(), 64u);
+    EXPECT_TRUE(merged->Validate().ok());
   }
 }
 
-TEST(MergeAllTest, AliasCacheReusedAcrossSymmetricTree) {
-  // 8 equal-size partitions, balanced tree: 3 levels -> 3 distinct split
-  // distributions.
-  std::vector<PartitionSample> samples;
-  for (int p = 0; p < 8; ++p) {
-    samples.push_back(
-        SampleHr(256, Range(p * 1000, (p + 1) * 1000), 60 + p));
+// --- The merge-tree walker -------------------------------------------------
+
+std::string Bytes(const PartitionSample& sample) {
+  BinaryWriter writer;
+  sample.SerializeTo(&writer);
+  return writer.Release();
+}
+
+// Eight HR leaves at ids 0..7 and a walk over them that counts what it is
+// asked for and what it joins. The source answers every single-id span and
+// the spans in `answered`.
+struct CountingWalk {
+  std::vector<PartitionSample> leaves;
+  std::vector<uint64_t> ids;
+  std::map<std::pair<size_t, size_t>, MergeTreeSample> answered;
+  std::vector<std::pair<size_t, size_t>> asked;   // (offset, size)
+  std::map<std::pair<size_t, size_t>, MergeTreeSample> merged;
+  int merged_calls = 0;
+
+  CountingWalk() {
+    for (int p = 0; p < 8; ++p) {
+      leaves.push_back(
+          SampleHr(256, Range(p * 1000, (p + 1) * 1000), 80 + p));
+      ids.push_back(static_cast<uint64_t>(p));
+    }
   }
+
+  Result<MergeTreeSample> Run() {
+    const MergeTreeKey key{/*seed=*/7, kMergeAllDataset,
+                           MergeOptionsFingerprint(Opts(256))};
+    return WalkMergeTree(
+        key, Opts(256), ids,
+        [this](std::span<const uint64_t> span,
+               size_t offset) -> Result<MergeTreeSample> {
+          asked.emplace_back(offset, span.size());
+          if (span.size() == 1) {
+            return std::make_shared<const PartitionSample>(leaves[offset]);
+          }
+          const auto it = answered.find({offset, span.size()});
+          return it != answered.end() ? it->second : MergeTreeSample();
+        },
+        [this](std::span<const uint64_t> span, const MergeTreeSample& node) {
+          ++merged_calls;
+          merged[{static_cast<size_t>(span[0]), span.size()}] = node;
+        });
+  }
+};
+
+TEST(MergeTreeWalkTest, OnMergedFiresOncePerJoinedNode) {
+  CountingWalk walk;
+  const auto root = walk.Run();
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  // Eight leaves join in seven nodes, each reported once; the source is
+  // asked for every node of the tree once.
+  EXPECT_EQ(walk.merged_calls, 7);
+  EXPECT_EQ(walk.merged.size(), 7u);
+  EXPECT_EQ(walk.asked.size(), 15u);
+  EXPECT_EQ(walk.merged.at({0, 8}), root.value());
+  // MergeAll walks the same tree.
   std::vector<const PartitionSample*> pointers;
-  for (const auto& s : samples) pointers.push_back(&s);
-  AliasCache cache;
-  MergeOptions options = Opts(256);
-  options.alias_cache = &cache;
-  Pcg64 rng(70);
-  const auto merged =
-      MergeAll(pointers, options, rng, MergeStrategy::kBalancedTree);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(cache.size(), 3u);
+  for (const auto& s : walk.leaves) pointers.push_back(&s);
+  const auto all = MergeAll(pointers, Opts(256), /*seed=*/7);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(Bytes(all.value()), Bytes(*root.value()));
+}
+
+TEST(MergeTreeWalkTest, AnsweredSpanIsNotDescended) {
+  CountingWalk first;
+  const auto full = first.Run();
+  ASSERT_TRUE(full.ok());
+
+  // The left half answered whole, as a memo hit or a pushed-down span is.
+  CountingWalk walk;
+  walk.answered[{0, 4}] = first.merged.at({0, 4});
+  const auto root = walk.Run();
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  for (const auto& [offset, size] : walk.asked) {
+    EXPECT_FALSE(offset < 4 && size < 4)
+        << "asked for span at " << offset << " of " << size;
+  }
+  // The root, the answered half, and the right half's 3 nodes and 4 leaves.
+  EXPECT_EQ(walk.asked.size(), 9u);
+  // Joined: the right half's 3 nodes and the root.
+  EXPECT_EQ(walk.merged_calls, 4);
+  EXPECT_EQ(Bytes(*root.value()), Bytes(*full.value()));
+}
+
+TEST(MergeTreeWalkTest, UnansweredLeafAndSourceErrorsFail) {
+  const std::vector<uint64_t> ids = {4, 9};
+  const MergeTreeKey key{/*seed=*/1, "ds", MergeOptionsFingerprint(Opts(256))};
+  const auto declines = [](std::span<const uint64_t>,
+                           size_t) -> Result<MergeTreeSample> {
+    return MergeTreeSample();
+  };
+  EXPECT_FALSE(WalkMergeTree(key, Opts(256), ids, declines).ok());
+  const auto fails = [](std::span<const uint64_t>,
+                        size_t) -> Result<MergeTreeSample> {
+    return Status::Unavailable("node down");
+  };
+  const auto failed = WalkMergeTree(key, Opts(256), ids, fails);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable());
+  EXPECT_FALSE(WalkMergeTree(key, Opts(256), {}, declines).ok());
 }
 
 TEST(MergeDisjointValueCoverage, MergedValuesComeFromBothParents) {

@@ -117,7 +117,7 @@ void ExpectServerHealthy(const WarehouseServer& server) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto banner = client.value()->Ping();
   ASSERT_TRUE(banner.ok()) << banner.status().ToString();
-  EXPECT_EQ(banner.value(), "sampwh.warehouse/1");
+  EXPECT_EQ(banner.value().banner, "sampwh.warehouse/1");
 }
 
 class ProtocolRobustnessTest : public ::testing::Test {

@@ -251,7 +251,12 @@ TEST(ServerTest, PingAndStats) {
   ASSERT_NE(client, nullptr);
   auto banner = client->Ping();
   ASSERT_TRUE(banner.ok()) << banner.status().ToString();
-  EXPECT_EQ(banner.value(), "sampwh.warehouse/1");
+  EXPECT_EQ(banner.value().banner, "sampwh.warehouse/1");
+  EXPECT_EQ(banner.value().seed, TestServerOptions().warehouse.seed);
+  EXPECT_EQ(banner.value().merge_fingerprint,
+            MergeOptionsFingerprint(server->warehouse_for_testing()
+                                        ->options()
+                                        .merge));
   auto stats = client->ServerStats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().connections_accepted, 1u);

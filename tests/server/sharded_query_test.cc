@@ -216,6 +216,47 @@ TEST(ShardedQueryTest, DuplicateIdsAreRejectedBeforeAnyRemoteCall) {
   EXPECT_EQ(all.value().parent_size(), 12u);
 }
 
+// --- The deployment contract, checked at Connect ---------------------------
+
+/// Connects a coordinator under (kSeed, `bound`) to two nodes, the second
+/// of which runs `odd`; returns Connect's status.
+Status ConnectBesideOddNode(uint64_t bound, ServerOptions odd) {
+  ServerOptions same = TestServerOptions(kSeed);
+  same.warehouse.merge.footprint_bound_bytes = bound;
+  auto first = MustStart(std::move(same));
+  auto second = MustStart(std::move(odd));
+  if (first == nullptr || second == nullptr) {
+    return Status::Internal("server did not start");
+  }
+  CoordinatorOptions options;
+  options.seed = kSeed;
+  options.merge.footprint_bound_bytes = bound;
+  const auto coordinator = ShardCoordinator::Connect(
+      {{first->host(), first->port()}, {second->host(), second->port()}},
+      options);
+  if (coordinator.ok()) return Status::OK();
+  const std::string node = ":" + std::to_string(second->port());
+  EXPECT_NE(coordinator.status().message().find(node), std::string::npos)
+      << coordinator.status().ToString();
+  return coordinator.status();
+}
+
+TEST(ShardedQueryTest, ConnectRefusesNodeWithOtherSeed) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  ServerOptions odd = TestServerOptions(kSeed + 1);
+  odd.warehouse.merge.footprint_bound_bytes = kBound;
+  const Status st = ConnectBesideOddNode(kBound, std::move(odd));
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+}
+
+TEST(ShardedQueryTest, ConnectRefusesNodeWithOtherMergeBound) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  ServerOptions odd = TestServerOptions(kSeed);
+  odd.warehouse.merge.footprint_bound_bytes = 2 * kBound;
+  const Status st = ConnectBesideOddNode(kBound, std::move(odd));
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+}
+
 // --- Uniformity gate --------------------------------------------------------
 
 constexpr uint64_t kUniformPartitions = 4;

@@ -345,47 +345,6 @@ TEST(WarehouseTest, ConcurrentIngestAndQuery) {
   EXPECT_EQ(info.value().total_parent_size, 1000u + 32u * 2000u);
 }
 
-TEST(WarehouseTest, PerDatasetSamplerOverride) {
-  // The warehouse default is a tiny HR budget; the "hot" dataset overrides
-  // with a 4x larger bound and must get correspondingly larger samples.
-  Warehouse wh(HrOptions(512));  // default n_F = 64
-  ASSERT_TRUE(wh.CreateDataset("cold").ok());
-  SamplerConfig hot_config;
-  hot_config.kind = SamplerKind::kHybridReservoir;
-  hot_config.footprint_bound_bytes = 2048;  // n_F = 256
-  ASSERT_TRUE(wh.CreateDataset("hot", hot_config).ok());
-  EXPECT_EQ(wh.SamplerConfigFor("cold").footprint_bound_bytes, 512u);
-  EXPECT_EQ(wh.SamplerConfigFor("hot").footprint_bound_bytes, 2048u);
-
-  ASSERT_TRUE(wh.IngestBatch("cold", Range(0, 10000), 1).ok());
-  ASSERT_TRUE(wh.IngestBatch("hot", Range(0, 10000), 1).ok());
-  const auto cold = wh.ListPartitions("cold");
-  const auto hot = wh.ListPartitions("hot");
-  ASSERT_TRUE(cold.ok() && hot.ok());
-  EXPECT_EQ(cold.value()[0].sample_size, 64u);
-  EXPECT_EQ(hot.value()[0].sample_size, 256u);
-  // Dropping the dataset clears the override.
-  ASSERT_TRUE(wh.DropDataset("hot").ok());
-  EXPECT_EQ(wh.SamplerConfigFor("hot").footprint_bound_bytes, 512u);
-}
-
-TEST(WarehouseTest, BalancedTreeStrategyWithAliasCache) {
-  WarehouseOptions options = HrOptions(256);
-  AliasCache alias_cache;
-  options.merge.alias_cache = &alias_cache;
-  Warehouse wh(options);
-  ASSERT_TRUE(wh.CreateDataset("ds").ok());
-  ASSERT_TRUE(wh.IngestBatch("ds", Range(0, 16000), 8).ok());
-  // Repeated queries reuse cached alias tables; results stay valid.
-  for (int i = 0; i < 3; ++i) {
-    const auto merged = wh.MergedSampleAll("ds");
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().size(), 32u);
-    EXPECT_TRUE(merged.value().Validate().ok());
-  }
-  EXPECT_GT(alias_cache.size(), 0u);
-}
-
 TEST(WarehouseTest, OwnedPoolUsedForIngestBatch) {
   WarehouseOptions options = HrOptions(512);
   options.worker_threads = 4;
