@@ -68,7 +68,8 @@ class HypergeometricDistribution {
 
   /// The full vector [P(support_min), ..., P(support_max)], computed with
   /// one pass of the Eq. (3) recurrence; feed this to AliasTable for O(1)
-  /// repeated generation.
+  /// repeated generation (§4.2). The merges draw by Sample instead;
+  /// bench_ablation_hypergeo measures one against the other.
   std::vector<double> PmfVector() const;
 
   /// Draws L by inversion zig-zagging outward from the mode, so the
