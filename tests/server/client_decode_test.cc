@@ -2,8 +2,9 @@
 // loopback listener answers every request with one crafted OK frame. A
 // count the body cannot hold must come back as Corruption before anything
 // is reserved for it (reserving 2^62 entries would throw and terminate the
-// caller), and a query answer whose blob carries bytes after the sample
-// must be Corruption, not the sample.
+// caller), a query answer whose blob carries bytes after the sample must
+// be Corruption, not the sample, and a server-stats body decodes exactly
+// the field groups it was appended in.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -155,6 +156,52 @@ TEST(ClientDecodeTest, QueryRejectsTrailingBytesAfterTheSample) {
   auto client = ConnectTo(stub);
   ASSERT_NE(client, nullptr);
   EXPECT_TRUE(client->Query("t", "d", {1, 2}).status().IsCorruption());
+}
+
+/// A kServerStats body of `fields` varints holding 1, 2, 3, ...
+std::string StatsBody(int fields) {
+  BinaryWriter body;
+  for (int i = 1; i <= fields; ++i) body.PutVarint64(i);
+  return body.Release();
+}
+
+TEST(ClientDecodeTest, ServerStatsDecodesEveryAppendedGroup) {
+  // The body grew in groups that end at 6, 8 and 13 fields; a field past
+  // the last one this build knows is ignored.
+  for (const int fields : {6, 8, 13, 14}) {
+    StubServer stub(OkResponse(StatsBody(fields)));
+    auto client = ConnectTo(stub);
+    ASSERT_NE(client, nullptr);
+    const auto stats = client->ServerStats();
+    ASSERT_TRUE(stats.ok()) << fields << ": " << stats.status().ToString();
+    const auto& s = stats.value();
+    const auto sent = [&](uint64_t position) -> uint64_t {
+      return position <= static_cast<uint64_t>(fields) ? position : 0;
+    };
+    EXPECT_EQ(s.connections_accepted, 1u) << fields;
+    EXPECT_EQ(s.connections_dropped, 2u) << fields;
+    EXPECT_EQ(s.requests_served, 3u) << fields;
+    EXPECT_EQ(s.error_responses, 4u) << fields;
+    EXPECT_EQ(s.protocol_errors, 5u) << fields;
+    EXPECT_EQ(s.num_datasets, 6u) << fields;
+    EXPECT_EQ(s.connections_shed, sent(7)) << fields;
+    EXPECT_EQ(s.deadlines_exceeded, sent(8)) << fields;
+    EXPECT_EQ(s.replica_writes, sent(9)) << fields;
+    EXPECT_EQ(s.failover_reads, sent(10)) << fields;
+    EXPECT_EQ(s.scrub_rounds, sent(11)) << fields;
+    EXPECT_EQ(s.partitions_healed, sent(12)) << fields;
+    EXPECT_EQ(s.digest_mismatches, sent(13)) << fields;
+  }
+}
+
+TEST(ClientDecodeTest, ServerStatsBodyEndingInsideAGroupFails) {
+  for (const int fields : {5, 7, 10}) {
+    StubServer stub(OkResponse(StatsBody(fields)));
+    auto client = ConnectTo(stub);
+    ASSERT_NE(client, nullptr);
+    const auto stats = client->ServerStats();
+    EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange) << fields;
+  }
 }
 
 }  // namespace

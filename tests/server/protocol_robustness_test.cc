@@ -540,6 +540,87 @@ TEST_F(ProtocolRobustnessTest, InterleavedV1AndV2FramesOnOneConnection) {
   ExpectServerHealthy(*server_);
 }
 
+// The kServerStats body pinned byte for byte after a scripted sequence that
+// leaves every counter but deadlines_exceeded at a distinct value: a field
+// order swapped on both the server and the client would still round-trip,
+// but it moves these bytes.
+TEST(ServerStatsWireTest, ReplyBodyIsPinnedAfterAScriptedSequence) {
+  ServerOptions options = TestServerOptions();
+  options.read_timeout_millis = 0;  // no idle connection may time out
+  auto server = MustStart(std::move(options));
+  ASSERT_NE(server, nullptr);
+
+  auto client = MustConnect(*server);  // connection 1
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("t", {}).ok());
+  for (const char* dataset : {"a", "b", "c"}) {
+    ASSERT_TRUE(client->CreateDataset("t", dataset).ok());
+  }
+  // Replica writes: one placement, seven divergent heals of id 1 (each a
+  // digest mismatch), two heals of fresh ids and one idempotent re-write.
+  const PartitionSample a = MakeReservoirSample(0, 4);
+  const PartitionSample b = MakeReservoirSample(100, 4);
+  ASSERT_TRUE(client->ReplicaRollIn("t", "a", 1, a).ok());
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(
+        client->ReplicaRollIn("t", "a", 1, i % 2 == 0 ? b : a, 0, 0, true)
+            .ok());
+  }
+  ASSERT_TRUE(client->ReplicaRollIn("t", "a", 2, a, 0, 0, true).ok());
+  ASSERT_TRUE(client->ReplicaRollIn("t", "a", 3, a, 0, 0, true).ok());
+  ASSERT_TRUE(client->ReplicaRollIn("t", "a", 3, a).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(client->PartitionDigests("t", "a").ok());
+  }
+  client->set_request_flags(kRequestFlagFailoverRead);
+  for (int i = 0; i < 130; ++i) ASSERT_TRUE(client->Ping().ok());
+  client->set_request_flags(0);
+  EXPECT_FALSE(client->CreateTenant("t", {}).ok());
+  EXPECT_FALSE(client->CreateDataset("t", "a").ok());
+  EXPECT_FALSE(client->ListPartitions("nobody", "a").ok());
+
+  RawPeer peer(*server);  // connection 2: three bad magics, then the stats
+  ASSERT_TRUE(peer.connected());
+  for (int i = 0; i < 3; ++i) {
+    BinaryWriter bad;
+    bad.PutFixed32(0xDEADBEEF);
+    bad.PutFixed32(static_cast<uint32_t>(Verb::kPing));
+    peer.Send(EncodeFrame(bad.buffer()));
+    ASSERT_FALSE(peer.ReadResponse().empty());
+  }
+  {
+    RawPeer torn(*server);  // connection 3: a CRC mismatch drops it
+    ASSERT_TRUE(torn.connected());
+    std::string frame =
+        EncodeFrame(RequestPayload(static_cast<uint32_t>(Verb::kPing)));
+    frame[4] = static_cast<char>(frame[4] ^ 0x5a);
+    torn.Send(frame);
+    ASSERT_FALSE(torn.ReadResponse().empty());
+    EXPECT_TRUE(torn.Dropped());
+  }
+  server->BeginDrain();
+  for (int i = 0; i < 2; ++i) {  // connections 4 and 5 are shed
+    RawPeer shed(*server);
+    ASSERT_TRUE(shed.connected());
+    ASSERT_FALSE(shed.ReadResponse().empty());
+  }
+
+  peer.Send(
+      EncodeFrame(RequestPayload(static_cast<uint32_t>(Verb::kServerStats))));
+  const std::string response = peer.ReadResponse();
+  BinaryReader reader(response);
+  ASSERT_TRUE(ParseResponseHead(&reader).ok());
+  std::string_view body;
+  ASSERT_TRUE(reader.GetRaw(reader.remaining(), &body).ok());
+  // connections_accepted 5, connections_dropped 1, requests_served 160,
+  // error_responses 6, protocol_errors 4, datasets 3, connections_shed 2,
+  // deadlines_exceeded 0, replica_writes 11, failover_reads 130,
+  // scrub_rounds 8, partitions_healed 9, digest_mismatches 7.
+  EXPECT_EQ(body, std::string_view("\x05\x01\xa0\x01\x06\x04\x03\x02\x00"
+                                   "\x0b\x82\x01\x08\x09\x07",
+                                   15));
+}
+
 TEST(WireFuzzTest, DecodeFrameNeverCrashesOnRandomBuffers) {
   Pcg64 rng(kFuzzSeed ^ 4);
   for (int round = 0; round < 20000; ++round) {

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 
 #include "src/core/hybrid_reservoir.h"
+#include "src/server/server.h"
 #include "src/util/serialization.h"
 #include "src/warehouse/checkpoint.h"
 #include "src/warehouse/warehouse.h"
 #include "tests/core/legacy_codec.h"
+#include "tests/server/server_test_util.h"
 
 namespace sampwh {
 namespace {
@@ -265,6 +267,41 @@ TEST_F(ToolTest, InspectSeesRecordsOnlyTheCatalogLogHolds) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("  partition 2: parent 1000"), std::string::npos) << out;
+}
+
+TEST_F(ToolTest, ServerStatsPrintsEveryCounterAligned) {
+  ServerOptions options = TestServerOptions();
+  options.read_timeout_millis = 0;
+  auto server = MustStart(std::move(options));
+  ASSERT_NE(server, nullptr);
+  {
+    auto client = MustConnect(*server);
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->CreateTenant("t", {}).ok());
+    ASSERT_TRUE(client->CreateDataset("t", "a").ok());
+    ASSERT_TRUE(client->CreateDataset("t", "b").ok());
+    ASSERT_TRUE(client
+                    ->ReplicaRollIn("t", "a", 1, MakeReservoirSample(0, 4), 0,
+                                    0, /*heal=*/true)
+                    .ok());
+    ASSERT_TRUE(client->PartitionDigests("t", "a").ok());
+    EXPECT_FALSE(client->CreateTenant("t", {}).ok());
+  }
+  EXPECT_EQ(ToolOutput("server-stats 127.0.0.1 " +
+                       std::to_string(server->port())),
+            "connections accepted: 2\n"
+            "connections dropped:  0\n"
+            "requests served:      7\n"
+            "error responses:      1\n"
+            "protocol errors:      0\n"
+            "datasets:             2\n"
+            "connections shed:     0\n"
+            "deadlines exceeded:   0\n"
+            "replica writes:       1\n"
+            "failover reads:       0\n"
+            "scrub rounds:         1\n"
+            "partitions healed:    1\n"
+            "digest mismatches:    0\n");
 }
 
 }  // namespace
