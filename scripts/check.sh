@@ -127,10 +127,11 @@ if [[ "${mode}" == "full" ]]; then
     --output-on-failure
 
   # Frame re-gate under ASan/UBSan: the one CRC frame codec that the wire
-  # and the checkpoint WAL share, parsed at every cut and byte flip.
+  # and the checkpoint WAL share, parsed at every cut and byte flip, and the
+  # client's decoders of response bodies that arrive from the network.
   echo "=== [asan] frame codec gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(Frame|CheckpointDelta|WireTest|WireFuzz|ProtocolRobustness)" \
+    "^(Frame|CheckpointDelta|WireTest|WireFuzz|ProtocolRobustness|ServerStatsWire|ClientDecode)" \
     --output-on-failure
 
   # Store re-gate under ASan/UBSan: MemEnv, torn-prefix writes and WAL

@@ -1,29 +1,8 @@
 #include "src/core/batch_accept.h"
 
-#include <atomic>
 #include <bit>
 
 namespace sampwh {
-namespace {
-
-constexpr BernAcceptMode kCompiledDefault =
-#if defined(SAMPWH_DEFAULT_BITMASK_ACCEPT) && SAMPWH_DEFAULT_BITMASK_ACCEPT
-    BernAcceptMode::kBitmask;
-#else
-    BernAcceptMode::kAuto;
-#endif
-
-std::atomic<BernAcceptMode> g_default_mode{kCompiledDefault};
-
-}  // namespace
-
-BernAcceptMode DefaultBernAcceptMode() {
-  return g_default_mode.load(std::memory_order_relaxed);
-}
-
-void SetDefaultBernAcceptMode(BernAcceptMode mode) {
-  g_default_mode.store(mode, std::memory_order_relaxed);
-}
 
 uint64_t BernoulliAcceptMask(Pcg64& rng, double q, size_t lanes) {
   if (lanes == 0) return 0;

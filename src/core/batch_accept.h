@@ -9,16 +9,14 @@
 // classic geometric-skip path remains available as the scalar fallback and
 // stays RNG-order-identical to the pre-existing AddBatch behavior.
 //
-// Mode selection: BernoulliSampler picks its acceptance mode at
-// construction from the process-wide default, which is kAuto — resolve per
-// sampling rate, because neither concrete mode wins everywhere
+// Mode selection: BernoulliSampler takes its acceptance mode as a
+// constructor argument, kAuto unless the caller names one. kAuto resolves
+// per sampling rate, because neither concrete mode wins everywhere
 // (BENCH_ingest.json: bitmask runs at 0.27x the skip path at q=0.01 but
-// 1.5x at q=0.50; the crossover sits between q=0.1 and q=0.5). kAuto
-// resolves to a concrete mode before the sampler's first RNG draw, so the
+// 1.5x at q=0.50; the crossover sits between q=0.1 and q=0.5). It resolves
+// to a concrete mode before the sampler's first RNG draw, so the
 // serialized state always names an exact RNG-consumption discipline and
-// restores bit-identically. The default can still be pinned at compile
-// time (-DSAMPWH_DEFAULT_BITMASK_ACCEPT=1 → kBitmask) or at runtime
-// (SetDefaultBernAcceptMode).
+// restores bit-identically.
 
 #ifndef SAMPWH_CORE_BATCH_ACCEPT_H_
 #define SAMPWH_CORE_BATCH_ACCEPT_H_
@@ -53,10 +51,6 @@ enum class BernAcceptMode : uint8_t {
 /// 0.2 keeps a margin so kAuto never picks the mask where it measurably
 /// loses.
 inline constexpr double kAutoBitmaskRateThreshold = 0.2;
-
-/// The process-wide default mode new samplers are constructed with.
-BernAcceptMode DefaultBernAcceptMode();
-void SetDefaultBernAcceptMode(BernAcceptMode mode);
 
 /// Acceptance bitmask for `lanes` (1..64) Bern(q) trials: bit i is set iff
 /// trial i accepts. Consumes exactly `lanes` NextUint64 draws, in lane

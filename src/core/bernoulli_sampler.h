@@ -27,7 +27,7 @@ class BernoulliSampler {
   /// differently but draw from the same distribution, so the mode is part
   /// of the sampler's serialized state.
   BernoulliSampler(double q, Pcg64 rng,
-                   BernAcceptMode mode = DefaultBernAcceptMode());
+                   BernAcceptMode mode = BernAcceptMode::kAuto);
 
   void Add(Value v);
 

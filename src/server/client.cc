@@ -307,30 +307,12 @@ Result<PingReply> WarehouseClient::Ping() {
   return reply;
 }
 
-Result<RemoteServerStats> WarehouseClient::ServerStats() {
+Result<ServerStatsSnapshot> WarehouseClient::ServerStats() {
   SAMPWH_ASSIGN_OR_RETURN(const Reply resp, Call(Verb::kServerStats, {}));
   BinaryReader reader(resp.body());
-  RemoteServerStats s;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.connections_accepted));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.connections_dropped));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.requests_served));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.error_responses));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.protocol_errors));
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.num_datasets));
-  // Fields appended after v1: absent when the server predates them.
-  if (!reader.AtEnd()) {
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.connections_shed));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.deadlines_exceeded));
-  }
-  // Replication counters, appended after v2.
-  if (!reader.AtEnd()) {
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.replica_writes));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.failover_reads));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.scrub_rounds));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.partitions_healed));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&s.digest_mismatches));
-  }
-  return s;
+  ServerStatsSnapshot stats;
+  SAMPWH_RETURN_IF_ERROR(GetServerStats(&reader, &stats));
+  return stats;
 }
 
 Status WarehouseClient::Shutdown() {

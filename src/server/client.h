@@ -82,6 +82,13 @@ struct ClientStatsSnapshot {
   uint64_t transport_errors = 0;
 };
 
+inline constexpr CounterField<ClientStatsSnapshot> kClientCounters[] = {
+    {"retries attempted", &ClientStatsSnapshot::retries_attempted},
+    {"reconnects", &ClientStatsSnapshot::reconnects},
+    {"breaker opens", &ClientStatsSnapshot::breaker_open_total},
+    {"transport errors", &ClientStatsSnapshot::transport_errors},
+};
+
 /// Watermark ack of the streaming-ingest verbs.
 struct IngestAck {
   /// Replay watermark: sequence of the next element the server will apply.
@@ -103,26 +110,6 @@ struct PingReply {
   std::string banner;
   uint64_t seed = 0;
   uint64_t merge_fingerprint = 0;
-};
-
-/// kServerStats response.
-struct RemoteServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_dropped = 0;
-  uint64_t requests_served = 0;
-  uint64_t error_responses = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t num_datasets = 0;
-  /// Appended after v1 of the body; 0 when the server predates them.
-  uint64_t connections_shed = 0;
-  uint64_t deadlines_exceeded = 0;
-  /// Replication counters, appended after v2; 0 when the server predates
-  /// them.
-  uint64_t replica_writes = 0;
-  uint64_t failover_reads = 0;
-  uint64_t scrub_rounds = 0;
-  uint64_t partitions_healed = 0;
-  uint64_t digest_mismatches = 0;
 };
 
 /// One readable partition copy in a kPartitionDigests listing.
@@ -176,7 +163,7 @@ class WarehouseClient {
 
   // --- Admin ---------------------------------------------------------------
   Result<PingReply> Ping();
-  Result<RemoteServerStats> ServerStats();
+  Result<ServerStatsSnapshot> ServerStats();
   /// Asks the server to shut down (it still answers this request).
   Status Shutdown();
 

@@ -367,7 +367,7 @@ Result<ShardQueryResult> ShardCoordinator::QueryWithOptions(
       if (result.partial) {
         result.missing_shards.assign(down.begin(), down.end());
         if (!all_partitions) result.missing_ids = std::move(dropped_ids);
-        partial_queries_served_++;
+        counters_.partial_queries_served++;
       }
       return result;
     }
@@ -500,13 +500,13 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
               .status();
       if (healed.ok()) {
         report.healed += 1;
-        partitions_healed_++;
+        counters_.partitions_healed++;
       } else {
         report.unhealable += 1;
       }
     }
   }
-  scrub_rounds_++;
+  counters_.scrub_rounds++;
   return report;
 }
 
@@ -520,17 +520,9 @@ std::vector<bool> ShardCoordinator::CheckHealth() {
 }
 
 CoordinatorStats ShardCoordinator::stats() const {
-  CoordinatorStats s;
-  s.partial_queries_served = partial_queries_served_;
-  s.failover_reads = failover_reads_;
-  s.scrub_rounds = scrub_rounds_;
-  s.partitions_healed = partitions_healed_;
+  CoordinatorStats s = counters_;
   for (const auto& client : clients_) {
-    const ClientStatsSnapshot c = client->stats();
-    s.retries_attempted += c.retries_attempted;
-    s.reconnects += c.reconnects;
-    s.breaker_open_total += c.breaker_open_total;
-    s.transport_errors += c.transport_errors;
+    SumCounters<ClientStatsSnapshot>(&s, client->stats(), kClientCounters);
   }
   return s;
 }
@@ -561,7 +553,7 @@ Result<PartitionSample> ShardCoordinator::QuerySpanWithFailover(
     const bool failover = owner != primary;
     if (failover) {
       client->set_request_flags(kRequestFlagFailoverRead);
-      failover_reads_++;
+      counters_.failover_reads++;
     }
     Result<PartitionSample> remote = client->Query(tenant, dataset, span);
     if (failover) client->set_request_flags(0);

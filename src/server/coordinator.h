@@ -114,14 +114,10 @@ struct ShardQueryResult {
   std::vector<PartitionId> missing_ids;
 };
 
-/// Coordinator-level counters; client-level counters are aggregated over
-/// the per-node clients at snapshot time.
-struct CoordinatorStats {
+/// Coordinator-level counters. The ClientStatsSnapshot part sums the
+/// per-node clients' transport counters at snapshot time.
+struct CoordinatorStats : ClientStatsSnapshot {
   uint64_t partial_queries_served = 0;
-  uint64_t retries_attempted = 0;
-  uint64_t reconnects = 0;
-  uint64_t breaker_open_total = 0;
-  uint64_t transport_errors = 0;
   /// Subtree queries re-driven onto a replica after an owner failed.
   uint64_t failover_reads = 0;
   /// ScrubDataset passes completed.
@@ -273,10 +269,8 @@ class ShardCoordinator {
   std::vector<std::unique_ptr<WarehouseClient>> clients_;
   /// Coordinator-side global id allocator, per internal dataset key.
   std::map<DatasetId, PartitionId> next_id_;
-  uint64_t partial_queries_served_ = 0;
-  uint64_t failover_reads_ = 0;
-  uint64_t scrub_rounds_ = 0;
-  uint64_t partitions_healed_ = 0;
+  /// The coordinator's own counters; the client part stays zero.
+  CoordinatorStats counters_;
 };
 
 }  // namespace sampwh

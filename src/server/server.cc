@@ -146,7 +146,7 @@ void WarehouseServer::ReapConnections() {
 void WarehouseServer::ShedConnection(
     int fd, const Status& reason,
     std::vector<std::pair<int, SteadyTime>>* shed) {
-  connections_shed_.fetch_add(1, std::memory_order_relaxed);
+  BumpCounter(counters_.connections_shed);
   BinaryWriter out;
   BeginResponse(&out, reason);
   (void)WriteFrame(fd, out.Release());
@@ -200,7 +200,7 @@ void WarehouseServer::AcceptLoop() {
       }
       break;  // listener is gone; nothing to serve anymore
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.connections_accepted);
 
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -253,8 +253,8 @@ void WarehouseServer::ServeConnection(int fd) {
       // Framing is lost (oversized length, CRC mismatch, mid-frame tear,
       // or a slow-loris timeout): answer a best-effort structured error,
       // then drop the connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+      BumpCounter(counters_.protocol_errors);
+      BumpCounter(counters_.connections_dropped);
       BinaryWriter out;
       BeginResponse(&out, read);
       (void)WriteFrame(fd, out.Release());
@@ -263,7 +263,7 @@ void WarehouseServer::ServeConnection(int fd) {
     bool shutdown = false;
     const ResponseFrame response = HandleRequest(payload, &shutdown);
     if (!WriteAll(fd, response.bytes()).ok()) {
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+      BumpCounter(counters_.connections_dropped);
       return;
     }
     if (shutdown) {
@@ -275,7 +275,7 @@ void WarehouseServer::ServeConnection(int fd) {
 
 ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
                                              bool* shutdown) {
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  BumpCounter(counters_.requests_served);
   BinaryReader req(payload);
   uint32_t verb = 0;
   RequestHeader header;
@@ -292,7 +292,7 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
   if (st.ok() && (header.flags & kRequestFlagFailoverRead) != 0) {
     // A coordinator re-drove this request onto us after another owner of
     // the same ids failed; count it so failover traffic shows in stats.
-    failover_reads_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.failover_reads);
   }
   ResponseFrame response;
   BinaryWriter& body = response.body();
@@ -300,7 +300,7 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
   // only the sample, and the seal puts its length in front.
   bool blob_body = false;
   if (!st.ok()) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.protocol_errors);
   } else if (!IsKnownVerb(verb)) {
     st = Status::InvalidArgument("unknown verb " + std::to_string(verb));
   } else {
@@ -381,9 +381,9 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
     response.SealOk(blob_body);
   } else {
     response.SealError(st);
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.error_responses);
     if (st.IsDeadlineExceeded()) {
-      deadlines_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      BumpCounter(counters_.deadlines_exceeded);
     }
   }
   return response;
@@ -400,24 +400,7 @@ Status WarehouseServer::HandlePing(BinaryReader& req, BinaryWriter& resp) {
 Status WarehouseServer::HandleServerStats(BinaryReader& req,
                                           BinaryWriter& resp) {
   (void)req;
-  const ServerStatsSnapshot s = stats();
-  resp.PutVarint64(s.connections_accepted);
-  resp.PutVarint64(s.connections_dropped);
-  resp.PutVarint64(s.requests_served);
-  resp.PutVarint64(s.error_responses);
-  resp.PutVarint64(s.protocol_errors);
-  resp.PutVarint64(warehouse_->ListDatasets().size());
-  // Appended after v1 of the body — an old client simply does not read
-  // them, a new client treats them as absent against an old server.
-  resp.PutVarint64(s.connections_shed);
-  resp.PutVarint64(s.deadlines_exceeded);
-  // Replication counters, appended after the PR 8 fields under the same
-  // append-only discipline.
-  resp.PutVarint64(s.replica_writes);
-  resp.PutVarint64(s.failover_reads);
-  resp.PutVarint64(s.scrub_rounds);
-  resp.PutVarint64(s.partitions_healed);
-  resp.PutVarint64(s.digest_mismatches);
+  PutServerStats(&resp, stats());
   return Status::OK();
 }
 
@@ -596,14 +579,14 @@ Status WarehouseServer::HandleReplicaRollIn(BinaryReader& req,
   // client retries replica writes freely after a transport error.
   const Result<uint64_t> existing = warehouse_->PartitionContentDigest(key, id);
   if (existing.ok() && existing.value() == incoming) {
-    replica_writes_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.replica_writes);
     resp.PutVarint64(id);
     return Status::OK();
   }
   if (existing.ok()) {
     // A live copy with different content under the same id: divergence,
     // repaired in place with the incoming bytes.
-    digest_mismatches_.fetch_add(1, std::memory_order_relaxed);
+    BumpCounter(counters_.digest_mismatches);
   }
 
   // Charge-once semantics: quota ADMISSION was decided once, at the
@@ -630,8 +613,8 @@ Status WarehouseServer::HandleReplicaRollIn(BinaryReader& req,
     tenants_.CreditPartition(tenant, key, id);
     return rolled.status();
   }
-  replica_writes_.fetch_add(1, std::memory_order_relaxed);
-  if (heal) partitions_healed_.fetch_add(1, std::memory_order_relaxed);
+  BumpCounter(counters_.replica_writes);
+  if (heal) BumpCounter(counters_.partitions_healed);
   resp.PutVarint64(id);
   return Status::OK();
 }
@@ -682,7 +665,7 @@ Status WarehouseServer::HandlePartitionDigests(BinaryReader& req,
   SAMPWH_RETURN_IF_ERROR(ReadScope(req, &tenant, &key));
   SAMPWH_ASSIGN_OR_RETURN(const std::vector<PartitionInfo> parts,
                           warehouse_->ListPartitions(key));
-  scrub_rounds_.fetch_add(1, std::memory_order_relaxed);
+  BumpCounter(counters_.scrub_rounds);
   // Only READABLE copies are listed: a partition whose stored bytes fail
   // envelope verification is quarantined by the store on this very read
   // and omitted, so the scrubber sees it as a missing replica to
@@ -845,20 +828,8 @@ Status WarehouseServer::CheckStreamQuota(const std::string& tenant) {
 }
 
 ServerStatsSnapshot WarehouseServer::stats() const {
-  ServerStatsSnapshot s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_dropped = connections_dropped_.load(std::memory_order_relaxed);
-  s.requests_served = requests_served_.load(std::memory_order_relaxed);
-  s.error_responses = error_responses_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.connections_shed = connections_shed_.load(std::memory_order_relaxed);
-  s.deadlines_exceeded = deadlines_exceeded_.load(std::memory_order_relaxed);
-  s.replica_writes = replica_writes_.load(std::memory_order_relaxed);
-  s.failover_reads = failover_reads_.load(std::memory_order_relaxed);
-  s.scrub_rounds = scrub_rounds_.load(std::memory_order_relaxed);
-  s.partitions_healed = partitions_healed_.load(std::memory_order_relaxed);
-  s.digest_mismatches = digest_mismatches_.load(std::memory_order_relaxed);
+  ServerStatsSnapshot s = LoadCounters(counters_, kServerCounters);
+  s.num_datasets = warehouse_->ListDatasets().size();
   return s;
 }
 

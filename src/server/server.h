@@ -89,41 +89,6 @@ struct ServerOptions {
   std::map<std::string, TenantQuota> bootstrap_tenants;
 };
 
-/// Monotonic counters over the server's lifetime.
-struct ServerStatsSnapshot {
-  uint64_t connections_accepted = 0;
-  /// Connections torn down because of a framing violation, timeout or
-  /// mid-frame disconnect (orderly EOF between frames does not count).
-  uint64_t connections_dropped = 0;
-  uint64_t requests_served = 0;
-  /// Structured error responses sent (bad body, unknown verb, quota, ...).
-  uint64_t error_responses = 0;
-  /// Framing-level violations observed (oversized, bad CRC, bad magic,
-  /// mid-frame EOF, timeouts).
-  uint64_t protocol_errors = 0;
-  /// Connections refused with a structured error before service: over the
-  /// max_connections cap (kResourceExhausted) or during drain
-  /// (kUnavailable).
-  uint64_t connections_shed = 0;
-  /// Requests that failed because the client's propagated deadline passed
-  /// (checked before dispatch and inside long merges).
-  uint64_t deadlines_exceeded = 0;
-  /// kReplicaRollIn requests applied (including idempotent no-ops) — the
-  /// write amplification a replication factor R > 1 produces.
-  uint64_t replica_writes = 0;
-  /// Requests carrying kRequestFlagFailoverRead: queries a coordinator
-  /// re-drove onto this node after another owner failed.
-  uint64_t failover_reads = 0;
-  /// kPartitionDigests scans served (one per dataset per anti-entropy
-  /// round).
-  uint64_t scrub_rounds = 0;
-  /// Partitions replaced or re-created by a heal-flagged kReplicaRollIn.
-  uint64_t partitions_healed = 0;
-  /// Replica writes that found an existing copy whose content digest
-  /// disagreed with the incoming bytes (divergence repaired in place).
-  uint64_t digest_mismatches = 0;
-};
-
 class WarehouseServer {
  public:
   /// Opens the store (restoring a prior manifest when present), binds and
@@ -171,6 +136,7 @@ class WarehouseServer {
   /// clean. Callers typically BeginDrain(), WaitDrained(bound), Stop().
   bool WaitDrained(uint64_t deadline_millis);
 
+  /// The live counters, with num_datasets read from the warehouse now.
   ServerStatsSnapshot stats() const;
 
   /// The embedded warehouse; test-only (bit-identity assertions).
@@ -261,18 +227,8 @@ class WarehouseServer {
   /// admission cap and WaitDrained() read it.
   std::atomic<uint32_t> active_connections_{0};
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_dropped_{0};
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> error_responses_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> connections_shed_{0};
-  std::atomic<uint64_t> deadlines_exceeded_{0};
-  std::atomic<uint64_t> replica_writes_{0};
-  std::atomic<uint64_t> failover_reads_{0};
-  std::atomic<uint64_t> scrub_rounds_{0};
-  std::atomic<uint64_t> partitions_healed_{0};
-  std::atomic<uint64_t> digest_mismatches_{0};
+  /// Live counters, bumped with BumpCounter from every thread.
+  ServerStatsSnapshot counters_;
 };
 
 }  // namespace sampwh

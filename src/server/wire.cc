@@ -7,6 +7,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "src/util/logging.h"
 
@@ -122,6 +123,24 @@ Status GetTenantQuota(BinaryReader* reader, TenantQuota* quota) {
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&quota->max_bytes));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&quota->max_partitions));
   return reader->GetVarint64(&quota->max_datasets);
+}
+
+void PutServerStats(BinaryWriter* writer, const ServerStatsSnapshot& stats) {
+  for (const auto& row : kServerCounters) {
+    writer->PutVarint64(stats.*row.field);
+  }
+}
+
+Status GetServerStats(BinaryReader* reader, ServerStatsSnapshot* stats) {
+  *stats = {};
+  for (size_t read = 0; read < std::size(kServerCounters); ++read) {
+    // The groups the body grew in end after 6, 8 and 13 fields.
+    const bool group_end = read == 6 || read == 8 || read >= 13;
+    if (group_end && reader->AtEnd()) break;
+    SAMPWH_RETURN_IF_ERROR(
+        reader->GetVarint64(&(stats->*kServerCounters[read].field)));
+  }
+  return Status::OK();
 }
 
 void BeginRequest(BinaryWriter* writer, Verb verb,

@@ -36,6 +36,14 @@
 // ingest: a client that still sends 41 gets a structured unknown-verb
 // error on a connection that stays usable — never misread values.
 //
+// The kServerStats body is one varint per counter, by position, in the
+// order of kServerCounters and with no count or tags. It is append-only and
+// grew in groups: 6 fields (v1), then 8 (connections shed, deadlines
+// exceeded), then 13 (the replication counters). A reader accepts a body
+// that ends at a group's end and reads the fields it lacks as 0; each field
+// appended after the thirteenth is a group of its own. Fields past the
+// last one a reader knows are ignored.
+//
 // A frame whose length field exceeds the negotiated bound, whose CRC
 // mismatches, or whose magic is wrong is a protocol error: the server
 // answers a structured error frame where it still can and drops the
@@ -52,6 +60,7 @@
 
 #include "src/core/types.h"
 #include "src/server/tenant.h"
+#include "src/util/counters.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
 
@@ -112,6 +121,73 @@ void PutTenantQuota(BinaryWriter* writer, const TenantQuota& quota);
 
 /// Decodes a tenant quota body written by PutTenantQuota.
 Status GetTenantQuota(BinaryReader* reader, TenantQuota* quota);
+
+/// A warehouse server's counters: the live state the server bumps, and the
+/// snapshot WarehouseServer::stats() and WarehouseClient::ServerStats()
+/// return. Monotonic over the server's lifetime, except num_datasets.
+struct ServerStatsSnapshot {
+  uint64_t connections_accepted = 0;
+  /// Connections torn down because of a framing violation, timeout or
+  /// mid-frame disconnect (orderly EOF between frames does not count).
+  uint64_t connections_dropped = 0;
+  uint64_t requests_served = 0;
+  /// Structured error responses sent (bad body, unknown verb, quota, ...).
+  uint64_t error_responses = 0;
+  /// Framing-level violations observed (oversized, bad CRC, bad magic,
+  /// mid-frame EOF, timeouts).
+  uint64_t protocol_errors = 0;
+  /// Datasets in the warehouse when the snapshot was taken (not a counter;
+  /// 0 in the live state).
+  uint64_t num_datasets = 0;
+  /// Connections refused with a structured error before service: over the
+  /// max_connections cap (kResourceExhausted) or during drain
+  /// (kUnavailable).
+  uint64_t connections_shed = 0;
+  /// Requests that failed because the client's propagated deadline passed
+  /// (checked before dispatch and inside long merges).
+  uint64_t deadlines_exceeded = 0;
+  /// kReplicaRollIn requests applied (including idempotent no-ops) — the
+  /// write amplification a replication factor R > 1 produces.
+  uint64_t replica_writes = 0;
+  /// Requests carrying kRequestFlagFailoverRead: queries a coordinator
+  /// re-drove onto this node after another owner failed.
+  uint64_t failover_reads = 0;
+  /// kPartitionDigests scans served (one per dataset per anti-entropy
+  /// round).
+  uint64_t scrub_rounds = 0;
+  /// Partitions replaced or re-created by a heal-flagged kReplicaRollIn.
+  uint64_t partitions_healed = 0;
+  /// Replica writes that found an existing copy whose content digest
+  /// disagreed with the incoming bytes (divergence repaired in place).
+  uint64_t digest_mismatches = 0;
+};
+
+/// The kServerStats body and the `sampwh_tool server-stats` print, in
+/// order. Wire format — append rows, never reorder or remove one.
+inline constexpr CounterField<ServerStatsSnapshot> kServerCounters[] = {
+    {"connections accepted", &ServerStatsSnapshot::connections_accepted},
+    {"connections dropped", &ServerStatsSnapshot::connections_dropped},
+    {"requests served", &ServerStatsSnapshot::requests_served},
+    {"error responses", &ServerStatsSnapshot::error_responses},
+    {"protocol errors", &ServerStatsSnapshot::protocol_errors},
+    {"datasets", &ServerStatsSnapshot::num_datasets},
+    {"connections shed", &ServerStatsSnapshot::connections_shed},
+    {"deadlines exceeded", &ServerStatsSnapshot::deadlines_exceeded},
+    {"replica writes", &ServerStatsSnapshot::replica_writes},
+    {"failover reads", &ServerStatsSnapshot::failover_reads},
+    {"scrub rounds", &ServerStatsSnapshot::scrub_rounds},
+    {"partitions healed", &ServerStatsSnapshot::partitions_healed},
+    {"digest mismatches", &ServerStatsSnapshot::digest_mismatches},
+};
+
+/// Appends a kServerStats body: one varint per kServerCounters row.
+void PutServerStats(BinaryWriter* writer, const ServerStatsSnapshot& stats);
+
+/// Decodes a kServerStats body written by PutServerStats of this or an
+/// older build: fields the body lacks read 0, fields past the last row are
+/// ignored. A body that ends inside a field group (see the header comment)
+/// fails with the reader's truncation status.
+Status GetServerStats(BinaryReader* reader, ServerStatsSnapshot* stats);
 
 /// Request-header flag bits (RequestHeader::flags). Wire format — append,
 /// never renumber.

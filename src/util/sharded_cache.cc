@@ -3,13 +3,7 @@
 namespace sampwh {
 
 CacheStats& CacheStats::operator+=(const CacheStats& other) {
-  hits += other.hits;
-  misses += other.misses;
-  insertions += other.insertions;
-  evictions += other.evictions;
-  invalidations += other.invalidations;
-  entries += other.entries;
-  bytes += other.bytes;
+  SumCounters(this, other, kCacheCounters);
   return *this;
 }
 

@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/counters.h"
+
 namespace sampwh {
 
 /// Counters of one cache (aggregated across shards by Stats()). hits /
@@ -39,6 +41,16 @@ struct CacheStats {
   uint64_t bytes = 0;
 
   CacheStats& operator+=(const CacheStats& other);
+};
+
+inline constexpr CounterField<CacheStats> kCacheCounters[] = {
+    {"hits", &CacheStats::hits},
+    {"misses", &CacheStats::misses},
+    {"insertions", &CacheStats::insertions},
+    {"evictions", &CacheStats::evictions},
+    {"invalidations", &CacheStats::invalidations},
+    {"entries", &CacheStats::entries},
+    {"bytes", &CacheStats::bytes},
 };
 
 namespace cache_internal {

@@ -165,17 +165,7 @@ SampleStore::RetryPolicy SampleStore::retry_policy() const {
 }
 
 StoreStats SampleStore::GetStoreStats() const {
-  StoreStats stats;
-  stats.retries_attempted = stats_retries_attempted_.load();
-  stats.retries_exhausted = stats_retries_exhausted_.load();
-  stats.quarantines = stats_quarantines_.load();
-  stats.recovered_temps = stats_recovered_temps_.load();
-  stats.checkpoints_written = stats_checkpoints_written_.load();
-  stats.checkpoints_restored = stats_checkpoints_restored_.load();
-  stats.wal_appends = stats_wal_appends_.load();
-  stats.wal_records_appended = stats_wal_records_appended_.load();
-  stats.wal_tails_truncated = stats_wal_tails_truncated_.load();
-  return stats;
+  return LoadCounters(counters_, kStoreCounters);
 }
 
 std::string SampleStore::PathFor(const PartitionKey& key) const {
@@ -212,13 +202,13 @@ Status SampleStore::Retrying(const Op& op) const {
   const RetryPolicy policy = retry_policy();
   std::chrono::microseconds backoff = policy.initial_backoff;
   for (int tries = 1; tries < policy.max_attempts; ++tries) {
-    stats_retries_attempted_.fetch_add(1);
+    BumpCounter(counters_.retries_attempted);
     SleepBackoff(backoff);
     backoff *= 2;
     status = op();
     if (status.ok() || !status.IsIOError()) return status;
   }
-  stats_retries_exhausted_.fetch_add(1);
+  BumpCounter(counters_.retries_exhausted);
   return status;
 }
 
@@ -226,7 +216,7 @@ void SampleStore::Quarantine(const std::string& path) const {
   // Best effort: if the rename races a concurrent replace or delete, the
   // corrupt bytes are already gone.
   if (env_->Rename(path, QuarantineDestination(path, env_)).ok()) {
-    stats_quarantines_.fetch_add(1);
+    BumpCounter(counters_.quarantines);
   }
 }
 
@@ -341,7 +331,7 @@ Result<RecoveryReport> SampleStore::Recover(
       // version.
       if (env_->Remove(directory_ + "/" + entry.name).ok()) {
         report.removed_temps.push_back(std::move(entry.name));
-        stats_recovered_temps_.fetch_add(1);
+        BumpCounter(counters_.recovered_temps);
       }
     } else if (HasSuffix(entry.name, kSampleSuffix)) {
       samples.push_back(std::move(entry.name));
@@ -417,7 +407,7 @@ Result<RecoveryReport> SampleStore::Recover(
                                      std::string_view(bytes).substr(0, valid));
       }));
       report.truncated_wal_tails.push_back(name);
-      stats_wal_tails_truncated_.fetch_add(1);
+      BumpCounter(counters_.wal_tails_truncated);
     }
   }
   for (const PartitionKey& key : expected) {
@@ -472,7 +462,7 @@ Status SampleStore::PutCheckpoint(const DatasetId& dataset,
     env_->Remove(WalPathFor(dataset, gens[i]));
   }
   newest_generation_[dataset] = next_gen;
-  stats_checkpoints_written_.fetch_add(1);
+  BumpCounter(counters_.checkpoints_written);
   return Status::OK();
 }
 
@@ -487,7 +477,7 @@ SampleStore::NewestValidCheckpointLocked(const DatasetId& key) const {
     if (!read.ok()) continue;  // vanished between list and read
     std::string_view payload;
     if (UnwrapSampleEnvelope(bytes, &payload).ok()) {
-      stats_checkpoints_restored_.fetch_add(1);
+      BumpCounter(counters_.checkpoints_restored);
       return std::make_pair(*gen, std::string(payload));
     }
     Quarantine(path);
@@ -547,8 +537,8 @@ Status SampleStore::AppendCheckpointDeltas(
   // Not retried: a failed append may have left a torn tail, which stays
   // for the CRC framing to drop on read.
   SAMPWH_RETURN_IF_ERROR(env_->AppendFile(WalPathFor(dataset, gen), batch));
-  stats_wal_appends_.fetch_add(1);
-  stats_wal_records_appended_.fetch_add(records.size());
+  BumpCounter(counters_.wal_appends);
+  BumpCounter(counters_.wal_records_appended, records.size());
   return Status::OK();
 }
 

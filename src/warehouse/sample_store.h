@@ -30,7 +30,6 @@
 #define SAMPWH_WAREHOUSE_SAMPLE_STORE_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "src/core/sample.h"
+#include "src/util/counters.h"
 #include "src/util/env.h"
 #include "src/util/thread_pool.h"
 #include "src/warehouse/checkpoint.h"
@@ -93,6 +93,18 @@ struct StoreStats {
   uint64_t wal_records_appended = 0;
   /// WAL tails truncated by Recover() after a torn or corrupt record.
   uint64_t wal_tails_truncated = 0;
+};
+
+inline constexpr CounterField<StoreStats> kStoreCounters[] = {
+    {"retries attempted", &StoreStats::retries_attempted},
+    {"retries exhausted", &StoreStats::retries_exhausted},
+    {"quarantines", &StoreStats::quarantines},
+    {"recovered temps", &StoreStats::recovered_temps},
+    {"checkpoints written", &StoreStats::checkpoints_written},
+    {"checkpoints restored", &StoreStats::checkpoints_restored},
+    {"wal appends", &StoreStats::wal_appends},
+    {"wal records appended", &StoreStats::wal_records_appended},
+    {"wal tails truncated", &StoreStats::wal_tails_truncated},
 };
 
 /// The sample store over one directory of an Env; thread-safe. Sample
@@ -270,15 +282,9 @@ class SampleStore {
   // any failure path invalidates (erases) rather than guesses.
   mutable std::map<DatasetId, uint64_t> newest_generation_;
 
-  mutable std::atomic<uint64_t> stats_retries_attempted_{0};
-  mutable std::atomic<uint64_t> stats_retries_exhausted_{0};
-  mutable std::atomic<uint64_t> stats_quarantines_{0};
-  mutable std::atomic<uint64_t> stats_recovered_temps_{0};
-  mutable std::atomic<uint64_t> stats_checkpoints_written_{0};
-  mutable std::atomic<uint64_t> stats_checkpoints_restored_{0};
-  mutable std::atomic<uint64_t> stats_wal_appends_{0};
-  mutable std::atomic<uint64_t> stats_wal_records_appended_{0};
-  mutable std::atomic<uint64_t> stats_wal_tails_truncated_{0};
+  // Live counters, bumped with BumpCounter from every thread (const read
+  // paths quarantine and retry too).
+  mutable StoreStats counters_;
 };
 
 /// The store over the real filesystem: one file per sample under

@@ -10,8 +10,7 @@
 //     both modes' sample-size distributions fit Binomial(n, q) — the
 //     "same accepted count distribution" equivalence to geometric skips.
 //  3. State: the acceptance mode rides in the serialized sampler state, so
-//     a restored sampler continues in its original mode regardless of the
-//     process-wide default.
+//     a restored sampler continues in its original mode.
 
 #include "src/core/batch_accept.h"
 
@@ -33,20 +32,6 @@ namespace sampwh {
 namespace {
 
 constexpr double kAlpha = 1e-4;
-
-/// Restores the process-wide acceptance mode on scope exit, so tests in
-/// this binary cannot leak a bitmask default into each other.
-class ScopedAcceptMode {
- public:
-  explicit ScopedAcceptMode(BernAcceptMode mode)
-      : saved_(DefaultBernAcceptMode()) {
-    SetDefaultBernAcceptMode(mode);
-  }
-  ~ScopedAcceptMode() { SetDefaultBernAcceptMode(saved_); }
-
- private:
-  BernAcceptMode saved_;
-};
 
 TEST(BatchAcceptTest, MaskLanesAreBitIdenticalToBernoulli) {
   for (const double q : {0.01, 0.25, 0.5, 0.93}) {
@@ -205,17 +190,6 @@ TEST(BatchAcceptTest, BothModesFollowTheBinomialCountLaw) {
   ExpectBinomialSizeLaw(BernAcceptMode::kBitmask, 64, 0.3, 6000, 5000000);
 }
 
-TEST(BatchAcceptTest, RuntimeDefaultSwitch) {
-  ASSERT_EQ(DefaultBernAcceptMode(), BernAcceptMode::kAuto);
-  {
-    ScopedAcceptMode scoped(BernAcceptMode::kBitmask);
-    EXPECT_EQ(DefaultBernAcceptMode(), BernAcceptMode::kBitmask);
-    BernoulliSampler sampler(0.5, Pcg64(1));
-    EXPECT_EQ(sampler.accept_mode(), BernAcceptMode::kBitmask);
-  }
-  EXPECT_EQ(DefaultBernAcceptMode(), BernAcceptMode::kAuto);
-}
-
 TEST(BatchAcceptTest, AutoResolvesByRateAtConstruction) {
   // Below the calibrated threshold acceptance is sparse: geometric skips
   // amortize the RNG cost. At or above it the branch-free mask wins.
@@ -256,8 +230,7 @@ TEST(BatchAcceptTest, AutoIsBitIdenticalToExplicitMode) {
 }
 
 TEST(BatchAcceptTest, AutoNeverSerializes) {
-  // Serialized state names the resolved concrete mode; restoring under a
-  // different ambient default must not change the stream.
+  // Serialized state names the resolved concrete mode, never kAuto.
   BernoulliSampler sampler(0.5, Pcg64(9), BernAcceptMode::kAuto);
   ASSERT_EQ(sampler.accept_mode(), BernAcceptMode::kBitmask);
   BinaryWriter writer;
@@ -275,22 +248,18 @@ TEST(BatchAcceptTest, AcceptanceModeSurvivesStateRoundTrip) {
 
   SamplerConfig config;
   config.kind = SamplerKind::kStratifiedBernoulli;
-  config.bernoulli_rate = 0.1;
+  // At this rate kAuto resolves to the bitmask.
+  config.bernoulli_rate = 0.35;
 
-  std::string state;
-  PartitionSample uninterrupted;
-  {
-    ScopedAcceptMode scoped(BernAcceptMode::kBitmask);
-    AnySampler reference(config, Pcg64(31));
-    reference.AddBatch(all);
-    uninterrupted = reference.Finalize();
+  AnySampler reference(config, Pcg64(31));
+  reference.AddBatch(all);
+  const PartitionSample uninterrupted = reference.Finalize();
 
-    AnySampler first_half(config, Pcg64(31));
-    first_half.AddBatch(all.first(1000));
-    state = first_half.SaveState();
-  }
-  // The ambient default is back to geometric skip; the restored sampler
-  // must nonetheless continue in bitmask mode and land bit-identically.
+  AnySampler first_half(config, Pcg64(31));
+  first_half.AddBatch(all.first(1000));
+  const std::string state = first_half.SaveState();
+  // The restored sampler must continue in bitmask mode and land
+  // bit-identically.
   Result<AnySampler> restored = AnySampler::LoadState(state);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   restored.value().AddBatch(all.subspan(1000));

@@ -505,15 +505,7 @@ class StressRound {
   // --- Crash-resumable ingestion (invariant 7) ----------------------------
 
   void AccumulateStoreStats(const StoreStats& s) {
-    store_stats_.retries_attempted += s.retries_attempted;
-    store_stats_.retries_exhausted += s.retries_exhausted;
-    store_stats_.quarantines += s.quarantines;
-    store_stats_.recovered_temps += s.recovered_temps;
-    store_stats_.checkpoints_written += s.checkpoints_written;
-    store_stats_.checkpoints_restored += s.checkpoints_restored;
-    store_stats_.wal_appends += s.wal_appends;
-    store_stats_.wal_records_appended += s.wal_records_appended;
-    store_stats_.wal_tails_truncated += s.wal_tails_truncated;
+    SumCounters(&store_stats_, s, kStoreCounters);
   }
 
   WarehouseOptions ResumeOptions(SamplerKind kind, uint64_t scenario_seed,
@@ -786,16 +778,14 @@ int RunHarness(const HarnessConfig& config) {
               << " rollouts=" << stats.rollouts.load()
               << " tolerated_errors=" << stats.tolerated_errors.load()
               << (violations.empty() ? " PASS" : " FAIL") << "\n";
-    const StoreStats& ss = runner.store_stats();
-    std::cout << "  store: retries=" << ss.retries_attempted
-              << " exhausted=" << ss.retries_exhausted
-              << " quarantines=" << ss.quarantines
-              << " recovered_temps=" << ss.recovered_temps
-              << " ckpt_written=" << ss.checkpoints_written
-              << " ckpt_restored=" << ss.checkpoints_restored
-              << " wal_appends=" << ss.wal_appends
-              << " wal_records=" << ss.wal_records_appended
-              << " wal_tails_truncated=" << ss.wal_tails_truncated << "\n";
+    std::cout << "  store:";
+    const char* separator = " ";
+    for (const auto& row : kStoreCounters) {
+      std::cout << separator << row.label << " "
+                << runner.store_stats().*row.field;
+      separator = ", ";
+    }
+    std::cout << "\n";
     for (const std::string& v : violations) {
       std::cout << "  VIOLATION: " << v << "\n";
       ++failures;

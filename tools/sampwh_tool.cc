@@ -460,33 +460,11 @@ int CmdServerStats(const std::string& host, const std::string& port) {
   if (!client.ok()) return Fail(client.status());
   auto stats = client.value()->ServerStats();
   if (!stats.ok()) return Fail(stats.status());
-  const RemoteServerStats& s = stats.value();
-  std::printf("connections accepted: %llu\n",
-              static_cast<unsigned long long>(s.connections_accepted));
-  std::printf("connections dropped:  %llu\n",
-              static_cast<unsigned long long>(s.connections_dropped));
-  std::printf("requests served:      %llu\n",
-              static_cast<unsigned long long>(s.requests_served));
-  std::printf("error responses:      %llu\n",
-              static_cast<unsigned long long>(s.error_responses));
-  std::printf("protocol errors:      %llu\n",
-              static_cast<unsigned long long>(s.protocol_errors));
-  std::printf("datasets:             %llu\n",
-              static_cast<unsigned long long>(s.num_datasets));
-  std::printf("connections shed:     %llu\n",
-              static_cast<unsigned long long>(s.connections_shed));
-  std::printf("deadlines exceeded:   %llu\n",
-              static_cast<unsigned long long>(s.deadlines_exceeded));
-  std::printf("replica writes:       %llu\n",
-              static_cast<unsigned long long>(s.replica_writes));
-  std::printf("failover reads:       %llu\n",
-              static_cast<unsigned long long>(s.failover_reads));
-  std::printf("scrub rounds:         %llu\n",
-              static_cast<unsigned long long>(s.scrub_rounds));
-  std::printf("partitions healed:    %llu\n",
-              static_cast<unsigned long long>(s.partitions_healed));
-  std::printf("digest mismatches:    %llu\n",
-              static_cast<unsigned long long>(s.digest_mismatches));
+  for (const auto& row : kServerCounters) {
+    const std::string label = std::string(row.label) + ":";
+    std::printf("%-22s%llu\n", label.c_str(),
+                static_cast<unsigned long long>(stats.value().*row.field));
+  }
   return 0;
 }
 
