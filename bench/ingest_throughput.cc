@@ -17,10 +17,12 @@
 // stops scaling, the simulated makespan does not.
 //
 // A fourth section measures the cost of crash-safe ingestion: AppendBatch
-// through a file-backed warehouse with the checkpoint protocol off vs
-// every-N-element cadences, reporting the throughput overhead each cadence
-// pays for its resume granularity. Its legs run interleaved over
-// kCheckpointReps passes of at least 4 Mi elements in every mode.
+// through a file-backed warehouse that rolls in a partition every 4 Ki,
+// 16 Ki or 64 Ki elements, with the checkpoint protocol off and on. With
+// it on, each close writes its two records (checkpoint A and B), and the
+// section reports the throughput overhead they cost. Its legs run
+// interleaved over kCheckpointReps passes of 4 Mi elements (1 Mi under
+// --smoke).
 //
 // A fifth section compares the Bern(q) acceptance kernels head to head:
 // the geometric-skip path vs the 64-lane bitmask path (branch-free mask
@@ -62,11 +64,12 @@ namespace {
 
 constexpr size_t kChunk = 64 * 1024;
 
-// Passes and minimum stream of the checkpoint section. The smoke gate
-// compares two of its legs, so each leg must run long enough to time and
-// often enough that one slow or fast pass cannot decide the verdict.
+// Passes of the checkpoint section. The smoke gate compares two of its
+// legs, so each leg must run often enough that one slow or fast pass
+// cannot decide the verdict. Every leg rolls in a partition per 4-64 Ki
+// elements to a file store, so even the smoke's 1 Mi-element stream runs
+// each leg for tens of milliseconds.
 constexpr int kCheckpointReps = 15;
-constexpr uint64_t kCheckpointMinElements = uint64_t{1} << 22;
 
 struct PathRow {
   std::string config;   // "SB q=0.01", "HB F=64KiB", ...
@@ -77,12 +80,13 @@ struct PathRow {
 };
 
 struct CheckpointRow {
-  uint64_t cadence = 0;  // every-N-elements; 0 = checkpoints off
-  uint64_t wal_records = 0;  // delta records group-committed to the WAL
+  uint64_t partition_elements = 0;
+  bool checkpoints = false;
+  uint64_t wal_records = 0;  // close records appended to the WAL
   double seconds = 0.0;
   double elements_per_sec = 0.0;
-  double overhead_pct = 0.0;  // vs checkpoints off
-  uint64_t checkpoints_written = 0;
+  double overhead_pct = 0.0;  // vs checkpoints off at the same partition size
+  uint64_t checkpoints_written = 0;  // snapshot generations
 };
 
 struct ScalingRow {
@@ -237,13 +241,8 @@ void RunPathSection(uint64_t total_elements, int reps,
 
 void RunCheckpointSection(uint64_t total_elements,
                           std::vector<CheckpointRow>& rows) {
-  // Cadence checkpoints fire at append-chunk granularity, so the stream is
-  // delivered in batches no larger than the smallest cadence — the
-  // realistic shape for a checkpointed source (e.g. a replayable queue
-  // delivering bounded batches).
+  // The stream arrives in bounded batches, as from a replayable queue.
   constexpr size_t kCkptChunk = 4096;
-  const SamplerConfig config =
-      BoundedConfig(SamplerKind::kHybridReservoir, total_elements);
   const std::vector<Value> values =
       DataGenerator::Unique(total_elements).TakeAll();
   // Per-process scratch dir: concurrent bench/check.sh invocations must
@@ -254,66 +253,75 @@ void RunCheckpointSection(uint64_t total_elements,
           .string();
 
   std::printf(
-      "Checkpoint cadence overhead (%llu elements, HR, file store, "
-      "asynchronous delta checkpointing, %d interleaved passes: best pass,\n"
-      "overhead = median over passes against the same pass's cadence 0)\n",
+      "Checkpoint overhead (%llu elements, HR, file store, one roll-in per "
+      "partition, %d interleaved passes: best pass,\n"
+      "overhead = median over passes against the same pass's leg with "
+      "checkpoints off at the same partition size)\n",
       static_cast<unsigned long long>(total_elements), kCheckpointReps);
-  const std::vector<int> widths = {12, 10, 14, 10, 8, 12};
-  PrintRow({"cadence", "seconds", "elems/sec", "overhead", "ckpts", "deltas"},
+  const std::vector<int> widths = {10, 6, 10, 14, 10, 8, 12};
+  PrintRow({"partition", "ckpt", "seconds", "elems/sec", "overhead", "snaps",
+            "wal_records"},
            widths);
 
-  // Times one append pass at the row's cadence; the row keeps the store
-  // counters of its last pass.
+  // Times one append pass; the row keeps the store counters of its last
+  // pass.
   const auto time_leg = [&](CheckpointRow& row) -> double {
     std::filesystem::remove_all(dir);
     auto store = FileSampleStore::Open(dir);
     SAMPWH_CHECK(store.ok());
     WarehouseOptions options;
-    options.sampler = config;
+    options.sampler = BoundedConfig(SamplerKind::kHybridReservoir,
+                                    row.partition_elements);
     Warehouse warehouse(options, std::move(store).value());
     SAMPWH_CHECK(warehouse.CreateDataset("bench").ok());
-    double seconds = 0.0;
-    {
-      StreamIngestor ingestor(&warehouse, "bench", nullptr);
-      if (row.cadence > 0) {
-        ingestor.EnableCheckpoints({.every_n_elements = row.cadence});
-      }
-      const std::span<const Value> all(values);
-      WallTimer timer;
-      for (size_t i = 0; i < all.size(); i += kCkptChunk) {
-        SAMPWH_CHECK(ingestor
-                         .AppendBatch(all.subspan(
-                             i, std::min(kCkptChunk, all.size() - i)))
-                         .ok());
-      }
-      seconds = timer.ElapsedSeconds();
-      SAMPWH_CHECK(ingestor.Flush().ok());
-    }  // joins the background checkpoint writer: stats below are final
+    StreamIngestor ingestor(&warehouse, "bench",
+                            MakeCountPartitioner(row.partition_elements));
+    if (row.checkpoints) {
+      // As a server ingest session opens: checkpoints on, one snapshot.
+      ingestor.EnableCheckpoints({});
+      SAMPWH_CHECK(ingestor.Checkpoint().ok());
+    }
+    const std::span<const Value> all(values);
+    WallTimer timer;
+    for (size_t i = 0; i < all.size(); i += kCkptChunk) {
+      SAMPWH_CHECK(
+          ingestor
+              .AppendBatch(all.subspan(i, std::min(kCkptChunk, all.size() - i)))
+              .ok());
+    }
+    const double seconds = timer.ElapsedSeconds();
+    SAMPWH_CHECK(ingestor.Flush().ok());
     const StoreStats stats = warehouse.store_for_testing()->GetStoreStats();
     row.checkpoints_written = stats.checkpoints_written;
     row.wal_records = stats.wal_records_appended;
     return seconds;
   };
 
-  // One pass over every cadence per repetition. A leg's time is its best
+  // One pass over every leg per repetition. A leg's time is its best
   // pass; its overhead is the median over passes of its time against the
-  // no-checkpoint leg of the same pass. Legs of one pass run back to back,
-  // so a drift in machine speed moves both sides of each ratio alike, and
-  // one lucky fast pass of one leg cannot decide the median.
-  const std::vector<uint64_t> cadences = {0, 65536, 16384, 4096};
-  std::vector<CheckpointRow> legs(cadences.size());
-  std::vector<std::vector<double>> ratios(cadences.size());
-  for (size_t i = 0; i < cadences.size(); ++i) {
-    legs[i].cadence = cadences[i];
-    legs[i].seconds = std::numeric_limits<double>::infinity();
+  // checkpoints-off leg of the same partition size in the same pass. Legs
+  // of one pass run back to back, so a drift in machine speed moves both
+  // sides of each ratio alike, and one lucky fast pass of one leg cannot
+  // decide the median.
+  std::vector<CheckpointRow> legs;
+  for (const uint64_t partition : {uint64_t{4096}, uint64_t{16384},
+                                   uint64_t{65536}}) {
+    for (const bool checkpoints : {false, true}) {
+      CheckpointRow row;
+      row.partition_elements = partition;
+      row.checkpoints = checkpoints;
+      row.seconds = std::numeric_limits<double>::infinity();
+      legs.push_back(row);
+    }
   }
+  std::vector<std::vector<double>> ratios(legs.size());
   for (int rep = 0; rep < kCheckpointReps; ++rep) {
-    double pass_baseline = 0.0;
+    double off_seconds = 0.0;
     for (size_t i = 0; i < legs.size(); ++i) {
       const double seconds = time_leg(legs[i]);
-      if (i == 0) pass_baseline = seconds;
+      if (!legs[i].checkpoints) off_seconds = seconds;
       legs[i].seconds = std::min(legs[i].seconds, seconds);
-      ratios[i].push_back(seconds / std::max(pass_baseline, 1e-12));
+      ratios[i].push_back(seconds / std::max(off_seconds, 1e-12));
     }
   }
   for (size_t i = 0; i < legs.size(); ++i) {
@@ -324,8 +332,9 @@ void RunCheckpointSection(uint64_t total_elements,
         static_cast<double>(total_elements) / std::max(row.seconds, 1e-12);
     row.overhead_pct = 100.0 * (r[r.size() / 2] - 1.0);
     rows.push_back(row);
-    std::printf("%-12llu %9.4f %14.0f %8.2f%% %7llu %11llu\n",
-                static_cast<unsigned long long>(row.cadence), row.seconds,
+    std::printf("%-10llu %-6s %9.4f %14.0f %8.2f%% %7llu %11llu\n",
+                static_cast<unsigned long long>(row.partition_elements),
+                row.checkpoints ? "on" : "off", row.seconds,
                 row.elements_per_sec, row.overhead_pct,
                 static_cast<unsigned long long>(row.checkpoints_written),
                 static_cast<unsigned long long>(row.wal_records));
@@ -464,10 +473,12 @@ bool WriteJson(const std::string& path, uint64_t path_elements,
         << (i + 1 < paths.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"checkpoint_cadence\": [\n";
+  out << "  \"checkpoints\": [\n";
   for (size_t i = 0; i < checkpoints.size(); ++i) {
     const CheckpointRow& r = checkpoints[i];
-    out << "    {\"cadence\": " << r.cadence << ", \"seconds\": " << r.seconds
+    out << "    {\"partition_elements\": " << r.partition_elements
+        << ", \"checkpoints\": " << (r.checkpoints ? "true" : "false")
+        << ", \"seconds\": " << r.seconds
         << ", \"elements_per_sec\": " << r.elements_per_sec
         << ", \"overhead_pct\": " << r.overhead_pct
         << ", \"checkpoints_written\": " << r.checkpoints_written
@@ -510,8 +521,7 @@ int Main(bool smoke) {
   std::vector<ScalingRow> scaling;
   std::vector<AcceptModeRow> accept_modes;
   RunPathSection(elements, reps, paths);
-  const uint64_t checkpoint_elements =
-      std::max(elements, kCheckpointMinElements);
+  const uint64_t checkpoint_elements = smoke ? (1ull << 20) : (1ull << 22);
   RunCheckpointSection(checkpoint_elements, checkpoints);
   RunScalingSection(elements, reps, scaling);
   RunAcceptModeSection(elements, reps, accept_modes);
@@ -522,23 +532,33 @@ int Main(bool smoke) {
   }
   std::printf("Wrote BENCH_ingest.json\n");
   if (smoke) {
-    // CI gate: asynchronous checkpointing must stay off the hot path. The
-    // 64Ki cadence costs a couple of snapshots plus coalesced WAL deltas
-    // over the whole stream; 25% is a generous noise allowance on the
-    // smoke machine, an order of magnitude under the synchronous-era cost.
-    // The overhead is the median of kCheckpointReps paired passes.
+    // CI gate: checkpoints cost two small records per partition close and
+    // nothing between closes. At 64 Ki-element partitions 25% is a generous
+    // noise allowance on the smoke machine. The overhead is the median of
+    // kCheckpointReps paired passes.
     for (const CheckpointRow& r : checkpoints) {
-      if (r.cadence == 65536 && r.overhead_pct > 25.0) {
+      if (r.checkpoints && r.partition_elements == 65536 &&
+          r.overhead_pct > 25.0) {
         std::fprintf(stderr,
-                     "FAIL: checkpoint overhead %.2f%% at 64Ki cadence "
-                     "(gate: 25%%)\n",
+                     "FAIL: checkpoint overhead %.2f%% at 64Ki-element "
+                     "partitions (gate: 25%%)\n",
                      r.overhead_pct);
         return 1;
       }
-      if (r.cadence > 0 && r.checkpoints_written == 0) {
+      // Every close writes checkpoint A and B, each a WAL record or a
+      // snapshot generation; the session's opening snapshot is the one
+      // extra generation.
+      const uint64_t closes = checkpoint_elements / r.partition_elements;
+      const uint64_t records =
+          r.wal_records + r.checkpoints_written - (r.checkpoints ? 1 : 0);
+      if (records != (r.checkpoints ? 2 * closes : 0)) {
         std::fprintf(stderr,
-                     "FAIL: cadence %llu wrote no snapshot generation\n",
-                     static_cast<unsigned long long>(r.cadence));
+                     "FAIL: %llu checkpoint records for %llu closes at "
+                     "%llu-element partitions, checkpoints %s\n",
+                     static_cast<unsigned long long>(records),
+                     static_cast<unsigned long long>(closes),
+                     static_cast<unsigned long long>(r.partition_elements),
+                     r.checkpoints ? "on" : "off");
         return 1;
       }
     }

@@ -145,6 +145,17 @@ Result<int> OpenSocket(const std::string& host, uint16_t port,
   return fd;
 }
 
+/// True when a pooled connection is readable before a request is sent:
+/// the peer closed it (EOF or a reset), or wrote bytes that answer nothing.
+/// Either way a reply read from it would not be the next request's.
+bool StaleBeforeSend(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, 0) <= 0) return false;
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+}
+
 }  // namespace
 
 WarehouseClient::WarehouseClient(int fd, std::string host, uint16_t port,
@@ -271,7 +282,10 @@ Result<WarehouseClient::Reply> WarehouseClient::Call(Verb verb,
       backoff = std::min(backoff * 2, options_.backoff_max_millis);
       if (breaker_open()) break;  // opened by the previous failed attempt
     }
-    if (!broken_.ok() || fd_ < 0) {
+    // A server closes a connection that idles past its read timeout;
+    // nothing has been sent on it yet, so reconnecting is safe for every
+    // verb and spends no retry.
+    if (!broken_.ok() || fd_ < 0 || StaleBeforeSend(fd_)) {
       last = Reconnect();
       if (!last.ok()) {
         broken_ = last;

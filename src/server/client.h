@@ -11,12 +11,14 @@
 // streaming-ingest verbs retry because the server's sequence watermark
 // makes re-driven appends exactly-once; roll-ins and admin mutations are
 // NEVER retried (a duplicate would be ambiguous), their error surfaces to
-// the caller. After breaker_failure_threshold consecutive transport
-// failures a per-client circuit breaker opens: calls fail fast with
-// kUnavailable (no connect timeout burned) until breaker_open_millis
-// passes, then a half-open probe either closes it or re-opens it. The
-// shard coordinator keeps one client per node, so this breaker is exactly
-// a per-node breaker.
+// the caller. A pooled connection that the server already closed, as it
+// does after an idle read timeout, is noticed before a request is sent
+// and reopened, for every verb. After breaker_failure_threshold
+// consecutive transport failures a per-client circuit breaker opens: calls
+// fail fast with kUnavailable (no connect timeout burned) until
+// breaker_open_millis passes, then a half-open probe either closes it or
+// re-opens it. The shard coordinator keeps one client per node, so this
+// breaker is exactly a per-node breaker.
 //
 // Deadlines: deadline_millis (per-client default, overridable with
 // set_deadline_millis) is propagated to the server in the wire header; the

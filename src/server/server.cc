@@ -249,7 +249,10 @@ void WarehouseServer::ServeConnection(int fd) {
     std::string payload;
     const Status read = ReadFrame(fd, options_.max_frame_bytes, &payload);
     if (!read.ok()) {
-      if (read.IsNotFound()) return;  // orderly EOF between frames
+      // An orderly EOF, or an idle timeout, between frames: close without
+      // a frame. An error frame here would sit unread in the socket until
+      // the client's next request, and read as its reply.
+      if (read.IsNotFound() || read.IsDeadlineExceeded()) return;
       // Framing is lost (oversized length, CRC mismatch, mid-frame tear,
       // or a slow-loris timeout): answer a best-effort structured error,
       // then drop the connection.

@@ -7,7 +7,8 @@
 // Robustness contract: a malformed frame — oversized length, CRC mismatch,
 // bad magic, truncated stream, a peer that trickles bytes slower than the
 // read timeout — yields a structured error response where framing still
-// permits one, and then the connection is dropped. Unknown verbs and
+// permits one, and then the connection is dropped. A peer idle between
+// frames past the read timeout is closed without a frame. Unknown verbs and
 // malformed bodies answer a structured error and keep the connection. The
 // server never crashes on hostile input and counts every outcome
 // (ServerStatsSnapshot) so tests can assert the taxonomy.
@@ -17,9 +18,11 @@
 // acks with the replay watermark; kIngestAppendBlock applies
 // sequence-addressed batches with exactly-once semantics over
 // at-least-once delivery. A durable checkpoint is forced before the open
-// is acked, so a client that re-drives its stream from the acked watermark
-// after a server crash produces samples bit-identical to an uninterrupted
-// run.
+// is acked, and each partition close writes its own, so a client that
+// re-drives its stream from the acked watermark after a server crash
+// produces samples bit-identical to an uninterrupted run. Every checkpoint
+// is written on the connection thread that caused it; a session runs no
+// thread of its own.
 
 #ifndef SAMPWH_SERVER_SERVER_H_
 #define SAMPWH_SERVER_SERVER_H_
@@ -52,8 +55,10 @@ struct ServerOptions {
   /// Per-frame payload bound; larger declared lengths are rejected before
   /// any allocation.
   uint32_t max_frame_bytes = kWireDefaultMaxFrameBytes;
-  /// Per-recv timeout. A peer that stays silent (or trickles a frame
-  /// slower than this, the slow-loris shape) is dropped. 0 disables.
+  /// Per-recv timeout. A peer that stays silent between frames this long
+  /// is closed without a frame and counts as no error; one that trickles a
+  /// frame slower than this (the slow-loris shape) is answered an error
+  /// frame and dropped. 0 disables.
   int read_timeout_millis = 30'000;
   /// Honor the kShutdown admin verb (the serve tool enables it so an
   /// orchestrator can stop the daemon over the wire).
@@ -80,9 +85,9 @@ struct ServerOptions {
   std::string store_directory;
 
   /// Streaming-ingest sessions: elements per closed partition (count
-  /// partitioner) and the checkpoint cadence of each session.
+  /// partitioner) and where each session places its checkpoint records.
   uint64_t ingest_partition_elements = 64 * 1024;
-  CheckpointPolicy ingest_checkpoints{.every_n_elements = 8 * 1024};
+  CheckpointPolicy ingest_checkpoints;
 
   /// Tenants pre-created at startup (name -> quota); the admin verbs can
   /// add more at runtime.

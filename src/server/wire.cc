@@ -290,6 +290,9 @@ Status ReadExact(int fd, size_t n, std::string* out) {
     }
     if (r < 0) {
       if (errno == EINTR) continue;
+      if (got == 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return Status::DeadlineExceeded("recv: read timeout");
+      }
       return Status::IOError(std::string("recv: ") + std::strerror(errno));
     }
     got += static_cast<size_t>(r);
@@ -314,8 +317,11 @@ Status ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload) {
   std::string body;
   const Status read = ReadExact(fd, header.length, &body);
   if (!read.ok()) {
-    // EOF exactly between header and body is still a mid-frame tear.
-    return read.IsNotFound() ? Status::IOError(read.message()) : read;
+    // EOF or a timeout exactly between header and body is still a
+    // mid-frame tear.
+    return read.IsNotFound() || read.IsDeadlineExceeded()
+               ? Status::IOError(read.message())
+               : read;
   }
   if (!FramePayloadMatches(header, body)) {
     return Status::Corruption("frame CRC mismatch");

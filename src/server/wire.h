@@ -281,17 +281,20 @@ Status StatusFromWire(uint32_t code, std::string message);
 Status WriteAll(int fd, std::string_view data);
 
 /// Reads exactly `n` bytes into `out` (resized). kOk, or IOError on
-/// EOF/reset/timeout. EOF cleanly between frames is reported as NotFound so
-/// callers can distinguish an orderly close from a mid-frame tear.
+/// EOF/reset/timeout. EOF before the first byte is reported as NotFound and
+/// a receive timeout before the first byte as DeadlineExceeded, so callers
+/// can tell a peer that closed or went idle from a mid-frame tear.
 Status ReadExact(int fd, size_t n, std::string* out);
 
 /// Writes one framed payload to `fd`.
 Status WriteFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd` into `*payload` (header then body, CRC
-/// verified). NotFound on clean EOF before any header byte; IOError on
-/// mid-frame EOF or socket error; Corruption on CRC mismatch; OutOfRange
-/// on an oversized declared length (the declared bytes are not drained).
+/// verified). NotFound on clean EOF before any header byte;
+/// DeadlineExceeded on a receive timeout before any header byte; IOError
+/// on mid-frame EOF or timeout, or a socket error; Corruption on CRC
+/// mismatch; OutOfRange on an oversized declared length (the declared bytes
+/// are not drained).
 Status ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload);
 
 }  // namespace sampwh

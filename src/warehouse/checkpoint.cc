@@ -217,8 +217,8 @@ Result<IngestCheckpoint> ResolveCheckpointChain(const CheckpointChain& chain) {
       SAMPWH_ASSIGN_OR_RETURN(
           resolved, IngestCheckpoint::Deserialize(record.checkpoint_payload));
     }
-    // kProgress records are observability only: they carry no sampler
-    // state, so the last state-complete record wins regardless of trailing
+    // kProgress records, which older builds wrote, carry no sampler state,
+    // so the last state-complete record wins regardless of trailing
     // progress advances.
   }
   return resolved;

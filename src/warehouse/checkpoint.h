@@ -94,22 +94,24 @@ struct IngestCheckpoint {
 /// quarantined — invalid bytes are never half-decoded at resume time.
 Status VerifyCheckpointPayload(std::string_view bytes);
 
-// --- Delta-journal records (asynchronous checkpointing) ---------------------
+// --- Delta-journal records ---------------------------------------------------
 //
-// Between full snapshots the background checkpoint writer appends small
-// DELTA records to a per-key write-ahead log owned by the newest snapshot
-// generation ("<key>.<generation>.wal"). Two kinds:
+// Between full snapshots a StreamIngestor appends DELTA records to a
+// per-key write-ahead log owned by the newest snapshot generation
+// ("<key>.<generation>.wal"). Two kinds are decoded:
 //
-//   * kProgress — watermark / RNG / partition-progress advance WITHOUT the
-//     sampler state. Cheap enough to group-commit at high cadence, but NOT a
-//     resume point: the sampler's contents at that watermark were never
-//     persisted, so resuming there would have to skip replayed elements
-//     whose sampling decisions are lost. Resolution treats these records as
-//     observability/liveness only.
-//   * kClosePending — a complete IngestCheckpoint (checkpoint A of the
-//     two-phase close protocol) embedded as a delta. State-complete: the
-//     open partition was just finalized, so the record carries everything a
-//     resume needs, without rewriting a snapshot generation per close.
+//   * kClosePending — a complete IngestCheckpoint embedded as a delta:
+//     checkpoint A or B of the two-phase close protocol, or the record a
+//     resume writes when it adopts a completed roll-in. State-complete: it
+//     carries everything a resume needs, without rewriting a snapshot
+//     generation per close. It is the only kind written.
+//   * kProgress — a watermark / RNG / partition-progress advance WITHOUT
+//     the sampler state, written by earlier builds on an element cadence.
+//     NOT a resume point: the sampler's contents at that watermark were
+//     never persisted, so resuming there would have to skip replayed
+//     elements whose sampling decisions are lost. Chains written by those
+//     builds still hold such records, so they stay decodable and
+//     verifiable, and resolution skips them.
 //
 // Resume resolves a chain to the NEWEST state-complete record — the
 // snapshot, overridden by each kClosePending in append order — and replays
@@ -124,7 +126,7 @@ enum class CheckpointDeltaKind : uint8_t {
 struct CheckpointDeltaRecord {
   CheckpointDeltaKind kind = CheckpointDeltaKind::kProgress;
 
-  // kProgress fields (ignored for kClosePending).
+  // kProgress fields (ignored for kClosePending); read from older chains.
   uint64_t next_sequence = 0;
   uint64_t partitions_started = 0;
   uint64_t created_unix_micros = 0;

@@ -81,14 +81,9 @@ Status StreamIngestor::CompletePendingClose() {
   // crash in the window between them is reconciled on resume instead of
   // replaying the partition's elements into a duplicate. A failure here
   // leaves pending_ set; the next append (or an explicit Checkpoint())
-  // retries the whole close. This is the one cadenceless write that stays
-  // a synchronous barrier — exactly-once replay depends on A being durable
-  // before the roll-in it describes.
-  if (writer_ != nullptr && !pending_->checkpointed) {
-    SAMPWH_RETURN_IF_ERROR(
-        writer_->WriteDurableClose(BuildCheckpointPayload()));
-    anchored_ = true;
-    ResetCadence();
+  // retries the whole close.
+  if (checkpoints_enabled_ && !pending_->checkpointed) {
+    SAMPWH_RETURN_IF_ERROR(WriteResumePoint());
     pending_->checkpointed = true;
   }
   SAMPWH_ASSIGN_OR_RETURN(
@@ -100,7 +95,7 @@ Status StreamIngestor::CompletePendingClose() {
   // Checkpoint B clears the pending record. Best effort: if it is lost, a
   // resume from checkpoint A finds the rolled-in partition at or above
   // id_lower_bound and adopts it instead of rolling in twice.
-  if (writer_ != nullptr) WriteCloseComplete();
+  if (checkpoints_enabled_) (void)WriteResumePoint();
   return Status::OK();
 }
 
@@ -126,65 +121,44 @@ std::string StreamIngestor::BuildCheckpointPayload() const {
   return ckpt.Serialize();
 }
 
-Status StreamIngestor::WriteCheckpoint() {
-  SAMPWH_RETURN_IF_ERROR(
-      warehouse_->PutIngestCheckpoint(dataset_, BuildCheckpointPayload()));
-  anchored_ = true;
-  ResetCadence();
-  return Status::OK();
+Status StreamIngestor::WriteSnapshot() {
+  const Status status =
+      warehouse_->PutIngestCheckpoint(dataset_, BuildCheckpointPayload());
+  // A failed put may leave a torn newest generation; nothing is appended
+  // behind it until a snapshot succeeds.
+  wal_broken_ = !status.ok();
+  if (status.ok()) {
+    have_generation_ = true;
+    wal_bytes_since_snapshot_ = 0;
+  }
+  return status;
 }
 
-void StreamIngestor::WriteCloseComplete() {
-  // A state-complete close record (pending just cleared): rides the WAL as
-  // the newest resume point without rotating a snapshot generation.
-  writer_->PushClose(BuildCheckpointPayload());
-  anchored_ = true;
-  ResetCadence();
-}
-
-void StreamIngestor::ResetCadence() {
-  elements_since_checkpoint_ = 0;
-  last_checkpoint_tick_ = progress_.last_timestamp;
-}
-
-void StreamIngestor::MaybeCheckpoint() {
-  if (writer_ == nullptr || pending_.has_value()) return;
-  const bool by_count = policy_.every_n_elements > 0 &&
-                        elements_since_checkpoint_ >= policy_.every_n_elements;
-  const bool by_time =
-      policy_.every_t_ticks > 0 &&
-      progress_.last_timestamp >=
-          last_checkpoint_tick_ + policy_.every_t_ticks;
-  if (!by_count && !by_time) return;
-  // Cadence checkpoints are an optimization of resume granularity, not a
-  // correctness requirement — a failed write (or a full ring) only means
-  // more replay.
-  if (!anchored_ || snapshot_requested_ || writer_->TakeWantsSnapshot()) {
-    // Anchor or compaction point: a full snapshot rotates the generation
-    // and resets the delta chain.
-    if (writer_->OfferSnapshot(BuildCheckpointPayload())) {
-      anchored_ = true;
-      snapshot_requested_ = false;
-      ResetCadence();
-    } else {
-      snapshot_requested_ = true;  // ring full — retry next cadence point
-    }
-    return;
+Status StreamIngestor::WriteResumePoint() {
+  if (!have_generation_ || wal_broken_ ||
+      wal_bytes_since_snapshot_ >= policy_.snapshot_every_wal_bytes) {
+    // The record is state-complete, so it can stand as a snapshot
+    // generation of its own; that also compacts or heals the chain.
+    return WriteSnapshot();
   }
   CheckpointDeltaRecord record;
-  record.next_sequence = next_sequence_;
-  record.partitions_started = partitions_started_;
-  record.created_unix_micros = NowUnixMicros();
-  record.rng = rng_.SaveState();
-  record.progress = progress_;
-  if (writer_->OfferDelta(record)) ResetCadence();
+  record.kind = CheckpointDeltaKind::kClosePending;
+  record.checkpoint_payload = BuildCheckpointPayload();
+  std::string bytes = record.Serialize();
+  const uint64_t framed = kFrameHeaderBytes + bytes.size();
+  const Status status =
+      warehouse_->AppendIngestCheckpointDeltas(dataset_, {std::move(bytes)});
+  if (status.ok()) {
+    wal_bytes_since_snapshot_ += framed;
+  } else {
+    wal_broken_ = true;  // the append may have torn the WAL tail
+  }
+  return status;
 }
 
 void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy) {
+  checkpoints_enabled_ = true;
   policy_ = policy;
-  if (writer_ != nullptr) return;
-  writer_ = std::make_unique<CheckpointWriter>(warehouse_, dataset_,
-                                               anchored_, policy);
 }
 
 Status StreamIngestor::Checkpoint() {
@@ -193,15 +167,7 @@ Status StreamIngestor::Checkpoint() {
     // settled state (and records the roll-in as complete).
     SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
   }
-  if (writer_ != nullptr) {
-    SAMPWH_RETURN_IF_ERROR(
-        writer_->WriteDurableSnapshot(BuildCheckpointPayload()));
-    anchored_ = true;
-    snapshot_requested_ = false;
-    ResetCadence();
-    return Status::OK();
-  }
-  return WriteCheckpoint();
+  return WriteSnapshot();
 }
 
 Status StreamIngestor::Append(Value v, uint64_t timestamp) {
@@ -257,7 +223,6 @@ Status StreamIngestor::AppendBatchAt(uint64_t sequence,
     sampler_->AddBatch(values.subspan(i, chunk));
     progress_.elements += chunk;
     next_sequence_ += chunk;
-    elements_since_checkpoint_ += chunk;
     i += chunk;
 
     if (partitioner_ != nullptr) {
@@ -266,7 +231,6 @@ Status StreamIngestor::AppendBatchAt(uint64_t sequence,
         SAMPWH_RETURN_IF_ERROR(CloseCurrentPartition());
       }
     }
-    MaybeCheckpoint();
   }
   return Status::OK();
 }
@@ -300,8 +264,10 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
     ingestor->sampler_.emplace(std::move(sampler));
   }
   // The chain we just resumed from has a verified snapshot generation, so
-  // delta records appended by the new incarnation extend a valid chain.
-  ingestor->anchored_ = true;
+  // records appended by the new incarnation extend a valid chain — unless
+  // its WAL ends in a torn record, behind which an append would be lost.
+  ingestor->have_generation_ = true;
+  ingestor->wal_broken_ = chain.torn_tail;
   ingestor->EnableCheckpoints(policy);
 
   if (ckpt.pending.has_value()) {
@@ -327,7 +293,7 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
       // checkpoint B so a second resume does not re-run this branch
       // against a catalog that moved on.
       ingestor->rolled_in_.push_back(adopted);
-      ingestor->WriteCloseComplete();  // best effort
+      (void)ingestor->WriteResumePoint();  // best effort
     } else {
       PendingClose pending;
       pending.sample = std::move(sample);

@@ -13,6 +13,9 @@ namespace sampwh {
 
 namespace {
 
+/// Shard count of the two read-path caches.
+constexpr size_t kCacheShards = 16;
+
 WarehouseOptions NormalizeOptions(WarehouseOptions options) {
   // The merge layer inherits the sampler's bound and exceedance target
   // unless the caller set them explicitly.
@@ -50,11 +53,11 @@ Warehouse::Warehouse(const WarehouseOptions& options,
     pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   }
   if (options_.sample_cache_bytes > 0) {
-    sample_cache_ = std::make_unique<SampleCache>(
-        options_.cache_shards, options_.sample_cache_bytes);
+    sample_cache_ = std::make_unique<SampleCache>(kCacheShards,
+                                                  options_.sample_cache_bytes);
   }
   if (options_.merge_memo_bytes > 0) {
-    merge_memo_ = std::make_unique<MergeMemo>(options_.cache_shards,
+    merge_memo_ = std::make_unique<MergeMemo>(kCacheShards,
                                               options_.merge_memo_bytes);
   }
   if (!options_.manifest_path.empty()) {

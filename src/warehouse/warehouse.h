@@ -55,8 +55,6 @@ struct WarehouseOptions {
   /// or not, warm or cold, a query returns the same bytes, and a repeated
   /// query returns the identical sample. This budget changes speed only.
   uint64_t merge_memo_bytes = 0;
-  /// Shard count for the read-path caches (rounded to a power of two).
-  size_t cache_shards = 16;
   /// Seed for all sampling/merging randomness in this warehouse.
   uint64_t seed = 0x5157313136ULL;
   /// When non-empty, the catalog is durable at this path: a snapshot here

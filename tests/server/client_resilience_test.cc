@@ -6,7 +6,9 @@
 // ingested partition is byte-identical to a fault-free run; a request too
 // large for the frame bound is refused before it is sent; the per-client
 // circuit breaker opens after consecutive transport failures, fails fast,
-// and half-open-probes its way closed; and a propagated deadline aborts an
+// and half-open-probes its way closed; a connection the server closed
+// after an idle read timeout is reopened before the next request is sent;
+// and a propagated deadline aborts an
 // oversized merge server-side with kDeadlineExceeded — after which the
 // same query, re-run without a deadline, is bit-identical to an
 // uninterrupted reference (cancellation probes consume no randomness).
@@ -253,6 +255,29 @@ TEST(ClientResilienceTest, NonIdempotentVerbsNeverRetry) {
   auto parts = direct->ListPartitions("acme", "sales");
   ASSERT_TRUE(parts.ok()) << parts.status().ToString();
   EXPECT_EQ(parts.value().size(), 1u);
+}
+
+// A server closes a connection that idles past its read timeout, without
+// a frame and without counting an error. The client notices the closed
+// socket before it sends, reconnects, and so even a verb that is never
+// retried goes through.
+TEST(ClientResilienceTest, IdleConnectionClosedByTheServerIsReopened) {
+  ServerOptions options = TestServerOptions(kSeed);
+  options.read_timeout_millis = 200;
+  auto server = MustStart(std::move(options));
+  ASSERT_NE(server, nullptr);
+  auto client = MustConnect(*server);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const Status created = client->CreateDataset("acme", "sales");
+  EXPECT_TRUE(created.ok()) << created.ToString();
+  EXPECT_EQ(client->stats().retries_attempted, 0u);
+  EXPECT_EQ(client->stats().reconnects, 1u);
+  const ServerStatsSnapshot stats = server->stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.connections_dropped, 0u);
 }
 
 TEST(ClientResilienceTest, BreakerOpensFailsFastAndRecloses) {

@@ -10,6 +10,8 @@
 #include "src/server/client.h"
 #include "src/server/wire.h"
 #include "src/util/random.h"
+#include "src/warehouse/checkpoint.h"
+#include "src/warehouse/sample_store.h"
 #include "tests/server/server_test_util.h"
 
 namespace sampwh {
@@ -410,6 +412,65 @@ TEST(ServerTest, StreamingIngestIsExactlyOnceOverTheWire) {
   EXPECT_TRUE(client->IngestAppend("acme", "ghost", 0, batch)
                   .status()
                   .IsFailedPrecondition());
+}
+
+// A session checkpoints at its resume points only: the open's snapshot and
+// two records per partition close (checkpoint A and B), none in between,
+// however long a partition runs. A record goes to the WAL or, where the
+// WAL bound promotes it, becomes a snapshot generation of its own.
+TEST(ServerTest, IngestSessionCheckpointsOnlyAtCloses) {
+  constexpr uint64_t kPartition = 6 * 4096;
+  constexpr uint64_t kCloses = 3;
+  for (const uint64_t wal_bound : {uint64_t{1} << 20, uint64_t{1}}) {
+    SCOPED_TRACE("snapshot_every_wal_bytes " + std::to_string(wal_bound));
+    ServerOptions options = TestServerOptions();
+    options.ingest_partition_elements = kPartition;
+    options.ingest_checkpoints.snapshot_every_wal_bytes = wal_bound;
+    auto server = MustStart(std::move(options));
+    ASSERT_NE(server, nullptr);
+    auto client = MustConnect(*server);
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+    ASSERT_TRUE(client->CreateDataset("acme", "events").ok());
+    ASSERT_TRUE(client->IngestOpen("acme", "events").ok());
+    Warehouse* warehouse = server->warehouse_for_testing();
+    const StoreStats before = warehouse->store_for_testing()->GetStoreStats();
+
+    // kCloses partitions, then most of one more.
+    std::vector<Value> batch(4096);
+    const uint64_t total = (kCloses + 1) * kPartition - batch.size();
+    for (uint64_t sequence = 0; sequence < total; sequence += batch.size()) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        batch[i] = static_cast<Value>(sequence + i);
+      }
+      auto appended = client->IngestAppend("acme", "events", sequence, batch);
+      ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    }
+
+    const StoreStats after = warehouse->store_for_testing()->GetStoreStats();
+    const uint64_t snapshots =
+        after.checkpoints_written - before.checkpoints_written;
+    const uint64_t wal_records =
+        after.wal_records_appended - before.wal_records_appended;
+    EXPECT_EQ(wal_records + snapshots, 2 * kCloses);
+    if (wal_bound == uint64_t{1} << 20) {
+      EXPECT_EQ(snapshots, 0u);
+    }
+
+    auto chain = warehouse->GetIngestCheckpointChain("acme.events");
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    for (const std::string& bytes : chain.value().deltas) {
+      auto record = CheckpointDeltaRecord::Deserialize(bytes);
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      EXPECT_EQ(record.value().kind, CheckpointDeltaKind::kClosePending);
+    }
+    // A resume lands on the last close: checkpoint B, nothing pending.
+    auto resolved = ResolveCheckpointChain(chain.value());
+    ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+    EXPECT_EQ(resolved.value().next_sequence, kCloses * kPartition);
+    EXPECT_EQ(resolved.value().rolled_in.size(), kCloses);
+    EXPECT_FALSE(resolved.value().pending.has_value());
+  }
 }
 
 TEST(ServerTest, DropDatasetEndsItsIngestStream) {

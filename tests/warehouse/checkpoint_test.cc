@@ -11,10 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -693,13 +691,13 @@ TEST_F(ResumableIngestTest, KillMidStreamResumeReplayBitIdentical) {
   const std::vector<std::string> want = ReferenceRun(values, 250);
   ASSERT_EQ(want.size(), 4u);
 
-  // Run 1: ingest 520 elements with cadence checkpoints, then "crash" (all
-  // in-memory state destroyed, no Flush).
+  // Run 1: ingest 520 elements with checkpoints at the closes at 250 and
+  // 500, then "crash" (all in-memory state destroyed, no Flush).
   {
     Warehouse warehouse(DurableOptions(), OpenStore());
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
     StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
-    ingestor.EnableCheckpoints({.every_n_elements = 64});
+    ingestor.EnableCheckpoints({});
     for (uint64_t i = 0; i < 520; i += 40) {
       ASSERT_TRUE(
           ingestor
@@ -717,8 +715,7 @@ TEST_F(ResumableIngestTest, KillMidStreamResumeReplayBitIdentical) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   Warehouse& warehouse = *restored.value().warehouse;
   auto resumed = StreamIngestor::Resume(&warehouse, "events",
-                                        MakeCountPartitioner(250),
-                                        {.every_n_elements = 64});
+                                        MakeCountPartitioner(250));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   StreamIngestor& ingestor = *resumed.value();
   EXPECT_GT(ingestor.next_sequence(), 0u);
@@ -869,21 +866,25 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
   EXPECT_EQ(SampleBytes(warehouse, "events"), want);
 }
 
-/// Polls `done` until it holds or a generous deadline passes; the
-/// background checkpoint writer commits on its own cadence.
-bool WaitUntil(const std::function<bool()>& done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// The kClosePending records of `chain`'s WAL, decoded, in append order.
+/// Fails the test on a record of any other kind.
+std::vector<IngestCheckpoint> CloseRecords(const CheckpointChain& chain) {
+  std::vector<IngestCheckpoint> closes;
+  for (const std::string& bytes : chain.deltas) {
+    auto record = CheckpointDeltaRecord::Deserialize(bytes);
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    if (!record.ok()) continue;
+    EXPECT_EQ(record.value().kind, CheckpointDeltaKind::kClosePending);
+    auto ckpt = IngestCheckpoint::Deserialize(record.value().checkpoint_payload);
+    EXPECT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+    if (ckpt.ok()) closes.push_back(std::move(ckpt).value());
   }
-  return true;
+  return closes;
 }
 
-// A failed group commit breaks the WAL: the writer must not append behind
+// A failed WAL append breaks the WAL: the ingestor must not append behind
 // it, so the next close record is promoted to a fresh snapshot generation,
-// which heals the chain for later deltas.
+// which heals the chain for the close records after it.
 TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
   const std::vector<Value> values = Range(0, 800);
   const std::vector<std::string> want = ReferenceRun(values, 250);
@@ -896,7 +897,7 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
     SampleStore* store = warehouse.store_for_testing();
     StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
-    ingestor.EnableCheckpoints({.every_n_elements = 32});
+    ingestor.EnableCheckpoints({});
     auto feed = [&](uint64_t from, uint64_t to) {
       for (uint64_t i = from; i < to; i += 40) {
         ASSERT_TRUE(
@@ -914,40 +915,45 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
         warehouse.GetIngestCheckpointChain("events").value().generation;
     const uint64_t snapshots = store->GetStoreStats().checkpoints_written;
 
-    // The next group commit (the cadence delta of 200..240) fails.
-    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, 1);
-    feed(200, 240);
-    ASSERT_TRUE(WaitUntil(
-        [&] { return injector->FiredCount(kFaultSiteWalAppend) == 1; }));
-
-    // Crossing the close at 250: checkpoint A lands as a new snapshot
-    // generation instead of riding the broken WAL.
-    feed(240, 280);
+    // The close at 250 appends checkpoint A, then fails to append
+    // checkpoint B. B is best effort, so the append itself succeeds.
+    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, /*count=*/1,
+                  /*skip=*/1);
+    feed(200, 280);
+    EXPECT_EQ(injector->FiredCount(kFaultSiteWalAppend), 1u);
     ASSERT_EQ(ingestor.rolled_in().size(), 1u);
-    EXPECT_GT(store->GetStoreStats().checkpoints_written, snapshots);
+    {
+      auto chain = warehouse.GetIngestCheckpointChain("events");
+      ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+      EXPECT_EQ(chain.value().generation, generation);
+      const std::vector<IngestCheckpoint> closes = CloseRecords(chain.value());
+      ASSERT_EQ(closes.size(), 1u);
+      EXPECT_TRUE(closes[0].pending.has_value());
+      EXPECT_EQ(closes[0].next_sequence, 250u);
+    }
+    EXPECT_EQ(store->GetStoreStats().checkpoints_written, snapshots);
+
+    // Crossing the close at 500: checkpoint A lands as a new snapshot
+    // generation instead of riding the broken WAL.
+    feed(280, 520);
+    ASSERT_EQ(ingestor.rolled_in().size(), 2u);
+    EXPECT_EQ(store->GetStoreStats().checkpoints_written, snapshots + 1);
     auto promoted = warehouse.GetIngestCheckpointChain("events");
     ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
     EXPECT_GT(promoted.value().generation, generation);
     auto close_a = IngestCheckpoint::Deserialize(promoted.value().snapshot);
     ASSERT_TRUE(close_a.ok()) << close_a.status().ToString();
     EXPECT_TRUE(close_a.value().pending.has_value());
-    EXPECT_EQ(close_a.value().next_sequence, 250u);
+    EXPECT_EQ(close_a.value().next_sequence, 500u);
 
-    // The healed chain takes progress deltas again.
-    feed(280, 480);
-    EXPECT_TRUE(WaitUntil([&] {
-      auto chain = warehouse.GetIngestCheckpointChain("events");
-      if (!chain.ok()) return false;
-      for (const std::string& bytes : chain.value().deltas) {
-        auto record = CheckpointDeltaRecord::Deserialize(bytes);
-        if (record.ok() &&
-            record.value().kind == CheckpointDeltaKind::kProgress &&
-            record.value().next_sequence > 280) {
-          return true;
-        }
-      }
-      return false;
-    }));
+    // The healed chain takes close records in its WAL again: checkpoint B
+    // of the same close.
+    const std::vector<IngestCheckpoint> closes =
+        CloseRecords(promoted.value());
+    ASSERT_EQ(closes.size(), 1u);
+    EXPECT_FALSE(closes[0].pending.has_value());
+    EXPECT_EQ(closes[0].next_sequence, 500u);
+    EXPECT_EQ(closes[0].rolled_in, ingestor.rolled_in());
   }
 
   // Resume from there and replay the whole stream: bit-identical to the
@@ -957,10 +963,154 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   Warehouse& warehouse = *restored.value().warehouse;
   auto resumed = StreamIngestor::Resume(&warehouse, "events",
-                                        MakeCountPartitioner(250),
-                                        {.every_n_elements = 32});
+                                        MakeCountPartitioner(250));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_GE(resumed.value()->next_sequence(), 250u);
+  EXPECT_EQ(resumed.value()->next_sequence(), 500u);
+  ASSERT_EQ(resumed.value()->rolled_in().size(), 2u);
+  for (uint64_t i = 0; i < values.size(); i += 40) {
+    ASSERT_TRUE(
+        resumed.value()
+            ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
+            .ok())
+        << "replay batch at " << i;
+  }
+  ASSERT_TRUE(resumed.value()->Flush().ok());
+  EXPECT_EQ(SampleBytes(warehouse, "events"), want);
+}
+
+// A chain resumed without recovery can end in a torn WAL record. A close
+// record appended behind it would be hidden from the next resume, which
+// would then roll the closed partition in a second time; the resumed
+// ingestor must start a new snapshot generation instead.
+TEST_F(ResumableIngestTest, ResumeOverATornWalTailStartsANewGeneration) {
+  const std::vector<Value> values = Range(0, 800);
+  const std::vector<std::string> want = ReferenceRun(values, 250);
+  ASSERT_EQ(want.size(), 4u);
+  auto feed = [&](StreamIngestor& ingestor, uint64_t from, uint64_t to) {
+    for (uint64_t i = from; i < to; i += 40) {
+      ASSERT_TRUE(
+          ingestor
+              .AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
+              .ok())
+          << "batch at " << i;
+    }
+  };
+
+  uint64_t generation = 0;
+  {
+    Warehouse warehouse(DurableOptions(), OpenStore());
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    ingestor.EnableCheckpoints({});
+    ASSERT_TRUE(ingestor.Checkpoint().ok());
+    feed(ingestor, 0, 280);
+    ASSERT_EQ(ingestor.rolled_in().size(), 1u);
+    generation =
+        warehouse.GetIngestCheckpointChain("events").value().generation;
+  }
+  // A crash mid-append leaves the start of a frame behind the records.
+  {
+    std::ofstream wal(
+        dir_ + "/events." + std::to_string(generation) + ".wal",
+        std::ios::binary | std::ios::app);
+    wal.write("\x40\x00\x00\x00torn", 8);
+  }
+
+  {
+    auto restored =
+        Warehouse::Restore(DurableOptions(), OpenStore(), manifest_);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    Warehouse& warehouse = *restored.value();
+    ASSERT_TRUE(warehouse.GetIngestCheckpointChain("events").value().torn_tail);
+    auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                          MakeCountPartitioner(250));
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed.value()->next_sequence(), 250u);
+    feed(*resumed.value(), 240, 520);
+    ASSERT_EQ(resumed.value()->rolled_in().size(), 2u);
+    auto chain = warehouse.GetIngestCheckpointChain("events");
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    EXPECT_GT(chain.value().generation, generation);
+    EXPECT_FALSE(chain.value().torn_tail);
+  }
+
+  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
+                                                 OpenStore(), manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Warehouse& warehouse = *restored.value().warehouse;
+  auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                        MakeCountPartitioner(250));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value()->next_sequence(), 500u);
+  feed(*resumed.value(), 0, values.size());
+  ASSERT_TRUE(resumed.value()->Flush().ok());
+  EXPECT_EQ(SampleBytes(warehouse, "events"), want);
+}
+
+// Chains written by earlier builds interleave kProgress records (an
+// element-cadence journal with no sampler state) with the close records.
+// Such a chain must still pass recovery's deep verify untouched and resume
+// from its newest close record, bit-identically.
+TEST_F(ResumableIngestTest, ChainWithProgressRecordsStillResumes) {
+  const std::vector<Value> values = Range(0, 800);
+  const std::vector<std::string> want = ReferenceRun(values, 250);
+  ASSERT_EQ(want.size(), 4u);
+
+  {
+    Warehouse warehouse(DurableOptions(), OpenStore());
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    const std::span<const Value> all(values);
+    ASSERT_TRUE(ingestor.AppendBatchAt(0, all.first(100)).ok());
+    ASSERT_TRUE(ingestor.Checkpoint().ok());
+    const std::string at_100 =
+        warehouse.GetIngestCheckpointChain("events").value().snapshot;
+    // The state a close record at 250 holds: the partitioner would close
+    // there before the next element, as Flush() does now.
+    ASSERT_TRUE(ingestor.AppendBatchAt(100, all.subspan(100, 150)).ok());
+    ASSERT_TRUE(ingestor.Flush().ok());
+    ASSERT_EQ(ingestor.rolled_in().size(), 1u);
+    ASSERT_TRUE(ingestor.Checkpoint().ok());
+    const std::string at_close =
+        warehouse.GetIngestCheckpointChain("events").value().snapshot;
+
+    // The older layout: snapshot, progress, close-pending, progress.
+    ASSERT_TRUE(warehouse.PutIngestCheckpoint("events", at_100).ok());
+    CheckpointDeltaRecord progress;
+    progress.kind = CheckpointDeltaKind::kProgress;
+    progress.next_sequence = 180;
+    progress.progress.elements = 180;
+    CheckpointDeltaRecord close_record;
+    close_record.kind = CheckpointDeltaKind::kClosePending;
+    close_record.checkpoint_payload = at_close;
+    CheckpointDeltaRecord late_progress = progress;
+    late_progress.next_sequence = 300;
+    late_progress.progress.elements = 50;
+    ASSERT_TRUE(warehouse
+                    .AppendIngestCheckpointDeltas(
+                        "events",
+                        {progress.Serialize(), close_record.Serialize(),
+                         late_progress.Serialize()})
+                    .ok());
+  }
+
+  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
+                                                 OpenStore(), manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const RecoveryReport& report = restored.value().report;
+  EXPECT_TRUE(report.quarantined_checkpoints.empty());
+  EXPECT_TRUE(report.truncated_wal_tails.empty());
+  EXPECT_TRUE(report.orphaned_wals.empty());
+  Warehouse& warehouse = *restored.value().warehouse;
+  auto chain = warehouse.GetIngestCheckpointChain("events");
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain.value().deltas.size(), 3u);
+  EXPECT_FALSE(chain.value().torn_tail);
+
+  auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                        MakeCountPartitioner(250));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value()->next_sequence(), 250u);
   ASSERT_EQ(resumed.value()->rolled_in().size(), 1u);
   for (uint64_t i = 0; i < values.size(); i += 40) {
     ASSERT_TRUE(
