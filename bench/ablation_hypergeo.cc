@@ -10,7 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/merge.h"
-#include "src/util/alias_table.h"
+#include "bench/alias_table.h"
 #include "src/util/distributions.h"
 #include "src/util/random.h"
 

@@ -90,14 +90,15 @@ if [[ "${mode}" == "full" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
-  # Codec re-gate under UBSan: both histogram layouts must stay free of
+  # Codec re-gate under UBSan: the histogram codec must stay free of
   # signed overflow across the full int64 span, the packed decoder must
   # never read past its input, and decoding must stay canonical and
-  # bounded; SWS1 samples and version-2 sampler state must keep loading.
+  # bounded; every stored file must reject each bit flip and truncation,
+  # and a store of an older format must be refused untouched.
   # The suite above already ran these; this names them on their own line.
   echo "=== [asan] histogram codec gate ==="
   ctest --test-dir build-check/asan -R \
-    "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|SamplerState|Sws1|Crc32" \
+    "CompactHistogram|HistogramBuilder|HistogramCodecDiff|HistogramModel|GoldenDigest|SampleFuzz|SamplerState|SampleEnvelope|FormatFloor|ManifestTest|Crc32" \
     --output-on-failure
 
   # Purge-kernel re-gate under ASan/UBSan: the selection purge, HRMerge's

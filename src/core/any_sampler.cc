@@ -106,7 +106,7 @@ Result<AnySampler> AnySampler::LoadState(std::string_view bytes) {
   }
   uint64_t version;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&version));
-  if (version < kMinSamplerStateVersion || version > kSamplerStateVersion) {
+  if (version != kSamplerStateVersion) {
     return Status::Corruption("unsupported sampler-state version");
   }
   uint64_t tag;
@@ -115,19 +115,19 @@ Result<AnySampler> AnySampler::LoadState(std::string_view bytes) {
   switch (tag) {
     case kStateTagHybridBernoulli: {
       SAMPWH_ASSIGN_OR_RETURN(auto sampler,
-                              HybridBernoulliSampler::LoadState(&reader, version));
+                              HybridBernoulliSampler::LoadState(&reader));
       impl = std::move(sampler);
       break;
     }
     case kStateTagHybridReservoir: {
       SAMPWH_ASSIGN_OR_RETURN(auto sampler,
-                              HybridReservoirSampler::LoadState(&reader, version));
+                              HybridReservoirSampler::LoadState(&reader));
       impl = std::move(sampler);
       break;
     }
     case kStateTagBernoulli: {
       SAMPWH_ASSIGN_OR_RETURN(auto sampler,
-                              BernoulliSampler::LoadState(&reader, version));
+                              BernoulliSampler::LoadState(&reader));
       impl = std::move(sampler);
       break;
     }

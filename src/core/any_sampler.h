@@ -63,8 +63,9 @@ class AnySampler {
   /// compact histogram / bag, skip counters and the RNG engine — as a
   /// self-describing sampler-state record (kSamplerStateRecordMagic).
   /// LoadState() reconstructs a sampler that continues bit-identically to
-  /// one that was never serialized. The bytes are meant to ride inside the
-  /// checksummed SWV2 envelope; neither side applies its own checksum.
+  /// one that was never serialized. The bytes ride inside a checkpoint,
+  /// which is stored as one CRC frame; neither side applies its own
+  /// checksum.
   std::string SaveState() const;
   static Result<AnySampler> LoadState(std::string_view bytes);
 

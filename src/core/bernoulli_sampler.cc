@@ -78,8 +78,7 @@ void BernoulliSampler::SaveState(BinaryWriter* writer) const {
   writer->PutVarint64(static_cast<uint64_t>(mode_));
 }
 
-Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader,
-                                                     uint64_t version) {
+Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader) {
   double q;
   SAMPWH_RETURN_IF_ERROR(reader->GetDouble(&q));
   if (!(q > 0.0 && q <= 1.0)) {
@@ -92,22 +91,17 @@ Result<BernoulliSampler> BernoulliSampler::LoadState(BinaryReader* reader,
   SAMPWH_RETURN_IF_ERROR(LoadRngState(reader, &s.rng_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.gap_));
-  SAMPWH_ASSIGN_OR_RETURN(
-      const CompactHistogram hist,
-      CompactHistogram::DeserializeFrom(reader,
-                                        SamplerStateHistogramLayout(version)));
+  SAMPWH_ASSIGN_OR_RETURN(const CompactHistogram hist,
+                          CompactHistogram::DeserializeFrom(reader));
   s.hist_ = HistogramBuilder(hist);
-  if (version >= 2) {
-    // v1 records predate the acceptance-mode field: scalar skip implied.
-    uint64_t mode;
-    SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&mode));
-    // Only concrete modes round-trip: the constructor resolves kAuto
-    // before its first draw, so a serialized kAuto is corruption.
-    if (mode > static_cast<uint64_t>(BernAcceptMode::kBitmask)) {
-      return Status::Corruption("SB state: bad acceptance mode");
-    }
-    s.mode_ = static_cast<BernAcceptMode>(mode);
+  uint64_t mode;
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&mode));
+  // Only concrete modes round-trip: the constructor resolves kAuto before
+  // its first draw, so a serialized kAuto is corruption.
+  if (mode > static_cast<uint64_t>(BernAcceptMode::kBitmask)) {
+    return Status::Corruption("SB state: bad acceptance mode");
   }
+  s.mode_ = static_cast<BernAcceptMode>(mode);
   return s;
 }
 

@@ -51,12 +51,8 @@ class BernoulliSampler {
 
   /// Serializes rate, histogram, the pending geometric skip, the RNG engine
   /// and the acceptance mode; LoadState() resumes bit-identically.
-  /// `version` is the enclosing sampler-state record version: it names
-  /// the histogram layout, and v1 records predate the acceptance-mode
-  /// field and load as kGeometricSkip.
   void SaveState(BinaryWriter* writer) const;
-  static Result<BernoulliSampler> LoadState(BinaryReader* reader,
-                                            uint64_t version);
+  static Result<BernoulliSampler> LoadState(BinaryReader* reader);
 
  private:
   double q_;

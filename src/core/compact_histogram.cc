@@ -339,13 +339,6 @@ void CompactHistogram::SerializeTo(BinaryWriter* writer) const {
 }
 
 Result<CompactHistogram> CompactHistogram::DeserializeFrom(
-    BinaryReader* reader, HistogramLayout layout, uint64_t max_entries) {
-  return layout == HistogramLayout::kPacked
-             ? DecodePacked(reader, max_entries)
-             : DecodeVarintPairs(reader, max_entries);
-}
-
-Result<CompactHistogram> CompactHistogram::DecodePacked(
     BinaryReader* reader, uint64_t max_entries) {
   // Varints are read minimal-only, so every accepted input is the one
   // encoding of what it decodes to.
@@ -466,60 +459,6 @@ Result<CompactHistogram> CompactHistogram::DecodePacked(
   hist.total_count_ = total;
   hist.footprint_bytes_ = (n - pairs) * EntryFootprintBytes(1) +
                           pairs * EntryFootprintBytes(2);
-  return hist;
-}
-
-Result<CompactHistogram> CompactHistogram::DecodeVarintPairs(
-    BinaryReader* reader, uint64_t max_entries) {
-  uint64_t num_entries;
-  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&num_entries));
-  if (num_entries > max_entries) {
-    return Status::Corruption("histogram entry count exceeds its bound");
-  }
-  // Every entry is two varints of at least one byte each: reject counts
-  // the input cannot hold before reserving memory for them.
-  if (num_entries > reader->remaining() / 2) {
-    return Status::Corruption("histogram entry count exceeds input");
-  }
-  // Entries are written through a pointer into storage sized once, and
-  // the running sums live in locals: with emplace_back and member sums the
-  // loop spilled and reloaded them on every entry, and decoding took about
-  // 1.6 times as long.
-  CompactHistogram hist;
-  hist.entries_.resize(num_entries);
-  Entry* out = hist.entries_.data();
-  const std::string_view input = reader->rest();
-  const char* in = input.data();
-  const char* const end = in + input.size();
-  uint64_t total = 0;
-  uint64_t singletons = 0;
-  uint64_t previous = 0;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    uint64_t zigzag_delta;
-    uint64_t count;
-    VarintDecode result = DecodeVarint64(&in, end, &zigzag_delta);
-    if (result == VarintDecode::kOk) result = DecodeVarint64(&in, end, &count);
-    if (result != VarintDecode::kOk) return VarintDecodeStatus(result);
-    if (count == 0) {
-      return Status::Corruption("zero count in histogram entry");
-    }
-    if (count > std::numeric_limits<uint64_t>::max() - total) {
-      return Status::Corruption("histogram total count overflows");
-    }
-    total += count;
-    const uint64_t bits =
-        previous + static_cast<uint64_t>(ZigZagDecode64(zigzag_delta));
-    if (i > 0 && static_cast<Value>(bits) <= static_cast<Value>(previous)) {
-      return Status::Corruption("histogram values not strictly ascending");
-    }
-    out[i] = Entry{static_cast<Value>(bits), count};
-    singletons += count == 1;
-    previous = bits;
-  }
-  hist.total_count_ = total;
-  hist.footprint_bytes_ = singletons * EntryFootprintBytes(1) +
-                          (num_entries - singletons) * EntryFootprintBytes(2);
-  reader->Skip(in - input.data());
   return hist;
 }
 

@@ -34,29 +34,21 @@ inline constexpr uint64_t EntryFootprintBytes(uint64_t count) {
                       : kPairFootprintBytes;
 }
 
-/// The wire layouts of a histogram. Both open with varint(entry count) and
-/// list the entries in ascending value order; the enclosing record (the
-/// sample magic, the sampler-state version) says which one follows.
-enum class HistogramLayout : uint8_t {
-  /// Read only: per entry, varint(zig-zag(value - previous value)) then
-  /// varint(count), deltas modulo 2^64. Written by SWS1 samples and
-  /// sampler-state records up to version 2.
-  kVarintPairs,
-  /// Frame-of-reference bit packing:
-  ///   varint  n
-  ///   varint  zig-zag(first value)                          (n >= 1)
-  ///   ceil((n - 1) / 128) blocks of up to 128 gaps, each
-  ///     byte  w in 0..64, the bit width of the block's largest gap
-  ///     ceil(w * gaps / 8) bytes: the gaps, w bits each, LSB-first,
-  ///           the last byte padded with zero bits
-  ///   ceil(n / 8) bytes: bit i (LSB-first) set when entry i's count
-  ///     exceeds 1, zero padding
-  ///   varint(count - 2) for each set bit, in entry order
-  /// where gap i is value[i] - value[i-1] - 1 modulo 2^64. Counts of 1
-  /// cost one bit, and no duplicate, descending value or zero count has
-  /// an encoding. Written by SWS2 samples and sampler state version 3.
-  kPacked,
-};
+/// The wire layout of a histogram, frame-of-reference bit packing:
+///
+///   varint  n
+///   varint  zig-zag(first value)                            (n >= 1)
+///   ceil((n - 1) / 128) blocks of up to 128 gaps, each
+///     byte  w in 0..64, the bit width of the block's largest gap
+///     ceil(w * gaps / 8) bytes: the gaps, w bits each, LSB-first, the
+///           last byte padded with zero bits
+///   ceil(n / 8) bytes: bit i (LSB-first) set when entry i's count
+///     exceeds 1, zero padding
+///   varint(count - 2) for each set bit, in entry order
+///
+/// where gap i is value[i] - value[i-1] - 1 modulo 2^64. Counts of 1 cost
+/// one bit, and no duplicate, descending value or zero count has an
+/// encoding. SWS2 samples and sampler-state records embed it.
 
 class CompactHistogram {
  public:
@@ -122,21 +114,20 @@ class CompactHistogram {
 
   void Clear();
 
-  /// Encodes the histogram in the packed layout (see HistogramLayout):
-  /// the only layout the library writes. Canonical — the tightest width
-  /// per block, zero padding, minimal varints — so multiset-equal
-  /// histograms always serialize to identical bytes. The output is sized
-  /// exactly in a first pass and grown once.
+  /// Encodes the histogram in the packed layout (see above). Canonical —
+  /// the tightest width per block, zero padding, minimal varints — so
+  /// multiset-equal histograms always serialize to identical bytes. The
+  /// output is sized exactly in a first pass and grown once.
   void SerializeTo(BinaryWriter* writer) const;
 
-  /// Bounds-checked decode of one canonical encoding in `layout`.
+  /// Bounds-checked decode of one canonical packed encoding.
   /// Corruption on a zero count, on values that are not strictly
   /// ascending, on more than `max_entries` entries or an entry count the
   /// remaining bytes cannot hold (both checked before any allocation), on
-  /// any non-canonical packed encoding, or on malformed input; OutOfRange
-  /// when the input ends inside the encoding.
+  /// any non-canonical encoding, or on malformed input; OutOfRange when
+  /// the input ends inside the encoding.
   static Result<CompactHistogram> DeserializeFrom(
-      BinaryReader* reader, HistogramLayout layout = HistogramLayout::kPacked,
+      BinaryReader* reader,
       uint64_t max_entries = std::numeric_limits<uint64_t>::max());
 
   bool operator==(const CompactHistogram& other) const {
@@ -145,11 +136,6 @@ class CompactHistogram {
 
  private:
   friend class HistogramBuilder;
-
-  static Result<CompactHistogram> DecodePacked(BinaryReader* reader,
-                                               uint64_t max_entries);
-  static Result<CompactHistogram> DecodeVarintPairs(BinaryReader* reader,
-                                                    uint64_t max_entries);
 
   /// Recomputes total_count_ and footprint_bytes_ from entries_.
   void RecountTotals();

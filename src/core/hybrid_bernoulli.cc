@@ -179,7 +179,7 @@ void HybridBernoulliSampler::SaveState(BinaryWriter* writer) const {
 }
 
 Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
-    BinaryReader* reader, uint64_t version) {
+    BinaryReader* reader) {
   Options options;
   uint64_t use_exact;
   SAMPWH_RETURN_IF_ERROR(
@@ -213,9 +213,7 @@ Result<HybridBernoulliSampler> HybridBernoulliSampler::LoadState(
     return Status::Corruption("HB state: bad sampling rate");
   }
   s.bernoulli_skip_ = GeometricSkip(s.q_);
-  SAMPWH_ASSIGN_OR_RETURN(
-      s.hist_, CompactHistogram::DeserializeFrom(
-                   reader, SamplerStateHistogramLayout(version)));
+  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
   if (s.phase_ == SamplePhase::kExhaustive) {
     s.phase1_ = HistogramBuilder(s.hist_);
     s.hist_.Clear();

@@ -102,12 +102,9 @@ class HybridBernoulliSampler {
   /// Serializes the complete mid-stream state — options, phase, rate,
   /// histogram / expanded bag (in element order), the pending geometric and
   /// Vitter skips, and the RNG engine. Non-destructive; LoadState() yields
-  /// a sampler that continues bit-identically to this one. `version` is
-  /// the enclosing sampler-state record version, which names the
-  /// histogram layout (SamplerStateHistogramLayout).
+  /// a sampler that continues bit-identically to this one.
   void SaveState(BinaryWriter* writer) const;
-  static Result<HybridBernoulliSampler> LoadState(BinaryReader* reader,
-                                                  uint64_t version);
+  static Result<HybridBernoulliSampler> LoadState(BinaryReader* reader);
 
  private:
   // `processed` is the number of stream elements already fully processed

@@ -112,7 +112,7 @@ void HybridReservoirSampler::SaveState(BinaryWriter* writer) const {
 }
 
 Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
-    BinaryReader* reader, uint64_t version) {
+    BinaryReader* reader) {
   Options options;
   SAMPWH_RETURN_IF_ERROR(
       reader->GetVarint64(&options.footprint_bound_bytes));
@@ -131,9 +131,7 @@ Result<HybridReservoirSampler> HybridReservoirSampler::LoadState(
   s.phase_ = static_cast<SamplePhase>(phase_raw);
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.elements_seen_));
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&s.reservoir_capacity_));
-  SAMPWH_ASSIGN_OR_RETURN(
-      s.hist_, CompactHistogram::DeserializeFrom(
-                   reader, SamplerStateHistogramLayout(version)));
+  SAMPWH_ASSIGN_OR_RETURN(s.hist_, CompactHistogram::DeserializeFrom(reader));
   if (s.phase_ == SamplePhase::kExhaustive) {
     s.phase1_ = HistogramBuilder(s.hist_);
     s.hist_.Clear();

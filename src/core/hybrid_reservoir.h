@@ -60,11 +60,9 @@ class HybridReservoirSampler {
   PartitionSample Finalize();
 
   /// Serializes the complete mid-stream state (see HybridBernoulliSampler::
-  /// SaveState); LoadState() resumes bit-identically from a record of
-  /// `version`.
+  /// SaveState); LoadState() resumes bit-identically.
   void SaveState(BinaryWriter* writer) const;
-  static Result<HybridReservoirSampler> LoadState(BinaryReader* reader,
-                                                  uint64_t version);
+  static Result<HybridReservoirSampler> LoadState(BinaryReader* reader);
 
  private:
   void ExpandIfNeeded();

@@ -6,34 +6,9 @@
 namespace sampwh {
 
 namespace {
-// Format tags of the serialized encodings, one per histogram layout.
-constexpr uint32_t kSampleFormatMagic = 0x53575332;        // "SWS2"
-constexpr uint32_t kLegacySampleFormatMagic = 0x53575331;  // "SWS1"
+// Format tag of the serialized encoding.
+constexpr uint32_t kSampleFormatMagic = 0x53575332;  // "SWS2"
 }  // namespace
-
-std::string_view SampleEncodingToString(SampleEncoding encoding) {
-  switch (encoding) {
-    case SampleEncoding::kSws1:
-      return "SWS1";
-    case SampleEncoding::kSws2:
-      return "SWS2";
-  }
-  return "unknown";
-}
-
-Result<SampleEncoding> SampleEncodingOf(std::string_view bytes) {
-  BinaryReader reader(bytes);
-  uint32_t magic;
-  SAMPWH_RETURN_IF_ERROR(reader.GetFixed32(&magic));
-  switch (magic) {
-    case kSampleFormatMagic:
-      return SampleEncoding::kSws2;
-    case kLegacySampleFormatMagic:
-      return SampleEncoding::kSws1;
-    default:
-      return Status::Corruption("bad sample magic");
-  }
-}
 
 std::string_view SamplePhaseToString(SamplePhase phase) {
   switch (phase) {
@@ -117,25 +92,23 @@ void PartitionSample::SerializeTo(BinaryWriter* writer) const {
 
 Result<PartitionSample> PartitionSample::DeserializeFrom(
     BinaryReader* reader) {
-  SAMPWH_ASSIGN_OR_RETURN(const SampleEncoding encoding,
-                          SampleEncodingOf(reader->rest()));
-  reader->Skip(sizeof(kSampleFormatMagic));
-  // An SWS2 sample is canonical throughout, its header varints included;
-  // SWS1 readers always accepted padded varints and still do.
-  const bool packed = encoding == SampleEncoding::kSws2;
-  const auto get_varint = [reader, packed](uint64_t* v) {
-    return packed ? reader->GetMinimalVarint64(v) : reader->GetVarint64(v);
-  };
+  uint32_t magic;
+  SAMPWH_RETURN_IF_ERROR(reader->GetFixed32(&magic));
+  if (magic != kSampleFormatMagic) {
+    return Status::Corruption("bad sample magic");
+  }
+  // The encoding is canonical throughout, its header varints included.
   uint64_t phase_raw;
-  SAMPWH_RETURN_IF_ERROR(get_varint(&phase_raw));
+  SAMPWH_RETURN_IF_ERROR(reader->GetMinimalVarint64(&phase_raw));
   if (phase_raw < 1 || phase_raw > 3) {
     return Status::Corruption("bad sample phase");
   }
   PartitionSample s;
   s.phase_ = static_cast<SamplePhase>(phase_raw);
-  SAMPWH_RETURN_IF_ERROR(get_varint(&s.parent_size_));
+  SAMPWH_RETURN_IF_ERROR(reader->GetMinimalVarint64(&s.parent_size_));
   SAMPWH_RETURN_IF_ERROR(reader->GetDouble(&s.q_));
-  SAMPWH_RETURN_IF_ERROR(get_varint(&s.footprint_bound_bytes_));
+  SAMPWH_RETURN_IF_ERROR(
+      reader->GetMinimalVarint64(&s.footprint_bound_bytes_));
   // Every entry costs at least a singleton's footprint, so a bounded
   // sample holds at most n_F of them: larger counts are rejected before
   // the histogram allocates (Validate would reject them after).
@@ -143,11 +116,7 @@ Result<PartitionSample> PartitionSample::DeserializeFrom(
                                    ? s.max_sample_size()
                                    : std::numeric_limits<uint64_t>::max();
   SAMPWH_ASSIGN_OR_RETURN(
-      s.hist_, CompactHistogram::DeserializeFrom(
-                   reader,
-                   packed ? HistogramLayout::kPacked
-                          : HistogramLayout::kVarintPairs,
-                   max_entries));
+      s.hist_, CompactHistogram::DeserializeFrom(reader, max_entries));
   SAMPWH_RETURN_IF_ERROR(s.Validate());
   return s;
 }

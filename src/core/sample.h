@@ -30,21 +30,6 @@ enum class SamplePhase : uint8_t {
 
 std::string_view SamplePhaseToString(SamplePhase phase);
 
-/// The wire layouts of a serialized sample, named by its leading magic.
-/// Both carry the same header fields; they differ in the histogram layout.
-enum class SampleEncoding : uint8_t {
-  /// "SWS1": HistogramLayout::kVarintPairs. Read, never written.
-  kSws1 = 1,
-  /// "SWS2": HistogramLayout::kPacked. The one layout SerializeTo writes.
-  kSws2 = 2,
-};
-
-std::string_view SampleEncodingToString(SampleEncoding encoding);
-
-/// The encoding `bytes` declare by their magic; Corruption when they open
-/// with neither magic, OutOfRange when they are shorter than one.
-Result<SampleEncoding> SampleEncodingOf(std::string_view bytes);
-
 class PartitionSample {
  public:
   PartitionSample() = default;
@@ -93,12 +78,11 @@ class PartitionSample {
   /// are valid probabilities.
   Status Validate() const;
 
-  /// The wire form of a sample: magic, then varint phase, varint parent
-  /// size, fixed64 q, varint footprint bound, then the histogram. Writes
-  /// SWS2; reads SWS2 and the legacy SWS1. An SWS2 decode is canonical —
-  /// every input it accepts re-encodes to exactly its own bytes — and
-  /// rejects more entries than the footprint bound allows before
-  /// allocating for them.
+  /// The wire form of a sample (SWS2): magic, then varint phase, varint
+  /// parent size, fixed64 q, varint footprint bound, then the histogram in
+  /// the packed layout. The decode is canonical — every input it accepts
+  /// re-encodes to exactly its own bytes — and rejects more entries than
+  /// the footprint bound allows before allocating for them.
   void SerializeTo(BinaryWriter* writer) const;
   static Result<PartitionSample> DeserializeFrom(BinaryReader* reader);
   /// Decodes a blob that must hold exactly one serialized sample: bytes

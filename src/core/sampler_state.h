@@ -24,18 +24,9 @@
 namespace sampwh {
 
 /// Version of the sampler-state records AnySampler::SaveState writes, and
-/// the oldest LoadState still reads. v2 appended the Bern(q) acceptance
-/// mode to the SB record; v3 writes every embedded histogram in the packed
-/// layout, where v1 and v2 used varint pairs.
+/// the one LoadState reads: every embedded histogram is in the packed
+/// layout, and the SB record ends with the Bern(q) acceptance mode.
 inline constexpr uint64_t kSamplerStateVersion = 3;
-inline constexpr uint64_t kMinSamplerStateVersion = 1;
-
-/// The layout of the histograms inside a sampler-state record of
-/// `version`.
-inline HistogramLayout SamplerStateHistogramLayout(uint64_t version) {
-  return version >= 3 ? HistogramLayout::kPacked
-                      : HistogramLayout::kVarintPairs;
-}
 
 /// The four state words of the PCG engine, fixed-width.
 void SaveRngState(const Pcg64& rng, BinaryWriter* writer);

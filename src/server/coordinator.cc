@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "src/util/serialization.h"
 #include "src/util/shard_router.h"
 
 namespace sampwh {
@@ -386,7 +385,7 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
   ScrubReport report;
   // Phase 1: every reachable node lists the content digest of each
   // readable copy it holds. A corrupt copy is quarantined by the scan
-  // itself (the store's CRC envelope fails) and simply absent from the
+  // itself (the stored frame's CRC fails) and simply absent from the
   // listing — from here on, "corrupt" and "missing" are one case.
   std::vector<std::map<PartitionId, PartitionDigest>> listings(
       clients_.size());
@@ -474,22 +473,6 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
     if (!healthy.ok()) {
       report.unhealable += broken.size();
       continue;
-    }
-    // Heals write the sample's current encoding. When the elected copies
-    // hold an older one (SWS1 files), the healed copies will not carry the
-    // elected digest, and the next round would find them divergent again:
-    // rewrite the elected copies too, so one round converges.
-    BinaryWriter encoded;
-    healthy.value().SerializeTo(&encoded);
-    if (ContentDigest(encoded.buffer()) != authoritative) {
-      for (const size_t owner : owners) {
-        if (!reachable[owner]) continue;
-        const auto it = listings[owner].find(id);
-        if (it != listings[owner].end() &&
-            it->second.digest == authoritative) {
-          broken.push_back(owner);
-        }
-      }
     }
     for (const size_t owner : broken) {
       const Status healed =

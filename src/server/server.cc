@@ -574,7 +574,7 @@ Status WarehouseServer::HandleReplicaRollIn(BinaryReader& req,
   SAMPWH_ASSIGN_OR_RETURN(const PartitionSample sample,
                           PartitionSample::DeserializeWhole(blob));
   const bool heal = (rflags & kReplicaRollInFlagHeal) != 0;
-  // The wire blob IS the serialized payload the store envelopes, so its
+  // The wire blob IS the serialized payload the store frames, so its
   // digest matches SampleStore::ContentDigest of a stored copy.
   const uint64_t incoming = ContentDigest(blob);
 
@@ -670,7 +670,7 @@ Status WarehouseServer::HandlePartitionDigests(BinaryReader& req,
                           warehouse_->ListPartitions(key));
   BumpCounter(counters_.scrub_rounds);
   // Only READABLE copies are listed: a partition whose stored bytes fail
-  // envelope verification is quarantined by the store on this very read
+  // frame verification is quarantined by the store on this very read
   // and omitted, so the scrubber sees it as a missing replica to
   // re-replicate rather than a healthy digest to trust.
   BinaryWriter entries;

@@ -67,7 +67,7 @@ class HypergeometricDistribution {
   double Pmf(uint64_t l) const;
 
   /// The full vector [P(support_min), ..., P(support_max)], computed with
-  /// one pass of the Eq. (3) recurrence; feed this to AliasTable for O(1)
+  /// one pass of the Eq. (3) recurrence; feed this to an alias table for O(1)
   /// repeated generation (§4.2). The merges draw by Sample instead;
   /// bench_ablation_hypergeo measures one against the other.
   std::vector<double> PmfVector() const;

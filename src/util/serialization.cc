@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -366,49 +368,37 @@ FrameLogParse ParseFrameLog(std::string_view log, uint32_t max_record_bytes) {
   return parse;
 }
 
-std::string WrapSampleEnvelope(std::string_view payload) {
-  BinaryWriter writer;
-  writer.PutFixed32(kSampleEnvelopeMagic);
-  writer.PutFixed32(kSampleEnvelopeVersion);
-  writer.PutFixed64(payload.size());
-  writer.PutFixed32(Crc32(payload));
-  writer.PutRaw(payload.data(), payload.size());
-  return writer.Release();
-}
-
-bool HasSampleEnvelope(std::string_view file) {
-  uint32_t magic;
-  BinaryReader reader(file);
-  return reader.GetFixed32(&magic).ok() && magic == kSampleEnvelopeMagic;
-}
-
-Status UnwrapSampleEnvelope(std::string_view file, std::string_view* payload) {
-  BinaryReader reader(file);
-  uint32_t magic;
-  if (!reader.GetFixed32(&magic).ok() || magic != kSampleEnvelopeMagic) {
-    return Status::Corruption("bad sample envelope magic");
+Status DecodeStoredFile(std::string_view file, std::string_view path,
+                        std::string_view* payload) {
+  FrameHeader header;
+  if (DecodeFrameHeader(file, std::numeric_limits<uint32_t>::max(),
+                        &header) == FrameDecodeResult::kOk &&
+      file.size() - kFrameHeaderBytes == header.length &&
+      FramePayloadMatches(header, file.substr(kFrameHeaderBytes))) {
+    *payload = file.substr(kFrameHeaderBytes);
+    return Status::OK();
   }
-  uint32_t version;
-  uint64_t payload_size;
-  uint32_t crc;
-  if (!reader.GetFixed32(&version).ok() ||
-      !reader.GetFixed64(&payload_size).ok() || !reader.GetFixed32(&crc).ok()) {
-    return Status::Corruption("truncated sample envelope header");
+  // The leading magics of the stored files older builds wrote: the 20-byte
+  // envelope around samples and checkpoints, and the bare manifest and
+  // sample payloads from before it.
+  constexpr std::pair<uint32_t, std::string_view> kOlderFormats[] = {
+      {0x32565753, "SWV2 envelope"},
+      {0x53574d31, "bare SWM1 manifest"},
+      {0x53575331, "bare SWS1 sample"}};
+  if (file.size() >= 4) {
+    const uint32_t magic = LoadLittleEndian32(
+        reinterpret_cast<const unsigned char*>(file.data()));
+    for (const auto& [older, name] : kOlderFormats) {
+      if (magic == older) {
+        return Status::FailedPrecondition(
+            std::string(path) + " is a " + std::string(name) +
+            ", a stored format older than this build reads");
+      }
+    }
   }
-  if (version != kSampleEnvelopeVersion) {
-    return Status::Corruption("unsupported sample envelope version " +
-                              std::to_string(version));
-  }
-  if (reader.remaining() != payload_size) {
-    return Status::Corruption("sample envelope payload size mismatch (torn "
-                              "or truncated file)");
-  }
-  const std::string_view body = file.substr(kSampleEnvelopeHeaderBytes);
-  if (Crc32(body) != crc) {
-    return Status::Corruption("sample payload CRC mismatch");
-  }
-  *payload = body;
-  return Status::OK();
+  return Status::Corruption(std::string(path) +
+                            " is not one whole stored frame (torn, "
+                            "truncated or damaged)");
 }
 
 Status WriteFileAtomic(const std::string& path, std::string_view contents) {

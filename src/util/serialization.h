@@ -173,8 +173,8 @@ uint64_t ContentDigest(std::string_view payload);
 // catalog log record is one frame: fixed32 payload length (little-endian,
 // bounded by the reader), fixed32 CRC-32 of the payload, then the payload.
 // A log is a run of frames, so a tear or a bit flip is caught at the record
-// it hits and the frames before it stay readable. The sample envelope below
-// has a header of its own and is not a frame.
+// it hits and the frames before it stay readable. Every stored file is one
+// frame too (see "Stored files" below).
 
 inline constexpr size_t kFrameHeaderBytes = 8;
 
@@ -233,56 +233,30 @@ struct FrameLogParse {
 /// Structural only — record payloads are not decoded here.
 FrameLogParse ParseFrameLog(std::string_view log, uint32_t max_record_bytes);
 
-// --- Versioned sample-file envelope (on-disk format v2) --------------------
+// --- Stored files ------------------------------------------------------------
 //
-// Every persisted sample is framed so that truncated, torn or bit-rotted
-// files are DETECTED on read instead of being silently deserialized:
+// Every file the warehouse stores whole and replaces atomically is exactly
+// one frame, and the payload's leading fixed32 magic names the record:
 //
-//   fixed32  magic       "SWV2" (little-endian bytes on disk)
-//   fixed32  version     kSampleEnvelopeVersion
-//   fixed64  payload size in bytes
-//   fixed32  CRC-32 of the payload
-//   payload  a sample encoding, SWS2 or legacy SWS1 (which begins with its
-//            own magic: the envelope is the same for both)
+//   kSampleFormatMagic (sample.cc)    "SWS2"  a finalized PartitionSample
+//   kCheckpointRecordMagic            "WCKP"  an ingest checkpoint snapshot
+//   kManifestMagic (catalog.cc)       "SWM1"  a catalog (MANIFEST) snapshot
 //
-// v1 files — bare payloads written before the envelope existed — remain
-// read-compatible: they start with the sample magic, not the envelope
-// magic, and readers fall back to decoding them directly.
-
-inline constexpr uint32_t kSampleEnvelopeMagic = 0x32565753;  // "SWV2"
-inline constexpr uint32_t kSampleEnvelopeVersion = 2;
-inline constexpr size_t kSampleEnvelopeHeaderBytes = 20;
-
-// The envelope carries no record-type field of its own: the payload's
-// leading fixed32 magic identifies the record. Four record types exist:
-//
-//   kSampleFormatMagic (sample.cc)  — a finalized PartitionSample
-//   kSamplerStateRecordMagic        — a mid-stream AnySampler::SaveState
-//   kCheckpointRecordMagic          — a StreamIngestor ingest checkpoint
-//                                     (which embeds a sampler-state record)
-//   kCheckpointDeltaRecordMagic     — a delta-journal record chained onto a
-//                                     checkpoint snapshot (one frame of the
-//                                     checkpoint WAL, not the envelope)
-//
-// The first three ride through WrapSampleEnvelope / UnwrapSampleEnvelope,
-// so the CRC layer verifies every persisted record kind uniformly; delta
-// records are verified by their frame instead.
+// Two more records live inside others: a mid-stream AnySampler::SaveState
+// inside a checkpoint, and a checkpoint delta as one frame of a WAL.
 inline constexpr uint32_t kSamplerStateRecordMagic = 0x53535753;  // "SWSS"
 inline constexpr uint32_t kCheckpointRecordMagic = 0x504b4357;    // "WCKP"
 inline constexpr uint32_t kCheckpointDeltaRecordMagic = 0x544C4457;  // "WDLT"
 
-/// Frames `payload` in a v2 envelope (header + payload bytes).
-std::string WrapSampleEnvelope(std::string_view payload);
-
-/// True when `file` begins with the v2 envelope magic (it may still be
-/// truncated or corrupt; UnwrapSampleEnvelope verifies).
-bool HasSampleEnvelope(std::string_view file);
-
-/// Verifies the envelope framing of `file` (magic, version, payload size,
-/// CRC) and on success points `*payload` at the payload bytes inside
-/// `file`. Any mismatch — truncation, tear, bit flip, unknown version — is
-/// Corruption; the payload is never handed out unverified.
-Status UnwrapSampleEnvelope(std::string_view file, std::string_view* payload);
+/// Decodes the stored file read from `path`: exactly one frame spanning
+/// `file`, whose payload `*payload` then views. Truncation, trailing bytes
+/// and a CRC mismatch are Corruption. A file that is no frame but opens
+/// with a magic an older build began its stored files with (the "SWV2"
+/// envelope, a bare "SWM1" manifest or "SWS1" sample) is FailedPrecondition
+/// naming `path`: this build reads only what it writes, and such a file is
+/// refused, never taken for damage.
+Status DecodeStoredFile(std::string_view file, std::string_view path,
+                        std::string_view* payload);
 
 /// Writes `contents` to `path` atomically (write to a temp file in the same
 /// directory, then rename).

@@ -101,6 +101,12 @@ CatalogLog::CatalogLog(std::string manifest_path)
     : manifest_path_(std::move(manifest_path)),
       log_path_(PathFor(manifest_path_)) {}
 
+std::string CatalogLog::EncodeSnapshot(const Catalog& catalog) {
+  BinaryWriter writer;
+  catalog.SerializeTo(&writer);
+  return EncodeFrame(writer.buffer());
+}
+
 std::string CatalogLog::PathFor(const std::string& manifest_path) {
   return manifest_path + ".log";
 }
@@ -108,7 +114,9 @@ std::string CatalogLog::PathFor(const std::string& manifest_path) {
 Result<Catalog> CatalogLog::Load(const std::string& manifest_path) {
   std::string bytes;
   SAMPWH_RETURN_IF_ERROR(ReadFile(manifest_path, &bytes));
-  BinaryReader reader(bytes);
+  std::string_view snapshot;
+  SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, manifest_path, &snapshot));
+  BinaryReader reader(snapshot);
   SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, Catalog::DeserializeFrom(&reader));
   const Status read = ReadFile(PathFor(manifest_path), &bytes);
   if (read.IsNotFound()) return catalog;
@@ -150,14 +158,13 @@ Status CatalogLog::Append(const CatalogEdit& edit) {
 }
 
 Status CatalogLog::Compact(const Catalog& catalog) {
-  BinaryWriter writer;
-  catalog.SerializeTo(&writer);
+  const std::string snapshot = EncodeSnapshot(catalog);
   std::lock_guard<std::mutex> lock(mu_);
   // Snapshot first, truncation second: a crash between the two leaves a
   // log whose edits the snapshot already holds, and replaying them changes
   // nothing (CatalogEdit::ApplyTo).
-  SAMPWH_RETURN_IF_ERROR(WriteFileAtomic(manifest_path_, writer.buffer()));
-  snapshot_bytes_ = writer.size();
+  SAMPWH_RETURN_IF_ERROR(WriteFileAtomic(manifest_path_, snapshot));
+  snapshot_bytes_ = snapshot.size();
   // Truncation is one unlink: a missing log is an empty one, and the next
   // append creates it again.
   if (::unlink(log_path_.c_str()) != 0 && errno != ENOENT) {

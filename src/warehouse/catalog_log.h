@@ -1,5 +1,6 @@
 // The durable form of a warehouse catalog, after LevelDB's MANIFEST: a
-// snapshot (Catalog::SerializeTo bytes, replaced atomically) plus an
+// snapshot (Catalog::SerializeTo bytes in one CRC frame, replaced
+// atomically) plus an
 // append-only log of the edits made since the snapshot was written. A
 // catalog mutation appends one small frame instead of rewriting the whole
 // catalog; when the log outgrows the snapshot, a compaction writes a new
@@ -66,13 +67,18 @@ class CatalogLog {
  public:
   explicit CatalogLog(std::string manifest_path);
 
+  /// The bytes of the snapshot file of `catalog`: its SerializeTo payload
+  /// as one stored frame.
+  static std::string EncodeSnapshot(const Catalog& catalog);
+
   /// Where the log of the snapshot at `manifest_path` lives.
   static std::string PathFor(const std::string& manifest_path);
 
   /// Reads the snapshot at `manifest_path` and replays its log over it. A
-  /// missing log replays nothing (a store written before the log existed);
-  /// a torn tail, which only an append that never returned can leave, is
-  /// dropped.
+  /// snapshot that is not one whole frame is Corruption, and one an older
+  /// build wrote is FailedPrecondition (DecodeStoredFile). A missing log
+  /// replays nothing; a torn tail, which only an append that never
+  /// returned can leave, is dropped.
   static Result<Catalog> Load(const std::string& manifest_path);
 
   /// True when the next mutation must compact first: the log is not open,

@@ -129,21 +129,7 @@ std::string CheckpointDeltaRecord::Serialize() const {
   writer.PutFixed32(kCheckpointDeltaRecordMagic);
   writer.PutVarint64(kCheckpointDeltaVersion);
   writer.PutVarint64(static_cast<uint64_t>(kind));
-  if (kind == CheckpointDeltaKind::kClosePending) {
-    writer.PutString(checkpoint_payload);
-    return std::move(writer).Release();
-  }
-  writer.PutVarint64(next_sequence);
-  writer.PutVarint64(partitions_started);
-  writer.PutVarint64(created_unix_micros);
-  writer.PutFixed64(rng.state_hi);
-  writer.PutFixed64(rng.state_lo);
-  writer.PutFixed64(rng.inc_hi);
-  writer.PutFixed64(rng.inc_lo);
-  writer.PutVarint64(progress.elements);
-  writer.PutVarint64(progress.sample_size);
-  writer.PutVarint64(progress.first_timestamp);
-  writer.PutVarint64(progress.last_timestamp);
+  writer.PutString(checkpoint_payload);
   return std::move(writer).Release();
 }
 
@@ -162,32 +148,12 @@ Result<CheckpointDeltaRecord> CheckpointDeltaRecord::Deserialize(
   }
   uint64_t kind;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&kind));
-  CheckpointDeltaRecord record;
-  switch (kind) {
-    case static_cast<uint64_t>(CheckpointDeltaKind::kClosePending):
-      record.kind = CheckpointDeltaKind::kClosePending;
-      SAMPWH_RETURN_IF_ERROR(reader.GetString(&record.checkpoint_payload));
-      break;
-    case static_cast<uint64_t>(CheckpointDeltaKind::kProgress):
-      record.kind = CheckpointDeltaKind::kProgress;
-      SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&record.next_sequence));
-      SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&record.partitions_started));
-      SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&record.created_unix_micros));
-      SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&record.rng.state_hi));
-      SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&record.rng.state_lo));
-      SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&record.rng.inc_hi));
-      SAMPWH_RETURN_IF_ERROR(reader.GetFixed64(&record.rng.inc_lo));
-      SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&record.progress.elements));
-      SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&record.progress.sample_size));
-      SAMPWH_RETURN_IF_ERROR(
-          reader.GetVarint64(&record.progress.first_timestamp));
-      SAMPWH_RETURN_IF_ERROR(
-          reader.GetVarint64(&record.progress.last_timestamp));
-      break;
-    default:
-      return Status::Corruption("checkpoint delta: unknown kind " +
-                                std::to_string(kind));
+  if (kind != static_cast<uint64_t>(CheckpointDeltaKind::kClosePending)) {
+    return Status::Corruption("checkpoint delta: unknown kind " +
+                              std::to_string(kind));
   }
+  CheckpointDeltaRecord record;
+  SAMPWH_RETURN_IF_ERROR(reader.GetString(&record.checkpoint_payload));
   if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after checkpoint delta");
   }
@@ -197,10 +163,7 @@ Result<CheckpointDeltaRecord> CheckpointDeltaRecord::Deserialize(
 Status VerifyCheckpointDeltaPayload(std::string_view bytes) {
   SAMPWH_ASSIGN_OR_RETURN(CheckpointDeltaRecord record,
                           CheckpointDeltaRecord::Deserialize(bytes));
-  if (record.kind == CheckpointDeltaKind::kClosePending) {
-    SAMPWH_RETURN_IF_ERROR(VerifyCheckpointPayload(record.checkpoint_payload));
-  }
-  return Status::OK();
+  return VerifyCheckpointPayload(record.checkpoint_payload);
 }
 
 CheckpointWalParse ParseCheckpointWal(std::string_view wal) {
@@ -213,13 +176,8 @@ Result<IngestCheckpoint> ResolveCheckpointChain(const CheckpointChain& chain) {
   for (const std::string& bytes : chain.deltas) {
     SAMPWH_ASSIGN_OR_RETURN(CheckpointDeltaRecord record,
                             CheckpointDeltaRecord::Deserialize(bytes));
-    if (record.kind == CheckpointDeltaKind::kClosePending) {
-      SAMPWH_ASSIGN_OR_RETURN(
-          resolved, IngestCheckpoint::Deserialize(record.checkpoint_payload));
-    }
-    // kProgress records, which older builds wrote, carry no sampler state,
-    // so the last state-complete record wins regardless of trailing
-    // progress advances.
+    SAMPWH_ASSIGN_OR_RETURN(
+        resolved, IngestCheckpoint::Deserialize(record.checkpoint_payload));
   }
   return resolved;
 }

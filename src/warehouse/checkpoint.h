@@ -22,10 +22,10 @@
 //     in again (the manifest-restored id allocator hands out the same id,
 //     so the retry overwrites any orphan bytes identically).
 //
-// The serialized record rides inside the CRC-framed SWV2 envelope like
-// every other persisted record (leading fixed32 kCheckpointRecordMagic
-// identifies it); SampleStore keeps the newest two generations per dataset
-// so a torn checkpoint write falls back to the previous one.
+// The serialized record is stored as one CRC frame like every other stored
+// file (leading fixed32 kCheckpointRecordMagic identifies it); SampleStore
+// keeps the newest two generations per dataset so a torn checkpoint write
+// falls back to the previous one.
 
 #ifndef SAMPWH_WAREHOUSE_CHECKPOINT_H_
 #define SAMPWH_WAREHOUSE_CHECKPOINT_H_
@@ -47,8 +47,8 @@ namespace sampwh {
 /// A partition that was finalized but whose roll-in had not been confirmed
 /// when the checkpoint was written.
 struct PendingRollIn {
-  /// Bare serialized PartitionSample (no envelope; the checkpoint record as
-  /// a whole is CRC-framed).
+  /// Bare serialized PartitionSample (no frame of its own; the checkpoint
+  /// record as a whole is CRC-framed).
   std::string sample_payload;
   uint64_t min_timestamp = 0;
   uint64_t max_timestamp = 0;
@@ -98,42 +98,25 @@ Status VerifyCheckpointPayload(std::string_view bytes);
 //
 // Between full snapshots a StreamIngestor appends DELTA records to a
 // per-key write-ahead log owned by the newest snapshot generation
-// ("<key>.<generation>.wal"). Two kinds are decoded:
+// ("<key>.<generation>.wal"). There is one kind, kClosePending: a complete
+// IngestCheckpoint embedded as a delta — checkpoint A or B of the two-phase
+// close protocol, or the record a resume writes when it adopts a completed
+// roll-in. State-complete: it carries everything a resume needs, without
+// rewriting a snapshot generation per close.
 //
-//   * kClosePending — a complete IngestCheckpoint embedded as a delta:
-//     checkpoint A or B of the two-phase close protocol, or the record a
-//     resume writes when it adopts a completed roll-in. State-complete: it
-//     carries everything a resume needs, without rewriting a snapshot
-//     generation per close. It is the only kind written.
-//   * kProgress — a watermark / RNG / partition-progress advance WITHOUT
-//     the sampler state, written by earlier builds on an element cadence.
-//     NOT a resume point: the sampler's contents at that watermark were
-//     never persisted, so resuming there would have to skip replayed
-//     elements whose sampling decisions are lost. Chains written by those
-//     builds still hold such records, so they stay decodable and
-//     verifiable, and resolution skips them.
-//
-// Resume resolves a chain to the NEWEST state-complete record — the
-// snapshot, overridden by each kClosePending in append order — and replays
-// the source from that record's watermark; exactly-once Append*At replay
-// makes the recovered samples bit-identical to an uninterrupted run.
+// Resume resolves a chain to its NEWEST record — the snapshot, overridden
+// by each delta in append order — and replays the source from that
+// record's watermark; exactly-once Append*At replay makes the recovered
+// samples bit-identical to an uninterrupted run.
 
 enum class CheckpointDeltaKind : uint8_t {
-  kProgress = 1,
   kClosePending = 2,
 };
 
 struct CheckpointDeltaRecord {
-  CheckpointDeltaKind kind = CheckpointDeltaKind::kProgress;
+  CheckpointDeltaKind kind = CheckpointDeltaKind::kClosePending;
 
-  // kProgress fields (ignored for kClosePending); read from older chains.
-  uint64_t next_sequence = 0;
-  uint64_t partitions_started = 0;
-  uint64_t created_unix_micros = 0;
-  Pcg64::State rng;
-  PartitionProgress progress;
-
-  /// kClosePending only: a full serialized IngestCheckpoint.
+  /// A full serialized IngestCheckpoint.
   std::string checkpoint_payload;
 
   /// Encodes the record (leading kCheckpointDeltaRecordMagic, version,
@@ -145,8 +128,8 @@ struct CheckpointDeltaRecord {
   static Result<CheckpointDeltaRecord> Deserialize(std::string_view bytes);
 };
 
-/// Deep verification of one delta payload: Deserialize() plus — for
-/// kClosePending — full verification of the embedded checkpoint. Recovery
+/// Deep verification of one delta payload: Deserialize() plus full
+/// verification of the embedded checkpoint. Recovery
 /// scans truncate a WAL at the first record that fails this.
 Status VerifyCheckpointDeltaPayload(std::string_view bytes);
 
@@ -159,7 +142,7 @@ CheckpointWalParse ParseCheckpointWal(std::string_view wal);
 /// SampleStore.
 struct CheckpointChain {
   uint64_t generation = 0;
-  /// The snapshot's checkpoint payload (envelope already verified+removed).
+  /// The snapshot's checkpoint payload (frame already verified+removed).
   std::string snapshot;
   /// CRC-valid WAL record payloads, in append order.
   std::vector<std::string> deltas;
@@ -168,9 +151,7 @@ struct CheckpointChain {
 };
 
 /// Replays the delta chain onto the snapshot: returns the checkpoint of the
-/// newest state-complete record (the snapshot or a kClosePending delta).
-/// Trailing kProgress deltas never advance the result — see the kind
-/// commentary above for why that is required for bit-identical resume.
+/// newest record (the snapshot or the last delta).
 Result<IngestCheckpoint> ResolveCheckpointChain(const CheckpointChain& chain);
 
 }  // namespace sampwh

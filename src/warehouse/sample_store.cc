@@ -16,17 +16,16 @@ namespace {
 std::string SerializeSample(const PartitionSample& sample) {
   BinaryWriter writer;
   sample.SerializeTo(&writer);
-  return WrapSampleEnvelope(writer.buffer());
+  return EncodeFrame(writer.buffer());
 }
 
-// Decodes stored bytes: v2 envelope (verified) or bare v1 payload from a
-// pre-envelope store. Every decode failure is normalized to Corruption so
-// callers see one category for damaged payloads.
-Result<PartitionSample> DeserializeSample(const std::string& bytes) {
-  std::string_view payload(bytes);
-  if (HasSampleEnvelope(bytes)) {
-    SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
-  }
+// Decodes the stored sample file read from `path`. A payload that does not
+// decode is Corruption like a bad frame; a file of an older format stays
+// FailedPrecondition (DecodeStoredFile).
+Result<PartitionSample> DeserializeSample(const std::string& bytes,
+                                          const std::string& path) {
+  std::string_view payload;
+  SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, path, &payload));
   Result<PartitionSample> decoded = PartitionSample::DeserializeWhole(payload);
   if (!decoded.ok()) {
     return Status::Corruption("corrupt sample payload: " +
@@ -35,25 +34,12 @@ Result<PartitionSample> DeserializeSample(const std::string& bytes) {
   return decoded;
 }
 
-// Full verification for recovery scans: envelope + decode + structural
+// Full verification for recovery scans: frame + decode + structural
 // invariants.
-Status VerifySampleBytes(const std::string& bytes) {
-  SAMPWH_ASSIGN_OR_RETURN(PartitionSample sample, DeserializeSample(bytes));
+Status VerifySampleBytes(const std::string& bytes, const std::string& path) {
+  SAMPWH_ASSIGN_OR_RETURN(PartitionSample sample,
+                          DeserializeSample(bytes, path));
   return sample.Validate();
-}
-
-// ContentDigest of the serialized payload inside stored sample bytes
-// (envelope stripped, CRC verified).
-Result<uint64_t> DigestStoredSample(const std::string& bytes) {
-  std::string_view payload(bytes);
-  if (HasSampleEnvelope(bytes)) {
-    SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
-  } else {
-    // Bare v1 payload carries no CRC of its own: prove it decodes before
-    // trusting its bytes as content.
-    SAMPWH_RETURN_IF_ERROR(DeserializeSample(bytes).status());
-  }
-  return ContentDigest(payload);
 }
 
 bool HasSuffix(const std::string& name, std::string_view suffix) {
@@ -107,11 +93,12 @@ size_t DeepVerifiedWalPrefix(std::string_view wal) {
   return valid;
 }
 
-// Full verification for recovery scans of checkpoint bytes: envelope +
+// Full verification for recovery scans of checkpoint bytes: frame +
 // record decode + embedded sampler-state / pending-sample decode.
-Status VerifyCheckpointBytes(const std::string& bytes) {
+Status VerifyCheckpointBytes(const std::string& bytes,
+                             const std::string& path) {
   std::string_view payload;
-  SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
+  SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, path, &payload));
   return VerifyCheckpointPayload(payload);
 }
 
@@ -239,11 +226,11 @@ Result<PartitionSample> SampleStore::Get(const PartitionKey& key) const {
     SAMPWH_RETURN_IF_ERROR(
         Retrying([&] { return env_->ReadFile(path, &bytes); }));
   }
-  Result<PartitionSample> decoded = DeserializeSample(bytes);
-  if (!decoded.ok()) {
+  Result<PartitionSample> decoded = DeserializeSample(bytes, path);
+  if (decoded.status().IsCorruption()) {
     // Detected tear/corruption: move the damaged file aside so it is never
     // re-served (and a fresh Put of the key starts clean), keep it for
-    // inspection.
+    // inspection. A file of an older format is refused, not moved.
     std::lock_guard<std::mutex> lock(StripeFor(key));
     Quarantine(path);
   }
@@ -258,14 +245,16 @@ Result<uint64_t> SampleStore::ContentDigest(const PartitionKey& key) const {
     std::lock_guard<std::mutex> lock(StripeFor(key));
     SAMPWH_RETURN_IF_ERROR(env_->ReadFile(path, &bytes));
   }
-  Result<uint64_t> digest = DigestStoredSample(bytes);
-  if (!digest.ok() && digest.status().IsCorruption()) {
+  std::string_view payload;
+  const Status framed = DecodeStoredFile(bytes, path, &payload);
+  if (framed.IsCorruption()) {
     // Same policy as Get: the key reads as missing so repair can
     // re-replicate it.
     std::lock_guard<std::mutex> lock(StripeFor(key));
     Quarantine(path);
   }
-  return digest;
+  SAMPWH_RETURN_IF_ERROR(framed);
+  return sampwh::ContentDigest(payload);
 }
 
 Status SampleStore::Delete(const PartitionKey& key) {
@@ -319,6 +308,7 @@ Result<RecoveryReport> SampleStore::Recover(
                            listed.message());
   }
   RecoveryReport report;
+  std::vector<std::string> temps;
   std::vector<std::string> samples;
   std::vector<std::string> checkpoints;
   std::vector<std::string> wals;
@@ -326,13 +316,7 @@ Result<RecoveryReport> SampleStore::Recover(
     DatasetId dataset;
     uint64_t gen;
     if (HasSuffix(entry.name, ".tmp")) {
-      // Orphan temps are leftovers of writes that crashed before their
-      // rename; the destination (if any) is still the last fully published
-      // version.
-      if (env_->Remove(directory_ + "/" + entry.name).ok()) {
-        report.removed_temps.push_back(std::move(entry.name));
-        BumpCounter(counters_.recovered_temps);
-      }
+      temps.push_back(std::move(entry.name));
     } else if (HasSuffix(entry.name, kSampleSuffix)) {
       samples.push_back(std::move(entry.name));
     } else if (ParseGenerationName(entry.name, kCheckpointSuffix, &dataset,
@@ -342,9 +326,15 @@ Result<RecoveryReport> SampleStore::Recover(
       wals.push_back(std::move(entry.name));
     }
   }
-  // Only a verification failure quarantines. A file that vanished after
-  // the listing is skipped; a read that still fails after the retries
-  // fails the scan, so a transient error never destroys healthy data.
+  // Every sample and snapshot is verified before anything changes: a file
+  // of an older format refuses the whole store (FailedPrecondition) and
+  // leaves it as it was. Only a verification failure quarantines. A file
+  // that vanished after the listing is skipped; a read that still fails
+  // after the retries fails the scan, so a transient error never destroys
+  // healthy data. Checkpoints get the FULL structural check (record +
+  // embedded sampler state + pending sample): resume must never begin
+  // decoding one that cannot be loaded end to end.
+  std::vector<std::string> damaged_samples;
   for (const std::string& name : samples) {
     const std::string path = directory_ + "/" + name;
     std::string bytes;
@@ -352,15 +342,12 @@ Result<RecoveryReport> SampleStore::Recover(
     if (read.IsNotFound()) continue;
     SAMPWH_RETURN_IF_ERROR(read);
     ++report.scanned;
-    if (!VerifySampleBytes(bytes).ok()) {
-      Quarantine(path);
-      report.quarantined.push_back(name);
-    }
+    const Status verified = VerifySampleBytes(bytes, path);
+    if (verified.IsFailedPrecondition()) return verified;
+    if (!verified.ok()) damaged_samples.push_back(name);
   }
-  // Checkpoints get the FULL structural check (record + embedded sampler
-  // state + pending sample): resume must never begin decoding a checkpoint
-  // that cannot be loaded end to end. Surviving stems anchor the WAL pass
-  // below.
+  // Surviving snapshot stems anchor the WAL pass below.
+  std::vector<std::string> damaged_checkpoints;
   std::set<std::string> live_ckpt_stems;
   for (const std::string& name : checkpoints) {
     const std::string path = directory_ + "/" + name;
@@ -369,15 +356,32 @@ Result<RecoveryReport> SampleStore::Recover(
     if (read.IsNotFound()) continue;
     SAMPWH_RETURN_IF_ERROR(read);
     ++report.scanned;
-    if (!VerifyCheckpointBytes(bytes).ok()) {
-      std::lock_guard<std::mutex> lock(ckpt_mu_);
-      Quarantine(path);
-      newest_generation_.clear();
-      report.quarantined_checkpoints.push_back(name);
-    } else {
+    const Status verified = VerifyCheckpointBytes(bytes, path);
+    if (verified.IsFailedPrecondition()) return verified;
+    if (verified.ok()) {
       live_ckpt_stems.insert(
           name.substr(0, name.size() - kCheckpointSuffix.size()));
+    } else {
+      damaged_checkpoints.push_back(name);
     }
+  }
+  // Orphan temps are leftovers of writes that crashed before their rename;
+  // the destination (if any) is still the last fully published version.
+  for (std::string& name : temps) {
+    if (env_->Remove(directory_ + "/" + name).ok()) {
+      report.removed_temps.push_back(std::move(name));
+      BumpCounter(counters_.recovered_temps);
+    }
+  }
+  for (std::string& name : damaged_samples) {
+    Quarantine(directory_ + "/" + name);
+    report.quarantined.push_back(std::move(name));
+  }
+  for (std::string& name : damaged_checkpoints) {
+    std::lock_guard<std::mutex> lock(ckpt_mu_);
+    Quarantine(directory_ + "/" + name);
+    newest_generation_.clear();
+    report.quarantined_checkpoints.push_back(std::move(name));
   }
   // WALs: a journal whose snapshot did not survive is an orphan (its
   // records resolve against nothing) and is quarantined whole; surviving
@@ -438,7 +442,7 @@ std::vector<uint64_t> SampleStore::CheckpointGenerations(
 Status SampleStore::PutCheckpoint(const DatasetId& dataset,
                                   std::string_view payload) {
   SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
-  const std::string bytes = WrapSampleEnvelope(payload);
+  const std::string bytes = EncodeFrame(payload);
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   const std::vector<uint64_t> gens = CheckpointGenerations(dataset);
   const uint64_t next_gen = gens.empty() ? 1 : gens.back() + 1;
@@ -476,10 +480,12 @@ SampleStore::NewestValidCheckpointLocked(const DatasetId& key) const {
     if (read.IsIOError()) return read;
     if (!read.ok()) continue;  // vanished between list and read
     std::string_view payload;
-    if (UnwrapSampleEnvelope(bytes, &payload).ok()) {
+    const Status framed = DecodeStoredFile(bytes, path, &payload);
+    if (framed.ok()) {
       BumpCounter(counters_.checkpoints_restored);
       return std::make_pair(*gen, std::string(payload));
     }
+    if (framed.IsFailedPrecondition()) return framed;
     Quarantine(path);
     Quarantine(WalPathFor(key, *gen));
     newest_generation_.erase(key);

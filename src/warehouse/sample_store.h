@@ -13,14 +13,15 @@
 // caller-provided thread pool — the warehouse query path uses it to
 // prefetch every partition of a union query at once.
 //
-// Robustness: samples are persisted in the versioned, CRC-framed envelope
-// of util/serialization (format v2; bare v1 payloads stay readable), so a
-// torn, truncated or bit-rotted sample is detected on read — Corruption is
-// surfaced and the damaged file quarantined (renamed aside, never silently
-// deserialized). Transient IO faults are retried with bounded exponential
-// backoff. Recover() reconciles persisted state after a crash: orphan temp
-// files are dropped, samples that fail verification quarantined, and
-// expected-but-missing partitions reported.
+// Robustness: every sample file and checkpoint snapshot is one CRC frame
+// (util/serialization "Stored files"), so a torn, truncated or bit-rotted
+// file is detected on read — Corruption is surfaced and the damaged file
+// quarantined (renamed aside, never silently deserialized). A file an
+// older build wrote is refused with FailedPrecondition and left in place:
+// the store reads only the format it writes. Transient IO faults are
+// retried with bounded exponential backoff. Recover() reconciles persisted
+// state after a crash: orphan temp files are dropped, samples that fail
+// verification quarantined, and expected-but-missing partitions reported.
 //
 // The store reaches the filesystem only through its Env and carries no
 // code for tests: failure paths are driven by wrapping that Env
@@ -133,8 +134,9 @@ class SampleStore {
   Status Put(const PartitionKey& key, const PartitionSample& sample);
 
   /// Loads the sample for `key`; NotFound if absent, Corruption if the
-  /// stored bytes fail envelope verification or decoding. A corrupt file
-  /// is quarantined, so the next Get of the key is NotFound.
+  /// stored bytes fail frame verification or decoding. A corrupt file is
+  /// quarantined, so the next Get of the key is NotFound. A file of an
+  /// older format is FailedPrecondition and stays where it is.
   Result<PartitionSample> Get(const PartitionKey& key) const;
 
   /// Loads the samples for `keys`, in order; fails on the first missing
@@ -146,10 +148,10 @@ class SampleStore {
       const std::vector<PartitionKey>& keys, ThreadPool* pool = nullptr) const;
 
   /// Digest of the stored sample's logical content for `key`: a CRC32 of
-  /// the serialized payload (envelope stripped) folded with its length.
+  /// the serialized payload (frame stripped) folded with its length.
   /// Replicas holding the same sample agree on this value, so cross-node
   /// anti-entropy comparison never ships sample bytes. NotFound if absent;
-  /// Corruption if the stored bytes fail envelope verification (the file
+  /// Corruption if the stored bytes fail frame verification (the file
   /// is quarantined exactly as Get would, so a corrupt replica reads as
   /// missing on the next scan).
   Result<uint64_t> ContentDigest(const PartitionKey& key) const;
@@ -160,12 +162,12 @@ class SampleStore {
   /// All partition ids stored for `dataset`, ascending.
   Result<std::vector<PartitionId>> List(const DatasetId& dataset) const;
 
-  /// Total bytes of the stored sample files (enveloped bytes). Quarantined
+  /// Total bytes of the stored sample files (framed bytes). Quarantined
   /// files and orphan temps don't count.
   uint64_t TotalStoredBytes() const;
 
   /// Startup reconciliation after a crash: removes orphan "*.tmp" files,
-  /// quarantines sample files that fail envelope/decode/Validate and
+  /// quarantines sample files that fail frame/decode/Validate and
   /// checkpoint files that fail full structural verification, truncates
   /// WAL tails that fail deep verification, quarantines WALs whose
   /// snapshot did not survive, and reports which of `expected` (typically
@@ -173,6 +175,9 @@ class SampleStore {
   /// failure quarantines: a file that vanished after the listing is
   /// skipped, and a read or truncation that still fails after the retry
   /// policy fails the call (IOError) with healthy files left in place.
+  /// Every sample and snapshot is verified before anything is changed, so
+  /// a store holding a file of an older format is refused
+  /// (FailedPrecondition naming the file) exactly as it was found.
   /// Call before serving traffic; not safe concurrently with
   /// Put/Get/Delete.
   Result<RecoveryReport> Recover(const std::vector<PartitionKey>& expected = {});
@@ -182,18 +187,19 @@ class SampleStore {
   // One logical checkpoint per dataset, stored generationally as
   // "<dataset>.<generation>.ckpt" (the newest two generations are kept) so a
   // write torn mid-checkpoint never loses the previous good one. `payload`
-  // is an IngestCheckpoint record; the store frames it in the CRC'd SWV2
-  // envelope like every sample.
+  // is an IngestCheckpoint record; the store writes it as one CRC frame
+  // like every sample.
 
   /// Persists a new checkpoint generation for `dataset` and prunes old
   /// generations beyond the newest two. Transient write faults are retried
   /// like sample writes.
   Status PutCheckpoint(const DatasetId& dataset, std::string_view payload);
 
-  /// The newest checkpoint payload for `dataset` that passes envelope
+  /// The newest checkpoint payload for `dataset` that passes frame
   /// verification. A corrupt newest generation is quarantined and the
   /// previous one served instead; NotFound when no valid generation
-  /// remains.
+  /// remains, FailedPrecondition (nothing moved) at a generation of an
+  /// older format.
   Result<std::string> GetCheckpoint(const DatasetId& dataset) const;
 
   /// Removes every checkpoint generation for `dataset`; NotFound when none
@@ -207,8 +213,8 @@ class SampleStore {
   // --- Checkpoint delta journal -------------------------------------------
   //
   // Each snapshot generation owns a write-ahead log of CRC-framed delta
-  // records ("<dataset>.<generation>.wal"). The background checkpoint writer
-  // appends groups of records between snapshots; resume reads the newest
+  // records ("<dataset>.<generation>.wal"). The ingestor appends its close
+  // records between snapshots; resume reads the newest
   // verifiable snapshot plus its WAL back as one chain. Rotation:
   // PutCheckpoint starts a fresh (empty) WAL for the generation it writes,
   // and pruning an old generation removes its WAL with it.
@@ -260,7 +266,7 @@ class SampleStore {
   /// Checkpoint generations stored for `dataset`, ascending. Caller holds
   /// ckpt_mu_ (or is a lock-free scan like ListCheckpoints).
   std::vector<uint64_t> CheckpointGenerations(const DatasetId& dataset) const;
-  /// The newest checkpoint generation of `key` whose envelope verifies, and
+  /// The newest checkpoint generation of `key` whose frame verifies, and
   /// its payload; newer corrupt generations are quarantined with their
   /// WALs on the way. Caller holds ckpt_mu_.
   Result<std::pair<uint64_t, std::string>> NewestValidCheckpointLocked(

@@ -142,7 +142,6 @@ Status StreamIngestor::WriteResumePoint() {
     return WriteSnapshot();
   }
   CheckpointDeltaRecord record;
-  record.kind = CheckpointDeltaKind::kClosePending;
   record.checkpoint_payload = BuildCheckpointPayload();
   std::string bytes = record.Serialize();
   const uint64_t framed = kFrameHeaderBytes + bytes.size();

@@ -615,7 +615,7 @@ void Warehouse::InvalidateCaches() {
 }
 
 Status Warehouse::SaveManifest(const std::string& path) const {
-  BinaryWriter writer;
+  std::string snapshot;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     // Over the warehouse's own snapshot a save is a compaction: the log's
@@ -623,9 +623,9 @@ Status Warehouse::SaveManifest(const std::string& path) const {
     if (catalog_log_ != nullptr && path == options_.manifest_path) {
       return catalog_log_->Compact(catalog_);
     }
-    catalog_.SerializeTo(&writer);
+    snapshot = CatalogLog::EncodeSnapshot(catalog_);
   }
-  return WriteFileAtomic(path, writer.buffer());
+  return WriteFileAtomic(path, snapshot);
 }
 
 Result<std::unique_ptr<Warehouse>> Warehouse::Restore(

@@ -238,7 +238,9 @@ class Warehouse {
   /// Reopens a warehouse from a manifest written by SaveManifest, or kept
   /// at manifest_path, replaying the catalog log beside it, and the sample
   /// store it referenced. Verifies that every cataloged partition's sample
-  /// is present and consistent with its metadata.
+  /// is present and consistent with its metadata. A manifest or sample an
+  /// older build wrote fails the restore with FailedPrecondition naming
+  /// the file, which is left as it was.
   static Result<std::unique_ptr<Warehouse>> Restore(
       const WarehouseOptions& options, std::unique_ptr<SampleStore> store,
       const std::string& manifest_path);
@@ -259,7 +261,10 @@ class Warehouse {
   /// its metadata is removed from the catalog (and its stored sample
   /// deleted), so the returned warehouse serves exactly the surviving
   /// partitions. A read that still fails with IOError after the store's
-  /// retries fails the restore and drops nothing.
+  /// retries fails the restore and drops nothing, and so does a store
+  /// holding a file an older build wrote (FailedPrecondition naming it):
+  /// the catalog must decode before anything is reconciled, so a damaged
+  /// MANIFEST is Corruption and no sample file is touched.
   /// Caches start cold; queries over survivors work immediately.
   static Result<RestoredWarehouse> RestoreWithRecovery(
       const WarehouseOptions& options, std::unique_ptr<SampleStore> store,

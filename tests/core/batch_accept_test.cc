@@ -236,7 +236,7 @@ TEST(BatchAcceptTest, AutoNeverSerializes) {
   BinaryWriter writer;
   sampler.SaveState(&writer);
   BinaryReader reader(writer.buffer());
-  Result<BernoulliSampler> restored = BernoulliSampler::LoadState(&reader, kSamplerStateVersion);
+  Result<BernoulliSampler> restored = BernoulliSampler::LoadState(&reader);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_EQ(restored.value().accept_mode(), BernAcceptMode::kBitmask);
 }

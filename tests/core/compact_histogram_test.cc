@@ -215,25 +215,40 @@ TEST(CompactHistogramTest, CodecRoundTripsTheFullInt64Span) {
   EXPECT_TRUE(back.value().histogram() == h);
 }
 
-// Histogram bytes in the legacy varint-pairs layout (what SWS1 samples
-// carry): entry count, then (zig-zag delta, count) varint pairs. The
-// packed layout's hand-built inputs are in histogram_codec_diff_test.
-std::string HistogramBytes(uint64_t num_entries,
-                           const std::vector<std::pair<int64_t, uint64_t>>&
-                               delta_count_pairs) {
+// Histogram bytes in the packed layout, built by hand: varint n, the
+// zig-zagged first value, one block of `gaps` at `width` bits LSB-first
+// (at most 128 gaps), a one-byte count bitmap, then varint(count - 2) for
+// each flagged entry. The exhaustive hand-built cases are in
+// histogram_codec_diff_test.
+std::string PackedBytes(uint64_t n, Value first, unsigned width,
+                        const std::vector<uint64_t>& gaps, uint8_t bitmap,
+                        const std::vector<uint64_t>& counts_minus_two) {
   BinaryWriter w;
-  w.PutVarint64(num_entries);
-  for (const auto& [delta, count] : delta_count_pairs) {
-    w.PutVarintSigned64(delta);
-    w.PutVarint64(count);
+  w.PutVarint64(n);
+  w.PutVarintSigned64(first);
+  if (!gaps.empty()) {
+    const auto width_byte = static_cast<uint8_t>(width);
+    w.PutRaw(&width_byte, 1);
+    std::string block((width * gaps.size() + 7) / 8, '\0');
+    for (size_t i = 0; i < gaps.size(); ++i) {
+      for (unsigned b = 0; b < width; ++b) {
+        const size_t bit = i * width + b;
+        if ((gaps[i] >> b) & 1) {
+          block[bit / 8] |= static_cast<char>(1 << (bit % 8));
+        }
+      }
+    }
+    w.PutRaw(block.data(), block.size());
   }
+  w.PutRaw(&bitmap, 1);
+  for (const uint64_t c : counts_minus_two) w.PutVarint64(c);
   return w.Release();
 }
 
 // The same histogram bytes behind a valid sample header.
 std::string SampleBytes(const std::string& histogram_bytes) {
   BinaryWriter w;
-  w.PutFixed32(0x53575331);  // "SWS1"
+  w.PutFixed32(0x53575332);  // "SWS2"
   w.PutVarint64(static_cast<uint64_t>(SamplePhase::kReservoir));
   w.PutVarint64(1000);  // parent size
   w.PutDouble(1.0);
@@ -244,8 +259,7 @@ std::string SampleBytes(const std::string& histogram_bytes) {
 
 Status DecodeHistogram(const std::string& bytes) {
   BinaryReader r(bytes);
-  return CompactHistogram::DeserializeFrom(&r, HistogramLayout::kVarintPairs)
-      .status();
+  return CompactHistogram::DeserializeFrom(&r).status();
 }
 
 Status DecodeSample(const std::string& bytes) {
@@ -253,26 +267,33 @@ Status DecodeSample(const std::string& bytes) {
   return PartitionSample::DeserializeFrom(&r).status();
 }
 
+constexpr uint64_t kAllOnes = std::numeric_limits<uint64_t>::max();
+
 TEST(CompactHistogramTest, DecodeAcceptsCanonicalHandBuiltBytes) {
-  const std::string bytes = HistogramBytes(2, {{5, 1}, {3, 2}});
+  // {5 x1, 8 x2}: one gap of 8 - 5 - 1 = 2 at width 2, entry 1 flagged.
+  const std::string bytes = PackedBytes(2, 5, 2, {2}, 0b10, {0});
   BinaryReader r(bytes);
-  const auto h =
-      CompactHistogram::DeserializeFrom(&r, HistogramLayout::kVarintPairs);
-  ASSERT_TRUE(h.ok());
+  const auto h = CompactHistogram::DeserializeFrom(&r);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(h.value().entries(),
             (std::vector<CompactHistogram::Entry>{{5, 1}, {8, 2}}));
+  BinaryWriter again;
+  h.value().SerializeTo(&again);
+  EXPECT_EQ(again.buffer(), bytes);
   EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).ok());
 }
 
 TEST(CompactHistogramTest, DecodeRejectsZeroDeltaDuplicate) {
-  // Value 5 twice: once merged silently, now Corruption.
-  const std::string bytes = HistogramBytes(2, {{5, 1}, {0, 2}});
+  // Value 5 twice: a gap of 2^64 - 1 steps a whole turn, back onto 5.
+  const std::string bytes = PackedBytes(2, 5, 64, {kAllOnes}, 0, {});
   EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
   EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
 }
 
 TEST(CompactHistogramTest, DecodeRejectsDescendingDelta) {
-  const std::string bytes = HistogramBytes(3, {{5, 1}, {4, 1}, {-2, 1}});
+  // 5, 9, then a gap that wraps past the top of the range down to 7.
+  const std::string bytes = PackedBytes(3, 5, 64, {3, kAllOnes - 2}, 0, {});
   EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
   EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
 }
@@ -280,17 +301,18 @@ TEST(CompactHistogramTest, DecodeRejectsDescendingDelta) {
 TEST(CompactHistogramTest, DecodeRejectsEntryCountBeyondInput) {
   // Claims 2^40 entries with one entry's bytes behind it: rejected before
   // any allocation is sized from the claim.
-  const std::string bytes = HistogramBytes(uint64_t{1} << 40, {{5, 1}});
+  const std::string bytes = PackedBytes(uint64_t{1} << 40, 5, 0, {}, 0, {});
   EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
   EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
-  // Two entries need at least four bytes; three bytes cannot hold them.
-  std::string short_input = HistogramBytes(2, {{1, 1}});
-  short_input.push_back('\x02');
+  // Two entries need at least three bytes after the count (first value,
+  // width byte, bitmap); two bytes cannot hold them.
+  const std::string short_input = PackedBytes(2, 1, 0, {}, 0, {});
   EXPECT_TRUE(DecodeHistogram(short_input).IsCorruption());
 }
 
 TEST(CompactHistogramTest, DecodeRejectsZeroCount) {
-  const std::string bytes = HistogramBytes(1, {{5, 0}});
+  // A flagged count of (2^64 - 2) + 2 wraps to zero.
+  const std::string bytes = PackedBytes(1, 5, 0, {}, 0b1, {kAllOnes - 1});
   EXPECT_TRUE(DecodeHistogram(bytes).IsCorruption());
   EXPECT_TRUE(DecodeSample(SampleBytes(bytes)).IsCorruption());
 }

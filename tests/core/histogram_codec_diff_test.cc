@@ -1,15 +1,12 @@
-// Differential test of the varint kernel and both histogram layouts
+// Differential test of the varint kernel and the packed histogram layout
 // against references kept here and nowhere else: a byte-at-a-time LEB128
-// reader for the legacy varint-pairs layout (the encoder side lives in
-// legacy_codec.h), and a bit-at-a-time packer and unpacker for the packed
-// layout. Production and reference must agree on every input: identical
-// bytes out of the encoders; identical accept or reject, StatusCode,
-// entries and bytes consumed out of the decoders. The inputs are every
-// varint length, every gap width 0..64, entry counts on both sides of the
-// 128-gap block edges, histograms spanning the whole int64 range with
-// counts up to UINT64_MAX, and every truncation and single-byte mutation
-// of their encodings. A histogram also decodes to itself from both
-// layouts, so the legacy decoder is an oracle for the packed one.
+// reader, and a bit-at-a-time packer and unpacker. Production and
+// reference must agree on every input: identical bytes out of the
+// encoders; identical accept or reject, StatusCode, entries and bytes
+// consumed out of the decoders. The inputs are every varint length, every
+// gap width 0..64, entry counts on both sides of the 128-gap block edges,
+// histograms spanning the whole int64 range with counts up to UINT64_MAX,
+// and every truncation and single-byte mutation of their encodings.
 
 #include <cstdint>
 #include <cstring>
@@ -23,7 +20,6 @@
 #include "src/core/compact_histogram.h"
 #include "src/util/random.h"
 #include "src/util/serialization.h"
-#include "tests/core/legacy_codec.h"
 
 namespace sampwh {
 namespace {
@@ -35,7 +31,11 @@ constexpr uint64_t kMaxCount = std::numeric_limits<uint64_t>::max();
 // --- The reference: one push_back per byte, one Status per varint ----------
 
 void RefPutVarint64(std::string* out, uint64_t v) {
-  legacy::PutVarint64(out, v);
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
 }
 
 class RefReader {
@@ -98,45 +98,6 @@ struct RefDecoded {
   std::vector<CompactHistogram::Entry> entries;
   size_t consumed = 0;
 };
-
-RefDecoded RefDeserialize(std::string_view bytes) {
-  RefDecoded out;
-  RefReader reader(bytes);
-  const auto fail = [&out](Status st) {
-    out.status = std::move(st);
-    out.entries.clear();
-    return out;
-  };
-  uint64_t num_entries;
-  Status st = reader.GetVarint64(&num_entries);
-  if (!st.ok()) return fail(st);
-  if (num_entries > reader.remaining() / 2) {
-    return fail(Status::Corruption("histogram entry count exceeds input"));
-  }
-  out.entries.reserve(num_entries);
-  uint64_t previous = 0;
-  uint64_t total = 0;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    uint64_t zigzag;
-    uint64_t count;
-    st = reader.GetVarint64(&zigzag);
-    if (st.ok()) st = reader.GetVarint64(&count);
-    if (!st.ok()) return fail(st);
-    if (count == 0) return fail(Status::Corruption("zero count"));
-    if (count > kMaxCount - total) return fail(Status::Corruption("overflow"));
-    const uint64_t delta = (zigzag >> 1) ^ (0 - (zigzag & 1));
-    const uint64_t bits = previous + delta;
-    if (i > 0 &&
-        static_cast<Value>(bits) <= static_cast<Value>(previous)) {
-      return fail(Status::Corruption("not strictly ascending"));
-    }
-    out.entries.emplace_back(static_cast<Value>(bits), count);
-    total += count;
-    previous = bits;
-  }
-  out.consumed = bytes.size() - reader.remaining();
-  return out;
-}
 
 // --- The packed reference: one bit at a time -------------------------------
 
@@ -306,22 +267,17 @@ std::unique_ptr<char[]> FlushCopy(std::string_view bytes) {
   return copy;
 }
 
-constexpr HistogramLayout kPacked = HistogramLayout::kPacked;
-constexpr HistogramLayout kVarintPairs = HistogramLayout::kVarintPairs;
-
-/// Decodes `bytes` in `layout` with the library and with the reference,
-/// and checks that they agree; a decoded histogram must also carry the
-/// totals of its entries.
+/// Decodes `bytes` with the library and with the reference, and checks
+/// that they agree; a decoded histogram must also carry the totals of its
+/// entries.
 ::testing::AssertionResult DecodersAgree(std::string_view bytes,
-                                         HistogramLayout layout,
                                          uint64_t max_entries = kMaxCount) {
   const auto flush = FlushCopy(bytes);
   const std::string_view input(flush.get(), bytes.size());
-  const RefDecoded ref = layout == kPacked ? RefUnpack(input, max_entries)
-                                           : RefDeserialize(input);
+  const RefDecoded ref = RefUnpack(input, max_entries);
   BinaryReader reader(input);
   const Result<CompactHistogram> got =
-      CompactHistogram::DeserializeFrom(&reader, layout, max_entries);
+      CompactHistogram::DeserializeFrom(&reader, max_entries);
   if (got.ok() != ref.status.ok() ||
       (!got.ok() && got.status().code() != ref.status.code())) {
     return ::testing::AssertionFailure()
@@ -526,21 +482,15 @@ TEST(HistogramCodecDiffTest, EncoderWritesTheReferenceBytes) {
     h.SerializeTo(&writer);
     const std::string ref = RefPack(h.entries());
     ASSERT_EQ(writer.buffer().substr(4), ref);
-    ASSERT_TRUE(DecodersAgree(ref, kPacked));
-    // Both layouts decode to the histogram that was encoded: the legacy
-    // decoder is an oracle for the packed one.
-    const std::string legacy = legacy::EncodeVarintPairs(h.entries());
-    ASSERT_TRUE(DecodersAgree(legacy, kVarintPairs));
-    for (const auto& [bytes, layout] :
-         {std::pair{ref, kPacked}, std::pair{legacy, kVarintPairs}}) {
-      BinaryReader reader(bytes);
-      const auto back = CompactHistogram::DeserializeFrom(&reader, layout);
-      ASSERT_TRUE(back.ok()) << back.status().ToString();
-      EXPECT_TRUE(reader.AtEnd());
-      EXPECT_TRUE(back.value() == h);
-      EXPECT_EQ(back.value().total_count(), h.total_count());
-      EXPECT_EQ(back.value().footprint_bytes(), h.footprint_bytes());
-    }
+    ASSERT_TRUE(DecodersAgree(ref));
+    // The bytes decode to the histogram that was encoded.
+    BinaryReader reader(ref);
+    const auto back = CompactHistogram::DeserializeFrom(&reader);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_TRUE(back.value() == h);
+    EXPECT_EQ(back.value().total_count(), h.total_count());
+    EXPECT_EQ(back.value().footprint_bytes(), h.footprint_bytes());
   }
 }
 
@@ -568,27 +518,22 @@ TEST(HistogramCodecDiffTest, EveryTruncationDecodesAlike) {
   }
   for (CompactHistogram& h : BlockEdgeCorpus()) all.push_back(h);
   for (const CompactHistogram& h : all) {
-    for (const auto& [bytes, layout] :
-         {std::pair{Packed(h), kPacked},
-          std::pair{legacy::EncodeVarintPairs(h.entries()), kVarintPairs}}) {
-      for (size_t cut = 0; cut <= bytes.size(); ++cut) {
-        ASSERT_TRUE(
-            DecodersAgree(std::string_view(bytes).substr(0, cut), layout))
-            << "cut " << cut;
-      }
+    const std::string bytes = Packed(h);
+    for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+      ASSERT_TRUE(DecodersAgree(std::string_view(bytes).substr(0, cut)))
+          << "cut " << cut;
     }
   }
 }
 
 // Every byte of `bytes` replaced by every other value decodes alike.
-void ExpectEveryMutationDecodesAlike(const std::string& bytes,
-                                     HistogramLayout layout) {
+void ExpectEveryMutationDecodesAlike(const std::string& bytes) {
   std::string mutated = bytes;
   for (size_t pos = 0; pos < bytes.size(); ++pos) {
     for (int b = 0; b < 256; ++b) {
       if (b == static_cast<uint8_t>(bytes[pos])) continue;
       mutated[pos] = static_cast<char>(b);
-      ASSERT_TRUE(DecodersAgree(mutated, layout))
+      ASSERT_TRUE(DecodersAgree(mutated))
           << "pos " << pos << " byte " << b;
     }
     mutated[pos] = bytes[pos];
@@ -597,36 +542,26 @@ void ExpectEveryMutationDecodesAlike(const std::string& bytes,
 
 TEST(HistogramCodecDiffTest, EverySingleByteMutationDecodesAlike) {
   // The long width corpus and the second block edge (255..257 entries)
-  // are left to the truncation test, and the first block edge (which the
-  // varint-pairs layout does not have) to the packed layout: their
-  // mutations would multiply the run time without reaching a new decoder
-  // branch.
+  // are left to the truncation test: their mutations would multiply the
+  // run time without reaching a new decoder branch.
   std::vector<CompactHistogram> all = Corpus();
   for (CompactHistogram& h : WidthCorpus(false)) all.push_back(h);
-  for (const CompactHistogram& h : all) {
-    ExpectEveryMutationDecodesAlike(Packed(h), kPacked);
-    ExpectEveryMutationDecodesAlike(legacy::EncodeVarintPairs(h.entries()),
-                                    kVarintPairs);
-  }
   for (const CompactHistogram& h : BlockEdgeCorpus()) {
-    if (h.distinct_count() > 129) continue;
-    ExpectEveryMutationDecodesAlike(Packed(h), kPacked);
+    if (h.distinct_count() <= 129) all.push_back(h);
+  }
+  for (const CompactHistogram& h : all) {
+    ExpectEveryMutationDecodesAlike(Packed(h));
   }
 }
 
 TEST(HistogramCodecDiffTest, TrailingInputIsLeftForTheCaller) {
   // The codec consumes exactly its own bytes; whatever follows is the
   // caller's next field.
-  const CompactHistogram h = Corpus()[3];
-  for (const auto& [bytes, layout] :
-       {std::pair{Packed(h) + "tail", kPacked},
-        std::pair{legacy::EncodeVarintPairs(h.entries()) + "tail",
-                  kVarintPairs}}) {
-    ASSERT_TRUE(DecodersAgree(bytes, layout));
-    BinaryReader reader(bytes);
-    ASSERT_TRUE(CompactHistogram::DeserializeFrom(&reader, layout).ok());
-    EXPECT_EQ(reader.rest(), "tail");
-  }
+  const std::string bytes = Packed(Corpus()[3]) + "tail";
+  ASSERT_TRUE(DecodersAgree(bytes));
+  BinaryReader reader(bytes);
+  ASSERT_TRUE(CompactHistogram::DeserializeFrom(&reader).ok());
+  EXPECT_EQ(reader.rest(), "tail");
 }
 
 // --- Packed inputs that are not the canonical encoding ----------------------
@@ -644,10 +579,9 @@ std::string PackedBytes(uint64_t n, uint64_t first_zigzag,
 
 Status DecodePacked(std::string_view bytes,
                     uint64_t max_entries = kMaxCount) {
-  EXPECT_TRUE(DecodersAgree(bytes, kPacked, max_entries));
+  EXPECT_TRUE(DecodersAgree(bytes, max_entries));
   BinaryReader reader(bytes);
-  return CompactHistogram::DeserializeFrom(&reader, kPacked, max_entries)
-      .status();
+  return CompactHistogram::DeserializeFrom(&reader, max_entries).status();
 }
 
 TEST(HistogramCodecDiffTest, PackedDecodeAcceptsOnlyTheCanonicalForm) {

@@ -1,7 +1,9 @@
-// Round-trips of the v2 sample envelope over every sampler phase, and a
-// seeded bit-flip corpus proving that any single-bit damage to an enveloped
-// sample is rejected by the CRC layer as Corruption — never decoded into a
-// wrong sample, never a crash.
+// Round-trips of the stored sample file over every sampler phase, and a
+// damage corpus proving that any single-bit flip, any truncation and any
+// appended bytes in a stored sample file or a stored MANIFEST snapshot are
+// rejected by the frame as Corruption — never decoded into a wrong sample
+// or catalog, never a crash. (The stored frame took the place of the
+// sample envelope; the suite keeps the envelope's name.)
 
 #include <memory>
 #include <string>
@@ -13,21 +15,21 @@
 #include "src/core/sample.h"
 #include "src/util/random.h"
 #include "src/util/serialization.h"
+#include "src/warehouse/catalog_log.h"
 
 namespace sampwh {
 namespace {
 
-std::string Enveloped(const PartitionSample& sample) {
+std::string Stored(const PartitionSample& sample) {
   BinaryWriter writer;
   sample.SerializeTo(&writer);
-  return WrapSampleEnvelope(writer.buffer());
+  return EncodeFrame(writer.buffer());
 }
 
-Result<PartitionSample> DecodeEnveloped(const std::string& file) {
+Result<PartitionSample> DecodeStored(const std::string& file) {
   std::string_view payload;
-  SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(file, &payload));
-  BinaryReader reader(payload);
-  return PartitionSample::DeserializeFrom(&reader);
+  SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(file, "ds.0.sample", &payload));
+  return PartitionSample::DeserializeWhole(payload);
 }
 
 CompactHistogram MakeHistogram(
@@ -64,12 +66,41 @@ std::vector<PartitionSample> PhaseCorpus() {
   return corpus;
 }
 
+/// A small stored MANIFEST snapshot: one dataset of four partitions.
+std::string StoredManifest() {
+  Catalog catalog;
+  EXPECT_TRUE(catalog.CreateDataset("ds").ok());
+  for (PartitionId id = 0; id < 4; ++id) {
+    PartitionInfo info;
+    info.id = id;
+    info.parent_size = 100 + id;
+    info.sample_size = 10;
+    info.phase = SamplePhase::kReservoir;
+    EXPECT_TRUE(catalog.AddPartition("ds", info).ok());
+  }
+  return CatalogLog::EncodeSnapshot(catalog);
+}
+
+/// The stored files the damage corpus runs over: a small sample, the
+/// post-purge samples and the MANIFEST snapshot.
+std::vector<std::string> StoredFiles() {
+  std::vector<std::string> files;
+  for (const PartitionSample& sample : PhaseCorpus()) {
+    files.push_back(Stored(sample));
+  }
+  files.push_back(StoredManifest());
+  return files;
+}
+
+Status DecodeFrameOf(const std::string& file) {
+  std::string_view payload;
+  return DecodeStoredFile(file, "stored", &payload);
+}
+
 TEST(SampleEnvelopeTest, EveryPhaseRoundTrips) {
   for (const PartitionSample& sample : PhaseCorpus()) {
     SCOPED_TRACE(SamplePhaseToString(sample.phase()));
-    const std::string file = Enveloped(sample);
-    EXPECT_TRUE(HasSampleEnvelope(file));
-    const Result<PartitionSample> decoded = DecodeEnveloped(file);
+    const Result<PartitionSample> decoded = DecodeStored(Stored(sample));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value().phase(), sample.phase());
     EXPECT_EQ(decoded.value().parent_size(), sample.parent_size());
@@ -81,35 +112,37 @@ TEST(SampleEnvelopeTest, EveryPhaseRoundTrips) {
 
 TEST(SampleEnvelopeTest, EnvelopeIsByteDeterministic) {
   const PartitionSample sample = PhaseCorpus().front();
-  EXPECT_EQ(Enveloped(sample), Enveloped(sample));
+  EXPECT_EQ(Stored(sample), Stored(sample));
+  EXPECT_EQ(StoredManifest(), StoredManifest());
 }
 
-// Any single flipped bit anywhere in the enveloped file — header or
-// payload — must yield Corruption, never a successful decode of damaged
-// data. Exhaustive over every bit for a small sample, so header fields
-// (magic, version, size, CRC) are covered too.
+// Any single flipped bit anywhere in a stored file — header or payload —
+// must yield Corruption, never a successful decode of damaged data.
+// Exhaustive over every bit of a small sample and of the MANIFEST, so the
+// header fields (length, CRC) are covered too.
 TEST(SampleEnvelopeTest, EverySingleBitFlipIsRejected) {
-  const std::string file = Enveloped(PartitionSample::MakeReservoir(
-      MakeHistogram({{5, 2}, {6, 1}}), 64, 4096));
-  for (size_t byte = 0; byte < file.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = file;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      std::string_view payload;
-      const Status status = UnwrapSampleEnvelope(flipped, &payload);
-      EXPECT_TRUE(status.IsCorruption())
-          << "byte " << byte << " bit " << bit << ": "
-          << status.ToString();
+  for (const std::string& file :
+       {Stored(PartitionSample::MakeReservoir(MakeHistogram({{5, 2}, {6, 1}}),
+                                              64, 4096)),
+        StoredManifest()}) {
+    for (size_t byte = 0; byte < file.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = file;
+        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+        const Status status = DecodeFrameOf(flipped);
+        EXPECT_TRUE(status.IsCorruption())
+            << "byte " << byte << " bit " << bit << " of " << file.size()
+            << ": " << status.ToString();
+      }
     }
   }
 }
 
-// Random multi-bit damage and truncation over the larger post-purge
-// samples: seeded, so a failure reproduces.
+// Random multi-bit damage over the larger post-purge samples (seeded, so a
+// failure reproduces), and every proper truncation of every stored file.
 TEST(SampleEnvelopeTest, SeededDamageCorpusNeverDecodes) {
   Pcg64 rng(0xB17F11B5ULL, 1);
-  for (const PartitionSample& sample : PhaseCorpus()) {
-    const std::string file = Enveloped(sample);
+  for (const std::string& file : StoredFiles()) {
     for (int trial = 0; trial < 200; ++trial) {
       std::string damaged = file;
       const int flips = 1 + static_cast<int>(rng.NextUint64() % 8);
@@ -118,24 +151,22 @@ TEST(SampleEnvelopeTest, SeededDamageCorpusNeverDecodes) {
         damaged[pos] =
             static_cast<char>(damaged[pos] ^ (1u << (rng.NextUint64() % 8)));
       }
-      std::string_view payload;
-      EXPECT_TRUE(UnwrapSampleEnvelope(damaged, &payload).IsCorruption());
+      if (damaged == file) continue;  // two flips of one bit cancel
+      EXPECT_TRUE(DecodeFrameOf(damaged).IsCorruption());
     }
     // Every proper truncation point (torn write) is rejected as well.
-    for (size_t keep = 0; keep < file.size(); keep += 7) {
-      std::string_view payload;
-      EXPECT_TRUE(
-          UnwrapSampleEnvelope(file.substr(0, keep), &payload)
-              .IsCorruption());
+    for (size_t keep = 0; keep < file.size(); ++keep) {
+      EXPECT_TRUE(DecodeFrameOf(file.substr(0, keep)).IsCorruption())
+          << "kept " << keep << " of " << file.size();
     }
   }
 }
 
 TEST(SampleEnvelopeTest, AppendedTrailingBytesAreRejected) {
-  const std::string file = Enveloped(PhaseCorpus().front());
-  std::string_view payload;
-  EXPECT_TRUE(
-      UnwrapSampleEnvelope(file + "extra", &payload).IsCorruption());
+  for (const std::string& file : StoredFiles()) {
+    EXPECT_TRUE(DecodeFrameOf(file + "extra").IsCorruption());
+    EXPECT_TRUE(DecodeFrameOf(file + file).IsCorruption());
+  }
 }
 
 }  // namespace

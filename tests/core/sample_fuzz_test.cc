@@ -1,11 +1,9 @@
 // Robustness fuzzing for the PartitionSample wire format: random byte
 // mutations, truncations and garbage must never crash the decoder — every
 // outcome is either a clean error Status or a sample that passes
-// Validate(). The SWS2 decoder is canonical, so every SWS2 input it
-// accepts must also re-encode to exactly the bytes it consumed. Legacy
-// SWS1 inputs are fuzzed the same way, minus the canonical check (their
-// varints may be padded). (Deterministic seeds: this is a reproducible
-// mini-fuzzer, not an OSS-Fuzz harness.)
+// Validate(). The decoder is canonical, so every input it accepts must
+// also re-encode to exactly the bytes it consumed. (Deterministic seeds:
+// this is a reproducible mini-fuzzer, not an OSS-Fuzz harness.)
 
 #include <string>
 
@@ -13,7 +11,6 @@
 
 #include "src/core/sample.h"
 #include "src/util/random.h"
-#include "tests/core/legacy_codec.h"
 
 namespace sampwh {
 namespace {
@@ -53,14 +50,12 @@ void ExpectNoCrash(const std::string& bytes) {
       PartitionSample::DeserializeFrom(&reader);
   if (!decoded.ok()) return;
   EXPECT_TRUE(decoded.value().Validate().ok());
-  if (SampleEncodingOf(bytes).value() == SampleEncoding::kSws2) {
-    BinaryWriter again;
-    decoded.value().SerializeTo(&again);
-    EXPECT_EQ(again.buffer(),
-              std::string_view(bytes).substr(0, bytes.size() -
-                                                    reader.remaining()))
-        << "an accepted SWS2 input is not the canonical encoding";
-  }
+  BinaryWriter again;
+  decoded.value().SerializeTo(&again);
+  EXPECT_EQ(again.buffer(),
+            std::string_view(bytes).substr(0, bytes.size() -
+                                                  reader.remaining()))
+      << "an accepted input is not the canonical encoding";
 }
 
 TEST(SampleFuzzTest, SingleByteMutationsNeverCrash) {
@@ -104,25 +99,6 @@ TEST(SampleFuzzTest, ByteSwapsNeverCrash) {
     const size_t j = static_cast<size_t>(rng.UniformInt(bytes.size()));
     std::swap(bytes[i], bytes[j]);
     ExpectNoCrash(bytes);
-  }
-}
-
-TEST(SampleFuzzTest, LegacySws1MutationsNeverCrash) {
-  Pcg64 rng(4);
-  for (int round = 0; round < 200; ++round) {
-    const std::string reference =
-        legacy::EncodeSws1(ReferenceSample(1700 + round));
-    ASSERT_TRUE(PartitionSample::DeserializeWhole(reference).ok());
-    for (int mutation = 0; mutation < 20; ++mutation) {
-      std::string bytes = reference;
-      const size_t pos = static_cast<size_t>(rng.UniformInt(bytes.size()));
-      bytes[pos] = static_cast<char>(rng.UniformInt(256));
-      ExpectNoCrash(bytes);
-    }
-    for (size_t len = 0; len < reference.size();
-         len += 1 + reference.size() / 37) {
-      ExpectNoCrash(reference.substr(0, len));
-    }
   }
 }
 

@@ -41,7 +41,6 @@
 #include "src/util/random.h"
 #include "src/util/serialization.h"
 #include "src/warehouse/warehouse.h"
-#include "tests/core/legacy_codec.h"
 #include "tests/server/server_test_util.h"
 
 namespace sampwh {
@@ -332,7 +331,7 @@ TEST(ReplicationTest, WriteQuorumToleratesAReplicaOutageAndScrubCompletes) {
             SampleBytes(f.reference->MergedSampleAll("acme.sales").value()));
 }
 
-/// Satellite: Recover() x replication. Corrupt one replica's envelope on
+/// Satellite: Recover() x replication. Corrupt one replica's frame on
 /// disk, scrub, and byte-compare the healed copy against the surviving
 /// replica; the quarantined original must remain as evidence.
 TEST(ReplicationTest, ScrubHealsCorruptReplicaFromSurvivor) {
@@ -340,7 +339,7 @@ TEST(ReplicationTest, ScrubHealsCorruptReplicaFromSurvivor) {
                                   /*replication_factor=*/2);
   ASSERT_NE(f.coordinator, nullptr);
 
-  // Flip a payload byte inside one replica's stored envelope. Targets the
+  // Flip a payload byte inside one replica's stored frame. Targets the
   // copy on node 1 (every id lives on both nodes at N=2, R=2).
   const PartitionId victim = f.ids[f.ids.size() / 2];
   const std::string path =
@@ -436,110 +435,6 @@ TEST(ReplicationTest, ScrubRepairsDivergentReplicaToMajority) {
   EXPECT_EQ(clean.value().digest_mismatches, 0u);
   ASSERT_NO_FATAL_FAILURE(ExpectZeroQuotaDrift(f));
 
-  auto answer = f.coordinator->Query("acme", "sales");
-  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_EQ(SampleBytes(answer.value()),
-            SampleBytes(f.reference->MergedSampleAll("acme.sales").value()));
-}
-
-TEST(ReplicationTest, Sws1ReplicaTakesAnSws2RollInAsOneMismatchAndARewrite) {
-  ReplFixture f = MakeReplFixture("sws1", /*num_nodes=*/2,
-                                  /*replication_factor=*/2);
-  ASSERT_NE(f.coordinator, nullptr);
-  const std::string want =
-      SampleBytes(f.reference->MergedSampleAll("acme.sales").value());
-  const auto expect_exact_answers = [&f, &want](const char* when) {
-    auto answer = f.coordinator->Query("acme", "sales");
-    ASSERT_TRUE(answer.ok()) << when << ": " << answer.status().ToString();
-    EXPECT_EQ(SampleBytes(answer.value()), want) << when;
-    auto node1 = DirectClient(f, 1);
-    ASSERT_NE(node1, nullptr);
-    auto direct = node1->Query("acme", "sales", {});
-    ASSERT_TRUE(direct.ok()) << when << ": " << direct.status().ToString();
-    EXPECT_EQ(SampleBytes(direct.value()), want) << when;
-  };
-
-  // Node 1 holds one partition as an older build stored it: the same
-  // content, as an SWS1 payload in the (unchanged) envelope.
-  const size_t index = f.ids.size() / 2;
-  const PartitionId victim = f.ids[index];
-  const PartitionSample sample =
-      f.reference->GetSample("acme.sales", victim).value();
-  const std::string path =
-      f.dirs[1].path() + "/acme.sales." + std::to_string(victim) + ".sample";
-  const std::string survivor_path =
-      f.dirs[0].path() + "/acme.sales." + std::to_string(victim) + ".sample";
-  ASSERT_TRUE(std::filesystem::exists(path)) << path;
-  ASSERT_TRUE(
-      WriteFileAtomic(path, WrapSampleEnvelope(legacy::EncodeSws1(sample)))
-          .ok());
-  f.servers[1]->warehouse_for_testing()->InvalidateCaches();
-  ASSERT_NO_FATAL_FAILURE(expect_exact_answers("SWS1 copy"));
-
-  // The incoming roll-in carries SWS2 bytes of the same content. Digests
-  // are of bytes, so the replica counts one mismatch and rewrites its copy
-  // with the incoming bytes — byte-identical to node 0's.
-  auto node1 = DirectClient(f, 1);
-  ASSERT_NE(node1, nullptr);
-  ASSERT_TRUE(node1
-                  ->ReplicaRollIn("acme", "sales", victim, sample,
-                                  /*min_timestamp=*/index,
-                                  /*max_timestamp=*/index)
-                  .ok());
-  EXPECT_EQ(f.servers[1]->stats().digest_mismatches, 1u);
-  std::ostringstream rewritten, survivor;
-  rewritten << std::ifstream(path, std::ios::binary).rdbuf();
-  survivor << std::ifstream(survivor_path, std::ios::binary).rdbuf();
-  ASSERT_FALSE(survivor.str().empty());
-  EXPECT_EQ(rewritten.str(), survivor.str());
-  ASSERT_NO_FATAL_FAILURE(expect_exact_answers("after the rewrite"));
-
-  // The same roll-in again is an idempotent ack: no further mismatch.
-  ASSERT_TRUE(node1
-                  ->ReplicaRollIn("acme", "sales", victim, sample,
-                                  /*min_timestamp=*/index,
-                                  /*max_timestamp=*/index)
-                  .ok());
-  EXPECT_EQ(f.servers[1]->stats().digest_mismatches, 1u);
-  ASSERT_NO_FATAL_FAILURE(ExpectZeroQuotaDrift(f));
-  ASSERT_NO_FATAL_FAILURE(expect_exact_answers("after the retry"));
-}
-
-TEST(ReplicationTest, ScrubOfSws1AndSws2CopiesConvergesInOneRound) {
-  ReplFixture f = MakeReplFixture("sws1scrub", /*num_nodes=*/2,
-                                  /*replication_factor=*/2);
-  ASSERT_NE(f.coordinator, nullptr);
-  // Two partitions each keep one SWS1 copy, once on each node, so one of
-  // them wins the two-copy tie (the lowest-index owner) in the old
-  // encoding.
-  for (const size_t node : {size_t{0}, size_t{1}}) {
-    const PartitionId id = f.ids[f.ids.size() / 2 + node];
-    const PartitionSample sample =
-        f.reference->GetSample("acme.sales", id).value();
-    const std::string path = f.dirs[node].path() + "/acme.sales." +
-                             std::to_string(id) + ".sample";
-    ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    ASSERT_TRUE(
-        WriteFileAtomic(path, WrapSampleEnvelope(legacy::EncodeSws1(sample)))
-            .ok());
-    f.servers[node]->warehouse_for_testing()->InvalidateCaches();
-  }
-
-  // Byte digests differ, so the round sees two mismatches, and it leaves
-  // every copy in SWS2: the elected SWS1 copy is rewritten with the one it
-  // healed. Without that, each later round would elect the SWS1 copy
-  // again and "heal" its partner once more.
-  auto report = f.coordinator->ScrubDataset("acme", "sales");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().digest_mismatches, 2u);
-  EXPECT_EQ(report.value().unhealable, 0u);
-  for (int round = 0; round < 2; ++round) {
-    auto clean = f.coordinator->ScrubDataset("acme", "sales");
-    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-    EXPECT_EQ(clean.value().digest_mismatches, 0u) << "round " << round;
-    EXPECT_EQ(clean.value().healed, 0u) << "round " << round;
-  }
-  ASSERT_NO_FATAL_FAILURE(ExpectZeroQuotaDrift(f));
   auto answer = f.coordinator->Query("acme", "sales");
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_EQ(SampleBytes(answer.value()),

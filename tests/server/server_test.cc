@@ -557,7 +557,9 @@ TEST(ServerTest, RestartListsPartitionsOnlyTheCatalogLogHolds) {
   // The snapshot alone misses the last roll-in: only the log holds it.
   std::string snapshot;
   ASSERT_TRUE(ReadFile(manifest, &snapshot).ok());
-  BinaryReader reader(snapshot);
+  std::string_view payload;
+  ASSERT_TRUE(DecodeStoredFile(snapshot, manifest, &payload).ok());
+  BinaryReader reader(payload);
   const Result<Catalog> on_disk = Catalog::DeserializeFrom(&reader);
   ASSERT_TRUE(on_disk.ok());
   EXPECT_LT(on_disk.value().ListPartitions("acme.sales").value().size(),

@@ -16,7 +16,6 @@
 #include "src/util/serialization.h"
 #include "src/warehouse/checkpoint.h"
 #include "src/warehouse/warehouse.h"
-#include "tests/core/legacy_codec.h"
 #include "tests/server/server_test_util.h"
 
 namespace sampwh {
@@ -69,7 +68,7 @@ class ToolTest : public ::testing::Test {
     BinaryWriter writer;
     sampler.Finalize().SerializeTo(&writer);
     const std::string path = dir_ + "/" + name;
-    EXPECT_TRUE(WriteFileAtomic(path, writer.buffer()).ok());
+    EXPECT_TRUE(WriteFileAtomic(path, EncodeFrame(writer.buffer())).ok());
     return path;
   }
 
@@ -88,34 +87,17 @@ TEST_F(ToolTest, DumpSucceedsOnValidSample) {
 }
 
 TEST_F(ToolTest, DumpPrintsTheEncodingAndItsSize) {
-  // The library writes SWS2; a file an older build wrote holds SWS1. Both
-  // dump, each naming its encoding and the payload's size.
+  // The library writes SWS2 in one stored frame; dump names the encoding
+  // and the payload's size, the file less its frame header.
   const std::string path = WriteSample("a.sample", 0, 5000);
-  std::string sws2;
-  ASSERT_TRUE(ReadFile(path, &sws2).ok());
-  EXPECT_NE(ToolOutput("dump " + path)
-                .find("encoding:        SWS2, " + std::to_string(sws2.size()) +
-                      " B\n"),
-            std::string::npos);
-
-  BinaryReader reader(sws2);
-  const auto sample = PartitionSample::DeserializeFrom(&reader);
-  ASSERT_TRUE(sample.ok());
-  const std::string sws1 = legacy::EncodeSws1(sample.value());
-  const std::string legacy_path = dir_ + "/legacy.sample";
-  ASSERT_TRUE(WriteFileAtomic(legacy_path, WrapSampleEnvelope(sws1)).ok());
-  const std::string out = ToolOutput("dump " + legacy_path);
-  EXPECT_NE(out.find("encoding:        SWS1, " + std::to_string(sws1.size()) +
-                     " B\n"),
+  std::string file;
+  ASSERT_TRUE(ReadFile(path, &file).ok());
+  const std::string out = ToolOutput("dump " + path);
+  EXPECT_NE(out.find("encoding:        SWS2, " +
+                     std::to_string(file.size() - kFrameHeaderBytes) + " B\n"),
             std::string::npos)
       << out;
-  // The rest of the dump is the same sample.
-  const auto from_phase = [](const std::string& dump) {
-    const size_t at = dump.find("phase:");
-    return at == std::string::npos ? std::string() : dump.substr(at);
-  };
-  EXPECT_FALSE(from_phase(out).empty());
-  EXPECT_EQ(from_phase(out), from_phase(ToolOutput("dump " + path)));
+  EXPECT_NE(out.find("phase:"), std::string::npos) << out;
 }
 
 TEST_F(ToolTest, DumpFailsOnMissingFile) {
@@ -144,12 +126,10 @@ TEST_F(ToolTest, MergeProducesLoadableEnvelopedSample) {
   EXPECT_EQ(RunTool("merge " + out + " " + a + " " + b), 0);
   std::string bytes;
   ASSERT_TRUE(ReadFile(out, &bytes).ok());
-  // Merge output carries the checksummed v2 envelope.
-  ASSERT_TRUE(HasSampleEnvelope(bytes));
+  // Merge output is a stored sample file: one checksummed frame.
   std::string_view payload;
-  ASSERT_TRUE(UnwrapSampleEnvelope(bytes, &payload).ok());
-  BinaryReader reader(payload);
-  const auto merged = PartitionSample::DeserializeFrom(&reader);
+  ASSERT_TRUE(DecodeStoredFile(bytes, out, &payload).ok());
+  const auto merged = PartitionSample::DeserializeWhole(payload);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged.value().parent_size(), 8000u);
   // And the tool reads its own output back.
@@ -157,8 +137,8 @@ TEST_F(ToolTest, MergeProducesLoadableEnvelopedSample) {
 }
 
 TEST_F(ToolTest, DumpReadsStoreWrittenEnvelopedFiles) {
-  // Files written by FileSampleStore carry the v2 envelope; dump must
-  // unwrap them, and must reject them once a payload byte is flipped.
+  // Files written by FileSampleStore are one frame; dump must read them,
+  // and must reject them once a payload byte is flipped.
   const std::string store_dir = dir_ + "/store";
   std::string path;
   {
@@ -181,7 +161,7 @@ TEST_F(ToolTest, DumpReadsStoreWrittenEnvelopedFiles) {
 
   std::string bytes;
   ASSERT_TRUE(ReadFile(path, &bytes).ok());
-  bytes[kSampleEnvelopeHeaderBytes] ^= 0x40;
+  bytes[kFrameHeaderBytes] ^= 0x40;
   ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
   EXPECT_EQ(RunTool("dump " + path), 1);
 }
@@ -194,17 +174,17 @@ TEST_F(ToolTest, CheckpointsPrintsChainStructure) {
     IngestCheckpoint snapshot;
     snapshot.next_sequence = 100;
     ASSERT_TRUE(store.value()->PutCheckpoint("ds", snapshot.Serialize()).ok());
-    CheckpointDeltaRecord progress;
-    progress.kind = CheckpointDeltaKind::kProgress;
-    progress.next_sequence = 150;
+    IngestCheckpoint opened;
+    opened.next_sequence = 150;
+    CheckpointDeltaRecord open_record;
+    open_record.checkpoint_payload = opened.Serialize();
     IngestCheckpoint closed;
     closed.next_sequence = 180;
     CheckpointDeltaRecord close_record;
-    close_record.kind = CheckpointDeltaKind::kClosePending;
     close_record.checkpoint_payload = closed.Serialize();
     ASSERT_TRUE(store.value()
-                    ->AppendCheckpointDeltas(
-                        "ds", {progress.Serialize(), close_record.Serialize()})
+                    ->AppendCheckpointDeltas("ds", {open_record.Serialize(),
+                                                    close_record.Serialize()})
                     .ok());
   }
   const std::string out_path = dir_ + "/checkpoints.out";
@@ -213,12 +193,12 @@ TEST_F(ToolTest, CheckpointsPrintsChainStructure) {
   ASSERT_EQ(WEXITSTATUS(std::system(command.c_str())), 0);
   std::string out;
   ASSERT_TRUE(ReadFile(out_path, &out).ok());
-  // Summary line resolves the chain to the close-pending record's watermark.
+  // Summary line resolves the chain to the newest record's watermark.
   EXPECT_NE(out.find("dataset ds: watermark 180"), std::string::npos) << out;
   EXPECT_NE(out.find("snapshot verified, 2 delta record(s)"),
             std::string::npos)
       << out;
-  EXPECT_NE(out.find("progress      watermark 150, crc ok, verified"),
+  EXPECT_NE(out.find("close-pending watermark 150, crc ok, verified"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("close-pending watermark 180, crc ok, verified"),

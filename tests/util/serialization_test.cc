@@ -269,67 +269,76 @@ TEST(FrameTest, WalRecordIsAWireFrame) {
   }
 }
 
+// The stored file (util/serialization "Stored files") is what the sample
+// envelope was: the one wrapper every stored sample, checkpoint snapshot
+// and MANIFEST snapshot is written in. These cases keep the envelope's
+// names and pin the frame in its place.
+
 TEST(SampleEnvelopeTest, WrapUnwrapRoundTrips) {
-  const std::string payload = "arbitrary sample bytes \x00\x01\xff";
-  const std::string file = WrapSampleEnvelope(payload);
-  EXPECT_EQ(file.size(), kSampleEnvelopeHeaderBytes + payload.size());
-  EXPECT_TRUE(HasSampleEnvelope(file));
+  const std::string payload("arbitrary sample bytes \x00\x01\xff", 26);
+  const std::string file = EncodeFrame(payload);
+  EXPECT_EQ(file.size(), kFrameHeaderBytes + payload.size());
   std::string_view unwrapped;
-  ASSERT_TRUE(UnwrapSampleEnvelope(file, &unwrapped).ok());
+  ASSERT_TRUE(DecodeStoredFile(file, "a.sample", &unwrapped).ok());
   EXPECT_EQ(unwrapped, payload);
 }
 
 TEST(SampleEnvelopeTest, EmptyPayloadRoundTrips) {
-  const std::string file = WrapSampleEnvelope("");
+  const std::string file = EncodeFrame("");
   std::string_view unwrapped;
-  ASSERT_TRUE(UnwrapSampleEnvelope(file, &unwrapped).ok());
+  ASSERT_TRUE(DecodeStoredFile(file, "a.sample", &unwrapped).ok());
   EXPECT_TRUE(unwrapped.empty());
 }
 
 TEST(SampleEnvelopeTest, HeaderLayoutIsStable) {
-  // On-disk layout contract: fixed32 magic | fixed32 version |
-  // fixed64 payload size | fixed32 payload CRC | payload. A change here is
-  // a format break and needs a version bump plus read-compat fallback.
-  const std::string file = WrapSampleEnvelope("xy");
+  // On-disk layout contract: fixed32 payload length | fixed32 payload CRC
+  // | payload — the wire's and the WALs' frame. A change here changes
+  // every stored file.
+  const std::string file = EncodeFrame("xy");
   BinaryReader reader(file);
-  uint32_t magic = 0, version = 0, crc = 0;
-  uint64_t size = 0;
-  ASSERT_TRUE(reader.GetFixed32(&magic).ok());
-  ASSERT_TRUE(reader.GetFixed32(&version).ok());
-  ASSERT_TRUE(reader.GetFixed64(&size).ok());
+  uint32_t size = 0, crc = 0;
+  ASSERT_TRUE(reader.GetFixed32(&size).ok());
   ASSERT_TRUE(reader.GetFixed32(&crc).ok());
-  EXPECT_EQ(magic, kSampleEnvelopeMagic);
-  EXPECT_EQ(version, kSampleEnvelopeVersion);
   EXPECT_EQ(size, 2u);
   EXPECT_EQ(crc, Crc32("xy"));
+  EXPECT_EQ(reader.rest(), "xy");
 }
 
 TEST(SampleEnvelopeTest, RejectsForeignAndDamagedInputs) {
   std::string_view payload;
-  EXPECT_TRUE(UnwrapSampleEnvelope("", &payload).IsCorruption());
-  EXPECT_TRUE(UnwrapSampleEnvelope("not an envelope", &payload)
+  EXPECT_TRUE(DecodeStoredFile("", "f", &payload).IsCorruption());
+  EXPECT_TRUE(
+      DecodeStoredFile("not a stored frame", "f", &payload).IsCorruption());
+  const std::string file = EncodeFrame("payload");
+  // Truncated file (torn write), and a frame followed by more bytes.
+  EXPECT_TRUE(DecodeStoredFile(file.substr(0, file.size() - 1), "f", &payload)
                   .IsCorruption());
-  const std::string file = WrapSampleEnvelope("payload");
-  // Truncated file (torn write).
-  EXPECT_TRUE(UnwrapSampleEnvelope(file.substr(0, file.size() - 1), &payload)
-                  .IsCorruption());
-  // Future format version.
-  std::string future = file;
-  future[4] = static_cast<char>(future[4] + 1);
-  EXPECT_TRUE(UnwrapSampleEnvelope(future, &payload).IsCorruption());
+  EXPECT_TRUE(DecodeStoredFile(file + file, "f", &payload).IsCorruption());
+  // A length that no longer spans the file.
+  std::string longer = file;
+  longer[0] = static_cast<char>(longer[0] + 1);
+  EXPECT_TRUE(DecodeStoredFile(longer, "f", &payload).IsCorruption());
   // Flipped payload bit.
   std::string flipped = file;
   flipped.back() = static_cast<char>(flipped.back() ^ 0x10);
-  EXPECT_TRUE(UnwrapSampleEnvelope(flipped, &payload).IsCorruption());
+  EXPECT_TRUE(DecodeStoredFile(flipped, "f", &payload).IsCorruption());
 }
 
 TEST(SampleEnvelopeTest, DetectionDoesNotMisfireOnV1Payloads) {
-  // A bare v1 sample payload begins with the sample magic, not the
-  // envelope magic, so the read-compat fallback can tell them apart.
-  BinaryWriter writer;
-  writer.PutFixed32(0x53575331);  // v1 sample magic
-  writer.PutFixed32(7);
-  EXPECT_FALSE(HasSampleEnvelope(writer.buffer()));
+  // A bare v1 sample payload, an SWV2 envelope and a bare manifest begin
+  // with the magics older builds wrote: each is told apart from damage
+  // and refused as an older format, naming the file.
+  for (const uint32_t magic : {0x53575331u, 0x32565753u, 0x53574d31u}) {
+    BinaryWriter writer;
+    writer.PutFixed32(magic);
+    writer.PutFixed32(7);
+    std::string_view payload;
+    const Status status =
+        DecodeStoredFile(writer.buffer(), "store/ds.0.sample", &payload);
+    EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+    EXPECT_NE(status.message().find("store/ds.0.sample"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

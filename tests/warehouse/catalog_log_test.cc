@@ -56,9 +56,7 @@ PartitionInfo InfoOf(PartitionId id, const PartitionSample& sample,
 }
 
 std::string CatalogBytes(const Catalog& catalog) {
-  BinaryWriter writer;
-  catalog.SerializeTo(&writer);
-  return writer.Release();
+  return CatalogLog::EncodeSnapshot(catalog);
 }
 
 std::string ReadBytes(const std::string& path) {

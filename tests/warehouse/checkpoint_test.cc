@@ -295,59 +295,46 @@ TEST_F(CheckpointStoreTest, RecoverQuarantinesCorruptCheckpointFile) {
 
 // --- Delta records, WAL framing and chains --------------------------------
 
-CheckpointDeltaRecord ProgressDelta(uint64_t sequence) {
-  CheckpointDeltaRecord rec;
-  rec.kind = CheckpointDeltaKind::kProgress;
-  rec.next_sequence = sequence;
-  rec.partitions_started = 1;
-  rec.rng = Pcg64(sequence).SaveState();
-  rec.progress.elements = sequence % 97;
-  return rec;
-}
-
 std::string CloseDeltaPayload(uint64_t sequence) {
   CheckpointDeltaRecord rec;
-  rec.kind = CheckpointDeltaKind::kClosePending;
   rec.checkpoint_payload = MinimalCheckpointPayload(sequence);
   return rec.Serialize();
 }
 
 TEST(CheckpointDeltaTest, RecordRoundTripAndDamageRejection) {
-  const CheckpointDeltaRecord progress = ProgressDelta(4242);
-  const std::string bytes = progress.Serialize();
-  auto round = CheckpointDeltaRecord::Deserialize(bytes);
-  ASSERT_TRUE(round.ok()) << round.status().ToString();
-  EXPECT_EQ(round.value().kind, CheckpointDeltaKind::kProgress);
-  EXPECT_EQ(round.value().next_sequence, 4242u);
-  EXPECT_EQ(round.value().partitions_started, 1u);
-  EXPECT_EQ(round.value().rng.state_lo, progress.rng.state_lo);
-  EXPECT_EQ(round.value().progress.elements, progress.progress.elements);
-  EXPECT_TRUE(VerifyCheckpointDeltaPayload(bytes).ok());
-
   const std::string close = CloseDeltaPayload(77);
   auto close_round = CheckpointDeltaRecord::Deserialize(close);
-  ASSERT_TRUE(close_round.ok());
+  ASSERT_TRUE(close_round.ok()) << close_round.status().ToString();
   EXPECT_EQ(close_round.value().kind, CheckpointDeltaKind::kClosePending);
+  EXPECT_EQ(close_round.value().checkpoint_payload,
+            MinimalCheckpointPayload(77));
   EXPECT_TRUE(VerifyCheckpointDeltaPayload(close).ok());
 
   EXPECT_FALSE(CheckpointDeltaRecord::Deserialize("").ok());
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(CheckpointDeltaRecord::Deserialize(bytes.substr(0, len)).ok())
+  for (size_t len = 0; len < close.size(); ++len) {
+    EXPECT_FALSE(CheckpointDeltaRecord::Deserialize(close.substr(0, len)).ok())
         << "accepted a record truncated to " << len << " bytes";
   }
+  // The kind byte follows the magic and the version: any other kind,
+  // such as the watermark-only records of earlier builds, is refused.
+  std::string other_kind = close;
+  ASSERT_EQ(other_kind[5], 2);
+  other_kind[5] = 1;
+  EXPECT_TRUE(CheckpointDeltaRecord::Deserialize(other_kind)
+                  .status()
+                  .IsCorruption());
   // A close record whose embedded checkpoint is garbage passes the shallow
   // decode only; deep verification must reject it.
   CheckpointDeltaRecord bad_close;
-  bad_close.kind = CheckpointDeltaKind::kClosePending;
   bad_close.checkpoint_payload = "junk that is not a checkpoint";
   EXPECT_FALSE(VerifyCheckpointDeltaPayload(bad_close.Serialize()).ok());
 }
 
 TEST(CheckpointDeltaTest, WalParseStopsAtTearOrBitRot) {
   std::string wal;
-  const std::vector<std::string> payloads = {ProgressDelta(10).Serialize(),
+  const std::vector<std::string> payloads = {CloseDeltaPayload(10),
                                              CloseDeltaPayload(20),
-                                             ProgressDelta(30).Serialize()};
+                                             CloseDeltaPayload(30)};
   for (const std::string& p : payloads) AppendFrame(&wal, p);
 
   CheckpointWalParse whole = ParseCheckpointWal(wal);
@@ -374,9 +361,9 @@ TEST(CheckpointDeltaTest, WalParseStopsAtTearOrBitRot) {
 }
 
 TEST(CheckpointDeltaTest, WalParseAtEveryCutAndFlip) {
-  const std::vector<std::string> payloads = {ProgressDelta(10).Serialize(),
+  const std::vector<std::string> payloads = {CloseDeltaPayload(10),
                                              CloseDeltaPayload(20),
-                                             ProgressDelta(30).Serialize()};
+                                             CloseDeltaPayload(30)};
   std::string wal;
   std::vector<size_t> ends;  // ends[k]: length of the first k+1 records
   for (const std::string& p : payloads) {
@@ -426,36 +413,28 @@ TEST(CheckpointDeltaTest, ResolveChainPrefersNewestStateCompleteRecord) {
   ASSERT_TRUE(snapshot_only.ok());
   EXPECT_EQ(snapshot_only.value().next_sequence, 100u);
 
-  // Progress deltas are liveness only: they never advance the resume point
-  // (the sampler state at their watermark was never persisted).
-  chain.deltas.push_back(ProgressDelta(150).Serialize());
-  auto with_progress = ResolveCheckpointChain(chain);
-  ASSERT_TRUE(with_progress.ok());
-  EXPECT_EQ(with_progress.value().next_sequence, 100u);
-
-  // A close record is state-complete and overrides the snapshot.
-  chain.deltas.push_back(CloseDeltaPayload(180));
+  // Every record is state-complete: each overrides what came before it.
+  chain.deltas.push_back(CloseDeltaPayload(150));
   auto with_close = ResolveCheckpointChain(chain);
   ASSERT_TRUE(with_close.ok());
-  EXPECT_EQ(with_close.value().next_sequence, 180u);
+  EXPECT_EQ(with_close.value().next_sequence, 150u);
 
-  // A trailing progress record after the close still does not advance it.
-  chain.deltas.push_back(ProgressDelta(200).Serialize());
-  auto trailing = ResolveCheckpointChain(chain);
-  ASSERT_TRUE(trailing.ok());
-  EXPECT_EQ(trailing.value().next_sequence, 180u);
+  chain.deltas.push_back(CloseDeltaPayload(180));
+  auto newest = ResolveCheckpointChain(chain);
+  ASSERT_TRUE(newest.ok());
+  EXPECT_EQ(newest.value().next_sequence, 180u);
 }
 
 void ExerciseWalAppendAndChain(SampleStore& store) {
   // No snapshot generation yet: nothing to own the WAL.
   EXPECT_TRUE(store
                   .AppendCheckpointDeltas("events",
-                                          {ProgressDelta(1).Serialize()})
+                                          {CloseDeltaPayload(1)})
                   .IsFailedPrecondition());
 
   const std::string snap = MinimalCheckpointPayload(100);
   ASSERT_TRUE(store.PutCheckpoint("events", snap).ok());
-  const std::vector<std::string> batch = {ProgressDelta(150).Serialize(),
+  const std::vector<std::string> batch = {CloseDeltaPayload(150),
                                           CloseDeltaPayload(180)};
   ASSERT_TRUE(store.AppendCheckpointDeltas("events", batch).ok());
 
@@ -500,7 +479,7 @@ void ExerciseTornWalAppendRecovery(Env* base, const std::string& dir) {
   SampleStore store(&env, dir);
   ASSERT_TRUE(
       store.PutCheckpoint("events", MinimalCheckpointPayload(100)).ok());
-  const std::vector<std::string> good = {ProgressDelta(150).Serialize()};
+  const std::vector<std::string> good = {CloseDeltaPayload(150)};
   ASSERT_TRUE(store.AppendCheckpointDeltas("events", good).ok());
 
   // A single-record batch torn mid-append always cuts inside the frame.
@@ -556,7 +535,7 @@ void ExerciseFailedWalTruncation(Env* base, const std::string& dir) {
       {.max_attempts = 3, .initial_backoff = std::chrono::microseconds(1)});
   ASSERT_TRUE(
       store.PutCheckpoint("events", MinimalCheckpointPayload(100)).ok());
-  const std::vector<std::string> good = {ProgressDelta(150).Serialize()};
+  const std::vector<std::string> good = {CloseDeltaPayload(150)};
   ASSERT_TRUE(store.AppendCheckpointDeltas("events", good).ok());
   injector->Arm(kFaultSiteWalAppend, FaultKind::kTornWrite);
   EXPECT_TRUE(store.AppendCheckpointDeltas("events", {CloseDeltaPayload(180)})
@@ -598,7 +577,7 @@ TEST_F(CheckpointStoreTest, RecoverQuarantinesOrphanedWal) {
         store->PutCheckpoint("events", MinimalCheckpointPayload(7)).ok());
     ASSERT_TRUE(store
                     ->AppendCheckpointDeltas(
-                        "events", {ProgressDelta(9).Serialize()})
+                        "events", {CloseDeltaPayload(9)})
                     .ok());
   }
   // A WAL whose generation has no snapshot: the crash artifact of a torn
@@ -607,7 +586,7 @@ TEST_F(CheckpointStoreTest, RecoverQuarantinesOrphanedWal) {
   {
     std::ofstream f(orphan, std::ios::binary);
     std::string wal;
-    AppendFrame(&wal, ProgressDelta(11).Serialize());
+    AppendFrame(&wal, CloseDeltaPayload(11));
     f.write(wal.data(), static_cast<std::streamsize>(wal.size()));
   }
 
@@ -632,7 +611,7 @@ TEST_F(CheckpointStoreTest, CorruptSnapshotQuarantinesItsWal) {
   ASSERT_TRUE(store->PutCheckpoint("events", new_snap).ok());
   ASSERT_TRUE(store
                   ->AppendCheckpointDeltas("events",
-                                           {ProgressDelta(250).Serialize()})
+                                           {CloseDeltaPayload(250)})
                   .ok());
   // Bit-rot the newest snapshot; its WAL must fall with it — the deltas
   // extend a state we can no longer read, not the older generation.
@@ -1043,82 +1022,6 @@ TEST_F(ResumableIngestTest, ResumeOverATornWalTailStartsANewGeneration) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed.value()->next_sequence(), 500u);
   feed(*resumed.value(), 0, values.size());
-  ASSERT_TRUE(resumed.value()->Flush().ok());
-  EXPECT_EQ(SampleBytes(warehouse, "events"), want);
-}
-
-// Chains written by earlier builds interleave kProgress records (an
-// element-cadence journal with no sampler state) with the close records.
-// Such a chain must still pass recovery's deep verify untouched and resume
-// from its newest close record, bit-identically.
-TEST_F(ResumableIngestTest, ChainWithProgressRecordsStillResumes) {
-  const std::vector<Value> values = Range(0, 800);
-  const std::vector<std::string> want = ReferenceRun(values, 250);
-  ASSERT_EQ(want.size(), 4u);
-
-  {
-    Warehouse warehouse(DurableOptions(), OpenStore());
-    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
-    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
-    const std::span<const Value> all(values);
-    ASSERT_TRUE(ingestor.AppendBatchAt(0, all.first(100)).ok());
-    ASSERT_TRUE(ingestor.Checkpoint().ok());
-    const std::string at_100 =
-        warehouse.GetIngestCheckpointChain("events").value().snapshot;
-    // The state a close record at 250 holds: the partitioner would close
-    // there before the next element, as Flush() does now.
-    ASSERT_TRUE(ingestor.AppendBatchAt(100, all.subspan(100, 150)).ok());
-    ASSERT_TRUE(ingestor.Flush().ok());
-    ASSERT_EQ(ingestor.rolled_in().size(), 1u);
-    ASSERT_TRUE(ingestor.Checkpoint().ok());
-    const std::string at_close =
-        warehouse.GetIngestCheckpointChain("events").value().snapshot;
-
-    // The older layout: snapshot, progress, close-pending, progress.
-    ASSERT_TRUE(warehouse.PutIngestCheckpoint("events", at_100).ok());
-    CheckpointDeltaRecord progress;
-    progress.kind = CheckpointDeltaKind::kProgress;
-    progress.next_sequence = 180;
-    progress.progress.elements = 180;
-    CheckpointDeltaRecord close_record;
-    close_record.kind = CheckpointDeltaKind::kClosePending;
-    close_record.checkpoint_payload = at_close;
-    CheckpointDeltaRecord late_progress = progress;
-    late_progress.next_sequence = 300;
-    late_progress.progress.elements = 50;
-    ASSERT_TRUE(warehouse
-                    .AppendIngestCheckpointDeltas(
-                        "events",
-                        {progress.Serialize(), close_record.Serialize(),
-                         late_progress.Serialize()})
-                    .ok());
-  }
-
-  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
-                                                 OpenStore(), manifest_);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  const RecoveryReport& report = restored.value().report;
-  EXPECT_TRUE(report.quarantined_checkpoints.empty());
-  EXPECT_TRUE(report.truncated_wal_tails.empty());
-  EXPECT_TRUE(report.orphaned_wals.empty());
-  Warehouse& warehouse = *restored.value().warehouse;
-  auto chain = warehouse.GetIngestCheckpointChain("events");
-  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-  EXPECT_EQ(chain.value().deltas.size(), 3u);
-  EXPECT_FALSE(chain.value().torn_tail);
-
-  auto resumed = StreamIngestor::Resume(&warehouse, "events",
-                                        MakeCountPartitioner(250));
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed.value()->next_sequence(), 250u);
-  ASSERT_EQ(resumed.value()->rolled_in().size(), 1u);
-  for (uint64_t i = 0; i < values.size(); i += 40) {
-    ASSERT_TRUE(
-        resumed.value()
-            ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
-            .ok())
-        << "replay batch at " << i;
-  }
   ASSERT_TRUE(resumed.value()->Flush().ok());
   EXPECT_EQ(SampleBytes(warehouse, "events"), want);
 }

@@ -1,11 +1,14 @@
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/util/serialization.h"
 #include "src/warehouse/warehouse.h"
 #include "src/workload/generators.h"
-#include "tests/core/legacy_codec.h"
+#include "tests/warehouse/older_layout.h"
 
 namespace sampwh {
 namespace {
@@ -103,67 +106,58 @@ TEST(ManifestTest, WarehouseSurvivesRestart) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ManifestTest, Sws1StoreRestoresAndAnswersInSws2) {
-  // A store an older build wrote: every sample file holds an SWS1 payload
-  // (varint-pair histogram) inside the unchanged SWV2 envelope. It
-  // restores, decodes to the same samples, and answers in SWS2 bytes —
-  // the very bytes the store answered before its samples were rewritten.
+TEST(ManifestTest, EveryManifestBitFlipAndTruncationIsCorruption) {
+  // A small stored MANIFEST over one dataset of four file-store
+  // partitions. Every single-bit flip and every truncation of it fails
+  // RestoreWithRecovery with Corruption before anything is reconciled:
+  // no partition is dropped and no sample file is deleted or changed. An
+  // unchecked snapshot decoded such damage into wrong partition metadata,
+  // and reconciliation then deleted the healthy samples that disagreed.
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sampwh_manifest_sws1")
+      (std::filesystem::temp_directory_path() /
+       ("sampwh_manifest_flip_" + std::to_string(::getpid())))
           .string();
   const std::string manifest = dir + "/MANIFEST";
   std::filesystem::remove_all(dir);
-
-  std::vector<PartitionId> ids;
-  std::vector<PartitionSample> samples;
-  std::string answer;
   {
     auto store = FileSampleStore::Open(dir);
     ASSERT_TRUE(store.ok());
     Warehouse wh(Options(), std::move(store).value());
-    ASSERT_TRUE(wh.CreateDataset("events").ok());
-    // Repeated values, so the histograms carry counts above 1.
-    std::vector<Value> values;
-    for (Value v = 0; v < 6000; ++v) values.push_back(v % 700);
-    auto ingested = wh.IngestBatch("events", values, 3);
-    ASSERT_TRUE(ingested.ok());
-    ids = ingested.value();
-    for (const PartitionId id : ids) {
-      samples.push_back(wh.GetSample("events", id).value());
-    }
-    auto bytes = wh.MergedSampleBytes("events", ids);
-    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-    answer = *bytes.value();
+    ASSERT_TRUE(wh.CreateDataset("d").ok());
+    ASSERT_TRUE(wh.IngestBatch("d", Range(0, 4000), 4).ok());
     ASSERT_TRUE(wh.SaveManifest(manifest).ok());
   }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const std::string path =
-        dir + "/events." + std::to_string(ids[i]) + ".sample";
-    ASSERT_TRUE(std::filesystem::exists(path)) << path;
-    const std::string sws1 = legacy::EncodeSws1(samples[i]);
-    ASSERT_EQ(SampleEncodingOf(sws1).value(), SampleEncoding::kSws1);
-    ASSERT_TRUE(WriteFileAtomic(path, WrapSampleEnvelope(sws1)).ok());
-  }
+  const std::map<std::string, std::string> before = older_layout::DirectoryContents(dir);
+  ASSERT_EQ(before.size(), 5u);  // MANIFEST and four samples
+  const std::string good = before.at("MANIFEST");
+  ASSERT_TRUE(Warehouse::RestoreWithRecovery(
+                  Options(), FileSampleStore::Open(dir).value(), manifest)
+                  .ok());
+  ASSERT_EQ(older_layout::DirectoryContents(dir), before);
 
-  auto store = FileSampleStore::Open(dir);
-  ASSERT_TRUE(store.ok());
-  auto restored =
-      Warehouse::Restore(Options(), std::move(store).value(), manifest);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  Warehouse& wh = *restored.value();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto sample = wh.GetSample("events", ids[i]);
-    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
-    EXPECT_TRUE(sample.value().histogram() == samples[i].histogram());
-    EXPECT_EQ(sample.value().phase(), samples[i].phase());
-    EXPECT_EQ(sample.value().parent_size(), samples[i].parent_size());
-    EXPECT_EQ(sample.value().footprint_bound_bytes(),
-              samples[i].footprint_bound_bytes());
+  const auto expect_refused = [&](const std::string& damaged,
+                                  const std::string& what) {
+    ASSERT_TRUE(WriteFileAtomic(manifest, damaged).ok());
+    auto restored = Warehouse::RestoreWithRecovery(
+        Options(), FileSampleStore::Open(dir).value(), manifest);
+    EXPECT_TRUE(restored.status().IsCorruption())
+        << what << ": " << restored.status().ToString();
+    std::map<std::string, std::string> after = older_layout::DirectoryContents(dir);
+    EXPECT_EQ(after.at("MANIFEST"), damaged) << what;
+    after["MANIFEST"] = good;
+    EXPECT_EQ(after, before) << what;
+  };
+  for (size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = good;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      expect_refused(flipped, "byte " + std::to_string(byte) + " bit " +
+                                  std::to_string(bit));
+    }
   }
-  const auto bytes = wh.MergedSampleBytes("events", ids);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  EXPECT_EQ(SampleEncodingOf(*bytes.value()).value(), SampleEncoding::kSws2);
-  EXPECT_EQ(*bytes.value(), answer);
+  for (size_t keep = 0; keep < good.size(); ++keep) {
+    expect_refused(good.substr(0, keep), "kept " + std::to_string(keep));
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include "src/testing/fault_env.h"
 #include "src/util/serialization.h"
 #include "src/util/thread_pool.h"
+#include "tests/warehouse/older_layout.h"
 
 namespace sampwh {
 namespace {
@@ -527,7 +528,7 @@ TEST(FileSampleStoreTest, CorruptFileIsQuarantinedNotReServed) {
   auto store = FileSampleStore::Open(dir);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store.value()->Put({"ds", 0}, TestSample()).ok());
-  // Truncate mid-payload: a realistic torn write. The envelope's size/CRC
+  // Truncate mid-payload: a realistic torn write. The frame's length/CRC
   // framing must catch it.
   std::string bytes;
   ASSERT_TRUE(ReadFile(dir + "/ds.0.sample", &bytes).ok());
@@ -545,27 +546,40 @@ TEST(FileSampleStoreTest, CorruptFileIsQuarantinedNotReServed) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FileSampleStoreTest, ReadsBareV1PayloadFiles) {
+TEST(FileSampleStoreTest, RefusesFilesOfAnOlderFormatAndMovesNothing) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sampwh_store_v1compat")
+      (std::filesystem::temp_directory_path() /
+       ("sampwh_store_older_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
   auto store = FileSampleStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  // A pre-envelope store wrote the serialized sample directly; those files
-  // must stay readable after the format bump.
-  const PartitionSample sample = TestSample(777);
-  BinaryWriter writer;
-  sample.SerializeTo(&writer);
-  ASSERT_TRUE(WriteFileAtomic(dir + "/ds.0.sample", writer.buffer()).ok());
-  const auto loaded = store.value()->Get({"ds", 0});
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().parent_size(), 777u);
-  // A rewrite upgrades the file in place to the enveloped format.
-  ASSERT_TRUE(store.value()->Put({"ds", 0}, sample).ok());
-  std::string bytes;
-  ASSERT_TRUE(ReadFile(dir + "/ds.0.sample", &bytes).ok());
-  EXPECT_TRUE(HasSampleEnvelope(bytes));
+  ASSERT_TRUE(store.value()->Put({"ds", 0}, TestSample(100)).ok());
+  ASSERT_TRUE(store.value()->Put({"ds", 1}, TestSample(200)).ok());
+  ASSERT_TRUE(
+      store.value()->PutCheckpoint("ds", IngestCheckpoint().Serialize()).ok());
+  older_layout::Rewrite(dir);
+  // Beside them, what recovery would otherwise quarantine and remove: a
+  // damaged sample of this build's format and an orphan temp file.
+  ASSERT_TRUE(WriteFileAtomic(dir + "/ds.2.sample", "damaged").ok());
+  ASSERT_TRUE(WriteFileAtomic(dir + "/ds.3.sample.tmp", "orphan").ok());
+  const auto before = older_layout::DirectoryContents(dir);
+
+  const Status get = store.value()->Get({"ds", 0}).status();
+  EXPECT_TRUE(get.IsFailedPrecondition()) << get.ToString();
+  EXPECT_NE(get.message().find("ds.0.sample"), std::string::npos);
+  EXPECT_TRUE(store.value()->ContentDigest({"ds", 1})
+                  .status()
+                  .IsFailedPrecondition());
+  const Status ckpt = store.value()->GetCheckpointChain("ds").status();
+  EXPECT_TRUE(ckpt.IsFailedPrecondition()) << ckpt.ToString();
+  EXPECT_NE(ckpt.message().find("ds.1.ckpt"), std::string::npos);
+  const Status recovered =
+      store.value()->Recover({{"ds", 0}, {"ds", 1}}).status();
+  EXPECT_TRUE(recovered.IsFailedPrecondition()) << recovered.ToString();
+
+  EXPECT_EQ(older_layout::DirectoryContents(dir), before);
+  EXPECT_EQ(store.value()->GetStoreStats().quarantines, 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -576,13 +590,13 @@ TEST(FileSampleStoreTest, TrailingBytesAfterTheSampleAreCorruption) {
   std::filesystem::remove_all(dir);
   auto store = FileSampleStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  // A well-formed sample with one byte behind it, in a valid envelope and
-  // as a bare v1 payload: both are a different blob than the sample's
-  // own bytes, so neither may decode to that sample.
+  // A well-formed sample with one byte behind it, in a valid frame and as
+  // a bare payload: both are a different blob than the sample's own bytes,
+  // so neither may decode to that sample.
   BinaryWriter writer;
   TestSample(321).SerializeTo(&writer);
   const std::string padded = writer.buffer() + std::string(1, '\0');
-  for (const std::string& file : {WrapSampleEnvelope(padded), padded}) {
+  for (const std::string& file : {EncodeFrame(padded), padded}) {
     ASSERT_TRUE(WriteFileAtomic(dir + "/ds.0.sample", file).ok());
     EXPECT_TRUE(store.value()->Get({"ds", 0}).status().IsCorruption());
   }

@@ -1,18 +1,24 @@
 // sampwh_tool — command-line utility over warehouse artifacts.
 //
 //   sampwh_tool dump <sample-file>
-//       Encoding (SWS2, or the legacy SWS1) and encoded size, metadata and
-//       compact histogram head of one serialized sample.
+//       Encoding (SWS2) and encoded size, metadata and compact histogram
+//       head of one stored sample file (one frame around the payload).
 //   sampwh_tool profile <sample-file>
 //       Column profile (min/max/mean, distinct estimate, heavy hitters).
 //   sampwh_tool estimate <sample-file> mean|sum|distinct
 //       Point estimate with standard error.
 //   sampwh_tool merge <out-file> <in-file> <in-file> [in-file...]
 //       Uniform merge of samples of DISJOINT partitions (F = 64 KiB): the
-//       merge tree over the inputs in argument order (MergeAll).
+//       merge tree over the inputs in argument order (MergeAll), written
+//       as a stored sample file.
 //   sampwh_tool inspect <store-dir> <manifest-file>
 //       Restore a file-backed warehouse (the manifest snapshot plus the
-//       catalog log beside it) and list its catalog.
+//       catalog log beside it) and list its catalog. A store an older
+//       build wrote is refused, naming the first file of the old format.
+//
+// Every file these verbs read or write is in the one stored format of
+// this build (util/serialization "Stored files"); files of older formats
+// are refused, never rewritten.
 //   sampwh_tool checkpoints <store-dir>
 //       List datasets with pending ingest checkpoints: the resolved replay
 //       watermark, open-partition progress, rolled-in count and age, plus
@@ -62,43 +68,35 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// The serialized sample in the file at `path`. Store-written files carry
-// the checksummed v2 envelope; merge outputs and pre-envelope files are
-// bare payloads.
+// The serialized sample in the file at `path`: store-written files, merge
+// outputs and remote-query outputs alike are one stored frame.
 Result<std::string> LoadPayload(const std::string& path) {
   std::string bytes;
   SAMPWH_RETURN_IF_ERROR(ReadFile(path, &bytes));
-  if (!HasSampleEnvelope(bytes)) return bytes;
   std::string_view payload;
-  SAMPWH_RETURN_IF_ERROR(UnwrapSampleEnvelope(bytes, &payload));
+  SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, path, &payload));
   return std::string(payload);
 }
 
 Result<PartitionSample> LoadSample(const std::string& path) {
   SAMPWH_ASSIGN_OR_RETURN(const std::string payload, LoadPayload(path));
-  BinaryReader reader(payload);
-  return PartitionSample::DeserializeFrom(&reader);
+  return PartitionSample::DeserializeWhole(payload);
 }
 
 Status SaveSample(const std::string& path, const PartitionSample& sample) {
   BinaryWriter writer;
   sample.SerializeTo(&writer);
-  return WriteFileAtomic(path, WrapSampleEnvelope(writer.buffer()));
+  return WriteFileAtomic(path, EncodeFrame(writer.buffer()));
 }
 
 int CmdDump(const std::string& path) {
   const auto payload = LoadPayload(path);
   if (!payload.ok()) return Fail(payload.status());
-  BinaryReader reader(payload.value());
-  const auto sample = PartitionSample::DeserializeFrom(&reader);
+  const auto sample = PartitionSample::DeserializeWhole(payload.value());
   if (!sample.ok()) return Fail(sample.status());
   const PartitionSample& s = sample.value();
   std::printf("file:            %s\n", path.c_str());
-  std::printf("encoding:        %s, %zu B\n",
-              std::string(SampleEncodingToString(
-                              SampleEncodingOf(payload.value()).value()))
-                  .c_str(),
-              payload.value().size());
+  std::printf("encoding:        SWS2, %zu B\n", payload.value().size());
   std::printf("phase:           %s\n",
               std::string(SamplePhaseToString(s.phase())).c_str());
   std::printf("parent size:     %llu\n",
@@ -279,17 +277,12 @@ int CmdCheckpoints(const std::string& dir) {
                     record.status().ToString().c_str());
         continue;
       }
-      uint64_t watermark = record.value().next_sequence;
-      const char* kind = "progress";
-      if (record.value().kind == CheckpointDeltaKind::kClosePending) {
-        kind = "close-pending";
-        auto inner =
-            IngestCheckpoint::Deserialize(record.value().checkpoint_payload);
-        watermark = inner.ok() ? inner.value().next_sequence : 0;
-      }
+      auto inner =
+          IngestCheckpoint::Deserialize(record.value().checkpoint_payload);
+      const uint64_t watermark = inner.ok() ? inner.value().next_sequence : 0;
       const Status deep = VerifyCheckpointDeltaPayload(ch.deltas[i]);
       std::printf("    delta %zu: %-13s watermark %llu, crc ok, %s\n", i,
-                  kind, static_cast<unsigned long long>(watermark),
+                  "close-pending", static_cast<unsigned long long>(watermark),
                   deep.ok() ? "verified" : deep.ToString().c_str());
     }
   }
