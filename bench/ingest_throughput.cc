@@ -19,8 +19,8 @@
 // A fourth section measures the cost of crash-safe ingestion: AppendBatch
 // through a file-backed warehouse that rolls in a partition every 4 Ki,
 // 16 Ki or 64 Ki elements, with the checkpoint protocol off and on. With
-// it on, each close writes its two records (checkpoint A and B), and the
-// section reports the throughput overhead they cost. Its legs run
+// it on, each close writes one record after its roll-in, and the section
+// reports the throughput overhead those records cost. Its legs run
 // interleaved over kCheckpointReps passes of 4 Mi elements (1 Mi under
 // --smoke).
 //
@@ -532,7 +532,7 @@ int Main(bool smoke) {
   }
   std::printf("Wrote BENCH_ingest.json\n");
   if (smoke) {
-    // CI gate: checkpoints cost two small records per partition close and
+    // CI gate: checkpoints cost one small record per partition close and
     // nothing between closes. At 64 Ki-element partitions 25% is a generous
     // noise allowance on the smoke machine. The overhead is the median of
     // kCheckpointReps paired passes.
@@ -545,13 +545,13 @@ int Main(bool smoke) {
                      r.overhead_pct);
         return 1;
       }
-      // Every close writes checkpoint A and B, each a WAL record or a
-      // snapshot generation; the session's opening snapshot is the one
-      // extra generation.
+      // Every close writes one record, a WAL record or a snapshot
+      // generation; the session's opening snapshot is the one extra
+      // generation.
       const uint64_t closes = checkpoint_elements / r.partition_elements;
       const uint64_t records =
           r.wal_records + r.checkpoints_written - (r.checkpoints ? 1 : 0);
-      if (records != (r.checkpoints ? 2 * closes : 0)) {
+      if (records != (r.checkpoints ? closes : 0)) {
         std::fprintf(stderr,
                      "FAIL: %llu checkpoint records for %llu closes at "
                      "%llu-element partitions, checkpoints %s\n",

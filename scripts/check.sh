@@ -146,11 +146,11 @@ if [[ "${mode}" == "full" ]]; then
 
   # Ingest re-gate under ASan/UBSan: the stream ingestor and the
   # checkpoints it writes at its resume points (record placement, WAL
-  # poisoning and healing, resume).
+  # poisoning and healing, resume, a close stopped after each write), and
+  # the close keys that make a close's roll-in idempotent (CloseKey).
   echo "=== [asan] stream ingestor and checkpoints gate ==="
-  ctest --test-dir build-check/asan -R \
-    "^(ResumableIngest|StreamIngestor|IngestCheckpoint)" \
-    --output-on-failure
+  scripts/run_gtest.sh build-check/asan/tests/sampwh_warehouse_test \
+    'ResumableIngest*:StreamIngestor*:IngestCheckpoint*:CloseKey*'
 fi
 
 # Query-path smoke bench (~2 s): exercises the sample cache, parallel

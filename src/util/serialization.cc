@@ -401,6 +401,12 @@ Status DecodeStoredFile(std::string_view file, std::string_view path,
                             "truncated or damaged)");
 }
 
+Status NameFileInRefusal(const Status& status, std::string_view path) {
+  if (!status.IsFailedPrecondition()) return status;
+  return Status::FailedPrecondition(std::string(path) + " holds a " +
+                                    status.message());
+}
+
 Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");

@@ -58,13 +58,17 @@ Status Catalog::AddPartition(const DatasetId& dataset,
   if (it == datasets_.end()) {
     return Status::NotFound("no dataset: " + dataset);
   }
-  if (it->second.partitions.contains(info.id)) {
+  DatasetState& state = it->second;
+  if (state.partitions.contains(info.id)) {
     return Status::AlreadyExists("partition already rolled in");
   }
+  if (info.close_key != 0 &&
+      !state.close_keys.emplace(info.close_key, info.id).second) {
+    return Status::AlreadyExists("close key already rolled in");
+  }
   // Remote producers may supply their own ids; keep the allocator ahead.
-  it->second.next_partition_id =
-      std::max(it->second.next_partition_id, info.id + 1);
-  it->second.partitions.emplace(info.id, info);
+  state.next_partition_id = std::max(state.next_partition_id, info.id + 1);
+  state.partitions.emplace(info.id, info);
   return Status::OK();
 }
 
@@ -73,10 +77,22 @@ Status Catalog::RemovePartition(const DatasetId& dataset, PartitionId id) {
   if (it == datasets_.end()) {
     return Status::NotFound("no dataset: " + dataset);
   }
-  if (it->second.partitions.erase(id) == 0) {
+  const auto pit = it->second.partitions.find(id);
+  if (pit == it->second.partitions.end()) {
     return Status::NotFound("no such partition");
   }
+  it->second.close_keys.erase(pit->second.close_key);
+  it->second.partitions.erase(pit);
   return Status::OK();
+}
+
+std::optional<PartitionId> Catalog::PartitionWithCloseKey(
+    const DatasetId& dataset, uint64_t close_key) const {
+  const auto it = datasets_.find(dataset);
+  if (it == datasets_.end()) return std::nullopt;
+  const auto kit = it->second.close_keys.find(close_key);
+  if (kit == it->second.close_keys.end()) return std::nullopt;
+  return kit->second;
 }
 
 Result<PartitionInfo> Catalog::GetPartition(const DatasetId& dataset,
@@ -118,7 +134,9 @@ Result<std::vector<PartitionId>> Catalog::PartitionsInTimeRange(
 }
 
 namespace {
-constexpr uint32_t kManifestMagic = 0x53574d31;  // "SWM1"
+constexpr uint32_t kManifestMagic = 0x53574d32;  // "SWM2"
+// The snapshot of the layout before close keys.
+constexpr uint32_t kPreviousManifestMagic = 0x53574d31;  // "SWM1"
 }  // namespace
 
 void EncodePartitionInfo(const PartitionInfo& info, BinaryWriter* writer) {
@@ -128,6 +146,7 @@ void EncodePartitionInfo(const PartitionInfo& info, BinaryWriter* writer) {
   writer->PutVarint64(static_cast<uint64_t>(info.phase));
   writer->PutVarint64(info.min_timestamp);
   writer->PutVarint64(info.max_timestamp);
+  writer->PutVarint64(info.close_key);
 }
 
 Status DecodePartitionInfo(BinaryReader* reader, PartitionInfo* info) {
@@ -141,7 +160,8 @@ Status DecodePartitionInfo(BinaryReader* reader, PartitionInfo* info) {
   }
   info->phase = static_cast<SamplePhase>(phase_raw);
   SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->min_timestamp));
-  return reader->GetVarint64(&info->max_timestamp);
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&info->max_timestamp));
+  return reader->GetVarint64(&info->close_key);
 }
 
 void Catalog::SerializeTo(BinaryWriter* writer) const {
@@ -160,6 +180,10 @@ void Catalog::SerializeTo(BinaryWriter* writer) const {
 Result<Catalog> Catalog::DeserializeFrom(BinaryReader* reader) {
   uint32_t magic;
   SAMPWH_RETURN_IF_ERROR(reader->GetFixed32(&magic));
+  if (magic == kPreviousManifestMagic) {
+    return Status::FailedPrecondition(
+        "SWM1 catalog snapshot, a layout older than this build reads");
+  }
   if (magic != kManifestMagic) {
     return Status::Corruption("bad manifest magic");
   }
@@ -169,22 +193,21 @@ Result<Catalog> Catalog::DeserializeFrom(BinaryReader* reader) {
   for (uint64_t d = 0; d < num_datasets; ++d) {
     DatasetId id;
     SAMPWH_RETURN_IF_ERROR(reader->GetString(&id));
-    SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(id));
-    DatasetState state;
-    SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&state.next_partition_id));
+    SAMPWH_RETURN_IF_ERROR(catalog.CreateDataset(id));
+    PartitionId next_partition_id;
+    SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&next_partition_id));
     uint64_t num_partitions;
     SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&num_partitions));
     for (uint64_t i = 0; i < num_partitions; ++i) {
       PartitionInfo p;
       SAMPWH_RETURN_IF_ERROR(DecodePartitionInfo(reader, &p));
-      if (p.id >= state.next_partition_id) {
-        return Status::Corruption("partition id beyond allocator");
-      }
-      if (!state.partitions.emplace(p.id, p).second) {
-        return Status::Corruption("duplicate partition in manifest");
+      // AddPartition indexes the close key as a roll-in does.
+      if (p.id >= next_partition_id || !catalog.AddPartition(id, p).ok()) {
+        return Status::Corruption(
+            "partition id beyond allocator, or a duplicate, in manifest");
       }
     }
-    catalog.datasets_.emplace(std::move(id), std::move(state));
+    catalog.datasets_[id].next_partition_id = next_partition_id;
   }
   return catalog;
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "src/core/sample.h"
@@ -26,11 +27,16 @@ struct PartitionInfo {
   /// Event-time range covered by the partition (0, 0 when untimed).
   uint64_t min_timestamp = 0;
   uint64_t max_timestamp = 0;
+  /// Names the streamed close that rolled the partition in: nonzero only
+  /// for a close of a stream with a resume point, and unique within the
+  /// dataset (StreamIngestor). A replay of that close finds the partition
+  /// by this key instead of rolling it in again.
+  uint64_t close_key = 0;
 };
 
 /// The varint encoding of a PartitionInfo shared by the manifest snapshot
 /// and the catalog log: id, parent size, sample size, phase, min and max
-/// timestamp.
+/// timestamp, close key.
 void EncodePartitionInfo(const PartitionInfo& info, BinaryWriter* writer);
 /// Decodes what EncodePartitionInfo wrote; Corruption on a bad phase.
 Status DecodePartitionInfo(BinaryReader* reader, PartitionInfo* info);
@@ -55,11 +61,17 @@ class Catalog {
   Result<PartitionId> AllocatePartitionId(const DatasetId& dataset);
 
   /// Registers a rolled-in partition. The id must have been allocated (or
-  /// be explicitly supplied by a remote producer) and be unused.
+  /// be explicitly supplied by a remote producer) and be unused, and a
+  /// nonzero close key unused in the dataset (AlreadyExists otherwise).
   Status AddPartition(const DatasetId& dataset, const PartitionInfo& info);
 
-  /// Unregisters a rolled-out partition.
+  /// Unregisters a rolled-out partition, and its close key with it.
   Status RemovePartition(const DatasetId& dataset, PartitionId id);
+
+  /// The partition of `dataset` tagged with `close_key`, if one is
+  /// cataloged; never one for key 0.
+  std::optional<PartitionId> PartitionWithCloseKey(const DatasetId& dataset,
+                                                   uint64_t close_key) const;
 
   Result<PartitionInfo> GetPartition(const DatasetId& dataset,
                                      PartitionId id) const;
@@ -79,6 +91,8 @@ class Catalog {
   struct DatasetState {
     PartitionId next_partition_id = 0;
     std::map<PartitionId, PartitionInfo> partitions;
+    /// The tagged partitions by close key.
+    std::map<uint64_t, PartitionId> close_keys;
   };
 
   std::map<DatasetId, DatasetState> datasets_;

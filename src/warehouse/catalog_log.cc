@@ -13,8 +13,11 @@ namespace sampwh {
 namespace {
 
 // A record holds a kind byte, a dataset id of at most 200 bytes and at
-// most seven varints.
+// most eight varints.
 constexpr uint32_t kMaxCatalogEditBytes = 4096;
+
+// The add-partition kind of the layout before close keys.
+constexpr uint8_t kPreviousAddPartition = 3;
 
 }  // namespace
 
@@ -55,6 +58,10 @@ Result<CatalogEdit> CatalogEdit::Deserialize(std::string_view payload) {
   BinaryReader reader(payload);
   std::string_view tag;
   SAMPWH_RETURN_IF_ERROR(reader.GetRaw(1, &tag));
+  if (static_cast<uint8_t>(tag[0]) == kPreviousAddPartition) {
+    return Status::FailedPrecondition(
+        "catalog log record of a layout older than this build reads");
+  }
   CatalogEdit edit;
   edit.kind = static_cast<Kind>(static_cast<uint8_t>(tag[0]));
   SAMPWH_RETURN_IF_ERROR(reader.GetString(&edit.dataset));
@@ -117,17 +124,19 @@ Result<Catalog> CatalogLog::Load(const std::string& manifest_path) {
   std::string_view snapshot;
   SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, manifest_path, &snapshot));
   BinaryReader reader(snapshot);
-  SAMPWH_ASSIGN_OR_RETURN(Catalog catalog, Catalog::DeserializeFrom(&reader));
-  const Status read = ReadFile(PathFor(manifest_path), &bytes);
+  Result<Catalog> catalog = Catalog::DeserializeFrom(&reader);
+  if (!catalog.ok()) return NameFileInRefusal(catalog.status(), manifest_path);
+  const std::string log_path = PathFor(manifest_path);
+  const Status read = ReadFile(log_path, &bytes);
   if (read.IsNotFound()) return catalog;
   SAMPWH_RETURN_IF_ERROR(read);
   // A record whose frame verifies but does not decode was written by no
   // append of this format: that is corruption, not a tear to drop.
   for (const std::string& payload :
        ParseFrameLog(bytes, kMaxCatalogEditBytes).records) {
-    SAMPWH_ASSIGN_OR_RETURN(const CatalogEdit edit,
-                            CatalogEdit::Deserialize(payload));
-    edit.ApplyTo(&catalog);
+    const Result<CatalogEdit> edit = CatalogEdit::Deserialize(payload);
+    if (!edit.ok()) return NameFileInRefusal(edit.status(), log_path);
+    edit.value().ApplyTo(&catalog.value());
   }
   return catalog;
 }

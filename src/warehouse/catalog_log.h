@@ -25,16 +25,19 @@ namespace sampwh {
 ///   u8      kind
 ///   string  dataset (varint length, bytes)
 ///   kAddPartition:    varint id, parent size, sample size, phase,
-///                     min timestamp, max timestamp (the snapshot's order)
+///                     min timestamp, max timestamp, close key (the
+///                     snapshot's order)
 ///   kRemovePartition: varint id
 ///
-/// and each record is one frame (util/serialization) of the log.
+/// and each record is one frame (util/serialization) of the log. Kind 3
+/// was the add of the layout before close keys; a log holding one is
+/// refused (FailedPrecondition), never replayed.
 struct CatalogEdit {
   enum class Kind : uint8_t {
     kCreateDataset = 1,
     kDropDataset = 2,
-    kAddPartition = 3,
     kRemovePartition = 4,
+    kAddPartition = 5,
   };
 
   Kind kind = Kind::kCreateDataset;
@@ -75,10 +78,10 @@ class CatalogLog {
   static std::string PathFor(const std::string& manifest_path);
 
   /// Reads the snapshot at `manifest_path` and replays its log over it. A
-  /// snapshot that is not one whole frame is Corruption, and one an older
-  /// build wrote is FailedPrecondition (DecodeStoredFile). A missing log
-  /// replays nothing; a torn tail, which only an append that never
-  /// returned can leave, is dropped.
+  /// snapshot that is not one whole frame is Corruption. A snapshot or log
+  /// of a layout older than this build reads is FailedPrecondition naming
+  /// the file. A missing log replays nothing; a torn tail, which only an
+  /// append that never returned can leave, is dropped.
   static Result<Catalog> Load(const std::string& manifest_path);
 
   /// True when the next mutation must compact first: the log is not open,

@@ -1,16 +1,17 @@
 #include "src/warehouse/checkpoint.h"
 
+#include <string>
 #include <utility>
 
 #include "src/core/any_sampler.h"
-#include "src/core/sample.h"
 #include "src/util/serialization.h"
 
 namespace sampwh {
 
 namespace {
 
-constexpr uint64_t kCheckpointVersion = 1;
+// Version 1 carried a pending roll-in instead of the next close key.
+constexpr uint64_t kCheckpointVersion = 2;
 constexpr uint64_t kCheckpointDeltaVersion = 1;
 
 /// Upper bound on one WAL record payload; a parsed length past it is
@@ -37,13 +38,7 @@ std::string IngestCheckpoint::Serialize() const {
   writer.PutVarint64(progress.first_timestamp);
   writer.PutVarint64(progress.last_timestamp);
   writer.PutString(sampler_state);
-  writer.PutVarint64(pending.has_value() ? 1 : 0);
-  if (pending.has_value()) {
-    writer.PutString(pending->sample_payload);
-    writer.PutVarint64(pending->min_timestamp);
-    writer.PutVarint64(pending->max_timestamp);
-    writer.PutVarint64(pending->id_lower_bound);
-  }
+  writer.PutVarint64(next_close_key);
   return std::move(writer).Release();
 }
 
@@ -58,7 +53,9 @@ Result<IngestCheckpoint> IngestCheckpoint::Deserialize(
   uint64_t version;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&version));
   if (version != kCheckpointVersion) {
-    return Status::Corruption("unsupported ingest-checkpoint version");
+    return Status::FailedPrecondition(
+        "version-" + std::to_string(version) +
+        " ingest checkpoint, a layout this build does not read");
   }
   IngestCheckpoint ckpt;
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ckpt.next_sequence));
@@ -84,19 +81,7 @@ Result<IngestCheckpoint> IngestCheckpoint::Deserialize(
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ckpt.progress.first_timestamp));
   SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ckpt.progress.last_timestamp));
   SAMPWH_RETURN_IF_ERROR(reader.GetString(&ckpt.sampler_state));
-  uint64_t has_pending;
-  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&has_pending));
-  if (has_pending > 1) {
-    return Status::Corruption("ingest checkpoint: bad pending flag");
-  }
-  if (has_pending == 1) {
-    PendingRollIn pending;
-    SAMPWH_RETURN_IF_ERROR(reader.GetString(&pending.sample_payload));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&pending.min_timestamp));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&pending.max_timestamp));
-    SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&pending.id_lower_bound));
-    ckpt.pending = std::move(pending);
-  }
+  SAMPWH_RETURN_IF_ERROR(reader.GetVarint64(&ckpt.next_close_key));
   if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after ingest checkpoint");
   }
@@ -115,11 +100,6 @@ Status VerifyCheckpointPayload(std::string_view bytes) {
                           IngestCheckpoint::Deserialize(bytes));
   if (!ckpt.sampler_state.empty()) {
     SAMPWH_RETURN_IF_ERROR(AnySampler::LoadState(ckpt.sampler_state).status());
-  }
-  if (ckpt.pending.has_value()) {
-    SAMPWH_RETURN_IF_ERROR(
-        PartitionSample::DeserializeWhole(ckpt.pending->sample_payload)
-            .status());
   }
   return Status::OK();
 }

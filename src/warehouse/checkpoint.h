@@ -13,25 +13,24 @@
 //     so they are replayable),
 //   * the open partition's progress and the mid-stream sampler state
 //     (an AnySampler::SaveState record), and
-//   * optionally a finalized-but-not-yet-rolled-in partition sample
-//     (PendingRollIn) bridging the close protocol: checkpoint A is written
-//     with the pending sample BEFORE RollIn, checkpoint B after. A crash
-//     between the two is reconciled on resume via `id_lower_bound`: if the
-//     store already holds a partition with id >= id_lower_bound the roll-in
-//     completed and the pending sample is adopted; otherwise it is rolled
-//     in again (the manifest-restored id allocator hands out the same id,
-//     so the retry overwrites any orphan bytes identically).
+//   * the key of the stream's next close. A close rolls its partition in
+//     tagged with that key, and the roll-in of a key the dataset already
+//     holds returns the partition that holds it (Warehouse::RollIn). So a
+//     crash anywhere in a close replays the close from the previous record
+//     onto the id its first attempt took, and one record after each
+//     roll-in is the whole close protocol.
 //
 // The serialized record is stored as one CRC frame like every other stored
 // file (leading fixed32 kCheckpointRecordMagic identifies it); SampleStore
 // keeps the newest two generations per dataset so a torn checkpoint write
-// falls back to the previous one.
+// falls back to the previous one. A record of another version (version 1
+// was the layout before close keys) is refused (FailedPrecondition), never
+// resumed from.
 
 #ifndef SAMPWH_WAREHOUSE_CHECKPOINT_H_
 #define SAMPWH_WAREHOUSE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,19 +42,6 @@
 #include "src/warehouse/partitioner.h"
 
 namespace sampwh {
-
-/// A partition that was finalized but whose roll-in had not been confirmed
-/// when the checkpoint was written.
-struct PendingRollIn {
-  /// Bare serialized PartitionSample (no frame of its own; the checkpoint
-  /// record as a whole is CRC-framed).
-  std::string sample_payload;
-  uint64_t min_timestamp = 0;
-  uint64_t max_timestamp = 0;
-  /// Partition ids >= this bound did not exist when the checkpoint was
-  /// written; finding one on resume proves the roll-in completed.
-  PartitionId id_lower_bound = 0;
-};
 
 struct IngestCheckpoint {
   /// Replay watermark: the sequence number of the next element to apply.
@@ -75,21 +61,22 @@ struct IngestCheckpoint {
   /// Mid-stream AnySampler::SaveState record for the open partition's
   /// sampler; empty when no partition is open.
   std::string sampler_state;
-  /// Set when a finalized partition's roll-in was unconfirmed.
-  std::optional<PendingRollIn> pending;
+  /// The close key of the stream's next close; 0 in a record of a stream
+  /// that has no keys yet.
+  uint64_t next_close_key = 0;
 
   /// Encodes the record (leading kCheckpointRecordMagic, then version).
   std::string Serialize() const;
 
   /// Decodes and structurally validates a record produced by Serialize().
-  /// Corruption on any malformed field; the embedded sampler state and
-  /// pending sample payload are NOT decoded here (VerifyCheckpointPayload
-  /// does the deep check).
+  /// Corruption on any malformed field, FailedPrecondition on a record of
+  /// another version; the embedded sampler state is NOT decoded here
+  /// (VerifyCheckpointPayload does the deep check).
   static Result<IngestCheckpoint> Deserialize(std::string_view bytes);
 };
 
 /// Full structural verification of a checkpoint payload: Deserialize() plus
-/// decoding the embedded sampler-state record and pending sample payload.
+/// decoding the embedded sampler-state record.
 /// Recovery scans use this so a checkpoint is either provably loadable or
 /// quarantined — invalid bytes are never half-decoded at resume time.
 Status VerifyCheckpointPayload(std::string_view bytes);
@@ -99,10 +86,9 @@ Status VerifyCheckpointPayload(std::string_view bytes);
 // Between full snapshots a StreamIngestor appends DELTA records to a
 // per-key write-ahead log owned by the newest snapshot generation
 // ("<key>.<generation>.wal"). There is one kind, kClosePending: a complete
-// IngestCheckpoint embedded as a delta — checkpoint A or B of the two-phase
-// close protocol, or the record a resume writes when it adopts a completed
-// roll-in. State-complete: it carries everything a resume needs, without
-// rewriting a snapshot generation per close.
+// IngestCheckpoint embedded as a delta — the resume point a close writes
+// after its roll-in. State-complete: it carries everything a resume needs,
+// without rewriting a snapshot generation per close.
 //
 // Resume resolves a chain to its NEWEST record — the snapshot, overridden
 // by each delta in append order — and replays the source from that

@@ -80,26 +80,32 @@ std::string FrameWalBatch(const std::vector<std::string>& records) {
   return batch;
 }
 
-// Length of the prefix of `wal` covering records that pass DEEP verification
-// (frame + CRC + record decode + embedded checkpoint decode). Recovery
-// truncates a WAL to this length.
-size_t DeepVerifiedWalPrefix(std::string_view wal) {
+// Length of the prefix of the WAL `wal`, read from `path`, covering records
+// that pass DEEP verification (frame + CRC + record decode + embedded
+// checkpoint decode). Recovery truncates a WAL to this length. A record of
+// an older layout is FailedPrecondition naming `path`, never a tail to cut.
+Result<size_t> DeepVerifiedWalPrefix(std::string_view wal,
+                                     const std::string& path) {
   const CheckpointWalParse parse = ParseCheckpointWal(wal);
   size_t valid = 0;
   for (const std::string& record : parse.records) {
-    if (!VerifyCheckpointDeltaPayload(record).ok()) break;
+    const Status verified = VerifyCheckpointDeltaPayload(record);
+    if (verified.IsFailedPrecondition()) {
+      return NameFileInRefusal(verified, path);
+    }
+    if (!verified.ok()) break;
     valid += kFrameHeaderBytes + record.size();
   }
   return valid;
 }
 
 // Full verification for recovery scans of checkpoint bytes: frame +
-// record decode + embedded sampler-state / pending-sample decode.
+// record decode + embedded sampler-state decode.
 Status VerifyCheckpointBytes(const std::string& bytes,
                              const std::string& path) {
   std::string_view payload;
   SAMPWH_RETURN_IF_ERROR(DecodeStoredFile(bytes, path, &payload));
-  return VerifyCheckpointPayload(payload);
+  return NameFileInRefusal(VerifyCheckpointPayload(payload), path);
 }
 
 void SleepBackoff(std::chrono::microseconds backoff) {
@@ -332,8 +338,8 @@ Result<RecoveryReport> SampleStore::Recover(
   // that vanished after the listing is skipped; a read that still fails
   // after the retries fails the scan, so a transient error never destroys
   // healthy data. Checkpoints get the FULL structural check (record +
-  // embedded sampler state + pending sample): resume must never begin
-  // decoding one that cannot be loaded end to end.
+  // embedded sampler state): resume must never begin decoding one that
+  // cannot be loaded end to end.
   std::vector<std::string> damaged_samples;
   for (const std::string& name : samples) {
     const std::string path = directory_ + "/" + name;
@@ -401,7 +407,8 @@ Result<RecoveryReport> SampleStore::Recover(
     if (read.IsNotFound()) continue;
     SAMPWH_RETURN_IF_ERROR(read);
     ++report.scanned;
-    const size_t valid = DeepVerifiedWalPrefix(bytes);
+    SAMPWH_ASSIGN_OR_RETURN(const size_t valid,
+                            DeepVerifiedWalPrefix(bytes, path));
     if (valid != bytes.size()) {
       std::lock_guard<std::mutex> lock(ckpt_mu_);
       // Appends land behind whatever this leaves, so a tail that could not
@@ -493,14 +500,6 @@ SampleStore::NewestValidCheckpointLocked(const DatasetId& key) const {
   return Status::NotFound("no checkpoint for dataset");
 }
 
-Result<std::string> SampleStore::GetCheckpoint(
-    const DatasetId& dataset) const {
-  SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  SAMPWH_ASSIGN_OR_RETURN(auto newest, NewestValidCheckpointLocked(dataset));
-  return std::move(newest.second);
-}
-
 Result<CheckpointChain> SampleStore::GetCheckpointChain(
     const DatasetId& dataset) const {
   SAMPWH_RETURN_IF_ERROR(ValidateDatasetId(dataset));
@@ -512,12 +511,22 @@ Result<CheckpointChain> SampleStore::GetCheckpointChain(
   // Absent WAL = empty journal (a fresh generation); a read error is
   // treated the same — the snapshot alone is still a valid resume point,
   // deltas only refine it.
+  const std::string wal_path = WalPathFor(dataset, chain.generation);
   std::string wal_bytes;
-  if (env_->ReadFile(WalPathFor(dataset, chain.generation), &wal_bytes).ok()) {
+  if (env_->ReadFile(wal_path, &wal_bytes).ok()) {
     CheckpointWalParse parse = ParseCheckpointWal(wal_bytes);
     chain.deltas = std::move(parse.records);
     chain.torn_tail = parse.torn_tail;
   }
+  // A record of another checkpoint layout refuses the chain, naming its
+  // file, before a resume begins decoding it.
+  Status layout = NameFileInRefusal(VerifyCheckpointPayload(chain.snapshot),
+                                    CheckpointPathFor(dataset, newest.first));
+  for (size_t i = 0; i < chain.deltas.size() && layout.ok(); ++i) {
+    layout = NameFileInRefusal(VerifyCheckpointDeltaPayload(chain.deltas[i]),
+                               wal_path);
+  }
+  if (layout.IsFailedPrecondition()) return layout;
   return chain;
 }
 

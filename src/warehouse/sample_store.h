@@ -176,8 +176,10 @@ class SampleStore {
   /// skipped, and a read or truncation that still fails after the retry
   /// policy fails the call (IOError) with healthy files left in place.
   /// Every sample and snapshot is verified before anything is changed, so
-  /// a store holding a file of an older format is refused
-  /// (FailedPrecondition naming the file) exactly as it was found.
+  /// a store holding a file or checkpoint snapshot of an older format is
+  /// refused (FailedPrecondition naming the file) exactly as it was found;
+  /// a WAL holding a record of an older layout refuses it before that WAL
+  /// is cut.
   /// Call before serving traffic; not safe concurrently with
   /// Put/Get/Delete.
   Result<RecoveryReport> Recover(const std::vector<PartitionKey>& expected = {});
@@ -194,13 +196,6 @@ class SampleStore {
   /// generations beyond the newest two. Transient write faults are retried
   /// like sample writes.
   Status PutCheckpoint(const DatasetId& dataset, std::string_view payload);
-
-  /// The newest checkpoint payload for `dataset` that passes frame
-  /// verification. A corrupt newest generation is quarantined and the
-  /// previous one served instead; NotFound when no valid generation
-  /// remains, FailedPrecondition (nothing moved) at a generation of an
-  /// older format.
-  Result<std::string> GetCheckpoint(const DatasetId& dataset) const;
 
   /// Removes every checkpoint generation for `dataset`; NotFound when none
   /// exist.
@@ -231,7 +226,9 @@ class SampleStore {
   /// The newest verifiable snapshot for `dataset` plus its WAL records (CRC
   /// framing checked; a torn tail is flagged and skipped). A corrupt newest
   /// snapshot is quarantined together with its WAL and the previous
-  /// generation served. NotFound when no valid generation remains.
+  /// generation served. NotFound when no valid generation remains,
+  /// FailedPrecondition (nothing moved) at a snapshot of an older format
+  /// or checkpoint layout.
   Result<CheckpointChain> GetCheckpointChain(const DatasetId& dataset) const;
 
   void SetRetryPolicy(const RetryPolicy& policy);

@@ -51,25 +51,11 @@ void StreamIngestor::RefreshSampleSize() {
   if (sampler_.has_value()) progress_.sample_size = sampler_->sample_size();
 }
 
-Result<PartitionId> StreamIngestor::NextIdLowerBound() const {
-  SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> parts,
-                          warehouse_->ListPartitions(dataset_));
-  PartitionId bound = 0;
-  for (const PartitionInfo& p : parts) {
-    bound = std::max(bound, p.id + 1);
-  }
-  return bound;
-}
-
 Status StreamIngestor::CloseCurrentPartition() {
   if (!sampler_.has_value() || progress_.elements == 0) return Status::OK();
   RefreshSampleSize();
-  PendingClose pending;
-  pending.sample = sampler_->Finalize();
-  pending.min_timestamp = progress_.first_timestamp;
-  pending.max_timestamp = progress_.last_timestamp;
-  SAMPWH_ASSIGN_OR_RETURN(pending.id_lower_bound, NextIdLowerBound());
-  pending_ = std::move(pending);
+  pending_ = PendingClose{sampler_->Finalize(), progress_.first_timestamp,
+                          progress_.last_timestamp};
   sampler_.reset();
   progress_ = PartitionProgress{};
   return CompletePendingClose();
@@ -77,24 +63,19 @@ Status StreamIngestor::CloseCurrentPartition() {
 
 Status StreamIngestor::CompletePendingClose() {
   if (!pending_.has_value()) return Status::OK();
-  // Checkpoint A: record the finalized sample durably BEFORE RollIn, so a
-  // crash in the window between them is reconciled on resume instead of
-  // replaying the partition's elements into a duplicate. A failure here
-  // leaves pending_ set; the next append (or an explicit Checkpoint())
-  // retries the whole close.
-  if (checkpoints_enabled_ && !pending_->checkpointed) {
-    SAMPWH_RETURN_IF_ERROR(WriteResumePoint());
-    pending_->checkpointed = true;
-  }
+  // Under its close key the roll-in is idempotent: after a crash anywhere
+  // in this close, the replay from the previous resume point lands on the
+  // id this attempt takes. A failure leaves pending_ set; the next append
+  // (or an explicit Checkpoint()) retries the roll-in.
   SAMPWH_ASSIGN_OR_RETURN(
       PartitionId id,
       warehouse_->RollIn(dataset_, pending_->sample, pending_->min_timestamp,
-                         pending_->max_timestamp));
+                         pending_->max_timestamp, next_close_key_));
   rolled_in_.push_back(id);
   pending_.reset();
-  // Checkpoint B clears the pending record. Best effort: if it is lost, a
-  // resume from checkpoint A finds the rolled-in partition at or above
-  // id_lower_bound and adopts it instead of rolling in twice.
+  if (next_close_key_ != 0) ++next_close_key_;
+  // The close's one record. Best effort: while it is missing, a resume
+  // replays this close onto the partition just rolled in.
   if (checkpoints_enabled_) (void)WriteResumePoint();
   return Status::OK();
 }
@@ -108,20 +89,21 @@ std::string StreamIngestor::BuildCheckpointPayload() const {
   ckpt.rolled_in = rolled_in_;
   ckpt.progress = progress_;
   if (sampler_.has_value()) ckpt.sampler_state = sampler_->SaveState();
-  if (pending_.has_value()) {
-    PendingRollIn pending;
-    BinaryWriter writer;
-    pending_->sample.SerializeTo(&writer);
-    pending.sample_payload = std::move(writer).Release();
-    pending.min_timestamp = pending_->min_timestamp;
-    pending.max_timestamp = pending_->max_timestamp;
-    pending.id_lower_bound = pending_->id_lower_bound;
-    ckpt.pending = std::move(pending);
-  }
+  ckpt.next_close_key = next_close_key_;
   return ckpt.Serialize();
 }
 
 Status StreamIngestor::WriteSnapshot() {
+  if (next_close_key_ == 0) {
+    // The stream's first record: its keys start one past the largest close
+    // key the dataset holds.
+    SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> parts,
+                            warehouse_->ListPartitions(dataset_));
+    next_close_key_ = 1;
+    for (const PartitionInfo& p : parts) {
+      next_close_key_ = std::max(next_close_key_, p.close_key + 1);
+    }
+  }
   const Status status =
       warehouse_->PutIngestCheckpoint(dataset_, BuildCheckpointPayload());
   // A failed put may leave a torn newest generation; nothing is appended
@@ -161,11 +143,9 @@ void StreamIngestor::EnableCheckpoints(const CheckpointPolicy& policy) {
 }
 
 Status StreamIngestor::Checkpoint() {
-  if (pending_.has_value()) {
-    // Finish the interrupted close first so the checkpoint reflects a
-    // settled state (and records the roll-in as complete).
-    SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
-  }
+  // Finish an interrupted close first: a record never holds a finalized
+  // sample, only the state after its roll-in.
+  SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
   return WriteSnapshot();
 }
 
@@ -187,6 +167,11 @@ Status StreamIngestor::AppendBatchAt(uint64_t sequence,
                                      std::span<const Value> values,
                                      uint64_t timestamp) {
   SAMPWH_RETURN_IF_ERROR(CompletePendingClose());
+  // A checkpointed stream's first record comes before anything of it can
+  // roll in, so a crash inside its first close replays onto its keys.
+  if (checkpoints_enabled_ && !have_generation_) {
+    SAMPWH_RETURN_IF_ERROR(WriteSnapshot());
+  }
   if (sequence > next_sequence_) {
     return Status::FailedPrecondition(
         "sequence gap: batch starts at " + std::to_string(sequence) +
@@ -268,42 +253,7 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Resume(
   ingestor->have_generation_ = true;
   ingestor->wal_broken_ = chain.torn_tail;
   ingestor->EnableCheckpoints(policy);
-
-  if (ckpt.pending.has_value()) {
-    // The crash hit the close protocol between checkpoint A and checkpoint
-    // B. Decide from the catalog whether the roll-in completed.
-    SAMPWH_ASSIGN_OR_RETURN(
-        PartitionSample sample,
-        PartitionSample::DeserializeWhole(ckpt.pending->sample_payload));
-    SAMPWH_ASSIGN_OR_RETURN(
-        std::vector<PartitionInfo> parts,
-        warehouse->ListPartitions(ingestor->dataset_));
-    PartitionId adopted = 0;
-    bool found = false;
-    for (const PartitionInfo& p : parts) {
-      if (p.id >= ckpt.pending->id_lower_bound &&
-          (!found || p.id < adopted)) {
-        adopted = p.id;
-        found = true;
-      }
-    }
-    if (found) {
-      // Roll-in completed before the crash: adopt it, then persist
-      // checkpoint B so a second resume does not re-run this branch
-      // against a catalog that moved on.
-      ingestor->rolled_in_.push_back(adopted);
-      (void)ingestor->WriteResumePoint();  // best effort
-    } else {
-      PendingClose pending;
-      pending.sample = std::move(sample);
-      pending.min_timestamp = ckpt.pending->min_timestamp;
-      pending.max_timestamp = ckpt.pending->max_timestamp;
-      pending.id_lower_bound = ckpt.pending->id_lower_bound;
-      pending.checkpointed = true;  // checkpoint A is what we resumed from
-      ingestor->pending_ = std::move(pending);
-      SAMPWH_RETURN_IF_ERROR(ingestor->CompletePendingClose());
-    }
-  }
+  ingestor->next_close_key_ = ckpt.next_close_key;
   return ingestor;
 }
 

@@ -5,15 +5,18 @@
 //
 // Crash-safe resumable ingestion: with checkpoints enabled the ingestor
 // persists an IngestCheckpoint (sampler state, partitioner progress, its
-// private RNG, and the replay watermark) through the warehouse's sample
-// store at every resume point: around each partition close and on
-// Checkpoint(). After a crash, Resume() reloads the newest valid
-// checkpoint and the sequence-addressed Append*At entry points give
-// exactly-once semantics over an at-least-once delivery stream: a source
-// that replays from (at or before) next_sequence() has every duplicate
-// batch acknowledged and skipped, every new element applied exactly once,
-// and the resulting rolled-in samples are bit-identical to an
-// uninterrupted run.
+// private RNG, the replay watermark and its next close key) through the
+// warehouse's sample store at every resume point: after each partition
+// close's roll-in and on Checkpoint(). A close rolls its partition in
+// tagged with its close key, so the roll-in is idempotent: a crash
+// anywhere in a close replays the close from the previous resume point
+// onto the id its first attempt took. After a crash, Resume() reloads the
+// newest valid checkpoint and the sequence-addressed Append*At entry
+// points give exactly-once semantics over an at-least-once delivery
+// stream: a source that replays from (at or before) next_sequence() has
+// every duplicate batch acknowledged and skipped, every new element
+// applied exactly once, and the resulting rolled-in samples are
+// bit-identical to an uninterrupted run.
 
 #ifndef SAMPWH_WAREHOUSE_STREAM_INGESTOR_H_
 #define SAMPWH_WAREHOUSE_STREAM_INGESTOR_H_
@@ -30,11 +33,11 @@
 namespace sampwh {
 
 /// Where the ingestor's checkpoint records go. Every record is written
-/// synchronously by the appending thread, at a resume point: checkpoint A
-/// and B of each partition close, the resume-adoption record, and
-/// Checkpoint(). A record is appended to the newest snapshot generation's
-/// WAL while that WAL is healthy and shorter than the bound below;
-/// otherwise it is written as a fresh snapshot generation.
+/// synchronously by the appending thread, at a resume point: one after
+/// each partition close's roll-in, and on Checkpoint(). A record is
+/// appended to the newest snapshot generation's WAL while that WAL is
+/// healthy and shorter than the bound below; otherwise it is written as a
+/// fresh snapshot generation.
 struct CheckpointPolicy {
   /// Bytes of WAL records after which the next record starts a new
   /// snapshot generation instead (compaction).
@@ -76,8 +79,10 @@ class StreamIngestor {
   /// Finalizes and rolls in the open partition, if it holds any elements.
   Status Flush();
 
-  /// Turns on the checkpoint protocol: checkpoint records around every
-  /// partition close, placed per `policy`.
+  /// Turns on the checkpoint protocol: one record after every partition
+  /// close, placed per `policy`. A stream with no record yet writes its
+  /// first one, a snapshot generation, at its next append, before anything
+  /// of it can roll in.
   void EnableCheckpoints(const CheckpointPolicy& policy);
 
   /// Writes the current state as a new snapshot generation now, whether or
@@ -86,11 +91,12 @@ class StreamIngestor {
 
   /// Reopens ingestion from the newest state-complete record of `dataset`'s
   /// checkpoint chain — the newest verifiable snapshot generation with its
-  /// delta journal replayed onto it (NotFound when none exists). Reconciles
-  /// a close that was interrupted mid-protocol: a pending partition whose
-  /// roll-in provably completed is adopted, one whose roll-in is absent is
-  /// rolled in now. The returned ingestor has checkpoints enabled with
-  /// `policy`; feed it the source stream from next_sequence() (or any
+  /// delta journal replayed onto it (NotFound when none exists;
+  /// FailedPrecondition naming the file for a record of an older layout).
+  /// A close interrupted by the crash is replayed from there like any other
+  /// partition: its roll-in finds the partition its first attempt rolled
+  /// in by its close key. The returned ingestor has checkpoints enabled
+  /// with `policy`; feed it the source stream from next_sequence() (or any
   /// earlier replay point) via the Append*At entry points.
   static Result<std::unique_ptr<StreamIngestor>> Resume(
       Warehouse* warehouse, DatasetId dataset,
@@ -107,17 +113,12 @@ class StreamIngestor {
   uint64_t open_elements() const { return progress_.elements; }
 
  private:
-  /// A finalized partition between the two checkpoints of the close
-  /// protocol: recorded durably (checkpoint A) before RollIn, cleared
-  /// durably (checkpoint B) after.
+  /// A finalized partition whose roll-in has not succeeded yet; a failed
+  /// roll-in is retried from it on the next append.
   struct PendingClose {
     PartitionSample sample;
     uint64_t min_timestamp = 0;
     uint64_t max_timestamp = 0;
-    /// No partition id >= this bound existed when the close began.
-    PartitionId id_lower_bound = 0;
-    /// Checkpoint A has been persisted.
-    bool checkpointed = false;
   };
 
   /// Resume's constructor: the private RNG is restored from the
@@ -126,9 +127,9 @@ class StreamIngestor {
                  std::unique_ptr<Partitioner> partitioner, Pcg64 rng);
 
   Status CloseCurrentPartition();
-  /// Drives the pending close to completion: checkpoint A (if not yet
-  /// durable), RollIn, checkpoint B. Errors leave pending_ set so the next
-  /// append retries.
+  /// Drives the pending close to completion: RollIn under the close key,
+  /// then the close's resume-point record. A failed roll-in leaves pending_
+  /// set so the next append retries.
   Status CompletePendingClose();
   void StartPartition();
   // progress_.sample_size is refreshed lazily — only where a partitioning
@@ -137,14 +138,13 @@ class StreamIngestor {
   void RefreshSampleSize();
   /// Serializes the full ingestor state (the IngestCheckpoint payload).
   std::string BuildCheckpointPayload() const;
-  /// Writes the current state as a new snapshot generation.
+  /// Writes the current state as a new snapshot generation. The stream's
+  /// first record fixes its close keys, so a new stream never takes an
+  /// older stream's partition for its own.
   Status WriteSnapshot();
   /// Writes the current state as a kClosePending record: to the WAL when
   /// the placement rule allows it, as a new snapshot generation otherwise.
   Status WriteResumePoint();
-  /// Smallest partition id that provably did not exist yet (allocator
-  /// lower bound for the pending-close adoption rule).
-  Result<PartitionId> NextIdLowerBound() const;
 
   Warehouse* warehouse_;
   DatasetId dataset_;
@@ -161,6 +161,9 @@ class StreamIngestor {
   PartitionProgress progress_;
   std::vector<PartitionId> rolled_in_;
   std::optional<PendingClose> pending_;
+  /// The close key of the next close; 0 until the stream has a record, and
+  /// its closes roll in untagged until then.
+  uint64_t next_close_key_ = 0;
 
   /// Set by EnableCheckpoints(): the close protocol writes its records.
   bool checkpoints_enabled_ = false;

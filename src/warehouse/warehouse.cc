@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -146,14 +147,29 @@ Result<std::vector<PartitionId>> Warehouse::PartitionsInTimeRange(
 Result<PartitionId> Warehouse::RollIn(const DatasetId& dataset,
                                       const PartitionSample& sample,
                                       uint64_t min_timestamp,
-                                      uint64_t max_timestamp) {
+                                      uint64_t max_timestamp,
+                                      uint64_t close_key) {
   SAMPWH_RETURN_IF_ERROR(sample.Validate());
   SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
   SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
+  if (const std::optional<PartitionId> landed =
+          catalog_.PartitionWithCloseKey(dataset, close_key)) {
+    // A replayed close: its first attempt rolled this partition in.
+    SAMPWH_ASSIGN_OR_RETURN(
+        const uint64_t stored,
+        store_->ContentDigest(PartitionKey{dataset, *landed}));
+    BinaryWriter writer;
+    sample.SerializeTo(&writer);
+    if (stored != ContentDigest(writer.buffer())) {
+      return Status::AlreadyExists("close key " + std::to_string(close_key) +
+                                   " holds other content");
+    }
+    return *landed;
+  }
   SAMPWH_ASSIGN_OR_RETURN(const PartitionId id,
                           catalog_.AllocatePartitionId(dataset));
-  SAMPWH_RETURN_IF_ERROR(
-      RollInLocked(dataset, id, sample, min_timestamp, max_timestamp));
+  SAMPWH_RETURN_IF_ERROR(RollInLocked(dataset, id, sample, min_timestamp,
+                                      max_timestamp, close_key));
   return id;
 }
 
@@ -165,15 +181,15 @@ Result<PartitionId> Warehouse::RollInAt(const DatasetId& dataset,
   SAMPWH_RETURN_IF_ERROR(sample.Validate());
   SAMPWH_RETURN_IF_ERROR(PrepareCatalogLog());
   SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
-  SAMPWH_RETURN_IF_ERROR(
-      RollInLocked(dataset, id, sample, min_timestamp, max_timestamp));
+  SAMPWH_RETURN_IF_ERROR(RollInLocked(dataset, id, sample, min_timestamp,
+                                      max_timestamp, /*close_key=*/0));
   return id;
 }
 
 Status Warehouse::RollInLocked(const DatasetId& dataset, PartitionId id,
                                const PartitionSample& sample,
                                uint64_t min_timestamp,
-                               uint64_t max_timestamp) {
+                               uint64_t max_timestamp, uint64_t close_key) {
   PartitionInfo info;
   info.id = id;
   info.parent_size = sample.parent_size();
@@ -181,6 +197,7 @@ Status Warehouse::RollInLocked(const DatasetId& dataset, PartitionId id,
   info.phase = sample.phase();
   info.min_timestamp = min_timestamp;
   info.max_timestamp = max_timestamp;
+  info.close_key = close_key;
   // Register first: AddPartition rejects an occupied id before the store
   // is touched, so a collision never clobbers an existing sample. It also
   // keeps the allocator ahead of the explicit id, so locally allocated
@@ -189,9 +206,9 @@ Status Warehouse::RollInLocked(const DatasetId& dataset, PartitionId id,
   const PartitionKey key{dataset, id};
   Status status = store_->Put(key, sample);
   if (status.ok()) {
-    // The logged record is what makes the roll-in durable: it is what
-    // lets a resumed ingestor prove whether an interrupted roll-in
-    // completed. A roll-in it cannot record leaves no stored sample.
+    // The logged record is what makes the roll-in durable, with its close
+    // key: a replayed close finds the partition by it after a restart. A
+    // roll-in it cannot record leaves no stored sample.
     status = LogCatalogEdit(CatalogEdit::AddPartition(dataset, info));
     if (!status.ok()) store_->Delete(key);  // best effort
   }

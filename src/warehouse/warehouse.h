@@ -61,9 +61,9 @@ struct WarehouseOptions {
   /// and a log at "<manifest_path>.log" to which every catalog mutation —
   /// roll-in, roll-out, dataset create/drop — appends one record before it
   /// returns. A mutation whose record cannot be appended fails and leaves
-  /// nothing behind. Required for crash-safe resumable ingestion: the
-  /// checkpoint protocol's duplicate-roll-in reconciliation relies on the
-  /// restored id allocator reflecting every completed roll-in.
+  /// nothing behind. Required for crash-safe resumable ingestion: a
+  /// replayed close finds the partition its first attempt rolled in by its
+  /// close key, which only a durable catalog keeps across a restart.
   std::string manifest_path;
 };
 
@@ -102,10 +102,16 @@ class Warehouse {
   /// Registers and stores a sample produced elsewhere (a remote sampling
   /// node, a StreamIngestor, IngestBatch). Allocates and returns the
   /// partition id. Timestamps annotate the partition's event-time range.
+  /// A nonzero `close_key` (StreamIngestor) tags the partition and makes
+  /// the roll-in idempotent: when the dataset already holds the key, its
+  /// partition's id is returned and nothing is written, provided the
+  /// stored sample's ContentDigest equals `sample`'s. A different digest
+  /// is AlreadyExists; that partition is never taken for this one.
   Result<PartitionId> RollIn(const DatasetId& dataset,
                              const PartitionSample& sample,
                              uint64_t min_timestamp = 0,
-                             uint64_t max_timestamp = 0);
+                             uint64_t max_timestamp = 0,
+                             uint64_t close_key = 0);
 
   /// Roll-in under an explicitly supplied partition id (AlreadyExists when
   /// occupied). Remote producers — a shard coordinator placing partitions
@@ -325,7 +331,7 @@ class Warehouse {
   /// stores, logs and caches the partition, or undoes what it did.
   Status RollInLocked(const DatasetId& dataset, PartitionId id,
                       const PartitionSample& sample, uint64_t min_timestamp,
-                      uint64_t max_timestamp);
+                      uint64_t max_timestamp, uint64_t close_key);
   /// Run by every mutation before it takes its locks (it takes mu_
   /// exclusively): compacts the catalog log when it is not open (the
   /// warehouse's first mutation, or the first after a failed append) or

@@ -5,9 +5,9 @@
 // bytes and partition metadata — must be BIT-IDENTICAL to an uninterrupted
 // run of the same stream against a separate store. This exercises the
 // whole durability stack through the RPC front end: the forced checkpoint
-// before the IngestOpen ack, the two-phase partition-close protocol, the
-// async delta WAL, the catalog log, and duplicate-batch acknowledgment on
-// replay.
+// before the IngestOpen ack, the partition close's keyed roll-in and its
+// resume-point record, the delta WAL, the catalog log, and duplicate-batch
+// acknowledgment on replay.
 
 #include <algorithm>
 #include <csignal>

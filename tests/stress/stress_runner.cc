@@ -566,8 +566,8 @@ class StressRound {
   }
 
   /// One kill-at-an-arbitrary-point scenario: ingest with checkpoints
-  /// until a seeded kill point (earlier if an injected close-barrier fault
-  /// surfaces), destroy every in-memory object, restore + resume, replay
+  /// until a seeded kill point (earlier if an injected fault fails an
+  /// append), destroy every in-memory object, restore + resume, replay
   /// the source stream from sequence 0, and demand bit-identity with an
   /// uninterrupted run.
   void RunCrashResumeScenario(SamplerKind kind, CrashFault fault) {
@@ -612,10 +612,10 @@ class StressRound {
         ResumeOptions(kind, scenario_seed, manifest);
 
     // Run 1: checkpointed ingest, killed at kill_point — or earlier if an
-    // injected fault surfaces through the close-A durability barrier (a
-    // failed checkpoint B is best effort and does not fail the append).
-    // Each injected fault is a crash: from it on the store persists
-    // nothing more, so the run is as good as killed at the fault.
+    // injected fault fails an append (the stream's first record or a
+    // roll-in; a failed close record is best effort and does not fail the
+    // append). Each injected fault is a crash: from it on the store
+    // persists nothing more, so the run is as good as killed at the fault.
     {
       auto injector = std::make_shared<FaultInjector>(scenario_seed);
       FaultEnv env(Env::Default(), injector);
@@ -652,7 +652,7 @@ class StressRound {
         const uint64_t chunk = std::min<uint64_t>(kill_point - i, 17);
         const Status s = ingestor.AppendBatchAt(
             i, std::span<const Value>(values).subspan(i, chunk));
-        if (s.IsIOError()) break;  // close-A barrier fault: crash here
+        if (s.IsIOError()) break;  // an injected fault: crash here
         if (!s.ok()) {
           violations_.Add(label + ": ingest: " + Describe(s));
           return;

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/server/server.h"
 #include "src/util/serialization.h"
 #include "src/warehouse/checkpoint.h"
+#include "src/warehouse/stream_ingestor.h"
 #include "src/warehouse/warehouse.h"
 #include "tests/server/server_test_util.h"
 
@@ -180,6 +182,7 @@ TEST_F(ToolTest, CheckpointsPrintsChainStructure) {
     open_record.checkpoint_payload = opened.Serialize();
     IngestCheckpoint closed;
     closed.next_sequence = 180;
+    closed.next_close_key = 4;
     CheckpointDeltaRecord close_record;
     close_record.checkpoint_payload = closed.Serialize();
     ASSERT_TRUE(store.value()
@@ -193,8 +196,11 @@ TEST_F(ToolTest, CheckpointsPrintsChainStructure) {
   ASSERT_EQ(WEXITSTATUS(std::system(command.c_str())), 0);
   std::string out;
   ASSERT_TRUE(ReadFile(out_path, &out).ok());
-  // Summary line resolves the chain to the newest record's watermark.
+  // Summary line resolves the chain to the newest record's watermark and
+  // next close key.
   EXPECT_NE(out.find("dataset ds: watermark 180"), std::string::npos) << out;
+  EXPECT_NE(out.find("0 rolled in, next close key 4, age"), std::string::npos)
+      << out;
   EXPECT_NE(out.find("snapshot verified, 2 delta record(s)"),
             std::string::npos)
       << out;
@@ -247,6 +253,42 @@ TEST_F(ToolTest, InspectSeesRecordsOnlyTheCatalogLogHolds) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("  partition 2: parent 1000"), std::string::npos) << out;
+}
+
+TEST_F(ToolTest, InspectPrintsTheCloseKeysOfStreamedPartitions) {
+  const std::string store_dir = dir_ + "/store";
+  const std::string manifest = store_dir + "/MANIFEST";
+  {
+    auto store = FileSampleStore::Open(store_dir);
+    ASSERT_TRUE(store.ok());
+    WarehouseOptions options;
+    options.sampler.footprint_bound_bytes = 512;
+    options.manifest_path = manifest;
+    Warehouse wh(options, std::move(store).value());
+    ASSERT_TRUE(wh.CreateDataset("ds").ok());
+    std::vector<Value> values;
+    for (Value v = 0; v < 1000; ++v) values.push_back(v);
+    ASSERT_TRUE(wh.IngestBatch("ds", values, 1).ok());
+    StreamIngestor ingestor(&wh, "ds", MakeCountPartitioner(500));
+    ingestor.EnableCheckpoints({});
+    ASSERT_TRUE(ingestor.AppendBatch(values).ok());
+    ASSERT_TRUE(ingestor.Flush().ok());
+  }
+  const std::string out = ToolOutput("inspect " + store_dir + " " + manifest);
+  EXPECT_NE(out.find("  partition 0: parent 1000, sample"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("  partition 1: parent 500"), std::string::npos) << out;
+  EXPECT_NE(out.find(", close key 1\n  partition 2: parent 500"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find(", close key 2\n"), std::string::npos) << out;
+  // A batch-ingested partition has no close key.
+  EXPECT_EQ(out.find("close key 0"), std::string::npos) << out;
+  const size_t first = out.find("  partition 0:");
+  ASSERT_NE(first, std::string::npos) << out;
+  EXPECT_EQ(out.substr(first, out.find('\n', first) - first).find("close key"),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(ToolTest, ServerStatsPrintsEveryCounterAligned) {

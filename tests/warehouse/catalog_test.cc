@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/warehouse/catalog_log.h"
+
 namespace sampwh {
 namespace {
 
@@ -105,6 +107,80 @@ TEST(CatalogTest, ListDatasets) {
   ASSERT_TRUE(catalog.CreateDataset("b").ok());
   ASSERT_TRUE(catalog.CreateDataset("a").ok());
   EXPECT_EQ(catalog.ListDatasets(), (std::vector<DatasetId>{"a", "b"}));
+}
+
+PartitionInfo Keyed(PartitionId id, uint64_t close_key) {
+  PartitionInfo info = Info(id);
+  info.close_key = close_key;
+  return info;
+}
+
+TEST(CloseKeyTest, AddAndRemoveMaintainTheIndex) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateDataset("ds").ok());
+  ASSERT_TRUE(catalog.CreateDataset("other").ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(0, 0)).ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(1, 7)).ok());
+  EXPECT_EQ(catalog.PartitionWithCloseKey("ds", 7), PartitionId{1});
+  EXPECT_EQ(catalog.PartitionWithCloseKey("ds", 0), std::nullopt);
+  EXPECT_EQ(catalog.PartitionWithCloseKey("other", 7), std::nullopt);
+  EXPECT_EQ(catalog.PartitionWithCloseKey("ghost", 7), std::nullopt);
+  // A key names one partition of its dataset; other datasets have their
+  // own keys.
+  EXPECT_TRUE(catalog.AddPartition("ds", Keyed(2, 7)).IsAlreadyExists());
+  EXPECT_EQ(catalog.ListPartitions("ds").value().size(), 2u);
+  ASSERT_TRUE(catalog.AddPartition("other", Keyed(0, 7)).ok());
+  // Untagged partitions share key 0 without being indexed.
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(3, 0)).ok());
+  ASSERT_TRUE(catalog.RemovePartition("ds", 1).ok());
+  EXPECT_EQ(catalog.PartitionWithCloseKey("ds", 7), std::nullopt);
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(4, 7)).ok());
+  EXPECT_EQ(catalog.PartitionWithCloseKey("ds", 7), PartitionId{4});
+}
+
+TEST(CloseKeyTest, SnapshotAndLogReplayRebuildTheIndex) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateDataset("ds").ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(0, 3)).ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(1, 4)).ok());
+  ASSERT_TRUE(catalog.RemovePartition("ds", 0).ok());
+
+  BinaryWriter writer;
+  catalog.SerializeTo(&writer);
+  BinaryReader reader(writer.buffer());
+  auto decoded = Catalog::DeserializeFrom(&reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().PartitionWithCloseKey("ds", 4), PartitionId{1});
+  EXPECT_EQ(decoded.value().PartitionWithCloseKey("ds", 3), std::nullopt);
+  EXPECT_EQ(decoded.value().ListPartitions("ds").value()[0].close_key, 4u);
+
+  Catalog replayed;
+  for (const CatalogEdit& edit :
+       {CatalogEdit::CreateDataset("ds"),
+        CatalogEdit::AddPartition("ds", Keyed(0, 3)),
+        CatalogEdit::AddPartition("ds", Keyed(1, 4)),
+        CatalogEdit::RemovePartition("ds", 0)}) {
+    auto round = CatalogEdit::Deserialize(edit.Serialize());
+    ASSERT_TRUE(round.ok()) << round.status().ToString();
+    round.value().ApplyTo(&replayed);
+  }
+  EXPECT_EQ(replayed.PartitionWithCloseKey("ds", 4), PartitionId{1});
+  EXPECT_EQ(replayed.PartitionWithCloseKey("ds", 3), std::nullopt);
+}
+
+TEST(CloseKeyTest, ADuplicateKeyInASnapshotIsCorruption) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateDataset("ds").ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(0, 3)).ok());
+  ASSERT_TRUE(catalog.AddPartition("ds", Keyed(1, 5)).ok());
+  BinaryWriter writer;
+  catalog.SerializeTo(&writer);
+  std::string bytes = writer.Release();
+  // The last byte is partition 1's close key varint.
+  ASSERT_EQ(bytes.back(), '\x05');
+  bytes.back() = '\x03';
+  BinaryReader reader(bytes);
+  EXPECT_TRUE(Catalog::DeserializeFrom(&reader).status().IsCorruption());
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // The crash-safe resumable-ingestion protocol end to end: the checkpoint
 // record round-trips, both store backends keep generational checkpoints
 // that survive torn writes, and a StreamIngestor killed at an arbitrary
-// point — including inside the two-phase close protocol — resumes from its
-// checkpoint and, fed an at-least-once replay of the source stream,
+// point — including after any write of a partition close — resumes from
+// its checkpoint and, fed an at-least-once replay of the source stream,
 // produces rolled-in samples bit-identical to an uninterrupted run.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +45,7 @@ WarehouseOptions TestOptions() {
 }
 
 /// A structurally valid checkpoint payload (deep-verifiable: no open
-/// partition, no pending roll-in).
+/// partition).
 std::string MinimalCheckpointPayload(uint64_t next_sequence) {
   IngestCheckpoint ckpt;
   ckpt.next_sequence = next_sequence;
@@ -51,23 +53,32 @@ std::string MinimalCheckpointPayload(uint64_t next_sequence) {
   return ckpt.Serialize();
 }
 
-/// Serialized bytes of every stored sample of `dataset`, ascending by
-/// partition id — the bit-identity yardstick.
-std::vector<std::string> SampleBytes(Warehouse& warehouse,
-                                     const DatasetId& dataset) {
+/// Serialized bytes of the samples of `ids` in `dataset`, in order.
+std::vector<std::string> SampleBytesOf(Warehouse& warehouse,
+                                       const DatasetId& dataset,
+                                       const std::vector<PartitionId>& ids) {
   std::vector<std::string> out;
-  auto parts = warehouse.ListPartitions(dataset);
-  EXPECT_TRUE(parts.ok());
-  if (!parts.ok()) return out;
-  for (const PartitionInfo& p : parts.value()) {
-    auto sample = warehouse.GetSample(dataset, p.id);
-    EXPECT_TRUE(sample.ok());
+  for (const PartitionId id : ids) {
+    auto sample = warehouse.GetSample(dataset, id);
+    EXPECT_TRUE(sample.ok()) << sample.status().ToString();
     if (!sample.ok()) return out;
     BinaryWriter writer;
     sample.value().SerializeTo(&writer);
     out.push_back(std::move(writer).Release());
   }
   return out;
+}
+
+/// Serialized bytes of every stored sample of `dataset`, ascending by
+/// partition id — the bit-identity yardstick.
+std::vector<std::string> SampleBytes(Warehouse& warehouse,
+                                     const DatasetId& dataset) {
+  auto parts = warehouse.ListPartitions(dataset);
+  EXPECT_TRUE(parts.ok());
+  if (!parts.ok()) return {};
+  std::vector<PartitionId> ids;
+  for (const PartitionInfo& p : parts.value()) ids.push_back(p.id);
+  return SampleBytesOf(warehouse, dataset, ids);
 }
 
 // --- IngestCheckpoint record ----------------------------------------------
@@ -82,12 +93,7 @@ TEST(IngestCheckpointTest, SerializeDeserializeRoundTrip) {
   ckpt.progress.elements = 0;  // no open partition: sampler_state empty
   ckpt.progress.first_timestamp = 100;
   ckpt.progress.last_timestamp = 900;
-  PendingRollIn pending;
-  pending.sample_payload = "opaque sample bytes";
-  pending.min_timestamp = 100;
-  pending.max_timestamp = 900;
-  pending.id_lower_bound = 9;
-  ckpt.pending = pending;
+  ckpt.next_close_key = 9;
 
   auto round = IngestCheckpoint::Deserialize(ckpt.Serialize());
   ASSERT_TRUE(round.ok()) << round.status().ToString();
@@ -103,11 +109,7 @@ TEST(IngestCheckpointTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(got.progress.elements, ckpt.progress.elements);
   EXPECT_EQ(got.progress.first_timestamp, ckpt.progress.first_timestamp);
   EXPECT_EQ(got.progress.last_timestamp, ckpt.progress.last_timestamp);
-  ASSERT_TRUE(got.pending.has_value());
-  EXPECT_EQ(got.pending->sample_payload, pending.sample_payload);
-  EXPECT_EQ(got.pending->min_timestamp, pending.min_timestamp);
-  EXPECT_EQ(got.pending->max_timestamp, pending.max_timestamp);
-  EXPECT_EQ(got.pending->id_lower_bound, pending.id_lower_bound);
+  EXPECT_EQ(got.next_close_key, ckpt.next_close_key);
 }
 
 TEST(IngestCheckpointTest, DeserializeRejectsDamage) {
@@ -136,12 +138,6 @@ TEST(IngestCheckpointTest, VerifyRejectsUndedecodableEmbeddedRecords) {
   ASSERT_TRUE(VerifyCheckpointPayload(ckpt.Serialize()).ok());
   ckpt.progress.elements = 5;
   ckpt.sampler_state = "junk that is not a sampler-state record";
-  EXPECT_FALSE(VerifyCheckpointPayload(ckpt.Serialize()).ok());
-  ckpt.progress.elements = 0;
-  ckpt.sampler_state.clear();
-  PendingRollIn pending;
-  pending.sample_payload = "junk that is not a sample";
-  ckpt.pending = pending;
   EXPECT_FALSE(VerifyCheckpointPayload(ckpt.Serialize()).ok());
 }
 
@@ -183,16 +179,16 @@ class CheckpointStoreTest : public ::testing::Test {
 };
 
 void ExerciseCheckpointCrud(SampleStore& store) {
-  EXPECT_TRUE(store.GetCheckpoint("events").status().IsNotFound());
+  EXPECT_TRUE(store.GetCheckpointChain("events").status().IsNotFound());
   EXPECT_TRUE(store.DeleteCheckpoint("events").IsNotFound());
   EXPECT_TRUE(store.ListCheckpoints().value().empty());
 
   const std::string first = MinimalCheckpointPayload(100);
   const std::string second = MinimalCheckpointPayload(200);
   ASSERT_TRUE(store.PutCheckpoint("events", first).ok());
-  EXPECT_EQ(store.GetCheckpoint("events").value(), first);
+  EXPECT_EQ(store.GetCheckpointChain("events").value().snapshot, first);
   ASSERT_TRUE(store.PutCheckpoint("events", second).ok());
-  EXPECT_EQ(store.GetCheckpoint("events").value(), second);
+  EXPECT_EQ(store.GetCheckpointChain("events").value().snapshot, second);
   ASSERT_TRUE(store.PutCheckpoint("orders", first).ok());
 
   const auto datasets = store.ListCheckpoints();
@@ -201,7 +197,7 @@ void ExerciseCheckpointCrud(SampleStore& store) {
             (std::vector<DatasetId>{"events", "orders"}));
 
   EXPECT_TRUE(store.DeleteCheckpoint("events").ok());
-  EXPECT_TRUE(store.GetCheckpoint("events").status().IsNotFound());
+  EXPECT_TRUE(store.GetCheckpointChain("events").status().IsNotFound());
   EXPECT_EQ(store.ListCheckpoints().value(),
             (std::vector<DatasetId>{"orders"}));
 
@@ -235,14 +231,14 @@ void ExerciseTornWriteFallback(Env* base, const std::string& dir) {
   env.Restart();
 
   // The torn newest generation must not mask the previous good one.
-  const auto got = store.GetCheckpoint("events");
+  const auto got = store.GetCheckpointChain("events");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value(), good);
+  EXPECT_EQ(got.value().snapshot, good);
   EXPECT_GE(store.GetStoreStats().quarantines, 1u);
 
   // And a subsequent write supersedes everything.
   ASSERT_TRUE(store.PutCheckpoint("events", newer).ok());
-  EXPECT_EQ(store.GetCheckpoint("events").value(), newer);
+  EXPECT_EQ(store.GetCheckpointChain("events").value().snapshot, newer);
 }
 
 TEST_F(CheckpointStoreTest, TornWriteFallsBackToPreviousGeneration) {
@@ -288,7 +284,7 @@ TEST_F(CheckpointStoreTest, RecoverQuarantinesCorruptCheckpointFile) {
   auto report = store->Recover();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().quarantined_checkpoints.size(), 1u);
-  EXPECT_TRUE(store->GetCheckpoint("events").status().IsNotFound());
+  EXPECT_TRUE(store->GetCheckpointChain("events").status().IsNotFound());
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
   EXPECT_GE(store->GetStoreStats().quarantines, 1u);
 }
@@ -747,8 +743,9 @@ TEST_F(ResumableIngestTest, ResumeWithoutCheckpointIsNotFound) {
                   .IsNotFound());
 }
 
-// Crash INSIDE the close protocol, after checkpoint A but before the
-// roll-in persisted: resume must roll the pending partition in (once).
+// Crash INSIDE a close, its roll-in failed: nothing of the close is
+// durable, so resume replays the partition from the previous resume point
+// (the stream's first record) and rolls it in once.
 TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
   const std::vector<Value> values = Range(0, 400);
   const std::vector<std::string> want = ReferenceRun(values, 250);
@@ -765,7 +762,7 @@ TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
         ingestor.AppendBatchAt(0, std::span<const Value>(values).first(250))
             .ok());
     // The next element triggers the close; its RollIn dies on exhausted
-    // IO retries, leaving checkpoint A as the only durable trace.
+    // IO retries, so the close leaves nothing durable.
     injector->Arm(kFaultSitePutWrite, FaultKind::kIOError, 100);
     EXPECT_TRUE(ingestor
                     .AppendBatchAt(250, std::span<const Value>(values)
@@ -781,9 +778,10 @@ TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
   auto resumed = StreamIngestor::Resume(&warehouse, "events",
                                         MakeCountPartitioner(250));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  // Resume completed the interrupted roll-in exactly once.
-  ASSERT_EQ(resumed.value()->rolled_in().size(), 1u);
-  ASSERT_EQ(warehouse.ListPartitions("events").value().size(), 1u);
+  // Resumed from the stream's first record: nothing rolled in yet.
+  EXPECT_EQ(resumed.value()->next_sequence(), 0u);
+  ASSERT_TRUE(resumed.value()->rolled_in().empty());
+  ASSERT_TRUE(warehouse.ListPartitions("events").value().empty());
 
   for (uint64_t i = 0; i < values.size(); i += 80) {
     ASSERT_TRUE(
@@ -795,33 +793,35 @@ TEST_F(ResumableIngestTest, CrashBeforeRollInReplaysPendingPartition) {
   EXPECT_EQ(SampleBytes(warehouse, "events"), want);
 }
 
-// Crash between the roll-in and checkpoint B: the catalog already holds
-// the partition, so resume must ADOPT it, not roll it in twice.
+// Crash after the roll-in, with the close's resume-point record lost: the
+// catalog already holds the partition under its close key, so the replayed
+// close lands on it instead of rolling it in twice.
 TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
   const std::vector<Value> values = Range(0, 400);
   const std::vector<std::string> want = ReferenceRun(values, 250);
   ASSERT_EQ(want.size(), 2u);
 
+  std::vector<PartitionId> first_run;
   {
     auto injector = std::make_shared<FaultInjector>(29);
     FaultEnv env(Env::Default(), injector);
     Warehouse warehouse(DurableOptions(), OpenStoreOver(&env));
-    warehouse.store_for_testing()->SetRetryPolicy(
-        {.max_attempts = 1, .initial_backoff = std::chrono::microseconds(1)});
     ASSERT_TRUE(warehouse.CreateDataset("events").ok());
     StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
     ingestor.EnableCheckpoints({});
     ASSERT_TRUE(
         ingestor.AppendBatchAt(0, std::span<const Value>(values).first(250))
             .ok());
-    // Let checkpoint A through (skip 1), then fail checkpoint B. B is best
-    // effort, so the append itself succeeds and the roll-in completes.
-    injector->Arm(kFaultSiteCheckpointWrite, FaultKind::kIOError, 100, 1);
+    // Fail the close's record. It is best effort, so the append itself
+    // succeeds and the roll-in completes.
+    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, 100);
     ASSERT_TRUE(ingestor
                     .AppendBatchAt(250, std::span<const Value>(values)
                                             .subspan(250, 1))
                     .ok());
+    EXPECT_EQ(injector->FiredCount(kFaultSiteWalAppend), 1u);
     ASSERT_EQ(ingestor.rolled_in().size(), 1u);
+    first_run = ingestor.rolled_in();
   }
 
   auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
@@ -831,8 +831,9 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
   auto resumed = StreamIngestor::Resume(&warehouse, "events",
                                         MakeCountPartitioner(250));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  // Adopted, not duplicated: still exactly one partition in the catalog.
-  ASSERT_EQ(resumed.value()->rolled_in().size(), 1u);
+  // Resumed before the close, whose partition stays in the catalog.
+  EXPECT_EQ(resumed.value()->next_sequence(), 0u);
+  ASSERT_TRUE(resumed.value()->rolled_in().empty());
   ASSERT_EQ(warehouse.ListPartitions("events").value().size(), 1u);
 
   for (uint64_t i = 0; i < values.size(); i += 80) {
@@ -842,7 +843,242 @@ TEST_F(ResumableIngestTest, CheckpointBLossAdoptsCompletedRollIn) {
             .ok());
   }
   ASSERT_TRUE(resumed.value()->Flush().ok());
+  // The replayed close landed on the id its first attempt took.
+  ASSERT_EQ(resumed.value()->rolled_in().size(), 2u);
+  EXPECT_EQ(resumed.value()->rolled_in()[0], first_run[0]);
   EXPECT_EQ(SampleBytes(warehouse, "events"), want);
+}
+
+// Another writer rolls a partition into the dataset between a restart and
+// the stream's resume. A resume that guessed which partition was its own
+// from the id allocator would take that foreign partition for the close the
+// crash interrupted, and acknowledge the close's elements as rolled in.
+TEST_F(ResumableIngestTest, ForeignRollInIsNeverAdopted) {
+  const std::vector<Value> values = Range(0, 400);
+  const std::vector<std::string> want = ReferenceRun(values, 250);
+  ASSERT_EQ(want.size(), 2u);
+
+  {
+    auto injector = std::make_shared<FaultInjector>(23);
+    FaultEnv env(Env::Default(), injector);
+    Warehouse warehouse(DurableOptions(), OpenStoreOver(&env));
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    ingestor.EnableCheckpoints({});
+    ASSERT_TRUE(
+        ingestor.AppendBatchAt(0, std::span<const Value>(values).first(250))
+            .ok());
+    injector->Arm(kFaultSitePutWrite, FaultKind::kIOError, 100);
+    EXPECT_TRUE(ingestor
+                    .AppendBatchAt(250, std::span<const Value>(values)
+                                            .subspan(250, 1))
+                    .IsIOError());
+  }
+
+  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
+                                                 OpenStore(), manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Warehouse& warehouse = *restored.value().warehouse;
+  // The foreign roll-in, before the stream's resume.
+  AnySampler foreign(TestOptions().sampler, Pcg64(7));
+  const std::vector<Value> foreign_values = Range(1000, 1003);
+  foreign.AddBatch(foreign_values);
+  auto foreign_id = warehouse.RollIn("events", foreign.Finalize());
+  ASSERT_TRUE(foreign_id.ok()) << foreign_id.status().ToString();
+
+  auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                        MakeCountPartitioner(250));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  for (uint64_t i = 0; i < values.size(); i += 80) {
+    ASSERT_TRUE(
+        resumed.value()
+            ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 80))
+            .ok());
+  }
+  ASSERT_TRUE(resumed.value()->Flush().ok());
+
+  const std::vector<PartitionId>& own = resumed.value()->rolled_in();
+  EXPECT_EQ(std::count(own.begin(), own.end(), foreign_id.value()), 0);
+  EXPECT_EQ(warehouse.ListPartitions("events").value().size(), 3u);
+  EXPECT_EQ(SampleBytesOf(warehouse, "events", own), want);
+  auto kept = warehouse.GetSample("events", foreign_id.value());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept.value().parent_size(), 3u);
+}
+
+// A fresh stream over a dataset that holds an earlier stream's streamed
+// partitions. After a restart the fresh stream forks the same RNG stream
+// the earlier one did, so on the same source its samples are the earlier
+// stream's, byte for byte; its closes still roll in partitions of their
+// own.
+TEST_F(ResumableIngestTest, FreshStreamAdoptsNoEarlierStreamsPartition) {
+  const std::vector<Value> values = Range(0, 500);
+  std::vector<PartitionId> earlier;
+  {
+    Warehouse warehouse(DurableOptions(), OpenStore());
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    ingestor.EnableCheckpoints({});
+    ASSERT_TRUE(ingestor.AppendBatchAt(0, values).ok());
+    ASSERT_TRUE(ingestor.Flush().ok());
+    earlier = ingestor.rolled_in();
+    ASSERT_EQ(earlier.size(), 2u);
+  }
+
+  auto restored = Warehouse::RestoreWithRecovery(DurableOptions(),
+                                                 OpenStore(), manifest_);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Warehouse& warehouse = *restored.value().warehouse;
+  StreamIngestor fresh(&warehouse, "events", MakeCountPartitioner(250));
+  fresh.EnableCheckpoints({});
+  ASSERT_TRUE(fresh.AppendBatchAt(0, values).ok());
+  ASSERT_TRUE(fresh.Flush().ok());
+
+  const std::vector<PartitionId>& own = fresh.rolled_in();
+  ASSERT_EQ(own.size(), 2u);
+  for (const PartitionId id : own) {
+    EXPECT_EQ(std::count(earlier.begin(), earlier.end(), id), 0) << id;
+  }
+  EXPECT_EQ(warehouse.ListPartitions("events").value().size(), 4u);
+  EXPECT_EQ(SampleBytesOf(warehouse, "events", own),
+            SampleBytesOf(warehouse, "events", earlier));
+}
+
+/// An Env over the real filesystem that records the contents of one
+/// directory before and after every mutating call while `recording` is
+/// set: the states a crash between two writes can leave.
+class CrashStateRecorder : public Env {
+ public:
+  explicit CrashStateRecorder(std::string dir) : dir_(std::move(dir)) {}
+
+  using State = std::map<std::string, std::string>;
+
+  Status ReadFile(const std::string& path, std::string* contents) override {
+    return base_->ReadFile(path, contents);
+  }
+  Status WriteFileAtomic(const std::string& path,
+                         std::string_view contents) override {
+    return Around([&] { return base_->WriteFileAtomic(path, contents); });
+  }
+  Status AppendFile(const std::string& path, std::string_view bytes) override {
+    return Around([&] { return base_->AppendFile(path, bytes); });
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return Around([&] { return base_->Rename(from, to); });
+  }
+  Status Remove(const std::string& path) override {
+    return Around([&] { return base_->Remove(path); });
+  }
+  Status ListDir(const std::string& dir, std::vector<DirEntry>* entries,
+                 std::string_view name_prefix) override {
+    return base_->ListDir(dir, entries, name_prefix);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+
+  bool recording = false;
+  /// The distinct directory states seen, in order.
+  std::vector<State> states;
+
+ private:
+  template <typename Op>
+  Status Around(const Op& op) {
+    Record();
+    const Status status = op();
+    Record();
+    return status;
+  }
+  void Record() {
+    if (!recording) return;
+    State state;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      std::string bytes;
+      EXPECT_TRUE(base_->ReadFile(entry.path().string(), &bytes).ok());
+      state[entry.path().filename().string()] = std::move(bytes);
+    }
+    if (states.empty() || states.back() != state) {
+      states.push_back(std::move(state));
+    }
+  }
+
+  Env* const base_ = Env::Default();
+  const std::string dir_;
+};
+
+// Stops the stream's first two partition closes after each of their
+// writes: the sample put, the catalog record and the resume-point record
+// (and any other write a close makes), and the stream's first record
+// before them. From every state a crash can leave, a restore, a resume
+// (or, before the first record, a fresh stream) and a replay of the whole
+// stream lose no acknowledged element, apply none twice, and roll no
+// partition in twice.
+TEST_F(ResumableIngestTest, CloseStoppedAfterEachWriteReplaysExactlyOnce) {
+  const std::vector<Value> values = Range(0, 800);
+  const std::vector<std::string> want = ReferenceRun(values, 250);
+  ASSERT_EQ(want.size(), 4u);
+
+  CrashStateRecorder recorder(dir_);
+  {
+    Warehouse warehouse(DurableOptions(), OpenStoreOver(&recorder));
+    ASSERT_TRUE(warehouse.CreateDataset("events").ok());
+    StreamIngestor ingestor(&warehouse, "events", MakeCountPartitioner(250));
+    ingestor.EnableCheckpoints({});
+    // The closes at 250 and 500 write every record the recorder sees.
+    recorder.recording = true;
+    for (uint64_t i = 0; i < 520; i += 40) {
+      ASSERT_TRUE(
+          ingestor
+              .AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
+              .ok())
+          << "batch at " << i;
+    }
+    recorder.recording = false;
+  }
+  // Before and after the first record, and after each write of two closes.
+  ASSERT_GE(recorder.states.size(), 8u);
+
+  for (size_t k = 0; k < recorder.states.size(); ++k) {
+    SCOPED_TRACE("crash state " + std::to_string(k));
+    const std::string dir = dir_ + "/state" + std::to_string(k);
+    std::filesystem::create_directories(dir);
+    for (const auto& [name, bytes] : recorder.states[k]) {
+      ASSERT_TRUE(WriteFileAtomic(dir + "/" + name, bytes).ok());
+    }
+    WarehouseOptions options = DurableOptions();
+    options.manifest_path = dir + "/manifest";
+    auto restored = Warehouse::RestoreWithRecovery(
+        options, FileSampleStore::Open(dir).value(), options.manifest_path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    Warehouse& warehouse = *restored.value().warehouse;
+    auto resumed = StreamIngestor::Resume(&warehouse, "events",
+                                          MakeCountPartitioner(250));
+    std::unique_ptr<StreamIngestor> ingestor;
+    if (resumed.status().IsNotFound()) {
+      // Stopped before the stream's first record: nothing of it rolled
+      // in, and a fresh stream forks the same RNG stream.
+      ingestor = std::make_unique<StreamIngestor>(&warehouse, "events",
+                                                  MakeCountPartitioner(250));
+      ingestor->EnableCheckpoints({});
+    } else {
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      ingestor = std::move(resumed).value();
+    }
+    EXPECT_LE(ingestor->next_sequence(), 520u);
+    for (uint64_t i = 0; i < values.size(); i += 40) {
+      ASSERT_TRUE(
+          ingestor
+              ->AppendBatchAt(i, std::span<const Value>(values).subspan(i, 40))
+              .ok())
+          << "replay batch at " << i;
+    }
+    ASSERT_TRUE(ingestor->Flush().ok());
+    EXPECT_EQ(warehouse.ListPartitions("events").value().size(), want.size());
+    EXPECT_EQ(SampleBytes(warehouse, "events"), want);
+  }
 }
 
 /// The kClosePending records of `chain`'s WAL, decoded, in append order.
@@ -894,10 +1130,9 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
         warehouse.GetIngestCheckpointChain("events").value().generation;
     const uint64_t snapshots = store->GetStoreStats().checkpoints_written;
 
-    // The close at 250 appends checkpoint A, then fails to append
-    // checkpoint B. B is best effort, so the append itself succeeds.
-    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, /*count=*/1,
-                  /*skip=*/1);
+    // The close at 250 fails to append its record. The record is best
+    // effort, so the append itself succeeds.
+    injector->Arm(kFaultSiteWalAppend, FaultKind::kIOError, /*count=*/1);
     feed(200, 280);
     EXPECT_EQ(injector->FiredCount(kFaultSiteWalAppend), 1u);
     ASSERT_EQ(ingestor.rolled_in().size(), 1u);
@@ -905,14 +1140,11 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
       auto chain = warehouse.GetIngestCheckpointChain("events");
       ASSERT_TRUE(chain.ok()) << chain.status().ToString();
       EXPECT_EQ(chain.value().generation, generation);
-      const std::vector<IngestCheckpoint> closes = CloseRecords(chain.value());
-      ASSERT_EQ(closes.size(), 1u);
-      EXPECT_TRUE(closes[0].pending.has_value());
-      EXPECT_EQ(closes[0].next_sequence, 250u);
+      EXPECT_TRUE(CloseRecords(chain.value()).empty());
     }
     EXPECT_EQ(store->GetStoreStats().checkpoints_written, snapshots);
 
-    // Crossing the close at 500: checkpoint A lands as a new snapshot
+    // Crossing the close at 500: its record lands as a new snapshot
     // generation instead of riding the broken WAL.
     feed(280, 520);
     ASSERT_EQ(ingestor.rolled_in().size(), 2u);
@@ -920,18 +1152,22 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
     auto promoted = warehouse.GetIngestCheckpointChain("events");
     ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
     EXPECT_GT(promoted.value().generation, generation);
-    auto close_a = IngestCheckpoint::Deserialize(promoted.value().snapshot);
-    ASSERT_TRUE(close_a.ok()) << close_a.status().ToString();
-    EXPECT_TRUE(close_a.value().pending.has_value());
-    EXPECT_EQ(close_a.value().next_sequence, 500u);
+    auto close_500 = IngestCheckpoint::Deserialize(promoted.value().snapshot);
+    ASSERT_TRUE(close_500.ok()) << close_500.status().ToString();
+    EXPECT_EQ(close_500.value().next_sequence, 500u);
+    EXPECT_TRUE(CloseRecords(promoted.value()).empty());
 
-    // The healed chain takes close records in its WAL again: checkpoint B
-    // of the same close.
-    const std::vector<IngestCheckpoint> closes =
-        CloseRecords(promoted.value());
+    // The healed chain takes close records in its WAL again: the record of
+    // the close at 750.
+    feed(520, 760);
+    ASSERT_EQ(ingestor.rolled_in().size(), 3u);
+    EXPECT_EQ(store->GetStoreStats().checkpoints_written, snapshots + 1);
+    auto healed = warehouse.GetIngestCheckpointChain("events");
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    EXPECT_EQ(healed.value().generation, promoted.value().generation);
+    const std::vector<IngestCheckpoint> closes = CloseRecords(healed.value());
     ASSERT_EQ(closes.size(), 1u);
-    EXPECT_FALSE(closes[0].pending.has_value());
-    EXPECT_EQ(closes[0].next_sequence, 500u);
+    EXPECT_EQ(closes[0].next_sequence, 750u);
     EXPECT_EQ(closes[0].rolled_in, ingestor.rolled_in());
   }
 
@@ -944,8 +1180,8 @@ TEST_F(ResumableIngestTest, WalAppendFaultPromotesTheNextCloseToASnapshot) {
   auto resumed = StreamIngestor::Resume(&warehouse, "events",
                                         MakeCountPartitioner(250));
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed.value()->next_sequence(), 500u);
-  ASSERT_EQ(resumed.value()->rolled_in().size(), 2u);
+  EXPECT_EQ(resumed.value()->next_sequence(), 750u);
+  ASSERT_EQ(resumed.value()->rolled_in().size(), 3u);
   for (uint64_t i = 0; i < values.size(); i += 40) {
     ASSERT_TRUE(
         resumed.value()

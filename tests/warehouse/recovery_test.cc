@@ -173,9 +173,10 @@ TEST_F(RecoveryTest, TransientReadFaultsFailTheRestoreAndLoseNothing) {
   for (const PartitionInfo& p : partitions.value()) {
     EXPECT_TRUE(recovered.GetSample("events", p.id).ok());
   }
-  const auto stored = recovered.store_for_testing()->GetCheckpoint("events");
+  const auto stored =
+      recovered.store_for_testing()->GetCheckpointChain("events");
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  EXPECT_EQ(stored.value(), payload);
+  EXPECT_EQ(stored.value().snapshot, payload);
 }
 
 TEST_F(RecoveryTest, StrictRestoreStillFailsOnTornFile) {

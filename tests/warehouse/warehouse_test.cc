@@ -389,5 +389,38 @@ TEST(WarehouseTest, ConcurrentIngestAcrossDatasets) {
   }
 }
 
+TEST(CloseKeyTest, KeyedRollInIsIdempotentAndRefusesOtherContent) {
+  Warehouse wh(HrOptions());
+  ASSERT_TRUE(wh.CreateDataset("ds").ok());
+  CompactHistogram h;
+  for (Value v = 0; v < 10; ++v) h.Insert(v);
+  const PartitionSample s = PartitionSample::MakeExhaustive(h, 10, 512);
+  CompactHistogram other;
+  other.Insert(99);
+  const PartitionSample t = PartitionSample::MakeExhaustive(other, 1, 512);
+
+  const auto first = wh.RollIn("ds", s, 1, 2, /*close_key=*/7);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(wh.ListPartitions("ds").value()[0].close_key, 7u);
+  // The same close again lands on the same id and writes nothing.
+  const auto again = wh.RollIn("ds", s, 1, 2, 7);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value(), first.value());
+  EXPECT_EQ(wh.ListPartitions("ds").value().size(), 1u);
+  // Other content under the key is refused, and the partition kept.
+  EXPECT_TRUE(wh.RollIn("ds", t, 1, 2, 7).status().IsAlreadyExists());
+  EXPECT_EQ(wh.ListPartitions("ds").value().size(), 1u);
+  EXPECT_EQ(wh.GetSample("ds", first.value()).value().parent_size(), 10u);
+  // Untagged roll-ins are never matched.
+  ASSERT_TRUE(wh.RollIn("ds", s).ok());
+  ASSERT_TRUE(wh.RollIn("ds", s).ok());
+  EXPECT_EQ(wh.ListPartitions("ds").value().size(), 3u);
+  // A rolled-out partition frees its key: the key rolls in anew.
+  ASSERT_TRUE(wh.RollOut("ds", first.value()).ok());
+  const auto anew = wh.RollIn("ds", t, 1, 2, 7);
+  ASSERT_TRUE(anew.ok()) << anew.status().ToString();
+  EXPECT_NE(anew.value(), first.value());
+}
+
 }  // namespace
 }  // namespace sampwh

@@ -13,18 +13,20 @@
 //       as a stored sample file.
 //   sampwh_tool inspect <store-dir> <manifest-file>
 //       Restore a file-backed warehouse (the manifest snapshot plus the
-//       catalog log beside it) and list its catalog. A store an older
-//       build wrote is refused, naming the first file of the old format.
+//       catalog log beside it) and list its catalog, with the close key of
+//       each streamed partition. A store an older build wrote is refused,
+//       naming the first file of the old format.
 //
 // Every file these verbs read or write is in the one stored format of
 // this build (util/serialization "Stored files"); files of older formats
 // are refused, never rewritten.
 //   sampwh_tool checkpoints <store-dir>
 //       List datasets with pending ingest checkpoints: the resolved replay
-//       watermark, open-partition progress, rolled-in count and age, plus
-//       the chain structure behind it — snapshot generation and verify
-//       status, every WAL delta record with its kind / watermark / CRC
-//       status, and whether a torn tail was skipped.
+//       watermark, open-partition progress, rolled-in count, the stream's
+//       next close key and age, plus the chain structure behind it —
+//       snapshot generation and verify status, every WAL delta record with
+//       its kind / watermark / CRC status, and whether a torn tail was
+//       skipped.
 //   sampwh_tool serve <store-dir> [--port N] [--port-file PATH]
 //                     [--tenant NAME[:bytes[:partitions[:datasets]]]] ...
 //                     [--seed S] [--partition-elements N] [--memo-bytes N]
@@ -217,13 +219,18 @@ int CmdInspect(const std::string& dir, const std::string& manifest) {
     if (!parts.ok()) return Fail(parts.status());
     for (const PartitionInfo& p : parts.value()) {
       std::printf("  partition %llu: parent %llu, sample %llu, %s, "
-                  "ticks [%llu, %llu]\n",
+                  "ticks [%llu, %llu]",
                   static_cast<unsigned long long>(p.id),
                   static_cast<unsigned long long>(p.parent_size),
                   static_cast<unsigned long long>(p.sample_size),
                   std::string(SamplePhaseToString(p.phase)).c_str(),
                   static_cast<unsigned long long>(p.min_timestamp),
                   static_cast<unsigned long long>(p.max_timestamp));
+      if (p.close_key != 0) {
+        std::printf(", close key %llu",
+                    static_cast<unsigned long long>(p.close_key));
+      }
+      std::printf("\n");
     }
   }
   return 0;
@@ -254,13 +261,14 @@ int CmdCheckpoints(const std::string& dir) {
             ? static_cast<double>(now_micros - c.created_unix_micros) / 1e6
             : 0.0;
     std::printf("dataset %s: watermark %llu, open partition %llu elements "
-                "(%llu sampled), %zu rolled in, %s, age %.1fs\n",
+                "(%llu sampled), %zu rolled in, next close key %llu, "
+                "age %.1fs\n",
                 dataset.c_str(),
                 static_cast<unsigned long long>(c.next_sequence),
                 static_cast<unsigned long long>(c.progress.elements),
                 static_cast<unsigned long long>(c.progress.sample_size),
                 c.rolled_in.size(),
-                c.pending.has_value() ? "roll-in PENDING" : "no pending roll-in",
+                static_cast<unsigned long long>(c.next_close_key),
                 age_seconds);
     std::printf("  chain: generation %llu, snapshot %s, %zu delta record(s)%s\n",
                 static_cast<unsigned long long>(ch.generation),
