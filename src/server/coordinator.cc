@@ -54,37 +54,58 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Connect(
   }
   std::unique_ptr<ShardCoordinator> coord(
       new ShardCoordinator(std::move(options)));
-  const uint64_t fingerprint = MergeOptionsFingerprint(coord->options_.merge);
-  for (const ShardNodeAddress& node : nodes) {
+  coord->nodes_ = nodes;
+  for (size_t k = 0; k < nodes.size(); ++k) {
+    const ShardNodeAddress& node = nodes[k];
     if (coord->options_.tolerate_unreachable) {
       // Lazy client: a node down right now connects on first use; until
       // then its breaker fails calls fast and the degraded query path
-      // routes around it.
+      // routes around it. Node() checks its contract on first use.
       coord->clients_.push_back(WarehouseClient::Open(
           node.host, node.port, coord->options_.client));
+      coord->contract_.emplace_back();
       continue;
     }
     SAMPWH_ASSIGN_OR_RETURN(
         std::unique_ptr<WarehouseClient> client,
         WarehouseClient::Connect(node.host, node.port,
                                  coord->options_.client));
-    // The merge tree is exact across nodes only when every node derives
-    // the same node RNGs and runs the same merges.
     SAMPWH_ASSIGN_OR_RETURN(const PingReply pong, client->Ping());
-    const std::string name =
-        "node " + node.host + ":" + std::to_string(node.port);
-    if (pong.seed != coord->options_.seed) {
-      return Status::FailedPrecondition(
-          name + " runs warehouse seed " + std::to_string(pong.seed) +
-          ", the coordinator " + std::to_string(coord->options_.seed));
-    }
-    if (pong.merge_fingerprint != fingerprint) {
-      return Status::FailedPrecondition(
-          name + " merges under options other than the coordinator's");
-    }
+    SAMPWH_RETURN_IF_ERROR(coord->CheckContract(k, pong));
     coord->clients_.push_back(std::move(client));
+    coord->contract_.emplace_back(Status::OK());
   }
   return coord;
+}
+
+Status ShardCoordinator::CheckContract(size_t node,
+                                       const PingReply& pong) const {
+  // The merge tree is exact across nodes only when every node derives the
+  // same node RNGs and runs the same merges.
+  const std::string name = "node " + nodes_[node].host + ":" +
+                           std::to_string(nodes_[node].port);
+  if (pong.seed != options_.seed) {
+    return Status::FailedPrecondition(
+        name + " runs warehouse seed " + std::to_string(pong.seed) +
+        ", the coordinator " + std::to_string(options_.seed));
+  }
+  if (pong.merge_fingerprint != MergeOptionsFingerprint(options_.merge)) {
+    return Status::FailedPrecondition(
+        name + " merges under options other than the coordinator's");
+  }
+  return Status::OK();
+}
+
+Result<WarehouseClient*> ShardCoordinator::Node(size_t node) {
+  WarehouseClient* client = clients_[node].get();
+  if (!contract_[node].has_value()) {
+    // Opened lazily: the first answered ping settles the contract. A node
+    // that does not answer stays unchecked and fails this use.
+    SAMPWH_ASSIGN_OR_RETURN(const PingReply pong, client->Ping());
+    contract_[node] = CheckContract(node, pong);
+  }
+  SAMPWH_RETURN_IF_ERROR(*contract_[node]);
+  return client;
 }
 
 size_t ShardCoordinator::ShardOf(const std::string& tenant,
@@ -113,7 +134,8 @@ std::vector<size_t> ShardCoordinator::OwnersOf(size_t primary) const {
 
 Status ShardCoordinator::CreateTenant(const std::string& tenant,
                                       const TenantQuota& quota) {
-  for (auto& client : clients_) {
+  for (size_t node = 0; node < clients_.size(); ++node) {
+    SAMPWH_ASSIGN_OR_RETURN(WarehouseClient* const client, Node(node));
     SAMPWH_RETURN_IF_ERROR(client->CreateTenant(tenant, quota));
   }
   return Status::OK();
@@ -121,7 +143,8 @@ Status ShardCoordinator::CreateTenant(const std::string& tenant,
 
 Status ShardCoordinator::CreateDataset(const std::string& tenant,
                                        const std::string& dataset) {
-  for (auto& client : clients_) {
+  for (size_t node = 0; node < clients_.size(); ++node) {
+    SAMPWH_ASSIGN_OR_RETURN(WarehouseClient* const client, Node(node));
     SAMPWH_RETURN_IF_ERROR(client->CreateDataset(tenant, dataset));
   }
   return Status::OK();
@@ -129,7 +152,8 @@ Status ShardCoordinator::CreateDataset(const std::string& tenant,
 
 Status ShardCoordinator::DropDataset(const std::string& tenant,
                                      const std::string& dataset) {
-  for (auto& client : clients_) {
+  for (size_t node = 0; node < clients_.size(); ++node) {
+    SAMPWH_ASSIGN_OR_RETURN(WarehouseClient* const client, Node(node));
     SAMPWH_RETURN_IF_ERROR(client->DropDataset(tenant, dataset));
   }
   {
@@ -152,10 +176,13 @@ Result<std::vector<PartitionId>> ShardCoordinator::ListPartitionsDegraded(
   std::vector<size_t> unreachable;
   Status down_failure = Status::OK();
   for (size_t shard = 0; shard < clients_.size(); ++shard) {
+    const Result<WarehouseClient*> client = Node(shard);
     const Result<std::vector<PartitionInfo>> parts =
-        clients_[shard]->ListPartitions(tenant, dataset);
+        client.ok() ? client.value()->ListPartitions(tenant, dataset)
+                    : Result<std::vector<PartitionInfo>>(client.status());
     if (!parts.ok()) {
-      if (IsNodeDown(parts.status())) {
+      // A node refused by the contract check lists nothing, like a down one.
+      if (!client.ok() || IsNodeDown(parts.status())) {
         unreachable.push_back(shard);
         if (down_failure.ok()) down_failure = parts.status();
         continue;
@@ -218,17 +245,20 @@ Result<PartitionId> ShardCoordinator::RollIn(const std::string& tenant,
   // The primary is the single quota-admission point: its RollInAt enforces
   // the tenant's quotas, and a refusal fails the whole write before any
   // replica copy exists (charge-once semantics).
-  SAMPWH_ASSIGN_OR_RETURN(
-      const PartitionId placed,
-      clients_[owners[0]]->RollInAt(tenant, dataset, id, sample,
-                                    min_timestamp, max_timestamp));
+  SAMPWH_ASSIGN_OR_RETURN(WarehouseClient* const primary, Node(owners[0]));
+  SAMPWH_ASSIGN_OR_RETURN(const PartitionId placed,
+                          primary->RollInAt(tenant, dataset, id, sample,
+                                            min_timestamp, max_timestamp));
   size_t acks = 1;
   Status replica_failure = Status::OK();
   for (size_t k = 1; k < owners.size(); ++k) {
-    const Status st = clients_[owners[k]]
-                          ->ReplicaRollIn(tenant, dataset, id, sample,
-                                          min_timestamp, max_timestamp)
-                          .status();
+    const Result<WarehouseClient*> replica = Node(owners[k]);
+    const Status st =
+        replica.ok() ? replica.value()
+                           ->ReplicaRollIn(tenant, dataset, id, sample,
+                                           min_timestamp, max_timestamp)
+                           .status()
+                     : replica.status();
     if (st.ok()) {
       ++acks;
     } else if (replica_failure.ok()) {
@@ -245,7 +275,8 @@ Result<PartitionId> ShardCoordinator::RollIn(const std::string& tenant,
     // harmless: the retry's ReplicaRollIn is digest-idempotent, and an
     // abandoned id is completed-or-removed by the next scrub round.
     for (const size_t owner : owners) {
-      (void)clients_[owner]->RollOut(tenant, dataset, id);
+      const Result<WarehouseClient*> client = Node(owner);
+      if (client.ok()) (void)client.value()->RollOut(tenant, dataset, id);
     }
     return Status::Unavailable(
         "write quorum not met: " + std::to_string(acks) + " of " +
@@ -261,7 +292,10 @@ Status ShardCoordinator::RollOut(const std::string& tenant,
   // the copy, or a quarantined file already moved aside).
   Status first_failure = Status::OK();
   for (const size_t owner : OwnersOf(ShardOf(tenant, dataset, id))) {
-    const Status st = clients_[owner]->RollOut(tenant, dataset, id);
+    const Result<WarehouseClient*> client = Node(owner);
+    const Status st = client.ok()
+                          ? client.value()->RollOut(tenant, dataset, id)
+                          : client.status();
     if (!st.ok() && !st.IsNotFound() && first_failure.ok()) {
       first_failure = st;
     }
@@ -392,8 +426,10 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
   std::vector<bool> reachable(clients_.size(), false);
   size_t reachable_count = 0;
   for (size_t node = 0; node < clients_.size(); ++node) {
+    const Result<WarehouseClient*> client = Node(node);
+    if (!client.ok()) continue;  // down or refused: skip this round
     Result<std::vector<PartitionDigest>> digests =
-        clients_[node]->PartitionDigests(tenant, dataset);
+        client.value()->PartitionDigests(tenant, dataset);
     if (!digests.ok()) {
       if (IsNodeDown(digests.status())) continue;  // skip this round
       return digests.status();
@@ -496,8 +532,9 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
 std::vector<bool> ShardCoordinator::CheckHealth() {
   std::vector<bool> healthy;
   healthy.reserve(clients_.size());
-  for (auto& client : clients_) {
-    healthy.push_back(client->Ping().ok());
+  for (size_t node = 0; node < clients_.size(); ++node) {
+    const Result<WarehouseClient*> client = Node(node);
+    healthy.push_back(client.ok() && client.value()->Ping().ok());
   }
   return healthy;
 }
@@ -511,21 +548,21 @@ CoordinatorStats ShardCoordinator::stats() const {
 }
 
 Result<PartitionSample> ShardCoordinator::QuerySpanWithFailover(
-    const std::string& tenant, const std::string& dataset, size_t primary,
-    std::span<const PartitionId> ids, std::set<size_t>* down) {
-  // Every owner of the span holds the same partitions, and the merge
-  // subtree a node builds depends only on the sorted id set — so the bytes
-  // are identical no matter which owner serves it. Try owners in order;
-  // the primary serves healthy traffic, replicas absorb its failures.
+    const std::string& tenant, const std::string& dataset,
+    std::span<const size_t> candidates, std::span<const PartitionId> ids,
+    std::set<size_t>* down) {
+  // Every candidate holds every id of the span, and the merge subtree a
+  // node builds depends only on the sorted id set — so the bytes are
+  // identical no matter which candidate serves it. Try candidates in
+  // order; the first serves healthy traffic, the rest absorb its failures.
   const std::vector<PartitionId> span(ids.begin(), ids.end());
   Status down_failure = Status::OK();
   Status structured_failure = Status::OK();
-  for (const size_t owner : OwnersOf(primary)) {
+  for (const size_t owner : candidates) {
     if (down->count(owner) != 0) continue;
-    WarehouseClient* client = clients_[owner].get();
-    if (client->breaker_open()) {
-      // Known-down peer: skip to the next owner without burning a call,
-      // exactly like the breaker's fail-fast contract.
+    if (clients_[owner]->breaker_open()) {
+      // Known-down peer: skip to the next candidate without burning a
+      // call, exactly like the breaker's fail-fast contract.
       down->insert(owner);
       if (down_failure.ok()) {
         down_failure = Status::Unavailable("circuit breaker open to node " +
@@ -533,21 +570,25 @@ Result<PartitionSample> ShardCoordinator::QuerySpanWithFailover(
       }
       continue;
     }
-    const bool failover = owner != primary;
+    const Result<WarehouseClient*> client = Node(owner);
+    const bool failover = client.ok() && owner != candidates[0];
     if (failover) {
-      client->set_request_flags(kRequestFlagFailoverRead);
+      client.value()->set_request_flags(kRequestFlagFailoverRead);
       counters_.failover_reads++;
     }
-    Result<PartitionSample> remote = client->Query(tenant, dataset, span);
-    if (failover) client->set_request_flags(0);
+    Result<PartitionSample> remote =
+        client.ok() ? client.value()->Query(tenant, dataset, span)
+                    : Result<PartitionSample>(client.status());
+    if (failover) client.value()->set_request_flags(0);
     if (remote.ok()) return remote;
     if (IsNodeDown(remote.status())) {
       down->insert(owner);
       if (down_failure.ok()) down_failure = remote.status();
     } else {
       // A structured answer (e.g. NotFound from a replica that never got a
-      // copy): the node is up but cannot serve this span — try the next
-      // owner, and surface this error only if none can.
+      // copy, or a node refused by the contract check): the node cannot
+      // serve this span — try the next candidate, and surface this error
+      // only if none can.
       structured_failure = remote.status();
     }
   }
@@ -556,8 +597,8 @@ Result<PartitionSample> ShardCoordinator::QuerySpanWithFailover(
   // the fact that the span's owners are gone.
   if (!down_failure.ok()) return down_failure;
   if (!structured_failure.ok()) return structured_failure;
-  return Status::Unavailable("no reachable owner for span (primary " +
-                             std::to_string(primary) + ")");
+  return Status::Unavailable("no reachable owner for span (first candidate " +
+                             std::to_string(candidates[0]) + ")");
 }
 
 Result<PartitionSample> ShardCoordinator::MergeTree(
@@ -565,26 +606,34 @@ Result<PartitionSample> ShardCoordinator::MergeTree(
     const DatasetId& key, std::span<const PartitionId> ids,
     std::span<const size_t> primaries, uint64_t fingerprint,
     std::set<size_t>* down, size_t* failed_primary) {
-  // Maximal push-down: a span wholly under one primary (hence one owner
-  // set) is one remote query — the serving node's walk builds the
-  // identical subtree (same sorted id set, same MergeTreeSplit, same
-  // identity-derived node RNGs). A span across primaries is split, and its
-  // halves are joined here with the node step any warehouse with the same
-  // seed runs. A query under one primary is answered whole, and that
-  // answer is handed back without a copy.
+  // Maximal push-down: a span whose ids share an owner is one remote query
+  // to a common owner — that node's walk builds the identical subtree
+  // (same sorted id set, same MergeTreeSplit, same identity-derived node
+  // RNGs). A span no node wholly owns, or one every common owner failed,
+  // is split, and its halves are joined here with the node step any
+  // warehouse with the same seed runs. A query one node answers whole is
+  // handed back without a copy.
+  const size_t n = clients_.size();
+  const size_t r = replication_factor();
   std::shared_ptr<PartitionSample> whole;
   const auto source = [&](std::span<const PartitionId> span,
                           size_t offset) -> Result<MergeTreeSample> {
-    const std::span<const size_t> owners = primaries.subspan(offset,
-                                                             span.size());
-    if (std::any_of(owners.begin(), owners.end(),
-                    [&](size_t p) { return p != owners[0]; })) {
-      return MergeTreeSample();
-    }
+    const std::span<const size_t> span_primaries =
+        primaries.subspan(offset, span.size());
+    // The owners every id shares, in the ring order of the first id's.
+    std::vector<size_t> candidates = OwnersOf(span_primaries[0]);
+    std::erase_if(candidates, [&](size_t node) {
+      return std::any_of(
+          span_primaries.begin(), span_primaries.end(),
+          [&](size_t primary) { return (node + n - primary) % n >= r; });
+    });
+    if (candidates.empty()) return MergeTreeSample();
     Result<PartitionSample> remote =
-        QuerySpanWithFailover(tenant, dataset, owners[0], span, down);
+        QuerySpanWithFailover(tenant, dataset, candidates, span, down);
     if (!remote.ok()) {
-      if (IsNodeDown(remote.status())) *failed_primary = owners[0];
+      // Its halves may still be served, each by a common owner of its own.
+      if (span.size() > 1) return MergeTreeSample();
+      if (IsNodeDown(remote.status())) *failed_primary = span_primaries[0];
       return remote.status();
     }
     auto answer = std::make_shared<PartitionSample>(std::move(remote).value());

@@ -9,34 +9,40 @@
 // and its one walker (WalkMergeTree). The split rule depends only on leaf
 // count, so the subtree over any contiguous id span IS the tree a
 // standalone query over exactly those ids would build. The coordinator
-// walks the tree with a span source of its own: a span whose leaves all
-// live on one shard is pushed down as an explicit-id query (the node
-// computes it, bit-identically, through its own walk); a span across
-// shards is split and its halves joined locally with the identical node
-// step. Bit-identity requires every node to run the coordinator's seed and
-// MergeOptions. Connect checks both against each node's ping reply; nodes
-// opened lazily under tolerate_unreachable are not checked. A node's
-// merge_memo_bytes is only a cache size and may differ.
+// walks the tree with a span source of its own: a span whose ids share an
+// owner (a node holding a copy of every one of them) is pushed down as one
+// explicit-id query to a common owner (the node computes it,
+// bit-identically, through its own walk); a span no node wholly owns is
+// split and its halves joined locally with the identical node step.
+// Bit-identity requires every node to run the coordinator's seed and
+// MergeOptions. Connect checks both against each node's ping reply; a node
+// opened lazily under tolerate_unreachable is checked the same way on its
+// first use and, if it differs, refused: it serves no span and takes no
+// write. A node's merge_memo_bytes is only a cache size and may differ.
 //
 // Partition placement: the coordinator allocates globally unique partition
 // ids per dataset (keeping its allocator ahead of whatever the nodes
 // restored) and routes each id through ShardRouter(dataset-key, N) — a
 // stable hash-sharding — placing the sample via the kRollInAt verb.
 //
-// Replication (replication_factor R > 1): each id's owner set is the
-// contiguous run {primary, primary+1, ..., primary+R-1} (mod N) — a pure
-// function of the primary, so every id in a pushed-down subtree (grouped
-// by primary) shares one owner set and the whole subtree fails over
-// wholesale. Writes land on the primary via kRollInAt (the single
+// Replication (replication_factor R > 1): each id's owner set is the contiguous
+// run {primary, primary+1, ..., primary+R-1} (mod N) — a pure function of the
+// primary. A pushed-down subtree goes to the common owners of its ids, tried in
+// the ring order of its first id's owner set, so at R = N every query is one
+// remote call, and the subtree fails over wholesale through the rest of its
+// common owners. Writes land on the primary via kRollInAt (the single
 // quota-admission point) and on each replica via kReplicaRollIn (charged
-// unconditionally — charge-once semantics: admission happened at the
-// primary; forced replica charges keep every node's recorded usage equal
-// to its stored footprint). A write needs `write_quorum` owner acks to
-// succeed. Reads fail over inside the merge walk: a subtree whose serving
-// owner is down or breaker-open is re-driven on the next owner in order
-// (flagged kRequestFlagFailoverRead) and the answer stays bit-identical —
-// the merge tree's shape and node RNGs depend on the id set, never on
-// which node serves a span. With at most R-1 nodes down every query is
+// unconditionally — charge-once semantics: admission happened at the primary;
+// forced replica charges keep every node's recorded usage equal to its stored
+// footprint). A write needs `write_quorum` owner acks to succeed. Reads fail
+// over inside the merge walk: a subtree whose serving owner is down,
+// breaker-open or lacks a copy is re-driven on the next common owner in order
+// (flagged kRequestFlagFailoverRead); a subtree of more than one id that no
+// common owner can serve is split, so each half goes to common owners of its
+// own. The answer stays bit-identical — the merge tree's shape and node RNGs
+// depend on the id set, never on which node serves a span — as long as every
+// owner's copy is identical, which digest-idempotent replica writes and
+// ScrubDataset maintain. With at most R-1 nodes down every query is
 // exact; only the loss of a full owner set degrades to partial (under
 // allow_partial) or fails. ScrubDataset is the anti-entropy pass: it
 // collects per-owner content digests (kPartitionDigests — corrupt copies
@@ -52,6 +58,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -74,10 +81,10 @@ struct CoordinatorOptions {
   MergeOptions merge;
   ClientOptions client;
   /// Keep a coordinator whose nodes are (partly) unreachable at Connect
-  /// time: down nodes get a lazily-connecting client whose circuit breaker
-  /// fails their calls fast until the node comes back, and is not checked
-  /// for seed and merge options. Without it, Connect fails unless every
-  /// node answers a ping.
+  /// time: every node gets a lazily-connecting client, whose circuit
+  /// breaker fails a down node's calls fast until the node comes back, and
+  /// whose seed and merge options are checked on first use. Without it,
+  /// Connect fails unless every node answers a ping.
   bool tolerate_unreachable = false;
   /// Copies of every partition. 1 disables replication (the pre-existing
   /// single-copy behavior); the effective factor is min(R, node count).
@@ -150,8 +157,10 @@ class ShardCoordinator {
   /// Connects one client to every node. At least one node required. Each
   /// node connected eagerly is pinged, and Connect fails with
   /// FailedPrecondition naming the first node whose warehouse seed or merge
-  /// options differ from `options`. Nodes opened lazily
-  /// (tolerate_unreachable) are not checked.
+  /// options differ from `options`. A node opened lazily
+  /// (tolerate_unreachable) is checked the same way on its first use, and
+  /// if it differs it is refused: every call that would use it fails with
+  /// that FailedPrecondition, so it serves no span and takes no write.
   static Result<std::unique_ptr<ShardCoordinator>> Connect(
       const std::vector<ShardNodeAddress>& nodes, CoordinatorOptions options);
 
@@ -166,8 +175,8 @@ class ShardCoordinator {
 
   /// The nodes holding copies of every id whose primary is `primary`: the
   /// contiguous run {primary, ..., primary + R - 1} (mod N), primary
-  /// first. A pure function of the primary, so a pushed-down subtree
-  /// (grouped by primary) fails over wholesale.
+  /// first. A pure function of the primary; a pushed-down subtree goes to
+  /// the nodes in the owner sets of all its ids.
   std::vector<size_t> OwnersOf(size_t primary) const;
 
   /// Fan-out admin: applied on every node (a tenant/dataset exists
@@ -224,7 +233,8 @@ class ShardCoordinator {
                                    const std::string& dataset);
 
   /// Pings every node; healthy[i] is node i's reachability. Cheap for
-  /// nodes whose breaker is open (no connect timeout burned).
+  /// nodes whose breaker is open (no connect timeout burned). A node
+  /// refused by the contract check reads unhealthy.
   std::vector<bool> CheckHealth();
 
   CoordinatorStats stats() const;
@@ -236,14 +246,16 @@ class ShardCoordinator {
   explicit ShardCoordinator(CoordinatorOptions options);
 
   /// Walks the merge tree over the sorted id span: a span is pushed down
-  /// whole when single-primary, otherwise split and joined locally by
-  /// WalkMergeTree. A pushed-down span is tried on each
-  /// of its owners in order (skipping nodes already in `*down` or with an
-  /// open breaker; re-drives are flagged failover reads) — the answer is
-  /// identical from any owner, so replication-factor R survives R-1 node
-  /// losses without degrading. Owners that fail as unreachable are added
-  /// to `*down`; when a span exhausts every owner, `*failed_primary` names
-  /// its primary so the degraded restart can drop those ids.
+  /// whole when its ids share an owner, otherwise split and joined locally
+  /// by WalkMergeTree. A pushed-down span is tried on each common owner in
+  /// the ring order of its first id's owner set (skipping nodes already in
+  /// `*down` or with an open breaker; re-drives are flagged failover
+  /// reads) — the answer is identical from any owner, so
+  /// replication-factor R survives R-1 node losses without degrading. A
+  /// span of more than one id that no common owner serves is split. Owners
+  /// that fail as unreachable are added to `*down`; when a single-id span
+  /// exhausts every owner, `*failed_primary` names its primary so the
+  /// degraded restart can drop those ids.
   Result<PartitionSample> MergeTree(const std::string& tenant,
                                     const std::string& dataset,
                                     const DatasetId& key,
@@ -253,11 +265,23 @@ class ShardCoordinator {
                                     std::set<size_t>* down,
                                     size_t* failed_primary);
 
-  /// One pushed-down span query with owner-order failover; the
-  /// single-primary arm of MergeTree.
+  /// One pushed-down span query, tried on each of `candidates` (nodes
+  /// that own every id of the span) in order; the source of MergeTree.
   Result<PartitionSample> QuerySpanWithFailover(
-      const std::string& tenant, const std::string& dataset, size_t primary,
-      std::span<const PartitionId> ids, std::set<size_t>* down);
+      const std::string& tenant, const std::string& dataset,
+      std::span<const size_t> candidates, std::span<const PartitionId> ids,
+      std::set<size_t>* down);
+
+  /// FailedPrecondition naming node `node` when `pong` shows a seed or
+  /// merge options other than the coordinator's.
+  Status CheckContract(size_t node, const PingReply& pong) const;
+
+  /// The client of node `node`, once its contract holds. A lazily opened
+  /// node is pinged on its first use: if the ping fails, its error is
+  /// returned and the node stays unchecked; otherwise the check's outcome
+  /// is kept, so a refused node fails every later use with the same
+  /// FailedPrecondition.
+  Result<WarehouseClient*> Node(size_t node);
 
   /// ListAllPartitions that can skip unreachable shards, recording them in
   /// `*missing_shards` (strict when null).
@@ -266,7 +290,10 @@ class ShardCoordinator {
       std::vector<size_t>* missing_shards);
 
   CoordinatorOptions options_;
+  std::vector<ShardNodeAddress> nodes_;
   std::vector<std::unique_ptr<WarehouseClient>> clients_;
+  /// Per node: no value until its contract is checked, then the outcome.
+  std::vector<std::optional<Status>> contract_;
   /// Coordinator-side global id allocator, per internal dataset key.
   std::map<DatasetId, PartitionId> next_id_;
   /// The coordinator's own counters; the client part stays zero.

@@ -36,10 +36,12 @@ struct Deployment {
 /// Starts `num_nodes` servers plus a coordinator, all under one seed and
 /// one merge footprint bound — the deployment-owned invariants the
 /// exactness contract requires. `node_memo_bytes` sizes each node's merge
-/// memo, a cache that must not change any answer.
+/// memo, a cache that must not change any answer. A replicated deployment
+/// (`replication_factor` > 1) fails fast on a stopped node.
 Deployment MakeDeployment(size_t num_nodes, uint64_t seed,
                           uint64_t merge_bound_bytes,
-                          uint64_t node_memo_bytes = 4u << 20) {
+                          uint64_t node_memo_bytes = 4u << 20,
+                          uint32_t replication_factor = 1) {
   Deployment d;
   std::vector<ShardNodeAddress> nodes;
   for (size_t i = 0; i < num_nodes; ++i) {
@@ -54,6 +56,16 @@ Deployment MakeDeployment(size_t num_nodes, uint64_t seed,
   CoordinatorOptions options;
   options.seed = seed;
   options.merge.footprint_bound_bytes = merge_bound_bytes;
+  options.replication_factor = replication_factor;
+  if (replication_factor > 1) {
+    options.client.connect_timeout_millis = 1'000;
+    options.client.read_timeout_millis = 2'000;
+    options.client.max_retries = 1;
+    options.client.backoff_initial_millis = 5;
+    options.client.backoff_max_millis = 20;
+    options.client.breaker_failure_threshold = 2;
+    options.client.breaker_open_millis = 250;
+  }
   auto coordinator = ShardCoordinator::Connect(nodes, options);
   if (!coordinator.ok()) {
     ADD_FAILURE() << "coordinator: " << coordinator.status().ToString();
@@ -61,6 +73,68 @@ Deployment MakeDeployment(size_t num_nodes, uint64_t seed,
   }
   d.coordinator = std::move(coordinator).value();
   return d;
+}
+
+/// Requests served by every server of `d` so far.
+uint64_t RequestsServed(const Deployment& d) {
+  uint64_t served = 0;
+  for (const auto& server : d.servers) {
+    served += server->stats().requests_served;
+  }
+  return served;
+}
+
+/// The single-node reference for a deployment under (kSeed, `bound`): one
+/// warehouse holding every partition under the internal tenant key.
+std::unique_ptr<Warehouse> MakeReference(uint64_t bound) {
+  ServerOptions options = TestServerOptions(kSeed);
+  options.warehouse.merge.footprint_bound_bytes = bound;
+  auto reference = std::make_unique<Warehouse>(options.warehouse);
+  EXPECT_TRUE(reference->CreateDataset("acme.sales").ok());
+  return reference;
+}
+
+/// Creates acme.sales through `coord` and rolls `count` partitions in,
+/// mirroring each into `reference`. Returns the ids.
+std::vector<PartitionId> RollInMirrored(ShardCoordinator& coord,
+                                        Warehouse& reference,
+                                        uint64_t count) {
+  EXPECT_TRUE(coord.CreateTenant("acme", {}).ok());
+  EXPECT_TRUE(coord.CreateDataset("acme", "sales").ok());
+  std::vector<PartitionId> ids;
+  for (uint64_t p = 0; p < count; ++p) {
+    const PartitionSample sample =
+        MakeReservoirSample(static_cast<Value>(p) * 100, 6);
+    auto id = coord.RollIn("acme", "sales", sample, p, p);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    if (!id.ok()) return {};
+    EXPECT_TRUE(
+        reference.RollInAt("acme.sales", id.value(), sample, p, p).ok());
+    ids.push_back(id.value());
+  }
+  return ids;
+}
+
+/// A non-empty random subset of `ids`, sorted.
+std::vector<PartitionId> RandomSubset(const std::vector<PartitionId>& ids,
+                                      Pcg64& rng) {
+  std::vector<PartitionId> subset;
+  for (const PartitionId id : ids) {
+    if (rng.NextUint64() % 2 == 0) subset.push_back(id);
+  }
+  if (subset.empty()) subset.push_back(ids[rng.NextUint64() % ids.size()]);
+  return subset;
+}
+
+/// Queries `subset` strictly through `coord` and expects the bytes the
+/// reference answers.
+void ExpectExact(ShardCoordinator& coord, Warehouse& reference,
+                 const std::vector<PartitionId>& subset) {
+  auto remote = coord.Query("acme", "sales", subset);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto expect = reference.MergedSample("acme.sales", subset);
+  ASSERT_TRUE(expect.ok());
+  EXPECT_EQ(SampleBytes(remote.value()), SampleBytes(expect.value()));
 }
 
 TEST(ShardedQueryTest, BitIdenticalToSingleNodeAcrossNodeCounts) {
@@ -255,6 +329,174 @@ TEST(ShardedQueryTest, ConnectRefusesNodeWithOtherMergeBound) {
   odd.warehouse.merge.footprint_bound_bytes = 2 * kBound;
   const Status st = ConnectBesideOddNode(kBound, std::move(odd));
   EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+}
+
+// --- Replicated deployments: a span goes to a node owning all its ids ----
+
+TEST(ShardedQueryTest, ReplicatedQueryIsOneRemoteCall) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  Deployment d = MakeDeployment(2, kSeed, kBound, 4u << 20,
+                                /*replication_factor=*/2);
+  ASSERT_NE(d.coordinator, nullptr);
+  ShardCoordinator& coord = *d.coordinator;
+  const auto reference = MakeReference(kBound);
+  const std::vector<PartitionId> ids = RollInMirrored(coord, *reference, 12);
+  ASSERT_EQ(ids.size(), 12u);
+
+  // Both nodes are primary for some ids, so the set has no one primary.
+  std::vector<bool> primary(coord.num_shards(), false);
+  for (const PartitionId id : ids) {
+    primary[coord.ShardOf("acme", "sales", id)] = true;
+  }
+  ASSERT_EQ(std::count(primary.begin(), primary.end(), true), 2);
+
+  // Each node holds every id, so a healthy query is one remote call.
+  Pcg64 rng(kSeed ^ 0x0e1ull);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::vector<PartitionId> subset =
+        trial == 0 ? ids : RandomSubset(ids, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const uint64_t before = RequestsServed(d);
+    ASSERT_NO_FATAL_FAILURE(ExpectExact(coord, *reference, subset));
+    EXPECT_EQ(RequestsServed(d) - before, 1u);
+  }
+  EXPECT_EQ(coord.stats().failover_reads, 0u);
+}
+
+TEST(ShardedQueryTest, StrictQueryServesAroundAReplicaThatLacksACopy) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  Deployment d = MakeDeployment(2, kSeed, kBound, 4u << 20,
+                                /*replication_factor=*/2);
+  ASSERT_NE(d.coordinator, nullptr);
+  ShardCoordinator& coord = *d.coordinator;
+  const auto reference = MakeReference(kBound);
+  const std::vector<PartitionId> ids = RollInMirrored(coord, *reference, 12);
+  ASSERT_EQ(ids.size(), 12u);
+
+  // The whole query goes first to the primary of its first id. Take from
+  // that node its replica copy of an id another node is primary for.
+  const size_t first = coord.ShardOf("acme", "sales", ids[0]);
+  const auto victim =
+      std::find_if(ids.begin(), ids.end(), [&](PartitionId id) {
+        return coord.ShardOf("acme", "sales", id) != first;
+      });
+  ASSERT_NE(victim, ids.end());
+  ASSERT_TRUE(coord.client(first)->RollOut("acme", "sales", *victim).ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectExact(coord, *reference, ids));
+  EXPECT_GT(coord.stats().failover_reads, 0u);
+
+  // With a copy missing on each node, no node owns every id: the query is
+  // split until each span has an owner that holds it.
+  const size_t other = coord.ShardOf("acme", "sales", *victim);
+  const auto second =
+      std::find_if(ids.begin(), ids.end(), [&](PartitionId id) {
+        return coord.ShardOf("acme", "sales", id) == first;
+      });
+  ASSERT_NE(second, ids.end());
+  ASSERT_TRUE(coord.client(other)->RollOut("acme", "sales", *second).ok());
+  Pcg64 rng(kSeed ^ 0x1ac4ull);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_NO_FATAL_FAILURE(ExpectExact(
+        coord, *reference, trial == 0 ? ids : RandomSubset(ids, rng)));
+  }
+}
+
+TEST(ShardedQueryTest, SeededSweepOverReplicatedDeployments) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  for (const uint32_t r : {2u, 3u}) {
+    for (const size_t num_nodes : {3u, 4u, 5u}) {
+      // One fresh deployment per stopped node, and one with none stopped.
+      for (size_t stopped = 0; stopped <= num_nodes; ++stopped) {
+        SCOPED_TRACE("r=" + std::to_string(r) +
+                     " num_nodes=" + std::to_string(num_nodes) +
+                     " stopped=" + std::to_string(stopped));
+        Deployment d = MakeDeployment(num_nodes, kSeed, kBound, 4u << 20, r);
+        ASSERT_NE(d.coordinator, nullptr);
+        ShardCoordinator& coord = *d.coordinator;
+        const auto reference = MakeReference(kBound);
+        const std::vector<PartitionId> ids =
+            RollInMirrored(coord, *reference, 10);
+        ASSERT_EQ(ids.size(), 10u);
+        if (stopped < num_nodes) d.servers[stopped]->Stop();
+        Pcg64 rng(kSeed ^ (r * 100 + num_nodes * 10 + stopped));
+        for (int trial = 0; trial < 8; ++trial) {
+          SCOPED_TRACE("trial " + std::to_string(trial));
+          ASSERT_NO_FATAL_FAILURE(ExpectExact(
+              coord, *reference, trial == 0 ? ids : RandomSubset(ids, rng)));
+        }
+      }
+    }
+  }
+}
+
+// --- The deployment contract, checked on a lazily opened node's first use --
+
+TEST(ShardedQueryTest, LazilyOpenedNodeWithOtherSeedIsNeverUsed) {
+  constexpr uint64_t kBound = 4 * kSingletonFootprintBytes;
+  ServerOptions same = TestServerOptions(kSeed);
+  same.warehouse.merge.footprint_bound_bytes = kBound;
+  ServerOptions odd = TestServerOptions(kSeed + 1);
+  odd.warehouse.merge.footprint_bound_bytes = kBound;
+  Deployment d;
+  d.servers.push_back(MustStart(std::move(same)));
+  d.servers.push_back(MustStart(std::move(odd)));
+  ASSERT_NE(d.servers[0], nullptr);
+  ASSERT_NE(d.servers[1], nullptr);
+
+  // Both nodes hold identical copies of every id, written directly: only
+  // the odd node's seed differs.
+  const auto reference = MakeReference(kBound);
+  std::vector<PartitionId> ids;
+  for (const auto& server : d.servers) {
+    auto client = MustConnect(*server);
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->CreateTenant("acme", {}).ok());
+    ASSERT_TRUE(client->CreateDataset("acme", "sales").ok());
+    for (uint64_t p = 0; p < 12; ++p) {
+      const PartitionSample sample =
+          MakeReservoirSample(static_cast<Value>(p) * 100, 6);
+      ASSERT_TRUE(client->RollInAt("acme", "sales", p, sample, p, p).ok());
+      if (server == d.servers[0]) {
+        ASSERT_TRUE(reference->RollInAt("acme.sales", p, sample, p, p).ok());
+        ids.push_back(p);
+      }
+    }
+  }
+
+  CoordinatorOptions options;
+  options.seed = kSeed;
+  options.merge.footprint_bound_bytes = kBound;
+  options.tolerate_unreachable = true;
+  options.replication_factor = 2;
+  auto connected = ShardCoordinator::Connect(
+      {{d.servers[0]->host(), d.servers[0]->port()},
+       {d.servers[1]->host(), d.servers[1]->port()}},
+      options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ShardCoordinator& coord = *connected.value();
+  const uint64_t odd_served = d.servers[1]->stats().requests_served;
+
+  // Every answer comes from the node that runs the coordinator's seed.
+  Pcg64 rng(kSeed ^ 0x1a2ull);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_NO_FATAL_FAILURE(ExpectExact(
+        coord, *reference, trial == 0 ? ids : RandomSubset(ids, rng)));
+  }
+  // No write lands: one the odd node would be primary for is refused
+  // before any copy exists, and one it would hold a replica of misses the
+  // write quorum and is rolled back.
+  const PartitionSample extra = MakeReservoirSample(5000, 6);
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    EXPECT_FALSE(coord.RollIn("acme", "sales", extra).ok());
+  }
+  EXPECT_EQ(coord.ListAllPartitions("acme", "sales").value(), ids);
+  EXPECT_EQ(coord.CheckHealth(), (std::vector<bool>{true, false}));
+
+  // The odd node saw one request from the coordinator: the ping that
+  // refused it.
+  EXPECT_EQ(d.servers[1]->stats().requests_served - odd_served, 1u);
 }
 
 // --- Uniformity gate --------------------------------------------------------
