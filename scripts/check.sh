@@ -68,6 +68,14 @@ if [[ "${mode}" == "tsan" ]]; then
     echo "=== [tsan] ${bin} ==="
     "${dir}/tests/${bin}"
   done
+  # Held answers read a dataset's catalog version while other threads
+  # mutate the catalog and restart the server: the churn test again, by
+  # name, a few times over.
+  echo "=== [tsan] held-answer churn ==="
+  for run in 1 2 3 4 5; do
+    scripts/run_gtest.sh "${dir}/tests/sampwh_server_test" \
+      'HeldAnswerTest.Churn*'
+  done
   echo "=== [tsan] stress smoke ==="
   "${dir}/tests/stress_runner" --smoke
   echo "All TSan checks passed."
@@ -119,19 +127,22 @@ if [[ "${mode}" == "full" ]]; then
   # (MergeTreeWalk, MergeAll), the warehouse's walk with and without a merge
   # memo, pinned by the golden digests; the memo's stored answer bytes and
   # their budget (QueryCache); the wire bytes of every serving path,
-  # including answers held across a node's eviction (QueryBytes); and the
-  # coordinator's walk over pushed-down spans (ShardedQuery).
+  # including answers held across a node's eviction (QueryBytes) and
+  # answers a client holds under a tag (HeldAnswer); and the coordinator's
+  # walk over pushed-down spans (ShardedQuery), with a restarted node
+  # re-checked before its answer is used.
   echo "=== [asan] merge-tree gate ==="
   ctest --test-dir build-check/asan \
-    -R "^(GoldenDigest|QueryCache|QueryBytes|Warehouse|MergeTreeWalk|MergeAll|ShardedQuery)" \
+    -R "^(GoldenDigest|QueryCache|QueryBytes|Warehouse|MergeTreeWalk|MergeAll|ShardedQuery|HeldAnswer|CoordinatorFailureTest\..*RestartedWithOtherSeed)" \
     --output-on-failure
 
   # Frame re-gate under ASan/UBSan: the one CRC frame codec that the wire
-  # and the checkpoint WAL share, parsed at every cut and byte flip, and the
-  # client's decoders of response bodies that arrive from the network.
+  # and the checkpoint WAL share, parsed at every cut and byte flip, the
+  # client's decoders of response bodies that arrive from the network, and
+  # the held-answer tag fields and trailer.
   echo "=== [asan] frame codec gate ==="
   ctest --test-dir build-check/asan -R \
-    "^(Frame|CheckpointDelta|WireTest|WireFuzz|ProtocolRobustness|ServerStatsWire|ClientDecode)" \
+    "^(Frame|CheckpointDelta|WireTest|WireFuzz|ProtocolRobustness|ServerStatsWire|ClientDecode|HeldAnswer|CoordinatorFailureTest\..*RestartedWithOtherSeed)" \
     --output-on-failure
 
   # Store re-gate under ASan/UBSan: MemEnv, torn-prefix writes and WAL

@@ -9,6 +9,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -240,12 +241,13 @@ Result<WarehouseClient::Reply> WarehouseClient::CallOnce(
   return reply;
 }
 
-Result<WarehouseClient::Reply> WarehouseClient::Call(Verb verb,
-                                                     std::string_view body) {
+Result<WarehouseClient::Reply> WarehouseClient::Call(
+    Verb verb, std::string_view body, std::optional<AnswerTag> held) {
   BinaryWriter req;
   RequestHeader header;
   header.deadline_millis = deadline_millis_;
   header.flags = request_flags_;
+  header.held = held;
   BeginRequest(&req, verb, header);
   req.PutRaw(body.data(), body.size());
   const std::string request = req.Release();
@@ -531,6 +533,26 @@ Status WarehouseClient::RollOut(const std::string& tenant,
   return Call(Verb::kRollOut, body.Release()).status();
 }
 
+WarehouseClient::HeldAnswer* WarehouseClient::FindHeld(
+    const std::string& tenant, const std::string& dataset,
+    std::span<const PartitionId> ids) {
+  for (HeldAnswer& held : held_) {
+    if (std::ranges::equal(held.ids, ids) && held.dataset == dataset &&
+        held.tenant == tenant) {
+      return &held;
+    }
+  }
+  return nullptr;
+}
+
+WarehouseClient::HeldAnswer* WarehouseClient::HeldSlot() {
+  if (held_.size() < kHeldAnswers) return &held_.emplace_back();
+  return &*std::min_element(held_.begin(), held_.end(),
+                            [](const HeldAnswer& a, const HeldAnswer& b) {
+                              return a.last_use < b.last_use;
+                            });
+}
+
 Result<PartitionSample> WarehouseClient::Query(
     const std::string& tenant, const std::string& dataset,
     const std::vector<PartitionId>& ids) {
@@ -538,12 +560,83 @@ Result<PartitionSample> WarehouseClient::Query(
   PutScope(&body, tenant, dataset);
   body.PutVarint64(ids.size());
   for (const PartitionId id : ids) body.PutVarint64(id);
-  SAMPWH_ASSIGN_OR_RETURN(const Reply resp,
-                          Call(Verb::kQuery, body.Release()));
+  // The answer depends on the id set, not on the order it is named in.
+  std::vector<PartitionId> sorted;
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+  }
+  const std::span<const PartitionId> key(sorted.empty() ? ids : sorted);
+  HeldAnswer* held = FindHeld(tenant, dataset, key);
+  SAMPWH_ASSIGN_OR_RETURN(
+      Reply resp,
+      Call(Verb::kQuery, body.Release(), held ? held->tag : AnswerTag{}));
   BinaryReader reader(resp.body());
   std::string_view blob;
   SAMPWH_RETURN_IF_ERROR(reader.GetStringView(&blob));
-  return PartitionSample::DeserializeWhole(blob);
+  AnswerTag tag;  // The zero tag: a server that tags nothing.
+  if (!reader.AtEnd()) {
+    SAMPWH_RETURN_IF_ERROR(GetAnswerTag(&reader, &tag));
+    if (!reader.AtEnd()) {
+      return Status::Corruption("bytes after the answer tag");
+    }
+  }
+  answer_nonce_ = tag.nonce;
+  if (blob.empty()) {
+    // "Unchanged": no sample encodes to an empty blob.
+    if (held == nullptr || tag.nonce == 0 || tag != held->tag) {
+      return Status::Corruption("unchanged answer to a query holding none");
+    }
+    stats_.answers_unchanged++;
+    held->last_use = ++held_clock_;
+    if (!held->sample) {
+      SAMPWH_ASSIGN_OR_RETURN(
+          held->sample,
+          PartitionSample::DeserializeWhole(std::string_view(held->payload)
+                                                .substr(held->blob_offset,
+                                                        held->blob_size)));
+      std::string().swap(held->payload);
+    }
+    return *held->sample;
+  }
+  SAMPWH_ASSIGN_OR_RETURN(PartitionSample answer,
+                          PartitionSample::DeserializeWhole(blob));
+  if (tag.nonce == 0) {
+    if (held != nullptr) held_.erase(held_.begin() + (held - held_.data()));
+    return answer;
+  }
+  // The tag names the dataset's version now, and one server never goes
+  // back to an older one: an answer of the dataset held under another tag
+  // can never be unchanged again, so it is dropped.
+  for (HeldAnswer& other : held_) {
+    if (other.tag.nonce != 0 && other.tag != tag && other.dataset == dataset &&
+        other.tenant == tenant) {
+      other.tag = AnswerTag{};
+      std::string().swap(other.payload);
+      other.sample.reset();
+    }
+  }
+  if (held == nullptr) {
+    // A key's first ask remembers the key, not the answer: a reply buffer
+    // that is freed now is the one the next reply reuses while it is
+    // still in cache, so a query asked once costs what it did untagged.
+    held = HeldSlot();
+    held->tenant = tenant;
+    held->dataset = dataset;
+    held->ids.assign(key.begin(), key.end());
+    held->tag = AnswerTag{};
+    std::string().swap(held->payload);
+    held->sample.reset();
+    held->last_use = ++held_clock_;
+    return answer;
+  }
+  held->tag = tag;
+  held->blob_offset = blob.data() - resp.payload.data();
+  held->blob_size = blob.size();
+  held->payload = std::move(resp.payload);
+  held->sample.reset();
+  held->last_use = ++held_clock_;
+  return answer;
 }
 
 Result<IngestAck> WarehouseClient::IngestCall(Verb verb,

@@ -25,12 +25,31 @@
 // server aborts the request with kDeadlineExceeded once it passes, even
 // mid-merge. 0 sends no deadline (and keeps the v1 request head on the
 // wire).
+//
+// Held answers. Every Query opts in to answer tags (wire.h, "Held
+// answers"): the client keeps the answers of its kHeldAnswers most
+// recently used (tenant, dataset, sorted ids) keys with their tags, and
+// names the held tag when it asks a key again. A server that finds the
+// tag current sends an empty blob, and the client answers from what it
+// holds, with no transfer of the answer and no decode. The first ask of a
+// key remembers only the key. A later fresh answer is held as the reply
+// payload it arrived in, moved and not copied, and is decoded into a held
+// sample only when the server first says "unchanged". So a key asked once
+// costs what it did before tags: its reply buffer is freed at once, and
+// the next reply reuses it while it is still in cache. A server that sends
+// no tag (an older build) leaves nothing held. A fresh tag drops every
+// answer of its dataset held under another tag, since a server never
+// returns to an older version. The held set costs at most kHeldAnswers
+// answers, each one reply payload or its decoded sample, and in practice
+// the answers of one dataset version.
 
 #ifndef SAMPWH_SERVER_CLIENT_H_
 #define SAMPWH_SERVER_CLIENT_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +101,8 @@ struct ClientStatsSnapshot {
   uint64_t breaker_open_total = 0;
   /// Transport-level failures observed (connect, send, recv, framing).
   uint64_t transport_errors = 0;
+  /// Queries the server answered "unchanged", served from a held answer.
+  uint64_t answers_unchanged = 0;
 };
 
 inline constexpr CounterField<ClientStatsSnapshot> kClientCounters[] = {
@@ -89,6 +110,7 @@ inline constexpr CounterField<ClientStatsSnapshot> kClientCounters[] = {
     {"reconnects", &ClientStatsSnapshot::reconnects},
     {"breaker opens", &ClientStatsSnapshot::breaker_open_total},
     {"transport errors", &ClientStatsSnapshot::transport_errors},
+    {"answers unchanged", &ClientStatsSnapshot::answers_unchanged},
 };
 
 /// Watermark ack of the streaming-ingest verbs.
@@ -160,6 +182,14 @@ class WarehouseClient {
 
   ClientStatsSnapshot stats() const { return stats_; }
 
+  /// The boot nonce of the server process that sent the latest query
+  /// answer; 0 before any, or when that answer carried no tag. A change
+  /// means another server process answers at this address.
+  uint64_t answer_nonce() const { return answer_nonce_; }
+
+  /// Answers a client holds at most (see "Held answers" above).
+  static constexpr size_t kHeldAnswers = 16;
+
   /// True while the circuit breaker refuses calls (kUnavailable fail-fast).
   bool breaker_open() const;
 
@@ -218,7 +248,8 @@ class WarehouseClient {
       const std::string& tenant, const std::string& dataset);
 
   /// Merged sample over the named partitions (empty `ids` = all). The
-  /// result is bit-identical to the embedded warehouse's MergedSample.
+  /// result is bit-identical to the embedded warehouse's MergedSample,
+  /// whether it arrives or is held (see "Held answers" above).
   Result<PartitionSample> Query(const std::string& tenant,
                                 const std::string& dataset,
                                 const std::vector<PartitionId>& ids = {});
@@ -249,8 +280,32 @@ class WarehouseClient {
     }
   };
 
+  /// One held key: its answer's tag and the answer itself, first as the
+  /// reply it arrived in and, once the server said "unchanged", as the
+  /// sample decoded from it. A key asked once holds no answer (the zero
+  /// tag, no payload).
+  struct HeldAnswer {
+    std::string tenant;
+    std::string dataset;
+    std::vector<PartitionId> ids;  // sorted
+    AnswerTag tag;
+    /// The reply payload, and where the sample blob sits in it.
+    std::string payload;
+    size_t blob_offset = 0;
+    size_t blob_size = 0;
+    std::optional<PartitionSample> sample;
+    uint64_t last_use = 0;
+  };
+
   WarehouseClient(int fd, std::string host, uint16_t port,
                   ClientOptions options);
+
+  /// The held answer for the key, or nullptr.
+  HeldAnswer* FindHeld(const std::string& tenant, const std::string& dataset,
+                       std::span<const PartitionId> ids);
+  /// The slot a new key's answer takes: a free one while fewer than
+  /// kHeldAnswers are held, else the least recently used.
+  HeldAnswer* HeldSlot();
 
   /// Retry driver: encodes the request once, rejects it with
   /// InvalidArgument if it exceeds max_frame_bytes (nothing sent), then
@@ -258,7 +313,9 @@ class WarehouseClient {
   /// idempotent verbs (reconnecting a poisoned connection between
   /// attempts), exactly one attempt otherwise. Returns the response on an
   /// OK status, the server's structured error otherwise.
-  Result<Reply> Call(Verb verb, std::string_view body);
+  /// `held` opts a kQuery in to a tagged answer (RequestHeader::held).
+  Result<Reply> Call(Verb verb, std::string_view body,
+                     std::optional<AnswerTag> held = std::nullopt);
   /// One framed request/response exchange of the encoded `request`
   /// payload on the current connection.
   Result<Reply> CallOnce(std::string_view request);
@@ -283,6 +340,11 @@ class WarehouseClient {
   uint32_t consecutive_failures_ = 0;
   SteadyTime breaker_open_until_ = SteadyTime::min();
   ClientStatsSnapshot stats_;
+
+  uint64_t answer_nonce_ = 0;
+  /// At most kHeldAnswers entries, in no order; last_use ranks them.
+  std::vector<HeldAnswer> held_;
+  uint64_t held_clock_ = 0;
 };
 
 }  // namespace sampwh

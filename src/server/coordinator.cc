@@ -64,6 +64,7 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Connect(
       coord->clients_.push_back(WarehouseClient::Open(
           node.host, node.port, coord->options_.client));
       coord->contract_.emplace_back();
+      coord->checked_.emplace_back();
       continue;
     }
     SAMPWH_ASSIGN_OR_RETURN(
@@ -72,6 +73,7 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Connect(
                                  coord->options_.client));
     SAMPWH_ASSIGN_OR_RETURN(const PingReply pong, client->Ping());
     SAMPWH_RETURN_IF_ERROR(coord->CheckContract(k, pong));
+    coord->checked_.push_back({0, client->stats().reconnects});
     coord->clients_.push_back(std::move(client));
     coord->contract_.emplace_back(Status::OK());
   }
@@ -103,9 +105,33 @@ Result<WarehouseClient*> ShardCoordinator::Node(size_t node) {
     // that does not answer stays unchecked and fails this use.
     SAMPWH_ASSIGN_OR_RETURN(const PingReply pong, client->Ping());
     contract_[node] = CheckContract(node, pong);
+    checked_[node] = {0, client->stats().reconnects};
   }
   SAMPWH_RETURN_IF_ERROR(*contract_[node]);
   return client;
+}
+
+Status ShardCoordinator::CheckAnswerSource(size_t node) {
+  WarehouseClient* const client = clients_[node].get();
+  CheckedProcess& checked = checked_[node];
+  const uint64_t nonce = client->answer_nonce();
+  if (nonce == checked.nonce) return Status::OK();
+  const uint64_t connection = client->stats().reconnects;
+  if (checked.nonce == 0 && connection == checked.connection) {
+    checked.nonce = nonce;
+    return Status::OK();
+  }
+  // Another process answered. The ping must reach that same process: a
+  // reconnect on the way means it is gone too, and its answer is unused.
+  SAMPWH_ASSIGN_OR_RETURN(const PingReply pong, client->Ping());
+  if (client->stats().reconnects != connection) {
+    return Status::Unavailable("node " + nodes_[node].host + ":" +
+                               std::to_string(nodes_[node].port) +
+                               " restarted while it was checked");
+  }
+  contract_[node] = CheckContract(node, pong);
+  checked = {nonce, connection};
+  return *contract_[node];
 }
 
 size_t ShardCoordinator::ShardOf(const std::string& tenant,
@@ -506,6 +532,11 @@ Result<ScrubReport> ShardCoordinator::ScrubDataset(const std::string& tenant,
     const PartitionDigest& source = listings[source_owner].at(id);
     Result<PartitionSample> healthy =
         clients_[source_owner]->Query(tenant, dataset, {id});
+    if (healthy.ok()) {
+      if (Status source = CheckAnswerSource(source_owner); !source.ok()) {
+        healthy = std::move(source);
+      }
+    }
     if (!healthy.ok()) {
       report.unhealable += broken.size();
       continue;
@@ -580,6 +611,11 @@ Result<PartitionSample> ShardCoordinator::QuerySpanWithFailover(
         client.ok() ? client.value()->Query(tenant, dataset, span)
                     : Result<PartitionSample>(client.status());
     if (failover) client.value()->set_request_flags(0);
+    if (remote.ok()) {
+      if (Status source = CheckAnswerSource(owner); !source.ok()) {
+        remote = std::move(source);
+      }
+    }
     if (remote.ok()) return remote;
     if (IsNodeDown(remote.status())) {
       down->insert(owner);

@@ -19,6 +19,14 @@
 // opened lazily under tolerate_unreachable is checked the same way on its
 // first use and, if it differs, refused: it serves no span and takes no
 // write. A node's merge_memo_bytes is only a cache size and may differ.
+// A node is checked again when it restarts: every query answer names the
+// boot nonce of the process that served it (wire.h, "Held answers"), and
+// an answer from a process other than the checked one is used only after
+// one ping re-runs the check. A node restarted under another seed or merge
+// fingerprint is then refused, and its span fails over to another owner
+// or the query fails with FailedPrecondition naming it. Writes carry no
+// nonce: a write to a restarted node is re-checked only through a later
+// query's answer.
 //
 // Partition placement: the coordinator allocates globally unique partition
 // ids per dataset (keeping its allocator ahead of whatever the nodes
@@ -283,6 +291,13 @@ class ShardCoordinator {
   /// FailedPrecondition.
   Result<WarehouseClient*> Node(size_t node);
 
+  /// Run after node `node` answered a query, before the answer is used:
+  /// OK when the answer came from the process whose contract was checked.
+  /// An answer from another process (a restart) costs one ping that
+  /// re-runs the check, and a failed check refuses the node as Node()
+  /// does. The ping's transport error is returned as is.
+  Status CheckAnswerSource(size_t node);
+
   /// ListAllPartitions that can skip unreachable shards, recording them in
   /// `*missing_shards` (strict when null).
   Result<std::vector<PartitionId>> ListPartitionsDegraded(
@@ -294,6 +309,16 @@ class ShardCoordinator {
   std::vector<std::unique_ptr<WarehouseClient>> clients_;
   /// Per node: no value until its contract is checked, then the outcome.
   std::vector<std::optional<Status>> contract_;
+  /// Per node, the process its contract check saw: the boot nonce its
+  /// answers carry (0 until one names it), and the client's reconnect
+  /// count at the check. No server process outlives its connection, so a
+  /// first nonce seen on the connection the check used is the checked
+  /// process's.
+  struct CheckedProcess {
+    uint64_t nonce = 0;
+    uint64_t connection = 0;
+  };
+  std::vector<CheckedProcess> checked_;
   /// Coordinator-side global id allocator, per internal dataset key.
   std::map<DatasetId, PartitionId> next_id_;
   /// The coordinator's own counters; the client part stays zero.

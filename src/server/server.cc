@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,11 +33,26 @@ namespace {
 constexpr PartitionId kProvisionalIdBase = 1ull << 62;
 std::atomic<uint64_t> g_provisional_nonce{0};
 
+/// A nonzero 64-bit value no earlier server process is likely to have
+/// drawn: OS entropy mixed with the clock.
+uint64_t DrawBootNonce() {
+  std::random_device entropy;
+  uint64_t nonce = 0;
+  while (nonce == 0) {
+    nonce = (uint64_t{entropy()} << 32 | entropy()) ^
+            static_cast<uint64_t>(
+                std::chrono::steady_clock::now().time_since_epoch().count());
+  }
+  return nonce;
+}
+
 }  // namespace
 
 WarehouseServer::WarehouseServer(ServerOptions options,
                                  std::unique_ptr<Warehouse> warehouse)
-    : options_(std::move(options)), warehouse_(std::move(warehouse)) {}
+    : options_(std::move(options)),
+      boot_nonce_(DrawBootNonce()),
+      warehouse_(std::move(warehouse)) {}
 
 WarehouseServer::~WarehouseServer() { Stop(); }
 
@@ -300,8 +316,10 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
   ResponseFrame response;
   BinaryWriter& body = response.body();
   // A query answer is one length-prefixed sample blob: HandleQuery writes
-  // only the sample, and the seal puts its length in front.
+  // only the sample, and the seal puts its length in front, and the tag
+  // after it when the request opted in.
   bool blob_body = false;
+  std::optional<AnswerTag> tag;
   if (!st.ok()) {
     BumpCounter(counters_.protocol_errors);
   } else if (!IsKnownVerb(verb)) {
@@ -359,7 +377,7 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
         st = HandleReplicaRollIn(req, body);
         break;
       case Verb::kQuery:
-        st = HandleQuery(req, body);
+        st = HandleQuery(req, header.held, body, &tag);
         blob_body = true;
         break;
       case Verb::kPartitionDigests:
@@ -381,7 +399,9 @@ ResponseFrame WarehouseServer::HandleRequest(std::string_view payload,
   }
 
   if (st.ok()) {
-    response.SealOk(blob_body);
+    BinaryWriter trailer;
+    if (tag) PutAnswerTag(&trailer, *tag);
+    response.SealOk(blob_body, trailer.buffer());
   } else {
     response.SealError(st);
     BumpCounter(counters_.error_responses);
@@ -633,7 +653,10 @@ Status WarehouseServer::HandleRollOut(BinaryReader& req) {
   return Status::OK();
 }
 
-Status WarehouseServer::HandleQuery(BinaryReader& req, BinaryWriter& resp) {
+Status WarehouseServer::HandleQuery(BinaryReader& req,
+                                    const std::optional<AnswerTag>& held,
+                                    BinaryWriter& resp,
+                                    std::optional<AnswerTag>* tag) {
   std::string tenant;
   DatasetId key;
   SAMPWH_RETURN_IF_ERROR(ReadScope(req, &tenant, &key));
@@ -655,8 +678,24 @@ Status WarehouseServer::HandleQuery(BinaryReader& req, BinaryWriter& resp) {
   // The root's encoded answer: on a memo hit the node's stored bytes, shared
   // and not re-encoded. One copy into the response frame; HandleRequest
   // seals the body as one length-prefixed blob.
-  SAMPWH_ASSIGN_OR_RETURN(const std::shared_ptr<const std::string> answer,
-                          warehouse_->MergedSampleBytes(key, ids));
+  //
+  // A tagged answer's version is read before the answer is resolved: a
+  // mutation racing the resolve can only leave the tag older than the
+  // bytes, so the next request that names it misses and gets the newer
+  // answer. A held tag equal to the current one means no mutation since
+  // the held answer's version was read, so its bytes are the ones this
+  // request would resolve: none are resolved or sent.
+  uint64_t version = 0;
+  const uint64_t held_version =
+      held && held->nonce == boot_nonce_ ? held->version : 0;
+  SAMPWH_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const std::string> answer,
+      warehouse_->MergedSampleBytes(key, ids, held ? &version : nullptr,
+                                    held_version));
+  if (held) *tag = AnswerTag{boot_nonce_, version};
+  if (answer == nullptr) return Status::OK();
+  // Room for the tag the seal appends, so that it never moves the frame.
+  resp.Reserve(answer->size() + kMaxAnswerTagBytes);
   resp.PutRaw(answer->data(), answer->size());
   return Status::OK();
 }

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -187,7 +188,10 @@ class WarehouseServer {
   Status HandleRollIn(BinaryReader& req, BinaryWriter& resp, bool explicit_id);
   Status HandleReplicaRollIn(BinaryReader& req, BinaryWriter& resp);
   Status HandleRollOut(BinaryReader& req);
-  Status HandleQuery(BinaryReader& req, BinaryWriter& resp);
+  /// With `held` (the request opted in to tags) sets `*tag` to the
+  /// answer's tag, and writes no sample when `*held` equals it.
+  Status HandleQuery(BinaryReader& req, const std::optional<AnswerTag>& held,
+                     BinaryWriter& resp, std::optional<AnswerTag>* tag);
   Status HandlePartitionDigests(BinaryReader& req, BinaryWriter& resp);
   Status HandleIngestOpen(BinaryReader& req, BinaryWriter& resp);
   Status HandleIngestAppend(BinaryReader& req, BinaryWriter& resp);
@@ -206,6 +210,9 @@ class WarehouseServer {
   Status CheckStreamQuota(const std::string& tenant);
 
   ServerOptions options_;
+  /// Random per server process, never 0: the first half of every answer
+  /// tag, so a restarted server never matches a tag an earlier one issued.
+  const uint64_t boot_nonce_;
   std::unique_ptr<Warehouse> warehouse_;
   TenantCatalog tenants_;
 

@@ -143,9 +143,19 @@ Status GetServerStats(BinaryReader* reader, ServerStatsSnapshot* stats) {
   return Status::OK();
 }
 
+void PutAnswerTag(BinaryWriter* writer, const AnswerTag& tag) {
+  writer->PutVarint64(tag.nonce);
+  writer->PutVarint64(tag.version);
+}
+
+Status GetAnswerTag(BinaryReader* reader, AnswerTag* tag) {
+  SAMPWH_RETURN_IF_ERROR(reader->GetVarint64(&tag->nonce));
+  return reader->GetVarint64(&tag->version);
+}
+
 void BeginRequest(BinaryWriter* writer, Verb verb,
                   const RequestHeader& header) {
-  if (header.deadline_millis == 0 && header.flags == 0) {
+  if (header.deadline_millis == 0 && header.flags == 0 && !header.held) {
     // No header state: stay on the v1 head an old server understands.
     writer->PutFixed32(kWireRequestMagic);
     writer->PutFixed32(static_cast<uint32_t>(verb));
@@ -155,7 +165,9 @@ void BeginRequest(BinaryWriter* writer, Verb verb,
   writer->PutFixed32(static_cast<uint32_t>(verb));
   BinaryWriter ext;
   ext.PutVarint64(header.deadline_millis);
-  ext.PutVarint64(header.flags);
+  ext.PutVarint64(header.flags |
+                  (header.held ? kRequestFlagHeldAnswer : uint64_t{0}));
+  if (header.held) PutAnswerTag(&ext, *header.held);
   writer->PutString(ext.Release());
 }
 
@@ -177,6 +189,10 @@ Status ParseRequestHead(BinaryReader* reader, uint32_t* verb,
     BinaryReader ext_reader(ext);
     SAMPWH_RETURN_IF_ERROR(ext_reader.GetVarint64(&header->deadline_millis));
     SAMPWH_RETURN_IF_ERROR(ext_reader.GetVarint64(&header->flags));
+    if ((header->flags & kRequestFlagHeldAnswer) != 0) {
+      SAMPWH_RETURN_IF_ERROR(
+          GetAnswerTag(&ext_reader, &header->held.emplace()));
+    }
   }
   return Status::OK();
 }
@@ -233,7 +249,9 @@ Status ParseResponseHead(BinaryReader* reader) {
 
 ResponseFrame::ResponseFrame() { body_.GrowBy(kHeadroomBytes); }
 
-void ResponseFrame::SealOk(bool length_prefixed) {
+void ResponseFrame::SealOk(bool length_prefixed, std::string_view trailer) {
+  const size_t body_end = body_.size();
+  body_.PutRaw(trailer.data(), trailer.size());
   char* const frame = body_.mutable_data();
   const char* const end = frame + body_.size();
   char* p = frame + kHeadroomBytes;
@@ -245,7 +263,7 @@ void ResponseFrame::SealOk(bool length_prefixed) {
   if (length_prefixed) {
     char length[kMaxVarint64Bytes];
     prepend(std::string_view(
-        length, EncodeVarint64(length, end - p) - length));
+        length, EncodeVarint64(length, frame + body_end - p) - length));
   }
   BinaryWriter head;
   BeginResponse(&head, Status::OK());

@@ -13,12 +13,26 @@
 //                        | string message | body
 //
 // The v2 header extension is a length-delimited blob of varints —
-// currently [deadline_millis, flags] — so future fields append without
-// another magic: readers stop at the blob's end, writers may extend it.
-// Servers accept both versions (a v1 request simply has no deadline);
-// clients emit v1 unless a request carries header state, so a fleet of old
-// and new binaries interoperates in both directions for deadline-free
-// traffic.
+// currently [deadline_millis, flags], then [held_nonce, held_version] when
+// flags has kRequestFlagHeldAnswer — so future fields append without
+// another magic: readers stop at the blob's end, writers may extend it,
+// and a flag bit says which optional fields follow. Servers accept both
+// versions (a v1 request simply has no deadline); clients emit v1 unless a
+// request carries header state, so a fleet of old and new binaries
+// interoperates in both directions for deadline-free traffic.
+//
+// Held answers. A kQuery request whose extension carries the two held_*
+// fields opts in to answer tags. Its answer body is the length-prefixed
+// sample blob followed by a tag trailer of two varints, [nonce, version]:
+// the serving process's random boot nonce (never 0) and the dataset's
+// catalog version, read before the answer was resolved. When the held
+// fields equal that tag, the blob is empty: the answer the client holds
+// under that tag is unchanged (no sample encodes to an empty blob). The
+// zero tag opts in while holding nothing. A request without the held
+// fields gets the bytes it always got, with nothing after the blob. A
+// server that predates the fields ignores the flag bit and the fields
+// after it and answers the same way, so a client that finds no trailer
+// holds nothing: old and new binaries interoperate in both directions.
 //
 // Bodies are encoded with the BinaryWriter primitives (varints, strings);
 // samples travel as their versioned serialized form, and streamed values
@@ -53,6 +67,7 @@
 #define SAMPWH_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -196,6 +211,11 @@ Status GetServerStats(BinaryReader* reader, ServerStatsSnapshot* stats);
 /// primary failed; the serving node counts it so failover traffic is
 /// visible in server stats.
 inline constexpr uint64_t kRequestFlagFailoverRead = 1ull << 0;
+///
+/// The extension carries a held answer tag after the flags
+/// (RequestHeader::held). BeginRequest sets it from `held`; callers never
+/// set it themselves.
+inline constexpr uint64_t kRequestFlagHeldAnswer = 1ull << 1;
 
 /// kReplicaRollIn body flag bits. Wire format — append, never renumber.
 ///
@@ -204,6 +224,26 @@ inline constexpr uint64_t kRequestFlagFailoverRead = 1ull << 0;
 /// under partitions_healed.
 inline constexpr uint64_t kReplicaRollInFlagHeal = 1ull << 0;
 
+/// The tag of a kQuery answer (see "Held answers" in the header comment).
+/// Equal tags from one server mean equal answer bytes for one (tenant,
+/// dataset, sorted ids). The zero tag names no answer.
+struct AnswerTag {
+  /// Boot nonce of the serving process; 0 only in the zero tag.
+  uint64_t nonce = 0;
+  /// The dataset's catalog version (Warehouse::MergedSampleBytes).
+  uint64_t version = 0;
+
+  bool operator==(const AnswerTag&) const = default;
+};
+
+/// Appends a tag as two varints: nonce, then version.
+void PutAnswerTag(BinaryWriter* writer, const AnswerTag& tag);
+/// The most bytes PutAnswerTag writes.
+inline constexpr size_t kMaxAnswerTagBytes = 2 * kMaxVarint64Bytes;
+
+/// Decodes a tag written by PutAnswerTag.
+Status GetAnswerTag(BinaryReader* reader, AnswerTag* tag);
+
 /// Per-request metadata the v2 header extension carries.
 struct RequestHeader {
   /// Milliseconds the client gives the whole request, measured from the
@@ -211,6 +251,10 @@ struct RequestHeader {
   uint64_t deadline_millis = 0;
   /// Reserved bit flags; servers ignore bits they do not know.
   uint64_t flags = 0;
+  /// kQuery only: set to opt in to a tagged answer, holding the tag of the
+  /// answer the client holds for the request's ids (the zero tag for
+  /// none). Other verbs ignore it.
+  std::optional<AnswerTag> held;
 };
 
 /// Serializes a request payload head: v1 (magic + verb) when `header` is
@@ -249,8 +293,9 @@ class ResponseFrame {
 
   /// Seals the frame as an OK answer carrying the body. With
   /// `length_prefixed` the body travels as one byte string, its varint
-  /// length first, exactly as PutString of the body would write it.
-  void SealOk(bool length_prefixed);
+  /// length first, exactly as PutString of the body would write it. The
+  /// `trailer` bytes follow the body, outside its length.
+  void SealOk(bool length_prefixed, std::string_view trailer = {});
   /// Seals the frame as the error `status`: the head only, body dropped.
   void SealError(const Status& status);
 

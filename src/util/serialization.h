@@ -101,6 +101,9 @@ class BinaryWriter {
   /// Grows the buffer by `n` zero bytes and returns where they start, for
   /// a bulk encoder that sized its output and writes through the pointer.
   char* GrowBy(size_t n);
+  /// Makes room for `n` more bytes, so that appending them does not move
+  /// the buffer.
+  void Reserve(size_t n) { buffer_.reserve(buffer_.size() + n); }
 
   const std::string& buffer() const { return buffer_; }
   /// The bytes written so far, for patching in place (nothing is added).

@@ -73,11 +73,12 @@ Result<Warehouse::DatasetLock> Warehouse::LockDataset(
     const DatasetId& dataset) const {
   DatasetLock held;
   held.structure = std::shared_lock<std::shared_mutex>(mu_);
-  const auto it = dataset_mu_.find(dataset);
-  if (it == dataset_mu_.end()) {
+  const auto it = datasets_.find(dataset);
+  if (it == datasets_.end()) {
     return Status::NotFound("no dataset: " + dataset);
   }
-  held.dataset = std::unique_lock<std::mutex>(*it->second);
+  held.state = it->second.get();
+  held.dataset = std::unique_lock<std::mutex>(held.state->mu);
   return held;
 }
 
@@ -90,7 +91,9 @@ Status Warehouse::CreateDataset(const DatasetId& id) {
     (void)catalog_.DropDataset(id);
     return logged;
   }
-  dataset_mu_[id] = std::make_shared<std::mutex>();
+  auto state = std::make_shared<DatasetState>();
+  state->version = NextCatalogVersion();
+  datasets_[id] = std::move(state);
   return Status::OK();
 }
 
@@ -109,7 +112,7 @@ Status Warehouse::DropDataset(const DatasetId& id) {
   // A dropped dataset's ingest checkpoints are meaningless (and would
   // read as stale on the next recovery); best effort again.
   store_->DeleteCheckpoint(id);
-  dataset_mu_.erase(id);
+  datasets_.erase(id);
   // Epoch-bump both caches: a recreated dataset reuses partition ids from
   // 0, so pre-drop entries must become unreachable, not merely evicted.
   if (sample_cache_ != nullptr) sample_cache_->InvalidateDataset(id);
@@ -170,6 +173,7 @@ Result<PartitionId> Warehouse::RollIn(const DatasetId& dataset,
                           catalog_.AllocatePartitionId(dataset));
   SAMPWH_RETURN_IF_ERROR(RollInLocked(dataset, id, sample, min_timestamp,
                                       max_timestamp, close_key));
+  held.state->version = NextCatalogVersion();
   return id;
 }
 
@@ -183,6 +187,7 @@ Result<PartitionId> Warehouse::RollInAt(const DatasetId& dataset,
   SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
   SAMPWH_RETURN_IF_ERROR(RollInLocked(dataset, id, sample, min_timestamp,
                                       max_timestamp, /*close_key=*/0));
+  held.state->version = NextCatalogVersion();
   return id;
 }
 
@@ -232,6 +237,7 @@ Status Warehouse::RollOut(const DatasetId& dataset, PartitionId partition) {
   SAMPWH_RETURN_IF_ERROR(
       LogCatalogEdit(CatalogEdit::RemovePartition(dataset, partition)));
   (void)catalog_.RemovePartition(dataset, partition);
+  held.state->version = NextCatalogVersion();
   // Strict invalidation: the partition's cached sample and every memoized
   // merge node containing it go with the catalog entry, so no future read
   // can observe rolled-out state.
@@ -509,19 +515,21 @@ Result<MergeMemo::Node> Warehouse::MergeByIds(
   return Memoize(dataset, ids, fingerprint, memo_view, std::move(root));
 }
 
-Status Warehouse::CheckCataloged(const DatasetId& dataset,
-                                 const std::vector<PartitionId>& parts) const {
+Result<uint64_t> Warehouse::CheckCataloged(
+    const DatasetId& dataset, const std::vector<PartitionId>& parts) const {
   SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
   for (const PartitionId id : parts) {
     SAMPWH_RETURN_IF_ERROR(catalog_.GetPartition(dataset, id).status());
   }
-  return Status::OK();
+  return held.state->version;
 }
 
 Result<std::vector<PartitionId>> Warehouse::AllPartitionIds(
-    const DatasetId& dataset) const {
+    const DatasetId& dataset, uint64_t* version) const {
+  SAMPWH_ASSIGN_OR_RETURN(DatasetLock held, LockDataset(dataset));
   SAMPWH_ASSIGN_OR_RETURN(std::vector<PartitionInfo> infos,
-                          ListPartitions(dataset));
+                          catalog_.ListPartitions(dataset));
+  if (version != nullptr) *version = held.state->version;
   std::vector<PartitionId> ids;
   ids.reserve(infos.size());
   for (const PartitionInfo& p : infos) ids.push_back(p.id);
@@ -530,7 +538,7 @@ Result<std::vector<PartitionId>> Warehouse::AllPartitionIds(
 
 Result<PartitionSample> Warehouse::MergedSample(
     const DatasetId& dataset, const std::vector<PartitionId>& parts) {
-  SAMPWH_RETURN_IF_ERROR(CheckCataloged(dataset, parts));
+  SAMPWH_RETURN_IF_ERROR(CheckCataloged(dataset, parts).status());
   SAMPWH_ASSIGN_OR_RETURN(const MergeMemo::Node root,
                           MergeByIds(dataset, parts, /*with_bytes=*/false));
   return *root.sample;
@@ -554,12 +562,18 @@ Result<PartitionSample> Warehouse::MergedSampleInTimeRange(
 }
 
 Result<std::shared_ptr<const std::string>> Warehouse::MergedSampleBytes(
-    const DatasetId& dataset, const std::vector<PartitionId>& parts) {
+    const DatasetId& dataset, const std::vector<PartitionId>& parts,
+    uint64_t* version, uint64_t current_if) {
   std::vector<PartitionId> all;
+  uint64_t read = 0;
   if (parts.empty()) {
-    SAMPWH_ASSIGN_OR_RETURN(all, AllPartitionIds(dataset));
+    SAMPWH_ASSIGN_OR_RETURN(all, AllPartitionIds(dataset, &read));
   } else {
-    SAMPWH_RETURN_IF_ERROR(CheckCataloged(dataset, parts));
+    SAMPWH_ASSIGN_OR_RETURN(read, CheckCataloged(dataset, parts));
+  }
+  if (version != nullptr) {
+    *version = read;
+    if (read == current_if) return std::shared_ptr<const std::string>();
   }
   SAMPWH_ASSIGN_OR_RETURN(
       MergeMemo::Node root,
@@ -629,6 +643,16 @@ WarehouseCacheStats Warehouse::GetCacheStats() const {
 void Warehouse::InvalidateCaches() {
   if (sample_cache_ != nullptr) sample_cache_->Clear();
   if (merge_memo_ != nullptr) merge_memo_->Clear();
+  // The store may have changed under every dataset. With mu_ exclusive no
+  // dataset mutex is held, so each version moves without its own.
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (auto& [dataset, state] : datasets_) {
+    state->version = NextCatalogVersion();
+  }
+}
+
+uint64_t Warehouse::NextCatalogVersion() {
+  return catalog_version_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 Status Warehouse::SaveManifest(const std::string& path) const {
@@ -736,7 +760,9 @@ Result<Warehouse::RestoredWarehouse> Warehouse::RestoreWithRecovery(
 void Warehouse::InstallCatalog(Catalog catalog) {
   catalog_ = std::move(catalog);
   for (const DatasetId& dataset : catalog_.ListDatasets()) {
-    dataset_mu_[dataset] = std::make_shared<std::mutex>();
+    auto state = std::make_shared<DatasetState>();
+    state->version = NextCatalogVersion();
+    datasets_[dataset] = std::move(state);
   }
 }
 

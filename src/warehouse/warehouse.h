@@ -6,6 +6,7 @@
 #ifndef SAMPWH_WAREHOUSE_WAREHOUSE_H_
 #define SAMPWH_WAREHOUSE_WAREHOUSE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -187,8 +188,20 @@ class Warehouse {
   /// `parts` is empty, after the same catalog checks. A memoized root keeps
   /// its bytes, so a repeated query shares them: no sample copy and no
   /// encode. The bytes are immutable and outlive the node's eviction.
+  ///
+  /// With `version`, *version is set to the dataset's catalog version,
+  /// read under the lock that checks the catalog, so before the answer is
+  /// resolved. Every catalog mutation of the dataset moves it (create,
+  /// roll-in, roll-out, and so retention, compaction and a replica's
+  /// repair; InvalidateCaches moves every dataset's), and it is drawn from
+  /// one sequence across the warehouse, starting at 1, so a dropped and
+  /// re-created dataset never repeats a value: equal versions read at two
+  /// times mean no mutation of the dataset came between them. When it
+  /// equals `current_if`, a version whose answer the caller holds, nothing
+  /// is resolved and the bytes are null.
   Result<std::shared_ptr<const std::string>> MergedSampleBytes(
-      const DatasetId& dataset, const std::vector<PartitionId>& parts);
+      const DatasetId& dataset, const std::vector<PartitionId>& parts,
+      uint64_t* version = nullptr, uint64_t current_if = 0);
 
   /// A fresh RNG stream derived from the warehouse seed, for external
   /// samplers that will roll their results in.
@@ -229,7 +242,8 @@ class Warehouse {
   /// invalidation recompute from the store and produce bit-identical
   /// results, since merge RNG streams derive from query identity, not cache
   /// state. Call this when the backing store is mutated externally (outside
-  /// this Warehouse's roll-in/roll-out).
+  /// this Warehouse's roll-in/roll-out); it moves every dataset's catalog
+  /// version, since such a mutation may change answers.
   void InvalidateCaches();
 
   // --- Durability ---------------------------------------------------------
@@ -287,12 +301,14 @@ class Warehouse {
   SampleStore* store_for_testing() { return store_.get(); }
 
  private:
-  /// NotFound unless every id in `parts` is cataloged in `dataset`.
-  Status CheckCataloged(const DatasetId& dataset,
-                        const std::vector<PartitionId>& parts) const;
-  /// Every cataloged partition id of `dataset`, in catalog order.
+  /// NotFound unless every id in `parts` is cataloged in `dataset`;
+  /// otherwise the dataset's catalog version, read under the same lock.
+  Result<uint64_t> CheckCataloged(const DatasetId& dataset,
+                                  const std::vector<PartitionId>& parts) const;
+  /// Every cataloged partition id of `dataset`, in catalog order, and the
+  /// catalog version under the same lock into `*version` when given.
   Result<std::vector<PartitionId>> AllPartitionIds(
-      const DatasetId& dataset) const;
+      const DatasetId& dataset, uint64_t* version = nullptr) const;
   /// The root of the merge tree over `parts`: the stored leaf for one id,
   /// else the memoized node or the node WalkMergeTree computes over the
   /// stored leaves and the memoized subtrees, memoizing every node it joins.
@@ -313,18 +329,24 @@ class Warehouse {
   /// the warehouse pool).
   Result<std::vector<std::shared_ptr<const PartitionSample>>> FetchSamples(
       const DatasetId& dataset, std::span<const PartitionId> ids);
+  /// One dataset's mutex and the catalog version it guards.
+  struct DatasetState {
+    std::mutex mu;
+    uint64_t version = 0;
+  };
   /// Both locks guarding one dataset's partition metadata, acquired in a
   /// single pass: the shared structure lock on mu_ and the dataset's own
   /// mutex. While a DatasetLock is held the dataset cannot be dropped
-  /// (drop needs mu_ exclusively), so the per-dataset mutex stays alive.
+  /// (drop needs mu_ exclusively), so its state stays alive.
   struct DatasetLock {
     std::shared_lock<std::shared_mutex> structure;
     std::unique_lock<std::mutex> dataset;
+    DatasetState* state = nullptr;
   };
   /// Acquires the dataset's locks (NotFound when it does not exist). Must
   /// be called without mu_ held.
   Result<DatasetLock> LockDataset(const DatasetId& dataset) const;
-  /// Installs a restored catalog with one dataset_mu_ entry per dataset.
+  /// Installs a restored catalog with one datasets_ entry per dataset.
   /// Only for a warehouse no other thread can reach yet (the restores).
   void InstallCatalog(Catalog catalog);
   /// The body of RollIn and RollInAt under the dataset's lock: catalogs,
@@ -341,6 +363,8 @@ class Warehouse {
   /// manifest_path). Called under the mutation's lock, so the log's order
   /// is the catalog's.
   Status LogCatalogEdit(const CatalogEdit& edit);
+  /// The next value of the warehouse-wide catalog version sequence.
+  uint64_t NextCatalogVersion();
 
   WarehouseOptions options_;
   std::unique_ptr<SampleStore> store_;
@@ -350,16 +374,19 @@ class Warehouse {
   std::unique_ptr<CatalogLog> catalog_log_;    // when manifest_path is set
 
   // Locking model. `mu_` guards the catalog *structure* (which datasets
-  // exist) and dataset_mu_; dataset creation/drop and snapshot writes take
+  // exist) and datasets_; dataset creation/drop and snapshot writes take
   // it exclusively, everything else takes it shared.
-  // Partition metadata of one dataset is guarded by that dataset's own
-  // mutex (taken with mu_ held shared), so ingest into different datasets
-  // never serializes on one global lock. rng_ has a dedicated mutex so RNG
+  // Partition metadata of one dataset, and its catalog version, are
+  // guarded by that dataset's own mutex (taken with mu_ held shared), so
+  // ingest into different datasets never serializes on one global lock.
+  // A mutation moves the version before it releases that mutex, so a
+  // reader holding it sees the version and the metadata of one state. rng_ has a dedicated mutex so RNG
   // forks stay cheap under catalog traffic; long-running work (sampling,
   // merging, store I/O on read paths) runs outside all warehouse locks.
   mutable std::shared_mutex mu_;
   Catalog catalog_;
-  mutable std::map<DatasetId, std::shared_ptr<std::mutex>> dataset_mu_;
+  mutable std::map<DatasetId, std::shared_ptr<DatasetState>> datasets_;
+  std::atomic<uint64_t> catalog_version_{0};
   mutable std::mutex rng_mu_;
   Pcg64 rng_;
 };

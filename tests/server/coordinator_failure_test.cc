@@ -244,6 +244,94 @@ TEST(CoordinatorFailureTest, NodeDyingMidMergeThenRestartRecovery) {
   EXPECT_TRUE(health[1]);
 }
 
+/// Restarts node `node` of `f` on its old port from its store, under
+/// warehouse seed `seed`.
+void RestartNode(Fixture& f, size_t node, uint64_t seed) {
+  const uint16_t port = f.servers[node]->port();
+  f.servers[node]->Stop();
+  ServerOptions revived = NodeOptions(f.dirs[node].path());
+  revived.port = port;
+  revived.warehouse.seed = seed;
+  revived.bootstrap_tenants["acme"] = TenantQuota{};
+  f.servers[node] = MustStart(revived);
+  ASSERT_NE(f.servers[node], nullptr);
+}
+
+TEST(CoordinatorFailureTest, NodeRestartedWithOtherSeedIsRefusedOnItsNextAnswer) {
+  Fixture f = MakeFixture("reseed");
+  ASSERT_NE(f.coordinator, nullptr);
+  ShardCoordinator& coord = *f.coordinator;
+  auto before = coord.Query("acme", "sales", f.ids);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // Node 1 comes back on its port and store under another seed. Its next
+  // answer names another boot nonce; the ping that re-checks it refuses
+  // it, and with one copy of each id the query fails naming the node.
+  ASSERT_NO_FATAL_FAILURE(RestartNode(f, 1, kSeed + 1));
+  auto after = coord.Query("acme", "sales", f.ids);
+  ASSERT_FALSE(after.ok());
+  EXPECT_TRUE(after.status().IsFailedPrecondition())
+      << after.status().ToString();
+  EXPECT_NE(after.status().message().find(
+                ":" + std::to_string(f.servers[1]->port())),
+            std::string::npos)
+      << after.status().ToString();
+  EXPECT_EQ(coord.CheckHealth(), (std::vector<bool>{true, false}));
+}
+
+TEST(CoordinatorFailureTest, ReplicaRestartedWithOtherSeedFailsOverToItsPeer) {
+  // Two file-backed nodes at R = 2: each holds every id.
+  Fixture f;
+  for (size_t i = 0; i < 2; ++i) {
+    f.dirs.emplace_back("sampwh_coordfail_reseed_r2_" + std::to_string(i));
+    f.servers.push_back(MustStart(NodeOptions(f.dirs.back().path())));
+    ASSERT_NE(f.servers.back(), nullptr);
+    f.nodes.push_back({f.servers.back()->host(), f.servers.back()->port()});
+  }
+  CoordinatorOptions options = TolerantCoordinatorOptions();
+  options.tolerate_unreachable = false;
+  options.replication_factor = 2;
+  auto connected = ShardCoordinator::Connect(f.nodes, options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ShardCoordinator& coord = *connected.value();
+  Warehouse reference(NodeOptions("").warehouse);
+  ASSERT_TRUE(coord.CreateTenant("acme", {}).ok());
+  ASSERT_TRUE(coord.CreateDataset("acme", "sales").ok());
+  ASSERT_TRUE(reference.CreateDataset("acme.sales").ok());
+  for (uint64_t p = 0; p < kPartitions; ++p) {
+    const PartitionSample sample =
+        MakeReservoirSample(static_cast<Value>(p) * 100, 6);
+    auto id = coord.RollIn("acme", "sales", sample, p, p);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(reference.RollInAt("acme.sales", id.value(), sample, p, p).ok());
+    f.ids.push_back(id.value());
+  }
+  const std::string expect =
+      SampleBytes(reference.MergedSample("acme.sales", f.ids).value());
+  // The third ask of the same ids is answered from the held copy, and the
+  // coordinator's stats sum the clients' count of such answers.
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    auto before = coord.Query("acme", "sales", f.ids);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    EXPECT_EQ(SampleBytes(before.value()), expect);
+  }
+  EXPECT_EQ(coord.stats().answers_unchanged, 1u);
+
+  // The node a whole-set query goes to first restarts under another seed:
+  // its answer is refused and the peer serves the same bytes.
+  const size_t first = coord.ShardOf("acme", "sales", f.ids[0]);
+  ASSERT_NO_FATAL_FAILURE(RestartNode(f, first, kSeed + 1));
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    auto after = coord.Query("acme", "sales", f.ids);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(SampleBytes(after.value()), expect);
+  }
+  EXPECT_GE(coord.stats().failover_reads, 1u);
+  std::vector<bool> health(2, true);
+  health[first] = false;
+  EXPECT_EQ(coord.CheckHealth(), health);
+}
+
 TEST(CoordinatorFailureTest, AllShardsDownIsCleanUnavailable) {
   Fixture f = MakeFixture("alldown");
   ASSERT_NE(f.coordinator, nullptr);

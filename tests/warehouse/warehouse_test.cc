@@ -389,6 +389,81 @@ TEST(WarehouseTest, ConcurrentIngestAcrossDatasets) {
   }
 }
 
+/// The dataset's catalog version as the serving path reads it.
+uint64_t VersionOf(Warehouse& wh, const DatasetId& dataset) {
+  uint64_t version = 0;
+  EXPECT_TRUE(wh.MergedSampleBytes(dataset, {}, &version).ok());
+  return version;
+}
+
+TEST(WarehouseTest, CatalogVersionMovesOnEveryMutationAndNeverRepeats) {
+  Warehouse wh(HrOptions());
+  ASSERT_TRUE(wh.CreateDataset("d").ok());
+  ASSERT_TRUE(wh.CreateDataset("other").ok());
+  std::set<uint64_t> seen;
+  const auto expect_new = [&](const char* what) {
+    EXPECT_TRUE(seen.insert(VersionOf(wh, "d")).second) << what;
+  };
+  PartitionSample sample;
+  {
+    AnySampler sampler(HrOptions().sampler, wh.ForkRng());
+    sampler.AddBatch(Range(0, 100));
+    sample = sampler.Finalize();
+  }
+  ASSERT_TRUE(wh.RollInAt("d", 0, sample, 1, 1).ok());
+  expect_new("roll-in at");
+  // A query and another dataset's roll-in change nothing.
+  const uint64_t quiet = VersionOf(wh, "d");
+  ASSERT_TRUE(wh.MergedSample("d", {0}).ok());
+  ASSERT_TRUE(wh.RollIn("other", sample).ok());
+  EXPECT_EQ(VersionOf(wh, "d"), quiet);
+  // A keyed roll-in moves it once; its replay lands on the same partition
+  // and moves nothing.
+  ASSERT_TRUE(wh.RollIn("d", sample, 2, 2, /*close_key=*/7).ok());
+  expect_new("keyed roll-in");
+  const uint64_t keyed = VersionOf(wh, "d");
+  ASSERT_TRUE(wh.RollIn("d", sample, 2, 2, /*close_key=*/7).ok());
+  EXPECT_EQ(VersionOf(wh, "d"), keyed);
+  ASSERT_TRUE(wh.RollIn("d", sample, 3, 3).ok());
+  expect_new("roll-in");
+  ASSERT_TRUE(wh.RollOut("d", 0).ok());
+  expect_new("roll-out");
+  RetentionPolicy keep_one;
+  keep_one.keep_last_partitions = 1;
+  ASSERT_TRUE(wh.RollIn("d", sample, 4, 4).ok());
+  expect_new("roll-in before retention");
+  ASSERT_FALSE(wh.ApplyRetention("d", keep_one, 10).value().empty());
+  expect_new("retention");
+  ASSERT_TRUE(wh.RollIn("d", sample, 5, 5).ok());
+  const std::vector<PartitionInfo> parts = wh.ListPartitions("d").value();
+  ASSERT_EQ(parts.size(), 2u);
+  ASSERT_TRUE(wh.CompactPartitions("d", {parts[0].id, parts[1].id}).ok());
+  expect_new("compaction");
+  wh.InvalidateCaches();
+  expect_new("cache invalidation");
+  // Drop and re-create: the new dataset's versions are new values too.
+  ASSERT_TRUE(wh.DropDataset("d").ok());
+  uint64_t version = 0;
+  EXPECT_TRUE(wh.MergedSampleBytes("d", {}, &version).status().IsNotFound());
+  ASSERT_TRUE(wh.CreateDataset("d").ok());
+  ASSERT_TRUE(wh.RollInAt("d", 0, sample, 1, 1).ok());
+  expect_new("re-created");
+
+  // The version the caller holds the answer of resolves nothing; any other
+  // resolves the answer.
+  const uint64_t current = VersionOf(wh, "d");
+  const auto unchanged = wh.MergedSampleBytes("d", {0}, &version, current);
+  ASSERT_TRUE(unchanged.ok());
+  EXPECT_EQ(unchanged.value(), nullptr);
+  EXPECT_EQ(version, current);
+  const auto changed = wh.MergedSampleBytes("d", {0}, &version, current - 1);
+  ASSERT_TRUE(changed.ok());
+  ASSERT_NE(changed.value(), nullptr);
+  BinaryWriter expected;
+  wh.MergedSample("d", {0}).value().SerializeTo(&expected);
+  EXPECT_EQ(*changed.value(), expected.buffer());
+}
+
 TEST(CloseKeyTest, KeyedRollInIsIdempotentAndRefusesOtherContent) {
   Warehouse wh(HrOptions());
   ASSERT_TRUE(wh.CreateDataset("ds").ok());
